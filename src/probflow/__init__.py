@@ -32,7 +32,6 @@ from .sampling import (
     ReachTable,
     SamplerConfig,
     confidence_interval,
-    mc_component_reach,
     mc_expected_flow,
     normal_quantile,
     reachable_set,

@@ -8,10 +8,8 @@ unless --timings is given so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
@@ -35,19 +33,9 @@ from .oracle import OracleLimitError, expected_flow_of_edges
 from .sampling import SamplerConfig, mc_expected_flow
 from .selection import Solution, StrategyConfig, VARIANTS, candidate_edges, run_strategy
 
-THREADS_ENV = "PROBFLOW_THREADS"
-
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
@@ -297,6 +285,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
+    if args.repeat < 1:
+        raise ValueError("--repeat must be >= 1")
     instance = None
     if args.edges:
         graph, q = _load_inputs(args)
@@ -313,8 +303,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
         if not values:
             raise ValueError("empty sweep value list")
+        if axis in ("n", "deg", "k") and not all(x.is_integer() for x in values):
+            raise ValueError(f"sweep axis {axis!r} takes whole numbers, got {raw!r}")
 
-    tasks = []
+    rows = []
     for value in values:
         n, deg, eps, k, ds_c = args.n, args.deg, args.eps, args.k, args.ds_c
         if axis == "n":
@@ -329,23 +321,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ds_c = value
         for variant in variants:
             for repeat in range(args.repeat):
-                tasks.append((value, n, deg, eps, k, ds_c, variant, repeat))
-
-    def run(task):
-        value, n, deg, eps, k, ds_c, variant, repeat = task
-        row = _bench_point(
-            instance, args.family, n, deg, eps, k, ds_c, variant, repeat,
-            args.seed, args.samples, args.alpha, args.ref_samples,
-            args.timings, args.unit_weights,
-        )
-        return [axis, _fmt(value)] + row
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+                row = _bench_point(
+                    instance, args.family, n, deg, eps, k, ds_c, variant, repeat,
+                    args.seed, args.samples, args.alpha, args.ref_samples,
+                    args.timings, args.unit_weights,
+                )
+                rows.append([axis, _fmt(value)] + row)
 
     # Per (sweep point, variant) spread across the repeats, for variance studies.
     groups: dict[tuple[str, str], list[float]] = {}

@@ -10,15 +10,15 @@ results multiply up the tree.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .graphs import Edge, ProbabilisticGraph, canonical_edge
 from .sampling import (
+    CI_BATCH,
     EXACT_SAMPLES,
     FlowEstimate,
     ReachTable,
@@ -114,9 +114,10 @@ class InsertReport:
 class MemoStore:
     """Bounded LRU cache of component signature -> sampled reach table.
 
-    Entries for equal signatures are interchangeable (sampling streams are
-    derived from the signature), so concurrent last-writer-wins puts are
-    safe.
+    One selection run owns its store.  Tables for equal signatures are
+    interchangeable (sampling streams are derived from the signature), so
+    re-storing a signature or evicting it never changes a result, only how
+    often a component is sampled.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -124,34 +125,21 @@ class MemoStore:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: OrderedDict[str, ReachTable] = OrderedDict()
-        self._lock = threading.Lock()
 
     def lookup(self, signature: str) -> Optional[ReachTable]:
-        with self._lock:
-            table = self._entries.get(signature)
-            if table is not None:
-                self._entries.move_to_end(signature)
-            return table
+        table = self._entries.get(signature)
+        if table is not None:
+            self._entries.move_to_end(signature)
+        return table
 
     def store(self, signature: str, table: ReachTable) -> None:
-        with self._lock:
-            self._entries[signature] = table
-            self._entries.move_to_end(signature)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[signature] = table
+        self._entries.move_to_end(signature)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def _component_sampling_parts(graph: ProbabilisticGraph, comp: BiComponent):
-    """Local vertex/edge arrays for sampling one component's subgraph."""
-    verts = sorted(comp.members | {comp.articulation})
-    local = {v: i for i, v in enumerate(verts)}
-    edges = sorted(comp.internal_edges)
-    local_edges = [(local[u], local[v]) for u, v in edges]
-    probs = [graph.probabilities[graph.edge_index[e]] for e in edges]
-    return verts, local, local_edges, probs
 
 
 class IncrementalComponentSampler:
@@ -165,7 +153,11 @@ class IncrementalComponentSampler:
         self.signature = comp.signature()
         self.articulation = comp.articulation
         self.alpha = cfg.alpha
-        verts, local, self._edges, self._probs = _component_sampling_parts(graph, comp)
+        verts = sorted(comp.members | {comp.articulation})
+        local = {v: i for i, v in enumerate(verts)}
+        edges = sorted(comp.internal_edges)
+        self._edges = [(local[u], local[v]) for u, v in edges]
+        self._probs = [graph.probabilities[graph.edge_index[e]] for e in edges]
         self._verts = verts
         self._source = local[comp.articulation]
         self._rng = substream(cfg.master_seed, "component", self.signature)
@@ -191,13 +183,6 @@ class IncrementalComponentSampler:
         return ReachTable(
             articulation=self.articulation, probs=probs, sample_count=self.drawn, alpha=self.alpha
         )
-
-
-def sample_component(graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig) -> ReachTable:
-    """Sample a component's reach table at the configured budget in one shot."""
-    sampler = IncrementalComponentSampler(graph, comp, cfg)
-    sampler.draw(cfg.samples)
-    return sampler.table()
 
 
 class FTree:
@@ -335,7 +320,8 @@ class FTree:
                     comp.dirty = True
                 else:
                     case = "IIIb"
-                    self.split_tree(shared, u, v, extra_edge=e)
+                    bi_id = self._split_mono(shared, u, v)
+                    self.components[bi_id].internal_edges.add(e)
             else:
                 case = self._insert_linking_edge(u, v, e)
         else:
@@ -380,24 +366,20 @@ class FTree:
                 return cid
         return None
 
-    def split_tree(
-        self,
-        comp_id: int,
-        v_src: int,
-        v_dest: int,
-        extra_edge: Optional[Edge] = None,
-    ) -> int:
+    def _split_mono(self, comp_id: int, v_src: int, v_dest: int) -> int:
         """Split a mono component around the new cycle between v_src and v_dest.
 
         The first vertex common to both paths toward the articulation vertex
-        anchors a new bi-component holding the cycle; members cut off from
-        the articulation vertex regroup into new mono components hanging off
+        anchors a new bi-component holding the cycle's tree edges (the
+        caller adds the edge that closes it); members cut off from the
+        articulation vertex regroup into new mono components hanging off
         the cycle vertex their old path crossed first.  Returns the new
-        component's id; its reach table is left dirty.
+        component's id; its reach table is left dirty.  Parent/child links
+        are left stale for the caller to rebuild.
         """
         comp = self.components[comp_id]
         if not isinstance(comp, MonoComponent):
-            raise FTreeError("split_tree requires a mono component")
+            raise FTreeError("_split_mono requires a mono component")
         path_src = comp.path_to_articulation(v_src)
         path_dest = comp.path_to_articulation(v_dest)
         dest_set = set(path_dest)
@@ -408,8 +390,6 @@ class FTree:
         for x in cycle:
             parent, _ = comp.parent_edges[x]
             bi_edges.add(canonical_edge(x, parent))
-        if extra_edge is not None:
-            bi_edges.add(extra_edge)
 
         bi = BiComponent(members=cycle_set, articulation=wedge, internal_edges=bi_edges)
         bi_id = self._add_component(bi)
@@ -425,7 +405,6 @@ class FTree:
             mid = self._add_component(mono)
             self._detach_members(comp, group, mid)
         self._drop_if_empty(comp_id, replacement=bi_id)
-        self._rebuild_links()
         return bi_id
 
     def _classify_orphans(
@@ -510,51 +489,25 @@ class FTree:
         entry_src = climb(cid_u, u)
         entry_dest = climb(cid_v, v)
 
-        anc_comp = self.components[anc]
         anc_was_root = anc == self.root_id
-        anc_deleted = False
         if entry_src == entry_dest:
             sub_cases.add("IVa")
             ring_av = entry_src
-        elif isinstance(anc_comp, BiComponent):
-            sub_cases.add("IVb")
-            ring_members.update(anc_comp.members)
-            ring_edges.update(anc_comp.internal_edges)
-            absorbed.append(anc)
-            ring_av = anc_comp.articulation
-            anc_deleted = True
         else:
-            # The cycle enters the ancestor at two vertices: split it there,
-            # anchoring the ring at the first vertex their paths share.
-            sub_cases.add("IVa")
-            path_src = anc_comp.path_to_articulation(entry_src)
-            path_dest = anc_comp.path_to_articulation(entry_dest)
-            dest_set = set(path_dest)
-            wedge = next(x for x in path_src if x in dest_set)
-            cycle = path_src[: path_src.index(wedge)] + path_dest[: path_dest.index(wedge)]
-            cycle_set = set(cycle)
-            for x in cycle:
-                parent, _ = anc_comp.parent_edges[x]
-                ring_edges.add(canonical_edge(x, parent))
-            groups = self._classify_orphans(
-                anc_comp, cycle_set, stop={wedge, anc_comp.articulation}
-            )
-            for anchor in sorted(groups):
-                group = groups[anchor]
-                pending_monos.append(
-                    (anchor, group, {m: anc_comp.parent_edges[m] for m in group})
-                )
-                anc_comp.members -= group
-                for m in group:
-                    anc_comp.parent_edges.pop(m, None)
-            ring_members.update(cycle_set)
-            anc_comp.members -= cycle_set
-            for x in cycle_set:
-                anc_comp.parent_edges.pop(x, None)
-            ring_av = wedge
-            if not anc_comp.members:
-                del self.components[anc]
-                anc_deleted = True
+            # The cycle enters the ancestor at two vertices; a mono ancestor
+            # first splits off the part of it that lies on the cycle.
+            folded = anc
+            if isinstance(self.components[anc], BiComponent):
+                sub_cases.add("IVb")
+            else:
+                sub_cases.add("IVa")
+                folded = self._split_mono(anc, entry_src, entry_dest)
+            bi = self.components[folded]
+            assert isinstance(bi, BiComponent)
+            ring_members.update(bi.members)
+            ring_edges.update(bi.internal_edges)
+            absorbed.append(folded)
+            ring_av = bi.articulation
 
         ring = BiComponent(members=ring_members, articulation=ring_av, internal_edges=ring_edges)
         ring_id = self._add_component(ring)
@@ -567,7 +520,7 @@ class FTree:
             mid = self._add_component(mono)
             for m in group:
                 self.vertex_index[m] = mid
-        if anc_was_root and anc_deleted:
+        if anc_was_root and anc not in self.components:
             self.root_id = ring_id
         self._rebuild_links()
 
@@ -616,22 +569,46 @@ class FTree:
         graph: ProbabilisticGraph,
         cfg: SamplerConfig,
         memo: Optional[MemoStore] = None,
-    ) -> list[int]:
-        """Renew every dirty component's reach table (memo-aware)."""
-        renewed = []
+        stop: Optional[Callable[[FlowEstimate], bool]] = None,
+    ) -> Optional[FlowEstimate]:
+        """Renew every dirty component's reach table.
+
+        A table memoized with at least ``cfg.samples`` worlds is reused;
+        every other dirty component is sampled and its finished table
+        stored in ``memo``.  Without ``stop`` each component draws its full
+        budget in one call and None is returned.  With ``stop``, all of
+        them draw ``CI_BATCH`` worlds per round and the tree's expected flow
+        is offered to ``stop`` after every round, the last one included; the
+        first estimate it accepts is returned at once, and the partially
+        sampled tables are then kept out of the memo.
+        """
+        samplers: list[tuple[BiComponent, IncrementalComponentSampler]] = []
         for cid in self.dirty_components():
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
-            sig = comp.signature()
-            table = memo.lookup(sig) if memo is not None else None
-            if table is None or table.sample_count < cfg.samples:
-                table = sample_component(graph, comp, cfg)
-                if memo is not None:
-                    memo.store(sig, table)
-            comp.reach = table
-            comp.dirty = False
-            renewed.append(cid)
-        return renewed
+            table = memo.lookup(comp.signature()) if memo is not None else None
+            if table is not None and table.sample_count >= cfg.samples:
+                comp.reach = table
+                comp.dirty = False
+            else:
+                samplers.append((comp, IncrementalComponentSampler(graph, comp, cfg)))
+        batch = cfg.samples if stop is None else CI_BATCH
+        drawn = 0
+        while samplers and drawn < cfg.samples:
+            step = min(batch, cfg.samples - drawn)
+            for comp, sampler in samplers:
+                sampler.draw(step)
+                comp.reach = sampler.table()
+                comp.dirty = False
+            drawn += step
+            if stop is not None:
+                est = self.expected_flow(graph)
+                if stop(est):
+                    return est
+        if memo is not None:
+            for comp, sampler in samplers:
+                memo.store(sampler.signature, comp.reach)
+        return None
 
     # ------------------------------------------------------------------
     # evaluation

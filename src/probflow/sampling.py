@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,26 +24,26 @@ EXACT_SAMPLES = 2**31 - 1
 # Cap on random doubles drawn per vectorized chunk, keeps memory flat.
 _CHUNK_BUDGET = 4_000_000
 
+# Interval pruning trusts a normal-approximation bound only from this many
+# sampled worlds on, and samples a pruned-probe component in batches of
+# CI_BATCH worlds between dominance checks.
+CI_MIN_SAMPLES = 30
+CI_BATCH = 100
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for Monte-Carlo estimation and interval-based pruning."""
+    """Knobs for Monte-Carlo estimation and confidence bounds."""
 
     samples: int = 1000
     alpha: float = 0.01
     master_seed: int = 0
-    min_samples_for_ci: int = 30
-    ci_batch: int = 100
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0,1)")
-        if self.min_samples_for_ci < 1:
-            raise ValueError("min_samples_for_ci must be >= 1")
-        if self.ci_batch < 1:
-            raise ValueError("ci_batch must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -208,31 +208,6 @@ def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> F
     lb = float(weights @ np.clip(p_hat - half, 0.0, 1.0))
     ub = float(weights @ np.clip(p_hat + half, 0.0, 1.0))
     return FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=cfg.samples)
-
-
-def mc_component_reach(
-    graph: ProbabilisticGraph,
-    articulation: int,
-    cfg: SamplerConfig,
-    stream_key: Optional[object] = None,
-    samples: Optional[int] = None,
-) -> ReachTable:
-    """Estimate, by sampling the component subgraph, each vertex's probability
-    of connecting to the articulation vertex.
-
-    ``stream_key`` overrides the default substream identity (the subgraph's
-    own signature); component owners pass their parent-graph signature so a
-    component samples identically whether probed, committed, or re-created.
-    """
-    if not (0 <= articulation < graph.num_vertices):
-        raise ValueError(f"articulation vertex {articulation} not in subgraph")
-    if stream_key is None:
-        stream_key = graph.signature() + f";av={articulation}"
-    total = cfg.samples if samples is None else samples
-    rng = substream(cfg.master_seed, "component", stream_key)
-    counts = _success_counts(graph.edges, graph.probabilities, graph.num_vertices, articulation, total, rng)
-    probs = {v: counts[v] / total for v in range(graph.num_vertices) if v != articulation}
-    return ReachTable(articulation=articulation, probs=probs, sample_count=total, alpha=cfg.alpha)
 
 
 def confidence_interval(successes: int, samples: int, alpha: float) -> tuple[float, float]:

@@ -13,16 +13,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .ftree import (
-    BiComponent,
-    FTree,
-    IncrementalComponentSampler,
-    InsertReport,
-    MemoStore,
-    new_ftree,
-)
+from .ftree import FTree, InsertReport, MemoStore, new_ftree
 from .graphs import Edge, ProbabilisticGraph, induced_subgraph
-from .sampling import EXACT_SAMPLES, FlowEstimate, SamplerConfig, mc_expected_flow
+from .sampling import (
+    CI_MIN_SAMPLES,
+    EXACT_SAMPLES,
+    FlowEstimate,
+    SamplerConfig,
+    mc_expected_flow,
+)
 
 VARIANTS = ("naive", "dijkstra", "ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds")
 
@@ -49,7 +48,6 @@ class StrategyConfig:
 class CandidateState:
     edge: Edge
     delay_remaining: int = 0
-    last_estimate: Optional[FlowEstimate] = None
 
 
 @dataclass(frozen=True)
@@ -93,23 +91,21 @@ def candidate_edges(
     return out
 
 
-def ci_prune(
-    candidates: Sequence[tuple[Edge, FlowEstimate]], min_samples: int = 30
-) -> set[Edge]:
+def ci_prune(candidates: Sequence[tuple[Edge, FlowEstimate]]) -> set[Edge]:
     """Candidates that survive interval dominance.
 
     A candidate is discarded only when another candidate's flow lower bound
-    exceeds its upper bound and both carry at least ``min_samples`` sampled
-    worlds (the normal approximation is meaningless below that).
+    exceeds its upper bound and both carry at least ``CI_MIN_SAMPLES``
+    sampled worlds (the normal approximation is meaningless below that).
     """
     best_lb = None
     for _, est in candidates:
-        if est.samples_used >= min_samples:
+        if est.samples_used >= CI_MIN_SAMPLES:
             if best_lb is None or est.lb > best_lb:
                 best_lb = est.lb
     survivors = set()
     for e, est in candidates:
-        if best_lb is not None and est.samples_used >= min_samples and est.ub < best_lb:
+        if best_lb is not None and est.samples_used >= CI_MIN_SAMPLES and est.ub < best_lb:
             continue
         survivors.add(e)
     return survivors
@@ -184,8 +180,6 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
             for e in eligible:
                 results[e] = tree.probe_edge(graph, e, cfg.sampler, memo)
             pruned = set()
-        for e, (est, _) in results.items():
-            states[e].last_estimate = est
 
         survivors = [e for e in eligible if e not in pruned]
         best = min(survivors, key=lambda e: (-results[e][0].mean, e))
@@ -226,54 +220,28 @@ def _probe_with_ci(
     cfg: StrategyConfig,
     memo: Optional[MemoStore],
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
-    """Probe candidates sequentially, sampling in batches and abandoning any
-    candidate whose upper bound falls below the best confirmed lower bound."""
-    scfg = cfg.sampler
-    min_s = scfg.min_samples_for_ci
-    best_lb: Optional[float] = None
+    """Probe candidates in order, abandoning any that ``ci_prune`` rules
+    dominated by the best confirmed candidate so far.
+
+    Each probe samples its trial tree in batches (``FTree.refresh`` with a
+    stop predicate) once a confirmed best exists; a pruned candidate keeps
+    the partial estimate it was dropped at.
+    """
+    best: Optional[tuple[Edge, FlowEstimate]] = None
     results: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
     pruned: set[Edge] = set()
-
     for e in eligible:
         trial = tree.copy()
-        report = trial.insert_edge(graph, e, scfg, memo=memo, defer_sampling=True)
-        dirty = trial.dirty_components()
-        samplers: dict[int, IncrementalComponentSampler] = {}
-        for cid in dirty:
-            comp = trial.components[cid]
-            assert isinstance(comp, BiComponent)
-            table = memo.lookup(comp.signature()) if memo is not None else None
-            if table is not None and table.sample_count >= scfg.samples:
-                comp.reach = table
-                comp.dirty = False
-            else:
-                samplers[cid] = IncrementalComponentSampler(graph, comp, scfg)
-
-        aborted = False
-        while samplers and min(s.drawn for s in samplers.values()) < scfg.samples:
-            for cid, sampler in samplers.items():
-                step = min(scfg.ci_batch, scfg.samples - sampler.drawn)
-                sampler.draw(step)
-                comp = trial.components[cid]
-                assert isinstance(comp, BiComponent)
-                comp.reach = sampler.table()
-                comp.dirty = False
-            if best_lb is not None:
-                est = trial.expected_flow(graph)
-                if est.samples_used >= min_s and est.ub < best_lb:
-                    results[e] = (est, report)
-                    pruned.add(e)
-                    aborted = True
-                    break
-        if aborted:
-            continue
-        for cid, sampler in samplers.items():
-            if memo is not None:
-                memo.store(sampler.signature, sampler.table())
-        est = trial.expected_flow(graph)
+        report = trial.insert_edge(graph, e, cfg.sampler, memo=memo, defer_sampling=True)
+        stop = None if best is None else (lambda est: e not in ci_prune([best, (e, est)]))
+        est = trial.refresh(graph, cfg.sampler, memo, stop)
+        if est is not None:
+            pruned.add(e)
+        else:
+            est = trial.expected_flow(graph)
+            if est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best[1].lb):
+                best = (e, est)
         results[e] = (est, report)
-        if est.samples_used >= min_s and (best_lb is None or est.lb > best_lb):
-            best_lb = est.lb
     return results, pruned
 
 

@@ -200,17 +200,22 @@ class TestBench:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_thread_pool_matches_sequential(self, tmp_path, capsys, monkeypatch):
-        results = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("PROBFLOW_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            rc, _ = run(capsys, "bench", "--family", "erdos", "--n", "24", "--deg", "4",
-                        "--variants", "ft,dijkstra", "--sweep", "k=2,3", "--samples", "200",
-                        "--ref-samples", "1000", "--seed", "4", "--out", str(out))
-            assert rc == 0
-            results.append(out.read_bytes())
-        assert results[0] == results[1]
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_repeat_below_one_rejected(self, tmp_path, repeat):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", "erdos", "--n", "24", "--deg", "4",
+                   "--variants", "dijkstra", "--k", "2", "--repeat", repeat,
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["k=2,2.7", "n=20.5", "deg=3.5", "k=inf"])
+    def test_fractional_integer_sweep_rejected(self, tmp_path, sweep):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", "erdos", "--n", "24", "--deg", "4",
+                   "--variants", "dijkstra", "--sweep", sweep, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])

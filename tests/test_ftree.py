@@ -21,6 +21,7 @@ from probflow import (
     new_ftree,
     normal_quantile,
 )
+from probflow.sampling import CI_BATCH
 from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
@@ -224,14 +225,12 @@ class TestSplitTree:
     def test_direct_split_matches_narrative(self):
         g = running_example_graph()
         tree = build_base_tree(g)
-        monos, _ = components_by_kind(tree)
-        chain = monos[frozenset({13, 14, 15, 16})]
-        cid = next(c for c, comp in tree.components.items() if comp is chain)
-        bi_id = tree.split_tree(cid, 14, 15, extra_edge=(14, 15))
-        tree.selected_edges.add((14, 15))
-        bi = tree.components[bi_id]
-        assert bi.members == {14, 15}
+        report = tree.insert_edge(g, (14, 15), CFG, defer_sampling=True)
+        assert report.case_taken == "IIIb"
+        _, bis = components_by_kind(tree)
+        bi = bis[frozenset({14, 15})]
         assert bi.articulation == 13
+        assert bi.internal_edges == {(13, 14), (13, 15), (14, 15)}
         assert bi.dirty
         tree.refresh(g, CFG)
         tree.verify(g)
@@ -242,7 +241,7 @@ class TestSplitTree:
         _, bis = components_by_kind(tree)
         cid = next(c for c, comp in tree.components.items() if comp is bis[frozenset({4, 5})])
         with pytest.raises(FTreeError):
-            tree.split_tree(cid, 4, 5)
+            tree._split_mono(cid, 4, 5)
 
 
 class TestReachToRoot:
@@ -391,16 +390,59 @@ class TestIncrementalSampling:
     def test_batched_draws_match_one_shot(self):
         # Interval pruning samples components in batches; a fully drawn
         # batched table must equal the one-shot table bit for bit.
-        from probflow.ftree import IncrementalComponentSampler, sample_component
+        from probflow.ftree import IncrementalComponentSampler
 
         g = running_example_graph()
         comp = BiComponent({7, 8, 9}, 6, {(6, 7), (7, 8), (8, 9), (6, 9)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
-        one_shot = sample_component(g, comp, cfg)
+        one_shot = IncrementalComponentSampler(g, comp, cfg)
+        one_shot.draw(cfg.samples)
         sampler = IncrementalComponentSampler(g, comp, cfg)
         for step in (100, 250, 400, 250):
             sampler.draw(step)
-        assert sampler.table() == one_shot
+        assert sampler.table() == one_shot.table()
+
+
+class TestRefreshStop:
+    def trial(self, g):
+        tree = build_base_tree(g)
+        tree.insert_edge(g, (11, 15), CFG, defer_sampling=True)
+        assert tree.dirty_components()
+        return tree
+
+    def test_stop_that_never_fires_matches_plain_refresh(self):
+        g = running_example_graph()
+        plain, batched = self.trial(g), self.trial(g)
+        plain_memo, batched_memo = MemoStore(), MemoStore()
+        offered = []
+        assert plain.refresh(g, CFG, plain_memo) is None
+        assert batched.refresh(g, CFG, batched_memo, stop=lambda est: offered.append(est) or False) is None
+        assert len(offered) == CFG.samples // CI_BATCH
+        assert offered[-1] == plain.expected_flow(g) == batched.expected_flow(g)
+        _, plain_bis = components_by_kind(plain)
+        _, batched_bis = components_by_kind(batched)
+        assert {k: c.reach for k, c in plain_bis.items()} == {
+            k: c.reach for k, c in batched_bis.items()
+        }
+        assert len(plain_memo) == len(batched_memo) > 0
+        for comp in plain_bis.values():
+            sig = comp.signature()
+            assert batched_memo.lookup(sig) == plain_memo.lookup(sig)
+
+    def test_stop_that_fires_returns_its_estimate_and_stores_nothing(self):
+        g = running_example_graph()
+        tree = self.trial(g)
+        memo = MemoStore()
+        offered = []
+
+        def stop(est):
+            offered.append(est)
+            return len(offered) == 3
+
+        est = tree.refresh(g, CFG, memo, stop)
+        assert est is offered[-1]
+        assert est.samples_used == 3 * CI_BATCH
+        assert len(memo) == 0
 
 
 class TestBoundPropagation:

@@ -13,7 +13,6 @@ from probflow import (
     SamplerConfig,
     confidence_interval,
     exact_expected_flow,
-    mc_component_reach,
     mc_expected_flow,
     new_ftree,
     normal_quantile,
@@ -21,6 +20,7 @@ from probflow import (
     sample_world,
     substream,
 )
+from probflow.ftree import BiComponent, IncrementalComponentSampler
 from probflow.sampling import flow_of_world
 from util import random_connected_graph
 
@@ -116,32 +116,46 @@ class TestMcExpectedFlow:
         assert abs(grand - oracle) < 4.0 * math.sqrt(var / runs)
 
 
+def component_reach(graph, comp, cfg):
+    """Reach table of one component sampled at the full budget."""
+    sampler = IncrementalComponentSampler(graph, comp, cfg)
+    sampler.draw(cfg.samples)
+    return sampler.table()
+
+
+TRIANGLE = BiComponent({1, 2}, 0, {(0, 1), (1, 2), (0, 2)})
+
+
 class TestMcComponentReach:
     def test_triangle(self):
         g = ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
-        table = mc_component_reach(g, 0, SamplerConfig(samples=100000, master_seed=5))
+        table = component_reach(g, TRIANGLE, SamplerConfig(samples=100000, master_seed=5))
         assert table.probs[1] == pytest.approx(0.625, abs=0.005)
         assert table.probs[2] == pytest.approx(0.625, abs=0.005)
         assert 0 not in table.probs
 
     def test_single_edge(self):
         g = ProbabilisticGraph.build(2, [(0, 1, 0.7)])
-        table = mc_component_reach(g, 0, SamplerConfig(samples=100000, master_seed=6))
+        comp = BiComponent({1}, 0, {(0, 1)})
+        table = component_reach(g, comp, SamplerConfig(samples=100000, master_seed=6))
         assert table.probs[1] == pytest.approx(0.7, abs=0.005)
 
     def test_all_certain(self):
         g = ProbabilisticGraph.build(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        table = mc_component_reach(g, 0, SamplerConfig(samples=64, master_seed=7))
+        table = component_reach(g, TRIANGLE, SamplerConfig(samples=64, master_seed=7))
         assert table.probs == {1: 1.0, 2: 1.0}
 
     def test_stream_key_controls_determinism(self):
+        # The stream is keyed by the component signature and the master seed
+        # only: the same component inside a larger graph samples identically.
         g = ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+        bigger = ProbabilisticGraph.build(
+            4, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5), (2, 3, 0.9)], weights=[1, 2, 3, 4]
+        )
         cfg = SamplerConfig(samples=200, master_seed=8)
-        a = mc_component_reach(g, 0, cfg, stream_key="k1")
-        b = mc_component_reach(g, 0, cfg, stream_key="k1")
-        c = mc_component_reach(g, 0, cfg, stream_key="k2")
-        assert a == b
-        assert a != c
+        a = component_reach(g, TRIANGLE, cfg)
+        assert component_reach(bigger, TRIANGLE, cfg) == a
+        assert component_reach(g, TRIANGLE, SamplerConfig(samples=200, master_seed=9)) != a
 
 
 class TestConfidenceInterval:
@@ -225,10 +239,6 @@ class TestConfigValidation:
             SamplerConfig(alpha=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(min_samples_for_ci=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(ci_batch=0)
 
     def test_flow_estimate_bracketing(self):
         from probflow import FlowEstimate
