@@ -465,9 +465,10 @@ class FTree:
         ring_edges: set[Edge] = {new_edge}
         absorbed: list[int] = []
         pending_monos: list[tuple[int, set[int], dict[int, tuple[int, float]]]] = []
-        sub_cases: set[str] = set()
+        composite = False
 
         def climb(cid: int, entry: int) -> int:
+            nonlocal composite
             while cid != anc:
                 comp = self.components[cid]
                 nxt = self.parent[cid]
@@ -475,12 +476,11 @@ class FTree:
                     # Cycle only passes through the shared articulation vertex.
                     pass
                 elif isinstance(comp, BiComponent):
-                    sub_cases.add("IVb")
                     ring_members.update(comp.members)
                     ring_edges.update(comp.internal_edges)
                     absorbed.append(cid)
                 else:
-                    sub_cases.add("IVc")
+                    composite = True
                     self._merge_mono_path(cid, entry, ring_members, ring_edges, pending_monos)
                 entry = comp.articulation
                 cid = nxt  # type: ignore[assignment]
@@ -491,16 +491,12 @@ class FTree:
 
         anc_was_root = anc == self.root_id
         if entry_src == entry_dest:
-            sub_cases.add("IVa")
             ring_av = entry_src
         else:
             # The cycle enters the ancestor at two vertices; a mono ancestor
             # first splits off the part of it that lies on the cycle.
             folded = anc
-            if isinstance(self.components[anc], BiComponent):
-                sub_cases.add("IVb")
-            else:
-                sub_cases.add("IVa")
+            if isinstance(self.components[anc], MonoComponent):
                 folded = self._split_mono(anc, entry_src, entry_dest)
             bi = self.components[folded]
             assert isinstance(bi, BiComponent)
@@ -524,11 +520,7 @@ class FTree:
             self.root_id = ring_id
         self._rebuild_links()
 
-        if "IVc" in sub_cases:
-            return "IVc-composite"
-        if "IVb" in sub_cases:
-            return "IVb"
-        return "IVa"
+        return "IVc-composite" if composite else "IVb"
 
     def _merge_mono_path(
         self,

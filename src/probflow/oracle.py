@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Edge, ProbabilisticGraph, canonical_edge
-from .sampling import _propagate
+from .sampling import _reach_matrix
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _reach_probabilities(
     present_cols = [((worlds >> i) & 1).astype(bool) for i in range(m)]
     present_cols += [np.ones(1 << m, dtype=bool)] * len(certain)
     present = np.stack(present_cols, axis=1) if present_cols else np.zeros((1, 0), dtype=bool)
-    reached = _propagate(present, list(uncertain_e) + certain, num_vertices, source)
+    reached = _reach_matrix(present, list(uncertain_e) + certain, num_vertices, source)
     weights = _world_probabilities(uncertain_p)
     return weights @ reached
 

@@ -109,32 +109,55 @@ def _present_matrix(rng: np.random.Generator, probs: np.ndarray, count: int) -> 
     return rng.random((count, probs.size)) < probs
 
 
-def _propagate(present: np.ndarray, edges: Sequence[Edge], num_vertices: int, source: int) -> np.ndarray:
-    """Connected-to-source indicator per (world, vertex) for a batch of worlds.
+def _reach_bitsets(
+    present: np.ndarray, edges: Sequence[Edge], num_vertices: int, source: int
+) -> list[int]:
+    """Worlds in which each vertex reaches ``source``, one bitset per vertex.
 
-    Fixed-point frontier expansion; converges in at most diameter passes.
+    ``present`` is a bool [worlds, edges] matrix.  Each edge's column is
+    packed into one int with world i in bit i, and the source's full set
+    spreads along the edges by a worklist: a vertex whose set grows is
+    queued again until nothing changes.
     """
     count = present.shape[0]
-    reached = np.zeros((count, num_vertices), dtype=bool)
-    reached[:, source] = True
-    if not edges:
-        return reached
-    changed = True
-    while changed:
-        changed = False
-        for i, (u, v) in enumerate(edges):
-            live = present[:, i]
-            ru = reached[:, u]
-            rv = reached[:, v]
-            grow_v = live & ru & ~rv
-            if grow_v.any():
-                reached[:, v] |= grow_v
-                changed = True
-            grow_u = live & rv & ~ru
-            if grow_u.any():
-                reached[:, u] |= grow_u
-                changed = True
+    width = (count + 7) // 8
+    packed = np.packbits(present, axis=0, bitorder="little").T.tobytes()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for j, (u, v) in enumerate(edges):
+        live = int.from_bytes(packed[j * width:(j + 1) * width], "little")
+        if live:
+            adj[u].append((v, live))
+            adj[v].append((u, live))
+    reached = [0] * num_vertices
+    reached[source] = (1 << count) - 1
+    queued = [False] * num_vertices
+    work = [source]
+    while work:
+        x = work.pop()
+        queued[x] = False
+        rx = reached[x]
+        for y, live in adj[x]:
+            ry = reached[y]
+            grown = rx & live | ry
+            if grown != ry:
+                reached[y] = grown
+                if not queued[y]:
+                    queued[y] = True
+                    work.append(y)
     return reached
+
+
+def _reach_matrix(
+    present: np.ndarray, edges: Sequence[Edge], num_vertices: int, source: int
+) -> np.ndarray:
+    """``_reach_bitsets`` unpacked: bool [worlds, vertices], True where the
+    vertex reaches ``source`` in that world."""
+    count = present.shape[0]
+    width = (count + 7) // 8
+    bits = _reach_bitsets(present, edges, num_vertices, source)
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in bits), dtype=np.uint8)
+    reached = np.unpackbits(packed.reshape(num_vertices, width), axis=1, count=count, bitorder="little")
+    return np.ascontiguousarray(reached.T, dtype=bool)
 
 
 def _success_counts(
@@ -153,8 +176,8 @@ def _success_counts(
     while done < samples:
         batch = min(chunk, samples - done)
         present = _present_matrix(rng, parr, batch)
-        reached = _propagate(present, graph_edges, num_vertices, source)
-        counts += reached.sum(axis=0, dtype=np.int64)
+        reached = _reach_bitsets(present, graph_edges, num_vertices, source)
+        counts += [r.bit_count() for r in reached]
         done += batch
     return counts
 

@@ -225,7 +225,9 @@ def _probe_with_ci(
 
     Each probe samples its trial tree in batches (``FTree.refresh`` with a
     stop predicate) once a confirmed best exists; a pruned candidate keeps
-    the partial estimate it was dropped at.
+    the partial estimate it was dropped at.  The estimate ``refresh``
+    offered after its last round is the probe's result; the tree is
+    evaluated once more only when no round ran.
     """
     best: Optional[tuple[Edge, FlowEstimate]] = None
     results: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
@@ -233,14 +235,18 @@ def _probe_with_ci(
     for e in eligible:
         trial = tree.copy()
         report = trial.insert_edge(graph, e, cfg.sampler, memo=memo, defer_sampling=True)
-        stop = None if best is None else (lambda est: e not in ci_prune([best, (e, est)]))
-        est = trial.refresh(graph, cfg.sampler, memo, stop)
-        if est is not None:
+        offered: list[FlowEstimate] = []
+
+        def dominated(est: FlowEstimate) -> bool:
+            offered.append(est)
+            return e not in ci_prune([best, (e, est)])
+
+        stopped = trial.refresh(graph, cfg.sampler, memo, None if best is None else dominated)
+        est = offered[-1] if offered else trial.expected_flow(graph)
+        if stopped is not None:
             pruned.add(e)
-        else:
-            est = trial.expected_flow(graph)
-            if est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best[1].lb):
-                best = (e, est)
+        elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best[1].lb):
+            best = (e, est)
         results[e] = (est, report)
     return results, pruned
 

@@ -504,6 +504,25 @@ class TestStructuralInvariants:
                 tree.verify(g)
             assert len(tree.selected_edges) == g.num_edges
 
+    def test_random_orders_take_only_reachable_cases(self):
+        # A linking insert always absorbs the component of an endpoint that
+        # is a member, never only the articulation vertex, so it is labelled
+        # IVb or IVc-composite; there is no plain IVa outcome.
+        rng = random.Random(4242)
+        cfg = SamplerConfig(samples=4, master_seed=3)
+        allowed = {"IIa", "IIb", "IIIa", "IIIb", "IVb", "IVc-composite"}
+        seen = set()
+        for trial in range(60):
+            n = rng.randint(3, 10)
+            g = random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2 - (n - 1)))
+            tree = new_ftree(0)
+            for e in insertable_order(g, rng):
+                case = tree.insert_edge(g, e, cfg).case_taken
+                assert case in allowed
+                seen.add(case)
+                tree.verify(g)
+        assert seen == allowed
+
     def test_selected_edges_grow_by_one(self):
         rng = random.Random(77)
         g = random_connected_graph(rng, 8, 5)

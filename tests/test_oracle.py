@@ -146,3 +146,61 @@ class TestExhaustiveMaxflow:
         assert g.num_edges == 15
         with pytest.raises(OracleLimitError):
             exhaustive_maxflow(g, 0, 2)
+
+
+class TestPinnedValues:
+    """Oracle values pinned bit for bit, so a change to world propagation
+    cannot move them, not even in the last place."""
+
+    def tail_diamond(self):
+        return ProbabilisticGraph.build(
+            5,
+            [(0, 1, 0.5), (0, 2, 0.7), (1, 2, 0.3), (1, 3, 0.6), (2, 3, 0.8), (3, 4, 0.9)],
+            weights=[1.0, 2.0, 3.0, 4.0, 5.0],
+        )
+
+    def mixed_certain(self):
+        return ProbabilisticGraph.build(
+            6,
+            [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 0.25), (2, 3, 1.0),
+             (3, 4, 0.6), (1, 4, 1.0), (4, 5, 0.35), (3, 5, 0.8)],
+            weights=[0.5, 1.0, 2.0, 3.0, 4.0, 6.0],
+        )
+
+    def twenty_edges(self):
+        return ProbabilisticGraph.build(
+            9,
+            [(0, 1, 0.34), (0, 2, 0.63), (0, 4, 0.63), (0, 5, 0.35), (0, 7, 0.78),
+             (1, 2, 0.35), (1, 4, 0.76), (1, 5, 0.39), (1, 7, 0.43), (2, 3, 0.51),
+             (2, 4, 0.6), (2, 5, 0.51), (2, 8, 0.77), (3, 4, 0.73), (3, 5, 0.47),
+             (3, 8, 0.58), (4, 6, 0.75), (4, 7, 0.88), (5, 8, 0.59), (6, 8, 0.93)],
+            weights=[9.0, 1.0, 5.0, 10.0, 9.0, 3.0, 3.0, 7.0, 5.0],
+        )
+
+    def test_tail_diamond(self):
+        g = self.tail_diamond()
+        reach = [exact_reachability(g, 0, v) for v in range(5)]
+        assert reach == [1.0, 0.7225999999999999, 0.7954, 0.719, 0.6470999999999999]
+        assert exact_expected_flow(g, 0) == 10.9429
+        assert exact_expected_flow(g, 4) == 12.977599999999999
+        assert exhaustive_maxflow(g, 0, 1) == (((0, 2),), 3.0999999999999996)
+        assert exhaustive_maxflow(g, 0, 2) == (((0, 2), (2, 3)), 5.34)
+        assert exhaustive_maxflow(g, 0, 3) == (((0, 2), (2, 3), (3, 4)), 7.859999999999999)
+
+    def test_mixed_certain_and_uncertain(self):
+        g = self.mixed_certain()
+        reach = [exact_reachability(g, 0, v) for v in range(6)]
+        assert reach == [1.0, 1.0, 0.8919999999999999, 0.8919999999999999, 1.0, 0.7920000000000001]
+        assert exact_expected_flow(g, 0) == 14.712
+        assert exact_expected_flow(g, 5) == 14.653500000000001
+        assert exhaustive_maxflow(g, 0, 1) == (((0, 1),), 1.5)
+        assert exhaustive_maxflow(g, 0, 2) == (((0, 1), (1, 4)), 5.5)
+        assert exhaustive_maxflow(g, 0, 3) == (((0, 1), (1, 4), (4, 5)), 7.6)
+
+    def test_at_enumeration_limit(self):
+        g = self.twenty_edges()
+        assert g.num_edges == OracleLimits().max_edges_enumeration
+        assert exact_reachability(g, 0, 8) == 0.961166989732678
+        assert exact_reachability(g, 3, 6) == 0.9386932359664784
+        assert exact_expected_flow(g, 0) == 50.303520628005444
+        assert exact_expected_flow(g, 6) == 49.6415369493525

@@ -9,6 +9,7 @@ import pytest
 
 from probflow import (
     EXACT_SAMPLES,
+    DeterministicWorld,
     ProbabilisticGraph,
     SamplerConfig,
     confidence_interval,
@@ -20,8 +21,9 @@ from probflow import (
     sample_world,
     substream,
 )
+from probflow import sampling
 from probflow.ftree import BiComponent, IncrementalComponentSampler
-from probflow.sampling import flow_of_world
+from probflow.sampling import _success_counts, flow_of_world
 from util import random_connected_graph
 
 
@@ -72,6 +74,72 @@ class TestReachableSet:
         g = path_graph()
         world = DeterministicWorld(g, frozenset())
         assert reachable_set(world, 0) == {0}
+
+
+def per_world_counts(graph, source, samples, stream, absent=frozenset()):
+    """Reference for ``_success_counts``: one ``sample_world`` per world and
+    a set-based search.  Edges in ``absent`` stand for probability 0: they
+    are drawn at probability 1 and then dropped, which consumes the stream
+    exactly as the kernel's draw for them does."""
+    counts = [0] * graph.num_vertices
+    for _ in range(samples):
+        world = sample_world(graph, stream)
+        kept = DeterministicWorld(graph, world.present_edges - absent)
+        for v in reachable_set(kept, source):
+            counts[v] += 1
+    return counts
+
+
+def kernel_counts(graph, source, samples, stream, absent=frozenset()):
+    probs = [0.0 if e in absent else p for e, p in zip(graph.edges, graph.probabilities)]
+    counts = _success_counts(graph.edges, probs, graph.num_vertices, source, samples, stream)
+    return counts.tolist()
+
+
+class TestSuccessCountsKernel:
+    """The bitset kernel counts exactly what a per-world search counts on
+    the same stream: row i of ``rng.random((n, E))`` is the i-th of n
+    ``rng.random(E)`` calls."""
+
+    def graphs(self, seed, count=6):
+        rng = random.Random(seed)
+        return [random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 8)) for _ in range(count)]
+
+    @pytest.mark.parametrize("samples", [1, 7, 63, 64, 65, 1000])
+    def test_matches_per_world_reference(self, samples):
+        for i, g in enumerate(self.graphs(samples)):
+            source = i % g.num_vertices
+            got = kernel_counts(g, source, samples, substream(i, "kernel", samples))
+            want = per_world_counts(g, source, samples, substream(i, "kernel", samples))
+            assert got == want
+
+    def test_many_chunks(self, monkeypatch):
+        # A budget of 40 doubles gives chunks of 40 // E worlds, the last
+        # one partial, so one call draws and propagates in many batches.
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 40)
+        for i, g in enumerate(self.graphs(99)):
+            got = kernel_counts(g, 0, 301, substream(i, "chunks"))
+            want = per_world_counts(g, 0, 301, substream(i, "chunks"))
+            assert got == want
+
+    def test_certain_and_impossible_edges(self):
+        g = ProbabilisticGraph.build(
+            6,
+            [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 1.0), (3, 4, 0.4), (4, 5, 0.7), (1, 5, 1.0)],
+        )
+        absent = frozenset({(1, 2), (4, 5)})
+        got = kernel_counts(g, 0, 500, substream(3, "p01"), absent)
+        assert got == per_world_counts(g, 0, 500, substream(3, "p01"), absent)
+        assert got[0] == got[1] == got[5] == 500
+
+    def test_edgeless_component(self):
+        g = ProbabilisticGraph.build(3, [])
+        assert kernel_counts(g, 1, 65, substream(0, "none")) == [0, 65, 0]
+
+    def test_isolated_source(self):
+        g = ProbabilisticGraph.build(5, [(1, 2, 0.5), (2, 3, 0.9), (1, 3, 0.3)])
+        got = kernel_counts(g, 4, 200, substream(1, "iso"))
+        assert got == per_world_counts(g, 4, 200, substream(1, "iso")) == [0, 0, 0, 0, 200]
 
 
 class TestMcExpectedFlow:

@@ -8,6 +8,8 @@ import pytest
 
 from probflow import (
     EXACT_SAMPLES,
+    BiComponent,
+    FTree,
     FlowEstimate,
     ProbabilisticGraph,
     SamplerConfig,
@@ -141,6 +143,29 @@ class TestCiVariant:
         assert sum(r.candidates_pruned for r in sol_ci.trace) >= 1
         sol_ft = greedy_select(g, 0, scfg("ft", 6, seed=7))
         assert sol_ci.selected == sol_ft.selected
+
+    def test_each_sampled_state_is_evaluated_once(self, monkeypatch):
+        # An interval-checked probe reuses the estimate refresh offered after
+        # its last round instead of evaluating the same tables again.
+        evaluated = []
+        original = FTree.expected_flow
+
+        def recording(tree, graph):
+            counts = tuple(
+                sorted((cid, c.reach.sample_count) for cid, c in tree.components.items()
+                       if isinstance(c, BiComponent))
+            )
+            evaluated.append((tree, counts))
+            return original(tree, graph)
+
+        monkeypatch.setattr(FTree, "expected_flow", recording)
+        rng = random.Random(31)
+        for seed in range(4):
+            g = random_connected_graph(rng, 9, 10)
+            greedy_select(g, 0, scfg("ft_m_ci", 8, seed=seed, samples=400))
+        trees = [tree for tree, _ in evaluated]
+        assert len(trees) > len(set(map(id, trees)))  # batched rounds ran
+        assert len(evaluated) == len({(id(tree), counts) for tree, counts in evaluated})
 
     def test_ci_prune_interval_dominance(self):
         a = ((0, 1), FlowEstimate(0.85, 0.8, 0.9, 100))
