@@ -8,6 +8,7 @@ unless --timings is given so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -56,16 +57,12 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[ProbabilisticGraph, int]:
-    with open(args.edges, encoding="utf-8") as ef:
-        wf = open(args.weights, encoding="utf-8") if args.weights else None
-        cf = open(args.coords, encoding="utf-8") if getattr(args, "coords", None) else None
-        try:
-            graph = load_graph(ef, wf, cf)
-        finally:
-            if wf:
-                wf.close()
-            if cf:
-                cf.close()
+    with contextlib.ExitStack() as files:
+        streams = [
+            files.enter_context(open(path, encoding="utf-8")) if path else None
+            for path in (args.edges, args.weights, getattr(args, "coords", None))
+        ]
+        graph = load_graph(*streams)
     q = graph.label_index.get(args.query)
     if q is None:
         raise GraphError(f"query vertex {args.query!r} not in graph")
@@ -363,15 +360,16 @@ def _cmd_dump_ftree(args: argparse.Namespace) -> int:
     graph, q = _load_inputs(args)
     cfg = _sampler_config(args)
     tree = new_ftree(q)
+    # The dump shows structure only, so no reach table is sampled.
     if args.insert:
         for e in _read_edge_set(args.insert, graph):
-            tree.insert_edge(graph, e, cfg)
+            tree.insert_edge(graph, e, cfg, defer_sampling=True)
     else:
         while True:
             cands = candidate_edges(graph, tree.attached_vertices(), tree.selected_edges)
             if not cands:
                 break
-            tree.insert_edge(graph, cands[0], cfg)
+            tree.insert_edge(graph, cands[0], cfg, defer_sampling=True)
     text = tree.dump(graph)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

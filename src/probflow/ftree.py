@@ -96,6 +96,21 @@ Component = MonoComponent | BiComponent
 
 
 @dataclass(frozen=True)
+class _Evaluation:
+    """A tree's expected flow and what a leaf insert needs to extend it.
+
+    ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
+    to the query vertex, the query vertex included; ``factors`` holds every
+    mono member's path factor to its component's articulation vertex.
+    """
+
+    graph: ProbabilisticGraph
+    estimate: FlowEstimate
+    triples: dict[int, tuple[float, float, float]]
+    factors: dict[int, float]
+
+
+@dataclass(frozen=True)
 class InsertReport:
     """What an insertion did and what it cost.
 
@@ -188,13 +203,19 @@ class IncrementalComponentSampler:
 class FTree:
     """Mutable component tree rooted at the query vertex.
 
-    One writer at a time; probes operate on copies.
+    One writer at a time; probes operate on copies.  A copy shares its
+    component objects with the original, and each tree clones a component
+    the first time it changes it.  The tree keeps its last evaluation: a
+    leaf insert extends it by the new vertex's term, a cycle-forming insert
+    or a renewed reach table drops it.
     """
 
     def __init__(self, q: int):
         self.q = q
         root = MonoComponent(members=set(), articulation=q, parent_edges={})
         self._next_id = 0
+        self._owned: set[int] = set()
+        self._eval: Optional[_Evaluation] = None
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(root)
         self.parent: dict[int, Optional[int]] = {self.root_id: None}
@@ -210,16 +231,32 @@ class FTree:
         cid = self._next_id
         self._next_id += 1
         self.components[cid] = comp
+        self._owned.add(cid)
         return cid
 
+    def _own(self, cid: int) -> Component:
+        """Component ``cid``, cloned first if it may be shared with a copy."""
+        comp = self.components[cid]
+        if cid not in self._owned:
+            comp = self.components[cid] = comp.copy()
+            self._owned.add(cid)
+        return comp
+
     def copy(self) -> "FTree":
+        """Independent tree sharing this one's components until either changes them.
+
+        Child lists are replaced, never changed in place, so they are shared too.
+        """
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
-        other.components = {cid: comp.copy() for cid, comp in self.components.items()}
+        other.components = dict(self.components)
+        other._owned = set()
+        self._owned = set()
+        other._eval = self._eval
         other.root_id = self.root_id
         other.parent = dict(self.parent)
-        other.children = {cid: list(kids) for cid, kids in self.children.items()}
+        other.children = dict(self.children)
         other.vertex_index = dict(self.vertex_index)
         other.selected_edges = set(self.selected_edges)
         return other
@@ -297,7 +334,8 @@ class FTree:
 
         At least one endpoint must already be attached.  Unless
         ``defer_sampling`` is set, every component invalidated by the update
-        is re-sampled (or fetched from ``memo``) before returning.
+        is re-sampled (or fetched from ``memo``) and the tree is evaluated
+        before returning.
         """
         e = canonical_edge(*edge)
         if e not in graph.edge_index:
@@ -311,11 +349,13 @@ class FTree:
             raise FTreeError(f"neither endpoint of {e} is attached")
 
         if att_u and att_v:
+            self._eval = None
             shared = self._common_component(u, v)
             if shared is not None:
                 comp = self.components[shared]
                 if isinstance(comp, BiComponent):
                     case = "IIIa"
+                    comp = self._own(shared)
                     comp.internal_edges.add(e)
                     comp.dirty = True
                 else:
@@ -324,30 +364,75 @@ class FTree:
                     self.components[bi_id].internal_edges.add(e)
             else:
                 case = self._insert_linking_edge(u, v, e)
+            self._rebuild_links()
         else:
             attach, fresh = (u, v) if att_u else (v, u)
-            cid = self.component_of_vertex(attach)
-            comp = self.components[cid]
-            if isinstance(comp, MonoComponent):
-                case = "IIa"
-                comp.members.add(fresh)
-                comp.parent_edges[fresh] = (attach, prob)
-                self.vertex_index[fresh] = cid
-            else:
-                case = "IIb"
-                mono = MonoComponent({fresh}, attach, {fresh: (attach, prob)})
-                nid = self._add_component(mono)
-                self.vertex_index[fresh] = nid
+            case = self._attach_leaf(graph, attach, fresh, prob)
 
         self.selected_edges.add(e)
-        self._rebuild_links()
+        if self._eval is not None:
+            # A leaf insert into an evaluated, hence clean, tree.
+            return InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
         if not defer_sampling:
-            self.refresh(graph, cfg, memo)
+            if pending:
+                self.refresh(graph, cfg, memo)
+            self._evaluate(graph)
         return InsertReport(
             case_taken=case, components_resampled=tuple(pending), edges_sampled_count=cost
         )
+
+    def _attach_leaf(
+        self, graph: ProbabilisticGraph, attach: int, fresh: int, prob: float
+    ) -> str:
+        """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach``.
+
+        A kept evaluation gains the new vertex's term.  Its factor is the
+        one ``_evaluate`` would compute, and the new vertex comes last in
+        ``vertex_index``, so the sums match a full evaluation bit for bit.
+        """
+        cid = self.component_of_vertex(attach)
+        comp = self.components[cid]
+        if isinstance(comp, MonoComponent):
+            case = "IIa"
+            comp = self._own(cid)
+            comp.members.add(fresh)
+            comp.parent_edges[fresh] = (attach, prob)
+            self.vertex_index[fresh] = cid
+            anchor = comp.articulation
+        else:
+            case = "IIb"
+            mono = MonoComponent({fresh}, attach, {fresh: (attach, prob)})
+            nid = self._add_component(mono)
+            self.vertex_index[fresh] = nid
+            self.parent[nid] = cid
+            # nid is the largest id, so the child list stays sorted.
+            self.children[cid] = [*self.children[cid], nid]
+            self.children[nid] = []
+            anchor = attach
+
+        ev = self._eval
+        if ev is not None and ev.graph is graph:
+            f = (ev.factors[attach] if attach != anchor else 1.0) * prob
+            base = ev.triples[anchor]
+            t = (f * base[0], f * base[1], f * base[2])
+            w = graph.weights[fresh]
+            est = ev.estimate
+            self._eval = _Evaluation(
+                graph,
+                FlowEstimate(
+                    mean=est.mean + t[0] * w,
+                    lb=est.lb + t[1] * w,
+                    ub=est.ub + t[2] * w,
+                    samples_used=est.samples_used,
+                ),
+                {**ev.triples, fresh: t},
+                {**ev.factors, fresh: f},
+            )
+        else:
+            self._eval = None
+        return case
 
     def _common_component(self, u: int, v: int) -> Optional[int]:
         """Component whose members + articulation vertex cover both endpoints."""
@@ -377,9 +462,9 @@ class FTree:
         component's id; its reach table is left dirty.  Parent/child links
         are left stale for the caller to rebuild.
         """
-        comp = self.components[comp_id]
-        if not isinstance(comp, MonoComponent):
+        if not isinstance(self.components[comp_id], MonoComponent):
             raise FTreeError("_split_mono requires a mono component")
+        comp = self._own(comp_id)
         path_src = comp.path_to_articulation(v_src)
         path_dest = comp.path_to_articulation(v_dest)
         dest_set = set(path_dest)
@@ -457,7 +542,8 @@ class FTree:
 
     def _insert_linking_edge(self, u: int, v: int, new_edge: Edge) -> str:
         """Both endpoints attached in different components: fold the implied
-        component-tree cycle into one new bi-component."""
+        component-tree cycle into one new bi-component.  Parent/child links
+        are left stale for the caller to rebuild."""
         cid_u = self.component_of_vertex(u)
         cid_v = self.component_of_vertex(v)
         anc = self.lowest_common_ancestor(cid_u, cid_v)
@@ -518,8 +604,6 @@ class FTree:
                 self.vertex_index[m] = mid
         if anc_was_root and anc not in self.components:
             self.root_id = ring_id
-        self._rebuild_links()
-
         return "IVc-composite" if composite else "IVb"
 
     def _merge_mono_path(
@@ -532,7 +616,7 @@ class FTree:
     ) -> None:
         """Move the entry-to-articulation path of a chain component into the
         ring and queue the split-off member groups."""
-        comp = self.components[cid]
+        comp = self._own(cid)
         assert isinstance(comp, MonoComponent)
         path = comp.path_to_articulation(entry)
         moved = set(path[:-1])  # articulation vertex stays outside the ring here
@@ -576,7 +660,8 @@ class FTree:
         """
         samplers: list[tuple[BiComponent, IncrementalComponentSampler]] = []
         for cid in self.dirty_components():
-            comp = self.components[cid]
+            self._eval = None
+            comp = self._own(cid)
             assert isinstance(comp, BiComponent)
             table = memo.lookup(comp.signature()) if memo is not None else None
             if table is not None and table.sample_count >= cfg.samples:
@@ -592,6 +677,7 @@ class FTree:
                 sampler.draw(step)
                 comp.reach = sampler.table()
                 comp.dirty = False
+            self._eval = None
             drawn += step
             if stop is not None:
                 est = self.expected_flow(graph)
@@ -638,11 +724,20 @@ class FTree:
 
         Analytic path factors are exact; sampled factors contribute their
         per-vertex intervals, multiplied lower-times-lower / upper-times-upper
-        through nested components and summed with the vertex weights.
+        through nested components and summed with the vertex weights.  The
+        tree's kept evaluation is returned when it has one for ``graph``.
         """
+        ev = self._eval
+        if ev is None or ev.graph is not graph:
+            ev = self._evaluate(graph)
+        return ev.estimate
+
+    def _evaluate(self, graph: ProbabilisticGraph) -> _Evaluation:
+        """Evaluate the whole tree and keep the result."""
         if self.dirty_components():
             raise DirtyComponentError("expected_flow called with stale components")
         triples: dict[int, tuple[float, float, float]] = {self.q: (1.0, 1.0, 1.0)}
+        factors: dict[int, float] = {}
         samples_used = EXACT_SAMPLES
         for cid in self._bfs_component_order():
             comp = self.components[cid]
@@ -664,6 +759,8 @@ class FTree:
                 for m in comp.members:
                     f = local_reach(m)
                     triples[m] = (f * base[0], f * base[1], f * base[2])
+                del local[comp.articulation]
+                factors.update(local)
             else:
                 table = comp.reach
                 assert table is not None
@@ -680,7 +777,9 @@ class FTree:
             mean += t[0] * w
             lb += t[1] * w
             ub += t[2] * w
-        return FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
+        est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
+        self._eval = _Evaluation(graph, est, triples, factors)
+        return self._eval
 
     def probe_edge(
         self,

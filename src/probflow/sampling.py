@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,8 +88,13 @@ class ReachTable:
                 raise ValueError(f"probability {p} for vertex {v} outside [0,1]")
 
     def bounds(self, v: int) -> tuple[float, float]:
-        successes = round(self.probs[v] * self.sample_count)
-        return confidence_interval(successes, self.sample_count, self.alpha)
+        return self._intervals[v]
+
+    @cached_property
+    def _intervals(self) -> dict[int, tuple[float, float]]:
+        """Every vertex's interval, computed once per table."""
+        n = self.sample_count
+        return {v: confidence_interval(round(p * n), n, self.alpha) for v, p in self.probs.items()}
 
 
 def substream(master_seed: int, *key: object) -> np.random.Generator:

@@ -82,13 +82,9 @@ def candidate_edges(
     graph: ProbabilisticGraph, attached: set[int], selected: set[Edge]
 ) -> list[Edge]:
     """Unselected edges touching the connected subgraph, canonical order."""
-    out = []
-    for e in graph.edges:
-        if e in selected:
-            continue
-        if e[0] in attached or e[1] in attached:
-            out.append(e)
-    return out
+    edges = graph.edges  # sorted, so edge-index order is canonical order
+    touching = {i for v in attached for _, i in graph.adjacency[v]}
+    return [edges[i] for i in sorted(touching) if edges[i] not in selected]
 
 
 def ci_prune(candidates: Sequence[tuple[Edge, FlowEstimate]]) -> set[Edge]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,17 @@ class TestEvaluate:
         assert rc == 0
         flow = float(stdout.split("flow=")[1].split()[0])
         assert flow == pytest.approx(0.75, abs=0.02)
+
+    def test_missing_input_file_leaks_no_handle(self, tmp_path, capsys):
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evaluate", "--edges", paths["edges"], "--weights", paths["weights"],
+                       "--coords", str(tmp_path / "missing.coords"), "--query", "Q"])
+            gc.collect()
+        assert rc == 2
+        assert "missing.coords" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_exact_mode_respects_enumeration_limit(self, tmp_path, capsys):
         lines = [f"v{i} v{i+1} 0.5" for i in range(22)]

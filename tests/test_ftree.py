@@ -345,12 +345,118 @@ class TestProbe:
         assert tree.dump(g) == before_dump
         assert tree.expected_flow(g) == before_est
 
+    def test_probes_of_every_candidate_do_not_mutate(self):
+        # Probes share the base tree's components copy-on-write; probing
+        # every candidate, plain and interval-checked, must leave the base
+        # tree's structure, tables and evaluation exactly as they were.
+        rng = random.Random(2024)
+        cfg = SamplerConfig(samples=300, master_seed=12)
+        for trial in range(12):
+            n = rng.randint(5, 11)
+            g = random_connected_graph(rng, n, rng.randint(2, n))
+            order = insertable_order(g, rng)
+            memo = MemoStore() if trial % 2 else None
+            tree = new_ftree(0)
+            for e in order[: rng.randint(1, len(order) - 1)]:
+                tree.insert_edge(g, e, cfg, memo)
+            before = snapshot(tree, g)
+            for e in sorted(set(g.edges) - tree.selected_edges):
+                if not (tree.is_attached(e[0]) or tree.is_attached(e[1])):
+                    continue
+                tree.probe_edge(g, e, cfg, memo)
+                probe = tree.copy()
+                probe.insert_edge(g, e, cfg, memo, defer_sampling=True)
+                probe.refresh(g, cfg, memo, stop=lambda est: True)
+                probe.expected_flow(g)
+            assert snapshot(tree, g) == before
+
     def test_leaf_probe_costs_nothing(self):
         g = running_example_graph()
         tree = build_base_tree(g)
         _, report = tree.probe_edge(g, (7, 17), CFG)
         assert report.edges_sampled_count == 0
         assert report.components_resampled == ()
+
+
+def snapshot(tree, g):
+    """Deep, comparable picture of a tree: layout, components, links, flow."""
+    comps = {}
+    for cid, c in tree.components.items():
+        if isinstance(c, MonoComponent):
+            comps[cid] = ("mono", frozenset(c.members), c.articulation, dict(c.parent_edges))
+        else:
+            comps[cid] = (
+                "bi", frozenset(c.members), c.articulation, frozenset(c.internal_edges),
+                c.reach, c.dirty,
+            )
+    links = (
+        tree.root_id, dict(tree.parent), {k: list(v) for k, v in tree.children.items()},
+        dict(tree.vertex_index), frozenset(tree.selected_edges),
+    )
+    return tree.dump(g), comps, links, tree.expected_flow(g), fresh_estimate(tree.copy(), g)
+
+
+def fresh_estimate(tree, g):
+    """The tree's flow evaluated from scratch, ignoring any kept evaluation."""
+    tree._eval = None
+    return tree.expected_flow(g)
+
+
+class TestKeptEvaluation:
+    """A tree's kept evaluation always equals a from-scratch evaluation."""
+
+    CASES = {"IIa", "IIb", "IIIa", "IIIb", "IVb", "IVc-composite"}
+
+    @staticmethod
+    def stop_at(rounds):
+        offered = []
+
+        def stop(est):
+            offered.append(est)
+            return len(offered) == rounds
+
+        return stop, offered
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+    @pytest.mark.parametrize("stop_round", [None, 2, 99], ids=["plain", "stops", "never-stops"])
+    def test_matches_replay_with_cache_cleared(self, memo, stop_round):
+        rng = random.Random(808)
+        cfg = SamplerConfig(samples=300, master_seed=4)
+        seen = set()
+        for trial in range(30):
+            n = rng.randint(3, 10)
+            g = random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2 - (n - 1)))
+            kept, replay = new_ftree(0), new_ftree(0)
+            kept_memo, replay_memo = (MemoStore(), MemoStore()) if memo else (None, None)
+            for e in insertable_order(g, rng):
+                replay._eval = None
+                if stop_round is None:
+                    case = kept.insert_edge(g, e, cfg, kept_memo).case_taken
+                    replay.insert_edge(g, e, cfg, replay_memo)
+                else:
+                    case = kept.insert_edge(g, e, cfg, kept_memo, defer_sampling=True).case_taken
+                    replay.insert_edge(g, e, cfg, replay_memo, defer_sampling=True)
+                    kept_stop, kept_offered = self.stop_at(stop_round)
+                    replay_stop, replay_offered = self.stop_at(stop_round)
+                    replay._eval = None
+                    assert kept.refresh(g, cfg, kept_memo, kept_stop) == replay.refresh(
+                        g, cfg, replay_memo, replay_stop
+                    )
+                    assert kept_offered == replay_offered
+                seen.add(case)
+                assert kept.expected_flow(g) == fresh_estimate(replay, g)
+                assert kept.expected_flow(g) == fresh_estimate(kept.copy(), g)
+        assert seen == self.CASES
+
+    def test_leaf_insert_extends_without_evaluating(self, monkeypatch):
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        monkeypatch.setattr(type(tree), "_evaluate", None)
+        trial = tree.copy()
+        report = trial.insert_edge(g, (7, 17), CFG)
+        assert report.case_taken == "IIb"
+        monkeypatch.undo()
+        assert trial.expected_flow(g) == fresh_estimate(trial.copy(), g)
 
 
 class TestMemo:
