@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .sampling import (
     FlowEstimate,
     ReachTable,
     SamplerConfig,
-    _success_counts,
+    _reach_worlds,
     substream,
+    wald_interval,
 )
 
 
@@ -94,6 +95,9 @@ class BiComponent:
 
 Component = MonoComponent | BiComponent
 
+# The components a refresh samples: (id, component, its sampler).
+_Sampled = list[tuple[int, BiComponent, "IncrementalComponentSampler"]]
+
 
 @dataclass(frozen=True)
 class _Evaluation:
@@ -160,8 +164,9 @@ class MemoStore:
 class IncrementalComponentSampler:
     """Samples one bi-component's reach table in resumable batches.
 
-    Batches continue a single signature-derived stream, so drawing the full
-    budget in any batch sizes yields the exact same table as one shot.
+    Batches continue a single signature-derived stream and world i lands in
+    bit i of every vertex's world bitset, so the table of the first n worlds
+    is the same whatever batch sizes drew them.
     """
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
@@ -176,28 +181,52 @@ class IncrementalComponentSampler:
         self._verts = verts
         self._source = local[comp.articulation]
         self._rng = substream(cfg.master_seed, "component", self.signature)
-        self._counts = np.zeros(len(verts), dtype=np.int64)
+        self._bits = [0] * len(verts)
         self.drawn = 0
 
     def draw(self, batch: int) -> None:
         if batch <= 0:
             return
-        self._counts += _success_counts(
+        bits = _reach_worlds(
             self._edges, self._probs, len(self._verts), self._source, batch, self._rng
         )
+        if self.drawn:
+            bits = [old | new << self.drawn for old, new in zip(self._bits, bits)]
+        self._bits = bits
         self.drawn += batch
 
-    def table(self) -> ReachTable:
-        if self.drawn < 1:
-            raise FTreeError("no samples drawn yet")
+    def _counts(self, n: int) -> list[int]:
+        """Per-vertex successes among the first ``n`` drawn worlds."""
+        mask = (1 << n) - 1
+        return [(b & mask).bit_count() for b in self._bits]
+
+    def table(self, n: Optional[int] = None) -> ReachTable:
+        """Reach table of the first ``n`` drawn worlds, all of them by default."""
+        n = self.drawn if n is None else n
+        if not 1 <= n <= self.drawn:
+            raise FTreeError(f"table of {n} worlds asked, {self.drawn} drawn")
+        counts = np.array(self._counts(n), dtype=np.int64)
         probs = {
-            v: self._counts[i] / self.drawn
+            v: counts[i] / n
             for i, v in enumerate(self._verts)
             if v != self.articulation
         }
         return ReachTable(
-            articulation=self.articulation, probs=probs, sample_count=self.drawn, alpha=self.alpha
+            articulation=self.articulation, probs=probs, sample_count=n, alpha=self.alpha
         )
+
+    def rows(self, sizes: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every member's (p, lo, hi) as arrays over ``sizes``: element j is
+        that member's ``table(sizes[j]).rows`` entry, bit for bit."""
+        n = np.array(sizes, dtype=np.int64)
+        counts = np.array([self._counts(k) for k in sizes], dtype=np.int64).T
+        p = counts / n
+        lo, hi = wald_interval(p, n, self.alpha)
+        return {
+            v: (p[i], lo[i], hi[i])
+            for i, v in enumerate(self._verts)
+            if v != self.articulation
+        }
 
 
 class FTree:
@@ -650,15 +679,15 @@ class FTree:
         """Renew every dirty component's reach table.
 
         A table memoized with at least ``cfg.samples`` worlds is reused;
-        every other dirty component is sampled and its finished table
-        stored in ``memo``.  Without ``stop`` each component draws its full
-        budget in one call and None is returned.  With ``stop``, all of
-        them draw ``CI_BATCH`` worlds per round and the tree's expected flow
-        is offered to ``stop`` after every round, the last one included; the
-        first estimate it accepts is returned at once, and the partially
-        sampled tables are then kept out of the memo.
+        every other dirty component draws its full budget in one call and
+        its finished table is stored in ``memo``, and None is returned.
+        With ``stop``, the tree's expected flow over the tables of the first
+        ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and finally over the full
+        tables is offered to ``stop`` in that order.  The first estimate it
+        accepts is returned at once, with that round's tables left on the
+        components and kept out of the memo.
         """
-        samplers: list[tuple[BiComponent, IncrementalComponentSampler]] = []
+        samplers: _Sampled = []
         for cid in self.dirty_components():
             self._eval = None
             comp = self._own(cid)
@@ -668,25 +697,49 @@ class FTree:
                 comp.reach = table
                 comp.dirty = False
             else:
-                samplers.append((comp, IncrementalComponentSampler(graph, comp, cfg)))
-        batch = cfg.samples if stop is None else CI_BATCH
-        drawn = 0
-        while samplers and drawn < cfg.samples:
-            step = min(batch, cfg.samples - drawn)
-            for comp, sampler in samplers:
-                sampler.draw(step)
-                comp.reach = sampler.table()
-                comp.dirty = False
-            self._eval = None
-            drawn += step
-            if stop is not None:
-                est = self.expected_flow(graph)
+                samplers.append((cid, comp, IncrementalComponentSampler(graph, comp, cfg)))
+        if not samplers:
+            return None
+        for _, _, sampler in samplers:
+            sampler.draw(cfg.samples)
+        if stop is not None:
+            sizes = range(CI_BATCH, cfg.samples, CI_BATCH)
+            for n, est in zip(sizes, self._round_estimates(graph, samplers, sizes)):
                 if stop(est):
+                    self._set_tables(samplers, n)
                     return est
+        self._set_tables(samplers, cfg.samples)
+        if stop is not None:
+            est = self.expected_flow(graph)
+            if stop(est):
+                return est
         if memo is not None:
-            for comp, sampler in samplers:
+            for _, comp, sampler in samplers:
                 memo.store(sampler.signature, comp.reach)
         return None
+
+    def _set_tables(self, samplers: _Sampled, n: int) -> None:
+        for _, comp, sampler in samplers:
+            comp.reach = sampler.table(n)
+            comp.dirty = False
+
+    def _round_estimates(
+        self, graph: ProbabilisticGraph, samplers: _Sampled, sizes: Sequence[int]
+    ) -> list[FlowEstimate]:
+        """The estimate ``expected_flow`` would give with every sampled
+        component carrying the table of its first n worlds, for each n in
+        ``sizes``, in one walk: the sampled components' factors are arrays
+        over the rounds, and every element goes through the float operations
+        of a scalar evaluation in the same order."""
+        if not sizes:
+            return []
+        rounds = {cid: sampler.rows(sizes) for cid, _, sampler in samplers}
+        triples, _, samples_used = self._walk(rounds)
+        mean, lb, ub = self._totals(graph, triples)
+        return [
+            FlowEstimate(mean=m, lb=lo, ub=hi, samples_used=min(samples_used, n))
+            for m, lo, hi, n in zip(mean.tolist(), lb.tolist(), ub.tolist(), sizes)
+        ]
 
     # ------------------------------------------------------------------
     # evaluation
@@ -736,7 +789,21 @@ class FTree:
         """Evaluate the whole tree and keep the result."""
         if self.dirty_components():
             raise DirtyComponentError("expected_flow called with stale components")
-        triples: dict[int, tuple[float, float, float]] = {self.q: (1.0, 1.0, 1.0)}
+        triples, factors, samples_used = self._walk({})
+        mean, lb, ub = self._totals(graph, triples)
+        est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
+        self._eval = _Evaluation(graph, est, triples, factors)
+        return self._eval
+
+    def _walk(self, rounds: dict[int, dict]) -> tuple[dict, dict[int, float], int]:
+        """Every attached vertex's (mean, lb, ub) reach factor to the query
+        vertex, every mono member's path factor to its articulation vertex,
+        and the fewest worlds behind any reach table read.
+
+        A bi component listed in ``rounds`` contributes the (p, lo, hi)
+        rows given there instead of its table's; its table is not read.
+        """
+        triples: dict[int, tuple] = {self.q: (1.0, 1.0, 1.0)}
         factors: dict[int, float] = {}
         samples_used = EXACT_SAMPLES
         for cid in self._bfs_component_order():
@@ -762,13 +829,19 @@ class FTree:
                 del local[comp.articulation]
                 factors.update(local)
             else:
-                table = comp.reach
-                assert table is not None
-                samples_used = min(samples_used, table.sample_count)
+                rows = rounds.get(cid)
+                if rows is None:
+                    table = comp.reach
+                    assert table is not None
+                    samples_used = min(samples_used, table.sample_count)
+                    rows = table.rows
                 for m in comp.members:
-                    p = table.probs[m]
-                    lo, hi = table.bounds(m)
+                    p, lo, hi = rows[m]
                     triples[m] = (p * base[0], lo * base[1], hi * base[2])
+        return triples, factors, samples_used
+
+    def _totals(self, graph: ProbabilisticGraph, triples: dict[int, tuple]) -> tuple:
+        """Weighted sums of the factors, in ``vertex_index`` order."""
         mean = graph.weights[self.q]
         lb = ub = mean
         for v in self.vertex_index:
@@ -777,9 +850,7 @@ class FTree:
             mean += t[0] * w
             lb += t[1] * w
             ub += t[2] * w
-        est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
-        self._eval = _Evaluation(graph, est, triples, factors)
-        return self._eval
+        return mean, lb, ub
 
     def probe_edge(
         self,

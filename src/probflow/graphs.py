@@ -8,6 +8,7 @@ for output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping, Optional, Sequence
@@ -34,7 +35,7 @@ class ProbabilisticGraph:
         num_vertices: vertices are the dense ids 0..num_vertices-1.
         edges: canonical (min, max) pairs, sorted, no duplicates.
         probabilities: existence probability per edge, aligned with ``edges``.
-        weights: non-negative information weight per vertex.
+        weights: finite, non-negative information weight per vertex.
         labels: external label per vertex id (used by save/CLI output).
         coordinates: optional (x, y) per vertex, kept by spatial generators.
     """
@@ -72,6 +73,8 @@ class ProbabilisticGraph:
         if list(self.edges) != sorted(self.edges):
             raise GraphError("edges must be sorted")
         for v, w in enumerate(self.weights):
+            if not math.isfinite(w):
+                raise GraphError(f"vertex {v} has non-finite weight {w}")
             if w < 0:
                 raise GraphError(f"vertex {v} has negative weight {w}")
 
@@ -217,7 +220,7 @@ def load_graph(
     """Parse the edge-list and optional weight/coordinate formats.
 
     Edge lines are ``<u> <v> <p>`` with labels u, v and p in (0,1]; weight
-    lines are ``<v> <w>`` with w >= 0; coordinate lines are ``<v> <x> <y>``.
+    lines are ``<v> <w>`` with finite w >= 0; coordinate lines are ``<v> <x> <y>``.
     Lines starting with ``#`` and blank lines are ignored.  Dense vertex
     ids are the rank of each label in sorted order, which makes
     load -> save -> load the identity; vertices named only in the weight
@@ -252,6 +255,8 @@ def load_graph(
                 w = float(parts[1])
             except ValueError:
                 raise GraphError(f"weights line {lineno}: malformed weight {parts[1]!r}") from None
+            if not math.isfinite(w):
+                raise GraphError(f"weights line {lineno}: non-finite weight {w}")
             if w < 0:
                 raise GraphError(f"weights line {lineno}: negative weight {w}")
             weight_by_label[parts[0]] = w

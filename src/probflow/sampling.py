@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ EXACT_SAMPLES = 2**31 - 1
 _CHUNK_BUDGET = 4_000_000
 
 # Interval pruning trusts a normal-approximation bound only from this many
-# sampled worlds on, and samples a pruned-probe component in batches of
-# CI_BATCH worlds between dominance checks.
+# sampled worlds on, and checks dominance on every CI_BATCH-world prefix of
+# a probe's sampled worlds.
 CI_MIN_SAMPLES = 30
 CI_BATCH = 100
 
@@ -88,13 +88,17 @@ class ReachTable:
                 raise ValueError(f"probability {p} for vertex {v} outside [0,1]")
 
     def bounds(self, v: int) -> tuple[float, float]:
-        return self._intervals[v]
+        return self.rows[v][1:]
 
     @cached_property
-    def _intervals(self) -> dict[int, tuple[float, float]]:
-        """Every vertex's interval, computed once per table."""
+    def rows(self) -> dict[int, tuple[float, float, float]]:
+        """Every vertex's (p, lo, hi), the intervals computed once per table."""
         n = self.sample_count
-        return {v: confidence_interval(round(p * n), n, self.alpha) for v, p in self.probs.items()}
+        probs = np.fromiter(self.probs.values(), dtype=float, count=len(self.probs))
+        lo, hi = confidence_interval(np.rint(probs * n), n, self.alpha)
+        return {
+            v: (p, a, b) for (v, p), a, b in zip(self.probs.items(), lo.tolist(), hi.tolist())
+        }
 
 
 def substream(master_seed: int, *key: object) -> np.random.Generator:
@@ -166,6 +170,30 @@ def _reach_matrix(
     return np.ascontiguousarray(reached.T, dtype=bool)
 
 
+def _reach_worlds(
+    graph_edges: Sequence[Edge],
+    probs: Sequence[float],
+    num_vertices: int,
+    source: int,
+    samples: int,
+    rng: np.random.Generator,
+) -> list[int]:
+    """Sampled worlds in which each vertex reaches the source, one bitset per
+    vertex with world i in bit i, drawn in chunks of at most ``_CHUNK_BUDGET``
+    random doubles."""
+    parr = np.asarray(probs, dtype=float)
+    bits = [0] * num_vertices
+    chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
+    done = 0
+    while done < samples:
+        batch = min(chunk, samples - done)
+        present = _present_matrix(rng, parr, batch)
+        reached = _reach_bitsets(present, graph_edges, num_vertices, source)
+        bits = reached if done == 0 else [b | r << done for b, r in zip(bits, reached)]
+        done += batch
+    return bits
+
+
 def _success_counts(
     graph_edges: Sequence[Edge],
     probs: Sequence[float],
@@ -175,17 +203,8 @@ def _success_counts(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-vertex counts of sampled worlds in which the vertex reaches the source."""
-    parr = np.asarray(probs, dtype=float)
-    counts = np.zeros(num_vertices, dtype=np.int64)
-    chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
-    done = 0
-    while done < samples:
-        batch = min(chunk, samples - done)
-        present = _present_matrix(rng, parr, batch)
-        reached = _reach_bitsets(present, graph_edges, num_vertices, source)
-        counts += [r.bit_count() for r in reached]
-        done += batch
-    return counts
+    bits = _reach_worlds(graph_edges, probs, num_vertices, source, samples, rng)
+    return np.array([b.bit_count() for b in bits], dtype=np.int64)
 
 
 def sample_world(graph: ProbabilisticGraph, stream: np.random.Generator) -> DeterministicWorld:
@@ -232,27 +251,41 @@ def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> F
     weights = np.asarray(graph.weights, dtype=float)
     p_hat = counts / cfg.samples
     mean = float(weights @ p_hat)
-    z = normal_quantile(1.0 - cfg.alpha / 2.0)
-    half = z * np.sqrt(p_hat * (1.0 - p_hat) / cfg.samples)
-    lb = float(weights @ np.clip(p_hat - half, 0.0, 1.0))
-    ub = float(weights @ np.clip(p_hat + half, 0.0, 1.0))
+    lo, hi = wald_interval(p_hat, cfg.samples, cfg.alpha)
+    lb = float(weights @ lo)
+    ub = float(weights @ hi)
     return FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=cfg.samples)
 
 
-def confidence_interval(successes: int, samples: int, alpha: float) -> tuple[float, float]:
+def confidence_interval(successes, samples, alpha: float):
     """Two-sided normal-approximation interval for a binomial proportion.
 
     Half-width is z * sqrt(p(1-p)/samples), clamped to [0,1].  Degenerate
     proportions (0 or 1) give a zero-width interval; callers guard pruning
-    decisions with a minimum sample count instead.
+    decisions with a minimum sample count instead.  ``successes`` and
+    ``samples`` may be integer-valued arrays that broadcast together: one
+    interval per element, each through the float operations of the scalar
+    case.
     """
-    if samples < 1:
+    successes, samples = np.asarray(successes), np.asarray(samples)
+    if (samples < 1).any():
         raise ValueError("samples must be >= 1")
-    if not (0 <= successes <= samples):
+    if ((successes < 0) | (successes > samples)).any():
         raise ValueError("successes must be within [0, samples]")
-    p_hat = successes / samples
-    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return (max(0.0, p_hat - half), min(1.0, p_hat + half))
+    return wald_interval(successes / samples, samples, alpha)
+
+
+def wald_interval(p_hat, samples, alpha: float):
+    """``confidence_interval``'s formula, for proportions already known to
+    be successes / samples."""
+    half = critical_z(alpha) * np.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return np.maximum(p_hat - half, 0.0), np.minimum(p_hat + half, 1.0)
+
+
+@cache
+def critical_z(alpha: float) -> float:
+    """Two-sided normal critical value z = Phi^-1(1 - alpha/2), once per alpha."""
+    return normal_quantile(1.0 - alpha / 2.0)
 
 
 # Acklam's rational approximation of the inverse standard-normal CDF,

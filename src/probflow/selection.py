@@ -40,7 +40,7 @@ class StrategyConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.ds_c <= 1.0:
+        if not (self.ds_c > 1.0):
             raise ValueError("ds_c must be > 1")
 
 
@@ -113,9 +113,9 @@ def ds_delay(pot: float, cost: int, c: float) -> int:
     floor(log_c(cost / pot)): expensive low-potential candidates wait longest.
     A free probe (no cycle formed, cost 0) is never delayed.
     """
-    if pot <= 0.0:
+    if not (pot > 0.0):
         raise ValueError("pot must be positive")
-    if c <= 1.0:
+    if not (c > 1.0):
         raise ValueError("c must be > 1")
     if cost < 0:
         raise ValueError("cost must be non-negative")
@@ -219,9 +219,10 @@ def _probe_with_ci(
     """Probe candidates in order, abandoning any that ``ci_prune`` rules
     dominated by the best confirmed candidate so far.
 
-    Each probe samples its trial tree in batches (``FTree.refresh`` with a
-    stop predicate) once a confirmed best exists; a pruned candidate keeps
-    the partial estimate it was dropped at.  The estimate ``refresh``
+    Each probe's trial tree is checked on every ``CI_BATCH``-world prefix
+    of its samples (``FTree.refresh`` with a stop predicate) once a
+    confirmed best exists; a pruned candidate keeps the prefix estimate it
+    was dropped at.  The estimate ``refresh``
     offered after its last round is the probe's result; the tree is
     evaluated once more only when no round ran.
     """

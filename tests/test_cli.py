@@ -173,6 +173,23 @@ class TestEvaluate:
         rc = main(["evaluate", "--edges", paths["edges"], "--query", "a"])
         assert rc == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--mode", "exact"],
+        ["evaluate", "--mode", "mc"],
+        ["maxflow", "--variant", "ft_m", "--k", "3"],
+    ], ids=["exact", "mc", "maxflow"])
+    def test_non_finite_weight_is_validation_error(self, tmp_path, capsys, command, token):
+        paths = write_instance(tmp_path, "0 1 0.5\n0 2 0.5\n1 2 0.5\n", f"0 1\n1 {token}\n2 1\n")
+        edge_set = tmp_path / "sel.txt"
+        edge_set.write_text("0 1\n0 2\n1 2\n", encoding="utf-8")
+        if command[0] == "evaluate":
+            command = [*command, "--edge-set", str(edge_set)]
+        rc = main([*command, "--edges", paths["edges"], "--weights", paths["weights"],
+                   "--query", "0"])
+        assert rc == 2
+        assert "weights line 2: non-finite weight" in capsys.readouterr().err
+
 
 class TestBench:
     def test_sweep_shape_and_order(self, tmp_path, capsys):

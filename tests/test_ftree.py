@@ -508,6 +508,37 @@ class TestIncrementalSampling:
             sampler.draw(step)
         assert sampler.table() == one_shot.table()
 
+    @pytest.mark.parametrize("chunk_budget", [None, 40], ids=["one-chunk", "ten-world-chunks"])
+    def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
+        # A full-budget draw keeps every world, so the table of its first n
+        # worlds is the table a sampler that drew n worlds in CI_BATCH steps
+        # holds, and rows() gives each such table's rows element by element.
+        # The full draw may span many chunks; the batched one spans one each.
+        from probflow import sampling
+        from probflow.ftree import IncrementalComponentSampler
+
+        g = running_example_graph()
+        comp = BiComponent({7, 8, 9}, 6, {(6, 7), (7, 8), (8, 9), (6, 9)})
+        cfg = SamplerConfig(samples=1000, master_seed=99)
+        sizes = range(CI_BATCH, cfg.samples + 1, CI_BATCH)
+        batched = IncrementalComponentSampler(g, comp, cfg)
+        expected = []
+        for _ in sizes:
+            batched.draw(CI_BATCH)
+            expected.append(batched.table())
+        if chunk_budget is not None:
+            monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
+        full = IncrementalComponentSampler(g, comp, cfg)
+        full.draw(cfg.samples)
+        rows = full.rows(sizes)
+        for j, n in enumerate(sizes):
+            table = full.table(n)
+            assert table == expected[j]
+            for v in comp.members:
+                assert tuple(a[j] for a in rows[v]) == table.rows[v]
+        with pytest.raises(FTreeError):
+            full.table(cfg.samples + 1)
+
 
 class TestRefreshStop:
     def trial(self, g):
@@ -549,6 +580,76 @@ class TestRefreshStop:
         assert est is offered[-1]
         assert est.samples_used == 3 * CI_BATCH
         assert len(memo) == 0
+
+
+class TestRoundEstimates:
+    """Each estimate a stop-checked refresh offers equals a full evaluation
+    of the tree carrying that round's tables."""
+
+    @staticmethod
+    def nesting(tree, memo, cfg):
+        """How each component about to be sampled sits against clean sampled ones."""
+        def clean_bi(cid):
+            comp = tree.components[cid]
+            return isinstance(comp, BiComponent) and not comp.dirty
+
+        found = set()
+        for cid in tree.dirty_components():
+            table = memo._entries.get(tree.components[cid].signature()) if memo else None
+            if table is not None and table.sample_count >= cfg.samples:
+                continue
+            pid = tree.parent[cid]
+            while pid is not None:
+                if clean_bi(pid):
+                    found.add("under")
+                pid = tree.parent[pid]
+            stack = list(tree.children[cid])
+            while stack:
+                kid = stack.pop()
+                if clean_bi(kid):
+                    found.add("above")
+                stack.extend(tree.children[kid])
+        return found
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+    def test_every_round_equals_a_full_evaluation(self, memo):
+        rng = random.Random(4242)
+        cfg = SamplerConfig(samples=400, master_seed=8)
+        rounds = cfg.samples // CI_BATCH
+        cases, nesting = set(), set()
+        for _ in range(25):
+            n = rng.randint(5, 11)
+            g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
+            tree = new_ftree(0)
+            store = MemoStore() if memo else None
+            for e in insertable_order(g, rng):
+                base = tree.copy()
+                case = base.insert_edge(g, e, cfg, defer_sampling=True).case_taken
+                if base.dirty_components():
+                    cases.add(case)
+                    nesting |= self.nesting(base, store, cfg)
+                stopped_at = []
+                for stop_round in range(1, rounds + 1):
+                    stopped = base.copy()
+                    offered = []
+                    est = stopped.refresh(
+                        g, cfg, store, lambda est: offered.append(est) or len(offered) == stop_round
+                    )
+                    if est is None:
+                        assert offered == []  # nothing left to sample
+                        continue
+                    assert est is offered[-1] and len(offered) == stop_round
+                    assert est.samples_used == stop_round * CI_BATCH
+                    assert est == fresh_estimate(stopped.copy(), g)
+                    stopped_at.append(est)
+                offered = []
+                report = tree.insert_edge(g, e, cfg, store, defer_sampling=True)
+                assert report.case_taken == case
+                assert tree.refresh(g, cfg, store, lambda est: offered.append(est) or False) is None
+                assert offered == stopped_at
+                assert tree.expected_flow(g) == fresh_estimate(tree.copy(), g)
+        assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
+        assert nesting == {"under", "above"}
 
 
 class TestBoundPropagation:

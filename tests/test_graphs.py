@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 
 import pytest
@@ -54,6 +55,11 @@ class TestLoadGraph:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphError, match="negative"):
             load_from_text("0 1 0.5\n", "0 -2\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, token):
+        with pytest.raises(GraphError, match="weights line 2: non-finite"):
+            load_from_text("0 1 0.5\n1 2 0.5\n", f"0 1\n1 {token}\n2 1\n")
 
     def test_comments_and_blanks_ignored(self):
         g = load_from_text("# head\n\na b 0.25\n", "# w\nb 3.5\n")
@@ -172,6 +178,11 @@ class TestValidation:
     def test_duplicate_in_build(self):
         with pytest.raises(GraphError):
             ProbabilisticGraph.build(2, [(0, 1, 0.5), (1, 0, 0.5)])
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight(self, w):
+        with pytest.raises(GraphError, match="vertex 1 has non-finite weight"):
+            ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5)], weights=[0.0, w, 1.0])
 
     def test_edge_to_unknown_vertex(self):
         with pytest.raises(GraphError):
