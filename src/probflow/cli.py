@@ -20,7 +20,6 @@ from .graphs import (
     GraphError,
     ProbabilisticGraph,
     canonical_edge,
-    induced_subgraph,
     load_graph,
     save_graph,
 )
@@ -31,8 +30,15 @@ from .netgen import (
     generate,
 )
 from .oracle import OracleLimitError, expected_flow_of_edges
-from .sampling import SamplerConfig, mc_expected_flow
-from .selection import Solution, StrategyConfig, VARIANTS, candidate_edges, run_strategy
+from .sampling import SamplerConfig
+from .selection import (
+    Solution,
+    StrategyConfig,
+    VARIANTS,
+    candidate_edges,
+    mc_flow_of_edges,
+    run_strategy,
+)
 
 
 def _fmt(x: float) -> str:
@@ -192,11 +198,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         lb = ub = flow
         samples = "exact"
     else:
-        verts = {q}
-        for e in edges:
-            verts.update(e)
-        sub = induced_subgraph(graph, verts, edges)
-        est = mc_expected_flow(sub, sub.label_index[graph.labels[q]], _sampler_config(args))
+        est = mc_flow_of_edges(graph, q, edges, _sampler_config(args))
         flow, lb, ub = est.mean, est.lb, est.ub
         samples = str(est.samples_used)
     line = (
@@ -259,11 +261,7 @@ def _bench_point(
     # Reference evaluation: one sampler config shared by every variant at
     # this sweep point, so achieved flows are compared on equal footing.
     ref_cfg = SamplerConfig(samples=ref_samples, alpha=alpha, master_seed=seed + repeat)
-    verts = {q}
-    for e in solution.selected:
-        verts.update(e)
-    sub = induced_subgraph(graph, verts, solution.selected)
-    ref = mc_expected_flow(sub, sub.label_index[graph.labels[q]], ref_cfg)
+    ref = mc_flow_of_edges(graph, q, solution.selected, ref_cfg)
     self_flow = solution.final_flow(graph.weights[q])
     return [
         variant,

@@ -56,15 +56,6 @@ class MonoComponent:
             path.append(self.parent_edges[path[-1]][0])
         return path
 
-    def local_reach(self, v: int) -> float:
-        """Probability of v reaching the articulation vertex (edge product)."""
-        r = 1.0
-        x = v
-        while x != self.articulation:
-            x, p = self.parent_edges[x][0], self.parent_edges[x][1]
-            r *= p
-        return r
-
     def edge_set(self) -> set[Edge]:
         return {canonical_edge(v, parent) for v, (parent, _) in self.parent_edges.items()}
 
@@ -205,7 +196,7 @@ class IncrementalComponentSampler:
         n = self.drawn if n is None else n
         if not 1 <= n <= self.drawn:
             raise FTreeError(f"table of {n} worlds asked, {self.drawn} drawn")
-        counts = np.array(self._counts(n), dtype=np.int64)
+        counts = self._counts(n)
         probs = {
             v: counts[i] / n
             for i, v in enumerate(self._verts)
@@ -232,18 +223,15 @@ class IncrementalComponentSampler:
 class FTree:
     """Mutable component tree rooted at the query vertex.
 
-    One writer at a time; probes operate on copies.  A copy shares its
-    component objects with the original, and each tree clones a component
-    the first time it changes it.  The tree keeps its last evaluation: a
-    leaf insert extends it by the new vertex's term, a cycle-forming insert
-    or a renewed reach table drops it.
+    One writer at a time; probes never change it.  The tree keeps its last
+    evaluation: a leaf insert extends it by the new vertex's term, a
+    cycle-forming insert or a renewed reach table drops it.
     """
 
     def __init__(self, q: int):
         self.q = q
         root = MonoComponent(members=set(), articulation=q, parent_edges={})
         self._next_id = 0
-        self._owned: set[int] = set()
         self._eval: Optional[_Evaluation] = None
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(root)
@@ -260,32 +248,19 @@ class FTree:
         cid = self._next_id
         self._next_id += 1
         self.components[cid] = comp
-        self._owned.add(cid)
         return cid
 
-    def _own(self, cid: int) -> Component:
-        """Component ``cid``, cloned first if it may be shared with a copy."""
-        comp = self.components[cid]
-        if cid not in self._owned:
-            comp = self.components[cid] = comp.copy()
-            self._owned.add(cid)
-        return comp
-
     def copy(self) -> "FTree":
-        """Independent tree sharing this one's components until either changes them.
-
-        Child lists are replaced, never changed in place, so they are shared too.
-        """
+        """Independent tree sharing only immutable parts: the reach tables and
+        the kept evaluation."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
-        other.components = dict(self.components)
-        other._owned = set()
-        self._owned = set()
+        other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other._eval = self._eval
         other.root_id = self.root_id
         other.parent = dict(self.parent)
-        other.children = dict(self.children)
+        other.children = {cid: list(kids) for cid, kids in self.children.items()}
         other.vertex_index = dict(self.vertex_index)
         other.selected_edges = set(self.selected_edges)
         return other
@@ -366,17 +341,8 @@ class FTree:
         is re-sampled (or fetched from ``memo``) and the tree is evaluated
         before returning.
         """
-        e = canonical_edge(*edge)
-        if e not in graph.edge_index:
-            raise FTreeError(f"edge {e} is not an edge of the graph")
-        if e in self.selected_edges:
-            raise FTreeError(f"edge {e} already selected")
+        e, prob, att_u, att_v = self._insertable(graph, edge)
         u, v = e
-        prob = graph.probabilities[graph.edge_index[e]]
-        att_u, att_v = self.is_attached(u), self.is_attached(v)
-        if not att_u and not att_v:
-            raise FTreeError(f"neither endpoint of {e} is attached")
-
         if att_u and att_v:
             self._eval = None
             shared = self._common_component(u, v)
@@ -384,7 +350,6 @@ class FTree:
                 comp = self.components[shared]
                 if isinstance(comp, BiComponent):
                     case = "IIIa"
-                    comp = self._own(shared)
                     comp.internal_edges.add(e)
                     comp.dirty = True
                 else:
@@ -412,56 +377,76 @@ class FTree:
             case_taken=case, components_resampled=tuple(pending), edges_sampled_count=cost
         )
 
+    def _insertable(
+        self, graph: ProbabilisticGraph, edge: tuple[int, int]
+    ) -> tuple[Edge, float, bool, bool]:
+        """The canonical edge, its probability and whether each endpoint is
+        attached; raises FTreeError for an edge that cannot be inserted."""
+        e = canonical_edge(*edge)
+        if e not in graph.edge_index:
+            raise FTreeError(f"edge {e} is not an edge of the graph")
+        if e in self.selected_edges:
+            raise FTreeError(f"edge {e} already selected")
+        att_u, att_v = self.is_attached(e[0]), self.is_attached(e[1])
+        if not att_u and not att_v:
+            raise FTreeError(f"neither endpoint of {e} is attached")
+        return e, graph.probabilities[graph.edge_index[e]], att_u, att_v
+
     def _attach_leaf(
         self, graph: ProbabilisticGraph, attach: int, fresh: int, prob: float
     ) -> str:
         """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach``.
 
-        A kept evaluation gains the new vertex's term.  Its factor is the
-        one ``_evaluate`` would compute, and the new vertex comes last in
-        ``vertex_index``, so the sums match a full evaluation bit for bit.
+        A kept evaluation for ``graph`` gains the new vertex's term.
         """
+        ev = self._eval
+        if ev is not None and ev.graph is graph:
+            _, f, t, est = self._leaf_term(ev, attach, fresh, prob)
+            self._eval = _Evaluation(graph, est, {**ev.triples, fresh: t}, {**ev.factors, fresh: f})
+        else:
+            self._eval = None
         cid = self.component_of_vertex(attach)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
-            case = "IIa"
-            comp = self._own(cid)
             comp.members.add(fresh)
             comp.parent_edges[fresh] = (attach, prob)
             self.vertex_index[fresh] = cid
-            anchor = comp.articulation
-        else:
-            case = "IIb"
-            mono = MonoComponent({fresh}, attach, {fresh: (attach, prob)})
-            nid = self._add_component(mono)
-            self.vertex_index[fresh] = nid
-            self.parent[nid] = cid
-            # nid is the largest id, so the child list stays sorted.
-            self.children[cid] = [*self.children[cid], nid]
-            self.children[nid] = []
-            anchor = attach
+            return "IIa"
+        nid = self._add_component(MonoComponent({fresh}, attach, {fresh: (attach, prob)}))
+        self.vertex_index[fresh] = nid
+        self.parent[nid] = cid
+        # nid is the largest id, so the child list stays sorted.
+        self.children[cid].append(nid)
+        self.children[nid] = []
+        return "IIb"
 
-        ev = self._eval
-        if ev is not None and ev.graph is graph:
-            f = (ev.factors[attach] if attach != anchor else 1.0) * prob
-            base = ev.triples[anchor]
-            t = (f * base[0], f * base[1], f * base[2])
-            w = graph.weights[fresh]
-            est = ev.estimate
-            self._eval = _Evaluation(
-                graph,
-                FlowEstimate(
-                    mean=est.mean + t[0] * w,
-                    lb=est.lb + t[1] * w,
-                    ub=est.ub + t[2] * w,
-                    samples_used=est.samples_used,
-                ),
-                {**ev.triples, fresh: t},
-                {**ev.factors, fresh: f},
-            )
+    def _leaf_term(
+        self, ev: _Evaluation, attach: int, fresh: int, prob: float
+    ) -> tuple[str, float, tuple[float, float, float], FlowEstimate]:
+        """Case, path factor, reach triple and tree estimate of hanging the
+        new vertex ``fresh`` off ``attach`` by an edge of probability
+        ``prob``, given this tree's evaluation ``ev``.
+
+        The factor and triple are the ones ``_evaluate`` would compute, and
+        the new vertex comes last in ``vertex_index``, so the estimate
+        matches a full evaluation of the grown tree bit for bit.
+        """
+        comp = self.components[self.component_of_vertex(attach)]
+        if isinstance(comp, MonoComponent):
+            case, anchor = "IIa", comp.articulation
         else:
-            self._eval = None
-        return case
+            case, anchor = "IIb", attach
+        f = (ev.factors[attach] if attach != anchor else 1.0) * prob
+        base = ev.triples[anchor]
+        t = (f * base[0], f * base[1], f * base[2])
+        w = ev.graph.weights[fresh]
+        est = ev.estimate
+        return case, f, t, FlowEstimate(
+            mean=est.mean + t[0] * w,
+            lb=est.lb + t[1] * w,
+            ub=est.ub + t[2] * w,
+            samples_used=est.samples_used,
+        )
 
     def _common_component(self, u: int, v: int) -> Optional[int]:
         """Component whose members + articulation vertex cover both endpoints."""
@@ -493,7 +478,7 @@ class FTree:
         """
         if not isinstance(self.components[comp_id], MonoComponent):
             raise FTreeError("_split_mono requires a mono component")
-        comp = self._own(comp_id)
+        comp = self.components[comp_id]
         path_src = comp.path_to_articulation(v_src)
         path_dest = comp.path_to_articulation(v_dest)
         dest_set = set(path_dest)
@@ -645,7 +630,7 @@ class FTree:
     ) -> None:
         """Move the entry-to-articulation path of a chain component into the
         ring and queue the split-off member groups."""
-        comp = self._own(cid)
+        comp = self.components[cid]
         assert isinstance(comp, MonoComponent)
         path = comp.path_to_articulation(entry)
         moved = set(path[:-1])  # articulation vertex stays outside the ring here
@@ -690,7 +675,7 @@ class FTree:
         samplers: _Sampled = []
         for cid in self.dirty_components():
             self._eval = None
-            comp = self._own(cid)
+            comp = self.components[cid]
             assert isinstance(comp, BiComponent)
             table = memo.lookup(comp.signature()) if memo is not None else None
             if table is not None and table.sample_count >= cfg.samples:
@@ -744,24 +729,6 @@ class FTree:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-
-    def reach_to_root(self, v: int) -> float:
-        """Probability that v's information reaches the query vertex."""
-        if v == self.q:
-            return 1.0
-        if v not in self.vertex_index:
-            raise FTreeError(f"vertex {v} is not attached")
-        r = 1.0
-        while v != self.q:
-            comp = self.components[self.vertex_index[v]]
-            if isinstance(comp, MonoComponent):
-                r *= comp.local_reach(v)
-            else:
-                if comp.dirty or comp.reach is None:
-                    raise DirtyComponentError("component needs re-sampling")
-                r *= comp.reach.probs[v]
-            v = comp.articulation
-        return r
 
     def _bfs_component_order(self) -> list[int]:
         order = []
@@ -858,11 +825,27 @@ class FTree:
         edge: tuple[int, int],
         cfg: SamplerConfig,
         memo: Optional[MemoStore] = None,
+        stop: Optional[Callable[[FlowEstimate], bool]] = None,
     ) -> tuple[FlowEstimate, InsertReport]:
-        """Flow after a hypothetical insertion, leaving this tree untouched."""
+        """Flow and insert report of a hypothetical insertion, leaving this
+        tree untouched.
+
+        A leaf edge (exactly one endpoint attached) is scored from the kept
+        evaluation when the tree has one for ``graph``.  Any other edge is
+        inserted into a copy whose dirty components ``refresh`` renews,
+        offering ``stop`` its round estimates; the estimate ``stop``
+        accepted is returned, else the full-budget one.
+        """
+        e, prob, att_u, att_v = self._insertable(graph, edge)
+        ev = self._eval
+        if att_u != att_v and ev is not None and ev.graph is graph:
+            attach, fresh = e if att_u else (e[1], e[0])
+            case, _, _, est = self._leaf_term(ev, attach, fresh, prob)
+            return est, InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
         trial = self.copy()
-        report = trial.insert_edge(graph, edge, cfg, memo=memo)
-        return trial.expected_flow(graph), report
+        report = trial.insert_edge(graph, e, cfg, memo, defer_sampling=True)
+        est = trial.refresh(graph, cfg, memo, stop)
+        return (trial.expected_flow(graph) if est is None else est), report
 
     # ------------------------------------------------------------------
     # diagnostics

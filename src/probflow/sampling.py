@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Sequence
@@ -87,9 +88,6 @@ class ReachTable:
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability {p} for vertex {v} outside [0,1]")
 
-    def bounds(self, v: int) -> tuple[float, float]:
-        return self.rows[v][1:]
-
     @cached_property
     def rows(self) -> dict[int, tuple[float, float, float]]:
         """Every vertex's (p, lo, hi), the intervals computed once per table."""
@@ -126,8 +124,10 @@ def _reach_bitsets(
 
     ``present`` is a bool [worlds, edges] matrix.  Each edge's column is
     packed into one int with world i in bit i, and the source's full set
-    spreads along the edges by a worklist: a vertex whose set grows is
-    queued again until nothing changes.
+    spreads along the edges by a FIFO worklist: a vertex whose set grows
+    is queued again until nothing changes.  The sets reached are the least
+    fixpoint, whatever the order; first in, first out spreads each vertex
+    few times.
     """
     count = present.shape[0]
     width = (count + 7) // 8
@@ -141,9 +141,9 @@ def _reach_bitsets(
     reached = [0] * num_vertices
     reached[source] = (1 << count) - 1
     queued = [False] * num_vertices
-    work = [source]
+    work = deque([source])
     while work:
-        x = work.pop()
+        x = work.popleft()
         queued[x] = False
         rx = reached[x]
         for y, live in adj[x]:

@@ -219,30 +219,27 @@ def _probe_with_ci(
     """Probe candidates in order, abandoning any that ``ci_prune`` rules
     dominated by the best confirmed candidate so far.
 
-    Each probe's trial tree is checked on every ``CI_BATCH``-world prefix
-    of its samples (``FTree.refresh`` with a stop predicate) once a
-    confirmed best exists; a pruned candidate keeps the prefix estimate it
-    was dropped at.  The estimate ``refresh``
-    offered after its last round is the probe's result; the tree is
-    evaluated once more only when no round ran.
+    Once a confirmed best exists, each probe's sampled components are
+    checked on every ``CI_BATCH``-world prefix of their samples
+    (``FTree.probe_edge`` with a stop predicate); a pruned candidate keeps
+    the prefix estimate it was dropped at.
     """
     best: Optional[tuple[Edge, FlowEstimate]] = None
     results: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
     pruned: set[Edge] = set()
     for e in eligible:
-        trial = tree.copy()
-        report = trial.insert_edge(graph, e, cfg.sampler, memo=memo, defer_sampling=True)
-        offered: list[FlowEstimate] = []
-
         def dominated(est: FlowEstimate) -> bool:
-            offered.append(est)
-            return e not in ci_prune([best, (e, est)])
-
-        stopped = trial.refresh(graph, cfg.sampler, memo, None if best is None else dominated)
-        est = offered[-1] if offered else trial.expected_flow(graph)
-        if stopped is not None:
+            if e in ci_prune([best, (e, est)]):
+                return False
             pruned.add(e)
-        elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best[1].lb):
+            return True
+
+        est, report = tree.probe_edge(
+            graph, e, cfg.sampler, memo, None if best is None else dominated
+        )
+        if e not in pruned and est.samples_used >= CI_MIN_SAMPLES and (
+            best is None or est.lb > best[1].lb
+        ):
             best = (e, est)
         results[e] = (est, report)
     return results, pruned
@@ -264,7 +261,7 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
             break
         results: dict[Edge, FlowEstimate] = {}
         for e in cands:
-            results[e] = _naive_probe(graph, q, chosen + [e], cfg.sampler)
+            results[e] = mc_flow_of_edges(graph, q, chosen + [e], cfg.sampler)
         best = min(cands, key=lambda e: (-results[e].mean, e))
         chosen.append(best)
         chosen_set.add(best)
@@ -284,10 +281,10 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
     return Solution(selected=tuple(chosen), trace=tuple(trace))
 
 
-def _naive_probe(
-    graph: ProbabilisticGraph, q: int, edges: list[Edge], scfg: SamplerConfig
+def mc_flow_of_edges(
+    graph: ProbabilisticGraph, q: int, edges: Sequence[Edge], scfg: SamplerConfig
 ) -> FlowEstimate:
-    """Whole-subgraph Monte-Carlo flow of the given edge set.
+    """Whole-subgraph Monte-Carlo flow into ``q`` of the given edge set.
 
     Restricted to vertices the edges can reach (plus q); the rest of the
     graph cannot contribute flow and would only add sampling work.

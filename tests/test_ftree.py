@@ -244,30 +244,6 @@ class TestSplitTree:
             tree._split_mono(cid, 4, 5)
 
 
-class TestReachToRoot:
-    def test_chain_product(self):
-        g = ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        tree = new_ftree(0)
-        tree.insert_edge(g, (0, 1), CFG)
-        tree.insert_edge(g, (1, 2), CFG)
-        assert tree.reach_to_root(2) == pytest.approx(0.25)
-
-    def test_query_vertex(self):
-        assert new_ftree(5).reach_to_root(5) == 1.0
-
-    def test_unattached_rejected(self):
-        with pytest.raises(FTreeError):
-            new_ftree(0).reach_to_root(1)
-
-    def test_factors_multiply_through_components(self):
-        g = running_example_graph()
-        tree = build_base_tree(g, SamplerConfig(samples=4000, master_seed=2))
-        _, bis = components_by_kind(tree)
-        b = bis[frozenset({4, 5})]
-        expected = b.reach.probs[4] * tree.reach_to_root(3)
-        assert tree.reach_to_root(4) == pytest.approx(expected, abs=1e-12)
-
-
 class TestExpectedFlow:
     def test_tree_only_matches_oracle_exactly(self):
         rng = random.Random(31)
@@ -281,6 +257,15 @@ class TestExpectedFlow:
             assert est.samples_used >= 2**31 - 1
             assert est.mean == est.lb == est.ub
             assert est.mean == pytest.approx(exact_expected_flow(g, 0), abs=1e-9)
+
+    def test_sampled_estimate_is_python_floats(self):
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        est = tree.expected_flow(g)
+        assert est.samples_used == CFG.samples
+        assert [type(x) for x in (est.mean, est.lb, est.ub)] == [float] * 3
+        _, bis = components_by_kind(tree)
+        assert {type(p) for c in bis.values() for p in c.reach.probs.values()} == {float}
 
     def test_dirty_component_rejected(self):
         g = ProbabilisticGraph.build(
@@ -346,11 +331,13 @@ class TestProbe:
         assert tree.expected_flow(g) == before_est
 
     def test_probes_of_every_candidate_do_not_mutate(self):
-        # Probes share the base tree's components copy-on-write; probing
-        # every candidate, plain and interval-checked, must leave the base
-        # tree's structure, tables and evaluation exactly as they were.
+        # A leaf probe reads the base tree's kept evaluation and a cycle
+        # probe works on a copy; either way each probe, plain and stop-
+        # checked, gives what an insert into a copy gives and leaves the
+        # base tree's structure, tables and evaluation exactly as they were.
         rng = random.Random(2024)
         cfg = SamplerConfig(samples=300, master_seed=12)
+        cases = set()
         for trial in range(12):
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, n))
@@ -363,12 +350,17 @@ class TestProbe:
             for e in sorted(set(g.edges) - tree.selected_edges):
                 if not (tree.is_attached(e[0]) or tree.is_attached(e[1])):
                     continue
-                tree.probe_edge(g, e, cfg, memo)
                 probe = tree.copy()
-                probe.insert_edge(g, e, cfg, memo, defer_sampling=True)
-                probe.refresh(g, cfg, memo, stop=lambda est: True)
-                probe.expected_flow(g)
+                report = probe.insert_edge(g, e, cfg, memo)
+                assert tree.probe_edge(g, e, cfg, memo) == (probe.expected_flow(g), report)
+                stopped = tree.copy()
+                report = stopped.insert_edge(g, e, cfg, memo, defer_sampling=True)
+                est = stopped.refresh(g, cfg, memo, stop=lambda est: True)
+                est = stopped.expected_flow(g) if est is None else est
+                assert tree.probe_edge(g, e, cfg, memo, stop=lambda est: True) == (est, report)
+                cases.add(report.case_taken)
             assert snapshot(tree, g) == before
+        assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
 
     def test_leaf_probe_costs_nothing(self):
         g = running_example_graph()
@@ -676,8 +668,8 @@ class TestBoundPropagation:
             if isinstance(c, BiComponent) and c.articulation == 2
         )
         est = tree.expected_flow(g)
-        lo = inner.reach.bounds(4)[0] * outer.reach.bounds(2)[0]
-        hi = inner.reach.bounds(4)[1] * outer.reach.bounds(2)[1]
+        lo = inner.reach.rows[4][1] * outer.reach.rows[2][1]
+        hi = inner.reach.rows[4][2] * outer.reach.rows[2][2]
         mid = inner.reach.probs[4] * outer.reach.probs[2]
         assert est.mean == pytest.approx(mid, abs=1e-12)
         assert est.lb == pytest.approx(lo, abs=1e-12)

@@ -15,6 +15,7 @@ from probflow import (
     ProbabilisticGraph,
     SamplerConfig,
     StrategyConfig,
+    VARIANTS,
     candidate_edges,
     ci_prune,
     dijkstra_select,
@@ -24,6 +25,7 @@ from probflow import (
     expected_flow_of_edges,
     greedy_select,
     naive_select,
+    netgen,
     run_strategy,
 )
 from util import random_connected_graph
@@ -147,7 +149,8 @@ class TestCiVariant:
 
     def test_each_sampled_state_is_evaluated_once(self, monkeypatch):
         # An interval-checked probe reuses the estimate refresh offered after
-        # its last round instead of evaluating the same tables again.
+        # its last round instead of evaluating the same tables again.  A call
+        # answered from the tree's kept evaluation evaluates nothing.
         evaluated = []
         original = FTree.expected_flow
 
@@ -156,7 +159,8 @@ class TestCiVariant:
                 sorted((cid, c.reach.sample_count) for cid, c in tree.components.items()
                        if isinstance(c, BiComponent))
             )
-            evaluated.append((tree, counts))
+            if tree._eval is None or tree._eval.graph is not graph:
+                evaluated.append((tree, counts))
             return original(tree, graph)
 
         offers = []
@@ -333,3 +337,250 @@ class TestRunStrategy:
             a = run_strategy(g, 0, scfg(variant, 4, seed=3))
             b = run_strategy(g, 0, scfg(variant, 4, seed=3))
             assert a == b
+
+
+def _pinned_graphs():
+    return {
+        "erdos": netgen.gen_erdos(40, 6, 3),
+        "partitioned": netgen.gen_partitioned(40, 8, 3),
+        "wsn": netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, 3), lam=0.001, scale=1000),
+    }
+
+
+# Each variant's selection, final estimate and total (pruned, delayed) counts
+# on one small graph per family, k=12, 300 samples, master seed 7.
+PINNED = {
+    'erdos': {
+        'naive': (
+            (
+                (0, 26), (0, 27), (26, 27), (3, 26), (27, 29), (15, 26),
+                (26, 33), (15, 27), (12, 33), (12, 25), (15, 38), (2, 3),
+            ),
+            FlowEstimate(32.93333333333334, 28.149947307365206, 37.716719359301464, 300),
+            (0, 0),
+        ),
+        'dijkstra': (
+            (
+                (0, 37), (8, 37), (5, 8), (1, 8), (20, 37), (8, 27),
+                (0, 26), (14, 20), (5, 24), (14, 25), (28, 37), (15, 26),
+            ),
+            FlowEstimate(37.520962425093145, 37.520962425093145, 37.520962425093145, 2147483647),
+            (0, 0),
+        ),
+        'ft': (
+            (
+                (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
+                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (3, 38),
+            ),
+            FlowEstimate(34.676586380161424, 29.68123540225679, 39.933030348777294, 300),
+            (0, 0),
+        ),
+        'ft_m': (
+            (
+                (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
+                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (3, 38),
+            ),
+            FlowEstimate(34.676586380161424, 29.68123540225679, 39.933030348777294, 300),
+            (0, 0),
+        ),
+        'ft_m_ci': (
+            (
+                (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
+                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (3, 38),
+            ),
+            FlowEstimate(34.676586380161424, 29.68123540225679, 39.933030348777294, 300),
+            (0, 0),
+        ),
+        'ft_m_ds': (
+            (
+                (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
+                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (22, 34),
+            ),
+            FlowEstimate(34.66614485107044, 30.840802795295055, 38.49148690684582, 300),
+            (0, 13),
+        ),
+        'ft_m_ci_ds': (
+            (
+                (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
+                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (22, 34),
+            ),
+            FlowEstimate(34.66614485107044, 30.840802795295055, 38.49148690684582, 300),
+            (0, 13),
+        ),
+    },
+    'partitioned': {
+        'naive': (
+            (
+                (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
+                (2, 37), (0, 37), (3, 7), (3, 37), (6, 11), (8, 12),
+            ),
+            FlowEstimate(55.98333333333333, 52.45411673754711, 59.51254992911956, 300),
+            (0, 0),
+        ),
+        'dijkstra': (
+            (
+                (0, 6), (6, 8), (6, 11), (0, 7), (8, 12), (2, 6),
+                (6, 10), (2, 37), (6, 9), (12, 16), (13, 16), (11, 14),
+            ),
+            FlowEstimate(41.55526660304771, 41.55526660304771, 41.55526660304771, 2147483647),
+            (0, 0),
+        ),
+        'ft': (
+            (
+                (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
+                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+            ),
+            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            (0, 0),
+        ),
+        'ft_m': (
+            (
+                (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
+                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+            ),
+            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            (0, 0),
+        ),
+        'ft_m_ci': (
+            (
+                (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
+                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+            ),
+            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            (0, 0),
+        ),
+        'ft_m_ds': (
+            (
+                (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
+                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+            ),
+            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            (0, 12),
+        ),
+        'ft_m_ci_ds': (
+            (
+                (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
+                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+            ),
+            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            (0, 12),
+        ),
+    },
+    'wsn': {
+        'naive': (
+            (
+                (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
+                (4, 48), (0, 2), (2, 52), (14, 52), (4, 9), (5, 56),
+            ),
+            FlowEstimate(71.18333333333334, 65.70870175757852, 76.65796490908815, 300),
+            (0, 0),
+        ),
+        'dijkstra': (
+            (
+                (0, 38), (0, 40), (0, 37), (0, 2), (0, 11), (11, 56),
+                (37, 52), (11, 54), (2, 43), (2, 17), (5, 11), (11, 15),
+            ),
+            FlowEstimate(54.89436792739185, 54.89436792739185, 54.89436792739185, 2147483647),
+            (0, 0),
+        ),
+        'ft': (
+            (
+                (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
+                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+            ),
+            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            (0, 0),
+        ),
+        'ft_m': (
+            (
+                (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
+                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+            ),
+            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            (0, 0),
+        ),
+        'ft_m_ci': (
+            (
+                (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
+                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+            ),
+            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            (25, 0),
+        ),
+        'ft_m_ds': (
+            (
+                (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
+                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+            ),
+            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            (0, 12),
+        ),
+        'ft_m_ci_ds': (
+            (
+                (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
+                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+            ),
+            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            (14, 12),
+        ),
+    },
+}
+
+
+class TestSeededSolutions:
+    """Seeded selections stay what they were when pinned, bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_every_variant_matches_its_pin(self, family):
+        g = _pinned_graphs()[family]
+        for variant in VARIANTS:
+            sol = run_strategy(g, 0, scfg(variant, 12, seed=7, samples=300))
+            pruned = sum(r.candidates_pruned for r in sol.trace)
+            delayed = sum(r.candidates_delayed for r in sol.trace)
+            assert (sol.selected, sol.trace[-1].flow, (pruned, delayed)) == PINNED[family][
+                variant
+            ], variant
+
+
+class TestEdgeCases:
+    """Degenerate inputs behave the same under every variant."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_isolated_query_vertex(self, variant):
+        g = ProbabilisticGraph.build(3, [(1, 2, 0.5)], weights=[2.5, 1.0, 1.0])
+        sol = run_strategy(g, 0, scfg(variant, 3))
+        assert sol.selected == () and sol.trace == ()
+        assert sol.final_flow(g.weights[0]) == 2.5
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_zero_weights(self, variant):
+        g = ProbabilisticGraph.build(
+            4, [(0, 1, 0.5), (1, 2, 0.6), (0, 2, 0.7), (2, 3, 0.8)], weights=[0.0] * 4
+        )
+        sol = run_strategy(g, 0, scfg(variant, 4))
+        assert len(sol.selected) == (3 if variant == "dijkstra" else 4)
+        assert all(r.flow.mean == r.flow.lb == r.flow.ub == 0.0 for r in sol.trace)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_certain_edges_with_a_cycle(self, variant):
+        g = ProbabilisticGraph.build(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)], weights=[1.0, 2.0, 3.0, 4.0]
+        )
+        sol = run_strategy(g, 0, scfg(variant, 4))
+        assert set(sol.selected) == (
+            {(0, 1), (0, 2), (2, 3)} if variant == "dijkstra" else set(g.edges)
+        )
+        final = sol.trace[-1].flow
+        assert final.mean == final.lb == final.ub == 10.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_budget_above_reachable_edges(self, variant):
+        g = ProbabilisticGraph.build(
+            5, [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.8), (3, 4, 0.9)], weights=[1.0] * 5
+        )
+        sol = run_strategy(g, 0, scfg(variant, 10))
+        reachable = {(0, 1), (1, 2), (0, 2)}
+        if variant == "dijkstra":
+            assert len(sol.selected) == 2 and set(sol.selected) <= reachable
+        else:
+            assert set(sol.selected) == reachable
