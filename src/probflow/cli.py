@@ -76,7 +76,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[ProbabilisticGraph, int]:
 
 
 def _read_edge_set(path: str, graph: ProbabilisticGraph) -> list[Edge]:
-    out = []
+    out: list[Edge] = []
+    seen: set[Edge] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -94,6 +95,9 @@ def _read_edge_set(path: str, graph: ProbabilisticGraph) -> list[Edge]:
             e = canonical_edge(*ids)
             if e not in graph.edge_index:
                 raise GraphError(f"edge-set line {lineno}: no such edge {parts[0]} {parts[1]}")
+            if e in seen:
+                raise GraphError(f"edge-set line {lineno}: duplicate edge {parts[0]} {parts[1]}")
+            seen.add(e)
             out.append(e)
     return out
 
@@ -277,9 +281,13 @@ def _bench_point(
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
+    if not variants:
+        raise ValueError("--variants names no variant")
+    for i, v in enumerate(variants):
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
+        if v in variants[:i]:
+            raise ValueError(f"variant {v!r} listed twice in --variants")
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
     instance = None

@@ -6,6 +6,12 @@ products) and bi-connected components (cycles, flow estimated by sampling
 only the component's own edges).  Each component drains through a single
 articulation vertex toward the query vertex at the root, so per-component
 results multiply up the tree.
+
+Two rules grow the tree.  A leaf edge, with one endpoint attached, hangs
+its new vertex off the attached endpoint's component (cases IIa, IIb).  A
+cycle-closing edge, with both endpoints attached, folds the parts of the
+components that lie on the cycle it closes into one bi-connected component
+(cases IIIa, IIIb, IVb, IVc).
 """
 
 from __future__ import annotations
@@ -153,11 +159,10 @@ class MemoStore:
 
 
 class IncrementalComponentSampler:
-    """Samples one bi-component's reach table in resumable batches.
+    """Samples one bi-component's reach table from a signature-derived stream.
 
-    Batches continue a single signature-derived stream and world i lands in
-    bit i of every vertex's world bitset, so the table of the first n worlds
-    is the same whatever batch sizes drew them.
+    World i lands in bit i of every vertex's world bitset, so one draw gives
+    the table of every prefix of its worlds.
     """
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
@@ -176,15 +181,11 @@ class IncrementalComponentSampler:
         self.drawn = 0
 
     def draw(self, batch: int) -> None:
-        if batch <= 0:
-            return
-        bits = _reach_worlds(
+        """Draw ``batch`` worlds; a sampler draws once."""
+        self._bits = _reach_worlds(
             self._edges, self._probs, len(self._verts), self._source, batch, self._rng
         )
-        if self.drawn:
-            bits = [old | new << self.drawn for old, new in zip(self._bits, bits)]
-        self._bits = bits
-        self.drawn += batch
+        self.drawn = batch
 
     def _counts(self, n: int) -> list[int]:
         """Per-vertex successes among the first ``n`` drawn worlds."""
@@ -345,19 +346,7 @@ class FTree:
         u, v = e
         if att_u and att_v:
             self._eval = None
-            shared = self._common_component(u, v)
-            if shared is not None:
-                comp = self.components[shared]
-                if isinstance(comp, BiComponent):
-                    case = "IIIa"
-                    comp.internal_edges.add(e)
-                    comp.dirty = True
-                else:
-                    case = "IIIb"
-                    bi_id = self._split_mono(shared, u, v)
-                    self.components[bi_id].internal_edges.add(e)
-            else:
-                case = self._insert_linking_edge(u, v, e)
+            case = self._close_cycle(u, v, e)
             self._rebuild_links()
         else:
             attach, fresh = (u, v) if att_u else (v, u)
@@ -448,33 +437,65 @@ class FTree:
             samples_used=est.samples_used,
         )
 
-    def _common_component(self, u: int, v: int) -> Optional[int]:
-        """Component whose members + articulation vertex cover both endpoints."""
-        candidates = []
-        for w in (u, v):
-            cid = self.root_id if w == self.q else self.vertex_index.get(w)
-            if cid is not None:
-                candidates.append(cid)
-        for cid in candidates:
-            comp = self.components[cid]
-            closure_hit = 0
-            for w in (u, v):
-                if w in comp.members or w == comp.articulation:
-                    closure_hit += 1
-            if closure_hit == 2:
-                return cid
-        return None
+    def _close_cycle(self, u: int, v: int, e: Edge) -> str:
+        """Cases III and IV: fold the cycle the edge ``e`` between attached
+        vertices u and v closes into one bi component.
+
+        The cycle climbs from each endpoint's component to the two
+        components' lowest common ancestor.  Every component it passes gives
+        up its part on the cycle: a bi component all of itself, a mono
+        component the path between the two vertices where the cycle enters
+        it.  The last part taken becomes the ring: it gains the other parts'
+        members and edges plus ``e`` and turns dirty.  Parent/child links
+        are left stale for the caller to rebuild.
+        """
+        cid_u, cid_v = self.component_of_vertex(u), self.component_of_vertex(v)
+        anc = cid_u if cid_u == cid_v else self.lowest_common_ancestor(cid_u, cid_v)
+        parts: list[int] = []
+        split: list[bool] = []
+
+        def take(cid: int, a: int, b: int) -> None:
+            mono = isinstance(self.components[cid], MonoComponent)
+            parts.append(self._split_mono(cid, a, b) if mono else cid)
+            split.append(mono)
+
+        def climb(cid: int, entry: int) -> int:
+            while cid != anc:
+                av = self.components[cid].articulation
+                take(cid, entry, av)
+                entry, cid = av, self.parent[cid]  # type: ignore[assignment]
+            return entry
+
+        entry_u, entry_v = climb(cid_u, u), climb(cid_v, v)
+        below = any(split)
+        if entry_u != entry_v:
+            take(anc, entry_u, entry_v)
+        *absorbed, ring_id = parts
+        ring = self.components[ring_id]
+        assert isinstance(ring, BiComponent)
+        for cid in absorbed:
+            part = self.components.pop(cid)
+            assert isinstance(part, BiComponent)
+            ring.members |= part.members
+            ring.internal_edges |= part.internal_edges
+            for x in part.members:
+                self.vertex_index[x] = ring_id
+        ring.internal_edges.add(e)
+        ring.dirty = True
+        if not absorbed:
+            return "IIIb" if split[0] else "IIIa"
+        return "IVc-composite" if below else "IVb"
 
     def _split_mono(self, comp_id: int, v_src: int, v_dest: int) -> int:
-        """Split a mono component around the new cycle between v_src and v_dest.
+        """Cut the path between v_src and v_dest out of a mono component.
 
         The first vertex common to both paths toward the articulation vertex
-        anchors a new bi-component holding the cycle's tree edges (the
-        caller adds the edge that closes it); members cut off from the
-        articulation vertex regroup into new mono components hanging off
-        the cycle vertex their old path crossed first.  Returns the new
-        component's id; its reach table is left dirty.  Parent/child links
-        are left stale for the caller to rebuild.
+        anchors a new bi component holding the path's other vertices and its
+        tree edges, for the caller to close into a cycle; members cut off
+        from the articulation vertex regroup into new mono components
+        hanging off the path vertex their old path crossed first.  Returns
+        the new component's id; its reach table is left dirty.  Parent/child
+        links are left stale for the caller to rebuild.
         """
         if not isinstance(self.components[comp_id], MonoComponent):
             raise FTreeError("_split_mono requires a mono component")
@@ -503,7 +524,10 @@ class FTree:
             )
             mid = self._add_component(mono)
             self._detach_members(comp, group, mid)
-        self._drop_if_empty(comp_id, replacement=bi_id)
+        if not comp.members:
+            del self.components[comp_id]
+            if comp_id == self.root_id:
+                self.root_id = bi_id
         return bi_id
 
     def _classify_orphans(
@@ -546,109 +570,6 @@ class FTree:
         for x in moved:
             comp.parent_edges.pop(x, None)
             self.vertex_index[x] = new_cid
-
-    def _drop_if_empty(self, comp_id: int, replacement: int) -> None:
-        comp = self.components[comp_id]
-        if isinstance(comp, MonoComponent) and not comp.members:
-            del self.components[comp_id]
-            if comp_id == self.root_id:
-                self.root_id = replacement
-
-    def _insert_linking_edge(self, u: int, v: int, new_edge: Edge) -> str:
-        """Both endpoints attached in different components: fold the implied
-        component-tree cycle into one new bi-component.  Parent/child links
-        are left stale for the caller to rebuild."""
-        cid_u = self.component_of_vertex(u)
-        cid_v = self.component_of_vertex(v)
-        anc = self.lowest_common_ancestor(cid_u, cid_v)
-        ring_members: set[int] = set()
-        ring_edges: set[Edge] = {new_edge}
-        absorbed: list[int] = []
-        pending_monos: list[tuple[int, set[int], dict[int, tuple[int, float]]]] = []
-        composite = False
-
-        def climb(cid: int, entry: int) -> int:
-            nonlocal composite
-            while cid != anc:
-                comp = self.components[cid]
-                nxt = self.parent[cid]
-                if entry == comp.articulation:
-                    # Cycle only passes through the shared articulation vertex.
-                    pass
-                elif isinstance(comp, BiComponent):
-                    ring_members.update(comp.members)
-                    ring_edges.update(comp.internal_edges)
-                    absorbed.append(cid)
-                else:
-                    composite = True
-                    self._merge_mono_path(cid, entry, ring_members, ring_edges, pending_monos)
-                entry = comp.articulation
-                cid = nxt  # type: ignore[assignment]
-            return entry
-
-        entry_src = climb(cid_u, u)
-        entry_dest = climb(cid_v, v)
-
-        anc_was_root = anc == self.root_id
-        if entry_src == entry_dest:
-            ring_av = entry_src
-        else:
-            # The cycle enters the ancestor at two vertices; a mono ancestor
-            # first splits off the part of it that lies on the cycle.
-            folded = anc
-            if isinstance(self.components[anc], MonoComponent):
-                folded = self._split_mono(anc, entry_src, entry_dest)
-            bi = self.components[folded]
-            assert isinstance(bi, BiComponent)
-            ring_members.update(bi.members)
-            ring_edges.update(bi.internal_edges)
-            absorbed.append(folded)
-            ring_av = bi.articulation
-
-        ring = BiComponent(members=ring_members, articulation=ring_av, internal_edges=ring_edges)
-        ring_id = self._add_component(ring)
-        for cid in absorbed:
-            del self.components[cid]
-        for x in ring_members:
-            self.vertex_index[x] = ring_id
-        for anchor, group, edges in pending_monos:
-            mono = MonoComponent(members=group, articulation=anchor, parent_edges=edges)
-            mid = self._add_component(mono)
-            for m in group:
-                self.vertex_index[m] = mid
-        if anc_was_root and anc not in self.components:
-            self.root_id = ring_id
-        return "IVc-composite" if composite else "IVb"
-
-    def _merge_mono_path(
-        self,
-        cid: int,
-        entry: int,
-        ring_members: set[int],
-        ring_edges: set[Edge],
-        pending_monos: list[tuple[int, set[int], dict[int, tuple[int, float]]]],
-    ) -> None:
-        """Move the entry-to-articulation path of a chain component into the
-        ring and queue the split-off member groups."""
-        comp = self.components[cid]
-        assert isinstance(comp, MonoComponent)
-        path = comp.path_to_articulation(entry)
-        moved = set(path[:-1])  # articulation vertex stays outside the ring here
-        for x in path[:-1]:
-            parent, _ = comp.parent_edges[x]
-            ring_edges.add(canonical_edge(x, parent))
-        groups = self._classify_orphans(comp, moved, stop={comp.articulation})
-        all_gone = set(moved)
-        for anchor in sorted(groups):
-            group = groups[anchor]
-            pending_monos.append((anchor, group, {m: comp.parent_edges[m] for m in group}))
-            all_gone |= group
-        ring_members.update(moved)
-        comp.members -= all_gone
-        for x in all_gone:
-            comp.parent_edges.pop(x, None)
-        if not comp.members:
-            del self.components[cid]
 
     # ------------------------------------------------------------------
     # sampling upkeep

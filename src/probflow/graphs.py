@@ -127,12 +127,6 @@ class ProbabilisticGraph:
         except KeyError:
             raise GraphError(f"no edge ({u},{v})") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edge_index
-
-    def weight(self, v: int) -> float:
-        return self.weights[v]
-
     @property
     def num_edges(self) -> int:
         return len(self.edges)

@@ -121,9 +121,13 @@ def expected_flow_of_edges(
     subset = [canonical_edge(*e) for e in edge_subset]
     index = graph.edge_index
     probs = []
+    seen: set[Edge] = set()
     for e in subset:
         if e not in index:
             raise ValueError(f"unknown edge {e}")
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
         probs.append(graph.probabilities[index[e]])
     if not (0 <= q < graph.num_vertices):
         raise ValueError(f"unknown vertex {q}")

@@ -64,10 +64,6 @@ class FlowEstimate:
             raise ValueError("samples_used must be >= 1")
 
     @property
-    def half_width(self) -> float:
-        return (self.ub - self.lb) / 2.0
-
-    @property
     def is_exact(self) -> bool:
         return self.samples_used >= EXACT_SAMPLES
 

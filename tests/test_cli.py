@@ -168,6 +168,16 @@ class TestEvaluate:
                    "--edge-set", str(edge_set), "--mode", "exact"])
         assert rc == 3
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_repeated_edge_is_validation_error(self, tmp_path, capsys, mode):
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        edge_set = tmp_path / "sel.txt"
+        edge_set.write_text("Q a\na Q\na b\n", encoding="utf-8")
+        rc = main(["evaluate", "--edges", paths["edges"], "--weights", paths["weights"],
+                   "--query", "Q", "--edge-set", str(edge_set), "--mode", mode])
+        assert rc == 2
+        assert "edge-set line 2: duplicate edge a Q" in capsys.readouterr().err
+
     def test_invalid_probability_is_validation_error(self, tmp_path):
         paths = write_instance(tmp_path, "a b 1.5\n")
         rc = main(["evaluate", "--edges", paths["edges"], "--query", "a"])
@@ -247,6 +257,20 @@ class TestBench:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("variants, message", [
+        (",", "names no variant"),
+        (" , ", "names no variant"),
+        ("ft,ft", "'ft' listed twice"),
+        ("ft,dijkstra, ft", "'ft' listed twice"),
+    ], ids=["comma", "blank", "twice", "twice-apart"])
+    def test_empty_or_repeated_variants_rejected(self, tmp_path, capsys, variants, message):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", "erdos", "--n", "24", "--deg", "4",
+                   "--variants", variants, "--k", "2", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -285,6 +309,15 @@ class TestDumpFtree:
                          "--insert", str(order))
         assert rc == 0
         assert stdout.strip() == "0 MONO AV=Q V={a,b} children=[]"
+
+    def test_repeated_insert_is_validation_error(self, tmp_path, capsys):
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        order = tmp_path / "order.txt"
+        order.write_text("Q a\na b\nb a\n", encoding="utf-8")
+        rc = main(["dump-ftree", "--edges", paths["edges"], "--weights", paths["weights"],
+                   "--query", "Q", "--insert", str(order)])
+        assert rc == 2
+        assert "edge-set line 3: duplicate edge b a" in capsys.readouterr().err
 
     def test_detached_insert_is_validation_error(self, tmp_path):
         paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)

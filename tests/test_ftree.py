@@ -485,27 +485,12 @@ class TestMemo:
 
 
 class TestIncrementalSampling:
-    def test_batched_draws_match_one_shot(self):
-        # Interval pruning samples components in batches; a fully drawn
-        # batched table must equal the one-shot table bit for bit.
-        from probflow.ftree import IncrementalComponentSampler
-
-        g = running_example_graph()
-        comp = BiComponent({7, 8, 9}, 6, {(6, 7), (7, 8), (8, 9), (6, 9)})
-        cfg = SamplerConfig(samples=1000, master_seed=99)
-        one_shot = IncrementalComponentSampler(g, comp, cfg)
-        one_shot.draw(cfg.samples)
-        sampler = IncrementalComponentSampler(g, comp, cfg)
-        for step in (100, 250, 400, 250):
-            sampler.draw(step)
-        assert sampler.table() == one_shot.table()
-
     @pytest.mark.parametrize("chunk_budget", [None, 40], ids=["one-chunk", "ten-world-chunks"])
     def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
         # A full-budget draw keeps every world, so the table of its first n
-        # worlds is the table a sampler that drew n worlds in CI_BATCH steps
-        # holds, and rows() gives each such table's rows element by element.
-        # The full draw may span many chunks; the batched one spans one each.
+        # worlds is the table of a fresh sampler that drew n worlds, and
+        # rows() gives each such table's rows element by element.  The full
+        # draw may span many chunks.
         from probflow import sampling
         from probflow.ftree import IncrementalComponentSampler
 
@@ -513,11 +498,11 @@ class TestIncrementalSampling:
         comp = BiComponent({7, 8, 9}, 6, {(6, 7), (7, 8), (8, 9), (6, 9)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
         sizes = range(CI_BATCH, cfg.samples + 1, CI_BATCH)
-        batched = IncrementalComponentSampler(g, comp, cfg)
         expected = []
-        for _ in sizes:
-            batched.draw(CI_BATCH)
-            expected.append(batched.table())
+        for n in sizes:
+            fresh = IncrementalComponentSampler(g, comp, cfg)
+            fresh.draw(n)
+            expected.append(fresh.table())
         if chunk_budget is not None:
             monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
         full = IncrementalComponentSampler(g, comp, cfg)
@@ -691,6 +676,44 @@ def test_insertion_invariants_hold_for_any_seed(seed):
     assert tree.selected_edges == set(g.edges)
 
 
+STRUCTURE_DIGEST = "59abb3fcfec4e3f665547c30e0b19da1bac2c489f4ebeaab83c605cefbd3dd22"
+STRUCTURE_CASE_COUNTS = {
+    "IIa": 1050, "IIb": 241, "IIIa": 787, "IIIb": 205, "IVb": 107, "IVc-composite": 355,
+}
+
+
+def structure_digest(graphs: int) -> tuple[str, dict[str, int]]:
+    """sha256 over every insert of ``graphs`` seeded random graphs (all edges
+    in random insertable order): the case taken, the dump, and each
+    component's kind, articulation vertex, members and edges; plus the
+    number of inserts per case."""
+    import hashlib
+    from collections import Counter
+
+    rng = random.Random(2024)
+    cfg = SamplerConfig(samples=4, master_seed=1)
+    h = hashlib.sha256()
+    counts: Counter[str] = Counter()
+    for _ in range(graphs):
+        n = rng.randint(3, 12)
+        g = random_connected_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2 - (n - 1), 2 * n)))
+        tree = new_ftree(0)
+        for e in insertable_order(g, rng):
+            case = tree.insert_edge(g, e, cfg, defer_sampling=True).case_taken
+            tree.verify(g)
+            counts[case] += 1
+            parts = []
+            for comp in tree.components.values():
+                if isinstance(comp, MonoComponent):
+                    edges = sorted((m, a, repr(p)) for m, (a, p) in comp.parent_edges.items())
+                else:
+                    edges = sorted(comp.internal_edges)
+                kind = type(comp).__name__
+                parts.append(repr((kind, comp.articulation, sorted(comp.members), edges)))
+            h.update(f"{e} {case}\n{tree.dump()}\n{sorted(parts)}\n".encode())
+    return h.hexdigest(), dict(counts)
+
+
 class TestStructuralInvariants:
     def test_randomized_insertions_hold_invariants(self):
         rng = random.Random(1009)
@@ -721,6 +744,14 @@ class TestStructuralInvariants:
                 seen.add(case)
                 tree.verify(g)
         assert seen == allowed
+
+    def test_structure_digest_is_pinned(self):
+        # Every insert's case and resulting structure, hashed over a fixed
+        # corpus, so a change to any structural rule shows here.  Component
+        # ids are left out: which id a cycle's bi component takes is free.
+        digest, counts = structure_digest(200)
+        assert counts == STRUCTURE_CASE_COUNTS
+        assert digest == STRUCTURE_DIGEST
 
     def test_selected_edges_grow_by_one(self):
         rng = random.Random(77)

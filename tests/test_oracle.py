@@ -91,6 +91,12 @@ class TestExactExpectedFlow:
                 expect += r * g.weights[v]
             assert exact_expected_flow(g, 0) == pytest.approx(expect, abs=1e-12)
 
+    def test_repeated_edge_rejected(self):
+        # Listing (0,1) twice, in either orientation, must not count it as
+        # two independent links.
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            expected_flow_of_edges(path_graph(), 0, [(0, 1), (1, 2), (1, 0)])
+
     def test_monotone_under_edge_addition(self):
         rng = random.Random(9)
         for _ in range(20):
