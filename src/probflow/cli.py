@@ -308,6 +308,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError("empty sweep value list")
         if axis in ("n", "deg", "k") and not all(x.is_integer() for x in values):
             raise ValueError(f"sweep axis {axis!r} takes whole numbers, got {raw!r}")
+        # Rows are grouped by the formatted value, so "2" and "2.0" repeat.
+        labels = [_fmt(x) for x in values]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"sweep value {label} listed twice in --sweep")
 
     rows = []
     for value in values:

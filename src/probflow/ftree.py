@@ -5,7 +5,9 @@ components (unique paths, flow computed analytically as edge-probability
 products) and bi-connected components (cycles, flow estimated by sampling
 only the component's own edges).  Each component drains through a single
 articulation vertex toward the query vertex at the root, so per-component
-results multiply up the tree.
+results multiply up the tree.  A component's parent is the component owning
+its articulation vertex (the root for the query vertex), so no links are
+stored.
 
 Two rules grow the tree.  A leaf edge, with one endpoint attached, hangs
 its new vertex off the attached endpoint's component (cases IIa, IIb).  A
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, KeysView, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +47,15 @@ class DirtyComponentError(FTreeError):
 
 @dataclass
 class MonoComponent:
-    """Tree-shaped component: every member has a unique path to the articulation vertex."""
+    """Tree-shaped component: every member has a unique path to the articulation
+    vertex.  ``parent_edges`` maps each member to (parent, edge probability)."""
 
-    members: set[int]
     articulation: int
     parent_edges: dict[int, tuple[int, float]]
+
+    @property
+    def members(self) -> KeysView[int]:
+        return self.parent_edges.keys()
 
     def path_to_articulation(self, v: int) -> list[int]:
         """Vertices from v up to and including the articulation vertex."""
@@ -66,18 +72,22 @@ class MonoComponent:
         return {canonical_edge(v, parent) for v, (parent, _) in self.parent_edges.items()}
 
     def copy(self) -> "MonoComponent":
-        return MonoComponent(set(self.members), self.articulation, dict(self.parent_edges))
+        return MonoComponent(self.articulation, dict(self.parent_edges))
 
 
 @dataclass
 class BiComponent:
-    """Cyclic component: reach probabilities toward the articulation vertex are sampled."""
+    """Cyclic component: reach probabilities toward the articulation vertex are
+    sampled.  Without a reach table the component is dirty."""
 
     members: set[int]
     articulation: int
     internal_edges: set[Edge]
     reach: Optional[ReachTable] = None
-    dirty: bool = True
+
+    @property
+    def dirty(self) -> bool:
+        return self.reach is None
 
     def signature(self) -> str:
         verts = ",".join(map(str, sorted(self.members)))
@@ -85,9 +95,7 @@ class BiComponent:
         return f"av={self.articulation};v={verts};e={edges}"
 
     def copy(self) -> "BiComponent":
-        return BiComponent(
-            set(self.members), self.articulation, set(self.internal_edges), self.reach, self.dirty
-        )
+        return BiComponent(set(self.members), self.articulation, set(self.internal_edges), self.reach)
 
 
 Component = MonoComponent | BiComponent
@@ -231,13 +239,10 @@ class FTree:
 
     def __init__(self, q: int):
         self.q = q
-        root = MonoComponent(members=set(), articulation=q, parent_edges={})
         self._next_id = 0
         self._eval: Optional[_Evaluation] = None
         self.components: dict[int, Component] = {}
-        self.root_id = self._add_component(root)
-        self.parent: dict[int, Optional[int]] = {self.root_id: None}
-        self.children: dict[int, list[int]] = {self.root_id: []}
+        self.root_id = self._add_component(MonoComponent(q, {}))
         self.vertex_index: dict[int, int] = {}
         self.selected_edges: set[Edge] = set()
 
@@ -260,8 +265,6 @@ class FTree:
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other._eval = self._eval
         other.root_id = self.root_id
-        other.parent = dict(self.parent)
-        other.children = {cid: list(kids) for cid, kids in self.children.items()}
         other.vertex_index = dict(self.vertex_index)
         other.selected_edges = set(self.selected_edges)
         return other
@@ -281,24 +284,21 @@ class FTree:
         except KeyError:
             raise FTreeError(f"vertex {v} is not attached") from None
 
-    def _rebuild_links(self) -> None:
-        """Re-derive parent/child links: a component hangs off the component
-        owning its articulation vertex (the root collects articulation-at-Q
-        components)."""
-        parent: dict[int, Optional[int]] = {}
+    def parent_of(self, cid: int) -> Optional[int]:
+        """The component owning ``cid``'s articulation vertex (the root for
+        the query vertex); None for the root."""
+        if cid == self.root_id:
+            return None
+        return self.vertex_index.get(self.components[cid].articulation, self.root_id)
+
+    def _children(self) -> dict[int, list[int]]:
+        """Every component's children in increasing id order."""
         children: dict[int, list[int]] = {cid: [] for cid in self.components}
-        for cid, comp in self.components.items():
-            if cid == self.root_id:
-                parent[cid] = None
-                continue
-            owner = self.vertex_index.get(comp.articulation)
-            pid = owner if owner is not None else self.root_id
-            parent[cid] = pid
-            children[pid].append(cid)
-        for kids in children.values():
-            kids.sort()
-        self.parent = parent
-        self.children = children
+        for cid in self.components:
+            pid = self.parent_of(cid)
+            if pid is not None:
+                children[pid].append(cid)
+        return children
 
     def dirty_components(self) -> list[int]:
         return sorted(
@@ -315,12 +315,12 @@ class FTree:
         cur: Optional[int] = c1
         while cur is not None:
             seen.add(cur)
-            cur = self.parent[cur]
+            cur = self.parent_of(cur)
         cur = c2
         while cur is not None:
             if cur in seen:
                 return cur
-            cur = self.parent[cur]
+            cur = self.parent_of(cur)
         raise FTreeError("components are not in the same tree")
 
     # ------------------------------------------------------------------
@@ -347,7 +347,6 @@ class FTree:
         if att_u and att_v:
             self._eval = None
             case = self._close_cycle(u, v, e)
-            self._rebuild_links()
         else:
             attach, fresh = (u, v) if att_u else (v, u)
             case = self._attach_leaf(graph, attach, fresh, prob)
@@ -397,16 +396,11 @@ class FTree:
         cid = self.component_of_vertex(attach)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
-            comp.members.add(fresh)
             comp.parent_edges[fresh] = (attach, prob)
             self.vertex_index[fresh] = cid
             return "IIa"
-        nid = self._add_component(MonoComponent({fresh}, attach, {fresh: (attach, prob)}))
+        nid = self._add_component(MonoComponent(attach, {fresh: (attach, prob)}))
         self.vertex_index[fresh] = nid
-        self.parent[nid] = cid
-        # nid is the largest id, so the child list stays sorted.
-        self.children[cid].append(nid)
-        self.children[nid] = []
         return "IIb"
 
     def _leaf_term(
@@ -446,8 +440,7 @@ class FTree:
         up its part on the cycle: a bi component all of itself, a mono
         component the path between the two vertices where the cycle enters
         it.  The last part taken becomes the ring: it gains the other parts'
-        members and edges plus ``e`` and turns dirty.  Parent/child links
-        are left stale for the caller to rebuild.
+        members and edges plus ``e`` and turns dirty.
         """
         cid_u, cid_v = self.component_of_vertex(u), self.component_of_vertex(v)
         anc = cid_u if cid_u == cid_v else self.lowest_common_ancestor(cid_u, cid_v)
@@ -462,8 +455,10 @@ class FTree:
         def climb(cid: int, entry: int) -> int:
             while cid != anc:
                 av = self.components[cid].articulation
+                # Read before take(), which may delete the component.
+                pid = self.parent_of(cid)
                 take(cid, entry, av)
-                entry, cid = av, self.parent[cid]  # type: ignore[assignment]
+                entry, cid = av, pid  # type: ignore[assignment]
             return entry
 
         entry_u, entry_v = climb(cid_u, u), climb(cid_v, v)
@@ -481,7 +476,7 @@ class FTree:
             for x in part.members:
                 self.vertex_index[x] = ring_id
         ring.internal_edges.add(e)
-        ring.dirty = True
+        ring.reach = None
         if not absorbed:
             return "IIIb" if split[0] else "IIIa"
         return "IVc-composite" if below else "IVb"
@@ -494,8 +489,7 @@ class FTree:
         tree edges, for the caller to close into a cycle; members cut off
         from the articulation vertex regroup into new mono components
         hanging off the path vertex their old path crossed first.  Returns
-        the new component's id; its reach table is left dirty.  Parent/child
-        links are left stale for the caller to rebuild.
+        the new component's id; it has no reach table yet.
         """
         if not isinstance(self.components[comp_id], MonoComponent):
             raise FTreeError("_split_mono requires a mono component")
@@ -517,14 +511,9 @@ class FTree:
         self._detach_members(comp, cycle_set, bi_id)
         for anchor in sorted(orphan_groups):
             group = orphan_groups[anchor]
-            mono = MonoComponent(
-                members=group,
-                articulation=anchor,
-                parent_edges={m: comp.parent_edges[m] for m in group},
-            )
-            mid = self._add_component(mono)
+            mid = self._add_component(MonoComponent(anchor, {m: comp.parent_edges[m] for m in group}))
             self._detach_members(comp, group, mid)
-        if not comp.members:
+        if not comp.parent_edges:
             del self.components[comp_id]
             if comp_id == self.root_id:
                 self.root_id = bi_id
@@ -566,9 +555,8 @@ class FTree:
         return groups
 
     def _detach_members(self, comp: MonoComponent, moved: set[int], new_cid: int) -> None:
-        comp.members -= moved
         for x in moved:
-            comp.parent_edges.pop(x, None)
+            del comp.parent_edges[x]
             self.vertex_index[x] = new_cid
 
     # ------------------------------------------------------------------
@@ -601,7 +589,6 @@ class FTree:
             table = memo.lookup(comp.signature()) if memo is not None else None
             if table is not None and table.sample_count >= cfg.samples:
                 comp.reach = table
-                comp.dirty = False
             else:
                 samplers.append((cid, comp, IncrementalComponentSampler(graph, comp, cfg)))
         if not samplers:
@@ -627,7 +614,6 @@ class FTree:
     def _set_tables(self, samplers: _Sampled, n: int) -> None:
         for _, comp, sampler in samplers:
             comp.reach = sampler.table(n)
-            comp.dirty = False
 
     def _round_estimates(
         self, graph: ProbabilisticGraph, samplers: _Sampled, sizes: Sequence[int]
@@ -652,12 +638,13 @@ class FTree:
     # ------------------------------------------------------------------
 
     def _bfs_component_order(self) -> list[int]:
+        children = self._children()
         order = []
         queue = deque([self.root_id])
         while queue:
             cid = queue.popleft()
             order.append(cid)
-            queue.extend(self.children[cid])
+            queue.extend(children[cid])
         return order
 
     def expected_flow(self, graph: ProbabilisticGraph) -> FlowEstimate:
@@ -782,13 +769,14 @@ class FTree:
             comp = self.components[cid]
             return (comp.articulation, tuple(sorted(comp.members)))
 
+        children = {cid: sorted(kids, key=sort_key) for cid, kids in self._children().items()}
         display: dict[int, int] = {}
         order: list[int] = []
 
         def walk(cid: int) -> None:
             display[cid] = len(display)
             order.append(cid)
-            for kid in sorted(self.children[cid], key=sort_key):
+            for kid in children[cid]:
                 walk(kid)
 
         walk(self.root_id)
@@ -797,9 +785,7 @@ class FTree:
             comp = self.components[cid]
             kind = "MONO" if isinstance(comp, MonoComponent) else "BI"
             members = ",".join(name(v) for v in sorted(comp.members))
-            kids = ",".join(
-                str(display[k]) for k in sorted(self.children[cid], key=sort_key)
-            )
+            kids = ",".join(str(display[k]) for k in children[cid])
             lines.append(
                 f"{display[cid]} {kind} AV={name(comp.articulation)} V={{{members}}} children=[{kids}]"
             )
@@ -828,36 +814,28 @@ class FTree:
         if set(self.vertex_index) != seen_members:
             raise FTreeError("vertex index does not match component members")
 
-        # Link shape: single root, every component reachable, acyclic.
-        reached = set(self._bfs_component_order())
-        if reached != set(self.components):
+        for comp in self.components.values():
+            if not self.is_attached(comp.articulation):
+                raise FTreeError("articulation vertex is not attached")
+        # Every component reachable from the root; a cycle of links is not.
+        if set(self._bfs_component_order()) != set(self.components):
             raise FTreeError("component links do not form a single tree")
-        for cid, pid in self.parent.items():
-            if pid is None:
-                if cid != self.root_id:
-                    raise FTreeError("non-root component without parent")
-                continue
-            pc = self.components[pid]
-            av = self.components[cid].articulation
-            if av not in pc.members and av != pc.articulation:
-                raise FTreeError("articulation vertex not anchored in the parent component")
 
-        edge_count = 0
         all_edges: set[Edge] = set()
-        for cid, comp in self.components.items():
+        for comp in self.components.values():
             if isinstance(comp, MonoComponent):
-                if set(comp.parent_edges) != comp.members:
-                    raise FTreeError("parent edges must cover exactly the members")
+                # Walk each member's path here: path_to_articulation trusts it.
                 for v in comp.members:
-                    path = comp.path_to_articulation(v)
-                    if len(set(path)) != len(path):
-                        raise FTreeError("cycle inside a mono component")
-                    interior = path[:-1]
-                    if any(x not in comp.members for x in interior):
-                        raise FTreeError("mono path escapes the component")
+                    seen = {v}
+                    x = comp.parent_edges[v][0]
+                    while x != comp.articulation:
+                        if x not in comp.members:
+                            raise FTreeError("mono path escapes the component")
+                        if x in seen:
+                            raise FTreeError("cycle inside a mono component")
+                        seen.add(x)
+                        x = comp.parent_edges[x][0]
                 edges = comp.edge_set()
-                if len(edges) != len(comp.members):
-                    raise FTreeError("mono component is not a tree")
             else:
                 closure = comp.members | {comp.articulation}
                 if len(closure) < 3:
@@ -868,19 +846,18 @@ class FTree:
                         raise FTreeError("internal edge escapes the component")
                 if not _biconnected(closure, edges):
                     raise FTreeError("bi component has a cut vertex or is disconnected")
-                if not comp.dirty:
-                    if comp.reach is None or set(comp.reach.probs) != comp.members:
+                if comp.reach is not None:
+                    if set(comp.reach.probs) != comp.members:
                         raise FTreeError("reach table does not cover the members")
                     if comp.reach.articulation != comp.articulation:
                         raise FTreeError("reach table articulation mismatch")
             for e in edges:
                 if e not in graph.edge_index:
                     raise FTreeError(f"component edge {e} not in graph")
-                if e in all_edges:
-                    raise FTreeError(f"edge {e} owned by two components")
             all_edges |= edges
-            edge_count += len(edges)
-        if all_edges != self.selected_edges or edge_count != len(self.selected_edges):
+        # Past the checks above, two components' vertex sets share at most
+        # one vertex, so no edge lies in two of them.
+        if all_edges != self.selected_edges:
             raise FTreeError("component edges do not partition the selected edges")
 
 

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -166,6 +166,24 @@ def _reach_matrix(
     return np.ascontiguousarray(reached.T, dtype=bool)
 
 
+def _reach_chunks(
+    graph_edges: Sequence[Edge],
+    probs: Sequence[float],
+    num_vertices: int,
+    source: int,
+    samples: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[int, list[int]]]:
+    """Sampled worlds in chunks of at most ``_CHUNK_BUDGET`` random doubles:
+    per chunk, the index of its first world and ``_reach_bitsets`` of its
+    worlds."""
+    parr = np.asarray(probs, dtype=float)
+    chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
+    for done in range(0, samples, chunk):
+        present = _present_matrix(rng, parr, min(chunk, samples - done))
+        yield done, _reach_bitsets(present, graph_edges, num_vertices, source)
+
+
 def _reach_worlds(
     graph_edges: Sequence[Edge],
     probs: Sequence[float],
@@ -175,18 +193,10 @@ def _reach_worlds(
     rng: np.random.Generator,
 ) -> list[int]:
     """Sampled worlds in which each vertex reaches the source, one bitset per
-    vertex with world i in bit i, drawn in chunks of at most ``_CHUNK_BUDGET``
-    random doubles."""
-    parr = np.asarray(probs, dtype=float)
+    vertex with world i in bit i."""
     bits = [0] * num_vertices
-    chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
-    done = 0
-    while done < samples:
-        batch = min(chunk, samples - done)
-        present = _present_matrix(rng, parr, batch)
-        reached = _reach_bitsets(present, graph_edges, num_vertices, source)
+    for done, reached in _reach_chunks(graph_edges, probs, num_vertices, source, samples, rng):
         bits = reached if done == 0 else [b | r << done for b, r in zip(bits, reached)]
-        done += batch
     return bits
 
 
@@ -198,9 +208,12 @@ def _success_counts(
     samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-vertex counts of sampled worlds in which the vertex reaches the source."""
-    bits = _reach_worlds(graph_edges, probs, num_vertices, source, samples, rng)
-    return np.array([b.bit_count() for b in bits], dtype=np.int64)
+    """Per-vertex counts of sampled worlds in which the vertex reaches the
+    source, summed chunk by chunk so memory stays flat in ``samples``."""
+    counts = np.zeros(num_vertices, dtype=np.int64)
+    for _, reached in _reach_chunks(graph_edges, probs, num_vertices, source, samples, rng):
+        counts += [r.bit_count() for r in reached]
+    return counts
 
 
 def sample_world(graph: ProbabilisticGraph, stream: np.random.Generator) -> DeterministicWorld:

@@ -271,6 +271,20 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("k=2,2", "sweep value 2 listed twice"),
+        ("k=2,2.0", "sweep value 2 listed twice"),
+        ("eps=0.1,0.10", "sweep value 0.1 listed twice"),
+    ], ids=["twice", "int-and-float", "trailing-zero"])
+    def test_repeated_sweep_value_rejected(self, tmp_path, capsys, sweep, message):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", "erdos", "--n", "24", "--deg", "4",
+                   "--variants", "ft", "--sweep", sweep, "--samples", "200",
+                   "--ref-samples", "1000", "--seed", "5", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 2

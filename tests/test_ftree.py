@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,57 @@ class TestSplitTree:
             tree._split_mono(cid, 4, 5)
 
 
+def owner(tree, v):
+    return tree.components[tree.vertex_index[v]]
+
+
+def drop_member(tree, v):
+    owner(tree, v).members.discard(v)
+    del tree.vertex_index[v]
+
+
+class TestVerifyRejects:
+    """Every check of ``verify`` fires on a running-example tree broken
+    just enough to fail it."""
+
+    CORRUPTIONS = {
+        "root component missing": lambda t: t.components.pop(t.root_id),
+        "root articulation vertex is not the query vertex":
+            lambda t: setattr(t.components[t.root_id], "articulation", 1),
+        "query vertex must not be a member": lambda t: t.vertex_index.update({0: t.root_id}),
+        "appear in more than one component": lambda t: owner(t, 7).members.add(4),
+        "vertex index out of sync for 7": lambda t: t.vertex_index.update({7: t.vertex_index[4]}),
+        "vertex index does not match": lambda t: t.vertex_index.update({17: t.root_id}),
+        "articulation vertex may not be a member":
+            lambda t: setattr(owner(t, 12), "articulation", 12),
+        "articulation vertex is not attached": lambda t: setattr(owner(t, 12), "articulation", 17),
+        # {10, 11} hangs off {12} and {12} off {10, 11}: neither is reachable.
+        "links do not form a single tree": lambda t: setattr(owner(t, 10), "articulation", 12),
+        "cycle inside a mono component":
+            lambda t: owner(t, 15).parent_edges.update({15: (16, 0.5)}),
+        "mono path escapes the component":
+            lambda t: owner(t, 16).parent_edges.update({16: (7, 0.5)}),
+        "bi component smaller than three vertices": lambda t: drop_member(t, 5),
+        "cut vertex or is disconnected": lambda t: owner(t, 7).internal_edges.discard((6, 9)),
+        "internal edge escapes the component": lambda t: owner(t, 4).internal_edges.add((4, 17)),
+        "component edge (7, 9) not in graph": lambda t: owner(t, 7).internal_edges.add((7, 9)),
+        "reach table does not cover the members":
+            lambda t: setattr(owner(t, 4), "reach", replace(owner(t, 4).reach, probs={4: 0.5})),
+        "reach table articulation mismatch":
+            lambda t: setattr(owner(t, 4), "reach", replace(owner(t, 4).reach, articulation=0)),
+        "do not partition the selected edges": lambda t: t.selected_edges.discard((11, 12)),
+    }
+
+    @pytest.mark.parametrize("message", CORRUPTIONS)
+    def test_corruption_rejected(self, message):
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        tree.verify(g)
+        self.CORRUPTIONS[message](tree)
+        with pytest.raises(FTreeError, match=re.escape(message)):
+            tree.verify(g)
+
+
 class TestExpectedFlow:
     def test_tree_only_matches_oracle_exactly(self):
         rng = random.Random(31)
@@ -382,7 +435,7 @@ def snapshot(tree, g):
                 c.reach, c.dirty,
             )
     links = (
-        tree.root_id, dict(tree.parent), {k: list(v) for k, v in tree.children.items()},
+        tree.root_id, {cid: tree.parent_of(cid) for cid in tree.components},
         dict(tree.vertex_index), frozenset(tree.selected_edges),
     )
     return tree.dump(g), comps, links, tree.expected_flow(g), fresh_estimate(tree.copy(), g)
@@ -571,21 +624,22 @@ class TestRoundEstimates:
             return isinstance(comp, BiComponent) and not comp.dirty
 
         found = set()
+        children = tree._children()
         for cid in tree.dirty_components():
             table = memo._entries.get(tree.components[cid].signature()) if memo else None
             if table is not None and table.sample_count >= cfg.samples:
                 continue
-            pid = tree.parent[cid]
+            pid = tree.parent_of(cid)
             while pid is not None:
                 if clean_bi(pid):
                     found.add("under")
-                pid = tree.parent[pid]
-            stack = list(tree.children[cid])
+                pid = tree.parent_of(pid)
+            stack = list(children[cid])
             while stack:
                 kid = stack.pop()
                 if clean_bi(kid):
                     found.add("above")
-                stack.extend(tree.children[kid])
+                stack.extend(children[kid])
         return found
 
     @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -121,6 +122,24 @@ class TestSuccessCountsKernel:
             got = kernel_counts(g, 0, 301, substream(i, "chunks"))
             want = per_world_counts(g, 0, 301, substream(i, "chunks"))
             assert got == want
+
+    def test_memory_flat_in_samples(self, monkeypatch):
+        # Chunks of 64 worlds: the peak stays below one bitset of all the
+        # sampled worlds, which keeping every world's bit would need per
+        # vertex.  A first call outside the trace does one-time allocations.
+        g = ProbabilisticGraph.build(4, [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.5), (2, 3, 0.8)])
+        samples = 200_000
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 64 * g.num_edges)
+        kernel_counts(g, 0, 1000, substream(1, "flat"))
+        stream = substream(0, "flat")
+        tracemalloc.start()
+        try:
+            counts = kernel_counts(g, 0, samples, stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts[0] == samples
+        assert peak < samples // 8
 
     def test_certain_and_impossible_edges(self):
         g = ProbabilisticGraph.build(
