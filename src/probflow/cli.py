@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
@@ -238,9 +239,8 @@ def _bench_point(
     variant: str,
     repeat: int,
     seed: int,
-    samples: int,
-    alpha: float,
-    ref_samples: int,
+    sampler: SamplerConfig,
+    ref_sampler: SamplerConfig,
     timings: bool,
     unit_weights: bool,
 ) -> list[str]:
@@ -256,7 +256,7 @@ def _bench_point(
     cfg = StrategyConfig(
         variant=variant,
         budget=k,
-        sampler=SamplerConfig(samples=samples, alpha=alpha, master_seed=seed + repeat),
+        sampler=replace(sampler, master_seed=seed + repeat),
         ds_c=ds_c,
     )
     start = time.perf_counter()
@@ -264,7 +264,7 @@ def _bench_point(
     ms = int((time.perf_counter() - start) * 1000) if timings else 0
     # Reference evaluation: one sampler config shared by every variant at
     # this sweep point, so achieved flows are compared on equal footing.
-    ref_cfg = SamplerConfig(samples=ref_samples, alpha=alpha, master_seed=seed + repeat)
+    ref_cfg = replace(ref_sampler, master_seed=seed + repeat)
     ref = mc_flow_of_edges(graph, q, solution.selected, ref_cfg)
     self_flow = solution.final_flow(graph.weights[q])
     return [
@@ -290,6 +290,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"variant {v!r} listed twice in --variants")
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
+    # Checked here, so a bad flag is named before any selection runs.
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    if args.ref_samples < 1:
+        raise ValueError("--ref-samples must be >= 1")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("--alpha must be in (0,1)")
+    sampler = _sampler_config(args)
+    ref_sampler = replace(sampler, samples=args.ref_samples)
     instance = None
     if args.edges:
         graph, q = _load_inputs(args)
@@ -331,8 +340,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for repeat in range(args.repeat):
                 row = _bench_point(
                     instance, args.family, n, deg, eps, k, ds_c, variant, repeat,
-                    args.seed, args.samples, args.alpha, args.ref_samples,
-                    args.timings, args.unit_weights,
+                    args.seed, sampler, ref_sampler, args.timings, args.unit_weights,
                 )
                 rows.append([axis, _fmt(value)] + row)
 

@@ -140,8 +140,12 @@ class MemoStore:
 
     One selection run owns its store.  Tables for equal signatures are
     interchangeable (sampling streams are derived from the signature), so
-    re-storing a signature or evicting it never changes a result, only how
-    often a component is sampled.
+    without a ``stop`` predicate re-storing a signature or evicting it only
+    changes how often a component is sampled.  With one it can change what
+    a probe reports: ``refresh`` offers ``stop`` nothing when every dirty
+    component is a memo hit, so a probe whose table was evicted can be
+    pruned where a hit would not be.  The default capacity is far above
+    what any test or benchmark run stores.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -232,15 +236,24 @@ class IncrementalComponentSampler:
 class FTree:
     """Mutable component tree rooted at the query vertex.
 
-    One writer at a time; probes never change it.  The tree keeps its last
-    evaluation: a leaf insert extends it by the new vertex's term, a
+    One writer at a time; probes never change its structure.  The tree keeps
+    its last evaluation: a leaf insert extends it by the new vertex's term, a
     cycle-forming insert or a renewed reach table drops it.
+
+    Next to the kept evaluation, a tree probed with a memo keeps the trial
+    tree of every cycle candidate whose probe finished with full tables,
+    and logs the leaf edges committed since.  A re-probe of such a candidate
+    replays the logged leaves on its trial instead of building a new one.
+    Whatever drops the kept evaluation drops the trials and the log too.
     """
 
     def __init__(self, q: int):
         self.q = q
         self._next_id = 0
         self._eval: Optional[_Evaluation] = None
+        # Kept cycle probes: edge -> (trial, its report, leaves replayed).
+        self._trials: dict[Edge, tuple[FTree, InsertReport, int]] = {}
+        self._leaves: list[Edge] = []
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
         self.vertex_index: dict[int, int] = {}
@@ -258,16 +271,24 @@ class FTree:
 
     def copy(self) -> "FTree":
         """Independent tree sharing only immutable parts: the reach tables and
-        the kept evaluation."""
+        the kept evaluation.  It keeps no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other._eval = self._eval
+        other._trials = {}
+        other._leaves = []
         other.root_id = self.root_id
         other.vertex_index = dict(self.vertex_index)
         other.selected_edges = set(self.selected_edges)
         return other
+
+    def _drop_eval(self) -> None:
+        """Forget the kept evaluation, and with it the kept cycle probes."""
+        self._eval = None
+        self._trials.clear()
+        self._leaves.clear()
 
     def is_attached(self, v: int) -> bool:
         return v == self.q or v in self.vertex_index
@@ -345,7 +366,7 @@ class FTree:
         e, prob, att_u, att_v = self._insertable(graph, edge)
         u, v = e
         if att_u and att_v:
-            self._eval = None
+            self._drop_eval()
             case = self._close_cycle(u, v, e)
         else:
             attach, fresh = (u, v) if att_u else (v, u)
@@ -354,6 +375,7 @@ class FTree:
         self.selected_edges.add(e)
         if self._eval is not None:
             # A leaf insert into an evaluated, hence clean, tree.
+            self._leaves.append(e)
             return InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
@@ -392,7 +414,7 @@ class FTree:
             _, f, t, est = self._leaf_term(ev, attach, fresh, prob)
             self._eval = _Evaluation(graph, est, {**ev.triples, fresh: t}, {**ev.factors, fresh: f})
         else:
-            self._eval = None
+            self._drop_eval()
         cid = self.component_of_vertex(attach)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
@@ -583,7 +605,7 @@ class FTree:
         """
         samplers: _Sampled = []
         for cid in self.dirty_components():
-            self._eval = None
+            self._drop_eval()
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
             table = memo.lookup(comp.signature()) if memo is not None else None
@@ -743,17 +765,61 @@ class FTree:
         inserted into a copy whose dirty components ``refresh`` renews,
         offering ``stop`` its round estimates; the estimate ``stop``
         accepted is returned, else the full-budget one.
+
+        With a memo and a kept evaluation, a cycle probe that ends with full
+        tables keeps its trial tree, and a later probe of the same edge
+        replays the leaves committed since on that trial (``_replay``).  Its
+        report names the kept trial's component ids, which can differ from
+        the ones a fresh copy would allocate.
         """
         e, prob, att_u, att_v = self._insertable(graph, edge)
         ev = self._eval
-        if att_u != att_v and ev is not None and ev.graph is graph:
+        evaluated = ev is not None and ev.graph is graph
+        if att_u != att_v and evaluated:
             attach, fresh = e if att_u else (e[1], e[0])
             case, _, _, est = self._leaf_term(ev, attach, fresh, prob)
             return est, InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
+        keep = evaluated and memo is not None
+        if keep and e in self._trials:
+            replayed = self._replay(graph, e, cfg, memo)
+            if replayed is not None:
+                return replayed
         trial = self.copy()
         report = trial.insert_edge(graph, e, cfg, memo, defer_sampling=True)
         est = trial.refresh(graph, cfg, memo, stop)
-        return (trial.expected_flow(graph) if est is None else est), report
+        if est is not None:
+            return est, report
+        if keep:
+            self._trials[e] = (trial, report, len(self._leaves))
+        return trial.expected_flow(graph), report
+
+    def _replay(
+        self, graph: ProbabilisticGraph, e: Edge, cfg: SamplerConfig, memo: MemoStore
+    ) -> Optional[tuple[FlowEstimate, InsertReport]]:
+        """Estimate and report of the kept probe of ``e`` brought up to date,
+        or None when a fresh probe must be made.
+
+        The kept trial is this tree as it was plus ``e``; this tree has
+        since gained only the logged leaves, and adding them to the trial
+        gives the blocks, tables and vertex order of this tree plus ``e``,
+        so the estimate is the fresh probe's bit for bit.  The memo lookups
+        are the ones the fresh probe's ``refresh`` would make, so the LRU
+        order moves alike.  When each finds the trial's own table with at
+        least ``cfg.samples`` worlds, the fresh probe would be all memo hits,
+        which ``refresh`` never offers to ``stop``; otherwise a fresh probe
+        is made.
+        """
+        trial, report, replayed = self._trials[e]
+        for cid in report.components_resampled:
+            comp = trial.components[cid]
+            assert isinstance(comp, BiComponent)
+            table = memo.lookup(comp.signature())
+            if table is not comp.reach or table.sample_count < cfg.samples:
+                return None
+        for leaf in self._leaves[replayed:]:
+            trial.insert_edge(graph, leaf, cfg, memo)
+        self._trials[e] = (trial, report, len(self._leaves))
+        return trial.expected_flow(graph), report
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -285,6 +285,26 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "--samples must be >= 1"),
+        ("--ref-samples", "0", "--ref-samples must be >= 1"),
+        ("--alpha", "1.5", "--alpha must be in (0,1)"),
+        ("--alpha", "nan", "--alpha must be in (0,1)"),
+    ], ids=["samples", "ref-samples", "alpha", "alpha-nan"])
+    def test_bad_sampler_flag_rejected_before_selecting(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("run_strategy called before the flags were checked")
+
+        monkeypatch.setattr("probflow.cli.run_strategy", never)
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", "partitioned", "--n", "40", "--deg", "4",
+                   "--variants", "ft,ft_m", "--k", "3", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 2

@@ -18,6 +18,7 @@ from probflow import (
     MonoComponent,
     ProbabilisticGraph,
     SamplerConfig,
+    candidate_edges,
     exact_expected_flow,
     expected_flow_of_edges,
     new_ftree,
@@ -414,6 +415,63 @@ class TestProbe:
                 cases.add(report.case_taken)
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
+
+    @pytest.mark.parametrize("capacity", [4096, 2], ids=["default-memo", "evicting-memo"])
+    def test_kept_probes_match_fresh_probes(self, capacity):
+        # Before every commit each candidate is probed plain and stop-checked,
+        # on the tree (which keeps cycle probes and replays leaves on them)
+        # and on a copy of a twin tree fed the same calls with its own memo.
+        # Estimates agree bit for bit, reports up to the trial's component
+        # ids, and after every probe both memos hold the same keys in the
+        # same LRU order.
+        rng = random.Random(77)
+        cfg = SamplerConfig(samples=300, master_seed=9)
+
+        def stop(est):
+            return int(est.mean * 1e6) % 3 == 0
+
+        def same_report(a, b):
+            assert (a.case_taken, a.edges_sampled_count, len(a.components_resampled)) == (
+                b.case_taken, b.edges_sampled_count, len(b.components_resampled)
+            )
+
+        replays = 0
+        for trial in range(25):
+            n = rng.randint(5, 11)
+            g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
+            memo, twin_memo = MemoStore(capacity), MemoStore(capacity)
+            tree, twin = new_ftree(0), new_ftree(0)
+            for e in insertable_order(g, rng):
+                for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
+                    for check in (None, stop):
+                        kept = tree._trials.get(c)
+                        replays += kept is not None and kept[2] < len(tree._leaves)
+                        est, report = tree.probe_edge(g, c, cfg, memo, check)
+                        twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
+                        assert est == twin_est
+                        same_report(report, twin_report)
+                        assert list(memo._entries) == list(twin_memo._entries)
+                same_report(tree.insert_edge(g, e, cfg, memo), twin.insert_edge(g, e, cfg, twin_memo))
+                assert list(memo._entries) == list(twin_memo._entries)
+                assert tree.expected_flow(g) == twin.expected_flow(g)
+        assert replays > 100
+
+    @pytest.mark.parametrize("use_memo, copies", [(True, 0), (False, 1)], ids=["memo", "no-memo"])
+    def test_cycle_reprobe_after_leaf_commit_copies(self, monkeypatch, use_memo, copies):
+        # A memoized re-probe of a cycle candidate after a leaf commit
+        # replays the leaf on the kept trial instead of copying the tree.
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        memo = MemoStore() if use_memo else None
+        first, _ = tree.probe_edge(g, (14, 15), CFG, memo)
+        assert tree.insert_edge(g, (7, 17), CFG, memo).case_taken == "IIb"
+        calls = []
+        copy = type(tree).copy
+        monkeypatch.setattr(type(tree), "copy", lambda self: calls.append(1) or copy(self))
+        est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
+        assert len(calls) == copies
+        assert est != first
+        assert est == tree.copy().probe_edge(g, (14, 15), CFG, memo)[0]
 
     def test_leaf_probe_costs_nothing(self):
         g = running_example_graph()
