@@ -49,7 +49,6 @@ from .ftree import (
     new_ftree,
 )
 from .selection import (
-    CandidateState,
     IterationRecord,
     Solution,
     StrategyConfig,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, KeysView, Optional, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence
 
 import numpy as np
 
@@ -411,7 +411,8 @@ class FTree:
         """
         ev = self._eval
         if ev is not None and ev.graph is graph:
-            _, f, t, est = self._leaf_term(ev, attach, fresh, prob)
+            [(_, f, t, score)] = self._leaf_terms(ev, [(attach, fresh, prob)])
+            est = FlowEstimate(*score, samples_used=ev.estimate.samples_used)
             self._eval = _Evaluation(graph, est, {**ev.triples, fresh: t}, {**ev.factors, fresh: f})
         else:
             self._drop_eval()
@@ -425,33 +426,63 @@ class FTree:
         self.vertex_index[fresh] = nid
         return "IIb"
 
-    def _leaf_term(
-        self, ev: _Evaluation, attach: int, fresh: int, prob: float
-    ) -> tuple[str, float, tuple[float, float, float], FlowEstimate]:
-        """Case, path factor, reach triple and tree estimate of hanging the
-        new vertex ``fresh`` off ``attach`` by an edge of probability
-        ``prob``, given this tree's evaluation ``ev``.
+    def _leaf_terms(
+        self, ev: _Evaluation, leaves: Iterable[tuple[int, int, float]]
+    ) -> Iterator[tuple[str, float, tuple[float, float, float], tuple[float, float, float]]]:
+        """For each (attach, fresh, prob) of ``leaves``, hanging the new
+        vertex ``fresh`` off the attached vertex ``attach`` by an edge of
+        probability ``prob``: the case, the new vertex's path factor and
+        reach triple, and the grown tree's (mean, lb, ub), given this tree's
+        evaluation ``ev``.
 
         The factor and triple are the ones ``_evaluate`` would compute, and
         the new vertex comes last in ``vertex_index``, so the estimate
         matches a full evaluation of the grown tree bit for bit.
         """
-        comp = self.components[self.component_of_vertex(attach)]
-        if isinstance(comp, MonoComponent):
-            case, anchor = "IIa", comp.articulation
-        else:
-            case, anchor = "IIb", attach
-        f = (ev.factors[attach] if attach != anchor else 1.0) * prob
-        base = ev.triples[anchor]
-        t = (f * base[0], f * base[1], f * base[2])
-        w = ev.graph.weights[fresh]
+        comps, index, root = self.components, self.vertex_index, self.root_id
+        triples, factors, weights = ev.triples, ev.factors, ev.graph.weights
         est = ev.estimate
-        return case, f, t, FlowEstimate(
-            mean=est.mean + t[0] * w,
-            lb=est.lb + t[1] * w,
-            ub=est.ub + t[2] * w,
-            samples_used=est.samples_used,
-        )
+        mean, lb, ub = est.mean, est.lb, est.ub
+        for attach, fresh, prob in leaves:
+            comp = comps[index.get(attach, root)]
+            if isinstance(comp, MonoComponent):
+                case, anchor = "IIa", comp.articulation
+            else:
+                case, anchor = "IIb", attach
+            f = (factors[attach] if attach != anchor else 1.0) * prob
+            base = triples[anchor]
+            t = (f * base[0], f * base[1], f * base[2])
+            w = weights[fresh]
+            yield case, f, t, (mean + t[0] * w, lb + t[1] * w, ub + t[2] * w)
+
+    def leaf_scores(
+        self, graph: ProbabilisticGraph, edges: Iterable[Edge]
+    ) -> tuple[dict[Edge, tuple[float, float, float]], int]:
+        """The (mean, lb, ub) ``probe_edge`` would estimate for each leaf
+        edge among ``edges``, as plain floats, in one pass, and the samples
+        behind every one of them.
+
+        ``edges`` are unselected canonical edges of ``graph``, such as
+        ``candidate_edges`` gives; those without exactly one endpoint
+        attached are left out.  The scores extend the kept evaluation; a
+        tree without one for ``graph`` is evaluated first.
+        """
+        ev = self._eval
+        if ev is None or ev.graph is not graph:
+            ev = self._evaluate(graph)
+        q, index = self.q, self.vertex_index
+        probs, edge_index = graph.probabilities, graph.edge_index
+        found: list[Edge] = []
+        leaves: list[tuple[int, int, float]] = []
+        for e in edges:
+            u, v = e
+            att_u = u == q or u in index
+            if att_u != (v == q or v in index):
+                p = probs[edge_index[e]]
+                found.append(e)
+                leaves.append((u, v, p) if att_u else (v, u, p))
+        scores = {e: score for e, (_, _, _, score) in zip(found, self._leaf_terms(ev, leaves))}
+        return scores, ev.estimate.samples_used
 
     def _close_cycle(self, u: int, v: int, e: Edge) -> str:
         """Cases III and IV: fold the cycle the edge ``e`` between attached
@@ -760,11 +791,12 @@ class FTree:
         """Flow and insert report of a hypothetical insertion, leaving this
         tree untouched.
 
-        A leaf edge (exactly one endpoint attached) is scored from the kept
-        evaluation when the tree has one for ``graph``.  Any other edge is
-        inserted into a copy whose dirty components ``refresh`` renews,
-        offering ``stop`` its round estimates; the estimate ``stop``
-        accepted is returned, else the full-budget one.
+        The edge is inserted into a copy whose dirty components ``refresh``
+        renews, offering ``stop`` its round estimates; the estimate ``stop``
+        accepted is returned, else the full-budget one.  A selection run
+        probes only cycle edges (both endpoints attached) here and scores
+        leaf edges in one pass with ``leaf_scores``, which gives a leaf
+        probe's estimate without the copy.
 
         With a memo and a kept evaluation, a cycle probe that ends with full
         tables keeps its trial tree, and a later probe of the same edge
@@ -772,14 +804,9 @@ class FTree:
         report names the kept trial's component ids, which can differ from
         the ones a fresh copy would allocate.
         """
-        e, prob, att_u, att_v = self._insertable(graph, edge)
+        e, _, att_u, att_v = self._insertable(graph, edge)
         ev = self._eval
-        evaluated = ev is not None and ev.graph is graph
-        if att_u != att_v and evaluated:
-            attach, fresh = e if att_u else (e[1], e[0])
-            case, _, _, est = self._leaf_term(ev, attach, fresh, prob)
-            return est, InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
-        keep = evaluated and memo is not None
+        keep = att_u and att_v and ev is not None and ev.graph is graph and memo is not None
         if keep and e in self._trials:
             replayed = self._replay(graph, e, cfg, memo)
             if replayed is not None:

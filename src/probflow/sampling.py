@@ -86,13 +86,14 @@ class ReachTable:
 
     @cached_property
     def rows(self) -> dict[int, tuple[float, float, float]]:
-        """Every vertex's (p, lo, hi), the intervals computed once per table."""
+        """Every vertex's (p, lo, hi), the intervals computed once per table:
+        ``confidence_interval`` of each vertex's rounded success count,
+        worked one row at a time by ``_wald_scalar``."""
         n = self.sample_count
-        probs = np.fromiter(self.probs.values(), dtype=float, count=len(self.probs))
-        lo, hi = confidence_interval(np.rint(probs * n), n, self.alpha)
-        return {
-            v: (p, a, b) for (v, p), a, b in zip(self.probs.items(), lo.tolist(), hi.tolist())
-        }
+        if n < 1:
+            raise ValueError("samples must be >= 1")
+        z = critical_z(self.alpha)
+        return {v: (p, *_wald_scalar(round(p * n) / n, n, z)) for v, p in self.probs.items()}
 
 
 def substream(master_seed: int, *key: object) -> np.random.Generator:
@@ -127,7 +128,7 @@ def _reach_bitsets(
     """
     count = present.shape[0]
     width = (count + 7) // 8
-    packed = np.packbits(present, axis=0, bitorder="little").T.tobytes()
+    packed = np.packbits(np.ascontiguousarray(present.T), axis=1, bitorder="little").tobytes()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
     for j, (u, v) in enumerate(edges):
         live = int.from_bytes(packed[j * width:(j + 1) * width], "little")
@@ -286,9 +287,19 @@ def confidence_interval(successes, samples, alpha: float):
 
 def wald_interval(p_hat, samples, alpha: float):
     """``confidence_interval``'s formula, for proportions already known to
-    be successes / samples."""
+    be successes / samples.  ``_wald_scalar`` is the same formula for one
+    proportion; the two must change together."""
     half = critical_z(alpha) * np.sqrt(p_hat * (1.0 - p_hat) / samples)
     return np.maximum(p_hat - half, 0.0), np.minimum(p_hat + half, 1.0)
+
+
+def _wald_scalar(p_hat: float, samples: int, z: float) -> tuple[float, float]:
+    """``wald_interval`` of one proportion with critical value ``z``, in
+    Python floats through the same operations in the same order, so the
+    bounds are equal bit for bit.  For a few rows at a time, where numpy's
+    per-call cost would dominate."""
+    half = z * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return max(p_hat - half, 0.0), min(p_hat + half, 1.0)
 
 
 @cache

@@ -44,12 +44,6 @@ class StrategyConfig:
             raise ValueError("ds_c must be > 1")
 
 
-@dataclass
-class CandidateState:
-    edge: Edge
-    delay_remaining: int = 0
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
@@ -135,11 +129,17 @@ def run_strategy(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
 
 
 def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:
-    """Component-tree greedy: probe every eligible candidate, commit the argmax.
+    """Component-tree greedy: score every eligible candidate, commit the argmax.
+
+    Leaf candidates (one endpoint attached) are scored in one pass from the
+    tree's kept evaluation (``FTree.leaf_scores``); only cycle candidates
+    are probed (``FTree.probe_edge``).  An estimate is built only for the
+    committed edge.
 
     Variant flags: ``_m`` reuses sampled reach tables across probes keyed by
     component identity, ``_ci`` stops sampling candidates that are interval-
-    dominated, ``_ds`` suspends low-potential expensive candidates.
+    dominated, ``_ds`` suspends low-potential expensive candidates.  A leaf
+    samples nothing, so it is never pruned or suspended.
     """
     if not (0 <= q < graph.num_vertices):
         raise ValueError(f"unknown vertex {q}")
@@ -148,7 +148,10 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     use_ds = "_ds" in cfg.variant
     tree = new_ftree(q)
     memo = MemoStore() if use_memo else None
-    states: dict[Edge, CandidateState] = {}
+    # Suspended candidates and the iterations they still wait; only _ds
+    # suspends any.  A suspended edge stays a candidate, as only an eligible
+    # edge is committed.
+    delays: dict[Edge, int] = {}
     selected: list[Edge] = []
     trace: list[IterationRecord] = []
 
@@ -157,29 +160,30 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         cands = candidate_edges(graph, tree.attached_vertices(), tree.selected_edges)
         if not cands:
             break
-        for e in cands:
-            states.setdefault(e, CandidateState(e))
-        eligible = [e for e in cands if states[e].delay_remaining == 0]
-        if use_ds and not eligible:
+        eligible = [e for e in cands if e not in delays]
+        if not eligible:
             # Everything is suspended: fast-forward the clock so the nearest
             # candidates wake up, keeping the budget fillable.
-            shift = min(states[e].delay_remaining for e in cands)
-            for e in cands:
-                states[e].delay_remaining -= shift
-            eligible = [e for e in cands if states[e].delay_remaining == 0]
-        skipped = [e for e in cands if states[e].delay_remaining > 0]
+            shift = min(delays.values())
+            delays = {e: d - shift for e, d in delays.items() if d > shift}
+            eligible = [e for e in cands if e not in delays]
 
+        scores, leaf_samples = tree.leaf_scores(graph, eligible)
         if use_ci:
-            results, pruned = _probe_with_ci(tree, graph, eligible, cfg, memo)
+            probes, pruned = _probe_with_ci(tree, graph, eligible, scores, leaf_samples, cfg, memo)
         else:
-            results = {}
-            for e in eligible:
-                results[e] = tree.probe_edge(graph, e, cfg.sampler, memo)
+            probes = {
+                e: tree.probe_edge(graph, e, cfg.sampler, memo) for e in eligible if e not in scores
+            }
             pruned = set()
 
-        survivors = [e for e in eligible if e not in pruned]
-        best = min(survivors, key=lambda e: (-results[e][0].mean, e))
-        best_est = results[best][0]
+        ranked = [(-score[0], e) for e, score in scores.items()]
+        ranked += [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
+        _, best = min(ranked)
+        if best in scores:
+            best_est = FlowEstimate(*scores[best], leaf_samples)
+        else:
+            best_est = probes[best][0]
         report = tree.insert_edge(graph, best, cfg.sampler, memo)
         selected.append(best)
         trace.append(
@@ -190,22 +194,21 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
                 edges_sampled=report.edges_sampled_count,
                 candidates_probed=len(eligible),
                 candidates_pruned=len(pruned),
-                candidates_delayed=len(skipped),
+                candidates_delayed=len(delays),
                 elapsed_ms=int((time.perf_counter() - tick) * 1000),
             )
         )
+        delays = {e: d - 1 for e, d in delays.items() if d > 1}
         if use_ds:
             denom = best_est.mean
-            for e in eligible:
+            for e, (est, rep) in probes.items():
                 if e == best:
                     continue
-                est, rep = results[e]
                 ratio = est.mean / denom if denom > 0 else 1.0
                 pot = min(1.0, max(1e-9, ratio))
-                states[e].delay_remaining = ds_delay(pot, rep.edges_sampled_count, cfg.ds_c)
-        for e in skipped:
-            states[e].delay_remaining = max(0, states[e].delay_remaining - 1)
-        states.pop(best, None)
+                delay = ds_delay(pot, rep.edges_sampled_count, cfg.ds_c)
+                if delay:
+                    delays[e] = delay
     return Solution(selected=tuple(selected), trace=tuple(trace))
 
 
@@ -213,21 +216,34 @@ def _probe_with_ci(
     tree: FTree,
     graph: ProbabilisticGraph,
     eligible: Sequence[Edge],
+    scores: dict[Edge, tuple[float, float, float]],
+    leaf_samples: int,
     cfg: StrategyConfig,
     memo: Optional[MemoStore],
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
-    """Probe candidates in order, abandoning any that ``ci_prune`` rules
-    dominated by the best confirmed candidate so far.
+    """Probe the cycle candidates among ``eligible`` in order, abandoning any
+    that ``ci_prune`` rules dominated by the best confirmed candidate so far.
 
-    Once a confirmed best exists, each probe's sampled components are
-    checked on every ``CI_BATCH``-world prefix of their samples
-    (``FTree.probe_edge`` with a stop predicate); a pruned candidate keeps
-    the prefix estimate it was dropped at.
+    ``scores`` holds the leaf candidates' (mean, lb, ub) from
+    ``FTree.leaf_scores`` and ``leaf_samples`` the samples behind them.  A
+    leaf samples nothing, so it is never pruned; it takes its place in the
+    order as a candidate for the running best.  Once a confirmed
+    best exists, each cycle probe's sampled components are checked on every
+    ``CI_BATCH``-world prefix of their samples (``FTree.probe_edge`` with a
+    stop predicate); a pruned candidate keeps the prefix estimate it was
+    dropped at.  Returns the cycle probes' estimates and reports, and the
+    pruned candidates.
     """
     best: Optional[tuple[Edge, FlowEstimate]] = None
-    results: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
+    probes: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
     pruned: set[Edge] = set()
     for e in eligible:
+        score = scores.get(e)
+        if score is not None:
+            if leaf_samples >= CI_MIN_SAMPLES and (best is None or score[1] > best[1].lb):
+                best = (e, FlowEstimate(*score, leaf_samples))
+            continue
+
         def dominated(est: FlowEstimate) -> bool:
             if e in ci_prune([best, (e, est)]):
                 return False
@@ -241,8 +257,8 @@ def _probe_with_ci(
             best is None or est.lb > best[1].lb
         ):
             best = (e, est)
-        results[e] = (est, report)
-    return results, pruned
+        probes[e] = (est, report)
+    return probes, pruned
 
 
 def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:

@@ -480,6 +480,67 @@ class TestProbe:
         assert report.edges_sampled_count == 0
         assert report.components_resampled == ()
 
+    def test_leaf_probe_is_not_kept(self):
+        # Only cycle probes are kept: a kept leaf probe would be replayed as
+        # the cycle its edge closes once the free endpoint is attached.
+        g = ProbabilisticGraph.build(3, [(0, 1, 0.6), (0, 2, 0.7), (1, 2, 0.8)], weights=[1.0, 2.0, 3.0])
+        memo = MemoStore()
+        tree = new_ftree(0)
+        tree.insert_edge(g, (0, 1), CFG, memo)
+        est, report = tree.probe_edge(g, (1, 2), CFG, memo)
+        assert report.case_taken in ("IIa", "IIb") and tree._trials == {}
+        assert tree.leaf_scores(g, [(1, 2)]) == ({(1, 2): (est.mean, est.lb, est.ub)}, est.samples_used)
+        tree.insert_edge(g, (0, 2), CFG, memo)
+        est, report = tree.probe_edge(g, (1, 2), CFG, memo)
+        assert report.case_taken not in ("IIa", "IIb")
+        assert (est, report) == tree.copy().probe_edge(g, (1, 2), CFG, memo)
+
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_leaf_scores_match_full_evaluations(self, use_memo):
+        # Before every commit, on random graphs and insertion orders, each
+        # leaf candidate's batch score equals inserting it into a copy, bit
+        # for bit, both as the copy's kept estimate and evaluated from
+        # scratch.  Some commits defer sampling and refresh after, so the
+        # tree is scored with no kept evaluation, as the empty tree is.
+        rng = random.Random(4242)
+        cfg = SamplerConfig(samples=300, master_seed=3)
+        seen = set()
+        for trial in range(25):
+            n = rng.randint(4, 11)
+            g = random_connected_graph(rng, n, rng.randint(1, 2 * n))
+            memo = MemoStore() if use_memo else None
+            tree = new_ftree(0)
+            last = "empty"
+            for e in insertable_order(g, rng):
+                cands = candidate_edges(g, tree.attached_vertices(), tree.selected_edges)
+                leaves = [c for c in cands if tree.is_attached(c[0]) != tree.is_attached(c[1])]
+                before = snapshot(tree.copy(), g)
+                scores, samples = tree.leaf_scores(g, cands)
+                assert list(scores) == leaves
+                for c in leaves:
+                    trial_tree = tree.copy()
+                    trial_tree.insert_edge(g, c, cfg, memo)
+                    kept = trial_tree.expected_flow(g)
+                    for est in (kept, fresh_estimate(trial_tree, g)):
+                        assert hexed(scores[c]) == hexed((est.mean, est.lb, est.ub))
+                        assert samples == est.samples_used
+                    assert tree.probe_edge(g, c, cfg, memo)[0] == kept
+                assert snapshot(tree, g) == before
+                seen.add(last if leaves else None)
+                if rng.random() < 0.3:
+                    case = tree.insert_edge(g, e, cfg, memo, defer_sampling=True).case_taken
+                    tree.refresh(g, cfg, memo)
+                    last = case if tree._eval is not None else "unevaluated"
+                else:
+                    last = tree.insert_edge(g, e, cfg, memo).case_taken
+        assert {"empty", "unevaluated", "IIa", "IIb", "IIIa", "IIIb", "IVb"} <= seen
+
+    def test_leaf_scores_skip_other_edges(self):
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        scores, _ = tree.leaf_scores(g, [(7, 17), (14, 15), (11, 15), (6, 8)])
+        assert list(scores) == [(7, 17)]
+
 
 def snapshot(tree, g):
     """Deep, comparable picture of a tree: layout, components, links, flow."""
@@ -497,6 +558,10 @@ def snapshot(tree, g):
         dict(tree.vertex_index), frozenset(tree.selected_edges),
     )
     return tree.dump(g), comps, links, tree.expected_flow(g), fresh_estimate(tree.copy(), g)
+
+
+def hexed(values):
+    return tuple(v.hex() for v in values)
 
 
 def fresh_estimate(tree, g):

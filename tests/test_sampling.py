@@ -267,6 +267,20 @@ class TestConfidenceInterval:
             lb, ub = confidence_interval(s, n, 0.01)
             assert lb <= s / n <= ub
 
+    def test_reach_table_rows_match_bit_for_bit(self):
+        # ReachTable.rows works the interval in scalars; each row must equal
+        # confidence_interval of the rounded success count exactly.
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.choice([1, 2, 7, 100, 300, 1000, 20000])
+            alpha = rng.choice([0.01, 0.05, 0.2])
+            probs = {v: rng.choice([0.0, 1.0, rng.randint(0, n) / n, rng.random()]) for v in range(1, 8)}
+            table = sampling.ReachTable(articulation=0, probs=probs, sample_count=n, alpha=alpha)
+            for v, (p, lo, hi) in table.rows.items():
+                want_lo, want_hi = confidence_interval(round(p * n), n, alpha)
+                assert p == probs[v]
+                assert (lo.hex(), hi.hex()) == (float(want_lo).hex(), float(want_hi).hex())
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             confidence_interval(5, 0, 0.05)

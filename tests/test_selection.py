@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -12,6 +14,7 @@ from probflow import (
     BiComponent,
     FTree,
     FlowEstimate,
+    IterationRecord,
     ProbabilisticGraph,
     SamplerConfig,
     StrategyConfig,
@@ -119,6 +122,38 @@ class TestMemoizedVariant:
             b = greedy_select(g, 0, scfg("ft_m", 5, seed=11 + i))
             assert a.selected == b.selected
             assert [r.flow for r in a.trace] == [r.flow for r in b.trace]
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v.startswith("ft")])
+def test_leaf_candidates_are_never_probed_or_copied(monkeypatch, variant):
+    # Leaf candidates are scored in one pass from the kept evaluation: no
+    # leaf reaches FTree.probe_edge, and every FTree.copy serves the probe
+    # of a cycle candidate.
+    probing: list[str] = []
+    calls = {"leaf probe": 0, "cycle probe": 0, "leaf copy": 0, "cycle copy": 0}
+    probe_edge, copy = FTree.probe_edge, FTree.copy
+
+    def counting_probe(tree, graph, edge, *args, **kwargs):
+        kind = "cycle" if tree.is_attached(edge[0]) and tree.is_attached(edge[1]) else "leaf"
+        calls[f"{kind} probe"] += 1
+        probing.append(kind)
+        try:
+            return probe_edge(tree, graph, edge, *args, **kwargs)
+        finally:
+            probing.pop()
+
+    def counting_copy(tree):
+        calls[f"{probing[-1] if probing else 'leaf'} copy"] += 1
+        return copy(tree)
+
+    monkeypatch.setattr(FTree, "probe_edge", counting_probe)
+    monkeypatch.setattr(FTree, "copy", counting_copy)
+    rng = random.Random(19)
+    for seed in range(4):
+        g = random_connected_graph(rng, 10, 12)
+        greedy_select(g, 0, scfg(variant, 9, seed=seed, samples=300))
+    assert calls["leaf probe"] == calls["leaf copy"] == 0
+    assert calls["cycle probe"] > 0 and calls["cycle copy"] > 0
 
 
 def pruning_demo_graph():
@@ -527,6 +562,57 @@ PINNED = {
 }
 
 
+# sha256 of each variant's whole trace on the same runs: every
+# IterationRecord field but elapsed_ms, floats by their hex form.
+PINNED_TRACES = {
+    'erdos': {
+        'naive': 'c2c808469e5e28ef0ee0886566d649d311e4b9c1f106d576dd7466605a70fbf7',
+        'dijkstra': '0bdfc4879fe3472ff65dee851ad7a1d5cede3abafd99550a5b84abfad9336f96',
+        'ft': '651f3f199da20e189ce966d235a7458c81e7ba4e4aa5070860751500dc376405',
+        'ft_m': '651f3f199da20e189ce966d235a7458c81e7ba4e4aa5070860751500dc376405',
+        'ft_m_ci': '651f3f199da20e189ce966d235a7458c81e7ba4e4aa5070860751500dc376405',
+        'ft_m_ds': '3dc9be941da092b859435a35ae2c32294f7b23417599031a2b579f277cd2a0a7',
+        'ft_m_ci_ds': '3dc9be941da092b859435a35ae2c32294f7b23417599031a2b579f277cd2a0a7',
+    },
+    'partitioned': {
+        'naive': 'e2d06e34c661591042f7ad56350dcc216870252684bbe9603c288bcdd9fc8534',
+        'dijkstra': '224467544f7ae02a3bc78364998a4832be98c097e2ac3d131c929a242cee0085',
+        'ft': '7d85a9613a78ff89a9a5497ac28087257a4e7fde970ee71109671b7ba968f0c6',
+        'ft_m': '7d85a9613a78ff89a9a5497ac28087257a4e7fde970ee71109671b7ba968f0c6',
+        'ft_m_ci': '7d85a9613a78ff89a9a5497ac28087257a4e7fde970ee71109671b7ba968f0c6',
+        'ft_m_ds': '906e6259a4dad5339974586a2fdda76f0aaf8e44de45fb195b8f03a2fc964e6a',
+        'ft_m_ci_ds': '906e6259a4dad5339974586a2fdda76f0aaf8e44de45fb195b8f03a2fc964e6a',
+    },
+    'wsn': {
+        'naive': '06a697d4d6c0871adc694a377ce764d82df27579491f437aced50dbd47da3a8b',
+        'dijkstra': 'c203d92a8524799970fc585fdebeebb853e85baa4c2b42cff5f9217d69cbb4e8',
+        'ft': 'cd9d09c78b597d9ff4bcf45c83ddc35ff2467422e480bc216f04463219b36ba6',
+        'ft_m': 'cd9d09c78b597d9ff4bcf45c83ddc35ff2467422e480bc216f04463219b36ba6',
+        'ft_m_ci': '718b73c26ff0faebe9b83f6aba4d43b1924402af81d855663a5e7111dc62e924',
+        'ft_m_ds': '06ff64a2922b37c386c36e796f87bce1abe96d2aee9c2ba87ab31161c9fc9c03',
+        'ft_m_ci_ds': '24c1e5524772d68e268651fbf9adbcb40c87a700bf1396b72731de5ae1e08634',
+    },
+}
+
+
+def _hexed(value):
+    """A trace field with every float replaced by its exact hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, FlowEstimate):
+        return tuple(_hexed(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def trace_digest(sol):
+    """sha256 over every IterationRecord field but elapsed_ms, in order."""
+    names = [f.name for f in dataclasses.fields(IterationRecord) if f.name != "elapsed_ms"]
+    h = hashlib.sha256()
+    for rec in sol.trace:
+        h.update(repr(tuple(_hexed(getattr(rec, n)) for n in names)).encode())
+    return h.hexdigest()
+
+
 class TestSeededSolutions:
     """Seeded selections stay what they were when pinned, bit for bit."""
 
@@ -540,6 +626,15 @@ class TestSeededSolutions:
             assert (sol.selected, sol.trace[-1].flow, (pruned, delayed)) == PINNED[family][
                 variant
             ], variant
+
+    @pytest.mark.parametrize("family", sorted(PINNED_TRACES))
+    def test_every_trace_matches_its_digest(self, family):
+        g = _pinned_graphs()[family]
+        digests = {
+            variant: trace_digest(run_strategy(g, 0, scfg(variant, 12, seed=7, samples=300)))
+            for variant in VARIANTS
+        }
+        assert digests == PINNED_TRACES[family]
 
 
 class TestEdgeCases:
