@@ -34,8 +34,6 @@ from .sampling import (
     confidence_interval,
     mc_expected_flow,
     normal_quantile,
-    reachable_set,
-    sample_world,
     substream,
 )
 from .ftree import (

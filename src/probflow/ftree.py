@@ -14,11 +14,17 @@ its new vertex off the attached endpoint's component (cases IIa, IIb).  A
 cycle-closing edge, with both endpoints attached, folds the parts of the
 components that lie on the cycle it closes into one bi-connected component
 (cases IIIa, IIIb, IVb, IVc).
+
+Evaluation is one pass in attach order, which meets every vertex after the
+factors its own multiplies.  A component's articulation vertex cuts its
+members off from the query vertex, so it lay on the path each member had to
+the query vertex when that member was attached, and was attached before it;
+a mono member's parent is the vertex it was attached to.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence
 
@@ -312,15 +318,6 @@ class FTree:
             return None
         return self.vertex_index.get(self.components[cid].articulation, self.root_id)
 
-    def _children(self) -> dict[int, list[int]]:
-        """Every component's children in increasing id order."""
-        children: dict[int, list[int]] = {cid: [] for cid in self.components}
-        for cid in self.components:
-            pid = self.parent_of(cid)
-            if pid is not None:
-                children[pid].append(cid)
-        return children
-
     def dirty_components(self) -> list[int]:
         return sorted(
             cid
@@ -541,8 +538,9 @@ class FTree:
         anchors a new bi component holding the path's other vertices and its
         tree edges, for the caller to close into a cycle; members cut off
         from the articulation vertex regroup into new mono components
-        hanging off the path vertex their old path crossed first.  Returns
-        the new component's id; it has no reach table yet.
+        hanging off the path vertex their old path crossed first, in the
+        old component's member order.  Returns the new component's id; it
+        has no reach table yet.
         """
         if not isinstance(self.components[comp_id], MonoComponent):
             raise FTreeError("_split_mono requires a mono component")
@@ -574,40 +572,24 @@ class FTree:
 
     def _classify_orphans(
         self, comp: MonoComponent, removed: set[int], stop: set[int]
-    ) -> dict[int, set[int]]:
+    ) -> dict[int, list[int]]:
         """Group remaining members by the first removed vertex on their old
         path toward the articulation vertex; members reaching a stop vertex
-        first stay put."""
-        STAY = -1
-        status: dict[int, int] = {}
-
-        def classify(m: int) -> int:
-            trail = []
-            x = m
-            while True:
-                if x in removed:
-                    res = x
-                    break
-                if x in stop:
-                    res = STAY
-                    break
-                if x in status:
-                    res = status[x]
-                    break
-                trail.append(x)
-                x = comp.parent_edges[x][0]
-            for t in trail:
-                status[t] = res
-            return res
-
-        groups: dict[int, set[int]] = {}
-        for m in comp.members - removed:
-            anchor = classify(m)
-            if anchor != STAY:
-                groups.setdefault(anchor, set()).add(m)
+        first stay put.  Members are listed after their parents, so one pass
+        suffices: a member joins its parent's group, or the parent's own
+        group if the parent was removed."""
+        group_of: dict[int, Optional[int]] = dict.fromkeys(stop)  # None: stays
+        groups: dict[int, list[int]] = {}
+        for m, (parent, _) in comp.parent_edges.items():
+            if m in removed or m in stop:
+                continue
+            anchor = parent if parent in removed else group_of[parent]
+            group_of[m] = anchor
+            if anchor is not None:
+                groups.setdefault(anchor, []).append(m)
         return groups
 
-    def _detach_members(self, comp: MonoComponent, moved: set[int], new_cid: int) -> None:
+    def _detach_members(self, comp: MonoComponent, moved: Iterable[int], new_cid: int) -> None:
         for x in moved:
             del comp.parent_edges[x]
             self.vertex_index[x] = new_cid
@@ -679,8 +661,7 @@ class FTree:
         if not sizes:
             return []
         rounds = {cid: sampler.rows(sizes) for cid, _, sampler in samplers}
-        triples, _, samples_used = self._walk(rounds)
-        mean, lb, ub = self._totals(graph, triples)
+        _, _, samples_used, (mean, lb, ub) = self._walk(graph, rounds)
         return [
             FlowEstimate(mean=m, lb=lo, ub=hi, samples_used=min(samples_used, n))
             for m, lo, hi, n in zip(mean.tolist(), lb.tolist(), ub.tolist(), sizes)
@@ -689,16 +670,6 @@ class FTree:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-
-    def _bfs_component_order(self) -> list[int]:
-        children = self._children()
-        order = []
-        queue = deque([self.root_id])
-        while queue:
-            cid = queue.popleft()
-            order.append(cid)
-            queue.extend(children[cid])
-        return order
 
     def expected_flow(self, graph: ProbabilisticGraph) -> FlowEstimate:
         """Flow into the query vertex with propagated confidence bounds.
@@ -715,70 +686,56 @@ class FTree:
 
     def _evaluate(self, graph: ProbabilisticGraph) -> _Evaluation:
         """Evaluate the whole tree and keep the result."""
-        if self.dirty_components():
-            raise DirtyComponentError("expected_flow called with stale components")
-        triples, factors, samples_used = self._walk({})
-        mean, lb, ub = self._totals(graph, triples)
+        triples, factors, samples_used, (mean, lb, ub) = self._walk(graph, {})
         est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
         self._eval = _Evaluation(graph, est, triples, factors)
         return self._eval
 
-    def _walk(self, rounds: dict[int, dict]) -> tuple[dict, dict[int, float], int]:
+    def _walk(
+        self, graph: ProbabilisticGraph, rounds: dict[int, dict]
+    ) -> tuple[dict, dict[int, float], int, tuple]:
         """Every attached vertex's (mean, lb, ub) reach factor to the query
         vertex, every mono member's path factor to its articulation vertex,
-        and the fewest worlds behind any reach table read.
+        the fewest worlds behind any reach table read, and the weighted
+        (mean, lb, ub) sums, in one pass in ``vertex_index`` (attach) order.
+        A vertex comes after its articulation vertex and its mono parent,
+        whose factors it multiplies (see the module docstring).
 
-        A bi component listed in ``rounds`` contributes the (p, lo, hi)
-        rows given there instead of its table's; its table is not read.
+        A bi component listed in ``rounds`` contributes the (p, lo, hi) rows
+        given there instead of its table's; any other without a table raises
+        DirtyComponentError.
         """
+        weights, comps = graph.weights, self.components
         triples: dict[int, tuple] = {self.q: (1.0, 1.0, 1.0)}
         factors: dict[int, float] = {}
+        rows_of = dict(rounds)
         samples_used = EXACT_SAMPLES
-        for cid in self._bfs_component_order():
-            comp = self.components[cid]
-            base = triples[comp.articulation]
+        mean = lb = ub = weights[self.q]
+        for v, cid in self.vertex_index.items():
+            comp = comps[cid]
+            av = comp.articulation
+            base = triples[av]
             if isinstance(comp, MonoComponent):
-                local: dict[int, float] = {comp.articulation: 1.0}
-
-                def local_reach(x: int) -> float:
-                    trail = []
-                    while x not in local:
-                        trail.append(x)
-                        x = comp.parent_edges[x][0]
-                    r = local[x]
-                    for t in reversed(trail):
-                        r *= comp.parent_edges[t][1]
-                        local[t] = r
-                    return local[trail[0]] if trail else r
-
-                for m in comp.members:
-                    f = local_reach(m)
-                    triples[m] = (f * base[0], f * base[1], f * base[2])
-                del local[comp.articulation]
-                factors.update(local)
+                parent, prob = comp.parent_edges[v]
+                f = (factors[parent] if parent != av else 1.0) * prob
+                factors[v] = f
+                t = (f * base[0], f * base[1], f * base[2])
             else:
-                rows = rounds.get(cid)
+                rows = rows_of.get(cid)
                 if rows is None:
                     table = comp.reach
-                    assert table is not None
+                    if table is None:
+                        raise DirtyComponentError("expected_flow called with stale components")
                     samples_used = min(samples_used, table.sample_count)
-                    rows = table.rows
-                for m in comp.members:
-                    p, lo, hi = rows[m]
-                    triples[m] = (p * base[0], lo * base[1], hi * base[2])
-        return triples, factors, samples_used
-
-    def _totals(self, graph: ProbabilisticGraph, triples: dict[int, tuple]) -> tuple:
-        """Weighted sums of the factors, in ``vertex_index`` order."""
-        mean = graph.weights[self.q]
-        lb = ub = mean
-        for v in self.vertex_index:
-            w = graph.weights[v]
-            t = triples[v]
+                    rows = rows_of[cid] = table.rows
+                p, lo, hi = rows[v]
+                t = (p * base[0], lo * base[1], hi * base[2])
+            triples[v] = t
+            w = weights[v]
             mean += t[0] * w
             lb += t[1] * w
             ub += t[2] * w
-        return mean, lb, ub
+        return triples, factors, samples_used, (mean, lb, ub)
 
     def probe_edge(
         self,
@@ -862,7 +819,11 @@ class FTree:
             comp = self.components[cid]
             return (comp.articulation, tuple(sorted(comp.members)))
 
-        children = {cid: sorted(kids, key=sort_key) for cid, kids in self._children().items()}
+        children: dict[int, list[int]] = {cid: [] for cid in self.components}
+        for cid in sorted(self.components, key=sort_key):
+            pid = self.parent_of(cid)
+            if pid is not None:
+                children[pid].append(cid)
         display: dict[int, int] = {}
         order: list[int] = []
 
@@ -885,7 +846,15 @@ class FTree:
         return "\n".join(lines)
 
     def verify(self, graph: ProbabilisticGraph) -> None:
-        """Check every structural invariant; raises FTreeError on violation."""
+        """Check every structural invariant; raises FTreeError on violation.
+
+        They include the attach order evaluation walks in (see the module
+        docstring): an articulation vertex is attached before its
+        component's members, and a mono component lists its members in
+        attach order, each after its parent.  Parents and links then always
+        lead to an earlier vertex, so neither can cycle and no mono path can
+        leave its component.
+        """
         if self.root_id not in self.components:
             raise FTreeError("root component missing")
         if self.components[self.root_id].articulation != self.q:
@@ -907,27 +876,27 @@ class FTree:
         if set(self.vertex_index) != seen_members:
             raise FTreeError("vertex index does not match component members")
 
+        order = {v: i for i, v in enumerate(self.vertex_index)}
+        order[self.q] = -1
         for comp in self.components.values():
-            if not self.is_attached(comp.articulation):
+            last = order.get(comp.articulation)
+            if last is None:
                 raise FTreeError("articulation vertex is not attached")
-        # Every component reachable from the root; a cycle of links is not.
-        if set(self._bfs_component_order()) != set(self.components):
-            raise FTreeError("component links do not form a single tree")
+            if any(order[m] < last for m in comp.members):
+                raise FTreeError("articulation vertex is attached after a member")
+            if isinstance(comp, MonoComponent):
+                listed = {comp.articulation}
+                for m, (parent, _) in comp.parent_edges.items():
+                    if order[m] < last:
+                        raise FTreeError("mono members are not listed in attach order")
+                    if parent not in listed:
+                        raise FTreeError(f"mono member {m}'s parent is not listed before it")
+                    listed.add(m)
+                    last = order[m]
 
         all_edges: set[Edge] = set()
         for comp in self.components.values():
             if isinstance(comp, MonoComponent):
-                # Walk each member's path here: path_to_articulation trusts it.
-                for v in comp.members:
-                    seen = {v}
-                    x = comp.parent_edges[v][0]
-                    while x != comp.articulation:
-                        if x not in comp.members:
-                            raise FTreeError("mono path escapes the component")
-                        if x in seen:
-                            raise FTreeError("cycle inside a mono component")
-                        seen.add(x)
-                        x = comp.parent_edges[x][0]
                 edges = comp.edge_set()
             else:
                 closure = comp.members | {comp.articulation}

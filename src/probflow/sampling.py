@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DeterministicWorld, Edge, ProbabilisticGraph
+from .graphs import Edge, ProbabilisticGraph
 
 # samples_used value reported for estimates with no sampling error at all
 # (analytic flow on cycle-free trees, fully deterministic graphs).
@@ -63,10 +63,6 @@ class FlowEstimate:
         if self.samples_used < 1:
             raise ValueError("samples_used must be >= 1")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.samples_used >= EXACT_SAMPLES
-
 
 @dataclass(frozen=True)
 class ReachTable:
@@ -78,6 +74,10 @@ class ReachTable:
     alpha: float = 0.01
 
     def __post_init__(self) -> None:
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be >= 1")
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError("alpha must be in (0,1)")
         if self.articulation in self.probs:
             raise ValueError("articulation vertex must not appear in the table")
         for v, p in self.probs.items():
@@ -90,8 +90,6 @@ class ReachTable:
         ``confidence_interval`` of each vertex's rounded success count,
         worked one row at a time by ``_wald_scalar``."""
         n = self.sample_count
-        if n < 1:
-            raise ValueError("samples must be >= 1")
         z = critical_z(self.alpha)
         return {v: (p, *_wald_scalar(round(p * n) / n, n, z)) for v, p in self.probs.items()}
 
@@ -215,38 +213,6 @@ def _success_counts(
     for _, reached in _reach_chunks(graph_edges, probs, num_vertices, source, samples, rng):
         counts += [r.bit_count() for r in reached]
     return counts
-
-
-def sample_world(graph: ProbabilisticGraph, stream: np.random.Generator) -> DeterministicWorld:
-    """Draw one world: each edge present independently with its probability."""
-    draws = stream.random(graph.num_edges)
-    present = frozenset(e for e, d, p in zip(graph.edges, draws, graph.probabilities) if d < p)
-    return DeterministicWorld(parent=graph, present_edges=present)
-
-
-def reachable_set(world: DeterministicWorld, source: int) -> set[int]:
-    """Connected component of ``source`` in a deterministic world."""
-    graph = world.parent
-    if not (0 <= source < graph.num_vertices):
-        raise ValueError(f"unknown vertex {source}")
-    adj: dict[int, list[int]] = {}
-    for u, v in world.present_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def flow_of_world(world: DeterministicWorld, source: int) -> float:
-    """Total vertex weight of the world's component containing ``source``."""
-    return sum(world.parent.weights[v] for v in reachable_set(world, source))
 
 
 def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> FlowEstimate:

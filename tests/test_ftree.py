@@ -272,11 +272,17 @@ class TestVerifyRejects:
             lambda t: setattr(owner(t, 12), "articulation", 12),
         "articulation vertex is not attached": lambda t: setattr(owner(t, 12), "articulation", 17),
         # {10, 11} hangs off {12} and {12} off {10, 11}: neither is reachable.
-        "links do not form a single tree": lambda t: setattr(owner(t, 10), "articulation", 12),
-        "cycle inside a mono component":
+        "articulation vertex is attached after a member":
+            lambda t: setattr(owner(t, 10), "articulation", 12),
+        # 15 and 16 each name the other as parent.
+        "mono member 15's parent is not listed before it":
             lambda t: owner(t, 15).parent_edges.update({15: (16, 0.5)}),
-        "mono path escapes the component":
+        # 16's path would leave {13, 14, 15, 16} for 7.
+        "mono member 16's parent is not listed before it":
             lambda t: owner(t, 16).parent_edges.update({16: (7, 0.5)}),
+        # 14 moved behind 16, which was attached after it.
+        "mono members are not listed in attach order":
+            lambda t: owner(t, 14).parent_edges.update({14: owner(t, 14).parent_edges.pop(14)}),
         "bi component smaller than three vertices": lambda t: drop_member(t, 5),
         "cut vertex or is disconnected": lambda t: owner(t, 7).internal_edges.discard((6, 9)),
         "internal edge escapes the component": lambda t: owner(t, 4).internal_edges.add((4, 17)),
@@ -747,7 +753,10 @@ class TestRoundEstimates:
             return isinstance(comp, BiComponent) and not comp.dirty
 
         found = set()
-        children = tree._children()
+        children = {cid: [] for cid in tree.components}
+        for cid in tree.components:
+            if cid != tree.root_id:
+                children[tree.parent_of(cid)].append(cid)
         for cid in tree.dirty_components():
             table = memo._entries.get(tree.components[cid].signature()) if memo else None
             if table is not None and table.sample_count >= cfg.samples:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -18,14 +19,12 @@ from probflow import (
     mc_expected_flow,
     new_ftree,
     normal_quantile,
-    reachable_set,
-    sample_world,
     substream,
 )
 from probflow import sampling
 from probflow.ftree import BiComponent, IncrementalComponentSampler
-from probflow.sampling import _success_counts, flow_of_world
-from util import random_connected_graph
+from probflow.sampling import _success_counts
+from util import flow_of_world, random_connected_graph, reachable_set, sample_world
 
 
 def path_graph():
@@ -340,6 +339,16 @@ class TestConfigValidation:
             SamplerConfig(alpha=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(alpha=1.0)
+
+    @pytest.mark.parametrize("sample_count", [0, -1])
+    def test_reach_table_needs_a_sample(self, sample_count):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            sampling.ReachTable(articulation=0, probs={1: 0.5}, sample_count=sample_count)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
+    def test_reach_table_alpha_bounds(self, alpha):
+        with pytest.raises(ValueError, match=re.escape("alpha must be in (0,1)")):
+            sampling.ReachTable(articulation=0, probs={1: 0.5}, sample_count=10, alpha=alpha)
 
     def test_flow_estimate_bracketing(self):
         from probflow import FlowEstimate

@@ -637,13 +637,25 @@ class TestSeededSolutions:
         assert digests == PINNED_TRACES[family]
 
 
+def run_within_budget(g, variant, k):
+    """Run ``variant`` from vertex 0; it must finish and select at most k
+    distinct edges, each with an endpoint attached when it was chosen."""
+    sol = run_strategy(g, 0, scfg(variant, k))
+    assert len(sol.selected) == len(set(sol.selected)) <= k
+    attached = {0}
+    for u, v in sol.selected:
+        assert u in attached or v in attached
+        attached |= {u, v}
+    return sol
+
+
 class TestEdgeCases:
     """Degenerate inputs behave the same under every variant."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_isolated_query_vertex(self, variant):
         g = ProbabilisticGraph.build(3, [(1, 2, 0.5)], weights=[2.5, 1.0, 1.0])
-        sol = run_strategy(g, 0, scfg(variant, 3))
+        sol = run_within_budget(g, variant, 3)
         assert sol.selected == () and sol.trace == ()
         assert sol.final_flow(g.weights[0]) == 2.5
 
@@ -652,28 +664,30 @@ class TestEdgeCases:
         g = ProbabilisticGraph.build(
             4, [(0, 1, 0.5), (1, 2, 0.6), (0, 2, 0.7), (2, 3, 0.8)], weights=[0.0] * 4
         )
-        sol = run_strategy(g, 0, scfg(variant, 4))
+        sol = run_within_budget(g, variant, 4)
         assert len(sol.selected) == (3 if variant == "dijkstra" else 4)
         assert all(r.flow.mean == r.flow.lb == r.flow.ub == 0.0 for r in sol.trace)
+        assert sol.trace[-1].flow.mean == expected_flow_of_edges(g, 0, sol.selected)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_certain_edges_with_a_cycle(self, variant):
         g = ProbabilisticGraph.build(
             4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)], weights=[1.0, 2.0, 3.0, 4.0]
         )
-        sol = run_strategy(g, 0, scfg(variant, 4))
+        sol = run_within_budget(g, variant, 4)
         assert set(sol.selected) == (
             {(0, 1), (0, 2), (2, 3)} if variant == "dijkstra" else set(g.edges)
         )
         final = sol.trace[-1].flow
         assert final.mean == final.lb == final.ub == 10.0
+        assert final.mean == expected_flow_of_edges(g, 0, sol.selected)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_budget_above_reachable_edges(self, variant):
         g = ProbabilisticGraph.build(
             5, [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.8), (3, 4, 0.9)], weights=[1.0] * 5
         )
-        sol = run_strategy(g, 0, scfg(variant, 10))
+        sol = run_within_budget(g, variant, 10)
         reachable = {(0, 1), (1, 2), (0, 2)}
         if variant == "dijkstra":
             assert len(sol.selected) == 2 and set(sol.selected) <= reachable

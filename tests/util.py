@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from probflow import Edge, ProbabilisticGraph, canonical_edge
+import numpy as np
+
+from probflow import DeterministicWorld, Edge, ProbabilisticGraph, canonical_edge
 
 
 def random_tree(
@@ -63,6 +65,38 @@ def insertable_order(
         attached.update(e)
         remaining.remove(e)
     return order
+
+
+def sample_world(graph: ProbabilisticGraph, stream: np.random.Generator) -> DeterministicWorld:
+    """Draw one world: each edge present independently with its probability."""
+    draws = stream.random(graph.num_edges)
+    present = frozenset(e for e, d, p in zip(graph.edges, draws, graph.probabilities) if d < p)
+    return DeterministicWorld(parent=graph, present_edges=present)
+
+
+def reachable_set(world: DeterministicWorld, source: int) -> set[int]:
+    """Connected component of ``source`` in a deterministic world."""
+    graph = world.parent
+    if not (0 <= source < graph.num_vertices):
+        raise ValueError(f"unknown vertex {source}")
+    adj: dict[int, list[int]] = {}
+    for u, v in world.present_edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {source}
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        for w in adj.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def flow_of_world(world: DeterministicWorld, source: int) -> float:
+    """Total vertex weight of the world's component containing ``source``."""
+    return sum(world.parent.weights[v] for v in reachable_set(world, source))
 
 
 def enumerate_worlds(graph: ProbabilisticGraph):
