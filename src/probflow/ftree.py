@@ -24,7 +24,6 @@ a mono member's parent is the vertex it was attached to.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence
 
@@ -142,35 +141,23 @@ class InsertReport:
 
 
 class MemoStore:
-    """Bounded LRU cache of component signature -> sampled reach table.
+    """Store of component signature -> sampled reach table that never evicts.
 
-    One selection run owns its store.  Tables for equal signatures are
-    interchangeable (sampling streams are derived from the signature), so
-    without a ``stop`` predicate re-storing a signature or evicting it only
-    changes how often a component is sampled.  With one it can change what
-    a probe reports: ``refresh`` offers ``stop`` nothing when every dirty
-    component is a memo hit, so a probe whose table was evicted can be
-    pruned where a hit would not be.  The default capacity is far above
-    what any test or benchmark run stores.
+    A store serves one selection run: one graph and one ``SamplerConfig``.
+    Tables for equal signatures are interchangeable (sampling streams are
+    derived from the signature), so whether a component's table comes from
+    the store or is drawn anew changes no result, only how often it is
+    sampled.  Every table a run stores stays for the life of the store.
     """
 
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, ReachTable] = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: dict[str, ReachTable] = {}
 
     def lookup(self, signature: str) -> Optional[ReachTable]:
-        table = self._entries.get(signature)
-        if table is not None:
-            self._entries.move_to_end(signature)
-        return table
+        return self._entries.get(signature)
 
     def store(self, signature: str, table: ReachTable) -> None:
         self._entries[signature] = table
-        self._entries.move_to_end(signature)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -757,17 +744,26 @@ class FTree:
 
         With a memo and a kept evaluation, a cycle probe that ends with full
         tables keeps its trial tree, and a later probe of the same edge
-        replays the leaves committed since on that trial (``_replay``).  Its
-        report names the kept trial's component ids, which can differ from
-        the ones a fresh copy would allocate.
+        replays the leaves committed since on that trial.  This tree has
+        gained only those leaves since the trial was made, so the replayed
+        trial has the blocks, tables and vertex order of this tree plus the
+        edge.  Its tables are the memo's own, each of at least
+        ``cfg.samples`` worlds, so a fresh probe would find all of them in
+        the memo and never offer ``stop`` an estimate: the replay gives the
+        fresh probe's estimate bit for bit, given a memo that serves one
+        run, one graph and one ``SamplerConfig`` (see MemoStore).  The report
+        names the kept trial's component ids, which can differ from the ones
+        a fresh copy would allocate.
         """
         e, _, att_u, att_v = self._insertable(graph, edge)
         ev = self._eval
         keep = att_u and att_v and ev is not None and ev.graph is graph and memo is not None
         if keep and e in self._trials:
-            replayed = self._replay(graph, e, cfg, memo)
-            if replayed is not None:
-                return replayed
+            trial, report, replayed = self._trials[e]
+            for leaf in self._leaves[replayed:]:
+                trial.insert_edge(graph, leaf, cfg, memo)
+            self._trials[e] = (trial, report, len(self._leaves))
+            return trial.expected_flow(graph), report
         trial = self.copy()
         report = trial.insert_edge(graph, e, cfg, memo, defer_sampling=True)
         est = trial.refresh(graph, cfg, memo, stop)
@@ -775,34 +771,6 @@ class FTree:
             return est, report
         if keep:
             self._trials[e] = (trial, report, len(self._leaves))
-        return trial.expected_flow(graph), report
-
-    def _replay(
-        self, graph: ProbabilisticGraph, e: Edge, cfg: SamplerConfig, memo: MemoStore
-    ) -> Optional[tuple[FlowEstimate, InsertReport]]:
-        """Estimate and report of the kept probe of ``e`` brought up to date,
-        or None when a fresh probe must be made.
-
-        The kept trial is this tree as it was plus ``e``; this tree has
-        since gained only the logged leaves, and adding them to the trial
-        gives the blocks, tables and vertex order of this tree plus ``e``,
-        so the estimate is the fresh probe's bit for bit.  The memo lookups
-        are the ones the fresh probe's ``refresh`` would make, so the LRU
-        order moves alike.  When each finds the trial's own table with at
-        least ``cfg.samples`` worlds, the fresh probe would be all memo hits,
-        which ``refresh`` never offers to ``stop``; otherwise a fresh probe
-        is made.
-        """
-        trial, report, replayed = self._trials[e]
-        for cid in report.components_resampled:
-            comp = trial.components[cid]
-            assert isinstance(comp, BiComponent)
-            table = memo.lookup(comp.signature())
-            if table is not comp.reach or table.sample_count < cfg.samples:
-                return None
-        for leaf in self._leaves[replayed:]:
-            trial.insert_edge(graph, leaf, cfg, memo)
-        self._trials[e] = (trial, report, len(self._leaves))
         return trial.expected_flow(graph), report
 
     # ------------------------------------------------------------------

@@ -57,6 +57,12 @@ class ProbabilisticGraph:
             raise GraphError("weights and labels must cover every vertex")
         if self.coordinates is not None and len(self.coordinates) != n:
             raise GraphError("coordinates must cover every vertex")
+        if len(set(self.labels)) != n:
+            first: dict[str, int] = {}
+            for v, lab in enumerate(self.labels):
+                if lab in first:
+                    raise GraphError(f"vertices {first[lab]} and {v} share the label {lab!r}")
+                first[lab] = v
         seen: set[Edge] = set()
         for (u, v), p in zip(self.edges, self.probabilities):
             if u == v:
@@ -219,7 +225,8 @@ def load_graph(
     ids are the rank of each label in sorted order, which makes
     load -> save -> load the identity; vertices named only in the weight
     or coordinate file become isolated vertices.  Vertices with no weight
-    line get weight 1.0.
+    line get weight 1.0; a second weight or coordinate line for a vertex is
+    an error.
     """
     edge_lines: list[tuple[int, str, str, float]] = []
     labels_seen: set[str] = set()
@@ -253,6 +260,8 @@ def load_graph(
                 raise GraphError(f"weights line {lineno}: non-finite weight {w}")
             if w < 0:
                 raise GraphError(f"weights line {lineno}: negative weight {w}")
+            if parts[0] in weight_by_label:
+                raise GraphError(f"weights line {lineno}: repeated weight for {parts[0]!r}")
             weight_by_label[parts[0]] = w
             labels_seen.add(parts[0])
 
@@ -269,6 +278,8 @@ def load_graph(
                 xy = (float(parts[1]), float(parts[2]))
             except ValueError:
                 raise GraphError(f"coords line {lineno}: malformed coordinate") from None
+            if parts[0] in coord_by_label:
+                raise GraphError(f"coords line {lineno}: repeated coordinates for {parts[0]!r}")
             coord_by_label[parts[0]] = xy
             labels_seen.add(parts[0])
 

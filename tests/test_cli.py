@@ -200,6 +200,18 @@ class TestEvaluate:
         assert rc == 2
         assert "weights line 2: non-finite weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--weights", "Q 0\na 1\nQ 5\nb 1\n", "weights line 3: repeated weight for 'Q'"),
+        ("--coords", "Q 0 0\na 1 0\nb 2 0\nb 2 1\n", "coords line 4: repeated coordinates for 'b'"),
+    ], ids=["weights", "coords"])
+    def test_repeated_vertex_line_is_validation_error(self, tmp_path, capsys, flag, text, message):
+        paths = write_instance(tmp_path, PATH_EDGES)
+        extra = tmp_path / "g.extra"
+        extra.write_text(text, encoding="utf-8")
+        rc = main(["evaluate", "--edges", paths["edges"], flag, str(extra), "--query", "Q"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBench:
     def test_sweep_shape_and_order(self, tmp_path, capsys):

@@ -422,14 +422,13 @@ class TestProbe:
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
 
-    @pytest.mark.parametrize("capacity", [4096, 2], ids=["default-memo", "evicting-memo"])
-    def test_kept_probes_match_fresh_probes(self, capacity):
+    def test_kept_probes_match_fresh_probes(self):
         # Before every commit each candidate is probed plain and stop-checked,
         # on the tree (which keeps cycle probes and replays leaves on them)
         # and on a copy of a twin tree fed the same calls with its own memo.
         # Estimates agree bit for bit, reports up to the trial's component
         # ids, and after every probe both memos hold the same keys in the
-        # same LRU order.
+        # same order.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
 
@@ -445,7 +444,7 @@ class TestProbe:
         for trial in range(25):
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
-            memo, twin_memo = MemoStore(capacity), MemoStore(capacity)
+            memo, twin_memo = MemoStore(), MemoStore()
             tree, twin = new_ftree(0), new_ftree(0)
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
@@ -654,16 +653,15 @@ class TestMemo:
         b = BiComponent({1, 2}, 3, {(0, 1), (0, 2), (1, 2)})
         assert a.signature() != b.signature()
 
-    def test_lru_eviction(self):
-        memo = MemoStore(capacity=2)
+    def test_store_keeps_every_table(self):
         from probflow import ReachTable
 
-        t = ReachTable(articulation=0, probs={1: 0.5}, sample_count=10)
-        memo.store("a", t)
-        memo.store("b", t)
-        memo.store("c", t)
-        assert memo.lookup("a") is None
-        assert memo.lookup("c") is t
+        memo = MemoStore()
+        tables = [ReachTable(articulation=0, probs={1: i / 5000}, sample_count=10) for i in range(5000)]
+        for i, t in enumerate(tables):
+            memo.store(f"sig{i}", t)
+        assert len(memo) == 5000
+        assert all(memo.lookup(f"sig{i}") is t for i, t in enumerate(tables))
 
 
 class TestIncrementalSampling:

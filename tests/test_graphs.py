@@ -76,6 +76,15 @@ class TestLoadGraph:
         g = load_from_text("b c 0.5\na b 0.25\n")
         assert g.labels == ("a", "b", "c")
 
+    def test_repeated_weight_line_rejected(self):
+        with pytest.raises(GraphError, match="weights line 3: repeated weight for 'a'"):
+            load_from_text("a b 0.5\n", "a 1\nb 2\na 5\n")
+
+    def test_repeated_coordinate_line_rejected(self):
+        coords = io.StringIO("a 0 0\n# again\na 1 1\nb 2 2\n")
+        with pytest.raises(GraphError, match="coords line 3: repeated coordinates for 'a'"):
+            load_graph(io.StringIO("a b 0.5\n"), None, coords)
+
 
 class TestRoundTrip:
     def test_load_save_load_identical(self):
@@ -187,3 +196,11 @@ class TestValidation:
     def test_edge_to_unknown_vertex(self):
         with pytest.raises(GraphError):
             ProbabilisticGraph.build(2, [(0, 2, 0.5)])
+
+    def test_duplicate_labels_rejected(self):
+        # Vertices are found by label in induced subgraphs, so a shared label
+        # would send whole-graph Monte-Carlo flow to the wrong vertex.
+        with pytest.raises(GraphError, match="vertices 0 and 2 share the label 'a'"):
+            ProbabilisticGraph.build(
+                3, [(0, 1, 0.5), (1, 2, 0.5)], weights=[10, 1, 0], labels=("a", "b", "a")
+            )
