@@ -12,6 +12,7 @@ from .graphs import (
     Edge,
     GraphError,
     ProbabilisticGraph,
+    candidate_edges,
     canonical_edge,
     induced_subgraph,
     load_graph,
@@ -51,7 +52,6 @@ from .selection import (
     Solution,
     StrategyConfig,
     VARIANTS,
-    candidate_edges,
     ci_prune,
     dijkstra_select,
     ds_delay,

@@ -36,7 +36,6 @@ from .selection import (
     Solution,
     StrategyConfig,
     VARIANTS,
-    candidate_edges,
     mc_flow_of_edges,
     run_strategy,
 )
@@ -384,10 +383,7 @@ def _cmd_dump_ftree(args: argparse.Namespace) -> int:
         for e in _read_edge_set(args.insert, graph):
             tree.insert_edge(graph, e, cfg, defer_sampling=True)
     else:
-        while True:
-            cands = candidate_edges(graph, tree.attached_vertices(), tree.selected_edges)
-            if not cands:
-                break
+        while cands := tree.candidates(graph):
             tree.insert_edge(graph, cands[0], cfg, defer_sampling=True)
     text = tree.dump(graph)
     if args.out:

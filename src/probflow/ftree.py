@@ -24,12 +24,13 @@ a mono member's parent is the vertex it was attached to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, canonical_edge
+from .graphs import Edge, ProbabilisticGraph, candidate_edges, canonical_edge
 from .sampling import (
     CI_BATCH,
     EXACT_SAMPLES,
@@ -124,6 +125,20 @@ class _Evaluation:
     factors: dict[int, float]
 
 
+@dataclass
+class _Frontier:
+    """A tree's candidate edges in ``graph``: the unselected edges with an
+    attached endpoint, in canonical order.  ``terms`` holds each leaf
+    candidate's (one endpoint attached) weighted reach term, t·w for mean,
+    lb and ub, over the kept evaluation ``ev``; they are valid only while
+    ``ev`` is the tree's kept evaluation."""
+
+    graph: ProbabilisticGraph
+    edges: list[Edge]
+    ev: Optional[_Evaluation] = None
+    terms: dict[Edge, tuple[float, float, float]] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class InsertReport:
     """What an insertion did and what it cost.
@@ -141,23 +156,25 @@ class InsertReport:
 
 
 class MemoStore:
-    """Store of component signature -> sampled reach table that never evicts.
+    """Store of sampled reach tables that never evicts, keyed by the
+    ``SamplerConfig`` a table was drawn under and its component's signature.
 
-    A store serves one selection run: one graph and one ``SamplerConfig``.
-    Tables for equal signatures are interchangeable (sampling streams are
-    derived from the signature), so whether a component's table comes from
-    the store or is drawn anew changes no result, only how often it is
-    sampled.  Every table a run stores stays for the life of the store.
+    A store serves one graph.  Tables for equal keys are interchangeable
+    (sampling streams are derived from the config's master seed and the
+    signature, and only full-budget tables are stored), so whether a
+    component's table comes from the store or is drawn anew changes no
+    result, only how often it is sampled.  Every table stored stays for the
+    life of the store.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, ReachTable] = {}
+        self._entries: dict[tuple[SamplerConfig, str], ReachTable] = {}
 
-    def lookup(self, signature: str) -> Optional[ReachTable]:
-        return self._entries.get(signature)
+    def lookup(self, cfg: SamplerConfig, signature: str) -> Optional[ReachTable]:
+        return self._entries.get((cfg, signature))
 
-    def store(self, signature: str, table: ReachTable) -> None:
-        self._entries[signature] = table
+    def store(self, cfg: SamplerConfig, signature: str, table: ReachTable) -> None:
+        self._entries[cfg, signature] = table
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -233,19 +250,26 @@ class FTree:
     its last evaluation: a leaf insert extends it by the new vertex's term, a
     cycle-forming insert or a renewed reach table drops it.
 
+    Once asked for them (``candidates``, ``leaf_terms``), the tree keeps its
+    candidate edges and each leaf candidate's term over the kept evaluation,
+    and every insert brings both up to date; a cycle-forming insert drops
+    the terms, which the next ask rebuilds in one pass.
+
     Next to the kept evaluation, a tree probed with a memo keeps the trial
     tree of every cycle candidate whose probe finished with full tables,
     and logs the leaf edges committed since.  A re-probe of such a candidate
-    replays the logged leaves on its trial instead of building a new one.
-    Whatever drops the kept evaluation drops the trials and the log too.
+    under the same ``SamplerConfig`` replays the logged leaves on its trial
+    instead of building a new one.  Whatever drops the kept evaluation drops
+    the trials and the log too.
     """
 
     def __init__(self, q: int):
         self.q = q
         self._next_id = 0
         self._eval: Optional[_Evaluation] = None
-        # Kept cycle probes: edge -> (trial, its report, leaves replayed).
-        self._trials: dict[Edge, tuple[FTree, InsertReport, int]] = {}
+        self._front: Optional[_Frontier] = None
+        # Kept cycle probes: (edge, config) -> (trial, its report, leaves replayed).
+        self._trials: dict[tuple[Edge, SamplerConfig], tuple[FTree, InsertReport, int]] = {}
         self._leaves: list[Edge] = []
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
@@ -264,12 +288,13 @@ class FTree:
 
     def copy(self) -> "FTree":
         """Independent tree sharing only immutable parts: the reach tables and
-        the kept evaluation.  It keeps no cycle probes."""
+        the kept evaluation.  It keeps no candidates and no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other._eval = self._eval
+        other._front = None
         other._trials = {}
         other._leaves = []
         other.root_id = self.root_id
@@ -349,6 +374,12 @@ class FTree:
         """
         e, prob, att_u, att_v = self._insertable(graph, edge)
         u, v = e
+        front = self._front
+        if front is not None and front.graph is not graph:
+            front = self._front = None
+        # Leaf terms over the kept evaluation follow a leaf insert extending it.
+        live = front is not None and front.ev is not None and front.ev is self._eval
+        fresh: Optional[int] = None
         if att_u and att_v:
             self._drop_eval()
             case = self._close_cycle(u, v, e)
@@ -357,6 +388,8 @@ class FTree:
             case = self._attach_leaf(graph, attach, fresh, prob)
 
         self.selected_edges.add(e)
+        if front is not None:
+            self._advance_frontier(front, e, fresh, live and self._eval is not None)
         if self._eval is not None:
             # A leaf insert into an evaluated, hence clean, tree.
             self._leaves.append(e)
@@ -395,8 +428,11 @@ class FTree:
         """
         ev = self._eval
         if ev is not None and ev.graph is graph:
-            [(_, f, t, score)] = self._leaf_terms(ev, [(attach, fresh, prob)])
-            est = FlowEstimate(*score, samples_used=ev.estimate.samples_used)
+            [(f, t, term)] = self._leaf_terms(ev, [(attach, fresh, prob)])
+            base = ev.estimate
+            est = FlowEstimate(
+                base.mean + term[0], base.lb + term[1], base.ub + term[2], base.samples_used
+            )
             self._eval = _Evaluation(graph, est, {**ev.triples, fresh: t}, {**ev.factors, fresh: f})
         else:
             self._drop_eval()
@@ -410,63 +446,114 @@ class FTree:
         self.vertex_index[fresh] = nid
         return "IIb"
 
+    def _advance_frontier(
+        self, front: _Frontier, e: Edge, fresh: Optional[int], live: bool
+    ) -> None:
+        """Bring ``front`` up to date after inserting ``e``, which attached
+        the vertex ``fresh`` if it was a leaf edge.  With ``live`` set, the
+        leaf terms were over the evaluation the insert extended and follow
+        it; otherwise they are dropped.
+
+        The new vertex's edges to attached vertices stop being leaves and
+        close cycles from now on; its other edges become leaf candidates.
+        A leaf insert changes no attached vertex's triple or factor, so
+        every other leaf keeps its term.
+        """
+        edges = front.edges
+        del edges[bisect_left(edges, e)]
+        if not live:
+            front.ev, front.terms = None, {}
+        if fresh is None:
+            return
+        graph, terms = front.graph, front.terms
+        found: list[Edge] = []
+        leaves: list[tuple[int, int, float]] = []
+        for nbr, i in graph.adjacency[fresh]:
+            c = graph.edges[i]
+            if self.is_attached(nbr):
+                terms.pop(c, None)  # e itself, or a leaf that now closes a cycle
+            else:
+                insort(edges, c)
+                found.append(c)
+                leaves.append((fresh, nbr, graph.probabilities[i]))
+        if live:
+            front.ev = ev = self._eval
+            for c, (_, _, term) in zip(found, self._leaf_terms(ev, leaves)):
+                terms[c] = term
+
     def _leaf_terms(
         self, ev: _Evaluation, leaves: Iterable[tuple[int, int, float]]
-    ) -> Iterator[tuple[str, float, tuple[float, float, float], tuple[float, float, float]]]:
+    ) -> Iterator[tuple[float, tuple[float, float, float], tuple[float, float, float]]]:
         """For each (attach, fresh, prob) of ``leaves``, hanging the new
         vertex ``fresh`` off the attached vertex ``attach`` by an edge of
-        probability ``prob``: the case, the new vertex's path factor and
-        reach triple, and the grown tree's (mean, lb, ub), given this tree's
-        evaluation ``ev``.
+        probability ``prob``: the new vertex's path factor, its reach triple
+        t and its weighted term t·w, given this tree's evaluation ``ev``.
 
         The factor and triple are the ones ``_evaluate`` would compute, and
-        the new vertex comes last in ``vertex_index``, so the estimate
-        matches a full evaluation of the grown tree bit for bit.
+        the new vertex comes last in ``vertex_index``, so ``ev``'s (mean,
+        lb, ub) plus the term match a full evaluation of the grown tree bit
+        for bit.
         """
         comps, index, root = self.components, self.vertex_index, self.root_id
         triples, factors, weights = ev.triples, ev.factors, ev.graph.weights
-        est = ev.estimate
-        mean, lb, ub = est.mean, est.lb, est.ub
         for attach, fresh, prob in leaves:
             comp = comps[index.get(attach, root)]
-            if isinstance(comp, MonoComponent):
-                case, anchor = "IIa", comp.articulation
-            else:
-                case, anchor = "IIb", attach
+            anchor = comp.articulation if isinstance(comp, MonoComponent) else attach
             f = (factors[attach] if attach != anchor else 1.0) * prob
             base = triples[anchor]
             t = (f * base[0], f * base[1], f * base[2])
             w = weights[fresh]
-            yield case, f, t, (mean + t[0] * w, lb + t[1] * w, ub + t[2] * w)
+            yield f, t, (t[0] * w, t[1] * w, t[2] * w)
 
-    def leaf_scores(
-        self, graph: ProbabilisticGraph, edges: Iterable[Edge]
-    ) -> tuple[dict[Edge, tuple[float, float, float]], int]:
-        """The (mean, lb, ub) ``probe_edge`` would estimate for each leaf
-        edge among ``edges``, as plain floats, in one pass, and the samples
-        behind every one of them.
+    def candidates(self, graph: ProbabilisticGraph) -> list[Edge]:
+        """The unselected edges of ``graph`` with an attached endpoint, in
+        canonical order, as ``candidate_edges`` gives them.
 
-        ``edges`` are unselected canonical edges of ``graph``, such as
-        ``candidate_edges`` gives; those without exactly one endpoint
-        attached are left out.  The scores extend the kept evaluation; a
-        tree without one for ``graph`` is evaluated first.
+        The list is the tree's own, kept up to date by every insert; a
+        caller reads it and must not change it.
         """
+        return self._frontier(graph).edges
+
+    def _frontier(self, graph: ProbabilisticGraph) -> _Frontier:
+        front = self._front
+        if front is None or front.graph is not graph:
+            edges = candidate_edges(graph, self.attached_vertices(), self.selected_edges)
+            front = self._front = _Frontier(graph, edges)
+        return front
+
+    def leaf_terms(
+        self, graph: ProbabilisticGraph
+    ) -> tuple[FlowEstimate, dict[Edge, tuple[float, float, float]]]:
+        """The tree's estimate and, for every leaf candidate in ``graph``
+        (one endpoint attached), the weighted term (t·w for mean, lb, ub)
+        its insert adds: the estimate's mean, lb and ub plus the term are
+        what ``probe_edge`` would estimate for the leaf, bit for bit, from
+        the same samples.
+
+        The terms are the tree's own, kept across leaf inserts; a caller
+        reads them and must not change them.  A tree without a kept
+        evaluation for ``graph`` is evaluated first, and terms dropped by a
+        cycle-forming insert are rebuilt in one pass over the candidates.
+        """
+        front = self._frontier(graph)
         ev = self._eval
         if ev is None or ev.graph is not graph:
             ev = self._evaluate(graph)
-        q, index = self.q, self.vertex_index
-        probs, edge_index = graph.probabilities, graph.edge_index
-        found: list[Edge] = []
-        leaves: list[tuple[int, int, float]] = []
-        for e in edges:
-            u, v = e
-            att_u = u == q or u in index
-            if att_u != (v == q or v in index):
-                p = probs[edge_index[e]]
-                found.append(e)
-                leaves.append((u, v, p) if att_u else (v, u, p))
-        scores = {e: score for e, (_, _, _, score) in zip(found, self._leaf_terms(ev, leaves))}
-        return scores, ev.estimate.samples_used
+        if front.ev is not ev:
+            q, index = self.q, self.vertex_index
+            probs, edge_index = graph.probabilities, graph.edge_index
+            found: list[Edge] = []
+            leaves: list[tuple[int, int, float]] = []
+            for e in front.edges:
+                u, v = e
+                att_u = u == q or u in index
+                if att_u != (v == q or v in index):
+                    p = probs[edge_index[e]]
+                    found.append(e)
+                    leaves.append((u, v, p) if att_u else (v, u, p))
+            front.terms = {e: term for e, (_, _, term) in zip(found, self._leaf_terms(ev, leaves))}
+            front.ev = ev
+        return ev.estimate, front.terms
 
     def _close_cycle(self, u: int, v: int, e: Edge) -> str:
         """Cases III and IV: fold the cycle the edge ``e`` between attached
@@ -594,9 +681,9 @@ class FTree:
     ) -> Optional[FlowEstimate]:
         """Renew every dirty component's reach table.
 
-        A table memoized with at least ``cfg.samples`` worlds is reused;
-        every other dirty component draws its full budget in one call and
-        its finished table is stored in ``memo``, and None is returned.
+        A table memoized under ``cfg`` is reused; every other dirty
+        component draws its full budget in one call and its finished table
+        is stored in ``memo`` under ``cfg``, and None is returned.
         With ``stop``, the tree's expected flow over the tables of the first
         ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and finally over the full
         tables is offered to ``stop`` in that order.  The first estimate it
@@ -608,8 +695,8 @@ class FTree:
             self._drop_eval()
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
-            table = memo.lookup(comp.signature()) if memo is not None else None
-            if table is not None and table.sample_count >= cfg.samples:
+            table = memo.lookup(cfg, comp.signature()) if memo is not None else None
+            if table is not None:
                 comp.reach = table
             else:
                 samplers.append((cid, comp, IncrementalComponentSampler(graph, comp, cfg)))
@@ -630,7 +717,7 @@ class FTree:
                 return est
         if memo is not None:
             for _, comp, sampler in samplers:
-                memo.store(sampler.signature, comp.reach)
+                memo.store(cfg, sampler.signature, comp.reach)
         return None
 
     def _set_tables(self, samplers: _Sampled, n: int) -> None:
@@ -738,31 +825,30 @@ class FTree:
         The edge is inserted into a copy whose dirty components ``refresh``
         renews, offering ``stop`` its round estimates; the estimate ``stop``
         accepted is returned, else the full-budget one.  A selection run
-        probes only cycle edges (both endpoints attached) here and scores
-        leaf edges in one pass with ``leaf_scores``, which gives a leaf
-        probe's estimate without the copy.
+        probes only cycle edges (both endpoints attached) here and reads
+        leaf edges' estimates from ``leaf_terms``, without the copy.
 
         With a memo and a kept evaluation, a cycle probe that ends with full
-        tables keeps its trial tree, and a later probe of the same edge
-        replays the leaves committed since on that trial.  This tree has
-        gained only those leaves since the trial was made, so the replayed
-        trial has the blocks, tables and vertex order of this tree plus the
-        edge.  Its tables are the memo's own, each of at least
-        ``cfg.samples`` worlds, so a fresh probe would find all of them in
-        the memo and never offer ``stop`` an estimate: the replay gives the
-        fresh probe's estimate bit for bit, given a memo that serves one
-        run, one graph and one ``SamplerConfig`` (see MemoStore).  The report
-        names the kept trial's component ids, which can differ from the ones
-        a fresh copy would allocate.
+        tables keeps its trial tree, and a later probe of the same edge under
+        the same ``cfg`` replays the leaves committed since on that trial.
+        This tree has gained only those leaves since the trial was made, so
+        the replayed trial has the blocks, tables and vertex order of this
+        tree plus the edge.  Its tables are the memo's own for ``cfg``, so a
+        fresh probe would find all of them in the memo and never offer
+        ``stop`` an estimate: the replay gives the fresh probe's estimate
+        bit for bit, given a memo that serves one graph (see MemoStore).
+        The report names the kept trial's component ids, which can differ
+        from the ones a fresh copy would allocate.
         """
         e, _, att_u, att_v = self._insertable(graph, edge)
         ev = self._eval
         keep = att_u and att_v and ev is not None and ev.graph is graph and memo is not None
-        if keep and e in self._trials:
-            trial, report, replayed = self._trials[e]
+        key = (e, cfg)
+        if keep and key in self._trials:
+            trial, report, replayed = self._trials[key]
             for leaf in self._leaves[replayed:]:
                 trial.insert_edge(graph, leaf, cfg, memo)
-            self._trials[e] = (trial, report, len(self._leaves))
+            self._trials[key] = (trial, report, len(self._leaves))
             return trial.expected_flow(graph), report
         trial = self.copy()
         report = trial.insert_edge(graph, e, cfg, memo, defer_sampling=True)
@@ -770,7 +856,7 @@ class FTree:
         if est is not None:
             return est, report
         if keep:
-            self._trials[e] = (trial, report, len(self._leaves))
+            self._trials[key] = (trial, report, len(self._leaves))
         return trial.expected_flow(graph), report
 
     # ------------------------------------------------------------------

@@ -167,6 +167,15 @@ def world_probability(graph: ProbabilisticGraph, world: DeterministicWorld) -> f
     return prob
 
 
+def candidate_edges(
+    graph: ProbabilisticGraph, attached: set[int], selected: set[Edge]
+) -> list[Edge]:
+    """Unselected edges touching the connected subgraph, canonical order."""
+    edges = graph.edges  # sorted, so edge-index order is canonical order
+    touching = {i for v in attached for _, i in graph.adjacency[v]}
+    return [edges[i] for i in sorted(touching) if edges[i] not in selected]
+
+
 def induced_subgraph(
     graph: ProbabilisticGraph,
     keep_vertices: Iterable[int],

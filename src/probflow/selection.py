@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .ftree import FTree, InsertReport, MemoStore, new_ftree
-from .graphs import Edge, ProbabilisticGraph, induced_subgraph
+from .graphs import Edge, ProbabilisticGraph, candidate_edges, induced_subgraph
 from .sampling import (
     CI_MIN_SAMPLES,
     EXACT_SAMPLES,
@@ -72,15 +72,6 @@ class Solution:
         return self.trace[-1].flow.mean if self.trace else weight_at_query
 
 
-def candidate_edges(
-    graph: ProbabilisticGraph, attached: set[int], selected: set[Edge]
-) -> list[Edge]:
-    """Unselected edges touching the connected subgraph, canonical order."""
-    edges = graph.edges  # sorted, so edge-index order is canonical order
-    touching = {i for v in attached for _, i in graph.adjacency[v]}
-    return [edges[i] for i in sorted(touching) if edges[i] not in selected]
-
-
 def ci_prune(candidates: Sequence[tuple[Edge, FlowEstimate]]) -> set[Edge]:
     """Candidates that survive interval dominance.
 
@@ -131,10 +122,12 @@ def run_strategy(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
 def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:
     """Component-tree greedy: score every eligible candidate, commit the argmax.
 
-    Leaf candidates (one endpoint attached) are scored in one pass from the
-    tree's kept evaluation (``FTree.leaf_scores``); only cycle candidates
-    are probed (``FTree.probe_edge``).  An estimate is built only for the
-    committed edge.
+    The tree keeps its candidate edges (``FTree.candidates``) and every leaf
+    candidate's (one endpoint attached) term over its kept evaluation
+    (``FTree.leaf_terms``) across iterations; only cycle candidates are
+    probed (``FTree.probe_edge``).  The best leaf is the one with the
+    largest mean, ties going to the smallest edge, and an estimate is built
+    only for the committed edge.
 
     Variant flags: ``_m`` reuses sampled reach tables across probes keyed by
     component identity, ``_ci`` stops sampling candidates that are interval-
@@ -157,7 +150,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
 
     for iteration in range(1, cfg.budget + 1):
         tick = time.perf_counter()
-        cands = candidate_edges(graph, tree.attached_vertices(), tree.selected_edges)
+        cands = tree.candidates(graph)
         if not cands:
             break
         eligible = [e for e in cands if e not in delays]
@@ -168,20 +161,24 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
             delays = {e: d - shift for e, d in delays.items() if d > shift}
             eligible = [e for e in cands if e not in delays]
 
-        scores, leaf_samples = tree.leaf_scores(graph, eligible)
+        # Leaves are never suspended, so every one is eligible.
+        base, terms = tree.leaf_terms(graph)
         if use_ci:
-            probes, pruned = _probe_with_ci(tree, graph, eligible, scores, leaf_samples, cfg, memo)
+            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg, memo)
         else:
             probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler, memo) for e in eligible if e not in scores
+                e: tree.probe_edge(graph, e, cfg.sampler, memo) for e in eligible if e not in terms
             }
             pruned = set()
 
-        ranked = [(-score[0], e) for e, score in scores.items()]
-        ranked += [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
+        mean = base.mean
+        ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
+        if terms:
+            ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
         _, best = min(ranked)
-        if best in scores:
-            best_est = FlowEstimate(*scores[best], leaf_samples)
+        t = terms.get(best)
+        if t is not None:
+            best_est = FlowEstimate(mean + t[0], base.lb + t[1], base.ub + t[2], base.samples_used)
         else:
             best_est = probes[best][0]
         report = tree.insert_edge(graph, best, cfg.sampler, memo)
@@ -216,16 +213,16 @@ def _probe_with_ci(
     tree: FTree,
     graph: ProbabilisticGraph,
     eligible: Sequence[Edge],
-    scores: dict[Edge, tuple[float, float, float]],
-    leaf_samples: int,
+    base: FlowEstimate,
+    terms: dict[Edge, tuple[float, float, float]],
     cfg: StrategyConfig,
     memo: Optional[MemoStore],
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
     """Probe the cycle candidates among ``eligible`` in order, abandoning any
     that ``ci_prune`` rules dominated by the best confirmed candidate so far.
 
-    ``scores`` holds the leaf candidates' (mean, lb, ub) from
-    ``FTree.leaf_scores`` and ``leaf_samples`` the samples behind them.  A
+    ``base`` is the tree's estimate and ``terms`` the leaf candidates'
+    terms from ``FTree.leaf_terms``; a leaf's estimate is their sum.  A
     leaf samples nothing, so it is never pruned; it takes its place in the
     order as a candidate for the running best.  Once a confirmed
     best exists, each cycle probe's sampled components are checked on every
@@ -238,10 +235,12 @@ def _probe_with_ci(
     probes: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
     pruned: set[Edge] = set()
     for e in eligible:
-        score = scores.get(e)
-        if score is not None:
-            if leaf_samples >= CI_MIN_SAMPLES and (best is None or score[1] > best[1].lb):
-                best = (e, FlowEstimate(*score, leaf_samples))
+        t = terms.get(e)
+        if t is not None:
+            if base.samples_used >= CI_MIN_SAMPLES:
+                lb = base.lb + t[1]
+                if best is None or lb > best[1].lb:
+                    best = (e, FlowEstimate(base.mean + t[0], lb, base.ub + t[2], base.samples_used))
             continue
 
         def dominated(est: FlowEstimate) -> bool:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import warnings
 from pathlib import Path
 
 import pytest
 
+from probflow import VARIANTS
 from probflow.cli import main
 
 
@@ -372,3 +374,38 @@ class TestDumpFtree:
         rc = main(["dump-ftree", "--edges", paths["edges"], "--weights", paths["weights"],
                    "--query", "Q", "--insert", str(order)])
         assert rc == 2
+
+
+class TestPinnedBytes:
+    # One sha256 over the files three generators write, the iteration CSV
+    # of every variant on each instance, and the default-order dump of the
+    # erdos instance.  A change that keeps results bit-identical leaves it
+    # as it is; one that changes results re-pins it and says why.
+    DIGEST = "fb2eb394554f174d10c8bf298137000cb4b789302eb75ab483db7185c9c5405e"
+
+    INSTANCES = (
+        ("er", ["erdos", "--n", "60", "--deg", "6"]),
+        ("pt", ["partitioned", "--n", "48", "--deg", "8"]),
+        ("wsn", ["wsn", "--n", "80", "--eps", "0.2", "--decay"]),
+    )
+
+    def test_cli_outputs_match_pinned_digest(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        for name, argv in self.INSTANCES:
+            prefix = tmp_path / name
+            assert main(["generate", *argv, "--seed", "3", "--out", str(prefix)]) == 0
+            inputs = ["--edges", f"{prefix}.edges", "--weights", f"{prefix}.weights", "--query", "0"]
+            outputs = [Path(f"{prefix}.edges"), Path(f"{prefix}.weights")]
+            for variant in VARIANTS:
+                out = tmp_path / f"{name}-{variant}.csv"
+                assert main(["maxflow", *inputs, "--variant", variant, "--k", "12",
+                             "--samples", "300", "--seed", "7", "--out", str(out)]) == 0
+                outputs.append(out)
+            if name == "er":
+                out = tmp_path / "er.dump"
+                assert main(["dump-ftree", *inputs, "--out", str(out)]) == 0
+                outputs.append(out)
+            for path in outputs:
+                digest.update(path.read_bytes())
+        capsys.readouterr()
+        assert digest.hexdigest() == self.DIGEST

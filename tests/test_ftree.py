@@ -21,6 +21,7 @@ from probflow import (
     candidate_edges,
     exact_expected_flow,
     expected_flow_of_edges,
+    netgen,
     new_ftree,
     normal_quantile,
 )
@@ -449,7 +450,7 @@ class TestProbe:
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                     for check in (None, stop):
-                        kept = tree._trials.get(c)
+                        kept = tree._trials.get((c, cfg))
                         replays += kept is not None and kept[2] < len(tree._leaves)
                         est, report = tree.probe_edge(g, c, cfg, memo, check)
                         twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
@@ -478,6 +479,17 @@ class TestProbe:
         assert est != first
         assert est == tree.copy().probe_edge(g, (14, 15), CFG, memo)[0]
 
+    def test_kept_probe_serves_only_its_config(self):
+        # A cycle probe kept under one sampler config is not replayed for a
+        # probe under another, which draws that config's own tables.
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        memo = MemoStore()
+        tree.probe_edge(g, (14, 15), CFG, memo)
+        other = replace(CFG, master_seed=CFG.master_seed + 1)
+        est, _ = tree.probe_edge(g, (14, 15), other, memo)
+        assert est == tree.copy().probe_edge(g, (14, 15), other)[0]
+
     def test_leaf_probe_costs_nothing(self):
         g = running_example_graph()
         tree = build_base_tree(g)
@@ -494,19 +506,26 @@ class TestProbe:
         tree.insert_edge(g, (0, 1), CFG, memo)
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
         assert report.case_taken in ("IIa", "IIb") and tree._trials == {}
-        assert tree.leaf_scores(g, [(1, 2)]) == ({(1, 2): (est.mean, est.lb, est.ub)}, est.samples_used)
+        base, terms = tree.leaf_terms(g)
+        t = terms[(1, 2)]
+        assert (base.mean + t[0], base.lb + t[1], base.ub + t[2]) == (est.mean, est.lb, est.ub)
+        assert base.samples_used == est.samples_used
         tree.insert_edge(g, (0, 2), CFG, memo)
+        assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
         assert report.case_taken not in ("IIa", "IIb")
         assert (est, report) == tree.copy().probe_edge(g, (1, 2), CFG, memo)
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
-    def test_leaf_scores_match_full_evaluations(self, use_memo):
-        # Before every commit, on random graphs and insertion orders, each
-        # leaf candidate's batch score equals inserting it into a copy, bit
-        # for bit, both as the copy's kept estimate and evaluated from
-        # scratch.  Some commits defer sampling and refresh after, so the
-        # tree is scored with no kept evaluation, as the empty tree is.
+    def test_frontier_matches_full_evaluations(self, use_memo):
+        # The tree keeps its candidates and leaf terms across inserts, on
+        # random graphs and insertion orders.  Before every commit the kept
+        # candidates are exactly ``candidate_edges``, the leaf terms cover
+        # exactly the candidates with one endpoint attached, and each leaf's
+        # estimate plus term equals inserting it into a copy, bit for bit,
+        # both as the copy's kept estimate and evaluated from scratch.  Some
+        # commits defer sampling and refresh after, so the terms are read
+        # with no kept evaluation, as the empty tree's are.
         rng = random.Random(4242)
         cfg = SamplerConfig(samples=300, master_seed=3)
         seen = set()
@@ -517,18 +536,21 @@ class TestProbe:
             tree = new_ftree(0)
             last = "empty"
             for e in insertable_order(g, rng):
-                cands = candidate_edges(g, tree.attached_vertices(), tree.selected_edges)
+                cands = tree.candidates(g)
+                assert cands == candidate_edges(g, tree.attached_vertices(), tree.selected_edges)
                 leaves = [c for c in cands if tree.is_attached(c[0]) != tree.is_attached(c[1])]
                 before = snapshot(tree.copy(), g)
-                scores, samples = tree.leaf_scores(g, cands)
-                assert list(scores) == leaves
+                base, terms = tree.leaf_terms(g)
+                assert sorted(terms) == leaves
                 for c in leaves:
+                    t = terms[c]
+                    score = (base.mean + t[0], base.lb + t[1], base.ub + t[2])
                     trial_tree = tree.copy()
                     trial_tree.insert_edge(g, c, cfg, memo)
                     kept = trial_tree.expected_flow(g)
                     for est in (kept, fresh_estimate(trial_tree, g)):
-                        assert hexed(scores[c]) == hexed((est.mean, est.lb, est.ub))
-                        assert samples == est.samples_used
+                        assert hexed(score) == hexed((est.mean, est.lb, est.ub))
+                        assert base.samples_used == est.samples_used
                     assert tree.probe_edge(g, c, cfg, memo)[0] == kept
                 assert snapshot(tree, g) == before
                 seen.add(last if leaves else None)
@@ -538,13 +560,20 @@ class TestProbe:
                     last = case if tree._eval is not None else "unevaluated"
                 else:
                     last = tree.insert_edge(g, e, cfg, memo).case_taken
+            assert tree.candidates(g) == []
         assert {"empty", "unevaluated", "IIa", "IIb", "IIIa", "IIIb", "IVb"} <= seen
 
-    def test_leaf_scores_skip_other_edges(self):
+    def test_frontier_terms_cover_only_leaves(self):
         g = running_example_graph()
         tree = build_base_tree(g)
-        scores, _ = tree.leaf_scores(g, [(7, 17), (14, 15), (11, 15), (6, 8)])
-        assert list(scores) == [(7, 17)]
+        _, terms = tree.leaf_terms(g)
+        assert [e for e in [(7, 17), (14, 15), (11, 15), (6, 8)] if e in terms] == [(7, 17)]
+
+    def test_copy_keeps_no_frontier(self):
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        tree.leaf_terms(g)
+        assert tree._front is not None and tree.copy()._front is None
 
 
 def snapshot(tree, g):
@@ -659,9 +688,29 @@ class TestMemo:
         memo = MemoStore()
         tables = [ReachTable(articulation=0, probs={1: i / 5000}, sample_count=10) for i in range(5000)]
         for i, t in enumerate(tables):
-            memo.store(f"sig{i}", t)
+            memo.store(CFG, f"sig{i}", t)
         assert len(memo) == 5000
-        assert all(memo.lookup(f"sig{i}") is t for i, t in enumerate(tables))
+        assert all(memo.lookup(CFG, f"sig{i}") is t for i, t in enumerate(tables))
+
+    def test_tables_are_kept_apart_by_config(self):
+        # A store first filled under one config serves a run under another
+        # config nothing: the run gives what it gives with no store at all.
+        g = netgen.gen_partitioned(16, 4, 1)
+
+        def flow(cfg, memo):
+            tree = new_ftree(0)
+            for e in [(0, 2), (0, 3), (1, 2), (1, 3)]:
+                tree.insert_edge(g, e, cfg, memo)
+            return tree.expected_flow(g)
+
+        first = SamplerConfig(samples=500, master_seed=1)
+        memo = MemoStore()
+        flow(first, memo)
+        stored = len(memo)
+        assert stored > 0
+        for cfg in (replace(first, master_seed=2), replace(first, alpha=0.05)):
+            assert flow(cfg, memo) == flow(cfg, None)
+        assert len(memo) == 3 * stored
 
 
 class TestIncrementalSampling:
@@ -721,7 +770,7 @@ class TestRefreshStop:
         assert len(plain_memo) == len(batched_memo) > 0
         for comp in plain_bis.values():
             sig = comp.signature()
-            assert batched_memo.lookup(sig) == plain_memo.lookup(sig)
+            assert batched_memo.lookup(CFG, sig) == plain_memo.lookup(CFG, sig)
 
     def test_stop_that_fires_returns_its_estimate_and_stores_nothing(self):
         g = running_example_graph()
@@ -756,8 +805,7 @@ class TestRoundEstimates:
             if cid != tree.root_id:
                 children[tree.parent_of(cid)].append(cid)
         for cid in tree.dirty_components():
-            table = memo._entries.get(tree.components[cid].signature()) if memo else None
-            if table is not None and table.sample_count >= cfg.samples:
+            if memo and memo.lookup(cfg, tree.components[cid].signature()) is not None:
                 continue
             pid = tree.parent_of(cid)
             while pid is not None:
