@@ -20,6 +20,13 @@ factors its own multiplies.  A component's articulation vertex cuts its
 members off from the query vertex, so it lay on the path each member had to
 the query vertex when that member was attached, and was attached before it;
 a mono member's parent is the vertex it was attached to.
+
+A tree keeps one state for the graph it last served: its evaluation, the
+leaf candidates' terms and its kept cycle probes.  A leaf insert extends
+it in place (the new vertex's terms, one more leaf for the probes to
+replay); a cycle-closing insert, a renewed reach table or a call naming
+another graph drops all of it at once.  Its candidate edges survive
+cycle-closing inserts and sit beside it.  A copy keeps none of it.
 """
 
 from __future__ import annotations
@@ -111,35 +118,6 @@ _Sampled = list[tuple[int, BiComponent, "IncrementalComponentSampler"]]
 
 
 @dataclass(frozen=True)
-class _Evaluation:
-    """A tree's expected flow and what a leaf insert needs to extend it.
-
-    ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
-    to the query vertex, the query vertex included; ``factors`` holds every
-    mono member's path factor to its component's articulation vertex.
-    """
-
-    graph: ProbabilisticGraph
-    estimate: FlowEstimate
-    triples: dict[int, tuple[float, float, float]]
-    factors: dict[int, float]
-
-
-@dataclass
-class _Frontier:
-    """A tree's candidate edges in ``graph``: the unselected edges with an
-    attached endpoint, in canonical order.  ``terms`` holds each leaf
-    candidate's (one endpoint attached) weighted reach term, t·w for mean,
-    lb and ub, over the kept evaluation ``ev``; they are valid only while
-    ``ev`` is the tree's kept evaluation."""
-
-    graph: ProbabilisticGraph
-    edges: list[Edge]
-    ev: Optional[_Evaluation] = None
-    terms: dict[Edge, tuple[float, float, float]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class InsertReport:
     """What an insertion did and what it cost.
 
@@ -153,6 +131,30 @@ class InsertReport:
     case_taken: str
     components_resampled: tuple[int, ...]
     edges_sampled_count: int
+
+
+@dataclass
+class _Kept:
+    """What a tree keeps of its last evaluation, for one graph.
+
+    ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
+    to the query vertex, the query vertex included; ``factors`` holds every
+    mono member's path factor to its component's articulation vertex.
+    ``terms``, once asked for, holds each leaf candidate's (one endpoint
+    attached) weighted reach term t·w for mean, lb and ub.  ``trials`` maps
+    (edge, config) to a kept cycle probe: its trial tree, its report and
+    how many of ``leaves``, the leaf edges committed since the evaluation,
+    it has replayed.
+    """
+
+    estimate: FlowEstimate
+    triples: dict[int, tuple[float, float, float]]
+    factors: dict[int, float]
+    terms: Optional[dict[Edge, tuple[float, float, float]]] = None
+    trials: dict[tuple[Edge, SamplerConfig], tuple[FTree, InsertReport, int]] = field(
+        default_factory=dict
+    )
+    leaves: list[Edge] = field(default_factory=list)
 
 
 class MemoStore:
@@ -246,31 +248,22 @@ class IncrementalComponentSampler:
 class FTree:
     """Mutable component tree rooted at the query vertex.
 
-    One writer at a time; probes never change its structure.  The tree keeps
-    its last evaluation: a leaf insert extends it by the new vertex's term, a
-    cycle-forming insert or a renewed reach table drops it.
-
-    Once asked for them (``candidates``, ``leaf_terms``), the tree keeps its
-    candidate edges and each leaf candidate's term over the kept evaluation,
-    and every insert brings both up to date; a cycle-forming insert drops
-    the terms, which the next ask rebuilds in one pass.
-
-    Next to the kept evaluation, a tree probed with a memo keeps the trial
-    tree of every cycle candidate whose probe finished with full tables,
-    and logs the leaf edges committed since.  A re-probe of such a candidate
-    under the same ``SamplerConfig`` replays the logged leaves on its trial
-    instead of building a new one.  Whatever drops the kept evaluation drops
-    the trials and the log too.
+    One writer at a time; probes never change its structure.  The kept
+    state (``_Kept``, see the module docstring) holds the tree's last
+    evaluation, the leaf candidates' terms once ``leaf_terms`` asked for
+    them and, when probed with a memo, the trial tree of every cycle
+    candidate whose probe finished with full tables, with the leaf edges
+    committed since: a re-probe under the same ``SamplerConfig`` replays
+    those leaves on its trial.  The candidate edges, once asked for
+    (``candidates``), sit beside it.  Both serve one graph (``_use_graph``).
     """
 
     def __init__(self, q: int):
         self.q = q
         self._next_id = 0
-        self._eval: Optional[_Evaluation] = None
-        self._front: Optional[_Frontier] = None
-        # Kept cycle probes: (edge, config) -> (trial, its report, leaves replayed).
-        self._trials: dict[tuple[Edge, SamplerConfig], tuple[FTree, InsertReport, int]] = {}
-        self._leaves: list[Edge] = []
+        self._graph: Optional[ProbabilisticGraph] = None
+        self._kept: Optional[_Kept] = None
+        self._cands: Optional[list[Edge]] = None
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
         self.vertex_index: dict[int, int] = {}
@@ -287,26 +280,25 @@ class FTree:
         return cid
 
     def copy(self) -> "FTree":
-        """Independent tree sharing only immutable parts: the reach tables and
-        the kept evaluation.  It keeps no candidates and no cycle probes."""
+        """Independent tree sharing only the immutable reach tables.  It keeps
+        no state: its first evaluation is from scratch, and it has no
+        candidates and no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
+        other._graph, other._kept, other._cands = None, None, None
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
-        other._eval = self._eval
-        other._front = None
-        other._trials = {}
-        other._leaves = []
         other.root_id = self.root_id
         other.vertex_index = dict(self.vertex_index)
         other.selected_edges = set(self.selected_edges)
         return other
 
-    def _drop_eval(self) -> None:
-        """Forget the kept evaluation, and with it the kept cycle probes."""
-        self._eval = None
-        self._trials.clear()
-        self._leaves.clear()
+    def _use_graph(self, graph: ProbabilisticGraph) -> None:
+        """Serve ``graph`` from here on: the kept state and candidates are for
+        one graph, so naming another drops both.  Every public entry that
+        reads or extends them calls this first."""
+        if graph is not self._graph:
+            self._graph, self._kept, self._cands = graph, None, None
 
     def is_attached(self, v: int) -> bool:
         return v == self.q or v in self.vertex_index
@@ -372,27 +364,24 @@ class FTree:
         is re-sampled (or fetched from ``memo``) and the tree is evaluated
         before returning.
         """
+        self._use_graph(graph)
         e, prob, att_u, att_v = self._insertable(graph, edge)
         u, v = e
-        front = self._front
-        if front is not None and front.graph is not graph:
-            front = self._front = None
-        # Leaf terms over the kept evaluation follow a leaf insert extending it.
-        live = front is not None and front.ev is not None and front.ev is self._eval
         fresh: Optional[int] = None
         if att_u and att_v:
-            self._drop_eval()
+            self._kept = None
             case = self._close_cycle(u, v, e)
         else:
             attach, fresh = (u, v) if att_u else (v, u)
-            case = self._attach_leaf(graph, attach, fresh, prob)
+            case = self._attach_leaf(e, attach, fresh, prob)
 
         self.selected_edges.add(e)
-        if front is not None:
-            self._advance_frontier(front, e, fresh, live and self._eval is not None)
-        if self._eval is not None:
+        if self._cands is not None:
+            self._advance_candidates(e, fresh)
+        kept = self._kept
+        if kept is not None:
             # A leaf insert into an evaluated, hence clean, tree.
-            self._leaves.append(e)
+            kept.leaves.append(e)
             return InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
@@ -419,23 +408,16 @@ class FTree:
             raise FTreeError(f"neither endpoint of {e} is attached")
         return e, graph.probabilities[graph.edge_index[e]], att_u, att_v
 
-    def _attach_leaf(
-        self, graph: ProbabilisticGraph, attach: int, fresh: int, prob: float
-    ) -> str:
-        """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach``.
-
-        A kept evaluation for ``graph`` gains the new vertex's term.
-        """
-        ev = self._eval
-        if ev is not None and ev.graph is graph:
-            [(f, t, term)] = self._leaf_terms(ev, [(attach, fresh, prob)])
-            base = ev.estimate
-            est = FlowEstimate(
-                base.mean + term[0], base.lb + term[1], base.ub + term[2], base.samples_used
-            )
-            self._eval = _Evaluation(graph, est, {**ev.triples, fresh: t}, {**ev.factors, fresh: f})
-        else:
-            self._drop_eval()
+    def _attach_leaf(self, e: Edge, attach: int, fresh: int, prob: float) -> str:
+        """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by the
+        edge ``e``.  The kept evaluation, if any, gains the new vertex's
+        factor, triple and term in place."""
+        kept = self._kept
+        if kept is not None:
+            [(_, f, t, term)] = self._leaf_terms([e])
+            kept.factors[fresh] = f
+            kept.triples[fresh] = t
+            kept.estimate = self.leaf_estimate(kept.estimate, term)
         cid = self.component_of_vertex(attach)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
@@ -446,64 +428,67 @@ class FTree:
         self.vertex_index[fresh] = nid
         return "IIb"
 
-    def _advance_frontier(
-        self, front: _Frontier, e: Edge, fresh: Optional[int], live: bool
-    ) -> None:
-        """Bring ``front`` up to date after inserting ``e``, which attached
-        the vertex ``fresh`` if it was a leaf edge.  With ``live`` set, the
-        leaf terms were over the evaluation the insert extended and follow
-        it; otherwise they are dropped.
+    def _advance_candidates(self, e: Edge, fresh: Optional[int]) -> None:
+        """Bring the kept candidates, and the kept leaf terms if any, up to
+        date after inserting ``e``, which attached the vertex ``fresh`` if
+        it was a leaf edge.
 
         The new vertex's edges to attached vertices stop being leaves and
         close cycles from now on; its other edges become leaf candidates.
         A leaf insert changes no attached vertex's triple or factor, so
         every other leaf keeps its term.
         """
-        edges = front.edges
+        edges, graph = self._cands, self._graph
         del edges[bisect_left(edges, e)]
-        if not live:
-            front.ev, front.terms = None, {}
         if fresh is None:
             return
-        graph, terms = front.graph, front.terms
+        terms = self._kept.terms if self._kept is not None else None
         found: list[Edge] = []
-        leaves: list[tuple[int, int, float]] = []
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
             if self.is_attached(nbr):
-                terms.pop(c, None)  # e itself, or a leaf that now closes a cycle
+                if terms is not None:
+                    terms.pop(c, None)  # e itself, or a leaf that now closes a cycle
             else:
                 insort(edges, c)
                 found.append(c)
-                leaves.append((fresh, nbr, graph.probabilities[i]))
-        if live:
-            front.ev = ev = self._eval
-            for c, (_, _, term) in zip(found, self._leaf_terms(ev, leaves)):
-                terms[c] = term
+        if terms is not None:
+            terms.update((c, term) for c, _, _, term in self._leaf_terms(found))
 
     def _leaf_terms(
-        self, ev: _Evaluation, leaves: Iterable[tuple[int, int, float]]
-    ) -> Iterator[tuple[float, tuple[float, float, float], tuple[float, float, float]]]:
-        """For each (attach, fresh, prob) of ``leaves``, hanging the new
-        vertex ``fresh`` off the attached vertex ``attach`` by an edge of
-        probability ``prob``: the new vertex's path factor, its reach triple
-        t and its weighted term t·w, given this tree's evaluation ``ev``.
+        self, edges: Iterable[Edge]
+    ) -> Iterator[tuple[Edge, float, tuple[float, float, float], tuple[float, float, float]]]:
+        """For each leaf edge (one endpoint attached) among ``edges``: the
+        edge, the path factor and reach triple t its new vertex would get,
+        and the weighted term t·w its insert adds, given the kept evaluation.
 
         The factor and triple are the ones ``_evaluate`` would compute, and
-        the new vertex comes last in ``vertex_index``, so ``ev``'s (mean,
-        lb, ub) plus the term match a full evaluation of the grown tree bit
-        for bit.
+        the new vertex comes last in ``vertex_index``, so ``leaf_estimate``
+        of the kept estimate and the term matches a full evaluation of the
+        grown tree bit for bit.
         """
-        comps, index, root = self.components, self.vertex_index, self.root_id
-        triples, factors, weights = ev.triples, ev.factors, ev.graph.weights
-        for attach, fresh, prob in leaves:
+        q, comps, index, root = self.q, self.components, self.vertex_index, self.root_id
+        triples, factors, graph = self._kept.triples, self._kept.factors, self._graph
+        for e in edges:
+            u, v = e
+            att_u = u == q or u in index
+            if att_u == (v == q or v in index):
+                continue
+            attach, fresh = (u, v) if att_u else (v, u)
             comp = comps[index.get(attach, root)]
             anchor = comp.articulation if isinstance(comp, MonoComponent) else attach
+            prob = graph.probabilities[graph.edge_index[e]]
             f = (factors[attach] if attach != anchor else 1.0) * prob
             base = triples[anchor]
             t = (f * base[0], f * base[1], f * base[2])
-            w = weights[fresh]
-            yield f, t, (t[0] * w, t[1] * w, t[2] * w)
+            w = graph.weights[fresh]
+            yield e, f, t, (t[0] * w, t[1] * w, t[2] * w)
+
+    @staticmethod
+    def leaf_estimate(base: FlowEstimate, t: tuple[float, float, float]) -> FlowEstimate:
+        """The estimate of a tree whose estimate is ``base`` once a leaf with
+        the weighted term ``t`` (see ``leaf_terms``) is inserted."""
+        return FlowEstimate(base.mean + t[0], base.lb + t[1], base.ub + t[2], base.samples_used)
 
     def candidates(self, graph: ProbabilisticGraph) -> list[Edge]:
         """The unselected edges of ``graph`` with an attached endpoint, in
@@ -512,48 +497,32 @@ class FTree:
         The list is the tree's own, kept up to date by every insert; a
         caller reads it and must not change it.
         """
-        return self._frontier(graph).edges
-
-    def _frontier(self, graph: ProbabilisticGraph) -> _Frontier:
-        front = self._front
-        if front is None or front.graph is not graph:
-            edges = candidate_edges(graph, self.attached_vertices(), self.selected_edges)
-            front = self._front = _Frontier(graph, edges)
-        return front
+        self._use_graph(graph)
+        if self._cands is None:
+            self._cands = candidate_edges(graph, self.attached_vertices(), self.selected_edges)
+        return self._cands
 
     def leaf_terms(
         self, graph: ProbabilisticGraph
     ) -> tuple[FlowEstimate, dict[Edge, tuple[float, float, float]]]:
         """The tree's estimate and, for every leaf candidate in ``graph``
         (one endpoint attached), the weighted term (t·w for mean, lb, ub)
-        its insert adds: the estimate's mean, lb and ub plus the term are
-        what ``probe_edge`` would estimate for the leaf, bit for bit, from
-        the same samples.
+        its insert adds: ``leaf_estimate`` of the two is what ``probe_edge``
+        would estimate for the leaf, bit for bit, from the same samples.
 
-        The terms are the tree's own, kept across leaf inserts; a caller
-        reads them and must not change them.  A tree without a kept
-        evaluation for ``graph`` is evaluated first, and terms dropped by a
-        cycle-forming insert are rebuilt in one pass over the candidates.
+        The terms are part of the tree's kept state, extended in place by
+        leaf inserts; a caller reads them and must not change them.  A tree
+        without a kept evaluation for ``graph`` is evaluated first, and
+        terms dropped with the kept state are rebuilt in one pass over the
+        candidates.
         """
-        front = self._frontier(graph)
-        ev = self._eval
-        if ev is None or ev.graph is not graph:
-            ev = self._evaluate(graph)
-        if front.ev is not ev:
-            q, index = self.q, self.vertex_index
-            probs, edge_index = graph.probabilities, graph.edge_index
-            found: list[Edge] = []
-            leaves: list[tuple[int, int, float]] = []
-            for e in front.edges:
-                u, v = e
-                att_u = u == q or u in index
-                if att_u != (v == q or v in index):
-                    p = probs[edge_index[e]]
-                    found.append(e)
-                    leaves.append((u, v, p) if att_u else (v, u, p))
-            front.terms = {e: term for e, (_, _, term) in zip(found, self._leaf_terms(ev, leaves))}
-            front.ev = ev
-        return ev.estimate, front.terms
+        edges = self.candidates(graph)
+        kept = self._kept
+        if kept is None:
+            kept = self._evaluate(graph)
+        if kept.terms is None:
+            kept.terms = {e: term for e, _, _, term in self._leaf_terms(edges)}
+        return kept.estimate, kept.terms
 
     def _close_cycle(self, u: int, v: int, e: Edge) -> str:
         """Cases III and IV: fold the cycle the edge ``e`` between attached
@@ -688,11 +657,12 @@ class FTree:
         ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and finally over the full
         tables is offered to ``stop`` in that order.  The first estimate it
         accepts is returned at once, with that round's tables left on the
-        components and kept out of the memo.
+        components and kept out of the memo.  Renewing a table drops the
+        tree's kept state.
         """
         samplers: _Sampled = []
         for cid in self.dirty_components():
-            self._drop_eval()
+            self._kept = None
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
             table = memo.lookup(cfg, comp.signature()) if memo is not None else None
@@ -753,17 +723,19 @@ class FTree:
         through nested components and summed with the vertex weights.  The
         tree's kept evaluation is returned when it has one for ``graph``.
         """
-        ev = self._eval
-        if ev is None or ev.graph is not graph:
-            ev = self._evaluate(graph)
-        return ev.estimate
+        self._use_graph(graph)
+        kept = self._kept
+        if kept is None:
+            kept = self._evaluate(graph)
+        return kept.estimate
 
-    def _evaluate(self, graph: ProbabilisticGraph) -> _Evaluation:
-        """Evaluate the whole tree and keep the result."""
+    def _evaluate(self, graph: ProbabilisticGraph) -> _Kept:
+        """Evaluate the whole tree and keep the result as a new kept state;
+        the caller has made ``graph`` the one the tree serves."""
         triples, factors, samples_used, (mean, lb, ub) = self._walk(graph, {})
         est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
-        self._eval = _Evaluation(graph, est, triples, factors)
-        return self._eval
+        self._kept = _Kept(est, triples, factors)
+        return self._kept
 
     def _walk(
         self, graph: ProbabilisticGraph, rounds: dict[int, dict]
@@ -829,26 +801,29 @@ class FTree:
         leaf edges' estimates from ``leaf_terms``, without the copy.
 
         With a memo and a kept evaluation, a cycle probe that ends with full
-        tables keeps its trial tree, and a later probe of the same edge under
-        the same ``cfg`` replays the leaves committed since on that trial.
-        This tree has gained only those leaves since the trial was made, so
-        the replayed trial has the blocks, tables and vertex order of this
-        tree plus the edge.  Its tables are the memo's own for ``cfg``, so a
-        fresh probe would find all of them in the memo and never offer
-        ``stop`` an estimate: the replay gives the fresh probe's estimate
-        bit for bit, given a memo that serves one graph (see MemoStore).
+        tables keeps its trial tree in the tree's kept state, and a later
+        probe of the same edge under the same ``cfg`` replays the leaves
+        committed since on that trial.  Anything else this tree went through
+        (a cycle-forming insert, a renewed table, another graph) would have
+        dropped the kept state and the trial with it, so the replayed trial
+        has the blocks, tables and vertex order of this tree plus the edge.
+        Its tables are the memo's own for ``cfg``, so a fresh probe would
+        find all of them in the memo and never offer ``stop`` an estimate:
+        the replay gives the fresh probe's estimate bit for bit, given a
+        memo that serves one graph (see MemoStore).
         The report names the kept trial's component ids, which can differ
         from the ones a fresh copy would allocate.
         """
+        self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
-        ev = self._eval
-        keep = att_u and att_v and ev is not None and ev.graph is graph and memo is not None
+        kept = self._kept
+        keep = att_u and att_v and kept is not None and memo is not None
         key = (e, cfg)
-        if keep and key in self._trials:
-            trial, report, replayed = self._trials[key]
-            for leaf in self._leaves[replayed:]:
+        if keep and key in kept.trials:
+            trial, report, replayed = kept.trials[key]
+            for leaf in kept.leaves[replayed:]:
                 trial.insert_edge(graph, leaf, cfg, memo)
-            self._trials[key] = (trial, report, len(self._leaves))
+            kept.trials[key] = (trial, report, len(kept.leaves))
             return trial.expected_flow(graph), report
         trial = self.copy()
         report = trial.insert_edge(graph, e, cfg, memo, defer_sampling=True)
@@ -856,7 +831,7 @@ class FTree:
         if est is not None:
             return est, report
         if keep:
-            self._trials[key] = (trial, report, len(self._leaves))
+            kept.trials[key] = (trial, report, len(kept.leaves))
         return trial.expected_flow(graph), report
 
     # ------------------------------------------------------------------

@@ -177,10 +177,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
             ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
         _, best = min(ranked)
         t = terms.get(best)
-        if t is not None:
-            best_est = FlowEstimate(mean + t[0], base.lb + t[1], base.ub + t[2], base.samples_used)
-        else:
-            best_est = probes[best][0]
+        best_est = tree.leaf_estimate(base, t) if t is not None else probes[best][0]
         report = tree.insert_edge(graph, best, cfg.sampler, memo)
         selected.append(best)
         trace.append(
@@ -222,9 +219,10 @@ def _probe_with_ci(
     that ``ci_prune`` rules dominated by the best confirmed candidate so far.
 
     ``base`` is the tree's estimate and ``terms`` the leaf candidates'
-    terms from ``FTree.leaf_terms``; a leaf's estimate is their sum.  A
-    leaf samples nothing, so it is never pruned; it takes its place in the
-    order as a candidate for the running best.  Once a confirmed
+    terms from ``FTree.leaf_terms``; a leaf's estimate is
+    ``FTree.leaf_estimate`` of the two.  A leaf samples nothing, so it is
+    never pruned; it takes its place in the order as a candidate for the
+    running best.  Once a confirmed
     best exists, each cycle probe's sampled components are checked on every
     ``CI_BATCH``-world prefix of their samples (``FTree.probe_edge`` with a
     stop predicate); a pruned candidate keeps the prefix estimate it was
@@ -238,9 +236,8 @@ def _probe_with_ci(
         t = terms.get(e)
         if t is not None:
             if base.samples_used >= CI_MIN_SAMPLES:
-                lb = base.lb + t[1]
-                if best is None or lb > best[1].lb:
-                    best = (e, FlowEstimate(base.mean + t[0], lb, base.ub + t[2], base.samples_used))
+                if best is None or base.lb + t[1] > best[1].lb:
+                    best = (e, tree.leaf_estimate(base, t))
             continue
 
         def dominated(est: FlowEstimate) -> bool:

@@ -450,8 +450,8 @@ class TestProbe:
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                     for check in (None, stop):
-                        kept = tree._trials.get((c, cfg))
-                        replays += kept is not None and kept[2] < len(tree._leaves)
+                        kept = tree._kept.trials.get((c, cfg)) if tree._kept else None
+                        replays += kept is not None and kept[2] < len(tree._kept.leaves)
                         est, report = tree.probe_edge(g, c, cfg, memo, check)
                         twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
                         assert est == twin_est
@@ -505,7 +505,7 @@ class TestProbe:
         tree = new_ftree(0)
         tree.insert_edge(g, (0, 1), CFG, memo)
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
-        assert report.case_taken in ("IIa", "IIb") and tree._trials == {}
+        assert report.case_taken in ("IIa", "IIb") and tree._kept.trials == {}
         base, terms = tree.leaf_terms(g)
         t = terms[(1, 2)]
         assert (base.mean + t[0], base.lb + t[1], base.ub + t[2]) == (est.mean, est.lb, est.ub)
@@ -522,10 +522,10 @@ class TestProbe:
         # random graphs and insertion orders.  Before every commit the kept
         # candidates are exactly ``candidate_edges``, the leaf terms cover
         # exactly the candidates with one endpoint attached, and each leaf's
-        # estimate plus term equals inserting it into a copy, bit for bit,
-        # both as the copy's kept estimate and evaluated from scratch.  Some
-        # commits defer sampling and refresh after, so the terms are read
-        # with no kept evaluation, as the empty tree's are.
+        # estimate plus term equals inserting it into an evaluated copy, bit
+        # for bit, both as the copy's extended estimate and evaluated from
+        # scratch.  Some commits defer sampling and refresh after, so the
+        # terms are read with no kept evaluation, as the empty tree's are.
         rng = random.Random(4242)
         cfg = SamplerConfig(samples=300, master_seed=3)
         seen = set()
@@ -546,9 +546,10 @@ class TestProbe:
                     t = terms[c]
                     score = (base.mean + t[0], base.lb + t[1], base.ub + t[2])
                     trial_tree = tree.copy()
+                    trial_tree.expected_flow(g)
                     trial_tree.insert_edge(g, c, cfg, memo)
                     kept = trial_tree.expected_flow(g)
-                    for est in (kept, fresh_estimate(trial_tree, g)):
+                    for est in (kept, trial_tree.copy().expected_flow(g)):
                         assert hexed(score) == hexed((est.mean, est.lb, est.ub))
                         assert base.samples_used == est.samples_used
                     assert tree.probe_edge(g, c, cfg, memo)[0] == kept
@@ -557,7 +558,7 @@ class TestProbe:
                 if rng.random() < 0.3:
                     case = tree.insert_edge(g, e, cfg, memo, defer_sampling=True).case_taken
                     tree.refresh(g, cfg, memo)
-                    last = case if tree._eval is not None else "unevaluated"
+                    last = case if tree._kept is not None else "unevaluated"
                 else:
                     last = tree.insert_edge(g, e, cfg, memo).case_taken
             assert tree.candidates(g) == []
@@ -573,7 +574,9 @@ class TestProbe:
         g = running_example_graph()
         tree = build_base_tree(g)
         tree.leaf_terms(g)
-        assert tree._front is not None and tree.copy()._front is None
+        assert tree._cands is not None and tree._kept is not None
+        other = tree.copy()
+        assert other._cands is None and other._kept is None
 
 
 def snapshot(tree, g):
@@ -591,17 +594,11 @@ def snapshot(tree, g):
         tree.root_id, {cid: tree.parent_of(cid) for cid in tree.components},
         dict(tree.vertex_index), frozenset(tree.selected_edges),
     )
-    return tree.dump(g), comps, links, tree.expected_flow(g), fresh_estimate(tree.copy(), g)
+    return tree.dump(g), comps, links, tree.expected_flow(g), tree.copy().expected_flow(g)
 
 
 def hexed(values):
     return tuple(v.hex() for v in values)
-
-
-def fresh_estimate(tree, g):
-    """The tree's flow evaluated from scratch, ignoring any kept evaluation."""
-    tree._eval = None
-    return tree.expected_flow(g)
 
 
 class TestKeptEvaluation:
@@ -631,7 +628,7 @@ class TestKeptEvaluation:
             kept, replay = new_ftree(0), new_ftree(0)
             kept_memo, replay_memo = (MemoStore(), MemoStore()) if memo else (None, None)
             for e in insertable_order(g, rng):
-                replay._eval = None
+                replay._kept = None  # no kept state: replay evaluates from scratch
                 if stop_round is None:
                     case = kept.insert_edge(g, e, cfg, kept_memo).case_taken
                     replay.insert_edge(g, e, cfg, replay_memo)
@@ -640,25 +637,83 @@ class TestKeptEvaluation:
                     replay.insert_edge(g, e, cfg, replay_memo, defer_sampling=True)
                     kept_stop, kept_offered = self.stop_at(stop_round)
                     replay_stop, replay_offered = self.stop_at(stop_round)
-                    replay._eval = None
                     assert kept.refresh(g, cfg, kept_memo, kept_stop) == replay.refresh(
                         g, cfg, replay_memo, replay_stop
                     )
                     assert kept_offered == replay_offered
                 seen.add(case)
-                assert kept.expected_flow(g) == fresh_estimate(replay, g)
-                assert kept.expected_flow(g) == fresh_estimate(kept.copy(), g)
+                assert kept.expected_flow(g) == replay.expected_flow(g)
+                assert kept.expected_flow(g) == kept.copy().expected_flow(g)
         assert seen == self.CASES
+
+    def test_kept_state_serves_the_graph_named(self):
+        # Two graphs share edges and probabilities but not weights.  One tree
+        # is asked about both in turn, switching back to the first, and takes
+        # its inserts with either; each entry, asked first after a switch in
+        # some visit, answers as a fresh tree fed the same inserts with the
+        # graph named does, compared by hex.
+        rng = random.Random(1515)
+        cfg = SamplerConfig(samples=200, master_seed=6)
+
+        def answers(tree, g, memo, order):
+            out = {}
+            for ask in order:
+                if ask == "flow":
+                    est = tree.expected_flow(g)
+                    out[ask] = hexed((est.mean, est.lb, est.ub)), est.samples_used
+                elif ask == "candidates":
+                    out[ask] = list(tree.candidates(g))
+                elif ask == "terms":
+                    base, terms = tree.leaf_terms(g)
+                    out[ask] = hexed((base.mean, base.lb, base.ub)), {
+                        e: hexed(t) for e, t in terms.items()
+                    }
+                else:
+                    out[ask] = {}
+                    for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
+                        est, report = tree.probe_edge(g, c, cfg, memo)
+                        out[ask][c] = (
+                            hexed((est.mean, est.lb, est.ub)), est.samples_used,
+                            report.case_taken, report.edges_sampled_count,
+                        )
+            return out
+
+        firsts = set()
+        for trial in range(10):
+            n = rng.randint(4, 8)
+            g = random_connected_graph(rng, n, rng.randint(1, n))
+            triples = [(u, v, g.probabilities[i]) for i, (u, v) in enumerate(g.edges)]
+            graphs = [
+                ProbabilisticGraph.build(n, triples, weights=[rng.uniform(0, 9) for _ in range(n)])
+                for _ in range(2)
+            ]
+            memos, fresh_memos = [MemoStore(), MemoStore()], [MemoStore(), MemoStore()]
+            tree, inserted = new_ftree(0), []
+            for e in insertable_order(g, rng):
+                for x in (0, 1, 0):
+                    order = ["flow", "candidates", "terms", "probe"]
+                    rng.shuffle(order)
+                    firsts.add(order[0])
+                    fresh = new_ftree(0)
+                    for d in inserted:
+                        fresh.insert_edge(graphs[x], d, cfg, fresh_memos[x])
+                    assert answers(tree, graphs[x], memos[x], order) == answers(
+                        fresh, graphs[x], fresh_memos[x], order
+                    )
+                x = rng.randrange(2)
+                tree.insert_edge(graphs[x], e, cfg, memos[x])
+                inserted.append(e)
+        assert firsts == {"flow", "candidates", "terms", "probe"}
 
     def test_leaf_insert_extends_without_evaluating(self, monkeypatch):
         g = running_example_graph()
         tree = build_base_tree(g)
+        tree.expected_flow(g)
         monkeypatch.setattr(type(tree), "_evaluate", None)
-        trial = tree.copy()
-        report = trial.insert_edge(g, (7, 17), CFG)
+        report = tree.insert_edge(g, (7, 17), CFG)
         assert report.case_taken == "IIb"
         monkeypatch.undo()
-        assert trial.expected_flow(g) == fresh_estimate(trial.copy(), g)
+        assert tree.expected_flow(g) == tree.copy().expected_flow(g)
 
 
 class TestMemo:
@@ -849,14 +904,14 @@ class TestRoundEstimates:
                         continue
                     assert est is offered[-1] and len(offered) == stop_round
                     assert est.samples_used == stop_round * CI_BATCH
-                    assert est == fresh_estimate(stopped.copy(), g)
+                    assert est == stopped.copy().expected_flow(g)
                     stopped_at.append(est)
                 offered = []
                 report = tree.insert_edge(g, e, cfg, store, defer_sampling=True)
                 assert report.case_taken == case
                 assert tree.refresh(g, cfg, store, lambda est: offered.append(est) or False) is None
                 assert offered == stopped_at
-                assert tree.expected_flow(g) == fresh_estimate(tree.copy(), g)
+                assert tree.expected_flow(g) == tree.copy().expected_flow(g)
         assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
         assert nesting == {"under", "above"}
 

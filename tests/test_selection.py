@@ -194,7 +194,7 @@ class TestCiVariant:
                 sorted((cid, c.reach.sample_count) for cid, c in tree.components.items()
                        if isinstance(c, BiComponent))
             )
-            if tree._eval is None or tree._eval.graph is not graph:
+            if tree._kept is None or tree._graph is not graph:
                 evaluated.append((tree, counts))
             return original(tree, graph)
 
