@@ -233,12 +233,9 @@ def _bench_point(
     n: int,
     deg: int,
     eps: float,
-    k: int,
-    ds_c: float,
-    variant: str,
+    cfg: StrategyConfig,
     repeat: int,
     seed: int,
-    sampler: SamplerConfig,
     ref_sampler: SamplerConfig,
     timings: bool,
     unit_weights: bool,
@@ -252,12 +249,7 @@ def _bench_point(
         )
         graph = generate(spec)
         q = 0  # generated instances query the first vertex
-    cfg = StrategyConfig(
-        variant=variant,
-        budget=k,
-        sampler=replace(sampler, master_seed=seed + repeat),
-        ds_c=ds_c,
-    )
+    cfg = replace(cfg, sampler=replace(cfg.sampler, master_seed=seed + repeat))
     start = time.perf_counter()
     solution = run_strategy(graph, q, cfg)
     ms = int((time.perf_counter() - start) * 1000) if timings else 0
@@ -267,7 +259,7 @@ def _bench_point(
     ref = mc_flow_of_edges(graph, q, solution.selected, ref_cfg)
     self_flow = solution.final_flow(graph.weights[q])
     return [
-        variant,
+        cfg.variant,
         str(repeat),
         _fmt(ref.mean),
         _fmt(ref.lb),
@@ -322,7 +314,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if label in labels[:i]:
                 raise ValueError(f"sweep value {label} listed twice in --sweep")
 
-    rows = []
+    # Every point's configs are built, and so checked, before any selection runs.
+    points = []
     for value in values:
         n, deg, eps, k, ds_c = args.n, args.deg, args.eps, args.k, args.ds_c
         if axis == "n":
@@ -335,11 +328,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             eps = value
         elif axis == "c":
             ds_c = value
-        for variant in variants:
+        cfgs = [StrategyConfig(variant, k, sampler, ds_c) for variant in variants]
+        points.append((value, n, deg, eps, cfgs))
+
+    rows = []
+    for value, n, deg, eps, cfgs in points:
+        for cfg in cfgs:
             for repeat in range(args.repeat):
                 row = _bench_point(
-                    instance, args.family, n, deg, eps, k, ds_c, variant, repeat,
-                    args.seed, sampler, ref_sampler, args.timings, args.unit_weights,
+                    instance, args.family, n, deg, eps, cfg, repeat,
+                    args.seed, ref_sampler, args.timings, args.unit_weights,
                 )
                 rows.append([axis, _fmt(value)] + row)
 

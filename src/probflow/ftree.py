@@ -21,19 +21,32 @@ members off from the query vertex, so it lay on the path each member had to
 the query vertex when that member was attached, and was attached before it;
 a mono member's parent is the vertex it was attached to.
 
+Flow multiplies through articulation vertices, so a cycle-closing edge
+changes only its new ring.  Every attached vertex v hangs off one vertex
+h(v), its mono parent or its bi component's articulation vertex, by a
+factor g(v), the edge probability or its reach-table row, and its reach
+triple t(v) to the query vertex is g(v)·t(h(v)).  Its subtree mass is
+M(v) = w(v) + Σ_{h(x)=v} g(x)·M(x), and the flow is M(q).  A cycle whose
+ring members R hang off r with new rows g′ grows the flow by
+t(r)·(Σ_{x∈R} g′(x)·Mext(x) − Σ_{x∈R, h(x)=r} g(x)·M(x)), where
+Mext(x) = M(x) − Σ_{y∈R, h(y)=x} g(y)·M(y): R ∪ {r} is closed under h, so
+no vertex outside R changes its hang or its factor.  Cycle probes score
+this sum in O(|R|) and change nothing.
+
 A tree keeps one state for the graph it last served: its evaluation, the
-leaf candidates' terms and its kept cycle probes.  A leaf insert extends
-it in place (the new vertex's terms, one more leaf for the probes to
-replay); a cycle-closing insert, a renewed reach table or a call naming
-another graph drops all of it at once.  Its candidate edges survive
-cycle-closing inserts and sit beside it.  A copy keeps none of it.
+leaf candidates' terms, the subtree masses and its kept cycle probes.  A
+leaf insert extends it in place (the new vertex's terms; the masses are
+rebuilt at the next cycle probe); a cycle-closing insert, a renewed reach
+table or a call naming another graph drops all of it at once.  Its
+candidate edges survive cycle-closing inserts and sit beside it.  A copy
+keeps none of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -113,9 +126,6 @@ class BiComponent:
 
 Component = MonoComponent | BiComponent
 
-# The components a refresh samples: (id, component, its sampler).
-_Sampled = list[tuple[int, BiComponent, "IncrementalComponentSampler"]]
-
 
 @dataclass(frozen=True)
 class InsertReport:
@@ -133,28 +143,39 @@ class InsertReport:
     edges_sampled_count: int
 
 
+# The parts a cycle takes (see ``FTree._plan_cycle``).
+_Parts = list[tuple[int, Optional[list[int]], int]]
+
+
 @dataclass
 class _Kept:
     """What a tree keeps of its last evaluation, for one graph.
 
     ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
-    to the query vertex, the query vertex included; ``factors`` holds every
-    mono member's path factor to its component's articulation vertex.
-    ``terms``, once asked for, holds each leaf candidate's (one endpoint
-    attached) weighted reach term t·w for mean, lb and ub.  ``trials`` maps
-    (edge, config) to a kept cycle probe: its trial tree, its report and
-    how many of ``leaves``, the leaf edges committed since the evaluation,
-    it has replayed.
+    to the query vertex, the query vertex included, in attach order;
+    ``factors`` holds every mono member's path factor to its component's
+    articulation vertex.  ``terms``, once asked for, holds each leaf
+    candidate's (one endpoint attached) weighted reach term t·w for mean,
+    lb and ub.  ``rank`` holds every attached vertex's attach position (the
+    query vertex's is 0) and ``hangs`` each position's hang: the position
+    of h(v) and g(v) (see the module docstring; position 0 holds a
+    placeholder).  ``masses``, once a cycle probe asked for them, holds the
+    mean, lb and ub subtree masses by position; a leaf insert drops them.
+    ``rings`` maps (edge, config) to a kept cycle probe: its ring's
+    (position, member) pairs in attach order, their articulation vertex,
+    the ring's table and the probe's report.
     """
 
     estimate: FlowEstimate
     triples: dict[int, tuple[float, float, float]]
     factors: dict[int, float]
+    rank: dict[int, int]
+    hangs: list[tuple[int, tuple[float, float, float]]]
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
-    trials: dict[tuple[Edge, SamplerConfig], tuple[FTree, InsertReport, int]] = field(
-        default_factory=dict
-    )
-    leaves: list[Edge] = field(default_factory=list)
+    masses: Optional[tuple[list[float], list[float], list[float]]] = None
+    rings: dict[
+        tuple[Edge, SamplerConfig], tuple[list[tuple[int, int]], int, ReachTable, InsertReport]
+    ] = field(default_factory=dict)
 
 
 class MemoStore:
@@ -216,24 +237,16 @@ class IncrementalComponentSampler:
         mask = (1 << n) - 1
         return [(b & mask).bit_count() for b in self._bits]
 
-    def table(self, n: Optional[int] = None) -> ReachTable:
-        """Reach table of the first ``n`` drawn worlds, all of them by default."""
-        n = self.drawn if n is None else n
-        if not 1 <= n <= self.drawn:
-            raise FTreeError(f"table of {n} worlds asked, {self.drawn} drawn")
+    def table(self) -> ReachTable:
+        """Reach table of every drawn world."""
+        n, av = self.drawn, self.articulation
         counts = self._counts(n)
-        probs = {
-            v: counts[i] / n
-            for i, v in enumerate(self._verts)
-            if v != self.articulation
-        }
-        return ReachTable(
-            articulation=self.articulation, probs=probs, sample_count=n, alpha=self.alpha
-        )
+        probs = {v: counts[i] / n for i, v in enumerate(self._verts) if v != av}
+        return ReachTable(articulation=av, probs=probs, sample_count=n, alpha=self.alpha)
 
     def rows(self, sizes: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every member's (p, lo, hi) as arrays over ``sizes``: element j is
-        that member's ``table(sizes[j]).rows`` entry, bit for bit."""
+        """Every member's (p, lo, hi) as arrays over ``sizes``: element j is its
+        row in the table of the first ``sizes[j]`` worlds, bit for bit."""
         n = np.array(sizes, dtype=np.int64)
         counts = np.array([self._counts(k) for k in sizes], dtype=np.int64).T
         p = counts / n
@@ -248,14 +261,14 @@ class IncrementalComponentSampler:
 class FTree:
     """Mutable component tree rooted at the query vertex.
 
-    One writer at a time; probes never change its structure.  The kept
-    state (``_Kept``, see the module docstring) holds the tree's last
-    evaluation, the leaf candidates' terms once ``leaf_terms`` asked for
-    them and, when probed with a memo, the trial tree of every cycle
-    candidate whose probe finished with full tables, with the leaf edges
-    committed since: a re-probe under the same ``SamplerConfig`` replays
-    those leaves on its trial.  The candidate edges, once asked for
-    (``candidates``), sit beside it.  Both serve one graph (``_use_graph``).
+    One writer at a time; probes never change its structure or its tables.
+    The kept state (``_Kept``, see the module docstring) holds the tree's
+    last evaluation, the leaf candidates' terms once ``leaf_terms`` asked
+    for them, the subtree masses cycle probes score from and, with a memo,
+    each probed cycle candidate's ring and table, scored again over the
+    current masses when re-probed under the same ``SamplerConfig``.  The
+    candidate edges (``candidates``) sit beside it; both serve one graph
+    (``_use_graph``).
     """
 
     def __init__(self, q: int):
@@ -280,9 +293,9 @@ class FTree:
         return cid
 
     def copy(self) -> "FTree":
-        """Independent tree sharing only the immutable reach tables.  It keeps
-        no state: its first evaluation is from scratch, and it has no
-        candidates and no cycle probes."""
+        """Independent tree sharing only the immutable reach tables (probes
+        need none).  It keeps no state: its first evaluation is from
+        scratch, and it has no candidates and no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
@@ -370,7 +383,7 @@ class FTree:
         fresh: Optional[int] = None
         if att_u and att_v:
             self._kept = None
-            case = self._close_cycle(u, v, e)
+            case = self._close_cycle(*self._plan_cycle(u, v, e))
         else:
             attach, fresh = (u, v) if att_u else (v, u)
             case = self._attach_leaf(e, attach, fresh, prob)
@@ -378,10 +391,8 @@ class FTree:
         self.selected_edges.add(e)
         if self._cands is not None:
             self._advance_candidates(e, fresh)
-        kept = self._kept
-        if kept is not None:
+        if self._kept is not None:
             # A leaf insert into an evaluated, hence clean, tree.
-            kept.leaves.append(e)
             return InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
@@ -411,13 +422,16 @@ class FTree:
     def _attach_leaf(self, e: Edge, attach: int, fresh: int, prob: float) -> str:
         """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by the
         edge ``e``.  The kept evaluation, if any, gains the new vertex's
-        factor, triple and term in place."""
+        factor, triple, hang and term in place and drops its masses."""
         kept = self._kept
         if kept is not None:
             [(_, f, t, term)] = self._leaf_terms([e])
             kept.factors[fresh] = f
             kept.triples[fresh] = t
+            kept.rank[fresh] = len(kept.hangs)
+            kept.hangs.append((kept.rank[attach], (prob, prob, prob)))
             kept.estimate = self.leaf_estimate(kept.estimate, term)
+            kept.masses = None
         cid = self.component_of_vertex(attach)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
@@ -517,199 +531,136 @@ class FTree:
         candidates.
         """
         edges = self.candidates(graph)
-        kept = self._kept
-        if kept is None:
-            kept = self._evaluate(graph)
+        kept = self._kept or self._evaluate(graph)
         if kept.terms is None:
             kept.terms = {e: term for e, _, _, term in self._leaf_terms(edges)}
         return kept.estimate, kept.terms
 
-    def _close_cycle(self, u: int, v: int, e: Edge) -> str:
-        """Cases III and IV: fold the cycle the edge ``e`` between attached
-        vertices u and v closes into one bi component.
+    def _plan_cycle(self, u: int, v: int, e: Edge) -> tuple[_Parts, BiComponent, str]:
+        """Cases III and IV, read only: what folding the cycle the edge ``e``
+        between attached vertices u and v closes into one bi component takes.
 
         The cycle climbs from each endpoint's component to the two
         components' lowest common ancestor.  Every component it passes gives
         up its part on the cycle: a bi component all of itself, a mono
         component the path between the two vertices where the cycle enters
-        it.  The last part taken becomes the ring: it gains the other parts'
-        members and edges plus ``e`` and turns dirty.
+        it.  Returns the parts, each a component id with the path cut out
+        of a mono component and the vertex the path hangs off (None and the
+        articulation vertex for a bi component); the ring, a new dirty bi
+        component holding every part's members and edges plus ``e`` that
+        drains through the last part's vertex; and the case.
         """
         cid_u, cid_v = self.component_of_vertex(u), self.component_of_vertex(v)
         anc = cid_u if cid_u == cid_v else self.lowest_common_ancestor(cid_u, cid_v)
-        parts: list[int] = []
-        split: list[bool] = []
+        parts: _Parts = []
+        members: set[int] = set()
+        edges = {e}
 
         def take(cid: int, a: int, b: int) -> None:
-            mono = isinstance(self.components[cid], MonoComponent)
-            parts.append(self._split_mono(cid, a, b) if mono else cid)
-            split.append(mono)
+            comp = self.components[cid]
+            if isinstance(comp, BiComponent):
+                parts.append((cid, None, comp.articulation))
+                members.update(comp.members)
+                edges.update(comp.internal_edges)
+            else:
+                path, wedge = self._split_mono(cid, a, b)
+                parts.append((cid, path, wedge))
+                members.update(path)
+                edges.update(canonical_edge(x, comp.parent_edges[x][0]) for x in path)
 
         def climb(cid: int, entry: int) -> int:
             while cid != anc:
                 av = self.components[cid].articulation
-                # Read before take(), which may delete the component.
-                pid = self.parent_of(cid)
                 take(cid, entry, av)
-                entry, cid = av, pid  # type: ignore[assignment]
+                entry, cid = av, self.parent_of(cid)  # type: ignore[assignment]
             return entry
 
         entry_u, entry_v = climb(cid_u, u), climb(cid_v, v)
-        below = any(split)
+        below = any(path is not None for _, path, _ in parts)
         if entry_u != entry_v:
             take(anc, entry_u, entry_v)
-        *absorbed, ring_id = parts
-        ring = self.components[ring_id]
-        assert isinstance(ring, BiComponent)
-        for cid in absorbed:
-            part = self.components.pop(cid)
-            assert isinstance(part, BiComponent)
-            ring.members |= part.members
-            ring.internal_edges |= part.internal_edges
-            for x in part.members:
-                self.vertex_index[x] = ring_id
-        ring.internal_edges.add(e)
-        ring.reach = None
-        if not absorbed:
-            return "IIIb" if split[0] else "IIIa"
-        return "IVc-composite" if below else "IVb"
+        ring = BiComponent(members, articulation=parts[-1][2], internal_edges=edges)
+        if len(parts) == 1:
+            case = "IIIb" if parts[0][1] is not None else "IIIa"
+        else:
+            case = "IVc-composite" if below else "IVb"
+        return parts, ring, case
 
-    def _split_mono(self, comp_id: int, v_src: int, v_dest: int) -> int:
-        """Cut the path between v_src and v_dest out of a mono component.
+    def _close_cycle(self, parts: _Parts, ring: BiComponent, case: str) -> str:
+        """Apply a plan (see ``_plan_cycle``): the ring joins the tree as a
+        new component, every part gives up its members to it, and a
+        component left empty goes (the ring takes the root's place).
+        Members a mono part's path cut off regroup into new mono components
+        hanging off the path vertex their old path crossed first, in member
+        order; members are listed after their parents, so one pass groups
+        them: a member joins its parent's group, or the parent's own if the
+        parent is on the path.  Returns the case."""
+        ring_id = self._add_component(ring)
+        for cid, path, wedge in parts:
+            comp = self.components[cid]
+            if isinstance(comp, MonoComponent):
+                cut = set(path)
+                group_of: dict[int, Optional[int]] = dict.fromkeys((wedge, comp.articulation))
+                groups: dict[int, list[int]] = {}  # by anchor; group_of None: stays
+                for m, (parent, _) in comp.parent_edges.items():
+                    if m not in cut and m not in group_of:
+                        group_of[m] = anchor = parent if parent in cut else group_of[parent]
+                        if anchor is not None:
+                            groups.setdefault(anchor, []).append(m)
+                for x in path:
+                    del comp.parent_edges[x]
+                for anchor in sorted(groups):
+                    group = {m: comp.parent_edges.pop(m) for m in groups[anchor]}
+                    mid = self._add_component(MonoComponent(anchor, group))
+                    self.vertex_index.update(dict.fromkeys(group, mid))
+                if comp.parent_edges:
+                    continue
+            del self.components[cid]
+            if cid == self.root_id:
+                self.root_id = ring_id
+        self.vertex_index.update(dict.fromkeys(ring.members, ring_id))
+        return case
 
-        The first vertex common to both paths toward the articulation vertex
-        anchors a new bi component holding the path's other vertices and its
-        tree edges, for the caller to close into a cycle; members cut off
-        from the articulation vertex regroup into new mono components
-        hanging off the path vertex their old path crossed first, in the
-        old component's member order.  Returns the new component's id; it
-        has no reach table yet.
-        """
-        if not isinstance(self.components[comp_id], MonoComponent):
-            raise FTreeError("_split_mono requires a mono component")
+    def _split_mono(self, comp_id: int, v_src: int, v_dest: int) -> tuple[list[int], int]:
+        """Where a cycle through v_src and v_dest cuts a mono component: the
+        path between them, without the first vertex common to both paths
+        toward the articulation vertex, and that vertex, which the path
+        hangs off."""
         comp = self.components[comp_id]
+        if not isinstance(comp, MonoComponent):
+            raise FTreeError("_split_mono requires a mono component")
         path_src = comp.path_to_articulation(v_src)
         path_dest = comp.path_to_articulation(v_dest)
         dest_set = set(path_dest)
         wedge = next(x for x in path_src if x in dest_set)
-        cycle = path_src[: path_src.index(wedge)] + path_dest[: path_dest.index(wedge)]
-        cycle_set = set(cycle)
-        bi_edges: set[Edge] = set()
-        for x in cycle:
-            parent, _ = comp.parent_edges[x]
-            bi_edges.add(canonical_edge(x, parent))
-
-        bi = BiComponent(members=cycle_set, articulation=wedge, internal_edges=bi_edges)
-        bi_id = self._add_component(bi)
-        orphan_groups = self._classify_orphans(comp, cycle_set, stop={wedge, comp.articulation})
-        self._detach_members(comp, cycle_set, bi_id)
-        for anchor in sorted(orphan_groups):
-            group = orphan_groups[anchor]
-            mid = self._add_component(MonoComponent(anchor, {m: comp.parent_edges[m] for m in group}))
-            self._detach_members(comp, group, mid)
-        if not comp.parent_edges:
-            del self.components[comp_id]
-            if comp_id == self.root_id:
-                self.root_id = bi_id
-        return bi_id
-
-    def _classify_orphans(
-        self, comp: MonoComponent, removed: set[int], stop: set[int]
-    ) -> dict[int, list[int]]:
-        """Group remaining members by the first removed vertex on their old
-        path toward the articulation vertex; members reaching a stop vertex
-        first stay put.  Members are listed after their parents, so one pass
-        suffices: a member joins its parent's group, or the parent's own
-        group if the parent was removed."""
-        group_of: dict[int, Optional[int]] = dict.fromkeys(stop)  # None: stays
-        groups: dict[int, list[int]] = {}
-        for m, (parent, _) in comp.parent_edges.items():
-            if m in removed or m in stop:
-                continue
-            anchor = parent if parent in removed else group_of[parent]
-            group_of[m] = anchor
-            if anchor is not None:
-                groups.setdefault(anchor, []).append(m)
-        return groups
-
-    def _detach_members(self, comp: MonoComponent, moved: Iterable[int], new_cid: int) -> None:
-        for x in moved:
-            del comp.parent_edges[x]
-            self.vertex_index[x] = new_cid
+        return path_src[: path_src.index(wedge)] + path_dest[: path_dest.index(wedge)], wedge
 
     # ------------------------------------------------------------------
     # sampling upkeep
     # ------------------------------------------------------------------
 
     def refresh(
-        self,
-        graph: ProbabilisticGraph,
-        cfg: SamplerConfig,
-        memo: Optional[MemoStore] = None,
-        stop: Optional[Callable[[FlowEstimate], bool]] = None,
-    ) -> Optional[FlowEstimate]:
+        self, graph: ProbabilisticGraph, cfg: SamplerConfig, memo: Optional[MemoStore] = None
+    ) -> None:
         """Renew every dirty component's reach table.
 
         A table memoized under ``cfg`` is reused; every other dirty
-        component draws its full budget in one call and its finished table
-        is stored in ``memo`` under ``cfg``, and None is returned.
-        With ``stop``, the tree's expected flow over the tables of the first
-        ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and finally over the full
-        tables is offered to ``stop`` in that order.  The first estimate it
-        accepts is returned at once, with that round's tables left on the
-        components and kept out of the memo.  Renewing a table drops the
-        tree's kept state.
+        component draws its full budget in one call and its table is stored
+        in ``memo`` under ``cfg``.  Renewing a table drops the tree's kept
+        state.
         """
-        samplers: _Sampled = []
         for cid in self.dirty_components():
             self._kept = None
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
             table = memo.lookup(cfg, comp.signature()) if memo is not None else None
-            if table is not None:
-                comp.reach = table
-            else:
-                samplers.append((cid, comp, IncrementalComponentSampler(graph, comp, cfg)))
-        if not samplers:
-            return None
-        for _, _, sampler in samplers:
-            sampler.draw(cfg.samples)
-        if stop is not None:
-            sizes = range(CI_BATCH, cfg.samples, CI_BATCH)
-            for n, est in zip(sizes, self._round_estimates(graph, samplers, sizes)):
-                if stop(est):
-                    self._set_tables(samplers, n)
-                    return est
-        self._set_tables(samplers, cfg.samples)
-        if stop is not None:
-            est = self.expected_flow(graph)
-            if stop(est):
-                return est
-        if memo is not None:
-            for _, comp, sampler in samplers:
-                memo.store(cfg, sampler.signature, comp.reach)
-        return None
-
-    def _set_tables(self, samplers: _Sampled, n: int) -> None:
-        for _, comp, sampler in samplers:
-            comp.reach = sampler.table(n)
-
-    def _round_estimates(
-        self, graph: ProbabilisticGraph, samplers: _Sampled, sizes: Sequence[int]
-    ) -> list[FlowEstimate]:
-        """The estimate ``expected_flow`` would give with every sampled
-        component carrying the table of its first n worlds, for each n in
-        ``sizes``, in one walk: the sampled components' factors are arrays
-        over the rounds, and every element goes through the float operations
-        of a scalar evaluation in the same order."""
-        if not sizes:
-            return []
-        rounds = {cid: sampler.rows(sizes) for cid, _, sampler in samplers}
-        _, _, samples_used, (mean, lb, ub) = self._walk(graph, rounds)
-        return [
-            FlowEstimate(mean=m, lb=lo, ub=hi, samples_used=min(samples_used, n))
-            for m, lo, hi, n in zip(mean.tolist(), lb.tolist(), ub.tolist(), sizes)
-        ]
+            if table is None:
+                sampler = IncrementalComponentSampler(graph, comp, cfg)
+                sampler.draw(cfg.samples)
+                table = sampler.table()
+                if memo is not None:
+                    memo.store(cfg, sampler.signature, table)
+            comp.reach = table
 
     # ------------------------------------------------------------------
     # evaluation
@@ -724,37 +675,21 @@ class FTree:
         tree's kept evaluation is returned when it has one for ``graph``.
         """
         self._use_graph(graph)
-        kept = self._kept
-        if kept is None:
-            kept = self._evaluate(graph)
-        return kept.estimate
+        return (self._kept or self._evaluate(graph)).estimate
 
     def _evaluate(self, graph: ProbabilisticGraph) -> _Kept:
         """Evaluate the whole tree and keep the result as a new kept state;
-        the caller has made ``graph`` the one the tree serves."""
-        triples, factors, samples_used, (mean, lb, ub) = self._walk(graph, {})
-        est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
-        self._kept = _Kept(est, triples, factors)
-        return self._kept
-
-    def _walk(
-        self, graph: ProbabilisticGraph, rounds: dict[int, dict]
-    ) -> tuple[dict, dict[int, float], int, tuple]:
-        """Every attached vertex's (mean, lb, ub) reach factor to the query
-        vertex, every mono member's path factor to its articulation vertex,
-        the fewest worlds behind any reach table read, and the weighted
-        (mean, lb, ub) sums, in one pass in ``vertex_index`` (attach) order.
-        A vertex comes after its articulation vertex and its mono parent,
-        whose factors it multiplies (see the module docstring).
-
-        A bi component listed in ``rounds`` contributes the (p, lo, hi) rows
-        given there instead of its table's; any other without a table raises
+        the caller has made ``graph`` the one the tree serves.  One pass in
+        attach order (see the module docstring) gives every reach triple,
+        mono path factor and hang, the weighted sums and the fewest worlds
+        behind any reach table read.  A dirty bi component raises
         DirtyComponentError.
         """
         weights, comps = graph.weights, self.components
-        triples: dict[int, tuple] = {self.q: (1.0, 1.0, 1.0)}
+        triples: dict[int, tuple[float, float, float]] = {self.q: (1.0, 1.0, 1.0)}
         factors: dict[int, float] = {}
-        rows_of = dict(rounds)
+        rank = {self.q: 0}
+        hangs: list[tuple[int, tuple[float, float, float]]] = [(0, (1.0, 1.0, 1.0))]
         samples_used = EXACT_SAMPLES
         mean = lb = ub = weights[self.q]
         for v, cid in self.vertex_index.items():
@@ -765,23 +700,69 @@ class FTree:
                 parent, prob = comp.parent_edges[v]
                 f = (factors[parent] if parent != av else 1.0) * prob
                 factors[v] = f
+                hangs.append((rank[parent], (prob, prob, prob)))
                 t = (f * base[0], f * base[1], f * base[2])
             else:
-                rows = rows_of.get(cid)
-                if rows is None:
-                    table = comp.reach
-                    if table is None:
-                        raise DirtyComponentError("expected_flow called with stale components")
-                    samples_used = min(samples_used, table.sample_count)
-                    rows = rows_of[cid] = table.rows
-                p, lo, hi = rows[v]
+                table = comp.reach
+                if table is None:
+                    raise DirtyComponentError("expected_flow called with stale components")
+                samples_used = min(samples_used, table.sample_count)
+                hangs.append((rank[av], table.rows[v]))
+                p, lo, hi = hangs[-1][1]
                 t = (p * base[0], lo * base[1], hi * base[2])
             triples[v] = t
+            rank[v] = len(rank)
             w = weights[v]
             mean += t[0] * w
             lb += t[1] * w
             ub += t[2] * w
-        return triples, factors, samples_used, (mean, lb, ub)
+        est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
+        self._kept = _Kept(est, triples, factors, rank, hangs)
+        return self._kept
+
+    def _ring_flow(self, ring: list[tuple[int, int]], r: int, rows: Mapping[int, tuple]) -> tuple:
+        """The (mean, lb, ub) flow of this tree once a cycle folds ``ring``,
+        its members' (attach position, vertex) pairs in attach order, into a
+        bi component hanging off r with reach rows ``rows``, by the module
+        docstring's sums in that order: floats, or arrays over rounds when
+        ``rows`` holds arrays."""
+        kept = self._kept
+        hangs = kept.hangs
+        if kept.masses is None:
+            # One pass in reverse attach order adds each g(v)·M(v) to M(h(v))
+            # after all that hangs off v was added to M(v).
+            w = self._graph.weights
+            m0 = [w[v] for v in kept.rank]
+            m1, m2 = m0[:], m0[:]
+            for i in range(len(hangs) - 1, 0, -1):
+                h, g = hangs[i]
+                m0[h] += g[0] * m0[i]
+                m1[h] += g[1] * m1[i]
+                m2[h] += g[2] * m2[i]
+            kept.masses = m0, m1, m2
+        m0, m1, m2 = kept.masses
+        # The sums regrouped by member y: M(y)·(g′(y) − g′(h(y))·g(y)), g′(r) = 1.
+        new = {i: rows[x] for i, x in ring}
+        one = (1.0, 1.0, 1.0)
+        d0 = d1 = d2 = 0.0
+        for i, p in new.items():
+            h, g = hangs[i]
+            c = new.get(h, one)
+            d0 += m0[i] * (p[0] - c[0] * g[0])
+            d1 += m1[i] * (p[1] - c[1] * g[1])
+            d2 += m2[i] * (p[2] - c[2] * g[2])
+        t, base = kept.triples[r], kept.estimate
+        return base.mean + t[0] * d0, base.lb + t[1] * d1, base.ub + t[2] * d2
+
+    def _ring_samples(self, ring: list[tuple[int, int]], n: int) -> int:
+        """The fewest worlds behind any table of the grown tree, whose ring
+        table has ``n``: the tables outside the ring stay, and the fewest
+        worlds behind them is at least the tree's own."""
+        if n <= self._kept.estimate.samples_used:
+            return n
+        inside = {x for _, x in ring}
+        bis = [c for c in self.components.values() if isinstance(c, BiComponent)]
+        return min([n] + [c.reach.sample_count for c in bis if c.members.isdisjoint(inside)])
 
     def probe_edge(
         self,
@@ -792,47 +773,58 @@ class FTree:
         stop: Optional[Callable[[FlowEstimate], bool]] = None,
     ) -> tuple[FlowEstimate, InsertReport]:
         """Flow and insert report of a hypothetical insertion, leaving this
-        tree untouched.
+        tree, its tables and its evaluation untouched (a tree with no kept
+        evaluation is evaluated first; a dirty one raises).
 
-        The edge is inserted into a copy whose dirty components ``refresh``
-        renews, offering ``stop`` its round estimates; the estimate ``stop``
-        accepted is returned, else the full-budget one.  A selection run
-        probes only cycle edges (both endpoints attached) here and reads
-        leaf edges' estimates from ``leaf_terms``, without the copy.
+        A leaf edge's estimate is ``leaf_estimate`` of the kept estimate and
+        its term.  A cycle edge is planned (``_plan_cycle``) and scored from
+        the subtree masses by the module docstring's formula, which agrees
+        with an insert into a copy up to rounding.  Its ring's table comes
+        from ``memo`` or is drawn from the stream a commit would draw.  A
+        drawn table's estimates over its first ``CI_BATCH``, 2·``CI_BATCH``,
+        ... worlds and over all of them are offered to ``stop`` in that
+        order; the first one it accepts is returned at once and its table
+        kept out of the memo.  A memoized table is offered nothing.
 
-        With a memo and a kept evaluation, a cycle probe that ends with full
-        tables keeps its trial tree in the tree's kept state, and a later
-        probe of the same edge under the same ``cfg`` replays the leaves
-        committed since on that trial.  Anything else this tree went through
-        (a cycle-forming insert, a renewed table, another graph) would have
-        dropped the kept state and the trial with it, so the replayed trial
-        has the blocks, tables and vertex order of this tree plus the edge.
-        Its tables are the memo's own for ``cfg``, so a fresh probe would
-        find all of them in the memo and never offer ``stop`` an estimate:
-        the replay gives the fresh probe's estimate bit for bit, given a
-        memo that serves one graph (see MemoStore).
-        The report names the kept trial's component ids, which can differ
-        from the ones a fresh copy would allocate.
+        With a memo, a probe that ends with a full table keeps the ring, its
+        table and report; a re-probe under the same ``cfg`` scores them over
+        the current masses, as a fresh probe would, bit for bit.  The report
+        names the ring by the id a commit would give it when first probed.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
-        kept = self._kept
-        keep = att_u and att_v and kept is not None and memo is not None
+        kept = self._kept or self._evaluate(graph)
+        if not (att_u and att_v):
+            [(_, _, _, term)] = self._leaf_terms([e])
+            comp = self.components[self.component_of_vertex(e[0] if att_u else e[1])]
+            case = "IIa" if isinstance(comp, MonoComponent) else "IIb"
+            return self.leaf_estimate(kept.estimate, term), InsertReport(case, (), 0)
         key = (e, cfg)
-        if keep and key in kept.trials:
-            trial, report, replayed = kept.trials[key]
-            for leaf in kept.leaves[replayed:]:
-                trial.insert_edge(graph, leaf, cfg, memo)
-            kept.trials[key] = (trial, report, len(kept.leaves))
-            return trial.expected_flow(graph), report
-        trial = self.copy()
-        report = trial.insert_edge(graph, e, cfg, memo, defer_sampling=True)
-        est = trial.refresh(graph, cfg, memo, stop)
-        if est is not None:
-            return est, report
-        if keep:
-            kept.trials[key] = (trial, report, len(kept.leaves))
-        return trial.expected_flow(graph), report
+        kept_ring = kept.rings.get(key) if memo is not None else None
+        if kept_ring is None:
+            _, comp, case = self._plan_cycle(*e, e)
+            ring, r = sorted((kept.rank[x], x) for x in comp.members), comp.articulation
+            report = InsertReport(case, (self._next_id,), len(comp.internal_edges))
+            table = memo.lookup(cfg, comp.signature()) if memo is not None else None
+            if table is None:
+                sampler = IncrementalComponentSampler(graph, comp, cfg)
+                sampler.draw(cfg.samples)
+                if stop is not None:
+                    sizes = [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
+                    flows = self._ring_flow(ring, r, sampler.rows(sizes))
+                    for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
+                        est = FlowEstimate(*flow, self._ring_samples(ring, n))
+                        if stop(est):
+                            return est, report
+                table = sampler.table()
+                if memo is not None:
+                    memo.store(cfg, sampler.signature, table)
+            kept_ring = (ring, r, table, report)
+            if memo is not None:
+                kept.rings[key] = kept_ring
+        ring, r, table, report = kept_ring
+        flow = self._ring_flow(ring, r, table.rows)
+        return FlowEstimate(*flow, self._ring_samples(ring, table.sample_count)), report
 
     # ------------------------------------------------------------------
     # diagnostics

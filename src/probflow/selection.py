@@ -126,8 +126,8 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     candidate's (one endpoint attached) term over its kept evaluation
     (``FTree.leaf_terms``) across iterations; only cycle candidates are
     probed (``FTree.probe_edge``).  The best leaf is the one with the
-    largest mean, ties going to the smallest edge, and an estimate is built
-    only for the committed edge.
+    largest mean, ties going to the smallest edge.  The flow recorded for
+    the committed edge is the live tree's own after the insert.
 
     Variant flags: ``_m`` reuses sampled reach tables across probes keyed by
     component identity, ``_ci`` stops sampling candidates that are interval-
@@ -176,9 +176,8 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         if terms:
             ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
         _, best = min(ranked)
-        t = terms.get(best)
-        best_est = tree.leaf_estimate(base, t) if t is not None else probes[best][0]
         report = tree.insert_edge(graph, best, cfg.sampler, memo)
+        best_est = tree.expected_flow(graph)
         selected.append(best)
         trace.append(
             IterationRecord(

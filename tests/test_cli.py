@@ -319,6 +319,24 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("c=2,0.5", "ds_c must be > 1"),
+        ("k=20,0", "budget must be >= 1"),
+    ], ids=["c", "k"])
+    def test_bad_sweep_point_rejected_before_selecting(
+        self, tmp_path, capsys, monkeypatch, sweep, message
+    ):
+        # A sweep whose later point is invalid runs no selection at all.
+        calls = []
+        monkeypatch.setattr("probflow.cli.run_strategy", lambda *args: calls.append(args))
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", "partitioned", "--n", "40", "--deg", "4",
+                   "--variants", "ft,ft_m_ds", "--sweep", sweep, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 2

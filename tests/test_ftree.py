@@ -25,6 +25,7 @@ from probflow import (
     new_ftree,
     normal_quantile,
 )
+from probflow.ftree import IncrementalComponentSampler
 from probflow.sampling import CI_BATCH
 from util import (
     BASE_ORDER,
@@ -376,11 +377,14 @@ class TestExpectedFlow:
 
 class TestProbe:
     def test_probe_then_insert_identical(self):
+        # The probe scores the ring from masses; the insert evaluates the
+        # grown tree.  They agree up to rounding, and the insert reports
+        # what the probe reported.
         g = running_example_graph()
         tree = build_base_tree(g)
         est, report = tree.probe_edge(g, (14, 15), CFG)
-        tree.insert_edge(g, (14, 15), CFG)
-        assert tree.expected_flow(g) == est
+        assert tree.insert_edge(g, (14, 15), CFG) == report
+        assert_close(est, tree.expected_flow(g))
 
     def test_probe_does_not_mutate(self):
         g = running_example_graph()
@@ -392,10 +396,12 @@ class TestProbe:
         assert tree.expected_flow(g) == before_est
 
     def test_probes_of_every_candidate_do_not_mutate(self):
-        # A leaf probe reads the base tree's kept evaluation and a cycle
-        # probe works on a copy; either way each probe, plain and stop-
-        # checked, gives what an insert into a copy gives and leaves the
-        # base tree's structure, tables and evaluation exactly as they were.
+        # Each probe, plain and stop-checked, leaves the tree's structure,
+        # tables and evaluation exactly as they were.  A leaf probe is
+        # ``leaf_estimate`` of its kept term, bit for bit; a cycle probe
+        # agrees with an insert into a copy up to rounding and reports what
+        # that insert reports, and a stop that fires at once returns the
+        # first round's estimate.
         rng = random.Random(2024)
         cfg = SamplerConfig(samples=300, master_seed=12)
         cases = set()
@@ -411,25 +417,28 @@ class TestProbe:
             for e in sorted(set(g.edges) - tree.selected_edges):
                 if not (tree.is_attached(e[0]) or tree.is_attached(e[1])):
                     continue
+                stopped, stopped_report = tree.probe_edge(g, e, cfg, memo, stop=lambda est: True)
                 probe = tree.copy()
                 report = probe.insert_edge(g, e, cfg, memo)
-                assert tree.probe_edge(g, e, cfg, memo) == (probe.expected_flow(g), report)
-                stopped = tree.copy()
-                report = stopped.insert_edge(g, e, cfg, memo, defer_sampling=True)
-                est = stopped.refresh(g, cfg, memo, stop=lambda est: True)
-                est = stopped.expected_flow(g) if est is None else est
-                assert tree.probe_edge(g, e, cfg, memo, stop=lambda est: True) == (est, report)
+                est, probe_report = tree.probe_edge(g, e, cfg, memo)
+                assert report == probe_report == stopped_report
+                if report.components_resampled:
+                    assert_close(est, probe.expected_flow(g))
+                    assert stopped.samples_used == CI_BATCH
+                else:
+                    base, terms = tree.leaf_terms(g)
+                    assert est == stopped == tree.leaf_estimate(base, terms[e])
                 cases.add(report.case_taken)
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
 
     def test_kept_probes_match_fresh_probes(self):
         # Before every commit each candidate is probed plain and stop-checked,
-        # on the tree (which keeps cycle probes and replays leaves on them)
-        # and on a copy of a twin tree fed the same calls with its own memo.
-        # Estimates agree bit for bit, reports up to the trial's component
-        # ids, and after every probe both memos hold the same keys in the
-        # same order.
+        # on the tree (which keeps cycle probes and scores them again over
+        # the current masses) and on a copy of a twin tree fed the same calls
+        # with its own memo.  Estimates agree bit for bit, reports up to the
+        # ring's component id, and after every probe both memos hold the
+        # same keys in the same order.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
 
@@ -441,31 +450,34 @@ class TestProbe:
                 b.case_taken, b.edges_sampled_count, len(b.components_resampled)
             )
 
-        replays = 0
+        rescored = 0
         for trial in range(25):
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
             memo, twin_memo = MemoStore(), MemoStore()
             tree, twin = new_ftree(0), new_ftree(0)
+            after_leaf = False
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                     for check in (None, stop):
-                        kept = tree._kept.trials.get((c, cfg)) if tree._kept else None
-                        replays += kept is not None and kept[2] < len(tree._kept.leaves)
+                        # Kept before the last commit, which was a leaf.
+                        rescored += check is None and after_leaf and (c, cfg) in tree._kept.rings
                         est, report = tree.probe_edge(g, c, cfg, memo, check)
                         twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
                         assert est == twin_est
                         same_report(report, twin_report)
                         assert list(memo._entries) == list(twin_memo._entries)
+                after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 same_report(tree.insert_edge(g, e, cfg, memo), twin.insert_edge(g, e, cfg, twin_memo))
                 assert list(memo._entries) == list(twin_memo._entries)
                 assert tree.expected_flow(g) == twin.expected_flow(g)
-        assert replays > 100
+        assert rescored > 100
 
-    @pytest.mark.parametrize("use_memo, copies", [(True, 0), (False, 1)], ids=["memo", "no-memo"])
-    def test_cycle_reprobe_after_leaf_commit_copies(self, monkeypatch, use_memo, copies):
-        # A memoized re-probe of a cycle candidate after a leaf commit
-        # replays the leaf on the kept trial instead of copying the tree.
+    @pytest.mark.parametrize("use_memo", [True, False], ids=["memo", "no-memo"])
+    def test_cycle_reprobe_after_leaf_commit_copies(self, monkeypatch, use_memo):
+        # No probe copies the tree: a re-probe of a cycle candidate after a
+        # leaf commit scores the ring over the new masses, memoized or not,
+        # and gives what a fresh probe of a copy gives, bit for bit.
         g = running_example_graph()
         tree = build_base_tree(g)
         memo = MemoStore() if use_memo else None
@@ -475,7 +487,7 @@ class TestProbe:
         copy = type(tree).copy
         monkeypatch.setattr(type(tree), "copy", lambda self: calls.append(1) or copy(self))
         est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
-        assert len(calls) == copies
+        assert calls == []
         assert est != first
         assert est == tree.copy().probe_edge(g, (14, 15), CFG, memo)[0]
 
@@ -505,11 +517,9 @@ class TestProbe:
         tree = new_ftree(0)
         tree.insert_edge(g, (0, 1), CFG, memo)
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
-        assert report.case_taken in ("IIa", "IIb") and tree._kept.trials == {}
+        assert report.case_taken in ("IIa", "IIb") and tree._kept.rings == {}
         base, terms = tree.leaf_terms(g)
-        t = terms[(1, 2)]
-        assert (base.mean + t[0], base.lb + t[1], base.ub + t[2]) == (est.mean, est.lb, est.ub)
-        assert base.samples_used == est.samples_used
+        assert est == tree.leaf_estimate(base, terms[(1, 2)])
         tree.insert_edge(g, (0, 2), CFG, memo)
         assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
@@ -601,6 +611,113 @@ def hexed(values):
     return tuple(v.hex() for v in values)
 
 
+def assert_close(est, ref, rel=1e-12):
+    """Mean, lb and ub agree within ``rel`` relative; equal worlds used."""
+    for a, b in zip((est.mean, est.lb, est.ub), (ref.mean, ref.lb, ref.ub)):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)), (est, ref)
+    assert est.samples_used == ref.samples_used
+
+
+def grown_flow(tree, g, e, cfg, worlds=None):
+    """The reference a cycle probe of ``e`` must agree with: insert ``e``
+    into a copy of ``tree``, give its new ring the table of the ring's
+    first ``worlds`` worlds (all of them by default) and evaluate it.
+    Returns that estimate, the insert's report and the ring's signature."""
+    ref = tree.copy()
+    report = ref.insert_edge(g, e, cfg, defer_sampling=True)
+    [ring] = [ref.components[cid] for cid in ref.dirty_components()]
+    sampler = IncrementalComponentSampler(g, ring, cfg)
+    sampler.draw(worlds or cfg.samples)
+    ring.reach = sampler.table()
+    return ref.expected_flow(g), report, ring.signature()
+
+
+class TestRingFormula:
+    """Cycle probes are scored from subtree masses without growing a tree;
+    they agree with growing a copy and evaluating it."""
+
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_probes_match_grown_copies(self, use_memo):
+        # Random trees grown edge by edge.  Before every commit each
+        # candidate is probed: a leaf must equal ``leaf_estimate`` of its
+        # kept term bit for bit.  A cycle is probed with a recording stop
+        # that fires at a random round or never, then plain; every round
+        # offered and the plain estimate must agree with a copy grown by the
+        # edge whose ring carries that round's table or the full one, within
+        # 1e-12 relative on mean, lb and ub, with equal worlds used.  A
+        # memoized table is offered nothing, and a table whose stop fired
+        # is not stored.  The probed tree's dump, tables and evaluation stay
+        # as they were.
+        rng = random.Random(5150)
+        cfg = SamplerConfig(samples=300, master_seed=21)
+        sizes = [CI_BATCH, 2 * CI_BATCH, 3 * CI_BATCH]
+        cases, offers, rescored = set(), set(), 0
+        for trial in range(30):
+            n = rng.randint(4, 11)
+            g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
+            memo = MemoStore() if use_memo else None
+            tree, after_leaf = new_ftree(0), False
+            for e in insertable_order(g, rng):
+                before = snapshot(tree, g)
+                for c in tree.candidates(g).copy():
+                    if tree.is_attached(c[0]) != tree.is_attached(c[1]):
+                        base, terms = tree.leaf_terms(g)
+                        assert tree.probe_edge(g, c, cfg, memo)[0] == tree.leaf_estimate(base, terms[c])
+                        continue
+                    ref, ref_report, sig = grown_flow(tree, g, c, cfg)
+                    kept = use_memo and (c, cfg) in tree._kept.rings
+                    rescored += kept and after_leaf
+                    hit = memo is not None and memo.lookup(cfg, sig) is not None
+                    stored = len(memo or ())
+                    stop_at, offered = rng.randint(1, len(sizes) + 1), []
+                    est, _ = tree.probe_edge(
+                        g, c, cfg, memo, lambda est: offered.append(est) or len(offered) == stop_at
+                    )
+                    if hit:
+                        assert offered == []
+                    else:
+                        assert len(offered) == min(stop_at, len(sizes))
+                        for got, worlds in zip(offered, sizes):
+                            assert_close(got, grown_flow(tree, g, c, cfg, worlds)[0])
+                        offers.add(len(offered))
+                        if stop_at <= len(sizes):
+                            assert est is offered[-1]
+                            assert len(memo or ()) == stored
+                    est, report = tree.probe_edge(g, c, cfg, memo)
+                    assert_close(est, ref)
+                    assert (report.case_taken, report.edges_sampled_count) == (
+                        ref_report.case_taken, ref_report.edges_sampled_count
+                    )
+                    if not kept:
+                        assert report == ref_report
+                    cases.add(report.case_taken)
+                assert snapshot(tree, g) == before
+                after_leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
+                tree.insert_edge(g, e, cfg, memo)
+        assert cases == {"IIIa", "IIIb", "IVb", "IVc-composite"}
+        assert offers == {1, 2, 3}
+        assert rescored > 0 or not use_memo
+
+    def test_worlds_used_count_only_the_tables_the_grown_tree_keeps(self):
+        # The triangle {0, 1, 2} is drawn with 200 worlds and the probes'
+        # rings with 400.  The ring (0, 3) closes takes the triangle in, so
+        # the grown tree has 400-world tables only; the ring (0, 5) closes
+        # leaves it, so 200 worlds remain the fewest.
+        g = ProbabilisticGraph.build(
+            6, [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.5), (2, 3, 0.8), (0, 3, 0.4),
+                (0, 4, 0.9), (4, 5, 0.6), (0, 5, 0.3)],
+            weights=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        )
+        tree = new_ftree(0)
+        for e in [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4), (4, 5)]:
+            tree.insert_edge(g, e, replace(CFG, samples=200))
+        wide = replace(CFG, samples=400)
+        for edge, worlds in [((0, 3), 400), ((0, 5), 200)]:
+            est, _ = tree.probe_edge(g, edge, wide)
+            assert_close(est, grown_flow(tree, g, edge, wide)[0])
+            assert est.samples_used == worlds
+
+
 class TestKeptEvaluation:
     """A tree's kept evaluation always equals a from-scratch evaluation."""
 
@@ -628,19 +745,18 @@ class TestKeptEvaluation:
             kept, replay = new_ftree(0), new_ftree(0)
             kept_memo, replay_memo = (MemoStore(), MemoStore()) if memo else (None, None)
             for e in insertable_order(g, rng):
-                replay._kept = None  # no kept state: replay evaluates from scratch
-                if stop_round is None:
-                    case = kept.insert_edge(g, e, cfg, kept_memo).case_taken
-                    replay.insert_edge(g, e, cfg, replay_memo)
-                else:
-                    case = kept.insert_edge(g, e, cfg, kept_memo, defer_sampling=True).case_taken
-                    replay.insert_edge(g, e, cfg, replay_memo, defer_sampling=True)
+                if stop_round is not None:
+                    # The edge is probed first, on the kept state and from scratch.
+                    replay._kept = None
                     kept_stop, kept_offered = self.stop_at(stop_round)
                     replay_stop, replay_offered = self.stop_at(stop_round)
-                    assert kept.refresh(g, cfg, kept_memo, kept_stop) == replay.refresh(
-                        g, cfg, replay_memo, replay_stop
+                    assert kept.probe_edge(g, e, cfg, kept_memo, kept_stop) == replay.probe_edge(
+                        g, e, cfg, replay_memo, replay_stop
                     )
                     assert kept_offered == replay_offered
+                replay._kept = None  # no kept state: replay evaluates from scratch
+                case = kept.insert_edge(g, e, cfg, kept_memo).case_taken
+                replay.insert_edge(g, e, cfg, replay_memo)
                 seen.add(case)
                 assert kept.expected_flow(g) == replay.expected_flow(g)
                 assert kept.expected_flow(g) == kept.copy().expected_flow(g)
@@ -771,12 +887,10 @@ class TestMemo:
 class TestIncrementalSampling:
     @pytest.mark.parametrize("chunk_budget", [None, 40], ids=["one-chunk", "ten-world-chunks"])
     def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
-        # A full-budget draw keeps every world, so the table of its first n
-        # worlds is the table of a fresh sampler that drew n worlds, and
-        # rows() gives each such table's rows element by element.  The full
-        # draw may span many chunks.
+        # A full-budget draw keeps every world, so rows() gives, element by
+        # element, the rows of a fresh sampler that drew n worlds, for each
+        # n asked.  The full draw may span many chunks.
         from probflow import sampling
-        from probflow.ftree import IncrementalComponentSampler
 
         g = running_example_graph()
         comp = BiComponent({7, 8, 9}, 6, {(6, 7), (7, 8), (8, 9), (6, 9)})
@@ -792,44 +906,35 @@ class TestIncrementalSampling:
         full = IncrementalComponentSampler(g, comp, cfg)
         full.draw(cfg.samples)
         rows = full.rows(sizes)
-        for j, n in enumerate(sizes):
-            table = full.table(n)
-            assert table == expected[j]
+        assert full.table() == expected[-1]
+        for j, table in enumerate(expected):
             for v in comp.members:
                 assert tuple(a[j] for a in rows[v]) == table.rows[v]
-        with pytest.raises(FTreeError):
-            full.table(cfg.samples + 1)
 
 
 class TestRefreshStop:
-    def trial(self, g):
-        tree = build_base_tree(g)
-        tree.insert_edge(g, (11, 15), CFG, defer_sampling=True)
-        assert tree.dirty_components()
-        return tree
+    """A stop-checked probe draws what a commit's plain refresh draws."""
+
+    EDGE = (11, 15)
 
     def test_stop_that_never_fires_matches_plain_refresh(self):
         g = running_example_graph()
-        plain, batched = self.trial(g), self.trial(g)
-        plain_memo, batched_memo = MemoStore(), MemoStore()
+        plain, batched, refreshed = (build_base_tree(g) for _ in range(3))
+        plain_memo, batched_memo, refreshed_memo = MemoStore(), MemoStore(), MemoStore()
         offered = []
-        assert plain.refresh(g, CFG, plain_memo) is None
-        assert batched.refresh(g, CFG, batched_memo, stop=lambda est: offered.append(est) or False) is None
+        est = plain.probe_edge(g, self.EDGE, CFG, plain_memo)
+        assert batched.probe_edge(
+            g, self.EDGE, CFG, batched_memo, stop=lambda est: offered.append(est) or False
+        ) == est
         assert len(offered) == CFG.samples // CI_BATCH
-        assert offered[-1] == plain.expected_flow(g) == batched.expected_flow(g)
-        _, plain_bis = components_by_kind(plain)
-        _, batched_bis = components_by_kind(batched)
-        assert {k: c.reach for k, c in plain_bis.items()} == {
-            k: c.reach for k, c in batched_bis.items()
-        }
-        assert len(plain_memo) == len(batched_memo) > 0
-        for comp in plain_bis.values():
-            sig = comp.signature()
-            assert batched_memo.lookup(CFG, sig) == plain_memo.lookup(CFG, sig)
+        assert offered[-1] == est[0]
+        refreshed.insert_edge(g, self.EDGE, CFG, refreshed_memo)
+        assert len(refreshed_memo) == 1
+        assert plain_memo._entries == batched_memo._entries == refreshed_memo._entries
 
     def test_stop_that_fires_returns_its_estimate_and_stores_nothing(self):
         g = running_example_graph()
-        tree = self.trial(g)
+        tree = build_base_tree(g)
         memo = MemoStore()
         offered = []
 
@@ -837,15 +942,15 @@ class TestRefreshStop:
             offered.append(est)
             return len(offered) == 3
 
-        est = tree.refresh(g, CFG, memo, stop)
+        est, _ = tree.probe_edge(g, self.EDGE, CFG, memo, stop)
         assert est is offered[-1]
         assert est.samples_used == 3 * CI_BATCH
-        assert len(memo) == 0
+        assert len(memo) == 0 and tree._kept.rings == {}
 
 
 class TestRoundEstimates:
-    """Each estimate a stop-checked refresh offers equals a full evaluation
-    of the tree carrying that round's tables."""
+    """Each estimate a stop-checked probe offers agrees with a full
+    evaluation of the grown tree carrying that round's table."""
 
     @staticmethod
     def nesting(tree, memo, cfg):
@@ -877,6 +982,11 @@ class TestRoundEstimates:
 
     @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
     def test_every_round_equals_a_full_evaluation(self, memo):
+        # Before each cycle-closing commit the edge is probed with a stop
+        # that fires at each round in turn, then with one that never fires,
+        # whose offers are the stopped probes' estimates bit for bit and
+        # whose last offer is the plain probe's.  A re-probe then offers
+        # nothing: its table is memoized, or drawn again for the plain run.
         rng = random.Random(4242)
         cfg = SamplerConfig(samples=400, master_seed=8)
         rounds = cfg.samples // CI_BATCH
@@ -887,30 +997,27 @@ class TestRoundEstimates:
             tree = new_ftree(0)
             store = MemoStore() if memo else None
             for e in insertable_order(g, rng):
-                base = tree.copy()
-                case = base.insert_edge(g, e, cfg, defer_sampling=True).case_taken
-                if base.dirty_components():
-                    cases.add(case)
+                if tree.is_attached(e[0]) and tree.is_attached(e[1]):
+                    base = tree.copy()
+                    cases.add(base.insert_edge(g, e, cfg, defer_sampling=True).case_taken)
                     nesting |= self.nesting(base, store, cfg)
-                stopped_at = []
-                for stop_round in range(1, rounds + 1):
-                    stopped = base.copy()
+                    stopped_at = []
+                    for stop_round in range(1, rounds + 1):
+                        offered = []
+                        est, _ = tree.probe_edge(
+                            g, e, cfg, store, lambda est: offered.append(est) or len(offered) == stop_round
+                        )
+                        assert est is offered[-1] and len(offered) == stop_round
+                        assert_close(est, grown_flow(tree, g, e, cfg, stop_round * CI_BATCH)[0])
+                        stopped_at.append(est)
                     offered = []
-                    est = stopped.refresh(
-                        g, cfg, store, lambda est: offered.append(est) or len(offered) == stop_round
-                    )
-                    if est is None:
-                        assert offered == []  # nothing left to sample
-                        continue
-                    assert est is offered[-1] and len(offered) == stop_round
-                    assert est.samples_used == stop_round * CI_BATCH
-                    assert est == stopped.copy().expected_flow(g)
-                    stopped_at.append(est)
-                offered = []
-                report = tree.insert_edge(g, e, cfg, store, defer_sampling=True)
-                assert report.case_taken == case
-                assert tree.refresh(g, cfg, store, lambda est: offered.append(est) or False) is None
-                assert offered == stopped_at
+                    est = tree.probe_edge(g, e, cfg, store, lambda est: offered.append(est) or False)
+                    assert offered == stopped_at and est[0] == offered[-1]
+                    assert est == tree.probe_edge(g, e, cfg, store)
+                    offered = []
+                    tree.probe_edge(g, e, cfg, store, lambda est: offered.append(est) or False)
+                    assert (offered == []) == memo
+                tree.insert_edge(g, e, cfg, store)
                 assert tree.expected_flow(g) == tree.copy().expected_flow(g)
         assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
         assert nesting == {"under", "above"}

@@ -127,23 +127,18 @@ class TestMemoizedVariant:
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v.startswith("ft")])
 def test_leaf_candidates_are_never_probed_or_copied(monkeypatch, variant):
     # Leaf candidates are scored in one pass from the kept evaluation: no
-    # leaf reaches FTree.probe_edge, and every FTree.copy serves the probe
-    # of a cycle candidate.
-    probing: list[str] = []
-    calls = {"leaf probe": 0, "cycle probe": 0, "leaf copy": 0, "cycle copy": 0}
+    # leaf reaches FTree.probe_edge.  Cycle candidates are scored from the
+    # live tree's masses, so no tree is ever copied.
+    calls = {"leaf probe": 0, "cycle probe": 0, "copy": 0}
     probe_edge, copy = FTree.probe_edge, FTree.copy
 
     def counting_probe(tree, graph, edge, *args, **kwargs):
         kind = "cycle" if tree.is_attached(edge[0]) and tree.is_attached(edge[1]) else "leaf"
         calls[f"{kind} probe"] += 1
-        probing.append(kind)
-        try:
-            return probe_edge(tree, graph, edge, *args, **kwargs)
-        finally:
-            probing.pop()
+        return probe_edge(tree, graph, edge, *args, **kwargs)
 
     def counting_copy(tree):
-        calls[f"{probing[-1] if probing else 'leaf'} copy"] += 1
+        calls["copy"] += 1
         return copy(tree)
 
     monkeypatch.setattr(FTree, "probe_edge", counting_probe)
@@ -152,8 +147,8 @@ def test_leaf_candidates_are_never_probed_or_copied(monkeypatch, variant):
     for seed in range(4):
         g = random_connected_graph(rng, 10, 12)
         greedy_select(g, 0, scfg(variant, 9, seed=seed, samples=300))
-    assert calls["leaf probe"] == calls["leaf copy"] == 0
-    assert calls["cycle probe"] > 0 and calls["cycle copy"] > 0
+    assert calls["leaf probe"] == calls["copy"] == 0
+    assert calls["cycle probe"] > 0
 
 
 def pruning_demo_graph():
@@ -183,37 +178,37 @@ class TestCiVariant:
         assert sol_ci.selected == sol_ft.selected
 
     def test_each_sampled_state_is_evaluated_once(self, monkeypatch):
-        # An interval-checked probe reuses the estimate refresh offered after
-        # its last round instead of evaluating the same tables again.  A call
-        # answered from the tree's kept evaluation evaluates nothing.
+        # Interval-checked probes score their rounds from the live tree's
+        # masses and evaluate no tree; the live tree is evaluated once per
+        # state its commits leave, and a call answered from its kept
+        # evaluation evaluates nothing.
         evaluated = []
-        original = FTree.expected_flow
+        original = FTree._evaluate
 
         def recording(tree, graph):
             counts = tuple(
                 sorted((cid, c.reach.sample_count) for cid, c in tree.components.items()
                        if isinstance(c, BiComponent))
             )
-            if tree._kept is None or tree._graph is not graph:
-                evaluated.append((tree, counts))
+            evaluated.append((tree, counts))
             return original(tree, graph)
 
         offers = []
-        original_refresh = FTree.refresh
+        original_probe = FTree.probe_edge
 
-        def counting_refresh(tree, graph, cfg, memo=None, stop=None):
-            if stop is not None:
-                offers.append(0)
+        def counting_probe(tree, graph, edge, cfg, memo=None, stop=None):
+            if stop is None:
+                return original_probe(tree, graph, edge, cfg, memo)
+            offers.append(0)
 
-                def counted(est):
-                    offers[-1] += 1
-                    return stop(est)
+            def counted(est):
+                offers[-1] += 1
+                return stop(est)
 
-                return original_refresh(tree, graph, cfg, memo, counted)
-            return original_refresh(tree, graph, cfg, memo)
+            return original_probe(tree, graph, edge, cfg, memo, counted)
 
-        monkeypatch.setattr(FTree, "expected_flow", recording)
-        monkeypatch.setattr(FTree, "refresh", counting_refresh)
+        monkeypatch.setattr(FTree, "_evaluate", recording)
+        monkeypatch.setattr(FTree, "probe_edge", counting_probe)
         rng = random.Random(31)
         for seed in range(4):
             g = random_connected_graph(rng, 9, 10)
