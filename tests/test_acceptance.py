@@ -107,7 +107,7 @@ def trend_runs():
     runs = {}
     for name, graph in instances.items():
         per_variant = {}
-        for variant in ("ft", "ft_m", "ft_m_ds", "dijkstra", "naive"):
+        for variant in ("ft", "ft_m", "ft_m_ds", "ft_m_ci", "ft_m_ci_ds", "dijkstra", "naive"):
             cfg = StrategyConfig(
                 variant=variant,
                 budget=20,
@@ -255,18 +255,20 @@ def test_criterion_06_walkthrough_cases():
 
 def test_criterion_07_greedy_quality(greedy_corpus):
     with criterion(7, "greedy flow within 90% of exhaustive", 300.0):
-        good = 0
-        for i, (g, k) in enumerate(greedy_corpus):
-            cfg = StrategyConfig(
-                variant="ft", budget=k,
-                sampler=SamplerConfig(samples=1000, master_seed=700 + i),
-            )
-            solution = run_strategy(g, 0, cfg)
-            achieved = expected_flow_of_edges(g, 0, solution.selected)
-            _, best = exhaustive_maxflow(g, 0, k)
-            if best <= 1e-12 or achieved / best >= 0.9:
-                good += 1
-        assert good >= 45, f"only {good}/50 instances reached 90% of the optimum"
+        optima = [exhaustive_maxflow(g, 0, k)[1] for g, k in greedy_corpus]
+        for variant in ("ft", "ft_m_ci", "ft_m_ci_ds"):
+            good = 0
+            for i, ((g, k), best) in enumerate(zip(greedy_corpus, optima)):
+                cfg = StrategyConfig(
+                    variant=variant, budget=k,
+                    sampler=SamplerConfig(samples=1000, master_seed=700 + i),
+                )
+                solution = run_strategy(g, 0, cfg)
+                achieved = expected_flow_of_edges(g, 0, solution.selected)
+                if best <= 1e-12 or achieved / best >= 0.9:
+                    good += 1
+            print(f"[ACCEPTANCE] criterion  7: {variant} {good}/50")
+            assert good >= 45, f"{variant}: only {good}/50 instances reached 90% of the optimum"
 
 
 def test_criterion_08_baseline_ordering(trend_runs):
@@ -281,13 +283,15 @@ def test_criterion_08_baseline_ordering(trend_runs):
 
 
 def test_criterion_09_heuristic_invariance(trend_runs):
-    with criterion(9, "memoization exact, delays nearly free", None):
+    with criterion(9, "memoization exact, delays and pruning nearly free", None):
         for name, (graph, per_variant) in trend_runs.items():
             ft_sol, ft_ref = per_variant["ft"]
             m_sol, _ = per_variant["ft_m"]
             assert m_sol.selected == ft_sol.selected, name
-            ds_sol, ds_ref = per_variant["ft_m_ds"]
-            assert ds_ref.mean >= 0.95 * ft_ref.mean, name
+            for variant in ("ft_m_ds", "ft_m_ci", "ft_m_ci_ds"):
+                ratio = per_variant[variant][1].mean / ft_ref.mean
+                print(f"[ACCEPTANCE] criterion  9: {name} {variant} {ratio:.4f}")
+                assert ratio >= 0.95, (name, variant)
         assert ds_delay(0.01, 10, 2.0) == 9
 
 
