@@ -2,8 +2,10 @@
 
 The tree partitions the currently selected subgraph into mono-connected
 components (unique paths, flow computed analytically as edge-probability
-products) and bi-connected components (cycles, flow estimated by sampling
-only the component's own edges).  Each component drains through a single
+products) and bi-connected components (cycles, whose reach tables come
+from the component's own edges only: enumerated exactly over all 2^m
+worlds of its m uncertain edges when 2^m is at most the sample budget,
+and sampled otherwise; see ``build_table``).  Each component drains through a single
 articulation vertex toward the query vertex at the root, so per-component
 results multiply up the tree.  A component's parent is the component owning
 its articulation vertex (the root for the query vertex), so no links are
@@ -58,6 +60,7 @@ from .sampling import (
     ReachTable,
     SamplerConfig,
     _reach_worlds,
+    exact_reach,
     substream,
     wald_interval,
 )
@@ -204,16 +207,20 @@ class MemoStore:
 
 
 class IncrementalComponentSampler:
-    """Samples one bi-component's reach table from a signature-derived stream.
+    """One bi component's worlds: every world of its uncertain edges when
+    there are at most ``cfg.samples`` of them, else ``cfg.samples`` worlds
+    drawn from a signature-derived stream (``draw``).
 
-    World i lands in bit i of every vertex's world bitset, so one draw gives
-    the table of every prefix of its worlds.
+    Vertices and edges are taken in sorted order, so worlds never follow
+    set order.  A drawn world i lands in bit i of every vertex's world
+    bitset, so one draw gives the table of every prefix of its worlds.
     """
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
-        self.signature = comp.signature()
+        self._comp = comp
         self.articulation = comp.articulation
         self.alpha = cfg.alpha
+        self.master_seed = cfg.master_seed
         verts = sorted(comp.members | {comp.articulation})
         local = {v: i for i, v in enumerate(verts)}
         edges = sorted(comp.internal_edges)
@@ -221,14 +228,23 @@ class IncrementalComponentSampler:
         self._probs = [graph.probabilities[graph.edge_index[e]] for e in edges]
         self._verts = verts
         self._source = local[comp.articulation]
-        self._rng = substream(cfg.master_seed, "component", self.signature)
         self._bits = [0] * len(verts)
         self.drawn = 0
+        self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
+
+    def exact_table(self) -> ReachTable:
+        """Reach table over every world of the uncertain edges, weighted by
+        world probability: ``EXACT_SAMPLES`` worlds, zero-width rows."""
+        reach = exact_reach(self._edges, self._probs, len(self._verts), self._source)
+        av = self.articulation
+        probs = {v: float(reach[i]) for i, v in enumerate(self._verts) if v != av}
+        return ReachTable(articulation=av, probs=probs, sample_count=EXACT_SAMPLES, alpha=self.alpha)
 
     def draw(self, batch: int) -> None:
         """Draw ``batch`` worlds; a sampler draws once."""
+        rng = substream(self.master_seed, "component", self._comp.signature())
         self._bits = _reach_worlds(
-            self._edges, self._probs, len(self._verts), self._source, batch, self._rng
+            self._edges, self._probs, len(self._verts), self._source, batch, rng
         )
         self.drawn = batch
 
@@ -256,6 +272,25 @@ class IncrementalComponentSampler:
             for i, v in enumerate(self._verts)
             if v != self.articulation
         }
+
+
+def build_table(
+    graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig
+) -> tuple[ReachTable, Optional[IncrementalComponentSampler]]:
+    """The one builder of a bi component's reach table under ``cfg``.
+
+    With m uncertain edges (p < 1) and 2^m <= ``cfg.samples``, the table
+    is exact (``IncrementalComponentSampler.exact_table``): it draws no
+    worlds, builds no stream and does not depend on the master seed, and
+    no sampler is returned.  Otherwise the component's stream draws
+    ``cfg.samples`` worlds, and the sampler comes back with the table so
+    that interval rounds can read its prefixes.
+    """
+    sampler = IncrementalComponentSampler(graph, comp, cfg)
+    if sampler.exact:
+        return sampler.exact_table(), None
+    sampler.draw(cfg.samples)
+    return sampler.table(), sampler
 
 
 class FTree:
@@ -645,9 +680,9 @@ class FTree:
         """Renew every dirty component's reach table.
 
         A table memoized under ``cfg`` is reused; every other dirty
-        component draws its full budget in one call and its table is stored
-        in ``memo`` under ``cfg``.  Renewing a table drops the tree's kept
-        state.
+        component gets its table from ``build_table`` (exact, or drawn at
+        its full budget in one call), stored in ``memo`` under ``cfg``.
+        Renewing a table drops the tree's kept state.
         """
         for cid in self.dirty_components():
             self._kept = None
@@ -655,11 +690,9 @@ class FTree:
             assert isinstance(comp, BiComponent)
             table = memo.lookup(cfg, comp.signature()) if memo is not None else None
             if table is None:
-                sampler = IncrementalComponentSampler(graph, comp, cfg)
-                sampler.draw(cfg.samples)
-                table = sampler.table()
+                table, _ = build_table(graph, comp, cfg)
                 if memo is not None:
-                    memo.store(cfg, sampler.signature, table)
+                    memo.store(cfg, comp.signature(), table)
             comp.reach = table
 
     # ------------------------------------------------------------------
@@ -780,11 +813,13 @@ class FTree:
         its term.  A cycle edge is planned (``_plan_cycle``) and scored from
         the subtree masses by the module docstring's formula, which agrees
         with an insert into a copy up to rounding.  Its ring's table comes
-        from ``memo`` or is drawn from the stream a commit would draw.  A
-        drawn table's estimates over its first ``CI_BATCH``, 2·``CI_BATCH``,
-        ... worlds and over all of them are offered to ``stop`` in that
-        order; the first one it accepts is returned at once and its table
-        kept out of the memo.  A memoized table is offered nothing.
+        from ``memo`` or from ``build_table``, as a commit's would.  A drawn
+        table's estimates over its first ``CI_BATCH``, 2·``CI_BATCH``, ...
+        worlds and over all of them are offered to ``stop`` in that order;
+        the first one it accepts is returned at once and its table kept out
+        of the memo.  An exact table's one estimate is offered once, after
+        the table is stored: the table is complete, so a stop that fires
+        saves nothing.  A memoized table is offered nothing.
 
         With a memo, a probe that ends with a full table keeps the ring, its
         table and report; a re-probe under the same ``cfg`` scores them over
@@ -801,30 +836,34 @@ class FTree:
             return self.leaf_estimate(kept.estimate, term), InsertReport(case, (), 0)
         key = (e, cfg)
         kept_ring = kept.rings.get(key) if memo is not None else None
+        offer = None
         if kept_ring is None:
             _, comp, case = self._plan_cycle(*e, e)
             ring, r = sorted((kept.rank[x], x) for x in comp.members), comp.articulation
             report = InsertReport(case, (self._next_id,), len(comp.internal_edges))
-            table = memo.lookup(cfg, comp.signature()) if memo is not None else None
+            signature = comp.signature() if memo is not None else None
+            table = memo.lookup(cfg, signature) if memo is not None else None
             if table is None:
-                sampler = IncrementalComponentSampler(graph, comp, cfg)
-                sampler.draw(cfg.samples)
-                if stop is not None:
+                table, sampler = build_table(graph, comp, cfg)
+                if stop is not None and sampler is not None:
                     sizes = [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
                     flows = self._ring_flow(ring, r, sampler.rows(sizes))
                     for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
                         est = FlowEstimate(*flow, self._ring_samples(ring, n))
                         if stop(est):
                             return est, report
-                table = sampler.table()
+                offer = stop if sampler is None else None
                 if memo is not None:
-                    memo.store(cfg, sampler.signature, table)
+                    memo.store(cfg, signature, table)
             kept_ring = (ring, r, table, report)
             if memo is not None:
                 kept.rings[key] = kept_ring
         ring, r, table, report = kept_ring
         flow = self._ring_flow(ring, r, table.rows)
-        return FlowEstimate(*flow, self._ring_samples(ring, table.sample_count)), report
+        est = FlowEstimate(*flow, self._ring_samples(ring, table.sample_count))
+        if offer is not None:
+            offer(est)
+        return est, report
 
     # ------------------------------------------------------------------
     # diagnostics

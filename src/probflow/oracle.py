@@ -1,8 +1,10 @@
 """Exact, exponential-time reference implementations.
 
-These enumerate every possible world (deterministic edges excluded from the
-enumeration) and serve as the ground truth for all estimators and selection
-heuristics on small instances.
+These enumerate every possible world of the uncertain edges (edges of
+probability 1 are present in all of them) through ``sampling.exact_reach``,
+the builder that also gives small bi components their exact reach tables,
+and serve as the ground truth for all estimators and selection heuristics
+on small instances.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Edge, ProbabilisticGraph, canonical_edge
-from .sampling import _reach_matrix
+from .sampling import exact_reach
 
 
 @dataclass(frozen=True)
@@ -36,30 +38,6 @@ class OracleLimitError(ValueError):
     """Raised when an instance exceeds the enumeration limits."""
 
 
-def _split_edges(
-    edges: Sequence[Edge], probs: Sequence[float]
-) -> tuple[list[Edge], list[float], list[Edge]]:
-    """Separate uncertain edges (P < 1) from deterministic ones (P = 1)."""
-    uncertain_e: list[Edge] = []
-    uncertain_p: list[float] = []
-    certain: list[Edge] = []
-    for e, p in zip(edges, probs):
-        if p >= 1.0:
-            certain.append(e)
-        else:
-            uncertain_e.append(e)
-            uncertain_p.append(p)
-    return uncertain_e, uncertain_p, certain
-
-
-def _world_probabilities(probs: Sequence[float]) -> np.ndarray:
-    """Probability of each of the 2^m worlds; bit i of the index = edge i present."""
-    out = np.ones(1)
-    for p in probs:
-        out = np.concatenate([out * (1.0 - p), out * p])
-    return out
-
-
 def _reach_probabilities(
     num_vertices: int,
     edges: Sequence[Edge],
@@ -67,20 +45,14 @@ def _reach_probabilities(
     source: int,
     limits: OracleLimits,
 ) -> np.ndarray:
-    """Exact reachability probability from ``source`` to every vertex."""
-    if len(edges) > limits.max_edges_enumeration:
+    """Exact reachability probability from ``source`` to every vertex; the
+    enumeration limit counts the uncertain edges, the only ones enumerated."""
+    m = sum(p < 1.0 for p in probs)
+    if m > limits.max_edges_enumeration:
         raise OracleLimitError(
-            f"{len(edges)} edges exceed the enumeration limit {limits.max_edges_enumeration}"
+            f"{m} uncertain edges exceed the enumeration limit {limits.max_edges_enumeration}"
         )
-    uncertain_e, uncertain_p, certain = _split_edges(edges, probs)
-    m = len(uncertain_e)
-    worlds = np.arange(1 << m, dtype=np.uint32)
-    present_cols = [((worlds >> i) & 1).astype(bool) for i in range(m)]
-    present_cols += [np.ones(1 << m, dtype=bool)] * len(certain)
-    present = np.stack(present_cols, axis=1) if present_cols else np.zeros((1, 0), dtype=bool)
-    reached = _reach_matrix(present, list(uncertain_e) + certain, num_vertices, source)
-    weights = _world_probabilities(uncertain_p)
-    return weights @ reached
+    return exact_reach(edges, probs, num_vertices, source)
 
 
 def exact_reachability(

@@ -1,9 +1,14 @@
-"""Seeded Monte-Carlo estimation of reachability and expected flow.
+"""Seeded Monte-Carlo estimation of reachability and expected flow, and
+exact enumeration for small edge sets.
 
 All randomness flows from one master seed: every sampling task derives an
 independent substream from a stable hash of its purpose and its subject's
 canonical signature, so results depend only on the configuration, never on
-scheduling or call order.
+scheduling or call order.  Sampled worlds and enumerated ones go through
+one propagation kernel, ``_reach_bitsets``, which takes each edge's worlds
+as a bitset.  ``exact_reach`` enumerates every world of the uncertain
+edges; it gives small bi components their exact reach tables and the
+oracle its reference values, and draws nothing.
 """
 
 from __future__ import annotations
@@ -88,8 +93,11 @@ class ReachTable:
     def rows(self) -> dict[int, tuple[float, float, float]]:
         """Every vertex's (p, lo, hi), the intervals computed once per table:
         ``confidence_interval`` of each vertex's rounded success count,
-        worked one row at a time by ``_wald_scalar``."""
+        worked one row at a time by ``_wald_scalar``.  An exact table's
+        (``EXACT_SAMPLES``) rows have zero width."""
         n = self.sample_count
+        if n == EXACT_SAMPLES:
+            return {v: (p, p, p) for v, p in self.probs.items()}
         z = critical_z(self.alpha)
         return {v: (p, *_wald_scalar(round(p * n) / n, n, z)) for v, p in self.probs.items()}
 
@@ -112,27 +120,31 @@ def _present_matrix(rng: np.random.Generator, probs: np.ndarray, count: int) -> 
     return rng.random((count, probs.size)) < probs
 
 
+def _live_bitsets(present: np.ndarray) -> list[int]:
+    """Each column of a bool [worlds, edges] matrix packed into one int,
+    world i in bit i: the worlds in which that edge is present."""
+    width = (present.shape[0] + 7) // 8
+    packed = np.packbits(np.ascontiguousarray(present.T), axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[j * width:(j + 1) * width], "little") for j in range(present.shape[1])]
+
+
 def _reach_bitsets(
-    present: np.ndarray, edges: Sequence[Edge], num_vertices: int, source: int
+    live: Sequence[int], edges: Sequence[Edge], num_vertices: int, source: int, count: int
 ) -> list[int]:
     """Worlds in which each vertex reaches ``source``, one bitset per vertex.
 
-    ``present`` is a bool [worlds, edges] matrix.  Each edge's column is
-    packed into one int with world i in bit i, and the source's full set
-    spreads along the edges by a FIFO worklist: a vertex whose set grows
-    is queued again until nothing changes.  The sets reached are the least
-    fixpoint, whatever the order; first in, first out spreads each vertex
-    few times.
+    ``live`` holds each edge's worlds, world i in bit i, over ``count``
+    worlds: packed sampled columns and enumerated patterns alike.  The
+    source's full set spreads along the edges by a FIFO worklist: a vertex
+    whose set grows is queued again until nothing changes.  The sets
+    reached are the least fixpoint, whatever the order; first in, first
+    out spreads each vertex few times.
     """
-    count = present.shape[0]
-    width = (count + 7) // 8
-    packed = np.packbits(np.ascontiguousarray(present.T), axis=1, bitorder="little").tobytes()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-    for j, (u, v) in enumerate(edges):
-        live = int.from_bytes(packed[j * width:(j + 1) * width], "little")
-        if live:
-            adj[u].append((v, live))
-            adj[v].append((u, live))
+    for (u, v), bits in zip(edges, live):
+        if bits:
+            adj[u].append((v, bits))
+            adj[v].append((u, bits))
     reached = [0] * num_vertices
     reached[source] = (1 << count) - 1
     queued = [False] * num_vertices
@@ -141,9 +153,9 @@ def _reach_bitsets(
         x = work.popleft()
         queued[x] = False
         rx = reached[x]
-        for y, live in adj[x]:
+        for y, bits in adj[x]:
             ry = reached[y]
-            grown = rx & live | ry
+            grown = rx & bits | ry
             if grown != ry:
                 reached[y] = grown
                 if not queued[y]:
@@ -152,17 +164,61 @@ def _reach_bitsets(
     return reached
 
 
-def _reach_matrix(
-    present: np.ndarray, edges: Sequence[Edge], num_vertices: int, source: int
+# Enumerated worlds' patterns are kept for components of at most this many
+# uncertain edges (under 200 kB in all); larger ones, which only the oracle
+# enumerates, are built per call.
+_KEPT_PATTERN_EDGES = 12
+
+
+def _build_patterns(m: int) -> tuple[tuple[int, ...], np.ndarray]:
+    worlds = np.arange(1 << m, dtype=np.int64)
+    present = (worlds >> np.arange(m)[:, None]) & 1 == 1
+    return tuple(_live_bitsets(present.T)), present
+
+
+_kept_patterns = cache(_build_patterns)
+
+
+def _world_patterns(m: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The 2^m worlds of m enumerated edges, in which edge i is present in
+    world w when bit i of w is set: each edge's live set as an int, and
+    the same sets as the rows of a bool [m, 2^m] matrix."""
+    return (_kept_patterns if m <= _KEPT_PATTERN_EDGES else _build_patterns)(m)
+
+
+def exact_reach(
+    edges: Sequence[Edge], probs: Sequence[float], num_vertices: int, source: int
 ) -> np.ndarray:
-    """``_reach_bitsets`` unpacked: bool [worlds, vertices], True where the
-    vertex reaches ``source`` in that world."""
-    count = present.shape[0]
+    """Exact probability of each vertex reaching ``source``, over every
+    world of the uncertain edges (p < 1) in their listed order; edges of
+    probability 1 are present in every world and not enumerated.
+
+    A world's probability is the product of its edges' factors (p or
+    1 - p) in edge order.  A vertex's reach is the sum of its worlds'
+    probabilities, taken row by row in world order with no matrix product
+    (so the thread count cannot change a bit), in row chunks of at most
+    ``_CHUNK_BUDGET`` doubles that keep memory flat.  A sum of world
+    probabilities is at least 0 but may round above 1, so it is clamped
+    to 1.
+    """
+    uncertain = [j for j, p in enumerate(probs) if p < 1.0]
+    count = 1 << len(uncertain)
+    patterns, present = _world_patterns(len(uncertain))
+    live = [(1 << count) - 1] * len(edges)
+    for j, bits in zip(uncertain, patterns):
+        live[j] = bits
+    reached = _reach_bitsets(live, edges, num_vertices, source, count)
+    p = np.array([probs[j] for j in uncertain])[:, None]
+    weights = np.where(present, p, 1.0 - p).prod(axis=0)
     width = (count + 7) // 8
-    bits = _reach_bitsets(present, edges, num_vertices, source)
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in bits), dtype=np.uint8)
-    reached = np.unpackbits(packed.reshape(num_vertices, width), axis=1, count=count, bitorder="little")
-    return np.ascontiguousarray(reached.T, dtype=bool)
+    step = max(1, _CHUNK_BUDGET // count)
+    reach = np.empty(num_vertices)
+    for lo in range(0, num_vertices, step):
+        rows = reached[lo:lo + step]
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+        mask = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=count, bitorder="little")
+        reach[lo:lo + len(rows)] = np.where(mask.view(bool), weights, 0.0).sum(axis=1)
+    return np.minimum(reach, 1.0)
 
 
 def _reach_chunks(
@@ -179,8 +235,9 @@ def _reach_chunks(
     parr = np.asarray(probs, dtype=float)
     chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
     for done in range(0, samples, chunk):
-        present = _present_matrix(rng, parr, min(chunk, samples - done))
-        yield done, _reach_bitsets(present, graph_edges, num_vertices, source)
+        count = min(chunk, samples - done)
+        live = _live_bitsets(_present_matrix(rng, parr, count))
+        yield done, _reach_bitsets(live, graph_edges, num_vertices, source, count)
 
 
 def _reach_worlds(

@@ -46,7 +46,7 @@ from util import (
     random_connected_graph,
     random_tree,
     running_example_graph,
-    triangle_chain_graph,
+    ring_chain_graph,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -167,20 +167,34 @@ def test_criterion_02_analytic_tree_exactness():
             assert abs(est.mean - exact_expected_flow(g, 0)) < 1e-9
 
 
+def long_cycle_graph(rng: random.Random) -> ProbabilisticGraph:
+    """A cycle of 17-19 uncertain edges through the query vertex, up to 20
+    uncertain edges with its chords, and a few vertices hung off it by
+    certain (p = 1) edges.  2^17 worlds exceed 100000 samples, so the
+    cycle's table is drawn, while the oracle enumerates at most 2^20."""
+    n = rng.randint(17, 19)
+    triples = [(i, (i + 1) % n, rng.uniform(0.3, 0.95)) for i in range(n)]
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+    for u, v in rng.sample(chords, rng.randint(0, 20 - n)):
+        triples.append((u, v, rng.uniform(0.3, 0.95)))
+    hung = rng.randint(0, 3)
+    triples += [(rng.randrange(n + j), n + j, 1.0) for j in range(hung)]
+    weights = [float(rng.randint(0, 10)) for _ in range(n + hung)]
+    return ProbabilisticGraph.build(n + hung, triples, weights=weights)
+
+
 def test_criterion_03_estimator_convergence():
     with criterion(3, "sampled flow converges to the oracle", 120.0):
         cfg = SamplerConfig(samples=100000, alpha=0.01, master_seed=3)
         hits = 0
         for i in range(50):
             rng = random.Random(3000 + i)
-            n = rng.randint(4, 8)
-            extra = rng.randint(1, 12 - (n - 1))
-            g = random_connected_graph(rng, n, extra, p_range=(0.3, 0.95))
-            assert g.num_edges <= 12
+            g = long_cycle_graph(rng)
             tree = new_ftree(0)
             for e in insertable_order(g, rng):
                 tree.insert_edge(g, e, cfg)
             est = tree.expected_flow(g)
+            assert est.samples_used == cfg.samples
             oracle = exact_expected_flow(g, 0)
             se = flow_stderr(est, cfg.alpha)
             hits += abs(est.mean - oracle) <= 4.0 * se + 1e-12
@@ -189,7 +203,9 @@ def test_criterion_03_estimator_convergence():
 
 def test_criterion_04_variance_reduction():
     with criterion(4, "component sampling reduces variance", 60.0):
-        g = triangle_chain_graph(m=4)
+        # Rings of 11 edges: 2^11 worlds exceed the 1000 samples, so every
+        # component table is drawn.
+        g = ring_chain_graph(4, ring=11)
         edges = list(g.edges)
         decomposed, whole = [], []
         for s in range(200):
@@ -197,7 +213,9 @@ def test_criterion_04_variance_reduction():
             tree = new_ftree(0)
             for e in edges:
                 tree.insert_edge(g, e, cfg)
-            decomposed.append(tree.expected_flow(g).mean)
+            est = tree.expected_flow(g)
+            assert est.samples_used == cfg.samples
+            decomposed.append(est.mean)
             whole.append(mc_expected_flow(g, 0, cfg).mean)
 
         def var(xs):

@@ -170,6 +170,17 @@ class TestEvaluate:
                    "--edge-set", str(edge_set), "--mode", "exact"])
         assert rc == 3
 
+    def test_exact_mode_enumerates_only_uncertain_edges(self, tmp_path, capsys):
+        # 25 edges, 3 of them uncertain: 8 worlds, within the limit.
+        lines = [f"v{i} v{i+1} {0.5 if i in (3, 11, 20) else 1.0}" for i in range(25)]
+        paths = write_instance(tmp_path, "\n".join(lines) + "\n")
+        edge_set = tmp_path / "sel.txt"
+        edge_set.write_text("\n".join(f"v{i} v{i+1}" for i in range(25)) + "\n")
+        rc, stdout = run(capsys, "evaluate", "--edges", paths["edges"], "--query", "v0",
+                         "--edge-set", str(edge_set), "--mode", "exact")
+        assert rc == 0
+        assert "flow=10.875" in stdout
+
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_repeated_edge_is_validation_error(self, tmp_path, capsys, mode):
         paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
@@ -399,7 +410,7 @@ class TestPinnedBytes:
     # of every variant on each instance, and the default-order dump of the
     # erdos instance.  A change that keeps results bit-identical leaves it
     # as it is; one that changes results re-pins it and says why.
-    DIGEST = "fb2eb394554f174d10c8bf298137000cb4b789302eb75ab483db7185c9c5405e"
+    DIGEST = "31f33cad4682df8264dd8421b0b3c27444b91165debf08e4cc14e88c933696f7"
 
     INSTANCES = (
         ("er", ["erdos", "--n", "60", "--deg", "6"]),

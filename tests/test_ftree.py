@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probflow import (
+    EXACT_SAMPLES,
     BiComponent,
     DirtyComponentError,
     FTreeError,
@@ -31,8 +32,10 @@ from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
     insertable_order,
+    long_ring_graph,
     random_connected_graph,
     random_tree,
+    ring_chain_graph,
     running_example_graph,
 )
 
@@ -44,6 +47,23 @@ def build_base_tree(graph, cfg=CFG):
     for e in BASE_ORDER:
         tree.insert_edge(graph, e, cfg)
     return tree
+
+
+def long_ring_tree(cfg=CFG):
+    """An 11-edge cycle 0-1-...-10-0 through the query vertex with a tail
+    5-11-12, all inserted.  2^11 worlds exceed ``CFG``'s 2000 samples, so
+    the cycle's table is drawn; the edge (8, 12) closes a 14-edge ring
+    around it (case IV), also drawn."""
+    cycle = [(i, (i + 1) % 11, 0.5 + 0.04 * i) for i in range(11)]
+    g = ProbabilisticGraph.build(
+        13, cycle + [(5, 11, 0.8), (11, 12, 0.7), (8, 12, 0.6)],
+        weights=[float(v % 5) for v in range(13)],
+    )
+    tree = new_ftree(0)
+    for e in insertable_order(g):
+        if e != (8, 12):
+            tree.insert_edge(g, e, cfg)
+    return g, tree
 
 
 def components_by_kind(tree):
@@ -321,12 +341,16 @@ class TestExpectedFlow:
             assert est.mean == pytest.approx(exact_expected_flow(g, 0), abs=1e-9)
 
     def test_sampled_estimate_is_python_floats(self):
+        # 7 worlds are fewer than any base component's 2^m (a triangle's 8),
+        # so every table is drawn.
+        cfg = replace(CFG, samples=7)
         g = running_example_graph()
-        tree = build_base_tree(g)
+        tree = build_base_tree(g, cfg)
         est = tree.expected_flow(g)
-        assert est.samples_used == CFG.samples
+        assert est.samples_used == cfg.samples
         assert [type(x) for x in (est.mean, est.lb, est.ub)] == [float] * 3
         _, bis = components_by_kind(tree)
+        assert {c.reach.sample_count for c in bis.values()} == {cfg.samples}
         assert {type(p) for c in bis.values() for p in c.reach.probs.values()} == {float}
 
     def test_dirty_component_rejected(self):
@@ -401,14 +425,13 @@ class TestProbe:
         # ``leaf_estimate`` of its kept term, bit for bit; a cycle probe
         # agrees with an insert into a copy up to rounding and reports what
         # that insert reports, and a stop that fires at once returns the
-        # first round's estimate.
+        # first round's estimate.  Every bi component has at least 9 edges
+        # (``long_ring_graph``), so every table is drawn (2^9 > 300).
         rng = random.Random(2024)
         cfg = SamplerConfig(samples=300, master_seed=12)
         cases = set()
-        for trial in range(12):
-            n = rng.randint(5, 11)
-            g = random_connected_graph(rng, n, rng.randint(2, n))
-            order = insertable_order(g, rng)
+        for trial in range(30):
+            g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             memo = MemoStore() if trial % 2 else None
             tree = new_ftree(0)
             for e in order[: rng.randint(1, len(order) - 1)]:
@@ -424,6 +447,7 @@ class TestProbe:
                 assert report == probe_report == stopped_report
                 if report.components_resampled:
                     assert_close(est, probe.expected_flow(g))
+                    assert est.samples_used == cfg.samples
                     assert stopped.samples_used == CI_BATCH
                 else:
                     base, terms = tree.leaf_terms(g)
@@ -622,11 +646,13 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     """The reference a cycle probe of ``e`` must agree with: insert ``e``
     into a copy of ``tree``, give its new ring the table of the ring's
     first ``worlds`` worlds (all of them by default) and evaluate it.
-    Returns that estimate, the insert's report and the ring's signature."""
+    Returns that estimate, the insert's report and the ring's signature.
+    The ring must be one whose table is drawn, not enumerated."""
     ref = tree.copy()
     report = ref.insert_edge(g, e, cfg, defer_sampling=True)
     [ring] = [ref.components[cid] for cid in ref.dirty_components()]
     sampler = IncrementalComponentSampler(g, ring, cfg)
+    assert not sampler.exact
     sampler.draw(worlds or cfg.samples)
     ring.reach = sampler.table()
     return ref.expected_flow(g), report, ring.signature()
@@ -647,17 +673,17 @@ class TestRingFormula:
         # 1e-12 relative on mean, lb and ub, with equal worlds used.  A
         # memoized table is offered nothing, and a table whose stop fired
         # is not stored.  The probed tree's dump, tables and evaluation stay
-        # as they were.
+        # as they were.  Every bi component has at least 9 edges
+        # (``long_ring_graph``), so every table is drawn (2^9 > 300).
         rng = random.Random(5150)
         cfg = SamplerConfig(samples=300, master_seed=21)
         sizes = [CI_BATCH, 2 * CI_BATCH, 3 * CI_BATCH]
         cases, offers, rescored = set(), set(), 0
         for trial in range(30):
-            n = rng.randint(4, 11)
-            g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
+            g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             memo = MemoStore() if use_memo else None
             tree, after_leaf = new_ftree(0), False
-            for e in insertable_order(g, rng):
+            for e in order:
                 before = snapshot(tree, g)
                 for c in tree.candidates(g).copy():
                     if tree.is_attached(c[0]) != tree.is_attached(c[1]):
@@ -685,6 +711,7 @@ class TestRingFormula:
                             assert len(memo or ()) == stored
                     est, report = tree.probe_edge(g, c, cfg, memo)
                     assert_close(est, ref)
+                    assert est.samples_used == cfg.samples
                     assert (report.case_taken, report.edges_sampled_count) == (
                         ref_report.case_taken, ref_report.edges_sampled_count
                     )
@@ -699,10 +726,11 @@ class TestRingFormula:
         assert rescored > 0 or not use_memo
 
     def test_worlds_used_count_only_the_tables_the_grown_tree_keeps(self):
-        # The triangle {0, 1, 2} is drawn with 200 worlds and the probes'
-        # rings with 400.  The ring (0, 3) closes takes the triangle in, so
-        # the grown tree has 400-world tables only; the ring (0, 5) closes
-        # leaves it, so 200 worlds remain the fewest.
+        # The triangle {0, 1, 2} is drawn with 4 worlds and the probes'
+        # rings with 6, fewer than any of them has (2^3 or 2^5), so all
+        # are drawn.  The ring (0, 3) closes takes the triangle in, so the
+        # grown tree has 6-world tables only; the ring (0, 5) closes leaves
+        # it, so 4 worlds remain the fewest.
         g = ProbabilisticGraph.build(
             6, [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.5), (2, 3, 0.8), (0, 3, 0.4),
                 (0, 4, 0.9), (4, 5, 0.6), (0, 5, 0.3)],
@@ -710,9 +738,9 @@ class TestRingFormula:
         )
         tree = new_ftree(0)
         for e in [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4), (4, 5)]:
-            tree.insert_edge(g, e, replace(CFG, samples=200))
-        wide = replace(CFG, samples=400)
-        for edge, worlds in [((0, 3), 400), ((0, 5), 200)]:
+            tree.insert_edge(g, e, replace(CFG, samples=4))
+        wide = replace(CFG, samples=6)
+        for edge, worlds in [((0, 3), 6), ((0, 5), 4)]:
             est, _ = tree.probe_edge(g, edge, wide)
             assert_close(est, grown_flow(tree, g, edge, wide)[0])
             assert est.samples_used == worlds
@@ -889,11 +917,12 @@ class TestIncrementalSampling:
     def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
         # A full-budget draw keeps every world, so rows() gives, element by
         # element, the rows of a fresh sampler that drew n worlds, for each
-        # n asked.  The full draw may span many chunks.
+        # n asked.  The full draw may span many chunks.  The 11-edge ring
+        # has 2^11 worlds, more than 1000, so a tree draws its table too.
         from probflow import sampling
 
-        g = running_example_graph()
-        comp = BiComponent({7, 8, 9}, 6, {(6, 7), (7, 8), (8, 9), (6, 9)})
+        g = ring_chain_graph(1, ring=11)
+        comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
         sizes = range(CI_BATCH, cfg.samples + 1, CI_BATCH)
         expected = []
@@ -904,6 +933,7 @@ class TestIncrementalSampling:
         if chunk_budget is not None:
             monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
         full = IncrementalComponentSampler(g, comp, cfg)
+        assert not full.exact
         full.draw(cfg.samples)
         rows = full.rows(sizes)
         assert full.table() == expected[-1]
@@ -915,11 +945,11 @@ class TestIncrementalSampling:
 class TestRefreshStop:
     """A stop-checked probe draws what a commit's plain refresh draws."""
 
-    EDGE = (11, 15)
+    EDGE = (8, 12)
 
     def test_stop_that_never_fires_matches_plain_refresh(self):
-        g = running_example_graph()
-        plain, batched, refreshed = (build_base_tree(g) for _ in range(3))
+        g, plain = long_ring_tree()
+        (_, batched), (_, refreshed) = long_ring_tree(), long_ring_tree()
         plain_memo, batched_memo, refreshed_memo = MemoStore(), MemoStore(), MemoStore()
         offered = []
         est = plain.probe_edge(g, self.EDGE, CFG, plain_memo)
@@ -928,13 +958,13 @@ class TestRefreshStop:
         ) == est
         assert len(offered) == CFG.samples // CI_BATCH
         assert offered[-1] == est[0]
+        assert est[0].samples_used == CFG.samples
         refreshed.insert_edge(g, self.EDGE, CFG, refreshed_memo)
         assert len(refreshed_memo) == 1
         assert plain_memo._entries == batched_memo._entries == refreshed_memo._entries
 
     def test_stop_that_fires_returns_its_estimate_and_stores_nothing(self):
-        g = running_example_graph()
-        tree = build_base_tree(g)
+        g, tree = long_ring_tree()
         memo = MemoStore()
         offered = []
 
@@ -987,16 +1017,17 @@ class TestRoundEstimates:
         # whose offers are the stopped probes' estimates bit for bit and
         # whose last offer is the plain probe's.  A re-probe then offers
         # nothing: its table is memoized, or drawn again for the plain run.
+        # Every bi component has at least 9 edges (``long_ring_graph``), so
+        # every table is drawn (2^9 > 400).
         rng = random.Random(4242)
         cfg = SamplerConfig(samples=400, master_seed=8)
         rounds = cfg.samples // CI_BATCH
         cases, nesting = set(), set()
         for _ in range(25):
-            n = rng.randint(5, 11)
-            g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
+            g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             tree = new_ftree(0)
             store = MemoStore() if memo else None
-            for e in insertable_order(g, rng):
+            for e in order:
                 if tree.is_attached(e[0]) and tree.is_attached(e[1]):
                     base = tree.copy()
                     cases.add(base.insert_edge(g, e, cfg, defer_sampling=True).case_taken)
@@ -1013,6 +1044,7 @@ class TestRoundEstimates:
                     offered = []
                     est = tree.probe_edge(g, e, cfg, store, lambda est: offered.append(est) or False)
                     assert offered == stopped_at and est[0] == offered[-1]
+                    assert est[0].samples_used == cfg.samples
                     assert est == tree.probe_edge(g, e, cfg, store)
                     offered = []
                     tree.probe_edge(g, e, cfg, store, lambda est: offered.append(est) or False)
@@ -1023,17 +1055,111 @@ class TestRoundEstimates:
         assert nesting == {"under", "above"}
 
 
+def cycle_graph(probs):
+    """One cycle 0-1-...-0 with these edge probabilities, weights 1..n."""
+    n = len(probs)
+    return ProbabilisticGraph.build(
+        n, [(i, (i + 1) % n, p) for i, p in enumerate(probs)],
+        weights=[float(v) for v in range(1, n + 1)],
+    )
+
+
+def closed_cycle(probs, cfg):
+    """``cycle_graph`` with every edge inserted, and its one bi component."""
+    g = cycle_graph(probs)
+    tree = new_ftree(0)
+    for e in insertable_order(g):
+        tree.insert_edge(g, e, cfg)
+    [ring] = [c for c in tree.components.values() if isinstance(c, BiComponent)]
+    return g, tree, ring
+
+
+class TestExactTables:
+    """A bi component with m uncertain edges gets an exact table when
+    2^m <= samples: enumerated worlds, no stream, zero-width rows."""
+
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_small_components_match_the_oracle(self, use_memo):
+        # Graphs of at most 11 edges, so every bi component has at most
+        # 2^11 = samples worlds.  After every insert, under two master
+        # seeds: the flow is the oracle's within 1e-12 relative, with zero
+        # width and EXACT_SAMPLES worlds, equal under both seeds; and every
+        # cycle probe is too, offering its one estimate to a stop once.
+        rng = random.Random(1717)
+        cfgs = [SamplerConfig(samples=2048, master_seed=seed) for seed in (1, 2)]
+
+        def exact_close(est, flow):
+            assert est.lb == est.mean == est.ub
+            assert est.samples_used == EXACT_SAMPLES
+            assert abs(est.mean - flow) <= 1e-12 * max(abs(est.mean), abs(flow))
+
+        rings = 0
+        for _ in range(40):
+            n = rng.randint(4, 8)
+            g = random_connected_graph(rng, n, rng.randint(1, 11 - (n - 1)))
+            order = insertable_order(g, rng)
+            trees = [new_ftree(0) for _ in cfgs]
+            memos = [MemoStore() if use_memo else None for _ in cfgs]
+            for i, e in enumerate(order, start=1):
+                for c in trees[0].candidates(g).copy():
+                    if not (trees[0].is_attached(c[0]) and trees[0].is_attached(c[1])):
+                        continue
+                    offered = []
+                    probes = [
+                        t.probe_edge(g, c, cfg, memo, lambda est: offered.append(est) or False)[0]
+                        for t, cfg, memo in zip(trees, cfgs, memos)
+                    ]
+                    assert probes[0] == probes[1] and offered in ([], probes)
+                    exact_close(probes[0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))
+                    rings += 1
+                ests = []
+                for t, cfg, memo in zip(trees, cfgs, memos):
+                    t.insert_edge(g, e, cfg, memo)
+                    ests.append(t.expected_flow(g))
+                assert ests[0] == ests[1]
+                exact_close(ests[0], expected_flow_of_edges(g, 0, order[:i]))
+        assert rings > 100
+
+    def test_certain_edges_are_not_enumerated(self):
+        # A 12-edge cycle with 3 uncertain edges: 2^3 worlds, so its table
+        # is exact from 8 samples on, and drawn below.
+        probs = [1.0] * 12
+        probs[2], probs[5], probs[9] = 0.5, 0.6, 0.7
+        g, tree, ring = closed_cycle(probs, SamplerConfig(samples=8))
+        assert ring.reach.sample_count == EXACT_SAMPLES
+        assert tree.expected_flow(g).mean == pytest.approx(exact_expected_flow(g, 0), rel=1e-12)
+        _, _, ring = closed_cycle(probs, SamplerConfig(samples=7))
+        assert ring.reach.sample_count == 7
+
+    def test_rule_boundary(self):
+        # 4 uncertain edges, 16 worlds: exact at 16 samples, drawn at 8.
+        probs = [0.5, 0.6, 0.7, 0.8]
+        _, _, ring = closed_cycle(probs, SamplerConfig(samples=16))
+        assert ring.reach.sample_count == EXACT_SAMPLES
+        assert set(ring.reach.rows.values()) == {(p, p, p) for p in ring.reach.probs.values()}
+        _, _, ring = closed_cycle(probs, SamplerConfig(samples=8))
+        assert ring.reach.sample_count == 8
+        assert all(lo < p < hi for p, lo, hi in ring.reach.rows.values())
+
+    def test_exact_table_draws_nothing_and_ignores_the_seed(self, monkeypatch):
+        probs = [0.5, 0.6, 0.7, 0.8]
+        monkeypatch.setattr(IncrementalComponentSampler, "draw", None)
+        tables = [closed_cycle(probs, SamplerConfig(samples=16, master_seed=s))[2].reach for s in range(3)]
+        assert tables[0] == tables[1] == tables[2]
+
+
 class TestBoundPropagation:
     def test_nested_cycle_bounds_multiply(self):
         # Triangle {3,4} hangs off vertex 2 of the root cycle {1,2}: each
         # nested vertex bound is the product of its own table bound and the
-        # anchor vertex's bound from the outer table.
+        # anchor vertex's bound from the outer table.  7 worlds are fewer
+        # than a triangle's 2^3, so both tables are drawn.
         g = ProbabilisticGraph.build(
             5,
             [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.5), (2, 3, 0.6), (3, 4, 0.7), (2, 4, 0.5)],
             weights=[0.0, 0.0, 0.0, 0.0, 1.0],
         )
-        cfg = SamplerConfig(samples=5000, master_seed=8)
+        cfg = SamplerConfig(samples=7, master_seed=8)
         tree = new_ftree(0)
         for e in g.edges:
             tree.insert_edge(g, e, cfg)
@@ -1046,7 +1172,9 @@ class TestBoundPropagation:
             c for c in tree.components.values()
             if isinstance(c, BiComponent) and c.articulation == 2
         )
+        assert inner.reach.sample_count == outer.reach.sample_count == cfg.samples
         est = tree.expected_flow(g)
+        assert est.lb < est.mean < est.ub
         lo = inner.reach.rows[4][1] * outer.reach.rows[2][1]
         hi = inner.reach.rows[4][2] * outer.reach.rows[2][2]
         mid = inner.reach.probs[4] * outer.reach.probs[2]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,17 @@ class TestExactReachability:
         assert g.num_edges == 21
         with pytest.raises(OracleLimitError):
             exact_reachability(g, 0, 1)
+
+    def test_limit_counts_only_uncertain_edges(self):
+        # A 25-edge path with 3 uncertain edges has 8 worlds; 21 uncertain
+        # edges still exceed the default limit of 20.
+        probs = [0.5 if i in (3, 11, 20) else 1.0 for i in range(25)]
+        g = ProbabilisticGraph.build(26, [(i, i + 1, p) for i, p in enumerate(probs)])
+        assert exact_expected_flow(g, 0) == pytest.approx(4 + 8 * 0.5 + 9 * 0.25 + 5 * 0.125)
+        probs = [0.5 if i < 21 else 1.0 for i in range(25)]
+        g = ProbabilisticGraph.build(26, [(i, i + 1, p) for i, p in enumerate(probs)])
+        with pytest.raises(OracleLimitError, match="21 uncertain edges"):
+            exact_expected_flow(g, 0)
 
 
 class TestExactExpectedFlow:
@@ -156,7 +171,8 @@ class TestExhaustiveMaxflow:
 
 class TestPinnedValues:
     """Oracle values pinned bit for bit, so a change to world propagation
-    cannot move them, not even in the last place."""
+    cannot move them, not even in the last place.  Each reach is a sum in
+    world order, so the BLAS thread count cannot move them either."""
 
     def tail_diamond(self):
         return ProbabilisticGraph.build(
@@ -186,7 +202,7 @@ class TestPinnedValues:
     def test_tail_diamond(self):
         g = self.tail_diamond()
         reach = [exact_reachability(g, 0, v) for v in range(5)]
-        assert reach == [1.0, 0.7225999999999999, 0.7954, 0.719, 0.6470999999999999]
+        assert reach == [1.0, 0.7225999999999999, 0.7953999999999999, 0.719, 0.6471]
         assert exact_expected_flow(g, 0) == 10.9429
         assert exact_expected_flow(g, 4) == 12.977599999999999
         assert exhaustive_maxflow(g, 0, 1) == (((0, 2),), 3.0999999999999996)
@@ -196,8 +212,8 @@ class TestPinnedValues:
     def test_mixed_certain_and_uncertain(self):
         g = self.mixed_certain()
         reach = [exact_reachability(g, 0, v) for v in range(6)]
-        assert reach == [1.0, 1.0, 0.8919999999999999, 0.8919999999999999, 1.0, 0.7920000000000001]
-        assert exact_expected_flow(g, 0) == 14.712
+        assert reach == [1.0, 1.0, 0.892, 0.892, 1.0, 0.792]
+        assert exact_expected_flow(g, 0) == 14.712000000000002
         assert exact_expected_flow(g, 5) == 14.653500000000001
         assert exhaustive_maxflow(g, 0, 1) == (((0, 1),), 1.5)
         assert exhaustive_maxflow(g, 0, 2) == (((0, 1), (1, 4)), 5.5)
@@ -206,7 +222,24 @@ class TestPinnedValues:
     def test_at_enumeration_limit(self):
         g = self.twenty_edges()
         assert g.num_edges == OracleLimits().max_edges_enumeration
-        assert exact_reachability(g, 0, 8) == 0.961166989732678
-        assert exact_reachability(g, 3, 6) == 0.9386932359664784
-        assert exact_expected_flow(g, 0) == 50.303520628005444
-        assert exact_expected_flow(g, 6) == 49.6415369493525
+        assert exact_reachability(g, 0, 8) == 0.9611669897326798
+        assert exact_reachability(g, 3, 6) == 0.9386932359664837
+        assert exact_expected_flow(g, 0) == 50.30352062800525
+        assert exact_expected_flow(g, 6) == 49.64153694935257
+
+    def test_one_blas_thread_gives_the_same_values(self):
+        # The limit case sums 2^20 worlds per vertex, enough for a matrix
+        # product to split across threads; a run pinned to one BLAS thread
+        # gives the same bits.
+        code = (
+            "from test_oracle import TestPinnedValues as T\n"
+            "from probflow import exact_expected_flow\n"
+            "print(repr(exact_expected_flow(T().twenty_edges(), 0)))\n"
+        )
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert float(out) == exact_expected_flow(self.twenty_edges(), 0)

@@ -22,7 +22,7 @@ from probflow import (
     substream,
 )
 from probflow import sampling
-from probflow.ftree import BiComponent, IncrementalComponentSampler
+from probflow.ftree import BiComponent, IncrementalComponentSampler, build_table
 from probflow.sampling import _success_counts
 from util import flow_of_world, random_connected_graph, reachable_set, sample_world
 
@@ -234,14 +234,22 @@ class TestMcComponentReach:
     def test_stream_key_controls_determinism(self):
         # The stream is keyed by the component signature and the master seed
         # only: the same component inside a larger graph samples identically.
-        g = ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
-        bigger = ProbabilisticGraph.build(
-            4, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5), (2, 3, 0.9)], weights=[1, 2, 3, 4]
-        )
+        # Its 9 edges have 2^9 worlds, more than 200, so ``build_table``
+        # draws the table as a tree would.
+        cycle = [(i, (i + 1) % 9, 0.5) for i in range(9)]
+        g = ProbabilisticGraph.build(9, cycle)
+        bigger = ProbabilisticGraph.build(10, cycle + [(2, 9, 0.9)], weights=list(range(10)))
+        ring = BiComponent(set(range(1, 9)), 0, set(g.edges))
         cfg = SamplerConfig(samples=200, master_seed=8)
-        a = component_reach(g, TRIANGLE, cfg)
-        assert component_reach(bigger, TRIANGLE, cfg) == a
-        assert component_reach(g, TRIANGLE, SamplerConfig(samples=200, master_seed=9)) != a
+
+        def drawn(graph, cfg):
+            table, sampler = build_table(graph, ring, cfg)
+            assert sampler is not None and table.sample_count == cfg.samples
+            return table
+
+        a = drawn(g, cfg)
+        assert drawn(bigger, cfg) == a
+        assert drawn(g, SamplerConfig(samples=200, master_seed=9)) != a
 
 
 class TestConfidenceInterval:

@@ -31,7 +31,7 @@ from probflow import (
     netgen,
     run_strategy,
 )
-from util import random_connected_graph
+from util import random_connected_graph, ring_chain_graph
 
 
 def star_graph():
@@ -154,7 +154,8 @@ def test_leaf_candidates_are_never_probed_or_copied(monkeypatch, variant):
 def pruning_demo_graph():
     """After (0,1), (1,2), (1,3) are taken, the fourth iteration probes the
     exact spokes (1,4) and (1,5) before the weak cycle chord (2,3), whose
-    sampled interval then sits entirely below the best lower bound."""
+    interval then sits entirely below the best lower bound.  The chord's
+    triangle has 2^3 worlds, so its table is exact from 8 samples on."""
     return ProbabilisticGraph.build(
         6,
         [
@@ -169,12 +170,36 @@ def pruning_demo_graph():
     )
 
 
+def sampled_pruning_demo_graph():
+    """After (0,1) and the path 1-2-...-10 are taken, the eleventh iteration
+    probes the exact spoke (0,11) before the weak chord (1,10), whose
+    sampled interval then sits entirely below the best lower bound.  The
+    chord closes a ring of 10 edges, whose 2^10 worlds exceed 1000 samples,
+    so its table is drawn."""
+    return ProbabilisticGraph.build(
+        12,
+        [(0, 1, 0.9), *((i, i + 1, 0.99) for i in range(1, 10)), (1, 10, 0.2), (0, 11, 0.9)],
+        weights=[0.0, 5.0, *[1.0] * 9, 0.5],
+    )
+
+
 class TestCiVariant:
-    def test_pruning_triggers_and_result_stays_sound(self):
-        g = pruning_demo_graph()
-        sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 6, seed=7))
+    def test_pruning_triggers_and_result_stays_sound(self, monkeypatch):
+        g = sampled_pruning_demo_graph()
+        worlds = []
+        original = FTree.probe_edge
+
+        def recording(tree, graph, edge, cfg, memo=None, stop=None):
+            est, report = original(tree, graph, edge, cfg, memo, stop)
+            if report.components_resampled:
+                worlds.append(est.samples_used)
+            return est, report
+
+        monkeypatch.setattr(FTree, "probe_edge", recording)
+        sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 11, seed=7))
         assert sum(r.candidates_pruned for r in sol_ci.trace) >= 1
-        sol_ft = greedy_select(g, 0, scfg("ft", 6, seed=7))
+        assert worlds and max(worlds) <= 1000  # every cycle probe's table drawn
+        sol_ft = greedy_select(g, 0, scfg("ft", 11, seed=7))
         assert sol_ci.selected == sol_ft.selected
 
     def test_each_sampled_state_is_evaluated_once(self, monkeypatch):
@@ -209,12 +234,41 @@ class TestCiVariant:
 
         monkeypatch.setattr(FTree, "_evaluate", recording)
         monkeypatch.setattr(FTree, "probe_edge", counting_probe)
-        rng = random.Random(31)
+        # Two 9-edge rings: 2^9 worlds exceed 400 samples, so every table
+        # is drawn and offered in rounds.
+        g = ring_chain_graph(2, ring=9)
         for seed in range(4):
-            g = random_connected_graph(rng, 9, 10)
-            greedy_select(g, 0, scfg("ft_m_ci", 8, seed=seed, samples=400))
+            greedy_select(g, 0, scfg("ft_m_ci", 20, seed=seed, samples=400))
         assert max(offers) > 1  # batched rounds ran
+        assert {n for _, counts in evaluated for _, n in counts} == {400}
         assert len(evaluated) == len({(id(tree), counts) for tree, counts in evaluated})
+
+    def test_single_offer_prunes_an_exact_candidate(self, monkeypatch):
+        # The chord's exact table is offered once, shows it dominated and
+        # prunes it; the table is stored, so a later probe of it is offered
+        # nothing.
+        g = pruning_demo_graph()
+        offers = []
+        original = FTree.probe_edge
+
+        def counting(tree, graph, edge, cfg, memo=None, stop=None):
+            if stop is None:
+                return original(tree, graph, edge, cfg, memo)
+            offers.append(0)
+
+            def counted(est):
+                offers[-1] += 1
+                return stop(est)
+
+            est, report = original(tree, graph, edge, cfg, memo, counted)
+            assert est.samples_used == EXACT_SAMPLES
+            return est, report
+
+        monkeypatch.setattr(FTree, "probe_edge", counting)
+        sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 6, seed=7))
+        assert sum(r.candidates_pruned for r in sol_ci.trace) >= 1
+        assert set(offers) == {0, 1}
+        assert sol_ci.selected == greedy_select(g, 0, scfg("ft", 6, seed=7)).selected
 
     def test_ci_prune_interval_dominance(self):
         a = ((0, 1), FlowEstimate(0.85, 0.8, 0.9, 100))
@@ -400,42 +454,42 @@ PINNED = {
         'ft': (
             (
                 (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
-                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (3, 38),
+                (26, 33), (15, 38), (21, 38), (22, 38), (3, 38), (22, 34),
             ),
-            FlowEstimate(34.676586380161424, 29.68123540225679, 39.933030348777294, 300),
+            FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
             (0, 0),
         ),
         'ft_m': (
             (
                 (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
-                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (3, 38),
+                (26, 33), (15, 38), (21, 38), (22, 38), (3, 38), (22, 34),
             ),
-            FlowEstimate(34.676586380161424, 29.68123540225679, 39.933030348777294, 300),
+            FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
             (0, 0),
         ),
         'ft_m_ci': (
             (
                 (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
-                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (3, 38),
+                (26, 33), (15, 38), (21, 38), (22, 38), (3, 38), (22, 34),
             ),
-            FlowEstimate(34.676586380161424, 29.68123540225679, 39.933030348777294, 300),
-            (0, 0),
+            FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
+            (8, 0),
         ),
         'ft_m_ds': (
             (
                 (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
-                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (22, 34),
+                (26, 33), (15, 38), (21, 38), (22, 38), (22, 34), (3, 38),
             ),
-            FlowEstimate(34.66614485107044, 30.840802795295055, 38.49148690684582, 300),
-            (0, 13),
+            FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
+            (0, 16),
         ),
         'ft_m_ci_ds': (
             (
                 (0, 26), (0, 27), (26, 27), (27, 29), (3, 26), (15, 26),
-                (26, 33), (29, 33), (15, 38), (21, 38), (22, 38), (22, 34),
+                (26, 33), (15, 38), (21, 38), (22, 38), (22, 34), (3, 38),
             ),
-            FlowEstimate(34.66614485107044, 30.840802795295055, 38.49148690684582, 300),
-            (0, 13),
+            FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
+            (6, 16),
         ),
     },
     'partitioned': {
@@ -458,42 +512,42 @@ PINNED = {
         'ft': (
             (
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
-                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+                (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            FlowEstimate(56.13939593829269, 53.29953312669579, 58.97925874988959, 300),
             (0, 0),
         ),
         'ft_m': (
             (
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
-                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+                (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
+            FlowEstimate(56.13939593829269, 53.29953312669579, 58.97925874988959, 300),
             (0, 0),
         ),
         'ft_m_ci': (
             (
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
-                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+                (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
-            (0, 0),
+            FlowEstimate(56.13939593829269, 53.29953312669579, 58.97925874988959, 300),
+            (6, 0),
         ),
         'ft_m_ds': (
             (
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
-                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+                (6, 11), (3, 7), (2, 37), (3, 37), (8, 12), (12, 18),
             ),
-            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
-            (0, 12),
+            FlowEstimate(56.871062949655965, 56.871062949655965, 56.871062949655965, 2147483647),
+            (0, 15),
         ),
         'ft_m_ci_ds': (
             (
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
-                (6, 11), (3, 7), (3, 6), (2, 37), (3, 37), (8, 12),
+                (6, 11), (3, 7), (2, 37), (3, 37), (8, 12), (12, 18),
             ),
-            FlowEstimate(54.48988558943921, 51.32753316159343, 57.65223801728497, 300),
-            (0, 12),
+            FlowEstimate(56.871062949655965, 56.871062949655965, 56.871062949655965, 2147483647),
+            (7, 15),
         ),
     },
     'wsn': {
@@ -516,42 +570,42 @@ PINNED = {
         'ft': (
             (
                 (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
-                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+                (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
-            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
             (0, 0),
         ),
         'ft_m': (
             (
                 (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
-                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+                (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
-            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
+            FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
             (0, 0),
         ),
         'ft_m_ci': (
             (
                 (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
-                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+                (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
-            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
-            (25, 0),
+            FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
+            (4, 0),
         ),
         'ft_m_ds': (
             (
                 (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
-                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+                (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
-            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
-            (0, 12),
+            FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
+            (0, 14),
         ),
         'ft_m_ci_ds': (
             (
                 (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
-                (37, 52), (14, 52), (4, 48), (37, 40), (5, 56), (5, 8),
+                (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
-            FlowEstimate(73.26020005491947, 72.3292339939933, 73.95580739010194, 300),
-            (14, 12),
+            FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
+            (4, 14),
         ),
     },
 }
@@ -563,29 +617,29 @@ PINNED_TRACES = {
     'erdos': {
         'naive': 'c2c808469e5e28ef0ee0886566d649d311e4b9c1f106d576dd7466605a70fbf7',
         'dijkstra': '0bdfc4879fe3472ff65dee851ad7a1d5cede3abafd99550a5b84abfad9336f96',
-        'ft': '651f3f199da20e189ce966d235a7458c81e7ba4e4aa5070860751500dc376405',
-        'ft_m': '651f3f199da20e189ce966d235a7458c81e7ba4e4aa5070860751500dc376405',
-        'ft_m_ci': '651f3f199da20e189ce966d235a7458c81e7ba4e4aa5070860751500dc376405',
-        'ft_m_ds': '3dc9be941da092b859435a35ae2c32294f7b23417599031a2b579f277cd2a0a7',
-        'ft_m_ci_ds': '3dc9be941da092b859435a35ae2c32294f7b23417599031a2b579f277cd2a0a7',
+        'ft': '6ea95126b33be676f9e69532de7266336ef6847da6b8e6a2323c5dd41279ac9b',
+        'ft_m': '6ea95126b33be676f9e69532de7266336ef6847da6b8e6a2323c5dd41279ac9b',
+        'ft_m_ci': '0e7d5f5118e98db37e4ac70813fbad6174154017e56f2a23c4020ba51f65e91d',
+        'ft_m_ds': '390a11963f2975853ae7b1ec4154431f53e39187a6521d5159d64315d134728a',
+        'ft_m_ci_ds': '9c21c8d6d5f73e4d93104ca59864a37051ef086e133f6fe2fa25d729bdd76d3e',
     },
     'partitioned': {
         'naive': 'e2d06e34c661591042f7ad56350dcc216870252684bbe9603c288bcdd9fc8534',
         'dijkstra': '224467544f7ae02a3bc78364998a4832be98c097e2ac3d131c929a242cee0085',
-        'ft': '7d85a9613a78ff89a9a5497ac28087257a4e7fde970ee71109671b7ba968f0c6',
-        'ft_m': '7d85a9613a78ff89a9a5497ac28087257a4e7fde970ee71109671b7ba968f0c6',
-        'ft_m_ci': '7d85a9613a78ff89a9a5497ac28087257a4e7fde970ee71109671b7ba968f0c6',
-        'ft_m_ds': '906e6259a4dad5339974586a2fdda76f0aaf8e44de45fb195b8f03a2fc964e6a',
-        'ft_m_ci_ds': '906e6259a4dad5339974586a2fdda76f0aaf8e44de45fb195b8f03a2fc964e6a',
+        'ft': '6ccdea7277090aab0c6fe6fbc0366af2f60016868d44d5ef08936ec378e4decf',
+        'ft_m': '6ccdea7277090aab0c6fe6fbc0366af2f60016868d44d5ef08936ec378e4decf',
+        'ft_m_ci': '7e112c6a800bd4b270f7014b9a2acc5255ea55a2aacf2592be72a5db8a5d7a1a',
+        'ft_m_ds': '0145ec43b2807693440ef00d056a2d47267951634bf4e52586c6fc95164324ad',
+        'ft_m_ci_ds': '00e907c0a064663f1821b46736b64a3a2be45579d9491098fb2bd4423f189e8f',
     },
     'wsn': {
         'naive': '06a697d4d6c0871adc694a377ce764d82df27579491f437aced50dbd47da3a8b',
         'dijkstra': 'c203d92a8524799970fc585fdebeebb853e85baa4c2b42cff5f9217d69cbb4e8',
-        'ft': 'cd9d09c78b597d9ff4bcf45c83ddc35ff2467422e480bc216f04463219b36ba6',
-        'ft_m': 'cd9d09c78b597d9ff4bcf45c83ddc35ff2467422e480bc216f04463219b36ba6',
-        'ft_m_ci': '718b73c26ff0faebe9b83f6aba4d43b1924402af81d855663a5e7111dc62e924',
-        'ft_m_ds': '06ff64a2922b37c386c36e796f87bce1abe96d2aee9c2ba87ab31161c9fc9c03',
-        'ft_m_ci_ds': '24c1e5524772d68e268651fbf9adbcb40c87a700bf1396b72731de5ae1e08634',
+        'ft': 'd8b8c540f0f48d01fb500e18a4182f758e6988337495797359416975296e14b3',
+        'ft_m': 'd8b8c540f0f48d01fb500e18a4182f758e6988337495797359416975296e14b3',
+        'ft_m_ci': '483448b1c783845089f435e5c526f08dce1e914d4fc78a1860cc32322368958d',
+        'ft_m_ds': '1863e16901fd875d833000a32fefcc908f78075c676e6d735ec14fce4410affb',
+        'ft_m_ci_ds': '2592b90634472b124cf5547322dceb2e141e7ef2a1f52af4e76967770eeedce1',
     },
 }
 

@@ -48,6 +48,70 @@ def random_connected_graph(
     )
 
 
+def long_ring_graph(
+    rng: random.Random,
+    pendants: int,
+    extra_edges: int,
+    ring: int = 9,
+    p_range: tuple[float, float] = (0.2, 0.95),
+    weight_range: tuple[int, int] = (0, 10),
+) -> tuple[ProbabilisticGraph, list[Edge]]:
+    """Two cycles of ``ring`` edges, C through vertex 0 and D through a
+    vertex of C, ``pendants`` vertices hung off them as a random forest,
+    and up to ``extra_edges`` random links; with an insertion order that
+    grows C, then D, then the rest at random.
+
+    No link joins two vertices of C or two of D, and the links with the
+    forest stay cycle-free, so every cycle runs along C's or D's edges,
+    and along that order every cycle-closing insert makes or grows a bi
+    component holding all of C or of D.  Every bi component thus has at
+    least ``ring`` uncertain edges: its reach table is drawn while
+    ``samples`` < 2^ring.  Links inside one bi component (case IIIa) and
+    between components (case IV) stay.
+    """
+    cyc_c = list(range(ring))
+    cyc_d = [rng.randrange(1, ring), *range(ring, 2 * ring - 1)]
+    n = 2 * ring - 1 + pendants
+    edges = {canonical_edge(a, b) for cyc in (cyc_c, cyc_d) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+    root = list(range(n))  # union-find over the forest and the links
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    def join(u: int, v: int) -> None:
+        edges.add((u, v))
+        root[find(u)] = find(v)
+
+    for v in range(2 * ring - 1, n):
+        join(rng.randrange(v), v)
+    links = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(links)
+    added = 0
+    for u, v in links:
+        if added == extra_edges:
+            break
+        if {u, v} <= set(cyc_c) or {u, v} <= set(cyc_d) or find(u) == find(v):
+            continue
+        join(u, v)
+        added += 1
+    graph = ProbabilisticGraph.build(
+        n, [(u, v, rng.uniform(*p_range)) for u, v in sorted(edges)],
+        weights=[float(rng.randint(*weight_range)) for _ in range(n)],
+    )
+    order: list[Edge] = []
+    attached = {0}
+    for group in (cyc_c, cyc_d, range(n)):
+        left = {e for e in graph.edges if set(e) <= set(group)} - set(order)
+        while left:
+            e = rng.choice(sorted(e for e in left if attached & set(e)))
+            order.append(e)
+            attached.update(e)
+            left.remove(e)
+    return graph, order
+
+
 def insertable_order(
     graph: ProbabilisticGraph, rng: random.Random | None = None, q: int = 0
 ) -> list[Edge]:
@@ -108,15 +172,17 @@ def enumerate_worlds(graph: ProbabilisticGraph):
             yield frozenset(subset)
 
 
-def triangle_chain_graph(m: int) -> ProbabilisticGraph:
-    """m independent triangles, each hung off vertex 0 by one tree edge;
-    every edge has probability 0.5, the query vertex weighs nothing."""
+def ring_chain_graph(m: int, ring: int = 3) -> ProbabilisticGraph:
+    """m independent cycles of ``ring`` vertices, each hung off vertex 0 by
+    one tree edge; every edge has probability 0.5, the query vertex weighs
+    nothing.  ``ring`` = 3 gives triangles."""
     triples = []
     n = 1
     for _ in range(m):
-        a, b, c = n, n + 1, n + 2
-        triples += [(0, a, 0.5), (a, b, 0.5), (b, c, 0.5), (a, c, 0.5)]
-        n += 3
+        cycle = list(range(n, n + ring))
+        triples.append((0, n, 0.5))
+        triples += [(a, b, 0.5) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        n += ring
     weights = [0.0] + [1.0] * (n - 1)
     return ProbabilisticGraph.build(n, triples, weights=weights)
 
