@@ -3,11 +3,11 @@
 The tree partitions the currently selected subgraph into mono-connected
 components (unique paths, flow computed analytically as edge-probability
 products) and bi-connected components (cycles, whose reach tables come
-from the component's own edges only: enumerated exactly over all 2^m
-worlds of its m uncertain edges when 2^m is at most the sample budget,
-and sampled otherwise; see ``build_table``).  Each component drains through a single
-articulation vertex toward the query vertex at the root, so per-component
-results multiply up the tree.  A component's parent is the component owning
+from the component's own edges only: exact over all 2^m worlds of its m
+uncertain edges when 2^m is at most the sample budget, sampled otherwise;
+see ``build_table``).  Each component drains through a single articulation
+vertex toward the query vertex at the root, so per-component results
+multiply up the tree.  A component's parent is the component owning
 its articulation vertex (the root for the query vertex), so no links are
 stored.
 
@@ -107,7 +107,8 @@ class MonoComponent:
 @dataclass
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
-    sampled.  Without a reach table the component is dirty."""
+    enumerated or sampled (``build_table``).  Without a reach table the
+    component is dirty."""
 
     members: set[int]
     articulation: int
@@ -182,14 +183,15 @@ class _Kept:
 
 
 class MemoStore:
-    """Store of sampled reach tables that never evicts, keyed by the
-    ``SamplerConfig`` a table was drawn under and its component's signature.
+    """Store of reach tables that never evicts, keyed by the
+    ``SamplerConfig`` a table was built under and its component's signature.
 
     A store serves one graph.  Tables for equal keys are interchangeable
-    (sampling streams are derived from the config's master seed and the
-    signature, and only full-budget tables are stored), so whether a
-    component's table comes from the store or is drawn anew changes no
-    result, only how often it is sampled.  Every table stored stays for the
+    (exact tables depend on the component alone, sampling streams are
+    derived from the config's master seed and the signature, and only
+    full-budget tables are stored), so whether a component's table comes
+    from the store or is built anew changes no result, only how often it
+    is built.  Every table stored stays for the
     life of the store.
     """
 
@@ -702,8 +704,8 @@ class FTree:
     def expected_flow(self, graph: ProbabilisticGraph) -> FlowEstimate:
         """Flow into the query vertex with propagated confidence bounds.
 
-        Analytic path factors are exact; sampled factors contribute their
-        per-vertex intervals, multiplied lower-times-lower / upper-times-upper
+        Analytic path factors and exact tables have zero width; sampled
+        tables contribute their per-vertex intervals, multiplied lower-times-lower / upper-times-upper
         through nested components and summed with the vertex weights.  The
         tree's kept evaluation is returned when it has one for ``graph``.
         """

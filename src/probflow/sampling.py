@@ -173,6 +173,7 @@ _KEPT_PATTERN_EDGES = 12
 def _build_patterns(m: int) -> tuple[tuple[int, ...], np.ndarray]:
     worlds = np.arange(1 << m, dtype=np.int64)
     present = (worlds >> np.arange(m)[:, None]) & 1 == 1
+    present.flags.writeable = False  # kept patterns are shared by every caller
     return tuple(_live_bitsets(present.T)), present
 
 

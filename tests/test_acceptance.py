@@ -43,6 +43,7 @@ from util import (
     WALKTHROUGH_EDGES,
     enumerate_worlds,
     insertable_order,
+    long_cycle_graph,
     random_connected_graph,
     random_tree,
     running_example_graph,
@@ -165,22 +166,6 @@ def test_criterion_02_analytic_tree_exactness():
             est = tree.expected_flow(g)
             assert est.lb == est.mean == est.ub
             assert abs(est.mean - exact_expected_flow(g, 0)) < 1e-9
-
-
-def long_cycle_graph(rng: random.Random) -> ProbabilisticGraph:
-    """A cycle of 17-19 uncertain edges through the query vertex, up to 20
-    uncertain edges with its chords, and a few vertices hung off it by
-    certain (p = 1) edges.  2^17 worlds exceed 100000 samples, so the
-    cycle's table is drawn, while the oracle enumerates at most 2^20."""
-    n = rng.randint(17, 19)
-    triples = [(i, (i + 1) % n, rng.uniform(0.3, 0.95)) for i in range(n)]
-    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
-    for u, v in rng.sample(chords, rng.randint(0, 20 - n)):
-        triples.append((u, v, rng.uniform(0.3, 0.95)))
-    hung = rng.randint(0, 3)
-    triples += [(rng.randrange(n + j), n + j, 1.0) for j in range(hung)]
-    weights = [float(rng.randint(0, 10)) for _ in range(n + hung)]
-    return ProbabilisticGraph.build(n + hung, triples, weights=weights)
 
 
 def test_criterion_03_estimator_convergence():

@@ -32,6 +32,7 @@ from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
     insertable_order,
+    long_cycle_graph,
     long_ring_graph,
     random_connected_graph,
     random_tree,
@@ -367,25 +368,30 @@ class TestExpectedFlow:
         tree.expected_flow(g)
 
     def test_sampled_flow_converges_to_oracle(self):
+        # Cycles of 14 or more uncertain edges: 2^14 worlds exceed 10000
+        # samples, so every table is drawn.
         rng = random.Random(13)
         cfg = SamplerConfig(samples=10000, master_seed=41)
         z = normal_quantile(1 - cfg.alpha / 2)
         for _ in range(6):
-            g = random_connected_graph(rng, rng.randint(4, 7), rng.randint(1, 4))
+            g = long_cycle_graph(rng, (14, 16), max_uncertain=18)
             tree = new_ftree(0)
             for e in insertable_order(g, rng):
                 tree.insert_edge(g, e, cfg)
             tree.verify(g)
             est = tree.expected_flow(g)
+            assert est.samples_used == cfg.samples
             oracle = exact_expected_flow(g, 0)
             stderr = (est.ub - est.lb) / (2 * z)
             assert abs(est.mean - oracle) <= 4 * max(stderr, 1e-9)
 
     def test_order_robustness_against_oracle(self):
+        # A cycle of 15 or more uncertain edges: 2^15 worlds exceed 20000
+        # samples, so every table is drawn, whatever the order.
         rng = random.Random(47)
         cfg = SamplerConfig(samples=20000, master_seed=3)
         z = normal_quantile(1 - cfg.alpha / 2)
-        g = random_connected_graph(rng, 7, 4)
+        g = long_cycle_graph(rng, (15, 16), max_uncertain=18)
         oracle = exact_expected_flow(g, 0)
         for order_seed in range(4):
             order = insertable_order(g, random.Random(order_seed))
@@ -395,6 +401,7 @@ class TestExpectedFlow:
             tree.verify(g)
             assert set(tree.selected_edges) == set(g.edges)
             est = tree.expected_flow(g)
+            assert est.samples_used == cfg.samples
             stderr = (est.ub - est.lb) / (2 * z)
             assert abs(est.mean - oracle) <= 4 * max(stderr, 1e-9)
 
@@ -902,9 +909,11 @@ class TestMemo:
                 tree.insert_edge(g, e, cfg, memo)
             return tree.expected_flow(g)
 
-        first = SamplerConfig(samples=500, master_seed=1)
+        # 15 samples are fewer than the 4-cycle's 16 worlds, so its table
+        # is drawn and differs between configs.
+        first = SamplerConfig(samples=15, master_seed=1)
         memo = MemoStore()
-        flow(first, memo)
+        assert flow(first, memo).samples_used == first.samples
         stored = len(memo)
         assert stored > 0
         for cfg in (replace(first, master_seed=2), replace(first, alpha=0.05)):

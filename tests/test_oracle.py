@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from probflow import (
+    DeterministicWorld,
     OracleLimitError,
     OracleLimits,
     ProbabilisticGraph,
@@ -18,8 +19,9 @@ from probflow import (
     exact_reachability,
     exhaustive_maxflow,
     expected_flow_of_edges,
+    world_probability,
 )
-from util import random_connected_graph, random_tree
+from util import enumerate_worlds, flow_of_world, random_connected_graph, random_tree
 
 
 def path_graph(weights=(0.0, 1.0, 1.0)):
@@ -167,6 +169,26 @@ class TestExhaustiveMaxflow:
         assert g.num_edges == 15
         with pytest.raises(OracleLimitError):
             exhaustive_maxflow(g, 0, 2)
+
+
+class TestWorldLoopReference:
+    def test_matches_a_sum_over_every_world(self):
+        # Each world's probability times the weight connected to q in it,
+        # summed one world at a time; edges of probability 1 included.
+        rng = random.Random(808)
+        for _ in range(20):
+            n = rng.randint(3, 7)
+            g = random_connected_graph(rng, n, rng.randint(0, 10 - (n - 1)))
+            certain = {e for e in g.edges if rng.random() < 0.3}
+            g = ProbabilisticGraph.build(
+                n, [(u, v, 1.0 if (u, v) in certain else p) for (u, v), p in zip(g.edges, g.probabilities)],
+                weights=list(g.weights),
+            )
+            looped = sum(
+                world_probability(g, world) * flow_of_world(world, 0)
+                for world in (DeterministicWorld(g, present) for present in enumerate_worlds(g))
+            )
+            assert exact_expected_flow(g, 0) == pytest.approx(looped, rel=1e-12)
 
 
 class TestPinnedValues:

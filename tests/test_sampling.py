@@ -24,7 +24,7 @@ from probflow import (
 from probflow import sampling
 from probflow.ftree import BiComponent, IncrementalComponentSampler, build_table
 from probflow.sampling import _success_counts
-from util import flow_of_world, random_connected_graph, reachable_set, sample_world
+from util import flow_of_world, random_connected_graph, reachable_set, ring_chain_graph, sample_world
 
 
 def path_graph():
@@ -367,24 +367,13 @@ class TestConfigValidation:
             FlowEstimate(mean=1.0, lb=0.5, ub=2.0, samples_used=0)
 
 
-def four_triangle_graph(m: int = 2) -> ProbabilisticGraph:
-    """m independent triangles, each hung off vertex 0 by a tree edge."""
-    triples = []
-    n = 1
-    for _ in range(m):
-        a, b, c = n, n + 1, n + 2
-        triples += [(0, a, 0.5), (a, b, 0.5), (b, c, 0.5), (a, c, 0.5)]
-        n += 3
-    weights = [0.0] + [1.0] * (n - 1)
-    return ProbabilisticGraph.build(n, triples, weights=weights)
-
-
 class TestVarianceReduction:
     def test_component_sampling_beats_whole_graph(self):
         # Decomposed sampling leaves tree edges analytic and samples the
-        # triangles independently, so its run-to-run variance must not
-        # exceed the whole-graph estimator's at equal sample budget.
-        g = four_triangle_graph(m=2)
+        # rings independently, so its run-to-run variance must not exceed
+        # the whole-graph estimator's at equal sample budget.  Rings of 11
+        # edges have 2^11 worlds, more than 1000, so their tables are drawn.
+        g = ring_chain_graph(2, ring=11)
         runs = 200
         edges = list(g.edges)
         ft_means, naive_means = [], []
@@ -393,7 +382,9 @@ class TestVarianceReduction:
             tree = new_ftree(0)
             for e in edges:
                 tree.insert_edge(g, e, cfg)
-            ft_means.append(tree.expected_flow(g).mean)
+            est = tree.expected_flow(g)
+            assert est.samples_used == cfg.samples
+            ft_means.append(est.mean)
             naive_means.append(mc_expected_flow(g, 0, cfg).mean)
 
         def var(xs):

@@ -48,6 +48,25 @@ def random_connected_graph(
     )
 
 
+def long_cycle_graph(
+    rng: random.Random, length: tuple[int, int] = (17, 19), max_uncertain: int = 20
+) -> ProbabilisticGraph:
+    """A cycle of ``length`` uncertain edges through vertex 0, random chords
+    up to ``max_uncertain`` uncertain edges in all, and 0-3 vertices hung
+    off it by certain (p = 1) edges.  The cycle's bi component has at least
+    2^length[0] worlds, so its table is drawn below that many samples,
+    while the oracle enumerates at most 2^max_uncertain."""
+    n = rng.randint(*length)
+    triples = [(i, (i + 1) % n, rng.uniform(0.3, 0.95)) for i in range(n)]
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+    for u, v in rng.sample(chords, rng.randint(0, max_uncertain - n)):
+        triples.append((u, v, rng.uniform(0.3, 0.95)))
+    hung = rng.randint(0, 3)
+    triples += [(rng.randrange(n + j), n + j, 1.0) for j in range(hung)]
+    weights = [float(rng.randint(0, 10)) for _ in range(n + hung)]
+    return ProbabilisticGraph.build(n + hung, triples, weights=weights)
+
+
 def long_ring_graph(
     rng: random.Random,
     pendants: int,
