@@ -228,27 +228,18 @@ BENCH_HEADER = (
 
 
 def _bench_point(
-    instance: Optional[tuple[ProbabilisticGraph, int]],
-    family: str,
-    n: int,
-    deg: int,
-    eps: float,
+    source: tuple[ProbabilisticGraph, int] | GenSpec,
     cfg: StrategyConfig,
     repeat: int,
     seed: int,
     ref_sampler: SamplerConfig,
     timings: bool,
-    unit_weights: bool,
 ) -> list[str]:
-    if instance is not None:
-        graph, q = instance
-    else:
-        spec = GenSpec(
-            family=family, n=n, degree=deg, epsilon=eps,
-            seed=seed + 7919 * repeat, unit_weights=unit_weights,
-        )
-        graph = generate(spec)
+    if isinstance(source, GenSpec):
+        graph = generate(replace(source, seed=seed + 7919 * repeat))
         q = 0  # generated instances query the first vertex
+    else:
+        graph, q = source
     cfg = replace(cfg, sampler=replace(cfg.sampler, master_seed=seed + repeat))
     start = time.perf_counter()
     solution = run_strategy(graph, q, cfg)
@@ -314,7 +305,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if label in labels[:i]:
                 raise ValueError(f"sweep value {label} listed twice in --sweep")
 
-    # Every point's configs are built, and so checked, before any selection runs.
+    # Every point's instance spec and configs are built, and so checked,
+    # before any selection runs.
     points = []
     for value in values:
         n, deg, eps, k, ds_c = args.n, args.deg, args.eps, args.k, args.ds_c
@@ -328,17 +320,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             eps = value
         elif axis == "c":
             ds_c = value
+        source = instance or GenSpec(
+            family=args.family, n=n, degree=deg, epsilon=eps,
+            seed=args.seed, unit_weights=args.unit_weights,
+        )
         cfgs = [StrategyConfig(variant, k, sampler, ds_c) for variant in variants]
-        points.append((value, n, deg, eps, cfgs))
+        points.append((value, source, cfgs))
 
     rows = []
-    for value, n, deg, eps, cfgs in points:
+    for value, source, cfgs in points:
         for cfg in cfgs:
             for repeat in range(args.repeat):
-                row = _bench_point(
-                    instance, args.family, n, deg, eps, cfg, repeat,
-                    args.seed, ref_sampler, args.timings, args.unit_weights,
-                )
+                row = _bench_point(source, cfg, repeat, args.seed, ref_sampler, args.timings)
                 rows.append([axis, _fmt(value)] + row)
 
     # Per (sweep point, variant) spread across the repeats, for variance studies.

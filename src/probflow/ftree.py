@@ -17,17 +17,18 @@ cycle-closing edge, with both endpoints attached, folds the parts of the
 components that lie on the cycle it closes into one bi-connected component
 (cases IIIa, IIIb, IVb, IVc).
 
-Evaluation is one pass in attach order, which meets every vertex after the
-factors its own multiplies.  A component's articulation vertex cuts its
-members off from the query vertex, so it lay on the path each member had to
-the query vertex when that member was attached, and was attached before it;
-a mono member's parent is the vertex it was attached to.
+One rule gives every attached vertex its reach.  Each one, v, hangs off
+one vertex h(v), its mono parent or its bi component's articulation
+vertex, by a factor g(v), the edge probability or its reach-table row, and
+its reach triple t(v) to the query vertex is g(v)·t(h(v)).  Evaluation is
+one pass in attach order, which meets every vertex after h(v).  A component's
+articulation vertex cuts its members off from the query vertex, so it lay
+on the path each member had to the query vertex when that member was
+attached, and was attached before it; a mono member's parent is the vertex
+it was attached to.
 
 Flow multiplies through articulation vertices, so a cycle-closing edge
-changes only its new ring.  Every attached vertex v hangs off one vertex
-h(v), its mono parent or its bi component's articulation vertex, by a
-factor g(v), the edge probability or its reach-table row, and its reach
-triple t(v) to the query vertex is g(v)·t(h(v)).  Its subtree mass is
+changes only its new ring.  A vertex's subtree mass is
 M(v) = w(v) + Σ_{h(x)=v} g(x)·M(x), and the flow is M(q).  A cycle whose
 ring members R hang off r with new rows g′ grows the flow by
 t(r)·(Σ_{x∈R} g′(x)·Mext(x) − Σ_{x∈R, h(x)=r} g(x)·M(x)), where
@@ -143,7 +144,6 @@ class InsertReport:
     """
 
     case_taken: str
-    components_resampled: tuple[int, ...]
     edges_sampled_count: int
 
 
@@ -156,14 +156,12 @@ class _Kept:
     """What a tree keeps of its last evaluation, for one graph.
 
     ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
-    to the query vertex, the query vertex included, in attach order;
-    ``factors`` holds every mono member's path factor to its component's
-    articulation vertex.  ``terms``, once asked for, holds each leaf
-    candidate's (one endpoint attached) weighted reach term t·w for mean,
-    lb and ub.  ``rank`` holds every attached vertex's attach position (the
-    query vertex's is 0) and ``hangs`` each position's hang: the position
-    of h(v) and g(v) (see the module docstring; position 0 holds a
-    placeholder).  ``masses``, once a cycle probe asked for them, holds the
+    to the query vertex, the query vertex included, in attach order.
+    ``terms``, once asked for, holds each leaf candidate's (one endpoint
+    attached) weighted reach term t·w for mean, lb and ub.  ``rank`` holds
+    every attached vertex's attach position (the query vertex's is 0) and
+    ``hangs`` each position's hang: the position of h(v) and g(v) (see the
+    module docstring; position 0 holds a placeholder).  ``masses``, once a cycle probe asked for them, holds the
     mean, lb and ub subtree masses by position; a leaf insert drops them.
     ``rings`` maps (edge, config) to a kept cycle probe: its ring's
     (position, member) pairs in attach order, their articulation vertex,
@@ -172,7 +170,6 @@ class _Kept:
 
     estimate: FlowEstimate
     triples: dict[int, tuple[float, float, float]]
-    factors: dict[int, float]
     rank: dict[int, int]
     hangs: list[tuple[int, tuple[float, float, float]]]
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
@@ -430,16 +427,14 @@ class FTree:
             self._advance_candidates(e, fresh)
         if self._kept is not None:
             # A leaf insert into an evaluated, hence clean, tree.
-            return InsertReport(case_taken=case, components_resampled=(), edges_sampled_count=0)
+            return InsertReport(case_taken=case, edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
         if not defer_sampling:
             if pending:
                 self.refresh(graph, cfg, memo)
             self._evaluate(graph)
-        return InsertReport(
-            case_taken=case, components_resampled=tuple(pending), edges_sampled_count=cost
-        )
+        return InsertReport(case_taken=case, edges_sampled_count=cost)
 
     def _insertable(
         self, graph: ProbabilisticGraph, edge: tuple[int, int]
@@ -459,11 +454,10 @@ class FTree:
     def _attach_leaf(self, e: Edge, attach: int, fresh: int, prob: float) -> str:
         """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by the
         edge ``e``.  The kept evaluation, if any, gains the new vertex's
-        factor, triple, hang and term in place and drops its masses."""
+        triple, hang and term in place and drops its masses."""
         kept = self._kept
         if kept is not None:
-            [(_, f, t, term)] = self._leaf_terms([e])
-            kept.factors[fresh] = f
+            [(_, t, term)] = self._leaf_terms([e])
             kept.triples[fresh] = t
             kept.rank[fresh] = len(kept.hangs)
             kept.hangs.append((kept.rank[attach], (prob, prob, prob)))
@@ -486,8 +480,8 @@ class FTree:
 
         The new vertex's edges to attached vertices stop being leaves and
         close cycles from now on; its other edges become leaf candidates.
-        A leaf insert changes no attached vertex's triple or factor, so
-        every other leaf keeps its term.
+        A leaf insert changes no attached vertex's triple, so every other
+        leaf keeps its term.
         """
         edges, graph = self._cands, self._graph
         del edges[bisect_left(edges, e)]
@@ -504,36 +498,33 @@ class FTree:
                 insort(edges, c)
                 found.append(c)
         if terms is not None:
-            terms.update((c, term) for c, _, _, term in self._leaf_terms(found))
+            terms.update((c, term) for c, _, term in self._leaf_terms(found))
 
     def _leaf_terms(
         self, edges: Iterable[Edge]
-    ) -> Iterator[tuple[Edge, float, tuple[float, float, float], tuple[float, float, float]]]:
+    ) -> Iterator[tuple[Edge, tuple[float, float, float], tuple[float, float, float]]]:
         """For each leaf edge (one endpoint attached) among ``edges``: the
-        edge, the path factor and reach triple t its new vertex would get,
-        and the weighted term t·w its insert adds, given the kept evaluation.
+        edge, the reach triple t = p·t(attach) its new vertex would get, and
+        the weighted term t·w its insert adds, given the kept triples.
 
-        The factor and triple are the ones ``_evaluate`` would compute, and
-        the new vertex comes last in ``vertex_index``, so ``leaf_estimate``
-        of the kept estimate and the term matches a full evaluation of the
-        grown tree bit for bit.
+        The triple is the one ``_evaluate`` would compute, and the new vertex
+        comes last in ``vertex_index``, so ``leaf_estimate`` of the kept
+        estimate and the term matches a full evaluation of the grown tree
+        bit for bit.
         """
-        q, comps, index, root = self.q, self.components, self.vertex_index, self.root_id
-        triples, factors, graph = self._kept.triples, self._kept.factors, self._graph
+        q, index = self.q, self.vertex_index
+        triples, graph = self._kept.triples, self._graph
         for e in edges:
             u, v = e
             att_u = u == q or u in index
             if att_u == (v == q or v in index):
                 continue
             attach, fresh = (u, v) if att_u else (v, u)
-            comp = comps[index.get(attach, root)]
-            anchor = comp.articulation if isinstance(comp, MonoComponent) else attach
-            prob = graph.probabilities[graph.edge_index[e]]
-            f = (factors[attach] if attach != anchor else 1.0) * prob
-            base = triples[anchor]
-            t = (f * base[0], f * base[1], f * base[2])
+            p = graph.probabilities[graph.edge_index[e]]
+            base = triples[attach]
+            t = (p * base[0], p * base[1], p * base[2])
             w = graph.weights[fresh]
-            yield e, f, t, (t[0] * w, t[1] * w, t[2] * w)
+            yield e, t, (t[0] * w, t[1] * w, t[2] * w)
 
     @staticmethod
     def leaf_estimate(base: FlowEstimate, t: tuple[float, float, float]) -> FlowEstimate:
@@ -570,7 +561,7 @@ class FTree:
         edges = self.candidates(graph)
         kept = self._kept or self._evaluate(graph)
         if kept.terms is None:
-            kept.terms = {e: term for e, _, _, term in self._leaf_terms(edges)}
+            kept.terms = {e: term for e, _, term in self._leaf_terms(edges)}
         return kept.estimate, kept.terms
 
     def _plan_cycle(self, u: int, v: int, e: Edge) -> tuple[_Parts, BiComponent, str]:
@@ -704,10 +695,11 @@ class FTree:
     def expected_flow(self, graph: ProbabilisticGraph) -> FlowEstimate:
         """Flow into the query vertex with propagated confidence bounds.
 
-        Analytic path factors and exact tables have zero width; sampled
-        tables contribute their per-vertex intervals, multiplied lower-times-lower / upper-times-upper
-        through nested components and summed with the vertex weights.  The
-        tree's kept evaluation is returned when it has one for ``graph``.
+        Edge probabilities and exact tables have zero width; sampled tables
+        contribute their per-vertex intervals, multiplied lower-times-lower /
+        upper-times-upper down the hang chain (t = g·t(h), see the module
+        docstring) and summed with the vertex weights.  The tree's kept
+        evaluation is returned when it has one for ``graph``.
         """
         self._use_graph(graph)
         return (self._kept or self._evaluate(graph)).estimate
@@ -715,36 +707,30 @@ class FTree:
     def _evaluate(self, graph: ProbabilisticGraph) -> _Kept:
         """Evaluate the whole tree and keep the result as a new kept state;
         the caller has made ``graph`` the one the tree serves.  One pass in
-        attach order (see the module docstring) gives every reach triple,
-        mono path factor and hang, the weighted sums and the fewest worlds
-        behind any reach table read.  A dirty bi component raises
-        DirtyComponentError.
+        attach order (see the module docstring) gives every reach triple
+        and hang and the weighted sums; a component's kind only picks each
+        member's h and g.  The estimate's worlds are the fewest behind any
+        reach table.  A dirty bi component raises DirtyComponentError.
         """
         weights, comps = graph.weights, self.components
+        tables = [c.reach for c in comps.values() if isinstance(c, BiComponent)]
+        if any(table is None for table in tables):
+            raise DirtyComponentError("expected_flow called with stale components")
+        samples_used = min([EXACT_SAMPLES] + [table.sample_count for table in tables])
         triples: dict[int, tuple[float, float, float]] = {self.q: (1.0, 1.0, 1.0)}
-        factors: dict[int, float] = {}
         rank = {self.q: 0}
         hangs: list[tuple[int, tuple[float, float, float]]] = [(0, (1.0, 1.0, 1.0))]
-        samples_used = EXACT_SAMPLES
         mean = lb = ub = weights[self.q]
         for v, cid in self.vertex_index.items():
             comp = comps[cid]
-            av = comp.articulation
-            base = triples[av]
             if isinstance(comp, MonoComponent):
-                parent, prob = comp.parent_edges[v]
-                f = (factors[parent] if parent != av else 1.0) * prob
-                factors[v] = f
-                hangs.append((rank[parent], (prob, prob, prob)))
-                t = (f * base[0], f * base[1], f * base[2])
+                h, prob = comp.parent_edges[v]
+                g = (prob, prob, prob)
             else:
-                table = comp.reach
-                if table is None:
-                    raise DirtyComponentError("expected_flow called with stale components")
-                samples_used = min(samples_used, table.sample_count)
-                hangs.append((rank[av], table.rows[v]))
-                p, lo, hi = hangs[-1][1]
-                t = (p * base[0], lo * base[1], hi * base[2])
+                h, g = comp.articulation, comp.reach.rows[v]
+            base = triples[h]
+            hangs.append((rank[h], g))
+            t = (g[0] * base[0], g[1] * base[1], g[2] * base[2])
             triples[v] = t
             rank[v] = len(rank)
             w = weights[v]
@@ -752,7 +738,7 @@ class FTree:
             lb += t[1] * w
             ub += t[2] * w
         est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
-        self._kept = _Kept(est, triples, factors, rank, hangs)
+        self._kept = _Kept(est, triples, rank, hangs)
         return self._kept
 
     def _ring_flow(self, ring: list[tuple[int, int]], r: int, rows: Mapping[int, tuple]) -> tuple:
@@ -825,24 +811,23 @@ class FTree:
 
         With a memo, a probe that ends with a full table keeps the ring, its
         table and report; a re-probe under the same ``cfg`` scores them over
-        the current masses, as a fresh probe would, bit for bit.  The report
-        names the ring by the id a commit would give it when first probed.
+        the current masses, as a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
         kept = self._kept or self._evaluate(graph)
         if not (att_u and att_v):
-            [(_, _, _, term)] = self._leaf_terms([e])
+            [(_, _, term)] = self._leaf_terms([e])
             comp = self.components[self.component_of_vertex(e[0] if att_u else e[1])]
             case = "IIa" if isinstance(comp, MonoComponent) else "IIb"
-            return self.leaf_estimate(kept.estimate, term), InsertReport(case, (), 0)
+            return self.leaf_estimate(kept.estimate, term), InsertReport(case, 0)
         key = (e, cfg)
         kept_ring = kept.rings.get(key) if memo is not None else None
         offer = None
         if kept_ring is None:
             _, comp, case = self._plan_cycle(*e, e)
             ring, r = sorted((kept.rank[x], x) for x in comp.members), comp.articulation
-            report = InsertReport(case, (self._next_id,), len(comp.internal_edges))
+            report = InsertReport(case, len(comp.internal_edges))
             signature = comp.signature() if memo is not None else None
             table = memo.lookup(cfg, signature) if memo is not None else None
             if table is None:

@@ -32,10 +32,32 @@ class GenSpec:
     unit_weights: bool = False
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
+        _check(self.family, self.n, self.degree, self.epsilon)
+
+
+def _check(family: str, n: int, degree: int = 0, epsilon: float = 0.0) -> None:
+    """Raise ValueError unless ``family``'s generator can build an instance
+    of n vertices with these parameters (only its own are read).  The one
+    check both ``GenSpec`` and the ``gen_*`` functions run."""
+    if family == "erdos":
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
+        if n * degree // 2 > n * (n - 1) // 2:
+            raise ValueError("requested edges exceed the number of vertex pairs")
+    elif family == "partitioned":
+        if degree < 2 or degree % 2 != 0:
+            raise ValueError("degree must be a positive even number")
+        if n % degree != 0 or n < 2 * degree:
+            raise ValueError("degree must divide n and n must be at least 2*degree")
+    elif family == "wsn":
+        if n < 1:
             raise ValueError("n must be positive")
+        if not (0.0 < epsilon <= math.sqrt(2.0)):
+            raise ValueError("epsilon must be in (0, sqrt(2)]")
+    else:
+        raise ValueError(f"unknown family {family!r}")
 
 
 def generate(spec: GenSpec) -> ProbabilisticGraph:
@@ -81,13 +103,8 @@ def _assemble(
 
 def gen_erdos(n: int, degree: int, seed: int, unit_weights: bool = False) -> ProbabilisticGraph:
     """n*degree/2 distinct edges placed uniformly over unordered pairs."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _check("erdos", n, degree)
     target = n * degree // 2
-    if target > n * (n - 1) // 2:
-        raise ValueError("requested edges exceed the number of vertex pairs")
     rng = np.random.default_rng(seed)
     edges: set[Edge] = set()
     while len(edges) < target:
@@ -104,10 +121,7 @@ def gen_partitioned(
     all vertices in both neighboring partitions, so each has exactly the
     requested degree.  ``wrap=False`` leaves the ring open (a path), halving
     the degree at the two end partitions."""
-    if degree < 2 or degree % 2 != 0:
-        raise ValueError("degree must be a positive even number")
-    if n % degree != 0 or n < 2 * degree:
-        raise ValueError("degree must divide n and n must be at least 2*degree")
+    _check("partitioned", n, degree)
     size = degree // 2
     parts = 2 * n // degree
     rng = np.random.default_rng(seed)
@@ -126,8 +140,7 @@ def gen_wsn(
     n: int, epsilon: float, seed: int, unit_weights: bool = False
 ) -> ProbabilisticGraph:
     """Uniform points in the unit square, connected within epsilon distance."""
-    if not (0.0 < epsilon <= math.sqrt(2.0)):
-        raise ValueError("epsilon must be in (0, sqrt(2)]")
+    _check("wsn", n, epsilon=epsilon)
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
     edges: list[Edge] = []

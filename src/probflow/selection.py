@@ -221,12 +221,12 @@ def _probe_with_ci(
     terms from ``FTree.leaf_terms``; a leaf's estimate is
     ``FTree.leaf_estimate`` of the two.  A leaf samples nothing, so it is
     never pruned; it takes its place in the order as a candidate for the
-    running best.  Once a confirmed
-    best exists, each cycle probe's sampled components are checked on every
-    ``CI_BATCH``-world prefix of their samples (``FTree.probe_edge`` with a
-    stop predicate); a pruned candidate keeps the prefix estimate it was
-    dropped at.  Returns the cycle probes' estimates and reports, and the
-    pruned candidates.
+    running best.  Once a confirmed best exists, each cycle probe is
+    checked by ``FTree.probe_edge``'s stop predicate: a drawn ring table on
+    every ``CI_BATCH``-world prefix of its worlds and on all of them, an
+    exact one once, on its one estimate, and a memoized one not at all.  A
+    pruned candidate keeps the estimate it was dropped at.  Returns the
+    cycle probes' estimates and reports, and the pruned candidates.
     """
     best: Optional[tuple[Edge, FlowEstimate]] = None
     probes: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}

@@ -229,6 +229,7 @@ def test_criterion_05_structural_invariants():
         assert steps >= 100_000
 
 
+@pytest.mark.pinned
 def test_criterion_06_walkthrough_cases():
     with criterion(6, "running-example insertion walkthrough", None):
         g = running_example_graph()
@@ -252,8 +253,9 @@ def test_criterion_06_walkthrough_cases():
             trial.verify(g)
             assert trial.dump(g) + "\n" == (GOLDEN / golden_name).read_text()
         # the IIIa insertion must re-sample exactly one component
-        report = tree.copy().insert_edge(g, (6, 8), cfg)
-        assert len(report.components_resampled) == 1
+        trial = tree.copy()
+        trial.insert_edge(g, (6, 8), cfg, defer_sampling=True)
+        assert len(trial.dirty_components()) == 1
 
 
 def test_criterion_07_greedy_quality(greedy_corpus):

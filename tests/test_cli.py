@@ -330,18 +330,21 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sweep, message", [
-        ("c=2,0.5", "ds_c must be > 1"),
-        ("k=20,0", "budget must be >= 1"),
-    ], ids=["c", "k"])
+    @pytest.mark.parametrize("family, sweep, message", [
+        ("partitioned", "c=2,0.5", "ds_c must be > 1"),
+        ("partitioned", "k=20,0", "budget must be >= 1"),
+        ("erdos", "n=40,1", "n must be >= 2"),
+        ("partitioned", "deg=4,5", "degree must be a positive even number"),
+        ("wsn", "eps=0.3,2", "epsilon must be in (0, sqrt(2)]"),
+    ], ids=["c", "k", "n", "deg", "eps"])
     def test_bad_sweep_point_rejected_before_selecting(
-        self, tmp_path, capsys, monkeypatch, sweep, message
+        self, tmp_path, capsys, monkeypatch, family, sweep, message
     ):
         # A sweep whose later point is invalid runs no selection at all.
         calls = []
         monkeypatch.setattr("probflow.cli.run_strategy", lambda *args: calls.append(args))
         out = tmp_path / "x.csv"
-        rc = main(["bench", "--family", "partitioned", "--n", "40", "--deg", "4",
+        rc = main(["bench", "--family", family, "--n", "40", "--deg", "4",
                    "--variants", "ft,ft_m_ds", "--sweep", sweep, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
@@ -405,6 +408,7 @@ class TestDumpFtree:
         assert rc == 2
 
 
+@pytest.mark.pinned
 class TestPinnedBytes:
     # One sha256 over the files three generators write, the iteration CSV
     # of every variant on each instance, and the default-order dump of the

@@ -177,9 +177,11 @@ class TestRunningExample:
         g = running_example_graph()
         tree = build_base_tree(g)
         before = tree.dump(g)
+        deferred = tree.copy()
+        deferred.insert_edge(g, (6, 8), CFG, defer_sampling=True)
+        assert len(deferred.dirty_components()) == 1
         report = tree.insert_edge(g, (6, 8), CFG)
         assert report.case_taken == "IIIa"
-        assert len(report.components_resampled) == 1
         assert report.edges_sampled_count == 5  # the four-cycle plus the chord
         assert tree.dump(g) == before  # no structural change
         tree.verify(g)
@@ -452,7 +454,7 @@ class TestProbe:
                 report = probe.insert_edge(g, e, cfg, memo)
                 est, probe_report = tree.probe_edge(g, e, cfg, memo)
                 assert report == probe_report == stopped_report
-                if report.components_resampled:
+                if report.edges_sampled_count:
                     assert_close(est, probe.expected_flow(g))
                     assert est.samples_used == cfg.samples
                     assert stopped.samples_used == CI_BATCH
@@ -467,19 +469,13 @@ class TestProbe:
         # Before every commit each candidate is probed plain and stop-checked,
         # on the tree (which keeps cycle probes and scores them again over
         # the current masses) and on a copy of a twin tree fed the same calls
-        # with its own memo.  Estimates agree bit for bit, reports up to the
-        # ring's component id, and after every probe both memos hold the
-        # same keys in the same order.
+        # with its own memo.  Estimates and reports agree bit for bit, and
+        # after every probe both memos hold the same keys in the same order.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
 
         def stop(est):
             return int(est.mean * 1e6) % 3 == 0
-
-        def same_report(a, b):
-            assert (a.case_taken, a.edges_sampled_count, len(a.components_resampled)) == (
-                b.case_taken, b.edges_sampled_count, len(b.components_resampled)
-            )
 
         rescored = 0
         for trial in range(25):
@@ -495,11 +491,10 @@ class TestProbe:
                         rescored += check is None and after_leaf and (c, cfg) in tree._kept.rings
                         est, report = tree.probe_edge(g, c, cfg, memo, check)
                         twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
-                        assert est == twin_est
-                        same_report(report, twin_report)
+                        assert (est, report) == (twin_est, twin_report)
                         assert list(memo._entries) == list(twin_memo._entries)
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
-                same_report(tree.insert_edge(g, e, cfg, memo), twin.insert_edge(g, e, cfg, twin_memo))
+                assert tree.insert_edge(g, e, cfg, memo) == twin.insert_edge(g, e, cfg, twin_memo)
                 assert list(memo._entries) == list(twin_memo._entries)
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
@@ -538,7 +533,6 @@ class TestProbe:
         tree = build_base_tree(g)
         _, report = tree.probe_edge(g, (7, 17), CFG)
         assert report.edges_sampled_count == 0
-        assert report.components_resampled == ()
 
     def test_leaf_probe_is_not_kept(self):
         # Only cycle probes are kept: a kept leaf probe would be replayed as
@@ -1083,6 +1077,7 @@ def closed_cycle(probs, cfg):
     return g, tree, ring
 
 
+@pytest.mark.pinned
 class TestExactTables:
     """A bi component with m uncertain edges gets an exact table when
     2^m <= samples: enumerated worlds, no stream, zero-width rows."""
@@ -1276,6 +1271,7 @@ class TestStructuralInvariants:
                 tree.verify(g)
         assert seen == allowed
 
+    @pytest.mark.pinned
     def test_structure_digest_is_pinned(self):
         # Every insert's case and resulting structure, hashed over a fixed
         # corpus, so a change to any structural rule shows here.  Component

@@ -191,6 +191,7 @@ class TestWorldLoopReference:
             assert exact_expected_flow(g, 0) == pytest.approx(looped, rel=1e-12)
 
 
+@pytest.mark.pinned
 class TestPinnedValues:
     """Oracle values pinned bit for bit, so a change to world propagation
     cannot move them, not even in the last place.  Each reach is a sum in
