@@ -25,6 +25,7 @@ from .graphs import (
     save_graph,
 )
 from .netgen import (
+    FAMILIES,
     GenSpec,
     assign_close_friends,
     assign_distance_decay,
@@ -396,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic instance to files")
-    g.add_argument("family", choices=("erdos", "partitioned", "wsn"))
+    g.add_argument("family", choices=FAMILIES)
     g.add_argument("--n", type=int, required=True, help="vertex count")
     g.add_argument("--deg", type=int, default=0, help="vertex degree (erdos, partitioned)")
     g.add_argument("--eps", type=float, default=0.0, help="connection radius (wsn)")
@@ -435,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--weights", help="vertex-weight file for --edges")
     b.add_argument("--coords", help="vertex-coordinate file for --edges")
     b.add_argument("--query", default="0", help="query vertex label")
-    b.add_argument("--family", choices=("erdos", "partitioned", "wsn"), default="erdos")
+    b.add_argument("--family", choices=FAMILIES, default="erdos")
     b.add_argument("--n", type=int, default=100)
     b.add_argument("--deg", type=int, default=6)
     b.add_argument("--eps", type=float, default=0.1)
