@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from dataclasses import replace
@@ -108,6 +109,13 @@ def _read_edge_set(path: str, graph: ProbabilisticGraph) -> list[Edge]:
 # ----------------------------------------------------------------------
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.decay and args.close_friends is not None:
+        raise ValueError("--decay and --close-friends cannot be combined: "
+                         "--close-friends overwrites every decayed probability")
+    if args.decay and not (math.isfinite(args.decay_lambda) and args.decay_lambda >= 0.0):
+        raise ValueError("--decay-lambda must be finite and >= 0")
+    if args.decay and not (math.isfinite(args.world_size_m) and args.world_size_m > 0.0):
+        raise ValueError("--world-size-m must be finite and > 0")
     spec = GenSpec(
         family=args.family,
         n=args.n,

@@ -37,12 +37,12 @@ no vertex outside R changes its hang or its factor.  Cycle probes score
 this sum in O(|R|) and change nothing.
 
 A tree keeps one state for the graph it last served: its evaluation, the
-leaf candidates' terms, the subtree masses and its kept cycle probes.  A
-leaf insert extends it in place (the new vertex's terms; the masses are
-rebuilt at the next cycle probe); a cycle-closing insert, a renewed reach
-table or a call naming another graph drops all of it at once.  Its
-candidate edges survive cycle-closing inserts and sit beside it.  A copy
-keeps none of it.
+leaf candidates' terms, the subtree masses and each probed cycle
+candidate's plan and sampler (with a memo, its table too).  A leaf insert
+extends it in place (the new vertex's terms; the masses are rebuilt at the
+next cycle probe); a cycle-closing insert, a renewed reach table or a call
+naming another graph drops all of it at once.  Its candidate edges
+survive cycle-closing inserts and sit beside it.  A copy keeps none of it.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ class MonoComponent:
             path.append(self.parent_edges[path[-1]][0])
         return path
 
-    def edge_set(self) -> set[Edge]:
-        return {canonical_edge(v, parent) for v, (parent, _) in self.parent_edges.items()}
-
     def copy(self) -> "MonoComponent":
         return MonoComponent(self.articulation, dict(self.parent_edges))
 
@@ -147,8 +144,23 @@ class InsertReport:
     edges_sampled_count: int
 
 
-# The parts a cycle takes (see ``FTree._plan_cycle``).
+# The parts a cycle takes (``FTree._plan_cycle``); rows over rounds (``rows``).
 _Parts = list[tuple[int, Optional[list[int]], int]]
+_Rows = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+@dataclass
+class _Ring:
+    """A probed cycle candidate, kept until the next cycle-closing insert:
+    its ring's (attach position, vertex) pairs in attach order, the ring (a
+    dirty ``BiComponent``), the insert report, the sampler prepared at the
+    first build a probe needs and, with a memo only, the table."""
+
+    members: list[tuple[int, int]]
+    comp: BiComponent
+    report: InsertReport
+    sampler: Optional[IncrementalComponentSampler] = None
+    table: Optional[ReachTable] = None
 
 
 @dataclass
@@ -161,11 +173,10 @@ class _Kept:
     attached) weighted reach term t·w for mean, lb and ub.  ``rank`` holds
     every attached vertex's attach position (the query vertex's is 0) and
     ``hangs`` each position's hang: the position of h(v) and g(v) (see the
-    module docstring; position 0 holds a placeholder).  ``masses``, once a cycle probe asked for them, holds the
-    mean, lb and ub subtree masses by position; a leaf insert drops them.
-    ``rings`` maps (edge, config) to a kept cycle probe: its ring's
-    (position, member) pairs in attach order, their articulation vertex,
-    the ring's table and the probe's report.
+    module docstring; position 0 holds a placeholder).  ``masses``, once a
+    cycle probe asked for them, holds the mean, lb and ub subtree masses by
+    position; a leaf insert drops them.  ``rings`` maps (edge, config) to
+    the candidate's kept cycle probe (``_Ring``), with or without a memo.
     """
 
     estimate: FlowEstimate
@@ -174,9 +185,7 @@ class _Kept:
     hangs: list[tuple[int, tuple[float, float, float]]]
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
     masses: Optional[tuple[list[float], list[float], list[float]]] = None
-    rings: dict[
-        tuple[Edge, SamplerConfig], tuple[list[tuple[int, int]], int, ReachTable, InsertReport]
-    ] = field(default_factory=dict)
+    rings: dict[tuple[Edge, SamplerConfig], _Ring] = field(default_factory=dict)
 
 
 class MemoStore:
@@ -188,8 +197,7 @@ class MemoStore:
     derived from the config's master seed and the signature, and only
     full-budget tables are stored), so whether a component's table comes
     from the store or is built anew changes no result, only how often it
-    is built.  Every table stored stays for the
-    life of the store.
+    is built.  Every table stored stays for the life of the store.
     """
 
     def __init__(self) -> None:
@@ -213,13 +221,15 @@ class IncrementalComponentSampler:
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  A drawn world i lands in bit i of every vertex's world
     bitset, so one draw gives the table of every prefix of its worlds.
+    Construction prepares what every build reads: local vertices and edges,
+    probabilities and the exact flag; the first draw adds the stream key.
     """
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
-        self._comp = comp
         self.articulation = comp.articulation
         self.alpha = cfg.alpha
         self.master_seed = cfg.master_seed
+        self.samples = cfg.samples
         verts = sorted(comp.members | {comp.articulation})
         local = {v: i for i, v in enumerate(verts)}
         edges = sorted(comp.internal_edges)
@@ -227,9 +237,22 @@ class IncrementalComponentSampler:
         self._probs = [graph.probabilities[graph.edge_index[e]] for e in edges]
         self._verts = verts
         self._source = local[comp.articulation]
-        self._bits = [0] * len(verts)
-        self.drawn = 0
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
+        self._comp, self._stream = comp, None  # the stream key, at the first draw
+        self._bits: list[int] = []
+        self.drawn = 0
+
+    def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Rows]]:
+        """The table, exact or of ``cfg.samples`` worlds drawn afresh (see
+        ``build_table``); a drawn one comes with ``rows(sizes)`` if ``sizes``
+        are given.  Drawn worlds are dropped, so a kept sampler holds none."""
+        if self.exact:
+            return self.exact_table(), None
+        self.draw(self.samples)
+        rounds = self.rows(sizes) if sizes else None
+        table = self.table()
+        self._bits, self.drawn = [], 0
+        return table, rounds
 
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
@@ -240,8 +263,9 @@ class IncrementalComponentSampler:
         return ReachTable(articulation=av, probs=probs, sample_count=EXACT_SAMPLES, alpha=self.alpha)
 
     def draw(self, batch: int) -> None:
-        """Draw ``batch`` worlds; a sampler draws once."""
-        rng = substream(self.master_seed, "component", self._comp.signature())
+        """Draw ``batch`` worlds from the stream's start, replacing any drawn."""
+        self._stream = self._stream or self._comp.signature()
+        rng = substream(self.master_seed, "component", self._stream)
         self._bits = _reach_worlds(
             self._edges, self._probs, len(self._verts), self._source, batch, rng
         )
@@ -259,37 +283,26 @@ class IncrementalComponentSampler:
         probs = {v: counts[i] / n for i, v in enumerate(self._verts) if v != av}
         return ReachTable(articulation=av, probs=probs, sample_count=n, alpha=self.alpha)
 
-    def rows(self, sizes: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def rows(self, sizes: Sequence[int]) -> _Rows:
         """Every member's (p, lo, hi) as arrays over ``sizes``: element j is its
         row in the table of the first ``sizes[j]`` worlds, bit for bit."""
         n = np.array(sizes, dtype=np.int64)
         counts = np.array([self._counts(k) for k in sizes], dtype=np.int64).T
         p = counts / n
         lo, hi = wald_interval(p, n, self.alpha)
-        return {
-            v: (p[i], lo[i], hi[i])
-            for i, v in enumerate(self._verts)
-            if v != self.articulation
-        }
+        av = self.articulation
+        return {v: (p[i], lo[i], hi[i]) for i, v in enumerate(self._verts) if v != av}
 
 
 def build_table(
     graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig
 ) -> tuple[ReachTable, Optional[IncrementalComponentSampler]]:
-    """The one builder of a bi component's reach table under ``cfg``.
-
-    With m uncertain edges (p < 1) and 2^m <= ``cfg.samples``, the table
-    is exact (``IncrementalComponentSampler.exact_table``): it draws no
-    worlds, builds no stream and does not depend on the master seed, and
-    no sampler is returned.  Otherwise the component's stream draws
-    ``cfg.samples`` worlds, and the sampler comes back with the table so
-    that interval rounds can read its prefixes.
-    """
+    """A bi component's reach table under ``cfg``: exact, with no sampler,
+    when its m uncertain edges (p < 1) have 2^m <= ``cfg.samples`` worlds
+    (no draw, no stream, no master seed); else drawn, with its sampler."""
     sampler = IncrementalComponentSampler(graph, comp, cfg)
-    if sampler.exact:
-        return sampler.exact_table(), None
-    sampler.draw(cfg.samples)
-    return sampler.table(), sampler
+    table, _ = sampler.build()
+    return table, None if sampler.exact else sampler
 
 
 class FTree:
@@ -298,11 +311,10 @@ class FTree:
     One writer at a time; probes never change its structure or its tables.
     The kept state (``_Kept``, see the module docstring) holds the tree's
     last evaluation, the leaf candidates' terms once ``leaf_terms`` asked
-    for them, the subtree masses cycle probes score from and, with a memo,
-    each probed cycle candidate's ring and table, scored again over the
-    current masses when re-probed under the same ``SamplerConfig``.  The
-    candidate edges (``candidates``) sit beside it; both serve one graph
-    (``_use_graph``).
+    for them, the subtree masses cycle probes score from and each probed
+    cycle candidate's plan (``_Ring``), reused when it is re-probed under
+    the same ``SamplerConfig``.  The candidate edges (``candidates``) sit
+    beside it; both serve one graph (``_use_graph``).
     """
 
     def __init__(self, q: int):
@@ -798,20 +810,23 @@ class FTree:
         evaluation is evaluated first; a dirty one raises).
 
         A leaf edge's estimate is ``leaf_estimate`` of the kept estimate and
-        its term.  A cycle edge is planned (``_plan_cycle``) and scored from
-        the subtree masses by the module docstring's formula, which agrees
-        with an insert into a copy up to rounding.  Its ring's table comes
-        from ``memo`` or from ``build_table``, as a commit's would.  A drawn
-        table's estimates over its first ``CI_BATCH``, 2·``CI_BATCH``, ...
-        worlds and over all of them are offered to ``stop`` in that order;
-        the first one it accepts is returned at once and its table kept out
-        of the memo.  An exact table's one estimate is offered once, after
-        the table is stored: the table is complete, so a stop that fires
-        saves nothing.  A memoized table is offered nothing.
+        its term.  A cycle edge is scored from the subtree masses by the
+        module docstring's formula, which agrees with an insert into a copy
+        up to rounding.  Its ring's table comes from ``memo`` or from the
+        ring's sampler, as a commit's would.  A drawn table's estimates over
+        its first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and over all of
+        them are offered to ``stop`` in that order; the first one it accepts
+        is returned at once and its table kept out of the memo.  An exact
+        table's one estimate is offered once, after the table is stored: the
+        table is complete, so a stop that fires saves nothing.  A memoized
+        table is offered nothing.
 
-        With a memo, a probe that ends with a full table keeps the ring, its
-        table and report; a re-probe under the same ``cfg`` scores them over
-        the current masses, as a fresh probe would, bit for bit.
+        Every tree keeps each cycle candidate it probes under ``cfg``
+        (``_Ring``) until its next cycle-closing insert, so a re-probe skips
+        planning and preparing the sampler.  A memo also keeps full tables
+        for re-probes to score; without one, every probe builds its table
+        and offers it to ``stop`` afresh.  A re-probe returns what a fresh
+        probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -821,33 +836,34 @@ class FTree:
             comp = self.components[self.component_of_vertex(e[0] if att_u else e[1])]
             case = "IIa" if isinstance(comp, MonoComponent) else "IIb"
             return self.leaf_estimate(kept.estimate, term), InsertReport(case, 0)
-        key = (e, cfg)
-        kept_ring = kept.rings.get(key) if memo is not None else None
-        offer = None
-        if kept_ring is None:
+        ring = kept.rings.get((e, cfg))
+        if ring is None:
             _, comp, case = self._plan_cycle(*e, e)
-            ring, r = sorted((kept.rank[x], x) for x in comp.members), comp.articulation
+            members = sorted((kept.rank[x], x) for x in comp.members)
             report = InsertReport(case, len(comp.internal_edges))
-            signature = comp.signature() if memo is not None else None
-            table = memo.lookup(cfg, signature) if memo is not None else None
-            if table is None:
-                table, sampler = build_table(graph, comp, cfg)
-                if stop is not None and sampler is not None:
-                    sizes = [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
-                    flows = self._ring_flow(ring, r, sampler.rows(sizes))
-                    for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
-                        est = FlowEstimate(*flow, self._ring_samples(ring, n))
-                        if stop(est):
-                            return est, report
-                offer = stop if sampler is None else None
-                if memo is not None:
-                    memo.store(cfg, signature, table)
-            kept_ring = (ring, r, table, report)
+            ring = kept.rings[e, cfg] = _Ring(members, comp, report)
+        members, r, report = ring.members, ring.comp.articulation, ring.report
+        offer = signature = None
+        table = ring.table if memo is not None else None
+        if table is None and memo is not None:
+            signature = ring.comp.signature()
+            table = ring.table = memo.lookup(cfg, signature)
+        if table is None:
+            ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
+            sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
+            table, rounds = ring.sampler.build(sizes)
+            if rounds is not None:
+                flows = self._ring_flow(members, r, rounds)
+                for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
+                    est = FlowEstimate(*flow, self._ring_samples(members, n))
+                    if stop(est):
+                        return est, report
+            offer = stop if ring.sampler.exact else None
             if memo is not None:
-                kept.rings[key] = kept_ring
-        ring, r, table, report = kept_ring
-        flow = self._ring_flow(ring, r, table.rows)
-        est = FlowEstimate(*flow, self._ring_samples(ring, table.sample_count))
+                memo.store(cfg, signature, table)
+                ring.table = table
+        flow = self._ring_flow(members, r, table.rows)
+        est = FlowEstimate(*flow, self._ring_samples(members, table.sample_count))
         if offer is not None:
             offer(est)
         return est, report
@@ -944,7 +960,7 @@ class FTree:
         all_edges: set[Edge] = set()
         for comp in self.components.values():
             if isinstance(comp, MonoComponent):
-                edges = comp.edge_set()
+                edges = {canonical_edge(v, p) for v, (p, _) in comp.parent_edges.items()}
             else:
                 closure = comp.members | {comp.articulation}
                 if len(closure) < 3:

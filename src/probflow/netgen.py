@@ -159,7 +159,13 @@ def assign_distance_decay(
 
     ``lam`` is a per-meter rate; ``scale`` converts the stored coordinate
     units to meters (unit-square instances pass their world size here).
+    ``lam`` must be finite and non-negative and ``scale`` finite and
+    positive, so that every probability lies in (0, 1].
     """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be a finite rate >= 0, got {lam}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     if graph.coordinates is None:
         raise ValueError("graph has no coordinates")
     triples = []

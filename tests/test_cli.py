@@ -72,6 +72,32 @@ class TestGenerate:
             p = float(line.split()[2])
             assert math.exp(-0.001 * 1000 * 0.4) - 1e-9 <= p <= 1.0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--decay-lambda", "-1"),
+        ("--decay-lambda", "nan"),
+        ("--decay-lambda", "inf"),
+        ("--world-size-m", "-5"),
+        ("--world-size-m", "0"),
+    ], ids=["lambda-negative", "lambda-nan", "lambda-inf", "size-negative", "size-zero"])
+    def test_bad_decay_flag_rejected_by_name(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "wsn"
+        rc = main(["generate", "wsn", "--n", "50", "--eps", "0.3", "--seed", "1",
+                   "--decay", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not Path(f"{out}.edges").exists()
+
+    def test_decay_with_close_friends_rejected(self, tmp_path, capsys):
+        # --close-friends redraws every probability, so the decay would
+        # leave no trace in the output.
+        out = tmp_path / "wsn"
+        rc = main(["generate", "wsn", "--n", "50", "--eps", "0.3", "--seed", "1",
+                   "--decay", "--close-friends", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--decay" in err and "--close-friends" in err
+        assert not Path(f"{out}.edges").exists()
+
 
 class TestMaxflow:
     def test_star_exact_flow(self, tmp_path, capsys):

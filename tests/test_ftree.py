@@ -67,6 +67,19 @@ def long_ring_tree(cfg=CFG):
     return g, tree
 
 
+def count_builds(monkeypatch):
+    """A list that gains "draw" or "exact" at every reach-table build."""
+    built = []
+    draw, exact_table = IncrementalComponentSampler.draw, IncrementalComponentSampler.exact_table
+    monkeypatch.setattr(
+        IncrementalComponentSampler, "draw", lambda s, batch: built.append("draw") or draw(s, batch)
+    )
+    monkeypatch.setattr(
+        IncrementalComponentSampler, "exact_table", lambda s: built.append("exact") or exact_table(s)
+    )
+    return built
+
+
 def components_by_kind(tree):
     monos = {frozenset(c.members): c for c in tree.components.values() if isinstance(c, MonoComponent)}
     bis = {frozenset(c.members): c for c in tree.components.values() if isinstance(c, BiComponent)}
@@ -528,6 +541,65 @@ class TestProbe:
         est, _ = tree.probe_edge(g, (14, 15), other, memo)
         assert est == tree.copy().probe_edge(g, (14, 15), other)[0]
 
+    @pytest.mark.pinned
+    def test_memo_less_reprobes_match_fresh_probes(self, monkeypatch):
+        # Random graphs in random insertion orders, no memo.  Before every
+        # commit each cycle candidate is probed, and the tree keeps its plan.
+        # After every leaf commit each kept candidate is probed again, plain
+        # and with a stop that fires at its first offer: both return what a
+        # fresh probe of a copy returns, bit for bit.  Every memo-less cycle
+        # probe, first, kept or fresh, builds its table exactly once (one
+        # draw or one enumeration), and a kept one keeps no table.  Graphs
+        # of up to 14 vertices give rings both enumerated (2^m <= 300) and
+        # drawn.
+        built = count_builds(monkeypatch)
+
+        def probe(tree, c, stop=None):
+            before = len(built)
+            result = tree.probe_edge(g, c, cfg, stop=stop)
+            assert len(built) == before + 1
+            return result
+
+        rng = random.Random(2718)
+        cfg = SamplerConfig(samples=300, master_seed=31)
+        reprobed = 0
+        for trial in range(25):
+            n = rng.randint(6, 14)
+            g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
+            tree = new_ftree(0)
+            for e in insertable_order(g, rng):
+                cycles = [c for c in tree.candidates(g) if tree.is_attached(c[0]) and tree.is_attached(c[1])]
+                for c in cycles:
+                    probe(tree, c)
+                leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
+                tree.insert_edge(g, e, cfg)
+                if not leaf:
+                    assert tree._kept is None or tree._kept.rings == {}
+                    continue
+                for c in cycles:
+                    if c == e:
+                        continue
+                    assert tree._kept.rings[c, cfg].table is None
+                    for stop in (None, lambda est: True):
+                        assert probe(tree, c, stop) == probe(tree.copy(), c, stop)
+                    reprobed += 1
+        assert reprobed > 200
+        assert {"draw", "exact"} <= set(built)
+
+    def test_memo_less_probe_after_memo_probe_builds_its_table(self, monkeypatch):
+        # A table kept by a memoized probe serves memoized re-probes only: a
+        # probe without a memo builds its own, and the estimates agree.
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        memo = MemoStore()
+        est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
+        assert tree._kept.rings[(14, 15), CFG].table is not None
+        built = count_builds(monkeypatch)
+        assert tree.probe_edge(g, (14, 15), CFG, memo)[0] == est
+        assert built == []
+        assert tree.probe_edge(g, (14, 15), CFG)[0] == est
+        assert len(built) == 1
+
     def test_leaf_probe_costs_nothing(self):
         g = running_example_graph()
         tree = build_base_tree(g)
@@ -978,7 +1050,8 @@ class TestRefreshStop:
         est, _ = tree.probe_edge(g, self.EDGE, CFG, memo, stop)
         assert est is offered[-1]
         assert est.samples_used == 3 * CI_BATCH
-        assert len(memo) == 0 and tree._kept.rings == {}
+        assert len(memo) == 0
+        assert all(ring.table is None for ring in tree._kept.rings.values())
 
 
 class TestRoundEstimates:

@@ -153,6 +153,25 @@ class TestDistanceDecay:
         with pytest.raises(ValueError):
             assign_distance_decay(g)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"lam": -1.0}, "lam"),
+        ({"lam": math.nan}, "lam"),
+        ({"lam": math.inf}, "lam"),
+        ({"scale": 0.0}, "scale"),
+        ({"scale": -5.0}, "scale"),
+        ({"scale": math.nan}, "scale"),
+        ({"scale": math.inf}, "scale"),
+    ], ids=["lam-negative", "lam-nan", "lam-inf", "scale-zero", "scale-negative",
+            "scale-nan", "scale-inf"])
+    def test_bad_rate_or_scale_rejected_by_name(self, kwargs, name):
+        # A negative rate would give probabilities above 1 (or overflow),
+        # and the other values no probability in (0, 1] at all.
+        g = ProbabilisticGraph.build(
+            2, [(0, 1, 0.5)], coordinates=[(0.0, 0.0), (0.9, 0.0)]
+        )
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            assign_distance_decay(g, **kwargs)
+
 
 class TestCloseFriends:
     def test_probability_ranges_partition(self):
