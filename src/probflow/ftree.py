@@ -64,6 +64,7 @@ from .sampling import (
     exact_reach,
     substream,
     wald_interval,
+    world_weights,
 )
 
 
@@ -222,7 +223,9 @@ class IncrementalComponentSampler:
     set order.  A drawn world i lands in bit i of every vertex's world
     bitset, so one draw gives the table of every prefix of its worlds.
     Construction prepares what every build reads: local vertices and edges,
-    probabilities and the exact flag; the first draw adds the stream key.
+    probabilities and the exact flag.  The first draw adds the stream and
+    its start state, which every later draw restores; the first exact
+    build adds the worlds' weights, which every later one reads.
     """
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
@@ -238,7 +241,10 @@ class IncrementalComponentSampler:
         self._verts = verts
         self._source = local[comp.articulation]
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
-        self._comp, self._stream = comp, None  # the stream key, at the first draw
+        self._comp = comp
+        self._rng: Optional[np.random.Generator] = None  # at the first draw
+        self._start: Optional[dict] = None
+        self._weights: Optional[np.ndarray] = None  # at the first exact build
         self._bits: list[int] = []
         self.drawn = 0
 
@@ -257,17 +263,24 @@ class IncrementalComponentSampler:
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
         world probability: ``EXACT_SAMPLES`` worlds, zero-width rows."""
-        reach = exact_reach(self._edges, self._probs, len(self._verts), self._source)
+        if self._weights is None:
+            self._weights = world_weights(self._probs)
+        reach = exact_reach(
+            self._edges, self._probs, len(self._verts), self._source, self._weights
+        )
         av = self.articulation
         probs = {v: float(reach[i]) for i, v in enumerate(self._verts) if v != av}
         return ReachTable(articulation=av, probs=probs, sample_count=EXACT_SAMPLES, alpha=self.alpha)
 
     def draw(self, batch: int) -> None:
         """Draw ``batch`` worlds from the stream's start, replacing any drawn."""
-        self._stream = self._stream or self._comp.signature()
-        rng = substream(self.master_seed, "component", self._stream)
+        if self._rng is None:
+            self._rng = substream(self.master_seed, "component", self._comp.signature())
+            self._start = self._rng.bit_generator.state
+        else:
+            self._rng.bit_generator.state = self._start
         self._bits = _reach_worlds(
-            self._edges, self._probs, len(self._verts), self._source, batch, rng
+            self._edges, self._probs, len(self._verts), self._source, batch, self._rng
         )
         self.drawn = batch
 

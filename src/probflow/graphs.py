@@ -139,8 +139,14 @@ class ProbabilisticGraph:
 
     def signature(self) -> str:
         """Canonical text encoding of the graph structure, used for seed derivation."""
-        parts = [f"{u}-{v}:{p!r}" for (u, v), p in zip(self.edges, self.probabilities)]
-        return f"n={self.num_vertices};e=" + ",".join(parts)
+        return graph_signature(self.num_vertices, self.edges, self.probabilities)
+
+
+def graph_signature(num_vertices: int, edges: Sequence[Edge], probabilities: Sequence[float]) -> str:
+    """``ProbabilisticGraph.signature`` of a graph with these vertices and
+    sorted canonical edges, for callers that hold only the arrays."""
+    parts = [f"{u}-{v}:{p!r}" for (u, v), p in zip(edges, probabilities)]
+    return f"n={num_vertices};e=" + ",".join(parts)
 
 
 @dataclass(frozen=True)

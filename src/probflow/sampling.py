@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -187,15 +187,30 @@ def _world_patterns(m: int) -> tuple[tuple[int, ...], np.ndarray]:
     return (_kept_patterns if m <= _KEPT_PATTERN_EDGES else _build_patterns)(m)
 
 
+def world_weights(probs: Sequence[float], present: Optional[np.ndarray] = None) -> np.ndarray:
+    """The probability of each world of the uncertain edges (p < 1) among
+    ``probs``, in ``exact_reach``'s world order: the product of its edges'
+    factors (p or 1 - p) in edge order.  ``present`` is the worlds' bool
+    matrix from ``_world_patterns``, built here if not given."""
+    p = np.array([x for x in probs if x < 1.0])[:, None]
+    if present is None:
+        _, present = _world_patterns(len(p))
+    return np.where(present, p, 1.0 - p).prod(axis=0)
+
+
 def exact_reach(
-    edges: Sequence[Edge], probs: Sequence[float], num_vertices: int, source: int
+    edges: Sequence[Edge],
+    probs: Sequence[float],
+    num_vertices: int,
+    source: int,
+    weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact probability of each vertex reaching ``source``, over every
     world of the uncertain edges (p < 1) in their listed order; edges of
     probability 1 are present in every world and not enumerated.
 
-    A world's probability is the product of its edges' factors (p or
-    1 - p) in edge order.  A vertex's reach is the sum of its worlds'
+    A world's probability is ``world_weights(probs)``; a caller that keeps
+    those weights passes them in.  A vertex's reach is the sum of its worlds'
     probabilities, taken row by row in world order with no matrix product
     (so the thread count cannot change a bit), in row chunks of at most
     ``_CHUNK_BUDGET`` doubles that keep memory flat.  A sum of world
@@ -209,8 +224,8 @@ def exact_reach(
     for j, bits in zip(uncertain, patterns):
         live[j] = bits
     reached = _reach_bitsets(live, edges, num_vertices, source, count)
-    p = np.array([probs[j] for j in uncertain])[:, None]
-    weights = np.where(present, p, 1.0 - p).prod(axis=0)
+    if weights is None:
+        weights = world_weights(probs, present)
     width = (count + 7) // 8
     step = max(1, _CHUNK_BUDGET // count)
     reach = np.empty(num_vertices)
@@ -274,15 +289,30 @@ def _success_counts(
 
 
 def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> FlowEstimate:
-    """Whole-graph Monte-Carlo estimate of the expected flow into ``q``.
+    """Whole-graph Monte-Carlo estimate of the expected flow into ``q``
+    (``mc_flow`` of the graph's arrays, keyed by its signature)."""
+    return mc_flow(graph.edges, graph.probabilities, graph.weights, q, graph.signature(), cfg)
+
+
+def mc_flow(
+    edges: Sequence[Edge],
+    probs: Sequence[float],
+    weights: Sequence[float],
+    q: int,
+    key: str,
+    cfg: SamplerConfig,
+) -> FlowEstimate:
+    """Monte-Carlo estimate of the expected flow into vertex ``q`` of the
+    graph on vertices 0..len(weights)-1 with these edges and probabilities,
+    drawn from the stream keyed by ``key``, the graph's signature.
 
     The mean averages, over sampled worlds, the summed weight of vertices
     connected to q (q itself always counts).  Bounds aggregate per-vertex
     normal-approximation intervals, weighted and summed.
     """
-    rng = substream(cfg.master_seed, "mc-flow", graph.signature(), q)
-    counts = _success_counts(graph.edges, graph.probabilities, graph.num_vertices, q, cfg.samples, rng)
-    weights = np.asarray(graph.weights, dtype=float)
+    rng = substream(cfg.master_seed, "mc-flow", key, q)
+    counts = _success_counts(edges, probs, len(weights), q, cfg.samples, rng)
+    weights = np.asarray(weights, dtype=float)
     p_hat = counts / cfg.samples
     mean = float(weights @ p_hat)
     lo, hi = wald_interval(p_hat, cfg.samples, cfg.alpha)

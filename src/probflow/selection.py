@@ -10,17 +10,27 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+# mc_expected_flow, induced_subgraph and new_ftree are perfbench's tracer install sites: keep them here.
 from .ftree import FTree, InsertReport, MemoStore, new_ftree
-from .graphs import Edge, ProbabilisticGraph, candidate_edges, induced_subgraph
+from .graphs import (
+    Edge,
+    ProbabilisticGraph,
+    candidate_edges,
+    canonical_edge,
+    graph_signature,
+    induced_subgraph,
+)
 from .sampling import (
     CI_MIN_SAMPLES,
     EXACT_SAMPLES,
     FlowEstimate,
     SamplerConfig,
     mc_expected_flow,
+    mc_flow,
 )
 
 VARIANTS = ("naive", "dijkstra", "ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds")
@@ -258,7 +268,12 @@ def _probe_with_ci(
 
 def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:
     """Greedy selection scored by whole-graph Monte-Carlo on the selected
-    subgraph plus the candidate; no decomposition, no reuse."""
+    subgraph plus the candidate; no decomposition, no reuse.
+
+    Each iteration sorts the selected edges and the attached vertices once;
+    a candidate adds its edge and, unless it closes a cycle, its new vertex
+    to them in sorted place and is scored as ``mc_flow_of_edges`` scores
+    that edge set."""
     if not (0 <= q < graph.num_vertices):
         raise ValueError(f"unknown vertex {q}")
     attached: set[int] = {q}
@@ -270,9 +285,17 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
         cands = candidate_edges(graph, attached, chosen_set)
         if not cands:
             break
+        base_edges, base_verts = sorted(chosen), sorted(attached)
         results: dict[Edge, FlowEstimate] = {}
         for e in cands:
-            results[e] = mc_flow_of_edges(graph, q, chosen + [e], cfg.sampler)
+            edges = base_edges.copy()
+            insort(edges, e)
+            verts = base_verts
+            for v in e:
+                if v not in attached:
+                    verts = base_verts.copy()
+                    insort(verts, v)
+            results[e] = _flow_of_sorted(graph, q, edges, verts, cfg.sampler)
         best = min(cands, key=lambda e: (-results[e].mean, e))
         chosen.append(best)
         chosen_set.add(best)
@@ -295,17 +318,44 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
 def mc_flow_of_edges(
     graph: ProbabilisticGraph, q: int, edges: Sequence[Edge], scfg: SamplerConfig
 ) -> FlowEstimate:
-    """Whole-subgraph Monte-Carlo flow into ``q`` of the given edge set.
+    """Whole-subgraph Monte-Carlo flow into ``q`` of the given edge set:
+    ``mc_expected_flow`` of ``induced_subgraph(graph, verts, edges)``, with
+    verts q and the edges' endpoints, and q's local id, bit for bit, built
+    with no graph object.
 
     Restricted to vertices the edges can reach (plus q); the rest of the
-    graph cannot contribute flow and would only add sampling work.
+    graph cannot contribute flow and would only add sampling work.  An
+    unknown vertex, an unknown edge or a repeated one raises
+    ``induced_subgraph``'s ``GraphError``.
     """
-    verts = {q}
-    for e in edges:
-        verts.update(e)
-    sub = induced_subgraph(graph, verts, edges)
-    q_local = sub.label_index[graph.labels[q]]
-    return mc_expected_flow(sub, q_local, scfg)
+    canon = sorted(canonical_edge(u, v) for u, v in edges)
+    verts = sorted({q, *(v for e in canon for v in e)})
+    index = graph.edge_index
+    if not (0 <= q < graph.num_vertices) or any(e not in index for e in canon) or (
+        len(set(canon)) < len(canon)
+    ):
+        induced_subgraph(graph, verts, edges)  # raises the GraphError naming the fault
+    return _flow_of_sorted(graph, q, canon, verts, scfg)
+
+
+def _flow_of_sorted(
+    graph: ProbabilisticGraph,
+    q: int,
+    edges: Sequence[Edge],
+    verts: Sequence[int],
+    scfg: SamplerConfig,
+) -> FlowEstimate:
+    """``mc_flow`` of the subgraph on ``verts`` (ascending ids, q and every
+    endpoint among them) with ``edges`` (distinct edges of the graph in
+    sorted canonical order).  A vertex's local id is its rank in ``verts``,
+    so the local edges stay sorted and the arrays and stream key are the
+    induced subgraph's."""
+    local = {v: i for i, v in enumerate(verts)}
+    index, probabilities, weights = graph.edge_index, graph.probabilities, graph.weights
+    probs = [probabilities[index[e]] for e in edges]
+    ledges = [(local[u], local[v]) for u, v in edges]
+    key = graph_signature(len(verts), ledges, probs)
+    return mc_flow(ledges, probs, [weights[v] for v in verts], local[q], key, scfg)
 
 
 def dijkstra_select(graph: ProbabilisticGraph, q: int, k: int) -> Solution:

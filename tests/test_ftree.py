@@ -478,39 +478,49 @@ class TestProbe:
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
 
-    def test_kept_probes_match_fresh_probes(self):
+    @pytest.mark.parametrize("use_memo", [True, False], ids=["ft_m", "ft"])
+    def test_kept_probes_match_fresh_probes(self, use_memo):
         # Before every commit each candidate is probed plain and stop-checked,
         # on the tree (which keeps cycle probes and scores them again over
         # the current masses) and on a copy of a twin tree fed the same calls
         # with its own memo.  Estimates and reports agree bit for bit, and
         # after every probe both memos hold the same keys in the same order.
+        # Without a memo (ft) each candidate is probed twice more, so a drawn
+        # ring's kept sampler re-draws from its kept stream state many times.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
 
         def stop(est):
             return int(est.mean * 1e6) % 3 == 0
 
-        rescored = 0
+        checks = (None, stop) if use_memo else (None, stop, None, stop)
+        rescored = redrawn = 0
         for trial in range(25):
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
-            memo, twin_memo = MemoStore(), MemoStore()
+            memo, twin_memo = (MemoStore(), MemoStore()) if use_memo else (None, None)
             tree, twin = new_ftree(0), new_ftree(0)
             after_leaf = False
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
-                    for check in (None, stop):
+                    for check in checks:
+                        ring = tree._kept and tree._kept.rings.get((c, cfg))
                         # Kept before the last commit, which was a leaf.
-                        rescored += check is None and after_leaf and (c, cfg) in tree._kept.rings
+                        rescored += check is None and after_leaf and ring is not None
+                        sampler = ring and ring.sampler  # prepared at its first build
+                        redrawn += not use_memo and sampler is not None and not sampler.exact
                         est, report = tree.probe_edge(g, c, cfg, memo, check)
                         twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
                         assert (est, report) == (twin_est, twin_report)
-                        assert list(memo._entries) == list(twin_memo._entries)
+                        if use_memo:
+                            assert list(memo._entries) == list(twin_memo._entries)
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 assert tree.insert_edge(g, e, cfg, memo) == twin.insert_edge(g, e, cfg, twin_memo)
-                assert list(memo._entries) == list(twin_memo._entries)
+                if use_memo:
+                    assert list(memo._entries) == list(twin_memo._entries)
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
+        assert use_memo or redrawn > 100
 
     @pytest.mark.parametrize("use_memo", [True, False], ids=["memo", "no-memo"])
     def test_cycle_reprobe_after_leaf_commit_copies(self, monkeypatch, use_memo):

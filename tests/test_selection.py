@@ -8,12 +8,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probflow import (
     EXACT_SAMPLES,
     BiComponent,
     FTree,
     FlowEstimate,
+    GraphError,
     IterationRecord,
     ProbabilisticGraph,
     SamplerConfig,
@@ -30,8 +33,15 @@ from probflow import (
     naive_select,
     netgen,
     run_strategy,
+    sampling,
 )
-from util import random_connected_graph, ring_chain_graph
+from probflow.selection import mc_flow_of_edges
+from util import (
+    random_connected_graph,
+    reference_mc_flow_of_edges,
+    reference_naive_select,
+    ring_chain_graph,
+)
 
 
 def star_graph():
@@ -364,6 +374,91 @@ class TestNaiveSelect:
         g = star_graph()
         sol = naive_select(g, 0, scfg("naive", 3))
         assert [r.edges_sampled for r in sol.trace] == [1, 2, 3]
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("master_seed", [1, 7, 404])
+    def test_matches_the_subgraph_object_reference(self, master_seed):
+        # Scoring every candidate from arrays built by insertion into the
+        # iteration's sorted edges and vertices gives the Solution that
+        # scoring an induced subgraph object per candidate gives, bit for
+        # bit: random graphs with some p = 1 edges, any query vertex, and
+        # budgets beyond the reachable edges.
+        rng = random.Random(master_seed)
+        for _ in range(8):
+            n = rng.randint(2, 12)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            g = ProbabilisticGraph.build(
+                n,
+                [(u, v, 1.0 if rng.random() < 0.3 else p) for (u, v), p in zip(g.edges, g.probabilities)],
+                weights=g.weights,
+                labels=[f"v{rng.random()}" for _ in range(n)],
+            )
+            q = rng.randrange(n)
+            budget, samples = rng.randint(1, g.num_edges + 2), rng.choice([40, 300])
+            cfg = scfg("naive", budget, seed=master_seed, samples=samples)
+            assert naive_select(g, q, cfg) == reference_naive_select(g, q, cfg)
+
+
+@st.composite
+def edge_set_cases(draw):
+    """A graph of 1-8 vertices with some p = 1 edges, a query vertex, and
+    a list of its edges in any order, each with either endpoint first."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    prob = st.one_of(st.just(1.0), st.floats(0.05, 0.99))
+    triples = [(u, v, draw(prob)) for u, v in chosen]
+    weights = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    g = ProbabilisticGraph.build(n, triples, weights=weights)
+    edges = draw(st.permutations(g.edges))[: draw(st.integers(0, g.num_edges))]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    return g, draw(st.integers(0, n - 1)), edges
+
+
+class TestMcFlowOfEdges:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=edge_set_cases(),
+        samples=st.integers(1, 150),
+        seed=st.integers(0, 2**32),
+        chunk=st.sampled_from([None, 1, 7]),
+    )
+    def test_equals_the_induced_subgraph_estimate(self, case, samples, seed, chunk):
+        # The same FlowEstimate as mc_expected_flow of the induced subgraph
+        # at q's local id, bit for bit, with the draw in one chunk or many.
+        g, q, edges = case
+        cfg = SamplerConfig(samples=samples, master_seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(sampling, "_CHUNK_BUDGET", chunk)
+            assert mc_flow_of_edges(g, q, edges, cfg) == reference_mc_flow_of_edges(g, q, edges, cfg)
+
+    def test_empty_edge_set_is_the_query_weight(self):
+        g = star_graph()
+        cfg = SamplerConfig(samples=20, master_seed=3)
+        est = mc_flow_of_edges(g, 2, [], cfg)
+        assert est == reference_mc_flow_of_edges(g, 2, [], cfg)
+        assert (est.mean, est.lb, est.ub) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "q, edges",
+        [
+            (0, [(0, 1), (1, 2)]),  # no such edge
+            (0, [(0, 1), (0, 1)]),  # repeated
+            (0, [(0, 3), (2, 0), (0, 2)]),  # repeated, reversed
+            (0, [(0, 1), (1, 7)]),  # unknown vertex
+            (9, [(0, 1)]),  # unknown query vertex
+            (0, [(2, 2)]),  # self-loop
+        ],
+    )
+    def test_bad_edges_raise_the_subgraph_error(self, q, edges):
+        g = star_graph()
+        cfg = SamplerConfig(samples=20)
+        with pytest.raises(GraphError) as want:
+            reference_mc_flow_of_edges(g, q, edges, cfg)
+        with pytest.raises(GraphError) as got:
+            mc_flow_of_edges(g, q, edges, cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestDijkstraSelect:

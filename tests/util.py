@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import random
+import time
+from typing import Sequence
 
 import numpy as np
 
-from probflow import DeterministicWorld, Edge, ProbabilisticGraph, canonical_edge
+from probflow import (
+    DeterministicWorld,
+    Edge,
+    FlowEstimate,
+    IterationRecord,
+    ProbabilisticGraph,
+    SamplerConfig,
+    Solution,
+    StrategyConfig,
+    candidate_edges,
+    canonical_edge,
+    induced_subgraph,
+    mc_expected_flow,
+)
 
 
 def random_tree(
@@ -235,3 +250,58 @@ def running_example_graph() -> ProbabilisticGraph:
     labels = ["Q"] + [str(i) for i in range(1, 18)]
     weights = [float(i) for i in range(18)]
     return ProbabilisticGraph.build(18, triples, weights=weights, labels=labels)
+
+
+# ----------------------------------------------------------------------
+# Reference naive selection: every candidate scored by mc_expected_flow
+# on an induced subgraph object.  The library's naive_select builds the
+# same arrays without the graph object and must agree bit for bit.
+# ----------------------------------------------------------------------
+
+def reference_naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:
+    """Greedy selection scored by whole-graph Monte-Carlo on the selected
+    subgraph plus the candidate, one subgraph object per candidate."""
+    if not (0 <= q < graph.num_vertices):
+        raise ValueError(f"unknown vertex {q}")
+    attached: set[int] = {q}
+    chosen: list[Edge] = []
+    chosen_set: set[Edge] = set()
+    trace: list[IterationRecord] = []
+    for iteration in range(1, cfg.budget + 1):
+        tick = time.perf_counter()
+        cands = candidate_edges(graph, attached, chosen_set)
+        if not cands:
+            break
+        results: dict[Edge, FlowEstimate] = {}
+        for e in cands:
+            results[e] = reference_mc_flow_of_edges(graph, q, chosen + [e], cfg.sampler)
+        best = min(cands, key=lambda e: (-results[e].mean, e))
+        chosen.append(best)
+        chosen_set.add(best)
+        attached.update(best)
+        trace.append(
+            IterationRecord(
+                iteration=iteration,
+                edge=best,
+                flow=results[best],
+                edges_sampled=len(chosen),
+                candidates_probed=len(cands),
+                candidates_pruned=0,
+                candidates_delayed=0,
+                elapsed_ms=int((time.perf_counter() - tick) * 1000),
+            )
+        )
+    return Solution(selected=tuple(chosen), trace=tuple(trace))
+
+
+def reference_mc_flow_of_edges(
+    graph: ProbabilisticGraph, q: int, edges: Sequence[Edge], scfg: SamplerConfig
+) -> FlowEstimate:
+    """``mc_expected_flow`` of the subgraph induced by the edges, on the
+    vertices they touch plus q."""
+    verts = {q}
+    for e in edges:
+        verts.update(e)
+    sub = induced_subgraph(graph, verts, edges)
+    q_local = sub.label_index[graph.labels[q]]
+    return mc_expected_flow(sub, q_local, scfg)
