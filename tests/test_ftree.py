@@ -478,14 +478,20 @@ class TestProbe:
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
 
-    @pytest.mark.parametrize("use_memo", [True, False], ids=["ft_m", "ft"])
-    def test_kept_probes_match_fresh_probes(self, use_memo):
+    def test_kept_probes_match_fresh_probes(self):
+        self.check_kept_probes_match_fresh_probes(use_memo=True)
+
+    def test_memo_less_kept_probes_match_fresh_probes(self):
+        self.check_kept_probes_match_fresh_probes(use_memo=False)
+
+    @staticmethod
+    def check_kept_probes_match_fresh_probes(use_memo):
         # Before every commit each candidate is probed plain and stop-checked,
         # on the tree (which keeps cycle probes and scores them again over
         # the current masses) and on a copy of a twin tree fed the same calls
         # with its own memo.  Estimates and reports agree bit for bit, and
         # after every probe both memos hold the same keys in the same order.
-        # Without a memo (ft) each candidate is probed twice more, so a drawn
+        # Without a memo each candidate is probed twice more, so a drawn
         # ring's kept sampler re-draws from its kept stream state many times.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
