@@ -8,7 +8,6 @@ everything else analytic.
 """
 
 from .graphs import (
-    DeterministicWorld,
     Edge,
     GraphError,
     ProbabilisticGraph,
@@ -17,7 +16,6 @@ from .graphs import (
     induced_subgraph,
     load_graph,
     save_graph,
-    world_probability,
 )
 from .oracle import (
     OracleLimitError,

@@ -55,8 +55,12 @@ class ProbabilisticGraph:
             raise GraphError("probabilities must align with edges")
         if len(self.weights) != n or len(self.labels) != n:
             raise GraphError("weights and labels must cover every vertex")
-        if self.coordinates is not None and len(self.coordinates) != n:
-            raise GraphError("coordinates must cover every vertex")
+        if self.coordinates is not None:
+            if len(self.coordinates) != n:
+                raise GraphError("coordinates must cover every vertex")
+            for v, (x, y) in enumerate(self.coordinates):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise GraphError(f"vertex {v} has non-finite coordinates ({x}, {y})")
         if len(set(self.labels)) != n:
             first: dict[str, int] = {}
             for v, lab in enumerate(self.labels):
@@ -149,30 +153,6 @@ def graph_signature(num_vertices: int, edges: Sequence[Edge], probabilities: Seq
     return f"n={num_vertices};e=" + ",".join(parts)
 
 
-@dataclass(frozen=True)
-class DeterministicWorld:
-    """One realization of a probabilistic graph: a subset of its edges."""
-
-    parent: ProbabilisticGraph
-    present_edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        index = self.parent.edge_index
-        for e in self.present_edges:
-            if e not in index:
-                raise GraphError(f"world edge {e} is not an edge of the parent graph")
-
-
-def world_probability(graph: ProbabilisticGraph, world: DeterministicWorld) -> float:
-    """Realization probability: product of P(e) over present edges times 1-P(e) over absent ones."""
-    if world.parent is not graph:
-        raise GraphError("world does not belong to this graph")
-    prob = 1.0
-    for e, p in zip(graph.edges, graph.probabilities):
-        prob *= p if e in world.present_edges else 1.0 - p
-    return prob
-
-
 def candidate_edges(
     graph: ProbabilisticGraph, attached: set[int], selected: set[Edge]
 ) -> list[Edge]:
@@ -235,7 +215,8 @@ def load_graph(
     """Parse the edge-list and optional weight/coordinate formats.
 
     Edge lines are ``<u> <v> <p>`` with labels u, v and p in (0,1]; weight
-    lines are ``<v> <w>`` with finite w >= 0; coordinate lines are ``<v> <x> <y>``.
+    lines are ``<v> <w>`` with finite w >= 0; coordinate lines are ``<v> <x> <y>``
+    with finite x and y.
     Lines starting with ``#`` and blank lines are ignored.  Dense vertex
     ids are the rank of each label in sorted order, which makes
     load -> save -> load the identity; vertices named only in the weight
@@ -293,6 +274,8 @@ def load_graph(
                 xy = (float(parts[1]), float(parts[2]))
             except ValueError:
                 raise GraphError(f"coords line {lineno}: malformed coordinate") from None
+            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                raise GraphError(f"coords line {lineno}: non-finite coordinate {xy}")
             if parts[0] in coord_by_label:
                 raise GraphError(f"coords line {lineno}: repeated coordinates for {parts[0]!r}")
             coord_by_label[parts[0]] = xy

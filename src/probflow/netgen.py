@@ -9,7 +9,7 @@ close-friends split for social networks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -90,14 +90,18 @@ def _assemble(
     unit_weights: bool,
     coordinates: Optional[np.ndarray] = None,
 ) -> ProbabilisticGraph:
+    """The graph on n vertices with these distinct canonical edges, drawing
+    edge probabilities, then vertex weights, from ``rng``."""
     edges = sorted(edges)
     probs = _edge_probabilities(rng, len(edges))
     weights = _vertex_weights(rng, n, unit_weights)
-    return ProbabilisticGraph.build(
+    return ProbabilisticGraph(
         num_vertices=n,
-        edges=[(u, v, float(p)) for (u, v), p in zip(edges, probs)],
-        weights=[float(w) for w in weights],
-        coordinates=[(float(x), float(y)) for x, y in coordinates] if coordinates is not None else None,
+        edges=tuple(edges),
+        probabilities=tuple(probs.tolist()),
+        weights=tuple(weights.tolist()),
+        labels=tuple(str(i) for i in range(n)),
+        coordinates=None if coordinates is None else tuple(map(tuple, coordinates.tolist())),
     )
 
 
@@ -139,17 +143,48 @@ def gen_partitioned(
 def gen_wsn(
     n: int, epsilon: float, seed: int, unit_weights: bool = False
 ) -> ProbabilisticGraph:
-    """Uniform points in the unit square, connected within epsilon distance."""
+    """Uniform points in the unit square, connected within epsilon distance:
+    u < v are joined when ``dx*dx + dy*dy <= epsilon*epsilon`` for
+    ``(dx, dy) = coords[v] - coords[u]``, computed in float64."""
     _check("wsn", n, epsilon=epsilon)
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
-    edges: list[Edge] = []
-    eps2 = epsilon * epsilon
-    for u in range(n):
-        delta = coords[u + 1 :] - coords[u]
-        close = np.nonzero((delta * delta).sum(axis=1) <= eps2)[0]
-        edges.extend((u, u + 1 + int(v)) for v in close)
-    return _assemble(n, edges, rng, unit_weights, coordinates=coords)
+    return _assemble(n, _wsn_edges(coords, epsilon), rng, unit_weights, coordinates=coords)
+
+
+def _wsn_edges(coords: np.ndarray, epsilon: float) -> list[Edge]:
+    """Sorted pairs u < v of points in the unit square that ``gen_wsn``'s
+    rule joins, with candidates picked through a grid of square cells.
+
+    A cell is wider than epsilon, so a joined pair lies in the same or
+    adjacent cells, and no narrower than about 1/sqrt(n), so there are at
+    most n cells.  The rule decides every candidate pair.
+    """
+    n = len(coords)
+    # The margin over epsilon covers the rounding of x*g near a cell border.
+    g = max(1, int(1.0 / max(epsilon * (1.0 + 1e-6), 1.0 / math.sqrt(n))))
+    cx, cy = np.clip(np.floor(coords * g), 0, g - 1).astype(np.int64).T
+    key = cx * g + cy
+    order = np.argsort(key)
+    # first[k]: rank in ``order`` of the first point whose cell key is >= k
+    first = np.searchsorted(key[order], np.arange(g * g + 1))
+    # A point's candidates in column cx+d, d = -1, 0, 1, are the run of
+    # ``order`` over that column's rows cy-1..cy+1.
+    col = cx + np.arange(-1, 2)[:, None]
+    base = np.clip(col, 0, g - 1) * g
+    lo = first[base + np.maximum(cy - 1, 0)]
+    hi = first[base + np.minimum(cy + 1, g - 1) + 1]
+    counts = np.where((col >= 0) & (col < g), hi - lo, 0).ravel()
+    u = np.repeat(np.tile(np.arange(n), 3), counts)
+    v = order[np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts) + np.arange(len(u))]
+    forward = u < v
+    u, v = u[forward], v[forward]
+    dx = coords[v, 0] - coords[u, 0]
+    dy = coords[v, 1] - coords[u, 1]
+    close = dx * dx + dy * dy <= epsilon * epsilon
+    u, v = u[close], v[close]
+    ranked = np.lexsort((v, u))
+    return list(zip(u[ranked].tolist(), v[ranked].tolist()))
 
 
 def assign_distance_decay(
@@ -168,18 +203,13 @@ def assign_distance_decay(
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     if graph.coordinates is None:
         raise ValueError("graph has no coordinates")
-    triples = []
+    coords = graph.coordinates
+    probabilities = []
     for u, v in graph.edges:
-        (x1, y1), (x2, y2) = graph.coordinates[u], graph.coordinates[v]
+        (x1, y1), (x2, y2) = coords[u], coords[v]
         dist = math.hypot(x2 - x1, y2 - y1) * scale
-        triples.append((u, v, math.exp(-lam * dist)))
-    return ProbabilisticGraph.build(
-        graph.num_vertices,
-        triples,
-        weights=graph.weights,
-        labels=graph.labels,
-        coordinates=graph.coordinates,
-    )
+        probabilities.append(math.exp(-lam * dist))
+    return replace(graph, probabilities=tuple(probabilities))
 
 
 def assign_close_friends(
@@ -199,14 +229,8 @@ def assign_close_friends(
         picks = rng.choice(len(incident), size=take, replace=False)
         close.update(incident[int(i)] for i in picks)
     draws = rng.random(graph.num_edges)
-    triples = []
-    for e, r in zip(graph.edges, draws):
-        p = 0.5 + 0.5 * r if e in close else 0.5 * (1.0 - r)
-        triples.append((*e, p))
-    return ProbabilisticGraph.build(
-        graph.num_vertices,
-        triples,
-        weights=graph.weights,
-        labels=graph.labels,
-        coordinates=graph.coordinates,
+    probabilities = tuple(
+        0.5 + 0.5 * r if e in close else 0.5 * (1.0 - r)
+        for e, r in zip(graph.edges, draws.tolist())
     )
+    return replace(graph, probabilities=probabilities)

@@ -16,7 +16,6 @@ import pytest
 
 from probflow import (
     EXACT_SAMPLES,
-    DeterministicWorld,
     FlowEstimate,
     ProbabilisticGraph,
     SamplerConfig,
@@ -35,12 +34,12 @@ from probflow import (
     new_ftree,
     normal_quantile,
     run_strategy,
-    world_probability,
 )
 from probflow.cli import main as cli_main
 from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
+    DeterministicWorld,
     enumerate_worlds,
     insertable_order,
     long_cycle_graph,
@@ -48,6 +47,7 @@ from util import (
     random_tree,
     running_example_graph,
     ring_chain_graph,
+    world_probability,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -11,15 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probflow import (
-    DeterministicWorld,
     GraphError,
     ProbabilisticGraph,
     induced_subgraph,
     load_graph,
     save_graph,
-    world_probability,
 )
-from util import enumerate_worlds, random_connected_graph
+from util import DeterministicWorld, enumerate_worlds, random_connected_graph, world_probability
 
 
 def load_from_text(edges: str, weights: str | None = None):
@@ -83,6 +81,12 @@ class TestLoadGraph:
     def test_repeated_coordinate_line_rejected(self):
         coords = io.StringIO("a 0 0\n# again\na 1 1\nb 2 2\n")
         with pytest.raises(GraphError, match="coords line 3: repeated coordinates for 'a'"):
+            load_graph(io.StringIO("a b 0.5\n"), None, coords)
+
+    @pytest.mark.parametrize("x, y", [("nan", "0"), ("0", "inf"), ("-inf", "1")])
+    def test_non_finite_coordinate_rejected(self, x, y):
+        coords = io.StringIO(f"a 0 0\n# b next\nb {x} {y}\n")
+        with pytest.raises(GraphError, match="coords line 3: non-finite coordinate"):
             load_graph(io.StringIO("a b 0.5\n"), None, coords)
 
 
@@ -192,6 +196,12 @@ class TestValidation:
     def test_non_finite_weight(self, w):
         with pytest.raises(GraphError, match="vertex 1 has non-finite weight"):
             ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5)], weights=[0.0, w, 1.0])
+
+    @pytest.mark.parametrize("xy", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.5)])
+    def test_non_finite_coordinates(self, xy):
+        # Distance decay would turn them into a nan probability.
+        with pytest.raises(GraphError, match="vertex 1 has non-finite coordinates"):
+            ProbabilisticGraph.build(2, [(0, 1, 0.5)], coordinates=[(0.0, 0.0), xy])
 
     def test_edge_to_unknown_vertex(self):
         with pytest.raises(GraphError):

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from probflow import (
-    DeterministicWorld,
     OracleLimitError,
     OracleLimits,
     ProbabilisticGraph,
@@ -19,9 +18,15 @@ from probflow import (
     exact_reachability,
     exhaustive_maxflow,
     expected_flow_of_edges,
+)
+from util import (
+    DeterministicWorld,
+    enumerate_worlds,
+    flow_of_world,
+    random_connected_graph,
+    random_tree,
     world_probability,
 )
-from util import enumerate_worlds, flow_of_world, random_connected_graph, random_tree
 
 
 def path_graph(weights=(0.0, 1.0, 1.0)):

@@ -11,7 +11,6 @@ import pytest
 
 from probflow import (
     EXACT_SAMPLES,
-    DeterministicWorld,
     ProbabilisticGraph,
     SamplerConfig,
     confidence_interval,
@@ -24,7 +23,14 @@ from probflow import (
 from probflow import sampling
 from probflow.ftree import BiComponent, IncrementalComponentSampler, build_table
 from probflow.sampling import _success_counts
-from util import flow_of_world, random_connected_graph, reachable_set, ring_chain_graph, sample_world
+from util import (
+    DeterministicWorld,
+    flow_of_world,
+    random_connected_graph,
+    reachable_set,
+    ring_chain_graph,
+    sample_world,
+)
 
 
 def path_graph():
@@ -55,22 +61,16 @@ class TestSampleWorld:
 
 class TestReachableSet:
     def test_full_path(self):
-        from probflow import DeterministicWorld
-
         g = path_graph()
         world = DeterministicWorld(g, frozenset(g.edges))
         assert reachable_set(world, 0) == {0, 1, 2}
 
     def test_broken_path(self):
-        from probflow import DeterministicWorld
-
         g = path_graph()
         world = DeterministicWorld(g, frozenset({(0, 1)}))
         assert reachable_set(world, 0) == {0, 1}
 
     def test_no_edges(self):
-        from probflow import DeterministicWorld
-
         g = path_graph()
         world = DeterministicWorld(g, frozenset())
         assert reachable_set(world, 0) == {0}

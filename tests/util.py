@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from probflow import (
-    DeterministicWorld,
     Edge,
     FlowEstimate,
+    GraphError,
     IterationRecord,
     ProbabilisticGraph,
     SamplerConfig,
@@ -22,6 +24,48 @@ from probflow import (
     induced_subgraph,
     mc_expected_flow,
 )
+
+
+@dataclass(frozen=True)
+class DeterministicWorld:
+    """One realization of a probabilistic graph: a subset of its edges."""
+
+    parent: ProbabilisticGraph
+    present_edges: frozenset[Edge]
+
+    def __post_init__(self) -> None:
+        index = self.parent.edge_index
+        for e in self.present_edges:
+            if e not in index:
+                raise GraphError(f"world edge {e} is not an edge of the parent graph")
+
+
+def world_probability(graph: ProbabilisticGraph, world: DeterministicWorld) -> float:
+    """Realization probability: product of P(e) over present edges times 1-P(e) over absent ones."""
+    if world.parent is not graph:
+        raise GraphError("world does not belong to this graph")
+    prob = 1.0
+    for e, p in zip(graph.edges, graph.probabilities):
+        prob *= p if e in world.present_edges else 1.0 - p
+    return prob
+
+
+def graph_digest(graph: ProbabilisticGraph) -> str:
+    """sha256 over the repr of every value a graph holds."""
+    payload = repr((graph.edges, graph.probabilities, graph.weights, graph.labels, graph.coordinates))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def reference_wsn_edges(coords: np.ndarray, eps: float) -> list[Edge]:
+    """``gen_wsn``'s pairs by one row pass per vertex: v > u is joined to u
+    when ``dx*dx + dy*dy <= eps*eps`` on ``coords[v] - coords[u]``."""
+    edges: list[Edge] = []
+    eps2 = eps * eps
+    for u in range(len(coords)):
+        delta = coords[u + 1 :] - coords[u]
+        close = np.nonzero((delta * delta).sum(axis=1) <= eps2)[0]
+        edges.extend((u, u + 1 + int(v)) for v in close)
+    return edges
 
 
 def random_tree(
