@@ -9,6 +9,7 @@ for output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping, Optional, Sequence
@@ -30,10 +31,12 @@ class ProbabilisticGraph:
     """Undirected graph with independent edge probabilities and vertex weights.
 
     Immutable after construction; safe to share across worker threads.
+    Vertex ids and the vertex count must be integers (``int`` or numpy
+    integers: what ``operator.index`` accepts); ``1.0`` raises ``GraphError``.
 
     Attributes:
         num_vertices: vertices are the dense ids 0..num_vertices-1.
-        edges: canonical (min, max) pairs, sorted, no duplicates.
+        edges: canonical (min, max) pairs of vertex ids, sorted, no duplicates.
         probabilities: existence probability per edge, aligned with ``edges``.
         weights: finite, non-negative information weight per vertex.
         labels: external label per vertex id (used by save/CLI output).
@@ -49,6 +52,10 @@ class ProbabilisticGraph:
 
     def __post_init__(self) -> None:
         n = self.num_vertices
+        try:
+            operator.index(n)
+        except TypeError:
+            raise GraphError(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         if len(self.probabilities) != len(self.edges):
@@ -67,26 +74,42 @@ class ProbabilisticGraph:
                 if lab in first:
                     raise GraphError(f"vertices {first[lab]} and {v} share the label {lab!r}")
                 first[lab] = v
-        seen: set[Edge] = set()
-        for (u, v), p in zip(self.edges, self.probabilities):
+        # Canonical, in-range edges in strictly increasing order are sorted and distinct,
+        # so earlier edges are collected only from where that order first breaks.
+        seen: Optional[set[Edge]] = None
+        prev_u = prev_v = -1
+        for i, ((u, v), p) in enumerate(zip(self.edges, self.probabilities)):
+            if (type(u) is int and type(v) is int and 0 <= u < v < n and seen is None
+                    and (prev_u < u or (prev_u == u and prev_v < v)) and 0.0 < p <= 1.0):
+                prev_u, prev_v = u, v
+                continue
+            try:
+                operator.index(u), operator.index(v)
+            except TypeError:
+                raise GraphError(f"edge ({u!r},{v!r}) has a non-integer vertex id") from None
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) references an unknown vertex")
-            if (u, v) != canonical_edge(u, v):
+            if u > v:
                 raise GraphError(f"edge ({u},{v}) is not in canonical order")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+            if seen is None and (u, v) <= (prev_u, prev_v):
+                seen = set(self.edges[:i])
+            if seen is not None:
+                if (u, v) in seen:
+                    raise GraphError(f"duplicate edge ({u},{v})")
+                seen.add((u, v))
             if not (0.0 < p <= 1.0):
                 raise GraphError(f"edge ({u},{v}) probability {p} outside (0,1]")
-        if list(self.edges) != sorted(self.edges):
+            prev_u, prev_v = u, v
+        if seen is not None:
             raise GraphError("edges must be sorted")
-        for v, w in enumerate(self.weights):
-            if not math.isfinite(w):
-                raise GraphError(f"vertex {v} has non-finite weight {w}")
-            if w < 0:
-                raise GraphError(f"vertex {v} has negative weight {w}")
+        if not all(0.0 <= w < math.inf for w in self.weights):
+            for v, w in enumerate(self.weights):
+                if not math.isfinite(w):
+                    raise GraphError(f"vertex {v} has non-finite weight {w}")
+                if w < 0:
+                    raise GraphError(f"vertex {v} has negative weight {w}")
 
     @staticmethod
     def build(

@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+import numpy as np
 from hypothesis import strategies as st
 
 from probflow import (
     GraphError,
     ProbabilisticGraph,
+    assign_distance_decay,
+    gen_erdos,
+    gen_partitioned,
+    gen_wsn,
     induced_subgraph,
     load_graph,
     save_graph,
 )
-from util import DeterministicWorld, enumerate_worlds, random_connected_graph, world_probability
+from util import (
+    DeterministicWorld,
+    enumerate_worlds,
+    random_connected_graph,
+    reference_validate,
+    world_probability,
+)
 
 
 def load_from_text(edges: str, weights: str | None = None):
@@ -214,3 +227,157 @@ class TestValidation:
             ProbabilisticGraph.build(
                 3, [(0, 1, 0.5), (1, 2, 0.5)], weights=[10, 1, 0], labels=("a", "b", "a")
             )
+
+    def test_non_integer_vertex_id_rejected(self):
+        # A float id would otherwise fail later, as a list index in ``.adjacency``.
+        with pytest.raises(GraphError, match=r"edge \(1.0,2\) has a non-integer vertex id"):
+            ProbabilisticGraph(3, ((0, 1), (1.0, 2)), (0.5, 0.5), (1.0,) * 3, ("a", "b", "c"))
+        with pytest.raises(GraphError, match=r"edge \(0,'1'\) has a non-integer vertex id"):
+            ProbabilisticGraph(2, ((0, "1"),), (0.5,), (1.0,) * 2, ("a", "b"))
+
+    def test_non_integer_vertex_count_rejected(self):
+        with pytest.raises(GraphError, match=r"vertex count 2.0 is not an integer"):
+            ProbabilisticGraph(2.0, ((0, 1),), (0.5,), (1.0,) * 2, ("a", "b"))
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        g = ProbabilisticGraph(i(3), ((i(0), i(1)), (1, i(2))), (0.5, 0.5), (1.0,) * 3, ("a", "b", "c"))
+        assert g.adjacency == (((1, 0),), ((0, 0), (2, 1)), ((1, 1),))
+
+
+# Each injected fault, with the fewest vertices and edges it needs.
+FAULTS = {
+    "self-loop": (1, 0),
+    "unknown vertex": (0, 0),
+    "reversed edge": (0, 1),
+    "adjacent duplicate": (0, 1),
+    "distant duplicate": (0, 2),
+    "swapped order": (0, 2),
+    "probability": (0, 1),
+    "weight": (1, 0),
+    "coordinate": (1, 0),
+    "repeated label": (2, 0),
+    "length mismatch": (0, 0),
+}
+
+
+@st.composite
+def valid_graph_fields(draw) -> dict:
+    """The six fields of a valid graph: a random one of 0-12 vertices, or a
+    benchmark family's graph at a small size."""
+    family = draw(st.sampled_from(["random", "erdos", "partitioned", "wsn-decay"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "erdos":
+        g = gen_erdos(draw(st.integers(3, 12)), 2, seed)
+    elif family == "partitioned":
+        g = gen_partitioned(draw(st.sampled_from([8, 12])), 4, seed, wrap=draw(st.booleans()))
+    elif family == "wsn-decay":
+        g = assign_distance_decay(gen_wsn(draw(st.integers(1, 12)), 0.4, seed), lam=0.001, scale=1000)
+    else:
+        n = draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = tuple(e for e, k in zip(pairs, keep) if k)
+        finite = st.floats(-1e6, 1e6)
+
+        def tuple_of(elements, size: int, unique: bool = False) -> tuple:
+            return tuple(draw(st.lists(elements, min_size=size, max_size=size, unique=unique)))
+
+        return dict(
+            num_vertices=n,
+            edges=edges,
+            probabilities=tuple_of(st.floats(0.0, 1.0, exclude_min=True), len(edges)),
+            weights=tuple_of(st.floats(0.0, 1e6), n),
+            labels=tuple_of(st.text(max_size=5), n, unique=True),
+            coordinates=tuple_of(st.tuples(finite, finite), n) if draw(st.booleans()) else None,
+        )
+    return {f.name: getattr(g, f.name) for f in dataclasses.fields(g)}
+
+
+def inject_fault(draw, fields: dict, fault: str) -> None:
+    """Break ``fields`` in place by one fault of the given kind."""
+    n = fields["num_vertices"]
+    edges, probs = list(fields["edges"]), list(fields["probabilities"])
+    weights, labels = list(fields["weights"]), list(fields["labels"])
+    coords = list(fields["coordinates"] or [(0.0, 0.0)] * n)
+
+    def index(size: int) -> int:
+        return draw(st.integers(0, size - 1))
+
+    if fault == "self-loop":
+        v = index(n)
+        at = draw(st.integers(0, len(edges)))
+        edges.insert(at, (v, v))
+        probs.insert(at, 0.5)
+    elif fault == "unknown vertex":
+        u = draw(st.integers(0, max(n - 1, 0)))
+        edge = draw(st.sampled_from([(u, n + 1), (u, n + 3), (-1, u)]))
+        at = draw(st.integers(0, len(edges)))
+        edges.insert(at, edge)
+        probs.insert(at, 0.5)
+    elif fault == "reversed edge":
+        i = index(len(edges))
+        edges[i] = edges[i][::-1]
+    elif fault == "adjacent duplicate":
+        i = index(len(edges))
+        edges.insert(i + 1, edges[i])
+        probs.insert(i + 1, probs[i])
+    elif fault == "distant duplicate":
+        i = index(len(edges))
+        at = draw(st.sampled_from([j for j in range(len(edges) + 1) if j not in (i, i + 1)]))
+        edges.insert(at, edges[i])
+        probs.insert(at, 0.5)
+    elif fault == "swapped order":
+        i, j = sorted(draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2, unique=True)))
+        edges[i], edges[j] = edges[j], edges[i]
+        if draw(st.booleans()):
+            probs[i], probs[j] = probs[j], probs[i]
+    elif fault == "probability":
+        probs[index(len(probs))] = draw(st.sampled_from([0.0, 1.5, math.nan]))
+    elif fault == "weight":
+        weights[index(n)] = draw(st.sampled_from([-1.0, -5e-324, math.inf, -math.inf, math.nan]))
+    elif fault == "coordinate":
+        v, bad = index(n), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        coords[v] = draw(st.sampled_from([(bad, coords[v][1]), (coords[v][0], bad)]))
+        fields["coordinates"] = coords
+    elif fault == "repeated label":
+        v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        labels[v] = labels[w]
+    elif fault == "length mismatch":
+        extra = {"probabilities": 0.5, "weights": 1.0, "labels": "extra", "coordinates": (0.0, 0.0)}
+        name = draw(st.sampled_from(sorted(extra)))
+        seq = {"probabilities": probs, "weights": weights, "labels": labels, "coordinates": coords}[name]
+        if seq and draw(st.booleans()):
+            seq.pop()
+        else:
+            seq.append(extra[name])
+        if name == "coordinates":
+            fields["coordinates"] = coords
+    fields.update(edges=edges, probabilities=probs, weights=weights, labels=labels)
+    fields.update({k: tuple(v) for k, v in fields.items() if isinstance(v, list)})
+
+
+def graph_error(validate, fields: dict) -> str | None:
+    try:
+        validate(fields)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.pinned
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validation_agrees_with_reference(data):
+    # The library must accept and reject exactly the graphs the reference
+    # per-edge loop does, naming the same first fault.
+    fields = data.draw(valid_graph_fields())
+    n, m = fields["num_vertices"], len(fields["edges"])
+    fault = data.draw(
+        st.sampled_from(["none"] + [f for f, (n_min, m_min) in FAULTS.items() if n >= n_min and m >= m_min])
+    )
+    if fault != "none":
+        inject_fault(data.draw, fields, fault)
+    expected = graph_error(lambda f: reference_validate(SimpleNamespace(**f)), fields)
+    assert (expected is None) == (fault == "none")
+    assert graph_error(lambda f: ProbabilisticGraph(**f), fields) == expected

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probflow import (
+    GraphError,
     ProbabilisticGraph,
     assign_close_friends,
     assign_distance_decay,
@@ -269,6 +270,13 @@ class TestDistanceDecay:
         )
         with pytest.raises(ValueError, match=f"^{name} must be"):
             assign_distance_decay(g, **kwargs)
+
+    def test_replace_still_validates(self):
+        # Valid parameters whose probabilities underflow to 0.0: the graph the
+        # decay returns through dataclasses.replace is validated in full.
+        g = gen_wsn(40, 0.3, seed=1)
+        with pytest.raises(GraphError, match=r"probability 0\.0 outside \(0,1\]"):
+            assign_distance_decay(g, lam=1e6, scale=1e4)
 
 
 class TestCloseFriends:

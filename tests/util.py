@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -54,6 +55,52 @@ def graph_digest(graph: ProbabilisticGraph) -> str:
     """sha256 over the repr of every value a graph holds."""
     payload = repr((graph.edges, graph.probabilities, graph.weights, graph.labels, graph.coordinates))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def reference_validate(self) -> None:
+    """Per-edge reference for ``ProbabilisticGraph.__post_init__``: a loop with
+    a ``seen`` set, then a full ``sorted()`` comparison, written as that
+    method's body (hence ``self``).  ``self`` is anything with the graph's six
+    fields, so that invalid fields can be checked without constructing a graph."""
+    n = self.num_vertices
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    if len(self.probabilities) != len(self.edges):
+        raise GraphError("probabilities must align with edges")
+    if len(self.weights) != n or len(self.labels) != n:
+        raise GraphError("weights and labels must cover every vertex")
+    if self.coordinates is not None:
+        if len(self.coordinates) != n:
+            raise GraphError("coordinates must cover every vertex")
+        for v, (x, y) in enumerate(self.coordinates):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GraphError(f"vertex {v} has non-finite coordinates ({x}, {y})")
+    if len(set(self.labels)) != n:
+        first: dict[str, int] = {}
+        for v, lab in enumerate(self.labels):
+            if lab in first:
+                raise GraphError(f"vertices {first[lab]} and {v} share the label {lab!r}")
+            first[lab] = v
+    seen: set[Edge] = set()
+    for (u, v), p in zip(self.edges, self.probabilities):
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) references an unknown vertex")
+        if (u, v) != canonical_edge(u, v):
+            raise GraphError(f"edge ({u},{v}) is not in canonical order")
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        if not (0.0 < p <= 1.0):
+            raise GraphError(f"edge ({u},{v}) probability {p} outside (0,1]")
+    if list(self.edges) != sorted(self.edges):
+        raise GraphError("edges must be sorted")
+    for v, w in enumerate(self.weights):
+        if not math.isfinite(w):
+            raise GraphError(f"vertex {v} has non-finite weight {w}")
+        if w < 0:
+            raise GraphError(f"vertex {v} has negative weight {w}")
 
 
 def reference_wsn_edges(coords: np.ndarray, eps: float) -> list[Edge]:
