@@ -127,7 +127,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     graph = generate(spec)
     if args.decay:
-        graph = assign_distance_decay(graph, lam=args.decay_lambda, scale=args.world_size_m)
+        try:
+            graph = assign_distance_decay(graph, lam=args.decay_lambda, scale=args.world_size_m)
+        except ValueError as exc:
+            raise ValueError(f"--decay with --decay-lambda {args.decay_lambda!r} and "
+                             f"--world-size-m {args.world_size_m!r}: {exc}") from None
     if args.close_friends is not None:
         graph = assign_close_friends(graph, f=args.close_friends, seed=args.seed)
     prefix = Path(args.out)

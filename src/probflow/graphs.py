@@ -166,13 +166,15 @@ class ProbabilisticGraph:
 
     def signature(self) -> str:
         """Canonical text encoding of the graph structure, used for seed derivation."""
-        return graph_signature(self.num_vertices, self.edges, self.probabilities)
+        return graph_signature(self.num_vertices, self.edges, map(repr, self.probabilities))
 
 
-def graph_signature(num_vertices: int, edges: Sequence[Edge], probabilities: Sequence[float]) -> str:
+def graph_signature(num_vertices: int, edges: Sequence[Edge], probability_texts: Iterable[str]) -> str:
     """``ProbabilisticGraph.signature`` of a graph with these vertices and
-    sorted canonical edges, for callers that hold only the arrays."""
-    parts = [f"{u}-{v}:{p!r}" for (u, v), p in zip(edges, probabilities)]
+    sorted canonical edges, whose probabilities are given as their
+    ``repr`` text: callers that hold only the arrays can format each
+    probability once and reuse the text."""
+    parts = [f"{u}-{v}:{t}" for (u, v), t in zip(edges, probability_texts)]
     return f"n={num_vertices};e=" + ",".join(parts)
 
 

@@ -195,7 +195,9 @@ def assign_distance_decay(
     ``lam`` is a per-meter rate; ``scale`` converts the stored coordinate
     units to meters (unit-square instances pass their world size here).
     ``lam`` must be finite and non-negative and ``scale`` finite and
-    positive, so that every probability lies in (0, 1].
+    positive, so that every probability lies in [0, 1]; one that underflows
+    to 0.0 (``lam * distance`` beyond about 745) raises ValueError naming
+    both.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be a finite rate >= 0, got {lam}")
@@ -209,6 +211,12 @@ def assign_distance_decay(
         (x1, y1), (x2, y2) = coords[u], coords[v]
         dist = math.hypot(x2 - x1, y2 - y1) * scale
         probabilities.append(math.exp(-lam * dist))
+    if 0.0 in probabilities:
+        u, v = graph.edges[probabilities.index(0.0)]
+        raise ValueError(
+            f"lam={lam!r} and scale={scale!r} underflow edge ({u},{v})'s probability "
+            "exp(-lam * scale * distance) to 0.0"
+        )
     return replace(graph, probabilities=tuple(probabilities))
 
 

@@ -304,21 +304,48 @@ def mc_flow(
 ) -> FlowEstimate:
     """Monte-Carlo estimate of the expected flow into vertex ``q`` of the
     graph on vertices 0..len(weights)-1 with these edges and probabilities,
-    drawn from the stream keyed by ``key``, the graph's signature.
-
-    The mean averages, over sampled worlds, the summed weight of vertices
-    connected to q (q itself always counts).  Bounds aggregate per-vertex
-    normal-approximation intervals, weighted and summed.
+    drawn from the stream keyed by ``key``, the graph's signature:
+    ``flow_estimate`` of ``mc_counts``.
     """
+    return flow_estimate(mc_counts(edges, probs, len(weights), q, key, cfg), weights, cfg)
+
+
+def mc_counts(
+    edges: Sequence[Edge],
+    probs: Sequence[float],
+    num_vertices: int,
+    q: int,
+    key: str,
+    cfg: SamplerConfig,
+) -> np.ndarray:
+    """``mc_flow``'s draw step: per vertex of the graph on vertices
+    0..num_vertices-1, the number of its ``cfg.samples`` sampled worlds in
+    which it is connected to ``q`` (q itself in every one), drawn from the
+    stream keyed by ``key``."""
     rng = substream(cfg.master_seed, "mc-flow", key, q)
-    counts = _success_counts(edges, probs, len(weights), q, cfg.samples, rng)
+    return _success_counts(edges, probs, num_vertices, q, cfg.samples, rng)
+
+
+def flow_mean(counts: np.ndarray, weights: np.ndarray, samples: int) -> float:
+    """``flow_estimate``'s mean: over the sampled worlds, the summed weight
+    of the vertices connected to q, from per-vertex success counts and a
+    float array of the vertices' weights."""
+    return float(weights @ (counts / samples))
+
+
+def flow_estimate(counts: np.ndarray, weights: Sequence[float], cfg: SamplerConfig) -> FlowEstimate:
+    """``mc_flow``'s estimate step: the mean flow of per-vertex success
+    counts over ``cfg.samples`` worlds (``flow_mean``), with bounds that
+    aggregate per-vertex normal-approximation intervals, weighted and
+    summed."""
     weights = np.asarray(weights, dtype=float)
-    p_hat = counts / cfg.samples
-    mean = float(weights @ p_hat)
-    lo, hi = wald_interval(p_hat, cfg.samples, cfg.alpha)
-    lb = float(weights @ lo)
-    ub = float(weights @ hi)
-    return FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=cfg.samples)
+    lo, hi = wald_interval(counts / cfg.samples, cfg.samples, cfg.alpha)
+    return FlowEstimate(
+        mean=flow_mean(counts, weights, cfg.samples),
+        lb=float(weights @ lo),
+        ub=float(weights @ hi),
+        samples_used=cfg.samples,
+    )
 
 
 def confidence_interval(successes, samples, alpha: float):

@@ -12,7 +12,9 @@ import math
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 # mc_expected_flow, induced_subgraph and new_ftree are perfbench's tracer install sites: keep them here.
 from .ftree import FTree, InsertReport, MemoStore, new_ftree
@@ -29,6 +31,9 @@ from .sampling import (
     EXACT_SAMPLES,
     FlowEstimate,
     SamplerConfig,
+    flow_estimate,
+    flow_mean,
+    mc_counts,
     mc_expected_flow,
     mc_flow,
 )
@@ -272,13 +277,19 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
 
     Each iteration sorts the selected edges and the attached vertices once;
     a candidate adds its edge and, unless it closes a cycle, its new vertex
-    to them in sorted place and is scored as ``mc_flow_of_edges`` scores
-    that edge set."""
+    to them in sorted place, and its worlds are drawn as
+    ``mc_flow_of_edges`` draws that edge set's.  Candidates are ranked by
+    their mean alone (``flow_mean``), ties going to the smallest edge; only
+    the winner's estimate gets bounds, the ones ``mc_flow_of_edges`` gives.
+    Each edge's probability is formatted as stream-key text once per run,
+    when the edge first becomes a candidate."""
     if not (0 <= q < graph.num_vertices):
         raise ValueError(f"unknown vertex {q}")
     attached: set[int] = {q}
     chosen: list[Edge] = []
     chosen_set: set[Edge] = set()
+    texts: dict[Edge, str] = {}
+    index, probabilities = graph.edge_index, graph.probabilities
     trace: list[IterationRecord] = []
     for iteration in range(1, cfg.budget + 1):
         tick = time.perf_counter()
@@ -286,8 +297,10 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
         if not cands:
             break
         base_edges, base_verts = sorted(chosen), sorted(attached)
-        results: dict[Edge, FlowEstimate] = {}
+        best = best_rank = None
         for e in cands:
+            if e not in texts:
+                texts[e] = repr(probabilities[index[e]])
             edges = base_edges.copy()
             insort(edges, e)
             verts = base_verts
@@ -295,16 +308,20 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
                 if v not in attached:
                     verts = base_verts.copy()
                     insort(verts, v)
-            results[e] = _flow_of_sorted(graph, q, edges, verts, cfg.sampler)
-        best = min(cands, key=lambda e: (-results[e].mean, e))
-        chosen.append(best)
-        chosen_set.add(best)
-        attached.update(best)
+            ledges, probs, weights, lq, sig = _local_subgraph(graph, q, edges, verts, texts)
+            counts = mc_counts(ledges, probs, len(verts), lq, sig, cfg.sampler)
+            rank = (-flow_mean(counts, weights, cfg.sampler.samples), e)
+            if best_rank is None or rank < best_rank:
+                best, best_rank = (e, counts, weights), rank
+        e, counts, weights = best
+        chosen.append(e)
+        chosen_set.add(e)
+        attached.update(e)
         trace.append(
             IterationRecord(
                 iteration=iteration,
-                edge=best,
-                flow=results[best],
+                edge=e,
+                flow=flow_estimate(counts, weights, cfg.sampler),
                 edges_sampled=len(chosen),
                 candidates_probed=len(cands),
                 candidates_pruned=0,
@@ -335,27 +352,29 @@ def mc_flow_of_edges(
         len(set(canon)) < len(canon)
     ):
         induced_subgraph(graph, verts, edges)  # raises the GraphError naming the fault
-    return _flow_of_sorted(graph, q, canon, verts, scfg)
+    texts = {e: repr(graph.probabilities[index[e]]) for e in canon}
+    return mc_flow(*_local_subgraph(graph, q, canon, verts, texts), scfg)
 
 
-def _flow_of_sorted(
+def _local_subgraph(
     graph: ProbabilisticGraph,
     q: int,
     edges: Sequence[Edge],
     verts: Sequence[int],
-    scfg: SamplerConfig,
-) -> FlowEstimate:
-    """``mc_flow`` of the subgraph on ``verts`` (ascending ids, q and every
-    endpoint among them) with ``edges`` (distinct edges of the graph in
-    sorted canonical order).  A vertex's local id is its rank in ``verts``,
-    so the local edges stay sorted and the arrays and stream key are the
-    induced subgraph's."""
+    texts: Mapping[Edge, str],
+) -> tuple[list[Edge], list[float], np.ndarray, int, str]:
+    """``mc_flow``'s edges, probabilities, weights, query and key for the
+    subgraph on ``verts`` (ascending ids, q and every endpoint among them)
+    with ``edges`` (distinct edges of the graph in sorted canonical order),
+    numbered as ``induced_subgraph`` numbers it: a vertex's local id is its
+    rank in ``verts``, so the local edges stay sorted.  ``texts`` holds each
+    edge's probability as its ``repr``, for the signature."""
     local = {v: i for i, v in enumerate(verts)}
-    index, probabilities, weights = graph.edge_index, graph.probabilities, graph.weights
+    index, probabilities = graph.edge_index, graph.probabilities
     probs = [probabilities[index[e]] for e in edges]
     ledges = [(local[u], local[v]) for u, v in edges]
-    key = graph_signature(len(verts), ledges, probs)
-    return mc_flow(ledges, probs, [weights[v] for v in verts], local[q], key, scfg)
+    key = graph_signature(len(verts), ledges, [texts[e] for e in edges])
+    return ledges, probs, np.array([graph.weights[v] for v in verts], dtype=float), local[q], key
 
 
 def dijkstra_select(graph: ProbabilisticGraph, q: int, k: int) -> Solution:

@@ -87,6 +87,16 @@ class TestGenerate:
         assert f"{flag} must be" in capsys.readouterr().err
         assert not Path(f"{out}.edges").exists()
 
+    def test_decay_underflow_rejected_by_flag_names(self, tmp_path, capsys):
+        # Valid flags whose probabilities exp(-lam * distance) underflow to 0.0.
+        out = tmp_path / "wsn"
+        rc = main(["generate", "wsn", "--n", "40", "--eps", "0.3", "--decay",
+                   "--decay-lambda", "1e6", "--world-size-m", "1e4", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--decay-lambda" in err and "--world-size-m" in err and "underflow" in err
+        assert not Path(f"{out}.edges").exists()
+
     def test_decay_with_close_friends_rejected(self, tmp_path, capsys):
         # --close-friends redraws every probability, so the decay would
         # leave no trace in the output.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -272,10 +273,17 @@ class TestDistanceDecay:
             assign_distance_decay(g, **kwargs)
 
     def test_replace_still_validates(self):
-        # Valid parameters whose probabilities underflow to 0.0: the graph the
-        # decay returns through dataclasses.replace is validated in full.
+        # The decay returns its graph through dataclasses.replace, which
+        # validates the new probabilities in full.
         g = gen_wsn(40, 0.3, seed=1)
-        with pytest.raises(GraphError, match=r"probability 0\.0 outside \(0,1\]"):
+        with pytest.raises(GraphError, match=r"edge \(0,11\) probability 0\.0 outside \(0,1\]"):
+            dataclasses.replace(g, probabilities=(0.5,) + (0.0,) + g.probabilities[2:])
+
+    def test_underflow_names_rate_and_scale(self):
+        # Valid parameters whose probabilities underflow to 0.0: the error
+        # names both, and the first edge that underflows.
+        g = gen_wsn(40, 0.3, seed=1)
+        with pytest.raises(ValueError, match=r"^lam=1000000\.0 and scale=10000\.0 underflow edge \(0,6\)"):
             assign_distance_decay(g, lam=1e6, scale=1e4)
 
 

@@ -30,12 +30,13 @@ from probflow import (
     exhaustive_maxflow,
     expected_flow_of_edges,
     greedy_select,
+    induced_subgraph,
     naive_select,
     netgen,
     run_strategy,
     sampling,
 )
-from probflow.selection import mc_flow_of_edges
+from probflow.selection import _local_subgraph, mc_flow_of_edges
 from util import (
     random_connected_graph,
     reference_mc_flow_of_edges,
@@ -397,6 +398,51 @@ class TestNaiveSelect:
             budget, samples = rng.randint(1, g.num_edges + 2), rng.choice([40, 300])
             cfg = scfg("naive", budget, seed=master_seed, samples=samples)
             assert naive_select(g, q, cfg) == reference_naive_select(g, q, cfg)
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: netgen.gen_erdos(40, 4, 3),
+            lambda: netgen.gen_partitioned(40, 8, 3),
+            lambda: netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, 3), lam=0.001, scale=10000),
+        ],
+        ids=["erdos", "partitioned", "wsn-decay"],
+    )
+    def test_matches_the_reference_on_generated_graphs(self, make):
+        # The probabilities the benchmark's generators draw, 17-digit exp()
+        # values among them, give the reference's stream keys and Solution.
+        g = make()
+        cfg = scfg("naive", 6, seed=11)
+        assert naive_select(g, 0, cfg) == reference_naive_select(g, 0, cfg)
+
+
+# Floats whose shortest repr is unusual: the smallest subnormal, a sum that
+# is not the literal it looks like, the one p that is certain, and the
+# neighbours of 0.5.
+ADVERSARIAL_PROBABILITIES = (5e-324, 0.1 + 0.2, 1.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
+
+
+@pytest.mark.pinned
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stream_key_is_the_induced_subgraph_signature(data):
+    # The key naive and mc_flow_of_edges build from probabilities formatted
+    # once, with the local arrays, is the induced subgraph's own.
+    n = data.draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    prob = st.one_of(st.sampled_from(ADVERSARIAL_PROBABILITIES), st.floats(5e-324, 1.0))
+    g = ProbabilisticGraph.build(n, [(u, v, data.draw(prob)) for u, v in chosen])
+    texts = {e: repr(p) for e, p in zip(g.edges, g.probabilities)}
+    edges = sorted(data.draw(st.lists(st.sampled_from(g.edges), unique=True)) if chosen else [])
+    q = data.draw(st.integers(0, n - 1))
+    verts = sorted({q, *(v for e in edges for v in e)})
+    ledges, probs, weights, lq, key = _local_subgraph(g, q, edges, verts, texts)
+    sub = induced_subgraph(g, verts, edges)
+    assert key == sub.signature()
+    assert (ledges, probs, list(weights)) == (list(sub.edges), list(sub.probabilities), list(sub.weights))
+    assert lq == verts.index(q)
 
 
 @st.composite
