@@ -5,11 +5,11 @@ components (unique paths, flow computed analytically as edge-probability
 products) and bi-connected components (cycles, whose reach tables come
 from the component's own edges only: exact over all 2^m worlds of its m
 uncertain edges when 2^m is at most the sample budget, sampled otherwise;
-see ``build_table``).  Each component drains through a single articulation
-vertex toward the query vertex at the root, so per-component results
-multiply up the tree.  A component's parent is the component owning
-its articulation vertex (the root for the query vertex), so no links are
-stored.
+see ``IncrementalComponentSampler.build``).  Each component drains through
+a single articulation vertex toward the query vertex at the root, so
+per-component results multiply up the tree.  A component's parent is the
+component owning its articulation vertex (the root for the query vertex),
+so no links are stored.
 
 Two rules grow the tree.  A leaf edge, with one endpoint attached, hangs
 its new vertex off the attached endpoint's component (cases IIa, IIb).  A
@@ -106,8 +106,8 @@ class MonoComponent:
 @dataclass
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
-    enumerated or sampled (``build_table``).  Without a reach table the
-    component is dirty."""
+    enumerated or sampled (``IncrementalComponentSampler.build``).  Without a
+    reach table the component is dirty."""
 
     members: set[int]
     articulation: int
@@ -145,8 +145,10 @@ class InsertReport:
     edges_sampled_count: int
 
 
-# The parts a cycle takes (``FTree._plan_cycle``); rows over rounds (``rows``).
+# The parts a cycle takes (``FTree._plan_cycle``); (p, lo, hi) over rounds
+# (``IncrementalComponentSampler.rows``), of all members and of each member.
 _Parts = list[tuple[int, Optional[list[int]], int]]
+_Grid = tuple[np.ndarray, np.ndarray, np.ndarray]
 _Rows = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -215,9 +217,9 @@ class MemoStore:
 
 
 class IncrementalComponentSampler:
-    """One bi component's worlds: every world of its uncertain edges when
-    there are at most ``cfg.samples`` of them, else ``cfg.samples`` worlds
-    drawn from a signature-derived stream (``draw``).
+    """One bi component's worlds: all 2^m of its m uncertain edges (p < 1)
+    if 2^m <= ``cfg.samples`` (no draw, no stream, no master seed), else
+    ``cfg.samples`` worlds drawn from a signature-derived stream (``draw``).
 
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  A drawn world i lands in bit i of every vertex's world
@@ -239,6 +241,7 @@ class IncrementalComponentSampler:
         self._edges = [(local[u], local[v]) for u, v in edges]
         self._probs = [graph.probabilities[graph.edge_index[e]] for e in edges]
         self._verts = verts
+        self._members = [v for v in verts if v != comp.articulation]
         self._source = local[comp.articulation]
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
         self._comp = comp
@@ -249,16 +252,17 @@ class IncrementalComponentSampler:
         self.drawn = 0
 
     def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Rows]]:
-        """The table, exact or of ``cfg.samples`` worlds drawn afresh (see
-        ``build_table``); a drawn one comes with ``rows(sizes)`` if ``sizes``
-        are given.  Drawn worlds are dropped, so a kept sampler holds none."""
+        """The table, exact or of ``cfg.samples`` worlds drawn afresh; a drawn
+        one comes with ``rows(sizes)`` if ``sizes`` (ending at ``cfg.samples``)
+        are given, its last round the table.  Drawn worlds are dropped, so a
+        kept sampler holds none."""
         if self.exact:
             return self.exact_table(), None
         self.draw(self.samples)
-        rounds = self.rows(sizes) if sizes else None
-        table = self.table()
+        grid = self.rows(sizes or [self.samples])
+        table = self.table(grid)
         self._bits, self.drawn = [], 0
-        return table, rounds
+        return table, dict(zip(self._members, zip(*grid))) if sizes else None
 
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
@@ -269,8 +273,8 @@ class IncrementalComponentSampler:
             self._edges, self._probs, len(self._verts), self._source, self._weights
         )
         av = self.articulation
-        probs = {v: float(reach[i]) for i, v in enumerate(self._verts) if v != av}
-        return ReachTable(articulation=av, probs=probs, sample_count=EXACT_SAMPLES, alpha=self.alpha)
+        rows = {v: (p, p, p) for v, p in zip(self._verts, reach.tolist()) if v != av}
+        return ReachTable(articulation=av, rows=rows, sample_count=EXACT_SAMPLES)
 
     def draw(self, batch: int) -> None:
         """Draw ``batch`` worlds from the stream's start, replacing any drawn."""
@@ -284,38 +288,24 @@ class IncrementalComponentSampler:
         )
         self.drawn = batch
 
-    def _counts(self, n: int) -> list[int]:
-        """Per-vertex successes among the first ``n`` drawn worlds."""
-        mask = (1 << n) - 1
-        return [(b & mask).bit_count() for b in self._bits]
+    def table(self, grid: Optional[_Grid] = None) -> ReachTable:
+        """Reach table of every drawn world: the last round of ``grid``, by
+        default ``rows`` of them all."""
+        p, lo, hi = self.rows([self.drawn]) if grid is None else grid
+        rows = zip(p[:, -1].tolist(), lo[:, -1].tolist(), hi[:, -1].tolist())
+        return ReachTable(self.articulation, dict(zip(self._members, rows)), self.drawn)
 
-    def table(self) -> ReachTable:
-        """Reach table of every drawn world."""
-        n, av = self.drawn, self.articulation
-        counts = self._counts(n)
-        probs = {v: counts[i] / n for i, v in enumerate(self._verts) if v != av}
-        return ReachTable(articulation=av, probs=probs, sample_count=n, alpha=self.alpha)
-
-    def rows(self, sizes: Sequence[int]) -> _Rows:
-        """Every member's (p, lo, hi) as arrays over ``sizes``: element j is its
-        row in the table of the first ``sizes[j]`` worlds, bit for bit."""
+    def rows(self, sizes: Sequence[int]) -> _Grid:
+        """Every member's (p, lo, hi) over ``sizes``, as three (member, round)
+        arrays, members in ascending order: round j's p is the member's
+        successes in the first ``sizes[j]`` worlds (a popcount) over
+        ``sizes[j]``, and its (lo, hi) are ``wald_interval`` of that p."""
         n = np.array(sizes, dtype=np.int64)
-        counts = np.array([self._counts(k) for k in sizes], dtype=np.int64).T
-        p = counts / n
-        lo, hi = wald_interval(p, n, self.alpha)
-        av = self.articulation
-        return {v: (p[i], lo[i], hi[i]) for i, v in enumerate(self._verts) if v != av}
-
-
-def build_table(
-    graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig
-) -> tuple[ReachTable, Optional[IncrementalComponentSampler]]:
-    """A bi component's reach table under ``cfg``: exact, with no sampler,
-    when its m uncertain edges (p < 1) have 2^m <= ``cfg.samples`` worlds
-    (no draw, no stream, no master seed); else drawn, with its sampler."""
-    sampler = IncrementalComponentSampler(graph, comp, cfg)
-    table, _ = sampler.build()
-    return table, None if sampler.exact else sampler
+        masks = [(1 << k) - 1 for k in sizes]
+        src = self._source
+        counts = [(b & m).bit_count() for i, b in enumerate(self._bits) if i != src for m in masks]
+        p = np.array(counts, dtype=np.int64).reshape(-1, len(sizes)) / n
+        return (p, *wald_interval(p, n, self.alpha))
 
 
 class FTree:
@@ -698,9 +688,9 @@ class FTree:
         """Renew every dirty component's reach table.
 
         A table memoized under ``cfg`` is reused; every other dirty
-        component gets its table from ``build_table`` (exact, or drawn at
-        its full budget in one call), stored in ``memo`` under ``cfg``.
-        Renewing a table drops the tree's kept state.
+        component gets its table from its sampler's ``build`` (exact, or
+        drawn at its full budget in one call), stored in ``memo`` under
+        ``cfg``.  Renewing a table drops the tree's kept state.
         """
         for cid in self.dirty_components():
             self._kept = None
@@ -708,7 +698,7 @@ class FTree:
             assert isinstance(comp, BiComponent)
             table = memo.lookup(cfg, comp.signature()) if memo is not None else None
             if table is None:
-                table, _ = build_table(graph, comp, cfg)
+                table, _ = IncrementalComponentSampler(graph, comp, cfg).build()
                 if memo is not None:
                     memo.store(cfg, comp.signature(), table)
             comp.reach = table
@@ -985,7 +975,7 @@ class FTree:
                 if not _biconnected(closure, edges):
                     raise FTreeError("bi component has a cut vertex or is disconnected")
                 if comp.reach is not None:
-                    if set(comp.reach.probs) != comp.members:
+                    if set(comp.reach.rows) != comp.members:
                         raise FTreeError("reach table does not cover the members")
                     if comp.reach.articulation != comp.articulation:
                         raise FTreeError("reach table articulation mismatch")

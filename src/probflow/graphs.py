@@ -26,6 +26,15 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def check_integer(name: str, value: object) -> int:
+    """``value`` as an ``int`` if ``operator.index`` takes it (an ``int`` or
+    a numpy integer, not ``1.0``), else ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ProbabilisticGraph:
     """Undirected graph with independent edge probabilities and vertex weights.

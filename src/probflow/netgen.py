@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, canonical_edge
+from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_integer
 
 FAMILIES = ("erdos", "partitioned", "wsn")
 
@@ -39,6 +39,9 @@ def _check(family: str, n: int, degree: int = 0, epsilon: float = 0.0) -> None:
     """Raise ValueError unless ``family``'s generator can build an instance
     of n vertices with these parameters (only its own are read).  The one
     check both ``GenSpec`` and the ``gen_*`` functions run."""
+    check_integer("n", n)
+    if family in ("erdos", "partitioned"):
+        check_integer("degree", degree)
     if family == "erdos":
         if n < 2:
             raise ValueError("n must be >= 2")

@@ -17,12 +17,12 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph
+from .graphs import Edge, ProbabilisticGraph, check_integer
 
 # samples_used value reported for estimates with no sampling error at all
 # (analytic flow on cycle-free trees, fully deterministic graphs).
@@ -47,6 +47,9 @@ class SamplerConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        # Kept as ints: world bitsets shift by samples, streams hash the seed's text.
+        for name in ("samples", "master_seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (0.0 < self.alpha < 1.0):
@@ -71,35 +74,21 @@ class FlowEstimate:
 
 @dataclass(frozen=True)
 class ReachTable:
-    """Estimated probability of each component vertex reaching the articulation vertex."""
+    """Each component vertex's (p, lo, hi) reach toward the articulation
+    vertex over ``sample_count`` worlds, as the table's builder computed it."""
 
     articulation: int
-    probs: Mapping[int, float]
+    rows: Mapping[int, tuple[float, float, float]]
     sample_count: int
-    alpha: float = 0.01
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0,1)")
-        if self.articulation in self.probs:
+        if self.articulation in self.rows:
             raise ValueError("articulation vertex must not appear in the table")
-        for v, p in self.probs.items():
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"probability {p} for vertex {v} outside [0,1]")
-
-    @cached_property
-    def rows(self) -> dict[int, tuple[float, float, float]]:
-        """Every vertex's (p, lo, hi), the intervals computed once per table:
-        ``confidence_interval`` of each vertex's rounded success count,
-        worked one row at a time by ``_wald_scalar``.  An exact table's
-        (``EXACT_SAMPLES``) rows have zero width."""
-        n = self.sample_count
-        if n == EXACT_SAMPLES:
-            return {v: (p, p, p) for v, p in self.probs.items()}
-        z = critical_z(self.alpha)
-        return {v: (p, *_wald_scalar(round(p * n) / n, n, z)) for v, p in self.probs.items()}
+        for v, (p, lo, hi) in self.rows.items():
+            if not (0.0 <= lo <= p <= hi <= 1.0):
+                raise ValueError(f"row {(p, lo, hi)} for vertex {v} outside 0 <= lo <= p <= hi <= 1")
 
 
 def substream(master_seed: int, *key: object) -> np.random.Generator:
@@ -368,19 +357,9 @@ def confidence_interval(successes, samples, alpha: float):
 
 def wald_interval(p_hat, samples, alpha: float):
     """``confidence_interval``'s formula, for proportions already known to
-    be successes / samples.  ``_wald_scalar`` is the same formula for one
-    proportion; the two must change together."""
+    be successes / samples: the one implementation of the interval."""
     half = critical_z(alpha) * np.sqrt(p_hat * (1.0 - p_hat) / samples)
     return np.maximum(p_hat - half, 0.0), np.minimum(p_hat + half, 1.0)
-
-
-def _wald_scalar(p_hat: float, samples: int, z: float) -> tuple[float, float]:
-    """``wald_interval`` of one proportion with critical value ``z``, in
-    Python floats through the same operations in the same order, so the
-    bounds are equal bit for bit.  For a few rows at a time, where numpy's
-    per-call cost would dominate."""
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return max(p_hat - half, 0.0), min(p_hat + half, 1.0)
 
 
 @cache

@@ -23,6 +23,7 @@ from .graphs import (
     ProbabilisticGraph,
     candidate_edges,
     canonical_edge,
+    check_integer,
     graph_signature,
     induced_subgraph,
 )
@@ -53,7 +54,7 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.budget < 1:
+        if check_integer("budget", self.budget) < 1:
             raise ValueError("budget must be >= 1")
         if not (self.ds_c > 1.0):
             raise ValueError("ds_c must be > 1")

@@ -326,7 +326,7 @@ class TestVerifyRejects:
         "internal edge escapes the component": lambda t: owner(t, 4).internal_edges.add((4, 17)),
         "component edge (7, 9) not in graph": lambda t: owner(t, 7).internal_edges.add((7, 9)),
         "reach table does not cover the members":
-            lambda t: setattr(owner(t, 4), "reach", replace(owner(t, 4).reach, probs={4: 0.5})),
+            lambda t: setattr(owner(t, 4), "reach", replace(owner(t, 4).reach, rows={4: (0.5, 0.5, 0.5)})),
         "reach table articulation mismatch":
             lambda t: setattr(owner(t, 4), "reach", replace(owner(t, 4).reach, articulation=0)),
         "do not partition the selected edges": lambda t: t.selected_edges.discard((11, 12)),
@@ -367,7 +367,8 @@ class TestExpectedFlow:
         assert [type(x) for x in (est.mean, est.lb, est.ub)] == [float] * 3
         _, bis = components_by_kind(tree)
         assert {c.reach.sample_count for c in bis.values()} == {cfg.samples}
-        assert {type(p) for c in bis.values() for p in c.reach.probs.values()} == {float}
+        assert {type(x) for c in bis.values() for row in c.reach.rows.values() for x in row} == {float}
+        assert {len(row) for c in bis.values() for row in c.reach.rows.values()} == {3}
 
     def test_dirty_component_rejected(self):
         g = ProbabilisticGraph.build(
@@ -974,7 +975,9 @@ class TestMemo:
         from probflow import ReachTable
 
         memo = MemoStore()
-        tables = [ReachTable(articulation=0, probs={1: i / 5000}, sample_count=10) for i in range(5000)]
+        tables = [
+            ReachTable(articulation=0, rows={1: (i / 5000,) * 3}, sample_count=10) for i in range(5000)
+        ]
         for i, t in enumerate(tables):
             memo.store(CFG, f"sig{i}", t)
         assert len(memo) == 5000
@@ -1004,12 +1007,15 @@ class TestMemo:
 
 
 class TestIncrementalSampling:
+    @pytest.mark.pinned
     @pytest.mark.parametrize("chunk_budget", [None, 40], ids=["one-chunk", "ten-world-chunks"])
     def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
         # A full-budget draw keeps every world, so rows() gives, element by
         # element, the rows of a fresh sampler that drew n worlds, for each
         # n asked.  The full draw may span many chunks.  The 11-edge ring
         # has 2^11 worlds, more than 1000, so a tree draws its table too.
+        # build(sizes) gives those rounds and, as its table, their last
+        # round, which is also a plain build()'s table.
         from probflow import sampling
 
         g = ring_chain_graph(1, ring=11)
@@ -1026,11 +1032,18 @@ class TestIncrementalSampling:
         full = IncrementalComponentSampler(g, comp, cfg)
         assert not full.exact
         full.draw(cfg.samples)
-        rows = full.rows(sizes)
+        rows = dict(zip(sorted(comp.members), zip(*full.rows(sizes))))
         assert full.table() == expected[-1]
         for j, table in enumerate(expected):
             for v in comp.members:
                 assert tuple(a[j] for a in rows[v]) == table.rows[v]
+        built, rounds = full.build(list(sizes))
+        plain, none = IncrementalComponentSampler(g, comp, cfg).build()
+        assert none is None and built == plain == expected[-1]
+        assert built.sample_count == cfg.samples
+        assert {v: tuple(a[-1] for a in r) for v, r in rounds.items()} == built.rows
+        for v in comp.members:
+            assert [a.tolist() for a in rounds[v]] == [a.tolist() for a in rows[v]]
 
 
 class TestRefreshStop:
@@ -1229,7 +1242,7 @@ class TestExactTables:
         probs = [0.5, 0.6, 0.7, 0.8]
         _, _, ring = closed_cycle(probs, SamplerConfig(samples=16))
         assert ring.reach.sample_count == EXACT_SAMPLES
-        assert set(ring.reach.rows.values()) == {(p, p, p) for p in ring.reach.probs.values()}
+        assert all(lo == p == hi for p, lo, hi in ring.reach.rows.values())
         _, _, ring = closed_cycle(probs, SamplerConfig(samples=8))
         assert ring.reach.sample_count == 8
         assert all(lo < p < hi for p, lo, hi in ring.reach.rows.values())
@@ -1270,7 +1283,7 @@ class TestBoundPropagation:
         assert est.lb < est.mean < est.ub
         lo = inner.reach.rows[4][1] * outer.reach.rows[2][1]
         hi = inner.reach.rows[4][2] * outer.reach.rows[2][2]
-        mid = inner.reach.probs[4] * outer.reach.probs[2]
+        mid = inner.reach.rows[4][0] * outer.reach.rows[2][0]
         assert est.mean == pytest.approx(mid, abs=1e-12)
         assert est.lb == pytest.approx(lo, abs=1e-12)
         assert est.ub == pytest.approx(hi, abs=1e-12)

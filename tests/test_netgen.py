@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from collections import deque
 
@@ -328,3 +329,24 @@ class TestGenSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             GenSpec(family="smallworld", n=5)
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (dict(family="erdos", n=20.0, degree=4), "n"),
+            (dict(family="erdos", n=20, degree=4.0), "degree"),
+            (dict(family="partitioned", n=16, degree=4.0), "degree"),
+            (dict(family="wsn", n=20.0, epsilon=0.3), "n"),
+        ],
+    )
+    def test_integer_parameters(self, spec, field):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {spec[field]!r}")):
+            GenSpec(**spec)
+
+    def test_generators_take_integers(self):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer, not 20.0")):
+            gen_erdos(20.0, 4, seed=1)
+        with pytest.raises(ValueError, match=re.escape("degree must be an integer, not 4.0")):
+            gen_partitioned(16, 4.0, seed=1)
+        with pytest.raises(ValueError, match=re.escape("n must be an integer, not 20.0")):
+            gen_wsn(20.0, 0.3, seed=1)

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -555,6 +556,11 @@ class TestRunStrategy:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
             StrategyConfig(variant="ft", budget=0)
+
+    @pytest.mark.parametrize("budget", [2.0, 2.5, "2"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, not {budget!r}")):
+            StrategyConfig("ft_m", budget)
 
     def test_determinism(self):
         rng = random.Random(6)
