@@ -36,20 +36,26 @@ Mext(x) = M(x) − Σ_{y∈R, h(y)=x} g(y)·M(y): R ∪ {r} is closed under h, s
 no vertex outside R changes its hang or its factor.  Cycle probes score
 this sum in O(|R|) and change nothing.
 
-A tree keeps one state for the graph it last served: its evaluation, the
-leaf candidates' terms, the subtree masses and each probed cycle
-candidate's plan and sampler (with a memo, its table too).  A leaf insert
-extends it in place (the new vertex's terms; the masses are rebuilt at the
-next cycle probe); a cycle-closing insert, a renewed reach table or a call
-naming another graph drops all of it at once.  Its candidate edges
-survive cycle-closing inserts and sit beside it.  A copy keeps none of it.
+A tree keeps one evaluation for the graph it last served: every vertex's
+reach, the leaf candidates' terms in a dict and in descending order, and
+the subtree masses.  A leaf insert extends it in place (the new vertex's
+terms; the masses are rebuilt at the next cycle probe); a cycle-closing
+insert, a renewed reach table or a call naming another graph drops it.
+Beside it sit the candidate edges, with the cycle candidates (both
+endpoints attached) in a list of their own, and each probed cycle
+candidate's ring: its plan and sampler and, with a memo, its table and
+the table's coefficients.  Those survive every insert.  A cycle-closing
+insert drops only the rings that take a component it folded: no other
+ring's members change their hang or factor, and attach order never
+changes.  A call naming another graph drops them all.  A copy keeps none
+of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -119,9 +125,16 @@ class BiComponent:
         return self.reach is None
 
     def signature(self) -> str:
+        """The component's identity as text, its sampling stream's key."""
         verts = ",".join(map(str, sorted(self.members)))
         edges = ",".join(f"{u}-{v}" for u, v in sorted(self.internal_edges))
         return f"av={self.articulation};v={verts};e={edges}"
+
+    def key(self) -> tuple[int, frozenset[Edge]]:
+        """The component's identity as the signature gives it, as a memo key:
+        its members are its edges' endpoints other than the articulation
+        vertex."""
+        return self.articulation, frozenset(self.internal_edges)
 
     def copy(self) -> "BiComponent":
         return BiComponent(set(self.members), self.articulation, set(self.internal_edges), self.reach)
@@ -146,24 +159,30 @@ class InsertReport:
 
 
 # The parts a cycle takes (``FTree._plan_cycle``); (p, lo, hi) over rounds
-# (``IncrementalComponentSampler.rows``), of all members and of each member.
+# (``IncrementalComponentSampler.rows``), of all members and of each member;
+# a ring's coefficients (``FTree._coefficients``).
 _Parts = list[tuple[int, Optional[list[int]], int]]
 _Grid = tuple[np.ndarray, np.ndarray, np.ndarray]
 _Rows = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+_Coeffs = list[tuple[int, float, float, float]]
 
 
 @dataclass
 class _Ring:
-    """A probed cycle candidate, kept until the next cycle-closing insert:
-    its ring's (attach position, vertex) pairs in attach order, the ring (a
-    dirty ``BiComponent``), the insert report, the sampler prepared at the
-    first build a probe needs and, with a memo only, the table."""
+    """A probed cycle candidate, kept until an insert folds a component it
+    takes (``parts``, their ids): its ring's (attach position, vertex)
+    pairs in attach order, the ring (a dirty ``BiComponent``), the insert
+    report, the sampler prepared at the first build a probe needs (until
+    a memo keeps the table it built) and, with a memo only, the table and
+    its coefficients once a probe scored them."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
     report: InsertReport
+    parts: frozenset[int]
     sampler: Optional[IncrementalComponentSampler] = None
     table: Optional[ReachTable] = None
+    coeffs: Optional[_Coeffs] = None
 
 
 @dataclass
@@ -173,13 +192,15 @@ class _Kept:
     ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
     to the query vertex, the query vertex included, in attach order.
     ``terms``, once asked for, holds each leaf candidate's (one endpoint
-    attached) weighted reach term t·w for mean, lb and ub.  ``rank`` holds
-    every attached vertex's attach position (the query vertex's is 0) and
-    ``hangs`` each position's hang: the position of h(v) and g(v) (see the
-    module docstring; position 0 holds a placeholder).  ``masses``, once a
-    cycle probe asked for them, holds the mean, lb and ub subtree masses by
-    position; a leaf insert drops them.  ``rings`` maps (edge, config) to
-    the candidate's kept cycle probe (``_Ring``), with or without a memo.
+    attached) weighted reach term t·w for mean, lb and ub, and ``order``
+    the same leaves as (−t·w mean, edge) pairs in ascending order.  Both
+    survive leaf inserts, which add and drop leaves but change no other
+    leaf's term.  ``rank`` holds every attached vertex's attach position
+    (the query vertex's is 0) and ``hangs`` each position's hang: the
+    position of h(v) and g(v) (see the module docstring; position 0 holds
+    a placeholder).  ``masses``, once a cycle probe asked for them, holds
+    the mean, lb and ub subtree masses by position; a leaf insert drops
+    them.
     """
 
     estimate: FlowEstimate
@@ -187,30 +208,32 @@ class _Kept:
     rank: dict[int, int]
     hangs: list[tuple[int, tuple[float, float, float]]]
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
+    order: Optional[list[tuple[float, Edge]]] = None
     masses: Optional[tuple[list[float], list[float], list[float]]] = None
-    rings: dict[tuple[Edge, SamplerConfig], _Ring] = field(default_factory=dict)
 
 
 class MemoStore:
     """Store of reach tables that never evicts, keyed by the
-    ``SamplerConfig`` a table was built under and its component's signature.
+    ``SamplerConfig`` a table was built under and its component's
+    ``BiComponent.key``: the articulation vertex and the set of edges.
 
     A store serves one graph.  Tables for equal keys are interchangeable
     (exact tables depend on the component alone, sampling streams are
-    derived from the config's master seed and the signature, and only
-    full-budget tables are stored), so whether a component's table comes
-    from the store or is built anew changes no result, only how often it
-    is built.  Every table stored stays for the life of the store.
+    derived from the config's master seed and the component's signature,
+    which the key determines, and only full-budget tables are stored), so
+    whether a component's table comes from the store or is built anew
+    changes no result, only how often it is built.  Every table stored
+    stays for the life of the store.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[SamplerConfig, str], ReachTable] = {}
+        self._entries: dict[tuple[SamplerConfig, Hashable], ReachTable] = {}
 
-    def lookup(self, cfg: SamplerConfig, signature: str) -> Optional[ReachTable]:
-        return self._entries.get((cfg, signature))
+    def lookup(self, cfg: SamplerConfig, key: Hashable) -> Optional[ReachTable]:
+        return self._entries.get((cfg, key))
 
-    def store(self, cfg: SamplerConfig, signature: str, table: ReachTable) -> None:
-        self._entries[cfg, signature] = table
+    def store(self, cfg: SamplerConfig, key: Hashable, table: ReachTable) -> None:
+        self._entries[cfg, key] = table
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -312,12 +335,14 @@ class FTree:
     """Mutable component tree rooted at the query vertex.
 
     One writer at a time; probes never change its structure or its tables.
-    The kept state (``_Kept``, see the module docstring) holds the tree's
-    last evaluation, the leaf candidates' terms once ``leaf_terms`` asked
-    for them, the subtree masses cycle probes score from and each probed
-    cycle candidate's plan (``_Ring``), reused when it is re-probed under
-    the same ``SamplerConfig``.  The candidate edges (``candidates``) sit
-    beside it; both serve one graph (``_use_graph``).
+    The kept evaluation (``_Kept``, see the module docstring) holds the
+    tree's last evaluation, the leaf candidates' terms and their order once
+    ``leaf_terms`` asked for them, and the subtree masses cycle probes
+    score from.  Beside it sit the candidate edges (``candidates``), the
+    cycle candidates among them (``cycle_candidates``) and each probed
+    cycle candidate's ring (``_Ring``), reused when it is re-probed under
+    the same ``SamplerConfig``; all of it serves one graph
+    (``_use_graph``).
     """
 
     def __init__(self, q: int):
@@ -326,6 +351,8 @@ class FTree:
         self._graph: Optional[ProbabilisticGraph] = None
         self._kept: Optional[_Kept] = None
         self._cands: Optional[list[Edge]] = None
+        self._cycles: Optional[list[Edge]] = None
+        self._rings: dict[tuple[Edge, SamplerConfig], _Ring] = {}
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
         self.vertex_index: dict[int, int] = {}
@@ -348,7 +375,8 @@ class FTree:
         other = FTree.__new__(FTree)
         other.q = self.q
         other._next_id = self._next_id
-        other._graph, other._kept, other._cands = None, None, None
+        other._graph, other._kept, other._cands, other._cycles = None, None, None, None
+        other._rings = {}
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other.root_id = self.root_id
         other.vertex_index = dict(self.vertex_index)
@@ -356,11 +384,12 @@ class FTree:
         return other
 
     def _use_graph(self, graph: ProbabilisticGraph) -> None:
-        """Serve ``graph`` from here on: the kept state and candidates are for
-        one graph, so naming another drops both.  Every public entry that
-        reads or extends them calls this first."""
+        """Serve ``graph`` from here on: the kept evaluation, candidates and
+        rings are for one graph, so naming another drops them all.  Every
+        public entry that reads or extends them calls this first."""
         if graph is not self._graph:
-            self._graph, self._kept, self._cands = graph, None, None
+            self._graph, self._kept, self._cands, self._cycles = graph, None, None, None
+            self._rings = {}
 
     def is_attached(self, v: int) -> bool:
         return v == self.q or v in self.vertex_index
@@ -489,31 +518,37 @@ class FTree:
         return "IIb"
 
     def _advance_candidates(self, e: Edge, fresh: Optional[int]) -> None:
-        """Bring the kept candidates, and the kept leaf terms if any, up to
-        date after inserting ``e``, which attached the vertex ``fresh`` if
-        it was a leaf edge.
+        """Bring the kept candidates and cycle candidates, and the kept leaf
+        terms and their order if any, up to date after inserting ``e``,
+        which attached the vertex ``fresh`` if it was a leaf edge.
 
         The new vertex's edges to attached vertices stop being leaves and
         close cycles from now on; its other edges become leaf candidates.
         A leaf insert changes no attached vertex's triple, so every other
-        leaf keeps its term.
+        leaf keeps its term and its place in the order.
         """
-        edges, graph = self._cands, self._graph
+        edges, cycles, graph = self._cands, self._cycles, self._graph
         del edges[bisect_left(edges, e)]
         if fresh is None:
+            del cycles[bisect_left(cycles, e)]
             return
-        terms = self._kept.terms if self._kept is not None else None
+        kept = self._kept
+        terms = kept.terms if kept is not None else None
         found: list[Edge] = []
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
             if self.is_attached(nbr):
-                if terms is not None:
-                    terms.pop(c, None)  # e itself, or a leaf that now closes a cycle
+                if c != e:
+                    insort(cycles, c)
+                if terms is not None:  # e itself, or a leaf that now closes a cycle
+                    del kept.order[bisect_left(kept.order, (-terms.pop(c)[0], c))]
             else:
                 insort(edges, c)
                 found.append(c)
         if terms is not None:
-            terms.update((c, term) for c, _, term in self._leaf_terms(found))
+            for c, _, term in self._leaf_terms(found):
+                terms[c] = term
+                insort(kept.order, (-term[0], c))
 
     def _leaf_terms(
         self, edges: Iterable[Edge]
@@ -551,13 +586,23 @@ class FTree:
         """The unselected edges of ``graph`` with an attached endpoint, in
         canonical order, as ``candidate_edges`` gives them.
 
-        The list is the tree's own, kept up to date by every insert; a
-        caller reads it and must not change it.
+        The list is the tree's own, kept up to date by every insert, cycle
+        closing or not, as are the cycle candidates among them
+        (``cycle_candidates``); a caller reads it and must not change it.
         """
         self._use_graph(graph)
         if self._cands is None:
             self._cands = candidate_edges(graph, self.attached_vertices(), self.selected_edges)
+            attached = self.is_attached
+            self._cycles = [c for c in self._cands if attached(c[0]) and attached(c[1])]
         return self._cands
+
+    def cycle_candidates(self, graph: ProbabilisticGraph) -> list[Edge]:
+        """The candidates (``candidates``) with both endpoints attached, in
+        canonical order: the tree's own list, kept up to date by every
+        insert, which a caller reads and must not change."""
+        self.candidates(graph)
+        return self._cycles
 
     def leaf_terms(
         self, graph: ProbabilisticGraph
@@ -567,17 +612,44 @@ class FTree:
         its insert adds: ``leaf_estimate`` of the two is what ``probe_edge``
         would estimate for the leaf, bit for bit, from the same samples.
 
-        The terms are part of the tree's kept state, extended in place by
-        leaf inserts; a caller reads them and must not change them.  A tree
-        without a kept evaluation for ``graph`` is evaluated first, and
-        terms dropped with the kept state are rebuilt in one pass over the
-        candidates.
+        The terms are part of the tree's kept evaluation, kept in order
+        (``best_leaf``) beside it and extended in place by leaf inserts; a
+        caller reads them and must not change them.  A cycle-closing insert
+        or a renewed reach table changes reach triples, so it drops the
+        terms with the evaluation.  A tree without a kept evaluation for
+        ``graph`` is evaluated first, and dropped terms are rebuilt in one
+        pass over the candidates.
         """
         edges = self.candidates(graph)
         kept = self._kept or self._evaluate(graph)
         if kept.terms is None:
             kept.terms = {e: term for e, _, term in self._leaf_terms(edges)}
+            kept.order = sorted((-term[0], e) for e, term in kept.terms.items())
         return kept.estimate, kept.terms
+
+    def best_leaf(self, graph: ProbabilisticGraph) -> Optional[Edge]:
+        """The leaf candidate whose insert gives the largest mean, the
+        smallest edge among those that tie, or None with no leaf: the edge
+        of ``min((-(mean + t[0]), e) for e, t in terms.items())`` over
+        ``leaf_terms``, read from the front of the kept order.
+
+        ``mean + t`` rounds monotonically in t, so the leaves whose rounded
+        means tie with the best form the order's front run; distinct terms
+        can still round to one mean, so the run is scanned for its smallest
+        edge.
+        """
+        base, terms = self.leaf_terms(graph)
+        order = self._kept.order
+        if not order:
+            return None
+        mean = base.mean  # mean - (-t) is mean + t exactly
+        top = mean - order[0][0]
+        best = order[0][1]
+        for neg, e in order:
+            if mean - neg != top:
+                break
+            best = min(best, e)
+        return best
 
     def _plan_cycle(self, u: int, v: int, e: Edge) -> tuple[_Parts, BiComponent, str]:
         """Cases III and IV, read only: what folding the cycle the edge ``e``
@@ -637,8 +709,20 @@ class FTree:
         hanging off the path vertex their old path crossed first, in member
         order; members are listed after their parents, so one pass groups
         them: a member joins its parent's group, or the parent's own if the
-        parent is on the path.  Returns the case."""
+        parent is on the path.  Returns the case.
+
+        The kept rings that take a part go.  A ring that takes none is
+        planned again as it was: every component it takes is unchanged,
+        and a climb from one of them still leads to the others, or to the
+        component owning the vertex where the ring's two climbs meet.  Its
+        members keep their hangs, factors and attach positions, so its
+        coefficients hold too.  Sharing no edge with the new ring is not
+        enough: a mono part shared without a shared edge still loses a path
+        and may split, and the ring's case can change with it.
+        """
         ring_id = self._add_component(ring)
+        taken = {cid for cid, _, _ in parts}
+        self._rings = {k: r for k, r in self._rings.items() if r.parts.isdisjoint(taken)}
         for cid, path, wedge in parts:
             comp = self.components[cid]
             if isinstance(comp, MonoComponent):
@@ -690,17 +774,21 @@ class FTree:
         A table memoized under ``cfg`` is reused; every other dirty
         component gets its table from its sampler's ``build`` (exact, or
         drawn at its full budget in one call), stored in ``memo`` under
-        ``cfg``.  Renewing a table drops the tree's kept state.
+        ``cfg``.  Renewing a table drops the tree's kept evaluation.  No
+        kept ring takes a dirty component: only a cycle-closing insert makes
+        one, after dropping the rings it touches, and rings are planned on
+        evaluated trees only.
         """
         for cid in self.dirty_components():
             self._kept = None
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
-            table = memo.lookup(cfg, comp.signature()) if memo is not None else None
+            key = comp.key()
+            table = memo.lookup(cfg, key) if memo is not None else None
             if table is None:
                 table, _ = IncrementalComponentSampler(graph, comp, cfg).build()
                 if memo is not None:
-                    memo.store(cfg, comp.signature(), table)
+                    memo.store(cfg, key, table)
             comp.reach = table
 
     # ------------------------------------------------------------------
@@ -756,15 +844,31 @@ class FTree:
         self._kept = _Kept(est, triples, rank, hangs)
         return self._kept
 
-    def _ring_flow(self, ring: list[tuple[int, int]], r: int, rows: Mapping[int, tuple]) -> tuple:
-        """The (mean, lb, ub) flow of this tree once a cycle folds ``ring``,
-        its members' (attach position, vertex) pairs in attach order, into a
-        bi component hanging off r with reach rows ``rows``, by the module
-        docstring's sums in that order: floats, or arrays over rounds when
-        ``rows`` holds arrays."""
+    def _coefficients(self, ring: list[tuple[int, int]], rows: Mapping[int, tuple]) -> _Coeffs:
+        """The coefficients of the module docstring's sum regrouped by
+        member: for each of ``ring``'s (attach position, vertex) pairs, in
+        attach order, its position and g′(y) − g′(h(y))·g(y) for mean, lb
+        and ub, with g′ the reach rows ``rows`` and g′(r) = 1: floats, or
+        arrays over rounds when ``rows`` holds arrays.  They hold as long
+        as the members keep their hangs."""
+        hangs = self._kept.hangs
+        new = {i: rows[x] for i, x in ring}
+        one = (1.0, 1.0, 1.0)
+        out = []
+        for i, p in new.items():
+            h, g = hangs[i]
+            c = new.get(h, one)
+            out.append((i, p[0] - c[0] * g[0], p[1] - c[1] * g[1], p[2] - c[2] * g[2]))
+        return out
+
+    def _ring_flow(self, coeffs: _Coeffs, r: int) -> tuple:
+        """The (mean, lb, ub) flow of this tree once a cycle folds a ring
+        into a bi component hanging off r, from the ring's coefficients
+        (``_coefficients``): the sum of M(y) times y's coefficient, in
+        attach order, times t(r), on top of the tree's flow."""
         kept = self._kept
-        hangs = kept.hangs
         if kept.masses is None:
+            hangs = kept.hangs
             # One pass in reverse attach order adds each g(v)·M(v) to M(h(v))
             # after all that hangs off v was added to M(v).
             w = self._graph.weights
@@ -777,16 +881,11 @@ class FTree:
                 m2[h] += g[2] * m2[i]
             kept.masses = m0, m1, m2
         m0, m1, m2 = kept.masses
-        # The sums regrouped by member y: M(y)·(g′(y) − g′(h(y))·g(y)), g′(r) = 1.
-        new = {i: rows[x] for i, x in ring}
-        one = (1.0, 1.0, 1.0)
         d0 = d1 = d2 = 0.0
-        for i, p in new.items():
-            h, g = hangs[i]
-            c = new.get(h, one)
-            d0 += m0[i] * (p[0] - c[0] * g[0])
-            d1 += m1[i] * (p[1] - c[1] * g[1])
-            d2 += m2[i] * (p[2] - c[2] * g[2])
+        for i, k0, k1, k2 in coeffs:
+            d0 += m0[i] * k0
+            d1 += m1[i] * k1
+            d2 += m2[i] * k2
         t, base = kept.triples[r], kept.estimate
         return base.mean + t[0] * d0, base.lb + t[1] * d1, base.ub + t[2] * d2
 
@@ -822,14 +921,19 @@ class FTree:
         is returned at once and its table kept out of the memo.  An exact
         table's one estimate is offered once, after the table is stored: the
         table is complete, so a stop that fires saves nothing.  A memoized
-        table is offered nothing.
+        table is offered nothing.  A drawn table whose every round was
+        offered and refused returns its last round's estimate, which is
+        the full table's.
 
         Every tree keeps each cycle candidate it probes under ``cfg``
-        (``_Ring``) until its next cycle-closing insert, so a re-probe skips
-        planning and preparing the sampler.  A memo also keeps full tables
-        for re-probes to score; without one, every probe builds its table
-        and offers it to ``stop`` afresh.  A re-probe returns what a fresh
-        probe would, bit for bit.
+        (``_Ring``) until an insert folds a component its ring takes (see
+        ``_close_cycle``), so a re-probe skips planning and preparing the
+        sampler.  A memo also keeps full tables and their coefficients for
+        re-probes to score in one multiply-add per member and channel;
+        without one, every probe builds its table and offers it to ``stop``
+        afresh.  A memo is keyed by ``BiComponent.key``; the signature text
+        is built only as a drawn sampler's stream key, once per sampler.  A
+        re-probe returns what a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -839,34 +943,43 @@ class FTree:
             comp = self.components[self.component_of_vertex(e[0] if att_u else e[1])]
             case = "IIa" if isinstance(comp, MonoComponent) else "IIb"
             return self.leaf_estimate(kept.estimate, term), InsertReport(case, 0)
-        ring = kept.rings.get((e, cfg))
+        ring = self._rings.get((e, cfg))
         if ring is None:
-            _, comp, case = self._plan_cycle(*e, e)
+            parts, comp, case = self._plan_cycle(*e, e)
             members = sorted((kept.rank[x], x) for x in comp.members)
             report = InsertReport(case, len(comp.internal_edges))
-            ring = kept.rings[e, cfg] = _Ring(members, comp, report)
+            cids = frozenset(cid for cid, _, _ in parts)
+            ring = self._rings[e, cfg] = _Ring(members, comp, report, cids)
         members, r, report = ring.members, ring.comp.articulation, ring.report
-        offer = signature = None
-        table = ring.table if memo is not None else None
-        if table is None and memo is not None:
-            signature = ring.comp.signature()
-            table = ring.table = memo.lookup(cfg, signature)
+        table = offer = None
+        if memo is not None:
+            if ring.table is None:
+                key = ring.comp.key()
+                ring.table = memo.lookup(cfg, key)
+            table = ring.table
         if table is None:
             ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
             sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
             table, rounds = ring.sampler.build(sizes)
+            est = None
             if rounds is not None:
-                flows = self._ring_flow(members, r, rounds)
+                flows = self._ring_flow(self._coefficients(members, rounds), r)
                 for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
                     est = FlowEstimate(*flow, self._ring_samples(members, n))
                     if stop(est):
                         return est, report
-            offer = stop if ring.sampler.exact else None
             if memo is not None:
-                memo.store(cfg, signature, table)
-                ring.table = table
-        flow = self._ring_flow(members, r, table.rows)
-        est = FlowEstimate(*flow, self._ring_samples(members, table.sample_count))
+                memo.store(cfg, key, table)
+                ring.table, ring.sampler = table, None  # no memoized probe builds again
+            if est is not None:
+                return est, report  # the last round's, the full table's bit for bit
+            offer = stop  # the table is exact, or there is no stop
+        coeffs = ring.coeffs if memo is not None else None
+        if coeffs is None:
+            coeffs = self._coefficients(members, table.rows)
+            if memo is not None:
+                ring.coeffs = coeffs
+        est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, table.sample_count))
         if offer is not None:
             offer(est)
         return est, report

@@ -138,12 +138,14 @@ def run_strategy(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
 def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:
     """Component-tree greedy: score every eligible candidate, commit the argmax.
 
-    The tree keeps its candidate edges (``FTree.candidates``) and every leaf
-    candidate's (one endpoint attached) term over its kept evaluation
-    (``FTree.leaf_terms``) across iterations; only cycle candidates are
-    probed (``FTree.probe_edge``).  The best leaf is the one with the
-    largest mean, ties going to the smallest edge.  The flow recorded for
-    the committed edge is the live tree's own after the insert.
+    The tree keeps its candidate edges (``FTree.candidates``), the cycle
+    candidates among them (``FTree.cycle_candidates``) and every leaf
+    candidate's (one endpoint attached) term over its kept evaluation, in
+    order (``FTree.leaf_terms``), across iterations; only cycle candidates
+    are probed (``FTree.probe_edge``).  The best leaf, read from the front
+    of the order (``FTree.best_leaf``), is the one with the largest mean,
+    ties going to the smallest edge.  The flow recorded for the committed
+    edge is the live tree's own after the insert.
 
     Variant flags: ``_m`` reuses sampled reach tables across probes keyed by
     component identity, ``_ci`` stops sampling candidates that are interval-
@@ -158,8 +160,9 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     tree = new_ftree(q)
     memo = MemoStore() if use_memo else None
     # Suspended candidates and the iterations they still wait; only _ds
-    # suspends any.  A suspended edge stays a candidate, as only an eligible
-    # edge is committed.
+    # suspends any, and only cycle candidates.  A suspended edge stays a
+    # candidate, as only an eligible edge is committed, so the eligible
+    # candidates are the others.
     delays: dict[Edge, int] = {}
     selected: list[Edge] = []
     trace: list[IterationRecord] = []
@@ -169,28 +172,30 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         cands = tree.candidates(graph)
         if not cands:
             break
-        eligible = [e for e in cands if e not in delays]
-        if not eligible:
+        if len(delays) == len(cands):
             # Everything is suspended: fast-forward the clock so the nearest
             # candidates wake up, keeping the budget fillable.
             shift = min(delays.values())
             delays = {e: d - shift for e, d in delays.items() if d > shift}
-            eligible = [e for e in cands if e not in delays]
+        probed = len(cands) - len(delays)
 
         # Leaves are never suspended, so every one is eligible.
         base, terms = tree.leaf_terms(graph)
         if use_ci:
+            eligible = [e for e in cands if e not in delays]
             probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg, memo)
         else:
             probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler, memo) for e in eligible if e not in terms
+                e: tree.probe_edge(graph, e, cfg.sampler, memo)
+                for e in tree.cycle_candidates(graph)
+                if e not in delays
             }
             pruned = set()
 
-        mean = base.mean
         ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
-        if terms:
-            ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
+        leaf = tree.best_leaf(graph)
+        if leaf is not None:
+            ranked.append((-(base.mean + terms[leaf][0]), leaf))
         _, best = min(ranked)
         report = tree.insert_edge(graph, best, cfg.sampler, memo)
         best_est = tree.expected_flow(graph)
@@ -201,7 +206,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
                 edge=best,
                 flow=best_est,
                 edges_sampled=report.edges_sampled_count,
-                candidates_probed=len(eligible),
+                candidates_probed=probed,
                 candidates_pruned=len(pruned),
                 candidates_delayed=len(delays),
                 elapsed_ms=int((time.perf_counter() - tick) * 1000),

@@ -15,13 +15,16 @@ from probflow import (
     BiComponent,
     DirtyComponentError,
     FTreeError,
+    InsertReport,
     MemoStore,
     MonoComponent,
     ProbabilisticGraph,
     SamplerConfig,
+    StrategyConfig,
     candidate_edges,
     exact_expected_flow,
     expected_flow_of_edges,
+    greedy_select,
     netgen,
     new_ftree,
     normal_quantile,
@@ -36,6 +39,7 @@ from util import (
     long_ring_graph,
     random_connected_graph,
     random_tree,
+    replay_tree,
     ring_chain_graph,
     running_example_graph,
 )
@@ -511,7 +515,7 @@ class TestProbe:
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                     for check in checks:
-                        ring = tree._kept and tree._kept.rings.get((c, cfg))
+                        ring = tree._rings.get((c, cfg))
                         # Kept before the last commit, which was a leaf.
                         rescored += check is None and after_leaf and ring is not None
                         sampler = ring and ring.sampler  # prepared at its first build
@@ -562,7 +566,8 @@ class TestProbe:
     def test_memo_less_reprobes_match_fresh_probes(self, monkeypatch):
         # Random graphs in random insertion orders, no memo.  Before every
         # commit each cycle candidate is probed, and the tree keeps its plan.
-        # After every leaf commit each kept candidate is probed again, plain
+        # After every leaf commit each kept candidate is probed again (after
+        # a cycle commit, see test_kept_rings_survive_untouched_commits), plain
         # and with a stop that fires at its first offer: both return what a
         # fresh probe of a copy returns, bit for bit.  Every memo-less cycle
         # probe, first, kept or fresh, builds its table exactly once (one
@@ -591,17 +596,81 @@ class TestProbe:
                 leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 tree.insert_edge(g, e, cfg)
                 if not leaf:
-                    assert tree._kept is None or tree._kept.rings == {}
                     continue
                 for c in cycles:
                     if c == e:
                         continue
-                    assert tree._kept.rings[c, cfg].table is None
+                    assert tree._rings[c, cfg].table is None
                     for stop in (None, lambda est: True):
                         assert probe(tree, c, stop) == probe(tree.copy(), c, stop)
                     reprobed += 1
         assert reprobed > 200
         assert {"draw", "exact"} <= set(built)
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_kept_rings_survive_untouched_commits(self, use_memo):
+        # Random geometric graphs, whose cycles are local, in random
+        # insertion orders.  Before every commit each cycle candidate is
+        # probed.  After every cycle commit each kept ring that survived is
+        # what a fresh plan of its edge gives (members in attach order,
+        # articulation, edges, report and the components it takes), and a
+        # memoized ring's kept coefficients are its table's over the new
+        # tree.  Its re-probe, plain and, without a memo, with a stop that
+        # fires at its first offer, equals a probe of a tree rebuilt by
+        # replaying the inserts, bit for bit.
+        rng = random.Random(6061)
+        cfg = SamplerConfig(samples=300, master_seed=23)
+        survived = dropped = 0
+        for trial in range(20):
+            g = netgen.gen_wsn(rng.randint(10, 18), 0.4, rng.randrange(1000))
+            memo = MemoStore() if use_memo else None
+            tree, inserted = new_ftree(0), []
+            for e in insertable_order(g, rng):
+                for c in tree.cycle_candidates(g):
+                    tree.probe_edge(g, c, cfg, memo)
+                leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
+                before = len(tree._rings)
+                tree.insert_edge(g, e, cfg, memo)
+                inserted.append(e)
+                if leaf:
+                    continue
+                dropped += before - len(tree._rings)
+                replay = replay_tree(g, inserted, cfg)
+                for (c, _), ring in tree._rings.items():
+                    parts, comp, case = tree._plan_cycle(*c, c)
+                    assert (ring.comp.members, ring.comp.articulation, ring.comp.internal_edges) == (
+                        comp.members, comp.articulation, comp.internal_edges
+                    )
+                    assert ring.report == InsertReport(case, len(comp.internal_edges))
+                    assert ring.parts == {cid for cid, _, _ in parts}
+                    assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
+                    if ring.coeffs is not None:
+                        assert ring.coeffs == tree._coefficients(ring.members, ring.table.rows)
+                    stops = (None,) if use_memo else (None, lambda est: True)
+                    for stop in stops:
+                        fresh = replay.probe_edge(g, c, cfg, MemoStore() if use_memo else None, stop)
+                        assert tree.probe_edge(g, c, cfg, memo, stop) == fresh
+                    survived += 1
+        assert survived > 200 and dropped > 1000
+
+    @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    def test_signature_text_is_built_once_per_drawn_sampler(self, monkeypatch, variant):
+        # Memo lookups go by BiComponent.key; the signature text is only a
+        # drawn sampler's stream key, built at its first draw.
+        calls, drawn = [], {}
+        signature, draw = BiComponent.signature, IncrementalComponentSampler.draw
+        monkeypatch.setattr(BiComponent, "signature", lambda c: calls.append(1) or signature(c))
+
+        def recording_draw(sampler, batch):
+            drawn[id(sampler)] = sampler
+            return draw(sampler, batch)
+
+        monkeypatch.setattr(IncrementalComponentSampler, "draw", recording_draw)
+        for seed in (1, 2):
+            g = netgen.gen_partitioned(40, 8, seed)
+            greedy_select(g, 0, StrategyConfig(variant, 12, SamplerConfig(samples=60, master_seed=seed)))
+        assert len(calls) == len(drawn) > 0
 
     def test_memo_less_probe_after_memo_probe_builds_its_table(self, monkeypatch):
         # A table kept by a memoized probe serves memoized re-probes only: a
@@ -610,7 +679,7 @@ class TestProbe:
         tree = build_base_tree(g)
         memo = MemoStore()
         est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
-        assert tree._kept.rings[(14, 15), CFG].table is not None
+        assert tree._rings[(14, 15), CFG].table is not None
         built = count_builds(monkeypatch)
         assert tree.probe_edge(g, (14, 15), CFG, memo)[0] == est
         assert built == []
@@ -631,7 +700,7 @@ class TestProbe:
         tree = new_ftree(0)
         tree.insert_edge(g, (0, 1), CFG, memo)
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
-        assert report.case_taken in ("IIa", "IIb") and tree._kept.rings == {}
+        assert report.case_taken in ("IIa", "IIb") and tree._rings == {}
         base, terms = tree.leaf_terms(g)
         assert est == tree.leaf_estimate(base, terms[(1, 2)])
         tree.insert_edge(g, (0, 2), CFG, memo)
@@ -736,7 +805,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     """The reference a cycle probe of ``e`` must agree with: insert ``e``
     into a copy of ``tree``, give its new ring the table of the ring's
     first ``worlds`` worlds (all of them by default) and evaluate it.
-    Returns that estimate, the insert's report and the ring's signature.
+    Returns that estimate, the insert's report and the ring's memo key.
     The ring must be one whose table is drawn, not enumerated."""
     ref = tree.copy()
     report = ref.insert_edge(g, e, cfg, defer_sampling=True)
@@ -745,7 +814,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     assert not sampler.exact
     sampler.draw(worlds or cfg.samples)
     ring.reach = sampler.table()
-    return ref.expected_flow(g), report, ring.signature()
+    return ref.expected_flow(g), report, ring.key()
 
 
 class TestRingFormula:
@@ -780,10 +849,10 @@ class TestRingFormula:
                         base, terms = tree.leaf_terms(g)
                         assert tree.probe_edge(g, c, cfg, memo)[0] == tree.leaf_estimate(base, terms[c])
                         continue
-                    ref, ref_report, sig = grown_flow(tree, g, c, cfg)
-                    kept = use_memo and (c, cfg) in tree._kept.rings
+                    ref, ref_report, key = grown_flow(tree, g, c, cfg)
+                    kept = use_memo and (c, cfg) in tree._rings
                     rescored += kept and after_leaf
-                    hit = memo is not None and memo.lookup(cfg, sig) is not None
+                    hit = memo is not None and memo.lookup(cfg, key) is not None
                     stored = len(memo or ())
                     stop_at, offered = rng.randint(1, len(sizes) + 1), []
                     est, _ = tree.probe_edge(
@@ -962,14 +1031,16 @@ class TestMemo:
 
     def test_added_edge_changes_signature(self):
         comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
-        sig1 = comp.signature()
+        sig1, key1 = comp.signature(), comp.key()
         comp.internal_edges.add((2, 3))
-        assert comp.signature() != sig1
+        comp.members.add(3)
+        assert comp.signature() != sig1 and comp.key() != key1
 
     def test_articulation_is_part_of_identity(self):
         a = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
         b = BiComponent({1, 2}, 3, {(0, 1), (0, 2), (1, 2)})
         assert a.signature() != b.signature()
+        assert a.key() != b.key()
 
     def test_store_keeps_every_table(self):
         from probflow import ReachTable
@@ -1080,7 +1151,7 @@ class TestRefreshStop:
         assert est is offered[-1]
         assert est.samples_used == 3 * CI_BATCH
         assert len(memo) == 0
-        assert all(ring.table is None for ring in tree._kept.rings.values())
+        assert all(ring.table is None for ring in tree._rings.values())
 
 
 class TestRoundEstimates:
@@ -1100,7 +1171,7 @@ class TestRoundEstimates:
             if cid != tree.root_id:
                 children[tree.parent_of(cid)].append(cid)
         for cid in tree.dirty_components():
-            if memo and memo.lookup(cfg, tree.components[cid].signature()) is not None:
+            if memo and memo.lookup(cfg, tree.components[cid].key()) is not None:
                 continue
             pid = tree.parent_of(cid)
             while pid is not None:

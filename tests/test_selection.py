@@ -40,6 +40,7 @@ from probflow import (
 from probflow.selection import _local_subgraph, mc_flow_of_edges
 from util import (
     random_connected_graph,
+    reference_greedy_select,
     reference_mc_flow_of_edges,
     reference_naive_select,
     ring_chain_graph,
@@ -161,6 +162,63 @@ def test_leaf_candidates_are_never_probed_or_copied(monkeypatch, variant):
         greedy_select(g, 0, scfg(variant, 9, seed=seed, samples=300))
     assert calls["leaf probe"] == calls["copy"] == 0
     assert calls["cycle probe"] > 0
+
+
+TREE_VARIANTS = [v for v in VARIANTS if v.startswith("ft")]
+
+
+class TestIncrementalLoop:
+    """The greedy loop reads the best leaf from the tree's ordered frontier
+    and probes only its kept cycle candidates; the reference walks every
+    candidate each iteration.  Selections and traces agree bit for bit."""
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("variant", TREE_VARIANTS)
+    @pytest.mark.parametrize("family", ["erdos", "partitioned", "wsn"])
+    def test_matches_the_reference_loop(self, family, variant):
+        make = {
+            "erdos": lambda s: netgen.gen_erdos(40, 6, s),
+            "partitioned": lambda s: netgen.gen_partitioned(40, 8, s),
+            "wsn": lambda s: netgen.assign_distance_decay(
+                netgen.gen_wsn(60, 0.25, s), lam=0.001, scale=1000
+            ),
+        }[family]
+        for graph_seed, master_seed in [(1, 3), (2, 11), (4, 29)]:
+            g = make(graph_seed)
+            cfg = scfg(variant, 14, seed=master_seed, samples=300)
+            assert greedy_select(g, 0, cfg) == reference_greedy_select(g, 0, cfg)
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("variant", ["ft_m_ds", "ft_m_ci_ds"])
+    def test_matches_the_reference_through_fast_forwards(self, variant):
+        # On complete graphs every candidate closes a cycle once each vertex
+        # is attached, so the delay scheduler suspends them all at times and
+        # the clock is fast-forwarded.
+        rng = random.Random(31)
+        fast_forwarded = 0
+        for trial in range(6):
+            g = random_connected_graph(rng, 7, 21)
+            cfg = scfg(variant, 20, seed=trial, samples=60)
+            forwards: list[int] = []
+            assert greedy_select(g, 0, cfg) == reference_greedy_select(g, 0, cfg, forwards)
+            fast_forwarded += len(forwards)
+        assert fast_forwarded > 0
+
+    @pytest.mark.parametrize("variant", TREE_VARIANTS)
+    def test_best_leaf_ties_after_rounding_go_to_the_smallest_edge(self, variant):
+        # Beside a query weight of 1e16, whose ulp is 2, the terms 4.0, 3.5
+        # and 3.2 all round to 1e16 + 4, and 1.0 to 1e16.  The leaf with the
+        # largest term, (0, 2), leads the order, but the smallest edge of
+        # the tying run, (0, 1), wins, as under ``min``.
+        g = ProbabilisticGraph.build(
+            5, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)],
+            weights=[1e16, 3.2, 4.0, 3.5, 1.0],
+        )
+        tree = FTree(0)
+        assert tree.best_leaf(g) == (0, 1)
+        cfg = scfg(variant, 1)
+        assert greedy_select(g, 0, cfg).selected == ((0, 1),)
+        assert greedy_select(g, 0, cfg) == reference_greedy_select(g, 0, cfg)
 
 
 def pruning_demo_graph():

@@ -14,17 +14,21 @@ import numpy as np
 from probflow import (
     Edge,
     FlowEstimate,
+    FTree,
     GraphError,
     IterationRecord,
+    MemoStore,
     ProbabilisticGraph,
     SamplerConfig,
     Solution,
     StrategyConfig,
     candidate_edges,
     canonical_edge,
+    ds_delay,
     induced_subgraph,
     mc_expected_flow,
 )
+from probflow.selection import _probe_with_ci
 
 
 @dataclass(frozen=True)
@@ -396,3 +400,90 @@ def reference_mc_flow_of_edges(
     sub = induced_subgraph(graph, verts, edges)
     q_local = sub.label_index[graph.labels[q]]
     return mc_expected_flow(sub, q_local, scfg)
+
+
+def replay_tree(
+    graph: ProbabilisticGraph, edges: Sequence[Edge], cfg: SamplerConfig, memo: MemoStore | None = None
+) -> FTree:
+    """A fresh tree at query vertex 0 fed ``edges`` in order: the tree any
+    tree that took those inserts must agree with, holding none of its
+    kept state."""
+    tree = FTree(0)
+    for e in edges:
+        tree.insert_edge(graph, e, cfg, memo)
+    return tree
+
+
+# ----------------------------------------------------------------------
+# Reference component-tree greedy: every iteration walks every candidate.
+# The library's greedy_select reads the best leaf from an ordered frontier
+# and probes only the kept cycle candidates, and must agree bit for bit.
+# ----------------------------------------------------------------------
+
+def reference_greedy_select(
+    graph: ProbabilisticGraph, q: int, cfg: StrategyConfig, fast_forwards: list[int] | None = None
+) -> Solution:
+    """The component-tree greedy in O(candidates) per iteration: the
+    eligible list from ``candidate_edges``, a probe of every eligible cycle
+    candidate (``_probe_with_ci`` over the eligible list under ``_ci``), and
+    ``min`` over every leaf term.  Iterations whose candidates were all
+    suspended, so that the clock was fast-forwarded, are appended to
+    ``fast_forwards`` when it is given."""
+    if not (0 <= q < graph.num_vertices):
+        raise ValueError(f"unknown vertex {q}")
+    use_ci, use_ds = "_ci" in cfg.variant, "_ds" in cfg.variant
+    tree = FTree(q)
+    memo = MemoStore() if cfg.variant != "ft" else None
+    delays: dict[Edge, int] = {}
+    selected: list[Edge] = []
+    trace: list[IterationRecord] = []
+    for iteration in range(1, cfg.budget + 1):
+        tick = time.perf_counter()
+        cands = candidate_edges(graph, tree.attached_vertices(), tree.selected_edges)
+        if not cands:
+            break
+        eligible = [e for e in cands if e not in delays]
+        if not eligible:
+            if fast_forwards is not None:
+                fast_forwards.append(iteration)
+            shift = min(delays.values())
+            delays = {e: d - shift for e, d in delays.items() if d > shift}
+            eligible = [e for e in cands if e not in delays]
+        base, terms = tree.leaf_terms(graph)
+        if use_ci:
+            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg, memo)
+        else:
+            probes = {
+                e: tree.probe_edge(graph, e, cfg.sampler, memo) for e in eligible if e not in terms
+            }
+            pruned = set()
+        mean = base.mean
+        ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
+        if terms:
+            ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
+        _, best = min(ranked)
+        report = tree.insert_edge(graph, best, cfg.sampler, memo)
+        best_est = tree.expected_flow(graph)
+        selected.append(best)
+        trace.append(
+            IterationRecord(
+                iteration=iteration,
+                edge=best,
+                flow=best_est,
+                edges_sampled=report.edges_sampled_count,
+                candidates_probed=len(eligible),
+                candidates_pruned=len(pruned),
+                candidates_delayed=len(delays),
+                elapsed_ms=int((time.perf_counter() - tick) * 1000),
+            )
+        )
+        delays = {e: d - 1 for e, d in delays.items() if d > 1}
+        if use_ds:
+            for e, (est, rep) in probes.items():
+                if e == best:
+                    continue
+                ratio = est.mean / best_est.mean if best_est.mean > 0 else 1.0
+                delay = ds_delay(min(1.0, max(1e-9, ratio)), rep.edges_sampled_count, cfg.ds_c)
+                if delay:
+                    delays[e] = delay
+    return Solution(selected=tuple(selected), trace=tuple(trace))
