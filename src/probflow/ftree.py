@@ -43,19 +43,18 @@ terms; the masses are rebuilt at the next cycle probe); a cycle-closing
 insert, a renewed reach table or a call naming another graph drops it.
 Beside it sit the candidate edges, with the cycle candidates (both
 endpoints attached) in a list of their own, and each probed cycle
-candidate's ring: its plan and sampler and, with a memo, its table and
-the table's coefficients.  Those survive every insert.  A cycle-closing
-insert drops only the rings that take a component it folded: no other
-ring's members change their hang or factor, and attach order never
-changes.  A call naming another graph drops them all.  A copy keeps none
-of it.
+candidate's ring: its plan and sampler and, with a memo, its table's
+coefficients.  Those survive every insert.  A cycle-closing insert drops
+only the rings that take a component it folded: no other ring's members
+change their hang or factor, and attach order never changes.  A call
+naming another graph drops them all.  A copy keeps none of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -109,6 +108,10 @@ class MonoComponent:
         return MonoComponent(self.articulation, dict(self.parent_edges))
 
 
+# A bi component's memo key (``BiComponent.key``).
+MemoKey = tuple[int, tuple[Edge, ...]]
+
+
 @dataclass
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
@@ -130,11 +133,11 @@ class BiComponent:
         edges = ",".join(f"{u}-{v}" for u, v in sorted(self.internal_edges))
         return f"av={self.articulation};v={verts};e={edges}"
 
-    def key(self) -> tuple[int, frozenset[Edge]]:
+    def key(self) -> MemoKey:
         """The component's identity as the signature gives it, as a memo key:
-        its members are its edges' endpoints other than the articulation
-        vertex."""
-        return self.articulation, frozenset(self.internal_edges)
+        the articulation vertex and the edges in sorted order.  Its members
+        are its edges' endpoints other than the articulation vertex."""
+        return self.articulation, tuple(sorted(self.internal_edges))
 
     def copy(self) -> "BiComponent":
         return BiComponent(set(self.members), self.articulation, set(self.internal_edges), self.reach)
@@ -173,16 +176,15 @@ class _Ring:
     takes (``parts``, their ids): its ring's (attach position, vertex)
     pairs in attach order, the ring (a dirty ``BiComponent``), the insert
     report, the sampler prepared at the first build a probe needs (until
-    a memo keeps the table it built) and, with a memo only, the table and
-    its coefficients once a probe scored them."""
+    a memo keeps the table it built) and, with a memo only, its table's
+    coefficients and world count once a probe read the table."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
     report: InsertReport
     parts: frozenset[int]
     sampler: Optional[IncrementalComponentSampler] = None
-    table: Optional[ReachTable] = None
-    coeffs: Optional[_Coeffs] = None
+    scored: Optional[tuple[_Coeffs, int]] = None
 
 
 @dataclass
@@ -215,7 +217,8 @@ class _Kept:
 class MemoStore:
     """Store of reach tables that never evicts, keyed by the
     ``SamplerConfig`` a table was built under and its component's
-    ``BiComponent.key``: the articulation vertex and the set of edges.
+    ``BiComponent.key``: the articulation vertex and the sorted edges.
+    Any other key raises ``TypeError``.
 
     A store serves one graph.  Tables for equal keys are interchangeable
     (exact tables depend on the component alone, sampling streams are
@@ -227,16 +230,22 @@ class MemoStore:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[SamplerConfig, Hashable], ReachTable] = {}
+        self._entries: dict[tuple[SamplerConfig, MemoKey], ReachTable] = {}
 
-    def lookup(self, cfg: SamplerConfig, key: Hashable) -> Optional[ReachTable]:
-        return self._entries.get((cfg, key))
+    def lookup(self, cfg: SamplerConfig, key: MemoKey) -> Optional[ReachTable]:
+        return self._entries.get(_entry(cfg, key))
 
-    def store(self, cfg: SamplerConfig, key: Hashable, table: ReachTable) -> None:
-        self._entries[cfg, key] = table
+    def store(self, cfg: SamplerConfig, key: MemoKey, table: ReachTable) -> None:
+        self._entries[_entry(cfg, key)] = table
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _entry(cfg: SamplerConfig, key: MemoKey) -> tuple[SamplerConfig, MemoKey]:
+    if type(key) is not tuple:
+        raise TypeError(f"a memo key is a BiComponent.key() tuple, not {type(key).__name__}")
+    return cfg, key
 
 
 class IncrementalComponentSampler:
@@ -928,12 +937,13 @@ class FTree:
         Every tree keeps each cycle candidate it probes under ``cfg``
         (``_Ring``) until an insert folds a component its ring takes (see
         ``_close_cycle``), so a re-probe skips planning and preparing the
-        sampler.  A memo also keeps full tables and their coefficients for
-        re-probes to score in one multiply-add per member and channel;
-        without one, every probe builds its table and offers it to ``stop``
-        afresh.  A memo is keyed by ``BiComponent.key``; the signature text
-        is built only as a drawn sampler's stream key, once per sampler.  A
-        re-probe returns what a fresh probe would, bit for bit.
+        sampler.  A memo also keeps full tables, and the ring their
+        coefficients, for re-probes to score in one multiply-add per member
+        and channel; without one, every probe builds its table and offers it
+        to ``stop`` afresh.  A memo is keyed by ``BiComponent.key``; the
+        signature text is built only as a drawn sampler's stream key, once
+        per sampler.  A re-probe returns what a fresh probe would, bit for
+        bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -951,35 +961,35 @@ class FTree:
             cids = frozenset(cid for cid, _, _ in parts)
             ring = self._rings[e, cfg] = _Ring(members, comp, report, cids)
         members, r, report = ring.members, ring.comp.articulation, ring.report
-        table = offer = None
-        if memo is not None:
-            if ring.table is None:
-                key = ring.comp.key()
-                ring.table = memo.lookup(cfg, key)
-            table = ring.table
-        if table is None:
-            ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
-            sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
-            table, rounds = ring.sampler.build(sizes)
-            est = None
-            if rounds is not None:
-                flows = self._ring_flow(self._coefficients(members, rounds), r)
-                for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
-                    est = FlowEstimate(*flow, self._ring_samples(members, n))
-                    if stop(est):
-                        return est, report
+        scored = ring.scored if memo is not None else None
+        est = offer = None
+        if scored is None:
+            table = None
             if memo is not None:
-                memo.store(cfg, key, table)
-                ring.table, ring.sampler = table, None  # no memoized probe builds again
+                key = ring.comp.key()
+                table = memo.lookup(cfg, key)
+            if table is None:
+                ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
+                sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
+                table, rounds = ring.sampler.build(sizes)
+                if rounds is not None:
+                    flows = self._ring_flow(self._coefficients(members, rounds), r)
+                    for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
+                        est = FlowEstimate(*flow, self._ring_samples(members, n))
+                        if stop(est):
+                            return est, report
+                if memo is not None:
+                    memo.store(cfg, key, table)
+                    ring.sampler = None  # no memoized probe builds again
+                offer = stop  # the table is exact, or there is no stop
+            if memo is not None or est is None:
+                scored = self._coefficients(members, table.rows), table.sample_count
+                if memo is not None:
+                    ring.scored = scored
             if est is not None:
                 return est, report  # the last round's, the full table's bit for bit
-            offer = stop  # the table is exact, or there is no stop
-        coeffs = ring.coeffs if memo is not None else None
-        if coeffs is None:
-            coeffs = self._coefficients(members, table.rows)
-            if memo is not None:
-                ring.coeffs = coeffs
-        est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, table.sample_count))
+        coeffs, n = scored
+        est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
         if offer is not None:
             offer(est)
         return est, report

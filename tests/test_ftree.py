@@ -19,6 +19,7 @@ from probflow import (
     MemoStore,
     MonoComponent,
     ProbabilisticGraph,
+    ReachTable,
     SamplerConfig,
     StrategyConfig,
     candidate_edges,
@@ -600,7 +601,7 @@ class TestProbe:
                 for c in cycles:
                     if c == e:
                         continue
-                    assert tree._rings[c, cfg].table is None
+                    assert tree._rings[c, cfg].scored is None
                     for stop in (None, lambda est: True):
                         assert probe(tree, c, stop) == probe(tree.copy(), c, stop)
                     reprobed += 1
@@ -645,8 +646,9 @@ class TestProbe:
                     assert ring.report == InsertReport(case, len(comp.internal_edges))
                     assert ring.parts == {cid for cid, _, _ in parts}
                     assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
-                    if ring.coeffs is not None:
-                        assert ring.coeffs == tree._coefficients(ring.members, ring.table.rows)
+                    if ring.scored is not None:
+                        table = memo.lookup(cfg, ring.comp.key())
+                        assert ring.scored == (tree._coefficients(ring.members, table.rows), table.sample_count)
                     stops = (None,) if use_memo else (None, lambda est: True)
                     for stop in stops:
                         fresh = replay.probe_edge(g, c, cfg, MemoStore() if use_memo else None, stop)
@@ -679,7 +681,7 @@ class TestProbe:
         tree = build_base_tree(g)
         memo = MemoStore()
         est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
-        assert tree._rings[(14, 15), CFG].table is not None
+        assert tree._rings[(14, 15), CFG].scored is not None
         built = count_builds(monkeypatch)
         assert tree.probe_edge(g, (14, 15), CFG, memo)[0] == est
         assert built == []
@@ -1033,8 +1035,8 @@ class TestMemo:
         comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
         sig1, key1 = comp.signature(), comp.key()
         comp.internal_edges.add((2, 3))
-        comp.members.add(3)
-        assert comp.signature() != sig1 and comp.key() != key1
+        assert comp.signature() != sig1
+        assert comp.key() != key1
 
     def test_articulation_is_part_of_identity(self):
         a = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
@@ -1043,16 +1045,25 @@ class TestMemo:
         assert a.key() != b.key()
 
     def test_store_keeps_every_table(self):
-        from probflow import ReachTable
-
         memo = MemoStore()
         tables = [
             ReachTable(articulation=0, rows={1: (i / 5000,) * 3}, sample_count=10) for i in range(5000)
         ]
-        for i, t in enumerate(tables):
-            memo.store(CFG, f"sig{i}", t)
+        keys = [(0, ((0, 1), (1, i + 2))) for i in range(5000)]
+        for key, t in zip(keys, tables):
+            memo.store(CFG, key, t)
         assert len(memo) == 5000
-        assert all(memo.lookup(CFG, f"sig{i}") is t for i, t in enumerate(tables))
+        assert all(memo.lookup(CFG, key) is t for key, t in zip(keys, tables))
+
+    def test_text_keys_are_rejected(self):
+        # A signature is no memo key: looking one up raises instead of missing.
+        comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
+        table = ReachTable(articulation=0, rows={1: (0.5,) * 3, 2: (0.5,) * 3}, sample_count=10)
+        memo = MemoStore()
+        for call in (lambda: memo.lookup(CFG, comp.signature()), lambda: memo.store(CFG, comp.signature(), table)):
+            with pytest.raises(TypeError, match="BiComponent.key"):
+                call()
+        assert len(memo) == 0
 
     def test_tables_are_kept_apart_by_config(self):
         # A store first filled under one config serves a run under another
@@ -1151,7 +1162,7 @@ class TestRefreshStop:
         assert est is offered[-1]
         assert est.samples_used == 3 * CI_BATCH
         assert len(memo) == 0
-        assert all(ring.table is None for ring in tree._rings.values())
+        assert all(ring.scored is None for ring in tree._rings.values())
 
 
 class TestRoundEstimates:
