@@ -19,7 +19,6 @@ from .graphs import (
 )
 from .oracle import (
     OracleLimitError,
-    OracleLimits,
     exact_expected_flow,
     exact_reachability,
     exhaustive_maxflow,

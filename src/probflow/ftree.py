@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Se
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, candidate_edges, canonical_edge
+from .graphs import Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_integer
 from .sampling import (
     CI_BATCH,
     EXACT_SAMPLES,
@@ -255,11 +255,12 @@ class IncrementalComponentSampler:
 
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  A drawn world i lands in bit i of every vertex's world
-    bitset, so one draw gives the table of every prefix of its worlds.
-    Construction prepares what every build reads: local vertices and edges,
-    probabilities and the exact flag.  The first draw adds the stream and
-    its start state, which every later draw restores; the first exact
-    build adds the worlds' weights, which every later one reads.
+    bitset, so one draw gives the table of every prefix of its worlds; a
+    draw's worlds are returned, never kept.  Construction prepares what
+    every build reads: local vertices and edges, probabilities and the
+    exact flag.  The first draw adds the stream and its start state, which
+    every later draw restores; the first exact build adds the worlds'
+    weights, which every later one reads.
     """
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
@@ -280,20 +281,16 @@ class IncrementalComponentSampler:
         self._rng: Optional[np.random.Generator] = None  # at the first draw
         self._start: Optional[dict] = None
         self._weights: Optional[np.ndarray] = None  # at the first exact build
-        self._bits: list[int] = []
-        self.drawn = 0
 
     def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Rows]]:
         """The table, exact or of ``cfg.samples`` worlds drawn afresh; a drawn
-        one comes with ``rows(sizes)`` if ``sizes`` (ending at ``cfg.samples``)
-        are given, its last round the table.  Drawn worlds are dropped, so a
-        kept sampler holds none."""
+        one comes with ``rows`` over ``sizes`` if ``sizes`` (ending at
+        ``cfg.samples``) are given, its last round the table."""
         if self.exact:
             return self.exact_table(), None
-        self.draw(self.samples)
-        grid = self.rows(sizes or [self.samples])
-        table = self.table(grid)
-        self._bits, self.drawn = [], 0
+        grid = self.rows(self.draw(self.samples), sizes or [self.samples])
+        p, lo, hi = (a[:, -1].tolist() for a in grid)
+        table = ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), self.samples)
         return table, dict(zip(self._members, zip(*grid))) if sizes else None
 
     def exact_table(self) -> ReachTable:
@@ -308,34 +305,29 @@ class IncrementalComponentSampler:
         rows = {v: (p, p, p) for v, p in zip(self._verts, reach.tolist()) if v != av}
         return ReachTable(articulation=av, rows=rows, sample_count=EXACT_SAMPLES)
 
-    def draw(self, batch: int) -> None:
-        """Draw ``batch`` worlds from the stream's start, replacing any drawn."""
+    def draw(self, batch: int) -> list[int]:
+        """``batch`` worlds drawn from the stream's start: per local vertex
+        (the vertices in ascending order), the worlds in which it reaches
+        the articulation vertex, as a bitset with world i in bit i."""
         if self._rng is None:
             self._rng = substream(self.master_seed, "component", self._comp.signature())
             self._start = self._rng.bit_generator.state
         else:
             self._rng.bit_generator.state = self._start
-        self._bits = _reach_worlds(
+        return _reach_worlds(
             self._edges, self._probs, len(self._verts), self._source, batch, self._rng
         )
-        self.drawn = batch
 
-    def table(self, grid: Optional[_Grid] = None) -> ReachTable:
-        """Reach table of every drawn world: the last round of ``grid``, by
-        default ``rows`` of them all."""
-        p, lo, hi = self.rows([self.drawn]) if grid is None else grid
-        rows = zip(p[:, -1].tolist(), lo[:, -1].tolist(), hi[:, -1].tolist())
-        return ReachTable(self.articulation, dict(zip(self._members, rows)), self.drawn)
-
-    def rows(self, sizes: Sequence[int]) -> _Grid:
-        """Every member's (p, lo, hi) over ``sizes``, as three (member, round)
-        arrays, members in ascending order: round j's p is the member's
-        successes in the first ``sizes[j]`` worlds (a popcount) over
-        ``sizes[j]``, and its (lo, hi) are ``wald_interval`` of that p."""
+    def rows(self, bits: Sequence[int], sizes: Sequence[int]) -> _Grid:
+        """Every member's (p, lo, hi) over ``sizes``, from the bitsets of
+        ``draw``, as three (member, round) arrays, members in ascending
+        order: round j's p is the member's successes in the first
+        ``sizes[j]`` worlds (a popcount) over ``sizes[j]``, and its (lo, hi)
+        are ``wald_interval`` of that p."""
         n = np.array(sizes, dtype=np.int64)
         masks = [(1 << k) - 1 for k in sizes]
         src = self._source
-        counts = [(b & m).bit_count() for i, b in enumerate(self._bits) if i != src for m in masks]
+        counts = [(b & m).bit_count() for i, b in enumerate(bits) if i != src for m in masks]
         p = np.array(counts, dtype=np.int64).reshape(-1, len(sizes)) / n
         return (p, *wald_interval(p, n, self.alpha))
 
@@ -355,7 +347,7 @@ class FTree:
     """
 
     def __init__(self, q: int):
-        self.q = q
+        self.q = check_integer("q", q)
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
         self._kept: Optional[_Kept] = None

@@ -35,6 +35,15 @@ def check_integer(name: str, value: object) -> int:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
+def check_vertex(graph: ProbabilisticGraph, v: object) -> int:
+    """``v`` as an ``int`` vertex id of ``graph`` (``check_integer``), else
+    GraphError naming it as an unknown vertex."""
+    v = check_integer("vertex", v)
+    if not 0 <= v < graph.num_vertices:
+        raise GraphError(f"unknown vertex {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class ProbabilisticGraph:
     """Undirected graph with independent edge probabilities and vertex weights.
@@ -206,11 +215,8 @@ def induced_subgraph(
     Vertex ids are re-densified (ascending original id order); labels,
     weights, probabilities and coordinates are copied over.
     """
-    kept = sorted(set(keep_vertices))
+    kept = [check_vertex(graph, v) for v in sorted(set(keep_vertices))]
     remap = {old: new for new, old in enumerate(kept)}
-    for v in kept:
-        if not (0 <= v < graph.num_vertices):
-            raise GraphError(f"unknown vertex {v}")
     triples = []
     for u, v in keep_edges:
         e = canonical_edge(u, v)

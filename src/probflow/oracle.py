@@ -10,28 +10,17 @@ on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, canonical_edge
+from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_integer, check_vertex
 from .sampling import exact_reach
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Guard rails on enumeration size."""
-
-    max_edges_enumeration: int = 20
-    max_edges_selection: int = 12
-
-    def __post_init__(self) -> None:
-        if self.max_edges_enumeration < 1 or self.max_edges_selection < 1:
-            raise ValueError("limits must be positive")
-
-
-DEFAULT_LIMITS = OracleLimits()
+# Guard rails on enumeration size: the uncertain edges one enumeration
+# takes, and the graph edges ``exhaustive_maxflow`` chooses subsets from.
+MAX_ENUMERATED_EDGES = 20
+MAX_SELECTION_EDGES = 12
 
 
 class OracleLimitError(ValueError):
@@ -39,56 +28,31 @@ class OracleLimitError(ValueError):
 
 
 def _reach_probabilities(
-    num_vertices: int,
-    edges: Sequence[Edge],
-    probs: Sequence[float],
-    source: int,
-    limits: OracleLimits,
+    num_vertices: int, edges: Sequence[Edge], probs: Sequence[float], source: int
 ) -> np.ndarray:
     """Exact reachability probability from ``source`` to every vertex; the
     enumeration limit counts the uncertain edges, the only ones enumerated."""
     m = sum(p < 1.0 for p in probs)
-    if m > limits.max_edges_enumeration:
-        raise OracleLimitError(
-            f"{m} uncertain edges exceed the enumeration limit {limits.max_edges_enumeration}"
-        )
+    if m > MAX_ENUMERATED_EDGES:
+        raise OracleLimitError(f"{m} uncertain edges exceed the enumeration limit {MAX_ENUMERATED_EDGES}")
     return exact_reach(edges, probs, num_vertices, source)
 
 
-def exact_reachability(
-    graph: ProbabilisticGraph,
-    source: int,
-    target: int,
-    limits: OracleLimits = DEFAULT_LIMITS,
-) -> float:
+def exact_reachability(graph: ProbabilisticGraph, source: int, target: int) -> float:
     """Probability that source and target are connected, over all worlds."""
-    for v in (source, target):
-        if not (0 <= v < graph.num_vertices):
-            raise ValueError(f"unknown vertex {v}")
+    source, target = check_vertex(graph, source), check_vertex(graph, target)
     if source == target:
         return 1.0
-    reach = _reach_probabilities(graph.num_vertices, graph.edges, graph.probabilities, source, limits)
+    reach = _reach_probabilities(graph.num_vertices, graph.edges, graph.probabilities, source)
     return float(reach[target])
 
 
-def exact_expected_flow(
-    graph: ProbabilisticGraph,
-    q: int,
-    limits: OracleLimits = DEFAULT_LIMITS,
-) -> float:
+def exact_expected_flow(graph: ProbabilisticGraph, q: int) -> float:
     """Expected total weight reaching q; q's own weight counts with probability 1."""
-    if not (0 <= q < graph.num_vertices):
-        raise ValueError(f"unknown vertex {q}")
-    reach = _reach_probabilities(graph.num_vertices, graph.edges, graph.probabilities, q, limits)
-    return float(np.asarray(graph.weights, dtype=float) @ reach)
+    return expected_flow_of_edges(graph, q, graph.edges)
 
 
-def expected_flow_of_edges(
-    graph: ProbabilisticGraph,
-    q: int,
-    edge_subset: Iterable[Edge],
-    limits: OracleLimits = DEFAULT_LIMITS,
-) -> float:
+def expected_flow_of_edges(graph: ProbabilisticGraph, q: int, edge_subset: Iterable[Edge]) -> float:
     """Exact expected flow of the subgraph keeping only ``edge_subset``."""
     subset = [canonical_edge(*e) for e in edge_subset]
     index = graph.edge_index
@@ -101,31 +65,25 @@ def expected_flow_of_edges(
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
         probs.append(graph.probabilities[index[e]])
-    if not (0 <= q < graph.num_vertices):
-        raise ValueError(f"unknown vertex {q}")
-    reach = _reach_probabilities(graph.num_vertices, subset, probs, q, limits)
+    reach = _reach_probabilities(graph.num_vertices, subset, probs, check_vertex(graph, q))
     return float(np.asarray(graph.weights, dtype=float) @ reach)
 
 
-def exhaustive_maxflow(
-    graph: ProbabilisticGraph,
-    q: int,
-    k: int,
-    limits: OracleLimits = DEFAULT_LIMITS,
-) -> tuple[tuple[Edge, ...], float]:
+def exhaustive_maxflow(graph: ProbabilisticGraph, q: int, k: int) -> tuple[tuple[Edge, ...], float]:
     """Best edge subset of size <= k by exact flow; ties go to the
     lexicographically smallest sorted edge list."""
-    if graph.num_edges > limits.max_edges_selection:
+    if graph.num_edges > MAX_SELECTION_EDGES:
         raise OracleLimitError(
-            f"{graph.num_edges} edges exceed the selection limit {limits.max_edges_selection}"
+            f"{graph.num_edges} edges exceed the selection limit {MAX_SELECTION_EDGES}"
         )
+    k = check_integer("k", k)
     if k < 0:
         raise ValueError("k must be non-negative")
     best_edges: tuple[Edge, ...] = ()
-    best_flow = expected_flow_of_edges(graph, q, (), limits)
+    best_flow = expected_flow_of_edges(graph, q, ())
     for size in range(1, min(k, graph.num_edges) + 1):
         for subset in itertools.combinations(graph.edges, size):
-            flow = expected_flow_of_edges(graph, q, subset, limits)
+            flow = expected_flow_of_edges(graph, q, subset)
             if flow > best_flow + 1e-12:
                 best_flow = flow
                 best_edges = subset

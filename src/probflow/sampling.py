@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, check_integer
+from .graphs import Edge, ProbabilisticGraph, check_integer, check_vertex
 
 # samples_used value reported for estimates with no sampling error at all
 # (analytic flow on cycle-free trees, fully deterministic graphs).
@@ -278,25 +278,12 @@ def _success_counts(
 
 
 def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> FlowEstimate:
-    """Whole-graph Monte-Carlo estimate of the expected flow into ``q``
-    (``mc_flow`` of the graph's arrays, keyed by its signature)."""
-    return mc_flow(graph.edges, graph.probabilities, graph.weights, q, graph.signature(), cfg)
-
-
-def mc_flow(
-    edges: Sequence[Edge],
-    probs: Sequence[float],
-    weights: Sequence[float],
-    q: int,
-    key: str,
-    cfg: SamplerConfig,
-) -> FlowEstimate:
-    """Monte-Carlo estimate of the expected flow into vertex ``q`` of the
-    graph on vertices 0..len(weights)-1 with these edges and probabilities,
-    drawn from the stream keyed by ``key``, the graph's signature:
-    ``flow_estimate`` of ``mc_counts``.
-    """
-    return flow_estimate(mc_counts(edges, probs, len(weights), q, key, cfg), weights, cfg)
+    """Whole-graph Monte-Carlo estimate of the expected flow into ``q``:
+    ``flow_estimate`` of ``mc_counts``, drawn from the stream keyed by the
+    graph's signature."""
+    q = check_vertex(graph, q)
+    counts = mc_counts(graph.edges, graph.probabilities, graph.num_vertices, q, graph.signature(), cfg)
+    return flow_estimate(counts, graph.weights, cfg)
 
 
 def mc_counts(
@@ -307,7 +294,7 @@ def mc_counts(
     key: str,
     cfg: SamplerConfig,
 ) -> np.ndarray:
-    """``mc_flow``'s draw step: per vertex of the graph on vertices
+    """``mc_expected_flow``'s draw step: per vertex of the graph on vertices
     0..num_vertices-1, the number of its ``cfg.samples`` sampled worlds in
     which it is connected to ``q`` (q itself in every one), drawn from the
     stream keyed by ``key``."""
@@ -323,9 +310,9 @@ def flow_mean(counts: np.ndarray, weights: np.ndarray, samples: int) -> float:
 
 
 def flow_estimate(counts: np.ndarray, weights: Sequence[float], cfg: SamplerConfig) -> FlowEstimate:
-    """``mc_flow``'s estimate step: the mean flow of per-vertex success
-    counts over ``cfg.samples`` worlds (``flow_mean``), with bounds that
-    aggregate per-vertex normal-approximation intervals, weighted and
+    """``mc_expected_flow``'s estimate step: the mean flow of per-vertex
+    success counts over ``cfg.samples`` worlds (``flow_mean``), with bounds
+    that aggregate per-vertex normal-approximation intervals, weighted and
     summed."""
     weights = np.asarray(weights, dtype=float)
     lo, hi = wald_interval(counts / cfg.samples, cfg.samples, cfg.alpha)

@@ -16,14 +16,14 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-# mc_expected_flow, induced_subgraph and new_ftree are perfbench's tracer install sites: keep them here.
+# new_ftree is a perfbench tracer install site: keep it imported here.
 from .ftree import FTree, InsertReport, MemoStore, new_ftree
 from .graphs import (
     Edge,
     ProbabilisticGraph,
     candidate_edges,
-    canonical_edge,
     check_integer,
+    check_vertex,
     graph_signature,
     induced_subgraph,
 )
@@ -36,7 +36,6 @@ from .sampling import (
     flow_mean,
     mc_counts,
     mc_expected_flow,
-    mc_flow,
 )
 
 VARIANTS = ("naive", "dijkstra", "ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds")
@@ -152,8 +151,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     dominated, ``_ds`` suspends low-potential expensive candidates.  A leaf
     samples nothing, so it is never pruned or suspended.
     """
-    if not (0 <= q < graph.num_vertices):
-        raise ValueError(f"unknown vertex {q}")
+    q = check_vertex(graph, q)
     use_memo = cfg.variant != "ft"
     use_ci = "_ci" in cfg.variant
     use_ds = "_ds" in cfg.variant
@@ -289,8 +287,7 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
     the winner's estimate gets bounds, the ones ``mc_flow_of_edges`` gives.
     Each edge's probability is formatted as stream-key text once per run,
     when the edge first becomes a candidate."""
-    if not (0 <= q < graph.num_vertices):
-        raise ValueError(f"unknown vertex {q}")
+    q = check_vertex(graph, q)
     attached: set[int] = {q}
     chosen: list[Edge] = []
     chosen_set: set[Edge] = set()
@@ -343,23 +340,15 @@ def mc_flow_of_edges(
 ) -> FlowEstimate:
     """Whole-subgraph Monte-Carlo flow into ``q`` of the given edge set:
     ``mc_expected_flow`` of ``induced_subgraph(graph, verts, edges)``, with
-    verts q and the edges' endpoints, and q's local id, bit for bit, built
-    with no graph object.
+    verts q and the edges' endpoints, at q's local id.
 
     Restricted to vertices the edges can reach (plus q); the rest of the
-    graph cannot contribute flow and would only add sampling work.  An
-    unknown vertex, an unknown edge or a repeated one raises
-    ``induced_subgraph``'s ``GraphError``.
+    graph cannot contribute flow and would only add sampling work.  A bad
+    vertex (q included), an unknown edge or a repeated one raises
+    ``induced_subgraph``'s error.
     """
-    canon = sorted(canonical_edge(u, v) for u, v in edges)
-    verts = sorted({q, *(v for e in canon for v in e)})
-    index = graph.edge_index
-    if not (0 <= q < graph.num_vertices) or any(e not in index for e in canon) or (
-        len(set(canon)) < len(canon)
-    ):
-        induced_subgraph(graph, verts, edges)  # raises the GraphError naming the fault
-    texts = {e: repr(graph.probabilities[index[e]]) for e in canon}
-    return mc_flow(*_local_subgraph(graph, q, canon, verts, texts), scfg)
+    verts = sorted({q, *(v for e in edges for v in e)})
+    return mc_expected_flow(induced_subgraph(graph, verts, edges), verts.index(q), scfg)
 
 
 def _local_subgraph(
@@ -369,12 +358,13 @@ def _local_subgraph(
     verts: Sequence[int],
     texts: Mapping[Edge, str],
 ) -> tuple[list[Edge], list[float], np.ndarray, int, str]:
-    """``mc_flow``'s edges, probabilities, weights, query and key for the
-    subgraph on ``verts`` (ascending ids, q and every endpoint among them)
-    with ``edges`` (distinct edges of the graph in sorted canonical order),
-    numbered as ``induced_subgraph`` numbers it: a vertex's local id is its
-    rank in ``verts``, so the local edges stay sorted.  ``texts`` holds each
-    edge's probability as its ``repr``, for the signature."""
+    """The edges, probabilities, weights, query and stream key that
+    ``mc_counts`` and ``flow_mean`` take for the subgraph on ``verts``
+    (ascending ids, q and every endpoint among them) with ``edges``
+    (distinct edges of the graph in sorted canonical order), numbered as
+    ``induced_subgraph`` numbers it: a vertex's local id is its rank in
+    ``verts``, so the local edges stay sorted.  ``texts`` holds each edge's
+    probability as its ``repr``, for the signature."""
     local = {v: i for i, v in enumerate(verts)}
     index, probabilities = graph.edge_index, graph.probabilities
     probs = [probabilities[index[e]] for e in edges]
@@ -389,8 +379,8 @@ def dijkstra_select(graph: ProbabilisticGraph, q: int, k: int) -> Solution:
     Commits one tree edge per settled vertex, at most k edges; the result is
     cycle-free so the flow is an exact edge-product computation.
     """
-    if not (0 <= q < graph.num_vertices):
-        raise ValueError(f"unknown vertex {q}")
+    q = check_vertex(graph, q)
+    k = check_integer("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     settled: set[int] = set()

@@ -478,3 +478,34 @@ class TestPinnedBytes:
                 digest.update(path.read_bytes())
         capsys.readouterr()
         assert digest.hexdigest() == self.DIGEST
+
+    # One sha256 over the Monte-Carlo estimator's CLI outputs: an
+    # `evaluate --mode mc` run on an edge set given out of order with its
+    # endpoints swapped, its printed line included, and a small `bench`
+    # sweep whose reference flows are whole-subgraph estimates.
+    ESTIMATOR_DIGEST = "905a44b85f4d2a82254aedb97520c485328e7d5cba118203284c856b4f466697"
+
+    def test_estimator_outputs_match_pinned_digest(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        prefix = tmp_path / "er"
+        assert main(["generate", "erdos", "--n", "40", "--deg", "5", "--seed", "3",
+                     "--out", str(prefix)]) == 0
+        lines = Path(f"{prefix}.edges").read_text(encoding="utf-8").splitlines()
+        edge_set = tmp_path / "sel.txt"
+        edge_set.write_text("".join(f"{l.split()[1]} {l.split()[0]}\n" for l in lines[::-3]),
+                            encoding="utf-8")
+        evaluated = tmp_path / "eval.csv"
+        capsys.readouterr()
+        assert main(["evaluate", "--edges", f"{prefix}.edges", "--weights", f"{prefix}.weights",
+                     "--query", "0", "--edge-set", str(edge_set), "--mode", "mc",
+                     "--samples", "3000", "--seed", "11", "--out", str(evaluated)]) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        digest.update(evaluated.read_bytes())
+        swept = tmp_path / "bench.csv"
+        assert main(["bench", "--family", "partitioned", "--n", "32", "--deg", "4",
+                     "--variants", "ft_m,naive,dijkstra", "--sweep", "k=3,6", "--repeat", "2",
+                     "--samples", "200", "--ref-samples", "2000", "--seed", "4",
+                     "--out", str(swept)]) == 0
+        digest.update(swept.read_bytes())
+        capsys.readouterr()
+        assert digest.hexdigest() == self.ESTIMATOR_DIGEST

@@ -35,6 +35,7 @@ from probflow.sampling import CI_BATCH
 from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
+    drawn_table,
     insertable_order,
     long_cycle_graph,
     long_ring_graph,
@@ -814,8 +815,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     [ring] = [ref.components[cid] for cid in ref.dirty_components()]
     sampler = IncrementalComponentSampler(g, ring, cfg)
     assert not sampler.exact
-    sampler.draw(worlds or cfg.samples)
-    ring.reach = sampler.table()
+    ring.reach = drawn_table(sampler, worlds or cfg.samples)
     return ref.expected_flow(g), report, ring.key()
 
 
@@ -1092,7 +1092,7 @@ class TestIncrementalSampling:
     @pytest.mark.pinned
     @pytest.mark.parametrize("chunk_budget", [None, 40], ids=["one-chunk", "ten-world-chunks"])
     def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
-        # A full-budget draw keeps every world, so rows() gives, element by
+        # A full-budget draw holds every world, so rows() gives, element by
         # element, the rows of a fresh sampler that drew n worlds, for each
         # n asked.  The full draw may span many chunks.  The 11-edge ring
         # has 2^11 worlds, more than 1000, so a tree draws its table too.
@@ -1104,18 +1104,12 @@ class TestIncrementalSampling:
         comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
         sizes = range(CI_BATCH, cfg.samples + 1, CI_BATCH)
-        expected = []
-        for n in sizes:
-            fresh = IncrementalComponentSampler(g, comp, cfg)
-            fresh.draw(n)
-            expected.append(fresh.table())
+        expected = [drawn_table(IncrementalComponentSampler(g, comp, cfg), n) for n in sizes]
         if chunk_budget is not None:
             monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
         full = IncrementalComponentSampler(g, comp, cfg)
         assert not full.exact
-        full.draw(cfg.samples)
-        rows = dict(zip(sorted(comp.members), zip(*full.rows(sizes))))
-        assert full.table() == expected[-1]
+        rows = dict(zip(sorted(comp.members), zip(*full.rows(full.draw(cfg.samples), sizes))))
         for j, table in enumerate(expected):
             for v in comp.members:
                 assert tuple(a[j] for a in rows[v]) == table.rows[v]

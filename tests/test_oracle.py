@@ -12,13 +12,13 @@ import pytest
 
 from probflow import (
     OracleLimitError,
-    OracleLimits,
     ProbabilisticGraph,
     exact_expected_flow,
     exact_reachability,
     exhaustive_maxflow,
     expected_flow_of_edges,
 )
+from probflow.oracle import MAX_ENUMERATED_EDGES
 from util import (
     DeterministicWorld,
     enumerate_worlds,
@@ -54,10 +54,10 @@ class TestExactReachability:
         assert exact_reachability(triangle_graph(), 0, 0) == 1.0
 
     def test_certain_edges_not_enumerated(self):
-        limits = OracleLimits(max_edges_enumeration=25)
+        # 23 edges, more than the limit of 20, of which one is uncertain.
         triples = [(i, i + 1, 1.0) for i in range(22)] + [(22, 23, 0.5)]
         g = ProbabilisticGraph.build(24, triples)
-        assert exact_reachability(g, 0, 23, limits) == pytest.approx(0.5)
+        assert exact_reachability(g, 0, 23) == pytest.approx(0.5)
 
     def test_limit_enforced(self):
         rng = random.Random(1)
@@ -249,7 +249,7 @@ class TestPinnedValues:
 
     def test_at_enumeration_limit(self):
         g = self.twenty_edges()
-        assert g.num_edges == OracleLimits().max_edges_enumeration
+        assert g.num_edges == MAX_ENUMERATED_EDGES
         assert exact_reachability(g, 0, 8) == 0.9611669897326798
         assert exact_reachability(g, 3, 6) == 0.9386932359664837
         assert exact_expected_flow(g, 0) == 50.30352062800525

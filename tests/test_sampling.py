@@ -25,6 +25,7 @@ from probflow.ftree import BiComponent, IncrementalComponentSampler
 from probflow.sampling import _success_counts
 from util import (
     DeterministicWorld,
+    drawn_table,
     flow_of_world,
     random_connected_graph,
     reachable_set,
@@ -204,9 +205,7 @@ class TestMcExpectedFlow:
 
 def component_reach(graph, comp, cfg):
     """Reach table of one component sampled at the full budget."""
-    sampler = IncrementalComponentSampler(graph, comp, cfg)
-    sampler.draw(cfg.samples)
-    return sampler.table()
+    return drawn_table(IncrementalComponentSampler(graph, comp, cfg), cfg.samples)
 
 
 TRIANGLE = BiComponent({1, 2}, 0, {(0, 1), (1, 2), (0, 2)})
@@ -289,9 +288,8 @@ class TestConfidenceInterval:
             g = ProbabilisticGraph.build(m, [(j, (j + 1) % m, p) for j, p in enumerate(probs)])
             ring = BiComponent(set(range(1, m)), 0, set(g.edges))
             sampler = IncrementalComponentSampler(g, ring, SamplerConfig(n, alpha, master_seed=i))
-            sampler.draw(n)
-            counts = dict(zip(sampler._verts, (b.bit_count() for b in sampler._bits)))
-            table = sampler.table()
+            counts = dict(zip(sampler._verts, (b.bit_count() for b in sampler.draw(n))))
+            table = drawn_table(sampler, n)
             assert not sampler.exact and table.sample_count == n and set(table.rows) == ring.members
             for v, (p, lo, hi) in table.rows.items():
                 want_lo, want_hi = confidence_interval(counts[v], n, alpha)

@@ -28,10 +28,12 @@ from probflow import (
     dijkstra_select,
     ds_delay,
     exact_expected_flow,
+    exact_reachability,
     exhaustive_maxflow,
     expected_flow_of_edges,
     greedy_select,
     induced_subgraph,
+    mc_expected_flow,
     naive_select,
     netgen,
     run_strategy,
@@ -907,6 +909,44 @@ def run_within_budget(g, variant, k):
 
 class TestEdgeCases:
     """Degenerate inputs behave the same under every variant."""
+
+    # Every public entry that takes a vertex of a graph, called with that
+    # vertex on star_graph() (vertices 0-3).
+    VERTEX_ENTRIES = {
+        **{
+            f"run_strategy-{name}": lambda g, v, name=name: run_strategy(g, v, scfg(name, 2, samples=50))
+            for name in VARIANTS
+        },
+        "mc_expected_flow": lambda g, v: mc_expected_flow(g, v, SamplerConfig(samples=50)),
+        "mc_flow_of_edges": lambda g, v: mc_flow_of_edges(g, v, [(0, 1)], SamplerConfig(samples=50)),
+        "exact_expected_flow": lambda g, v: exact_expected_flow(g, v),
+        "exact_reachability-source": lambda g, v: exact_reachability(g, v, 1),
+        "exact_reachability-target": lambda g, v: exact_reachability(g, 1, v),
+        "expected_flow_of_edges": lambda g, v: expected_flow_of_edges(g, v, [(0, 1)]),
+        "exhaustive_maxflow": lambda g, v: exhaustive_maxflow(g, v, 1),
+        "induced_subgraph": lambda g, v: induced_subgraph(g, [v, 1], []),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))
+    @pytest.mark.parametrize(
+        "vertex, message",
+        [(-1, "unknown vertex -1"), (4, "unknown vertex 4"), (0.0, "vertex must be an integer, not 0.0")],
+        ids=["negative", "past-the-end", "float"],
+    )
+    def test_bad_vertex_rejected_where_it_enters(self, entry, vertex, message):
+        # A negative id must not index from the end, and a float must not
+        # reach a list index.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.VERTEX_ENTRIES[entry](star_graph(), vertex)
+
+    def test_non_integer_tree_root_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("q must be an integer, not 0.0")):
+            FTree(0.0)
+
+    @pytest.mark.parametrize("select", [dijkstra_select, exhaustive_maxflow], ids=["dijkstra", "exhaustive"])
+    def test_non_integer_edge_budget_rejected(self, select):
+        with pytest.raises(ValueError, match=re.escape("k must be an integer, not 2.5")):
+            select(star_graph(), 0, 2.5)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_isolated_query_vertex(self, variant):

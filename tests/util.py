@@ -19,6 +19,7 @@ from probflow import (
     IterationRecord,
     MemoStore,
     ProbabilisticGraph,
+    ReachTable,
     SamplerConfig,
     Solution,
     StrategyConfig,
@@ -400,6 +401,13 @@ def reference_mc_flow_of_edges(
     sub = induced_subgraph(graph, verts, edges)
     q_local = sub.label_index[graph.labels[q]]
     return mc_expected_flow(sub, q_local, scfg)
+
+
+def drawn_table(sampler, n: int) -> ReachTable:
+    """The reach table of ``n`` worlds that the component sampler
+    ``sampler`` draws afresh, enumerable or not: ``rows(draw(n), [n])``."""
+    p, lo, hi = (a[:, 0].tolist() for a in sampler.rows(sampler.draw(n), [n]))
+    return ReachTable(sampler.articulation, dict(zip(sampler._members, zip(p, lo, hi))), n)
 
 
 def replay_tree(
