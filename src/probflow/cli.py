@@ -21,6 +21,7 @@ from .graphs import (
     Edge,
     GraphError,
     ProbabilisticGraph,
+    _records,
     canonical_edge,
     load_graph,
     save_graph,
@@ -64,11 +65,18 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query", required=True, help="query vertex label")
 
 
+def _output(path: Optional[str]) -> contextlib.AbstractContextManager[IO[str]]:
+    """The ``--out`` file to write, or stdout (left open) without one."""
+    if path:
+        return open(path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[ProbabilisticGraph, int]:
     with contextlib.ExitStack() as files:
         streams = [
             files.enter_context(open(path, encoding="utf-8")) if path else None
-            for path in (args.edges, args.weights, getattr(args, "coords", None))
+            for path in (args.edges, args.weights, args.coords)
         ]
         graph = load_graph(*streams)
     q = graph.label_index.get(args.query)
@@ -81,24 +89,15 @@ def _read_edge_set(path: str, graph: ProbabilisticGraph) -> list[Edge]:
     out: list[Edge] = []
     seen: set[Edge] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphError(f"edge-set line {lineno}: expected '<u> <v>'")
-            ids = []
-            for lab in parts[:2]:
-                vid = graph.label_index.get(lab)
-                if vid is None:
-                    raise GraphError(f"edge-set line {lineno}: unknown vertex {lab!r}")
-                ids.append(vid)
-            e = canonical_edge(*ids)
+        for at, (lu, lv, *_) in _records(fh, "edge-set line", "<u> <v>", (2, 3)):
+            for lab in (lu, lv):
+                if lab not in graph.label_index:
+                    raise GraphError(f"{at}: unknown vertex {lab!r}")
+            e = canonical_edge(graph.label_index[lu], graph.label_index[lv])
             if e not in graph.edge_index:
-                raise GraphError(f"edge-set line {lineno}: no such edge {parts[0]} {parts[1]}")
+                raise GraphError(f"{at}: no such edge {lu} {lv}")
             if e in seen:
-                raise GraphError(f"edge-set line {lineno}: duplicate edge {parts[0]} {parts[1]}")
+                raise GraphError(f"{at}: duplicate edge {lu} {lv}")
             seen.add(e)
             out.append(e)
     return out
@@ -160,25 +159,11 @@ def _write_solution_csv(
     out.write(MAXFLOW_HEADER + "\n")
     for rec in solution.trace:
         u, v = rec.edge
-        ms = rec.elapsed_ms if timings else 0
-        out.write(
-            ",".join(
-                [
-                    str(rec.iteration),
-                    graph.labels[u],
-                    graph.labels[v],
-                    _fmt(rec.flow.mean),
-                    _fmt(rec.flow.lb),
-                    _fmt(rec.flow.ub),
-                    str(rec.edges_sampled),
-                    str(rec.candidates_probed),
-                    str(rec.candidates_pruned),
-                    str(rec.candidates_delayed),
-                    str(ms),
-                ]
-            )
-            + "\n"
-        )
+        row = [rec.iteration, graph.labels[u], graph.labels[v],
+               _fmt(rec.flow.mean), _fmt(rec.flow.lb), _fmt(rec.flow.ub),
+               rec.edges_sampled, rec.candidates_probed, rec.candidates_pruned,
+               rec.candidates_delayed, rec.elapsed_ms if timings else 0]
+        out.write(",".join(map(str, row)) + "\n")
 
 
 def _cmd_maxflow(args: argparse.Namespace) -> int:
@@ -190,11 +175,8 @@ def _cmd_maxflow(args: argparse.Namespace) -> int:
         ds_c=args.ds_c,
     )
     solution = run_strategy(graph, q, cfg)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_solution_csv(fh, solution, graph, args.timings)
-    else:
-        _write_solution_csv(sys.stdout, solution, graph, args.timings)
+    with _output(args.out) as fh:
+        _write_solution_csv(fh, solution, graph, args.timings)
     final = solution.final_flow(graph.weights[q])
     print(
         f"selected {len(solution.selected)} edges; final flow {_fmt(final)} "
@@ -298,12 +280,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.edges:
         graph, q = _load_inputs(args)
         instance = (graph, q)
+    # The five sweep axes' values; a sweep point replaces its axis's value.
+    axes = {"n": args.n, "deg": args.deg, "k": args.k, "eps": args.eps, "c": args.ds_c}
     axis = "k"
     values: list[float] = [args.k]
     if args.sweep:
         axis, _, raw = args.sweep.partition("=")
         axis = axis.strip()
-        if axis not in ("n", "deg", "k", "eps", "c"):
+        if axis not in axes:
             raise ValueError(f"unknown sweep axis {axis!r}")
         if instance is not None and axis in ("n", "deg", "eps"):
             raise ValueError(f"axis {axis!r} requires generated instances, not --edges input")
@@ -322,22 +306,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # before any selection runs.
     points = []
     for value in values:
-        n, deg, eps, k, ds_c = args.n, args.deg, args.eps, args.k, args.ds_c
-        if axis == "n":
-            n = int(value)
-        elif axis == "deg":
-            deg = int(value)
-        elif axis == "k":
-            k = int(value)
-        elif axis == "eps":
-            eps = value
-        elif axis == "c":
-            ds_c = value
+        point = {**axes, axis: int(value) if axis in ("n", "deg", "k") else value}
         source = instance or GenSpec(
-            family=args.family, n=n, degree=deg, epsilon=eps,
+            family=args.family, n=point["n"], degree=point["deg"], epsilon=point["eps"],
             seed=args.seed, unit_weights=args.unit_weights,
         )
-        cfgs = [StrategyConfig(variant, k, sampler, ds_c) for variant in variants]
+        cfgs = [StrategyConfig(variant, point["k"], sampler, point["c"]) for variant in variants]
         points.append((value, source, cfgs))
 
     rows = []
@@ -361,16 +335,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         row.extend([_fmt(mean), _fmt(var)])
 
-    def emit(fh: IO[str]) -> None:
+    with _output(args.out) as fh:
         fh.write(BENCH_HEADER + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
     return 0
 
 
@@ -380,7 +348,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_dump_ftree(args: argparse.Namespace) -> int:
     graph, q = _load_inputs(args)
-    cfg = _sampler_config(args)
+    cfg = SamplerConfig()
     tree = new_ftree(q)
     # The dump shows structure only, so no reach table is sampled.
     if args.insert:
@@ -389,11 +357,8 @@ def _cmd_dump_ftree(args: argparse.Namespace) -> int:
     else:
         while cands := tree.candidates(graph):
             tree.insert_edge(graph, cands[0], cfg, defer_sampling=True)
-    text = tree.dump(graph)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with _output(args.out) as fh:
+        fh.write(tree.dump(graph) + "\n")
     return 0
 
 
@@ -468,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dump-ftree", help="insert edges and print the component tree")
     _add_input_flags(d)
     d.add_argument("--insert", help="ordered edge file; default inserts all reachable edges")
-    _add_sampler_flags(d)
     d.add_argument("--out", help="write the dump to a file")
     d.set_defaults(func=_cmd_dump_ftree)
     return parser

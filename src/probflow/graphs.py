@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import IO, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, int]
 
@@ -237,14 +237,35 @@ def induced_subgraph(
     )
 
 
-def _parse_probability(token: str, lineno: int) -> float:
+def _records(
+    stream: IO[str], where: str, form: str, sizes: Container[int]
+) -> Iterator[tuple[str, list[str]]]:
+    """Each data line of ``stream`` as its location (``where`` and its line
+    number, as messages name it) and its fields.  Blank and ``#`` lines are
+    skipped; a field count not in ``sizes`` raises GraphError quoting
+    ``form``."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        at, parts = f"{where} {lineno}", line.split()
+        if len(parts) not in sizes:
+            raise GraphError(f"{at}: expected {form!r}, got {line!r}")
+        yield at, parts
+
+
+def _parse_finite(tokens: list[str], at: str, what: str) -> tuple[float, ...]:
+    """The finite numbers ``tokens`` spell, else GraphError naming ``what``:
+    a single token is quoted when malformed and shown alone when not
+    finite, several are shown as their tuple."""
     try:
-        p = float(token)
+        xs = tuple(map(float, tokens))
     except ValueError:
-        raise GraphError(f"line {lineno}: malformed probability {token!r}") from None
-    if not (0.0 < p <= 1.0):
-        raise GraphError(f"line {lineno}: probability {p} outside (0,1]")
-    return p
+        token = f" {tokens[0]!r}" if len(tokens) == 1 else ""
+        raise GraphError(f"{at}: malformed {what}{token}") from None
+    if not all(map(math.isfinite, xs)):
+        raise GraphError(f"{at}: non-finite {what} {xs[0] if len(xs) == 1 else xs}")
+    return xs
 
 
 def load_graph(
@@ -264,71 +285,44 @@ def load_graph(
     line get weight 1.0; a second weight or coordinate line for a vertex is
     an error.
     """
-    edge_lines: list[tuple[int, str, str, float]] = []
-    labels_seen: set[str] = set()
-    for lineno, raw in enumerate(edge_stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphError(f"line {lineno}: expected '<u> <v> <p>', got {line!r}")
-        if parts[0] == parts[1]:
-            raise GraphError(f"line {lineno}: self-loop at {parts[0]!r}")
-        p = _parse_probability(parts[2], lineno)
-        edge_lines.append((lineno, parts[0], parts[1], p))
-        labels_seen.update(parts[:2])
+    edge_lines: list[tuple[str, str, str, float]] = []
+    for at, (lu, lv, token) in _records(edge_stream, "line", "<u> <v> <p>", (3,)):
+        if lu == lv:
+            raise GraphError(f"{at}: self-loop at {lu!r}")
+        try:
+            p = float(token)
+        except ValueError:
+            raise GraphError(f"{at}: malformed probability {token!r}") from None
+        if not (0.0 < p <= 1.0):
+            raise GraphError(f"{at}: probability {p} outside (0,1]")
+        edge_lines.append((at, lu, lv, p))
+    labels_seen = {lab for _, lu, lv, _ in edge_lines for lab in (lu, lv)}
 
     weight_by_label: dict[str, float] = {}
-    if weight_stream is not None:
-        for lineno, raw in enumerate(weight_stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"weights line {lineno}: expected '<v> <w>', got {line!r}")
-            try:
-                w = float(parts[1])
-            except ValueError:
-                raise GraphError(f"weights line {lineno}: malformed weight {parts[1]!r}") from None
-            if not math.isfinite(w):
-                raise GraphError(f"weights line {lineno}: non-finite weight {w}")
-            if w < 0:
-                raise GraphError(f"weights line {lineno}: negative weight {w}")
-            if parts[0] in weight_by_label:
-                raise GraphError(f"weights line {lineno}: repeated weight for {parts[0]!r}")
-            weight_by_label[parts[0]] = w
-            labels_seen.add(parts[0])
+    for at, parts in _records(weight_stream or (), "weights line", "<v> <w>", (2,)):
+        (w,) = _parse_finite(parts[1:], at, "weight")
+        if w < 0:
+            raise GraphError(f"{at}: negative weight {w}")
+        if parts[0] in weight_by_label:
+            raise GraphError(f"{at}: repeated weight for {parts[0]!r}")
+        weight_by_label[parts[0]] = w
 
-    coord_by_label: dict[str, tuple[float, float]] = {}
-    if coord_stream is not None:
-        for lineno, raw in enumerate(coord_stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphError(f"coords line {lineno}: expected '<v> <x> <y>', got {line!r}")
-            try:
-                xy = (float(parts[1]), float(parts[2]))
-            except ValueError:
-                raise GraphError(f"coords line {lineno}: malformed coordinate") from None
-            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                raise GraphError(f"coords line {lineno}: non-finite coordinate {xy}")
-            if parts[0] in coord_by_label:
-                raise GraphError(f"coords line {lineno}: repeated coordinates for {parts[0]!r}")
-            coord_by_label[parts[0]] = xy
-            labels_seen.add(parts[0])
+    coord_by_label: dict[str, tuple[float, ...]] = {}
+    for at, parts in _records(coord_stream or (), "coords line", "<v> <x> <y>", (3,)):
+        xy = _parse_finite(parts[1:], at, "coordinate")
+        if parts[0] in coord_by_label:
+            raise GraphError(f"{at}: repeated coordinates for {parts[0]!r}")
+        coord_by_label[parts[0]] = xy
+    labels_seen.update(weight_by_label, coord_by_label)
 
     labels = sorted(labels_seen)
     ids = {lab: i for i, lab in enumerate(labels)}
     triples: list[tuple[int, int, float]] = []
     seen: set[Edge] = set()
-    for lineno, lu, lv, p in edge_lines:
+    for at, lu, lv, p in edge_lines:
         e = canonical_edge(ids[lu], ids[lv])
         if e in seen:
-            raise GraphError(f"line {lineno}: duplicate edge {lu} {lv}")
+            raise GraphError(f"{at}: duplicate edge {lu} {lv}")
         seen.add(e)
         triples.append((*e, p))
 

@@ -369,6 +369,6 @@ def test_criterion_11_cli_determinism(tmp_path):
         ))
         run_twice(lambda out: (
             ["dump-ftree", "--edges", str(edges), "--weights", str(weights),
-             "--query", "Q", "--seed", "1", "--out", str(out / "tree.txt")],
+             "--query", "Q", "--out", str(out / "tree.txt")],
             [out / "tree.txt"],
         ))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from probflow import VARIANTS
-from probflow.cli import main
+from probflow.cli import _build_parser, main
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -442,6 +442,33 @@ class TestDumpFtree:
         rc = main(["dump-ftree", "--edges", paths["edges"], "--weights", paths["weights"],
                    "--query", "Q", "--insert", str(order)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--samples", "5"), ("--alpha", "0.5")])
+    def test_sampler_flag_rejected(self, tmp_path, capsys, flag, value):
+        # The dump samples no reach table, so it takes no sampler flags.
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        with pytest.raises(SystemExit) as info:
+            main(["dump-ftree", "--edges", paths["edges"], "--query", "Q", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def readme_cli_commands() -> list[str]:
+    """The ``probflow ...`` commands of README's code block under ``## CLI``,
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split(maxsplit=1)[1] for line in lines if line.startswith("probflow ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert len(commands) == 6
+    parser = _build_parser()
+    for command in commands:
+        # argparse exits 2 on a flag the CLI does not have.
+        parser.parse_args(command.split())
 
 
 @pytest.mark.pinned

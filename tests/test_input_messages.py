@@ -49,8 +49,8 @@ def test_load_graph_message(edges, weights, coords, message):
 
 # Faults in an edge-set file over the path Q - a - b.
 EDGE_SET_FAULTS = {
-    "field-count": ("# picked\nQ\n", "edge-set line 2: expected '<u> <v>'"),
-    "field-count-four": ("Q a 1 2\n", "edge-set line 1: expected '<u> <v>'"),
+    "field-count": ("# picked\nQ\n", "edge-set line 2: expected '<u> <v>', got 'Q'"),
+    "field-count-four": ("Q a 1 2\n", "edge-set line 1: expected '<u> <v>', got 'Q a 1 2'"),
     "unknown-vertex": ("Q z\n", "edge-set line 1: unknown vertex 'z'"),
     "no-such-edge": ("Q b\n", "edge-set line 1: no such edge Q b"),
     "duplicate": ("Q a\n\na Q\n", "edge-set line 3: duplicate edge a Q"),

@@ -943,6 +943,20 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match=re.escape("q must be an integer, not 0.0")):
             FTree(0.0)
 
+    TREE_ENTRIES = {
+        "candidates": lambda t, g: t.candidates(g),
+        "insert_edge": lambda t, g: t.insert_edge(g, (0, 1), SamplerConfig(samples=50)),
+        "probe_edge": lambda t, g: t.probe_edge(g, (0, 1), SamplerConfig(samples=50)),
+        "expected_flow": lambda t, g: t.expected_flow(g),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(TREE_ENTRIES))
+    @pytest.mark.parametrize("q", [-1, 4], ids=["negative", "past-the-end"])
+    def test_tree_root_checked_against_graph(self, entry, q):
+        # FTree(q) has no graph to check q against until its first use.
+        with pytest.raises(GraphError, match=re.escape(f"unknown vertex {q}")):
+            self.TREE_ENTRIES[entry](FTree(q), star_graph())
+
     @pytest.mark.parametrize("select", [dijkstra_select, exhaustive_maxflow], ids=["dijkstra", "exhaustive"])
     def test_non_integer_edge_budget_rejected(self, select):
         with pytest.raises(ValueError, match=re.escape("k must be an integer, not 2.5")):
