@@ -134,14 +134,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.close_friends is not None:
         graph = assign_close_friends(graph, f=args.close_friends, seed=args.seed)
     prefix = Path(args.out)
-    with open(f"{prefix}.edges", "w", encoding="utf-8") as ef, open(
-        f"{prefix}.weights", "w", encoding="utf-8"
-    ) as wf:
-        if graph.coordinates is not None:
-            with open(f"{prefix}.coords", "w", encoding="utf-8") as cf:
-                save_graph(graph, ef, wf, cf)
-        else:
-            save_graph(graph, ef, wf)
+    kinds = ("edges", "weights") + (("coords",) if graph.coordinates is not None else ())
+    with contextlib.ExitStack() as files:
+        streams = [files.enter_context(open(f"{prefix}.{kind}", "w", encoding="utf-8"))
+                   for kind in kinds]
+        save_graph(graph, *streams)
     print(f"wrote {graph.num_vertices} vertices, {graph.num_edges} edges to {prefix}.*")
     return 0
 

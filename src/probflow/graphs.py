@@ -238,7 +238,7 @@ def induced_subgraph(
 
 
 def _records(
-    stream: IO[str], where: str, form: str, sizes: Container[int]
+    stream: Iterable[str], where: str, form: str, sizes: Container[int]
 ) -> Iterator[tuple[str, list[str]]]:
     """Each data line of ``stream`` as its location (``where`` and its line
     number, as messages name it) and its fields.  Blank and ``#`` lines are
