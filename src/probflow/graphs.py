@@ -254,20 +254,6 @@ def _records(
         yield at, parts
 
 
-def _parse_finite(tokens: list[str], at: str, what: str) -> tuple[float, ...]:
-    """The finite numbers ``tokens`` spell, else GraphError naming ``what``:
-    a single token is quoted when malformed and shown alone when not
-    finite, several are shown as their tuple."""
-    try:
-        xs = tuple(map(float, tokens))
-    except ValueError:
-        token = f" {tokens[0]!r}" if len(tokens) == 1 else ""
-        raise GraphError(f"{at}: malformed {what}{token}") from None
-    if not all(map(math.isfinite, xs)):
-        raise GraphError(f"{at}: non-finite {what} {xs[0] if len(xs) == 1 else xs}")
-    return xs
-
-
 def load_graph(
     edge_stream: IO[str],
     weight_stream: Optional[IO[str]] = None,
@@ -300,16 +286,26 @@ def load_graph(
 
     weight_by_label: dict[str, float] = {}
     for at, parts in _records(weight_stream or (), "weights line", "<v> <w>", (2,)):
-        (w,) = _parse_finite(parts[1:], at, "weight")
+        try:
+            w = float(parts[1])
+        except ValueError:
+            raise GraphError(f"{at}: malformed weight {parts[1]!r}") from None
+        if not math.isfinite(w):
+            raise GraphError(f"{at}: non-finite weight {w}")
         if w < 0:
             raise GraphError(f"{at}: negative weight {w}")
         if parts[0] in weight_by_label:
             raise GraphError(f"{at}: repeated weight for {parts[0]!r}")
         weight_by_label[parts[0]] = w
 
-    coord_by_label: dict[str, tuple[float, ...]] = {}
+    coord_by_label: dict[str, tuple[float, float]] = {}
     for at, parts in _records(coord_stream or (), "coords line", "<v> <x> <y>", (3,)):
-        xy = _parse_finite(parts[1:], at, "coordinate")
+        try:
+            xy = (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise GraphError(f"{at}: malformed coordinate") from None
+        if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+            raise GraphError(f"{at}: non-finite coordinate {xy}")
         if parts[0] in coord_by_label:
             raise GraphError(f"{at}: repeated coordinates for {parts[0]!r}")
         coord_by_label[parts[0]] = xy

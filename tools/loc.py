@@ -7,8 +7,7 @@ function body.
 
 Run from the repository root:
 
-    python3 tools/loc.py            # src/probflow
-    python3 tools/loc.py DIR        # another package directory
+    python3 tools/loc.py
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ def counts(source: str) -> tuple[int, int]:
     return source.count("\n"), code
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src" / "probflow")
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "probflow"
     total_lines = total_code = 0
     print(f"{'module':<16}{'lines':>8}{'code':>8}")
     for path in sorted(root.glob("*.py")):
@@ -47,4 +46,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
