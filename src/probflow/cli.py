@@ -177,7 +177,8 @@ def _cmd_maxflow(args: argparse.Namespace) -> int:
     final = solution.final_flow(graph.weights[q])
     print(
         f"selected {len(solution.selected)} edges; final flow {_fmt(final)} "
-        f"(includes the query vertex's own weight {_fmt(graph.weights[q])})"
+        f"(includes the query vertex's own weight {_fmt(graph.weights[q])})",
+        file=sys.stderr,
     )
     return 0
 

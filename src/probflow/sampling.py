@@ -28,7 +28,9 @@ from .graphs import Edge, ProbabilisticGraph, check_integer, check_vertex
 # (analytic flow on cycle-free trees, fully deterministic graphs).
 EXACT_SAMPLES = 2**31 - 1
 
-# Cap on random doubles drawn per vectorized chunk, keeps memory flat.
+# Cap on the edge-worlds of one propagation chunk, keeps memory flat.  A
+# chunk's packed bits take _CHUNK_BUDGET // 8 bytes; its uniforms are drawn,
+# and an enumeration's rows summed, in blocks of as many bytes of doubles.
 _CHUNK_BUDGET = 4_000_000
 
 # Interval pruning trusts a normal-approximation bound only from this many
@@ -102,19 +104,29 @@ def substream(master_seed: int, *key: object) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _present_matrix(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.ndarray:
-    """Sample ``count`` worlds of the given edges: bool matrix [count, E]."""
-    if probs.size == 0:
-        return np.zeros((count, 0), dtype=bool)
-    return rng.random((count, probs.size)) < probs
-
-
-def _live_bitsets(present: np.ndarray) -> list[int]:
-    """Each column of a bool [worlds, edges] matrix packed into one int,
-    world i in bit i: the worlds in which that edge is present."""
-    width = (present.shape[0] + 7) // 8
-    packed = np.packbits(np.ascontiguousarray(present.T), axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[j * width:(j + 1) * width], "little") for j in range(present.shape[1])]
+def _live_worlds(rng: np.random.Generator, probs: np.ndarray, count: int) -> list[int]:
+    """``count`` sampled worlds of the given edges: each edge's live set as
+    an int, world i in bit i.  The uniforms are read world by world, as one
+    ``rng.random((count, E))`` reads them, but drawn into one buffer of at
+    most ``_CHUNK_BUDGET // 64`` doubles (and at least 8 worlds), a block
+    at a time, each block a whole number of bytes of worlds but the last.
+    Each block is compared and packed edge by edge as it is drawn (as one
+    run of bits, or row by row when its worlds end mid-byte); the blocks'
+    byte rows are then joined edge by edge."""
+    edges = probs.size
+    if edges == 0:
+        return []
+    block = max(8, _CHUNK_BUDGET // 64 // edges // 8 * 8)
+    uniforms = np.empty((min(block, count), edges))
+    packed = []
+    for lo in range(0, count, block):
+        present = rng.random(out=uniforms[:count - lo]) < probs
+        rows = np.ascontiguousarray(present.T)
+        bits = np.packbits(rows, axis=1 if len(present) % 8 else None, bitorder="little")
+        packed.append(bits.reshape(edges, -1))
+    data = (np.hstack(packed) if len(packed) > 1 else packed[0]).tobytes()
+    width = (count + 7) // 8
+    return [int.from_bytes(data[j * width:(j + 1) * width], "little") for j in range(edges)]
 
 
 def _reach_bitsets(
@@ -154,37 +166,49 @@ def _reach_bitsets(
 
 
 # Enumerated worlds' patterns are kept for components of at most this many
-# uncertain edges (under 200 kB in all); larger ones, which only the oracle
-# enumerates, are built per call.
+# uncertain edges (ints only, under 16 kB in all); larger ones, which only
+# the oracle enumerates, are built per call.
 _KEPT_PATTERN_EDGES = 12
 
 
-def _build_patterns(m: int) -> tuple[tuple[int, ...], np.ndarray]:
-    worlds = np.arange(1 << m, dtype=np.int64)
-    present = (worlds >> np.arange(m)[:, None]) & 1 == 1
-    present.flags.writeable = False  # kept patterns are shared by every caller
-    return tuple(_live_bitsets(present.T)), present
+def _build_patterns(m: int) -> tuple[int, ...]:
+    count = 1 << m
+    patterns = []
+    for i in range(m):
+        half = 1 << i
+        bits, period = ((1 << half) - 1) << half, 2 * half  # edge i's first period
+        while period < count:
+            bits |= bits << period
+            period *= 2
+        patterns.append(bits)
+    return tuple(patterns)
 
 
 _kept_patterns = cache(_build_patterns)
 
 
-def _world_patterns(m: int) -> tuple[tuple[int, ...], np.ndarray]:
+def _world_patterns(m: int) -> tuple[int, ...]:
     """The 2^m worlds of m enumerated edges, in which edge i is present in
-    world w when bit i of w is set: each edge's live set as an int, and
-    the same sets as the rows of a bool [m, 2^m] matrix."""
+    world w when bit i of w is set: each edge's live set as an int, its
+    worlds in runs of 2^i, built by shifting and OR-ing."""
     return (_kept_patterns if m <= _KEPT_PATTERN_EDGES else _build_patterns)(m)
 
 
-def world_weights(probs: Sequence[float], present: Optional[np.ndarray] = None) -> np.ndarray:
+def world_weights(probs: Sequence[float]) -> np.ndarray:
     """The probability of each world of the uncertain edges (p < 1) among
     ``probs``, in ``exact_reach``'s world order: the product of its edges'
-    factors (p or 1 - p) in edge order.  ``present`` is the worlds' bool
-    matrix from ``_world_patterns``, built here if not given."""
-    p = np.array([x for x in probs if x < 1.0])[:, None]
-    if present is None:
-        _, present = _world_patterns(len(p))
-    return np.where(present, p, 1.0 - p).prod(axis=0)
+    factors (p or 1 - p) in edge order.  Built in place by doubling: for
+    uncertain edge i, the 2^i weights so far times p_i fill the next 2^i
+    (the worlds with edge i present) and are then scaled by 1 - p_i, so
+    each world multiplies its factors left to right."""
+    uncertain = [p for p in probs if p < 1.0]
+    weights = np.empty(1 << len(uncertain))
+    weights[0] = 1.0
+    for i, p in enumerate(uncertain):
+        half = 1 << i
+        np.multiply(weights[:half], p, out=weights[half:2 * half])
+        weights[:half] *= 1.0 - p
+    return weights
 
 
 def exact_reach(
@@ -202,21 +226,21 @@ def exact_reach(
     those weights passes them in.  A vertex's reach is the sum of its worlds'
     probabilities, taken row by row in world order with no matrix product
     (so the thread count cannot change a bit), in row chunks of at most
-    ``_CHUNK_BUDGET`` doubles that keep memory flat.  A sum of world
-    probabilities is at least 0 but may round above 1, so it is clamped
-    to 1.
+    ``_CHUNK_BUDGET // 64`` doubles, and at least one row: an enumeration
+    holds its 2^m weights, its vertices' bitsets and one chunk of rows.  A
+    sum of world probabilities is at least 0 but may round above 1, so it
+    is clamped to 1.
     """
     uncertain = [j for j, p in enumerate(probs) if p < 1.0]
     count = 1 << len(uncertain)
-    patterns, present = _world_patterns(len(uncertain))
     live = [(1 << count) - 1] * len(edges)
-    for j, bits in zip(uncertain, patterns):
+    for j, bits in zip(uncertain, _world_patterns(len(uncertain))):
         live[j] = bits
     reached = _reach_bitsets(live, edges, num_vertices, source, count)
     if weights is None:
-        weights = world_weights(probs, present)
+        weights = world_weights(probs)
     width = (count + 7) // 8
-    step = max(1, _CHUNK_BUDGET // count)
+    step = max(1, _CHUNK_BUDGET // 64 // count)
     reach = np.empty(num_vertices)
     for lo in range(0, num_vertices, step):
         rows = reached[lo:lo + step]
@@ -234,14 +258,15 @@ def _reach_chunks(
     samples: int,
     rng: np.random.Generator,
 ) -> Iterator[tuple[int, list[int]]]:
-    """Sampled worlds in chunks of at most ``_CHUNK_BUDGET`` random doubles:
+    """Sampled worlds in chunks of at most ``_CHUNK_BUDGET`` edge-worlds:
     per chunk, the index of its first world and ``_reach_bitsets`` of its
-    worlds."""
+    worlds.  A chunk's uniforms are drawn and packed in blocks
+    (``_live_worlds``), so a chunk holds its packed bits, never its floats."""
     parr = np.asarray(probs, dtype=float)
     chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
     for done in range(0, samples, chunk):
         count = min(chunk, samples - done)
-        live = _live_bitsets(_present_matrix(rng, parr, count))
+        live = _live_worlds(rng, parr, count)
         yield done, _reach_bitsets(live, graph_edges, num_vertices, source, count)
 
 

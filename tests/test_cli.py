@@ -115,17 +115,37 @@ class TestMaxflow:
             tmp_path, "Q a 0.9\nQ b 0.5\nQ c 0.1\n", "Q 0\na 1\nb 1\nc 1\n"
         )
         out = tmp_path / "run.csv"
-        rc, stdout = run(capsys, "maxflow", "--edges", paths["edges"],
-                         "--weights", paths["weights"], "--query", "Q",
-                         "--variant", "ft", "--k", "2", "--out", str(out))
+        rc = main(["maxflow", "--edges", paths["edges"],
+                   "--weights", paths["weights"], "--query", "Q",
+                   "--variant", "ft", "--k", "2", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("iter,edge_u,edge_v,flow_mean")
         assert len(lines) == 3
         assert lines[1].split(",")[:4] == ["1", "Q", "a", "0.9"]
         assert lines[2].split(",")[3] == "1.4"
-        assert "final flow 1.4" in stdout
-        assert "own weight 0" in stdout
+        stderr = capsys.readouterr().err
+        assert "final flow 1.4" in stderr
+        assert "own weight 0" in stderr
+
+    def test_stdout_without_out_is_pure_csv(self, tmp_path, capsys):
+        # The summary goes to stderr, so `maxflow ... > run.csv` holds the
+        # header and one row per committed edge, the bytes --out writes.
+        paths = write_instance(
+            tmp_path, "Q a 0.9\nQ b 0.5\nQ c 0.1\n", "Q 0\na 1\nb 1\nc 1\n"
+        )
+        argv = ["maxflow", "--edges", paths["edges"], "--weights", paths["weights"],
+                "--query", "Q", "--variant", "ft_m", "--k", "3", "--seed", "4"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("iter,edge_u,edge_v,flow_mean")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+        assert captured.err.startswith("selected 3 edges; final flow ")
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == captured.out
+        assert capsys.readouterr().out == ""
 
     def test_dijkstra_triangle_two_rows(self, tmp_path, capsys):
         paths = write_instance(tmp_path, TRIANGLE_EDGES, TRIANGLE_WEIGHTS)

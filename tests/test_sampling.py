@@ -7,14 +7,17 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from probflow import (
     EXACT_SAMPLES,
     ProbabilisticGraph,
     SamplerConfig,
+    assign_distance_decay,
     confidence_interval,
     exact_expected_flow,
+    gen_wsn,
     mc_expected_flow,
     new_ftree,
     normal_quantile,
@@ -22,15 +25,19 @@ from probflow import (
 )
 from probflow import sampling
 from probflow.ftree import BiComponent, IncrementalComponentSampler
-from probflow.sampling import _success_counts
+from probflow.sampling import _reach_bitsets, _reach_chunks, _success_counts, exact_reach, mc_counts
 from util import (
     DeterministicWorld,
     drawn_table,
     flow_of_world,
     random_connected_graph,
     reachable_set,
+    reference_live_worlds,
+    reference_world_patterns,
+    reference_world_weights,
     ring_chain_graph,
     sample_world,
+    twenty_edge_graph,
 )
 
 
@@ -141,6 +148,25 @@ class TestSuccessCountsKernel:
         assert counts[0] == samples
         assert peak < samples // 8
 
+    def test_whole_graph_draw_memory_is_bounded(self):
+        # 20 000 worlds of 2309 edges, in chunks of 1732 worlds: as one
+        # matrix a chunk's uniforms alone take 32 MB, drawn in blocks of 24
+        # worlds they take 0.5 MB.  A first call outside the trace does
+        # one-time allocations.
+        g = assign_distance_decay(gen_wsn(500, 0.08, 1), lam=0.001, scale=10000)
+        assert g.num_edges == 2309
+        cfg = SamplerConfig(samples=20_000)
+        args = (g.edges, g.probabilities, g.num_vertices, 0, g.signature())
+        mc_counts(*args, SamplerConfig(samples=100))
+        tracemalloc.start()
+        try:
+            counts = mc_counts(*args, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts[0] == cfg.samples
+        assert peak < 8_000_000
+
     def test_certain_and_impossible_edges(self):
         g = ProbabilisticGraph.build(
             6,
@@ -159,6 +185,114 @@ class TestSuccessCountsKernel:
         g = ProbabilisticGraph.build(5, [(1, 2, 0.5), (2, 3, 0.9), (1, 3, 0.3)])
         got = kernel_counts(g, 4, 200, substream(1, "iso"))
         assert got == per_world_counts(g, 4, 200, substream(1, "iso")) == [0, 0, 0, 0, 200]
+
+
+def block_worlds(edges):
+    """Worlds per uniform block of a draw over ``edges`` edges."""
+    return max(8, sampling._CHUNK_BUDGET // 64 // edges // 8 * 8)
+
+
+@pytest.mark.pinned
+class TestBlockedDraws:
+    """The blocked draw packs, bit for bit, what one float matrix of a
+    chunk's uniforms packs (``reference_live_worlds``), and leaves the
+    stream where that matrix leaves it."""
+
+    def check(self, probs, count):
+        probs = np.asarray(probs, dtype=float)
+        got, want = substream(5, "blocks", count), substream(5, "blocks", count)
+        assert sampling._live_worlds(got, probs, count) == reference_live_worlds(want, probs, count)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    def probs(self, edges, seed=0):
+        rng = random.Random(seed)
+        return [rng.choice([1.0, 0.0, rng.random()]) if j % 4 == 3 else rng.random() for j in range(edges)]
+
+    @pytest.mark.parametrize("edges, count", [
+        (5, 1001),  # one block, not a whole number of bytes of worlds
+        (62, 1000),  # a ring draw: one block of 1008 worlds holds it
+        (62, 1007),  # one world below a block
+        (62, 1008),  # exactly one block
+        (62, 1009),  # a full block and one world
+        (63, 1000),  # blocks of 992 worlds: two
+        (2309, 1732),  # a whole wsn-500 chunk: 72 blocks of 24 worlds and one of 4
+        (9, 1),
+    ])
+    def test_matches_one_matrix(self, edges, count):
+        if edges == 62:
+            assert block_worlds(edges) == 1008
+        self.check(self.probs(edges, count), count)
+
+    @pytest.mark.parametrize("edges", [1, 2, 3, 7, 11])
+    def test_many_small_blocks(self, monkeypatch, edges):
+        # 40 doubles a block: 40, 16 or 8 worlds (at least a byte of
+        # them), so 301 worlds span many blocks and end in a partial one.
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 64 * 40)
+        assert block_worlds(edges) in (8, 16, 40)
+        for count in (7, 8, 9, 64, 301):
+            self.check(self.probs(edges, count), count)
+
+    def test_no_edges_draw_nothing(self):
+        self.check([], 1000)
+
+    def test_certain_edges_live_in_every_world(self):
+        live = sampling._live_worlds(substream(1, "p1"), np.array([1.0, 0.5, 1.0]), 1001)
+        assert live[0] == live[2] == (1 << 1001) - 1
+
+    def test_chunks_match_one_matrix_per_chunk(self, monkeypatch):
+        # Chunks of 2560 // 9 = 284 worlds, each drawn in blocks of 8.
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 64 * 40)
+        g = random_connected_graph(random.Random(8), 7, 3)
+        probs = np.asarray(g.probabilities)
+        chunk = sampling._CHUNK_BUDGET // g.num_edges
+        stream = substream(2, "chunks")
+        got = list(_reach_chunks(g.edges, probs, g.num_vertices, 0, 1001, stream))
+        want_stream = substream(2, "chunks")
+        want = []
+        for done in range(0, 1001, chunk):
+            count = min(chunk, 1001 - done)
+            live = reference_live_worlds(want_stream, probs, count)
+            want.append((done, _reach_bitsets(live, g.edges, g.num_vertices, 0, count)))
+        assert len(got) == 4
+        assert got == want
+
+
+class TestEnumerationKernels:
+    """Enumerated worlds' patterns and weights equal the one-matrix
+    formulas bit for bit, and an enumeration holds its weights and one
+    vertex row of them, not an edges x worlds matrix."""
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("m", range(17))
+    def test_patterns_match_matrix_formula(self, m):
+        want = reference_world_patterns(m)
+        assert sampling._world_patterns(m) == sampling._build_patterns(m) == want
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("m", range(17))
+    def test_weights_match_product_formula(self, m):
+        rng = random.Random(m)
+        probs = [rng.uniform(0.001, 0.999) for _ in range(m)]
+        for _ in range(m // 3 + 1):  # certain edges anywhere among them
+            probs.insert(rng.randint(0, len(probs)), 1.0)
+        got = sampling.world_weights(probs)
+        assert got.tobytes() == reference_world_weights(probs).tobytes()
+        assert got.dtype == np.float64 and got.shape == (1 << m,)
+
+    def test_enumeration_memory_is_bounded(self):
+        # 2^20 worlds: the weights take 8 MB and one vertex row of them 8
+        # MB more; the edges x worlds matrices took over 200 MB.
+        g = twenty_edge_graph()
+        assert g.num_edges == sum(p < 1.0 for p in g.probabilities) == 20
+        exact_reach(g.edges[:3], g.probabilities[:3], g.num_vertices, 0)
+        tracemalloc.start()
+        try:
+            reach = exact_reach(g.edges, g.probabilities, g.num_vertices, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reach[0] == 1.0
+        assert peak < 40_000_000
 
 
 class TestMcExpectedFlow:

@@ -302,6 +302,12 @@ def enumerate_worlds(graph: ProbabilisticGraph):
             yield frozenset(subset)
 
 
+def twenty_edge_graph() -> ProbabilisticGraph:
+    """A fixed, seeded graph of 12 vertices and 20 uncertain edges, as many
+    as the oracle enumerates: 2^20 worlds."""
+    return random_connected_graph(random.Random(20), 12, 9)
+
+
 def ring_chain_graph(m: int, ring: int = 3) -> ProbabilisticGraph:
     """m independent cycles of ``ring`` vertices, each hung off vertex 0 by
     one tree edge; every edge has probability 0.5, the query vertex weighs
@@ -495,3 +501,41 @@ def reference_greedy_select(
                 if delay:
                     delays[e] = delay
     return Solution(selected=tuple(selected), trace=tuple(trace))
+
+
+# ----------------------------------------------------------------------
+# Reference world kernels, each as one matrix: the library draws uniforms
+# in blocks and builds enumerated worlds by shifting and doubling, and
+# must agree with these bit for bit.
+# ----------------------------------------------------------------------
+
+def _packed_rows(present: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as an int, column i in bit i."""
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in present]
+
+
+def reference_live_worlds(rng: np.random.Generator, probs: np.ndarray, count: int) -> list[int]:
+    """``count`` worlds of the edges as one float matrix
+    ``rng.random((count, E)) < probs``: each edge's column as an int,
+    world i in bit i.  No edges draw nothing."""
+    if probs.size == 0:
+        return []
+    return _packed_rows((rng.random((count, probs.size)) < probs).T)
+
+
+def reference_world_present(m: int) -> np.ndarray:
+    """Bool [m, 2^m]: edge i is present in world w when bit i of w is set."""
+    worlds = np.arange(1 << m, dtype=np.int64)
+    return (worlds >> np.arange(m)[:, None]) & 1 == 1
+
+
+def reference_world_patterns(m: int) -> tuple[int, ...]:
+    """Each row of ``reference_world_present(m)`` as an int."""
+    return tuple(_packed_rows(reference_world_present(m)))
+
+
+def reference_world_weights(probs: Sequence[float]) -> np.ndarray:
+    """Each world's probability as a product over the uncertain edges' rows
+    of factors (p or 1 - p), taken along the edge axis."""
+    p = np.array([x for x in probs if x < 1.0])[:, None]
+    return np.where(reference_world_present(len(p)), p, 1.0 - p).prod(axis=0)
