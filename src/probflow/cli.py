@@ -34,7 +34,7 @@ from .netgen import (
     generate,
 )
 from .oracle import OracleLimitError, expected_flow_of_edges
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, check_alpha
 from .selection import (
     Solution,
     StrategyConfig,
@@ -270,8 +270,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--samples must be >= 1")
     if args.ref_samples < 1:
         raise ValueError("--ref-samples must be >= 1")
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("--alpha must be in (0,1)")
+    check_alpha("--alpha", args.alpha)
     sampler = _sampler_config(args)
     ref_sampler = replace(sampler, samples=args.ref_samples)
     instance = None

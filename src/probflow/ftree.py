@@ -217,26 +217,20 @@ class _Kept:
 
 
 class MemoStore:
-    """Store of reach tables that never evicts, keyed by the
-    ``SamplerConfig`` a table was built under and its component's
-    ``BiComponent.key``: the articulation vertex and the sorted edges.
-    Any other key raises ``TypeError``.
+    """Store of reach tables, keyed by the ``SamplerConfig`` a table was
+    built under and its component's ``BiComponent.key``: the articulation
+    vertex and the sorted edges.  Any other key raises ``TypeError``.
 
     A store serves one graph.  Tables for equal keys are interchangeable
     (exact tables depend on the component alone, sampling streams are
     derived from the config's master seed and the component's signature,
     which the key determines, and only full-budget tables are stored), so
     whether a component's table comes from the store or is built anew
-    changes no result, only how often it is built.  Every table stored
-    stays for the life of the store.
+    changes no result, only how often it is built.
 
-    What it serves (``ft_m`` on the first four graphs of the erdos-sparse,
-    partitioned-dense and wsn-decay benchmark workloads, workload seed 1):
-    probes store every table (51, 173 and 122).  ``refresh`` looks up one
-    per cycle commit (11, 16 and 20), and each of those hits.  A probe hits
-    only when it re-probes an edge whose kept ring a cycle commit dropped
-    (0, 8 and 4 times).  So 78-86% of the stored tables are never read.
-    An eviction must keep a kept ring's table: committing that ring reads it.
+    Probes write full tables (``FTree.probe_edge``) and are the store's
+    only writer.  A cycle commit reads its ring's table (``FTree.refresh``),
+    which the probe of the committed edge stored.  Nothing is evicted.
     """
 
     def __init__(self) -> None:
@@ -275,9 +269,7 @@ class IncrementalComponentSampler:
 
     def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
         self.articulation = comp.articulation
-        self.alpha = cfg.alpha
-        self.master_seed = cfg.master_seed
-        self.samples = cfg.samples
+        self.cfg = cfg
         verts = sorted(comp.members | {comp.articulation})
         local = {v: i for i, v in enumerate(verts)}
         edges = sorted(comp.internal_edges)
@@ -298,9 +290,10 @@ class IncrementalComponentSampler:
         ``cfg.samples``) are given, its last round the table."""
         if self.exact:
             return self.exact_table(), None
-        grid = self.rows(self.draw(self.samples), sizes or [self.samples])
+        n = self.cfg.samples
+        grid = self.rows(self.draw(n), sizes or [n])
         p, lo, hi = (a[:, -1].tolist() for a in grid)
-        table = ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), self.samples)
+        table = ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), n)
         return table, dict(zip(self._members, zip(*grid))) if sizes else None
 
     def exact_table(self) -> ReachTable:
@@ -320,7 +313,7 @@ class IncrementalComponentSampler:
         (the vertices in ascending order), the worlds in which it reaches
         the articulation vertex, as a bitset with world i in bit i."""
         if self._rng is None:
-            self._rng = substream(self.master_seed, "component", self._comp.signature())
+            self._rng = substream(self.cfg.master_seed, "component", self._comp.signature())
             self._start = self._rng.bit_generator.state
         else:
             self._rng.bit_generator.state = self._start
@@ -339,7 +332,7 @@ class IncrementalComponentSampler:
         src = self._source
         counts = [(b & m).bit_count() for i, b in enumerate(bits) if i != src for m in masks]
         p = np.array(counts, dtype=np.int64).reshape(-1, len(sizes)) / n
-        return (p, *wald_interval(p, n, self.alpha))
+        return (p, *wald_interval(p, n, self.cfg.alpha))
 
 
 class FTree:
@@ -786,22 +779,20 @@ class FTree:
 
         A table memoized under ``cfg`` is reused; every other dirty
         component gets its table from its sampler's ``build`` (exact, or
-        drawn at its full budget in one call), stored in ``memo`` under
-        ``cfg``.  Renewing a table drops the tree's kept evaluation.  No
-        kept ring takes a dirty component: only a cycle-closing insert makes
-        one, after dropping the rings it touches, and rings are planned on
-        evaluated trees only.
+        drawn at its full budget in one call), which the memo does not
+        keep: only probes store tables (see ``MemoStore``).  Renewing a
+        table drops the tree's kept evaluation.  No kept ring takes a dirty
+        component: only a cycle-closing insert makes one, after dropping
+        the rings it touches, and rings are planned on evaluated trees
+        only.
         """
         for cid in self.dirty_components():
             self._kept = None
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
-            key = comp.key()
-            table = memo.lookup(cfg, key) if memo is not None else None
+            table = memo.lookup(cfg, comp.key()) if memo is not None else None
             if table is None:
                 table, _ = IncrementalComponentSampler(graph, comp, cfg).build()
-                if memo is not None:
-                    memo.store(cfg, key, table)
             comp.reach = table
 
     # ------------------------------------------------------------------
@@ -920,23 +911,27 @@ class FTree:
         memo: Optional[MemoStore] = None,
         stop: Optional[Callable[[FlowEstimate], bool]] = None,
     ) -> tuple[FlowEstimate, InsertReport]:
-        """Flow and insert report of a hypothetical insertion, leaving this
-        tree, its tables and its evaluation untouched (a tree with no kept
-        evaluation is evaluated first; a dirty one raises).
+        """Flow and insert report of a hypothetical cycle-closing insertion,
+        leaving this tree, its tables and its evaluation untouched (a tree
+        with no kept evaluation is evaluated first; a dirty one raises).
+        Both endpoints must be attached: a leaf edge raises FTreeError, as
+        ``leaf_terms`` scores leaves.
 
-        A leaf edge's estimate is ``leaf_estimate`` of the kept estimate and
-        its term.  A cycle edge is scored from the subtree masses by the
-        module docstring's formula, which agrees with an insert into a copy
-        up to rounding.  Its ring's table comes from ``memo`` or from the
-        ring's sampler, as a commit's would.  A drawn table's estimates over
-        its first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and over all of
-        them are offered to ``stop`` in that order; the first one it accepts
-        is returned at once and its table kept out of the memo.  An exact
-        table's one estimate is offered once, after the table is stored: the
-        table is complete, so a stop that fires saves nothing.  A memoized
-        table is offered nothing.  A drawn table whose every round was
-        offered and refused returns its last round's estimate, which is
-        the full table's.
+        The edge is scored from the subtree masses by the module
+        docstring's formula, which agrees with an insert into a copy up to
+        rounding.  Its ring's table comes from ``memo`` or from the ring's
+        sampler, and a table the sampler builds is stored in ``memo``
+        unless ``stop`` accepts one of its rounds: probes are the memo's
+        only writer, and a commit of a probed edge reads the table its
+        probe stored.  A drawn table's
+        estimates over its first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds
+        and over all of them are offered to ``stop`` in that order; the
+        first one it accepts is returned at once and its table kept out of
+        the memo.  An exact table's one estimate is offered once, after the
+        table is stored: the table is complete, so a stop that fires saves
+        nothing.  A memoized table is offered nothing.  A drawn table whose
+        every round was offered and refused returns its last round's
+        estimate, which is the full table's.
 
         Every tree keeps each cycle candidate it probes under ``cfg``
         (``_Ring``) until an insert folds a component its ring takes (see
@@ -951,12 +946,9 @@ class FTree:
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
-        kept = self._kept or self._evaluate(graph)
         if not (att_u and att_v):
-            [(_, _, term)] = self._leaf_terms([e])
-            comp = self.components[self.component_of_vertex(e[0] if att_u else e[1])]
-            case = "IIa" if isinstance(comp, MonoComponent) else "IIb"
-            return self.leaf_estimate(kept.estimate, term), InsertReport(case, 0)
+            raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
+        kept = self._kept or self._evaluate(graph)
         ring = self._rings.get((e, cfg))
         if ring is None:
             parts, comp, case = self._plan_cycle(*e, e)
@@ -966,36 +958,32 @@ class FTree:
             ring = self._rings[e, cfg] = _Ring(members, comp, report, cids)
         members, r, report = ring.members, ring.comp.articulation, ring.report
         scored = ring.scored if memo is not None else None
-        est = offer = None
-        if scored is None:
-            table = None
+        table = memo.lookup(cfg, ring.comp.key()) if memo is not None and scored is None else None
+        est = None
+        if scored is None and table is None:
+            ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
+            sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
+            table, rounds = ring.sampler.build(sizes)
+            if rounds is not None:
+                flows = self._ring_flow(self._coefficients(members, rounds), r)
+                for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
+                    est = FlowEstimate(*flow, self._ring_samples(members, n))
+                    if stop(est):
+                        return est, report
             if memo is not None:
-                key = ring.comp.key()
-                table = memo.lookup(cfg, key)
-            if table is None:
-                ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
-                sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
-                table, rounds = ring.sampler.build(sizes)
-                if rounds is not None:
-                    flows = self._ring_flow(self._coefficients(members, rounds), r)
-                    for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
-                        est = FlowEstimate(*flow, self._ring_samples(members, n))
-                        if stop(est):
-                            return est, report
-                if memo is not None:
-                    memo.store(cfg, key, table)
-                    ring.sampler = None  # no memoized probe builds again
-                offer = stop  # the table is exact, or there is no stop
-            if memo is not None or est is None:
-                scored = self._coefficients(members, table.rows), table.sample_count
-                if memo is not None:
-                    ring.scored = scored
-            if est is not None:
-                return est, report  # the last round's, the full table's bit for bit
-        coeffs, n = scored
-        est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
-        if offer is not None:
-            offer(est)
+                memo.store(cfg, ring.comp.key(), table)
+                ring.sampler = None  # no memoized probe builds again
+        else:
+            stop = None  # kept coefficients and memoized tables are offered nothing
+        if scored is None:
+            scored = self._coefficients(members, table.rows), table.sample_count
+            if memo is not None:
+                ring.scored = scored
+        if est is None:  # else the last round's, the full table's bit for bit
+            coeffs, n = scored
+            est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
+            if stop is not None:
+                stop(est)  # the table is exact
         return est, report
 
     # ------------------------------------------------------------------

@@ -32,14 +32,15 @@ class GenSpec:
     unit_weights: bool = False
 
     def __post_init__(self) -> None:
-        _check(self.family, self.n, self.degree, self.epsilon)
+        _check(self.family, self.n, self.seed, self.degree, self.epsilon)
 
 
-def _check(family: str, n: int, degree: int = 0, epsilon: float = 0.0) -> None:
+def _check(family: str, n: int, seed: int, degree: int = 0, epsilon: float = 0.0) -> None:
     """Raise ValueError unless ``family``'s generator can build an instance
-    of n vertices with these parameters (only its own are read).  The one
-    check both ``GenSpec`` and the ``gen_*`` functions run."""
+    of n vertices from ``seed`` with these parameters (only its own are
+    read).  The one check both ``GenSpec`` and the ``gen_*`` functions run."""
     check_integer("n", n)
+    _non_negative("seed", seed)
     if family in ("erdos", "partitioned"):
         check_integer("degree", degree)
     if family == "erdos":
@@ -61,6 +62,15 @@ def _check(family: str, n: int, degree: int = 0, epsilon: float = 0.0) -> None:
             raise ValueError("epsilon must be in (0, sqrt(2)]")
     else:
         raise ValueError(f"unknown family {family!r}")
+
+
+def _non_negative(name: str, value: object) -> int:
+    """``value`` as an ``int`` (``check_integer``) if it is non-negative,
+    else ValueError naming ``name``."""
+    value = check_integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def generate(spec: GenSpec) -> ProbabilisticGraph:
@@ -110,7 +120,7 @@ def _assemble(
 
 def gen_erdos(n: int, degree: int, seed: int, unit_weights: bool = False) -> ProbabilisticGraph:
     """n*degree/2 distinct edges placed uniformly over unordered pairs."""
-    _check("erdos", n, degree)
+    _check("erdos", n, seed, degree)
     target = n * degree // 2
     rng = np.random.default_rng(seed)
     edges: set[Edge] = set()
@@ -128,7 +138,7 @@ def gen_partitioned(
     all vertices in both neighboring partitions, so each has exactly the
     requested degree.  ``wrap=False`` leaves the ring open (a path), halving
     the degree at the two end partitions."""
-    _check("partitioned", n, degree)
+    _check("partitioned", n, seed, degree)
     size = degree // 2
     parts = 2 * n // degree
     rng = np.random.default_rng(seed)
@@ -149,7 +159,7 @@ def gen_wsn(
     """Uniform points in the unit square, connected within epsilon distance:
     u < v are joined when ``dx*dx + dy*dy <= epsilon*epsilon`` for
     ``(dx, dy) = coords[v] - coords[u]``, computed in float64."""
-    _check("wsn", n, epsilon=epsilon)
+    _check("wsn", n, seed, epsilon=epsilon)
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
     return _assemble(n, _wsn_edges(coords, epsilon), rng, unit_weights, coordinates=coords)
@@ -227,10 +237,10 @@ def assign_close_friends(
     graph: ProbabilisticGraph, f: int = 10, seed: int = 0
 ) -> ProbabilisticGraph:
     """Mark up to f random incident edges per vertex as close; close edges get
-    probabilities in [0.5, 1.0], all others in (0, 0.5]."""
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    rng = np.random.default_rng(seed)
+    probabilities in [0.5, 1.0], all others in (0, 0.5].  ``f`` and ``seed``
+    must be non-negative integers."""
+    f = _non_negative("f", f)
+    rng = np.random.default_rng(_non_negative("seed", seed))
     close: set[Edge] = set()
     for v in range(graph.num_vertices):
         incident = sorted(graph.edges[i] for _, i in graph.adjacency[v])

@@ -97,6 +97,17 @@ class TestGenerate:
         assert "--decay-lambda" in err and "--world-size-m" in err and "underflow" in err
         assert not Path(f"{out}.edges").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["erdos", "--n", "10", "--deg", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["wsn", "--n", "10", "--eps", "0.3", "--close-friends", "-1"], "f must be non-negative, got -1"),
+    ], ids=["seed", "close-friends"])
+    def test_negative_seed_or_count_rejected_by_name(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g"
+        rc = main(["generate", *argv, "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not Path(f"{out}.edges").exists()
+
     def test_decay_with_close_friends_rejected(self, tmp_path, capsys):
         # --close-friends redraws every probability, so the decay would
         # leave no trace in the output.
@@ -205,6 +216,16 @@ class TestEvaluate:
         assert rc == 0
         flow = float(stdout.split("flow=")[1].split()[0])
         assert flow == pytest.approx(0.75, abs=0.02)
+
+    def test_alpha_too_small_rejected_by_name(self, tmp_path, capsys):
+        # 1 - alpha/2 rounds to 1.0: the sampler config names alpha before
+        # any world is drawn.
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        rc = main(["evaluate", "--edges", paths["edges"], "--weights", paths["weights"],
+                   "--query", "Q", "--mode", "mc", "--alpha", "1e-17"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: alpha must be above 2**-53" in err and "quantile argument" not in err
 
     def test_missing_input_file_leaks_no_handle(self, tmp_path, capsys):
         paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
@@ -371,7 +392,9 @@ class TestBench:
         ("--ref-samples", "0", "--ref-samples must be >= 1"),
         ("--alpha", "1.5", "--alpha must be in (0,1)"),
         ("--alpha", "nan", "--alpha must be in (0,1)"),
-    ], ids=["samples", "ref-samples", "alpha", "alpha-nan"])
+        ("--alpha", "1e-17", "--alpha must be above 2**-53"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+    ], ids=["samples", "ref-samples", "alpha", "alpha-nan", "alpha-too-small", "seed-negative"])
     def test_bad_sampler_flag_rejected_before_selecting(
         self, tmp_path, capsys, monkeypatch, flag, value, message
     ):

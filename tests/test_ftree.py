@@ -30,7 +30,7 @@ from probflow import (
     new_ftree,
     normal_quantile,
 )
-from probflow.ftree import IncrementalComponentSampler
+from probflow.ftree import FTree, IncrementalComponentSampler
 from probflow.sampling import CI_BATCH
 from util import (
     BASE_ORDER,
@@ -450,8 +450,9 @@ class TestProbe:
 
     def test_probes_of_every_candidate_do_not_mutate(self):
         # Each probe, plain and stop-checked, leaves the tree's structure,
-        # tables and evaluation exactly as they were.  A leaf probe is
-        # ``leaf_estimate`` of its kept term, bit for bit; a cycle probe
+        # tables and evaluation exactly as they were.  A leaf probe raises:
+        # ``leaf_terms`` scores leaves, and test_frontier_matches_full_evaluations
+        # checks them against grown copies.  A cycle probe
         # agrees with an insert into a copy up to rounding and reports what
         # that insert reports, and a stop that fires at once returns the
         # first round's estimate.  Every bi component has at least 9 edges
@@ -469,18 +470,19 @@ class TestProbe:
             for e in sorted(set(g.edges) - tree.selected_edges):
                 if not (tree.is_attached(e[0]) or tree.is_attached(e[1])):
                     continue
+                if not (tree.is_attached(e[0]) and tree.is_attached(e[1])):
+                    with pytest.raises(FTreeError, match="leaf_terms"):
+                        tree.probe_edge(g, e, cfg, memo)
+                    cases.add(tree.copy().insert_edge(g, e, cfg, memo).case_taken)
+                    continue
                 stopped, stopped_report = tree.probe_edge(g, e, cfg, memo, stop=lambda est: True)
                 probe = tree.copy()
                 report = probe.insert_edge(g, e, cfg, memo)
                 est, probe_report = tree.probe_edge(g, e, cfg, memo)
                 assert report == probe_report == stopped_report
-                if report.edges_sampled_count:
-                    assert_close(est, probe.expected_flow(g))
-                    assert est.samples_used == cfg.samples
-                    assert stopped.samples_used == CI_BATCH
-                else:
-                    base, terms = tree.leaf_terms(g)
-                    assert est == stopped == tree.leaf_estimate(base, terms[e])
+                assert_close(est, probe.expected_flow(g))
+                assert est.samples_used == cfg.samples
+                assert stopped.samples_used == CI_BATCH
                 cases.add(report.case_taken)
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
@@ -493,11 +495,12 @@ class TestProbe:
 
     @staticmethod
     def check_kept_probes_match_fresh_probes(use_memo):
-        # Before every commit each candidate is probed plain and stop-checked,
-        # on the tree (which keeps cycle probes and scores them again over
-        # the current masses) and on a copy of a twin tree fed the same calls
-        # with its own memo.  Estimates and reports agree bit for bit, and
-        # after every probe both memos hold the same keys in the same order.
+        # Before every commit each cycle candidate is probed plain and
+        # stop-checked, on the tree (which keeps cycle probes and scores them
+        # again over the current masses) and on a copy of a twin tree fed the
+        # same calls with its own memo.  Estimates and reports agree bit for
+        # bit, and after every probe both memos hold the same keys in the
+        # same order.  Each leaf's estimate from ``leaf_terms`` agrees too.
         # Without a memo each candidate is probed twice more, so a drawn
         # ring's kept sampler re-draws from its kept stream state many times.
         rng = random.Random(77)
@@ -516,6 +519,14 @@ class TestProbe:
             after_leaf = False
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
+                    if not (tree.is_attached(c[0]) and tree.is_attached(c[1])):
+                        (base, terms), (twin_base, twin_terms) = (
+                            tree.leaf_terms(g), twin.copy().leaf_terms(g)
+                        )
+                        assert tree.leaf_estimate(base, terms[c]) == twin.leaf_estimate(
+                            twin_base, twin_terms[c]
+                        )
+                        continue
                     for check in checks:
                         ring = tree._rings.get((c, cfg))
                         # Kept before the last commit, which was a leaf.
@@ -689,24 +700,21 @@ class TestProbe:
         assert tree.probe_edge(g, (14, 15), CFG)[0] == est
         assert len(built) == 1
 
-    def test_leaf_probe_costs_nothing(self):
-        g = running_example_graph()
-        tree = build_base_tree(g)
-        _, report = tree.probe_edge(g, (7, 17), CFG)
-        assert report.edges_sampled_count == 0
-
     def test_leaf_probe_is_not_kept(self):
-        # Only cycle probes are kept: a kept leaf probe would be replayed as
-        # the cycle its edge closes once the free endpoint is attached.
+        # Only cycle edges are probed: a leaf probe raises, naming
+        # ``leaf_terms``, and keeps nothing (a kept leaf probe would be
+        # replayed as the cycle its edge closes once the free endpoint is
+        # attached).  A leaf insert samples nothing.
         g = ProbabilisticGraph.build(3, [(0, 1, 0.6), (0, 2, 0.7), (1, 2, 0.8)], weights=[1.0, 2.0, 3.0])
         memo = MemoStore()
         tree = new_ftree(0)
         tree.insert_edge(g, (0, 1), CFG, memo)
-        est, report = tree.probe_edge(g, (1, 2), CFG, memo)
-        assert report.case_taken in ("IIa", "IIb") and tree._rings == {}
-        base, terms = tree.leaf_terms(g)
-        assert est == tree.leaf_estimate(base, terms[(1, 2)])
-        tree.insert_edge(g, (0, 2), CFG, memo)
+        before = snapshot(tree, g)
+        with pytest.raises(FTreeError, match="leaf_terms"):
+            tree.probe_edge(g, (1, 2), CFG, memo)
+        assert tree._rings == {} and len(memo) == 0 and snapshot(tree, g) == before
+        assert (1, 2) in tree.leaf_terms(g)[1]
+        assert tree.insert_edge(g, (0, 2), CFG, memo).edges_sampled_count == 0
         assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
         est, report = tree.probe_edge(g, (1, 2), CFG, memo)
         assert report.case_taken not in ("IIa", "IIb")
@@ -748,7 +756,8 @@ class TestProbe:
                     for est in (kept, trial_tree.copy().expected_flow(g)):
                         assert hexed(score) == hexed((est.mean, est.lb, est.ub))
                         assert base.samples_used == est.samples_used
-                    assert tree.probe_edge(g, c, cfg, memo)[0] == kept
+                    with pytest.raises(FTreeError, match="leaf_terms"):
+                        tree.probe_edge(g, c, cfg, memo)
                 assert snapshot(tree, g) == before
                 seen.add(last if leaves else None)
                 if rng.random() < 0.3:
@@ -825,9 +834,9 @@ class TestRingFormula:
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probes_match_grown_copies(self, use_memo):
-        # Random trees grown edge by edge.  Before every commit each
-        # candidate is probed: a leaf must equal ``leaf_estimate`` of its
-        # kept term bit for bit.  A cycle is probed with a recording stop
+        # Random trees grown edge by edge.  Before every commit each cycle
+        # candidate is probed (leaves are ``leaf_terms``'s, see
+        # ``test_frontier_matches_full_evaluations``) with a recording stop
         # that fires at a random round or never, then plain; every round
         # offered and the plain estimate must agree with a copy grown by the
         # edge whose ring carries that round's table or the full one, within
@@ -846,11 +855,7 @@ class TestRingFormula:
             tree, after_leaf = new_ftree(0), False
             for e in order:
                 before = snapshot(tree, g)
-                for c in tree.candidates(g).copy():
-                    if tree.is_attached(c[0]) != tree.is_attached(c[1]):
-                        base, terms = tree.leaf_terms(g)
-                        assert tree.probe_edge(g, c, cfg, memo)[0] == tree.leaf_estimate(base, terms[c])
-                        continue
+                for c in tree.cycle_candidates(g).copy():
                     ref, ref_report, key = grown_flow(tree, g, c, cfg)
                     kept = use_memo and (c, cfg) in tree._rings
                     rescored += kept and after_leaf
@@ -934,8 +939,8 @@ class TestKeptEvaluation:
             kept, replay = new_ftree(0), new_ftree(0)
             kept_memo, replay_memo = (MemoStore(), MemoStore()) if memo else (None, None)
             for e in insertable_order(g, rng):
-                if stop_round is not None:
-                    # The edge is probed first, on the kept state and from scratch.
+                if stop_round is not None and kept.is_attached(e[0]) and kept.is_attached(e[1]):
+                    # A cycle edge is probed first, on the kept state and from scratch.
                     replay._kept = None
                     kept_stop, kept_offered = self.stop_at(stop_round)
                     replay_stop, replay_offered = self.stop_at(stop_round)
@@ -943,6 +948,13 @@ class TestKeptEvaluation:
                         g, e, cfg, replay_memo, replay_stop
                     )
                     assert kept_offered == replay_offered
+                elif stop_round is not None:
+                    # A leaf's estimate, from the kept terms and from scratch.
+                    replay._kept = None
+                    (base, terms), (replay_base, replay_terms) = kept.leaf_terms(g), replay.leaf_terms(g)
+                    assert kept.leaf_estimate(base, terms[e]) == replay.leaf_estimate(
+                        replay_base, replay_terms[e]
+                    )
                 replay._kept = None  # no kept state: replay evaluates from scratch
                 case = kept.insert_edge(g, e, cfg, kept_memo).case_taken
                 replay.insert_edge(g, e, cfg, replay_memo)
@@ -976,6 +988,8 @@ class TestKeptEvaluation:
                 else:
                     out[ask] = {}
                     for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
+                        if not (tree.is_attached(c[0]) and tree.is_attached(c[1])):
+                            continue  # a leaf: the "terms" entry covers it
                         est, report = tree.probe_edge(g, c, cfg, memo)
                         out[ask][c] = (
                             hexed((est.mean, est.lb, est.ub)), est.samples_used,
@@ -1068,11 +1082,15 @@ class TestMemo:
     def test_tables_are_kept_apart_by_config(self):
         # A store first filled under one config serves a run under another
         # config nothing: the run gives what it gives with no store at all.
+        # Probes are the store's only writer, so the cycle edge is probed
+        # before its commit.
         g = netgen.gen_partitioned(16, 4, 1)
 
         def flow(cfg, memo):
             tree = new_ftree(0)
             for e in [(0, 2), (0, 3), (1, 2), (1, 3)]:
+                if tree.is_attached(e[0]) and tree.is_attached(e[1]):
+                    tree.probe_edge(g, e, cfg, memo)
                 tree.insert_edge(g, e, cfg, memo)
             return tree.expected_flow(g)
 
@@ -1086,6 +1104,54 @@ class TestMemo:
         for cfg in (replace(first, master_seed=2), replace(first, alpha=0.05)):
             assert flow(cfg, memo) == flow(cfg, None)
         assert len(memo) == 3 * stored
+
+    @pytest.mark.parametrize("variant", ["ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    def test_probes_are_the_only_writer(self, monkeypatch, variant):
+        # Greedy commits only probed edges, and each probe stored its ring's
+        # table, so every table a commit's refresh looks up is there: refresh
+        # neither builds a table nor stores one.  Small erdos, partitioned
+        # and wsn graphs, at the default 1000 samples and at 60, where rings
+        # are drawn and, under _ci, candidates are pruned.
+        depth, calls = [0], []
+
+        def record(owner, name, event):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls.append((depth[0] > 0, event(result)))
+                return result
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def refreshing(tree, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return refresh(tree, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        refresh = FTree.refresh
+        monkeypatch.setattr(FTree, "refresh", refreshing)
+        record(IncrementalComponentSampler, "build", lambda _: "build")
+        record(IncrementalComponentSampler, "draw", lambda _: "draw")
+        record(MemoStore, "store", lambda _: "store")
+        record(MemoStore, "lookup", lambda table: "miss" if table is None else "hit")
+        pruned = 0
+        for seed in (1, 2):
+            graphs = [
+                netgen.gen_erdos(40, 4, seed),
+                netgen.gen_partitioned(40, 8, seed),
+                netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, seed), lam=0.001, scale=2000),
+            ]
+            for g in graphs:
+                for sampler in (SamplerConfig(master_seed=seed), SamplerConfig(samples=60, master_seed=seed)):
+                    solution = greedy_select(g, 0, StrategyConfig(variant, 15, sampler))
+                    pruned += sum(rec.candidates_pruned for rec in solution.trace)
+        in_refresh = {event for inside, event in calls if inside}
+        assert in_refresh == {"hit"}
+        assert {"build", "draw", "store"} <= {event for inside, event in calls if not inside}
+        assert ("_ci" in variant) == (pruned > 0)
 
 
 class TestIncrementalSampling:
@@ -1139,9 +1205,14 @@ class TestRefreshStop:
         assert len(offered) == CFG.samples // CI_BATCH
         assert offered[-1] == est[0]
         assert est[0].samples_used == CFG.samples
+        assert plain_memo._entries == batched_memo._entries
+        # A commit with no probe before it builds the same table and stores
+        # nothing: probes are the memo's only writer.
         refreshed.insert_edge(g, self.EDGE, CFG, refreshed_memo)
-        assert len(refreshed_memo) == 1
-        assert plain_memo._entries == batched_memo._entries == refreshed_memo._entries
+        assert len(refreshed_memo) == 0
+        [(cfg, key)] = plain_memo._entries
+        [ring] = [c for c in refreshed.components.values() if isinstance(c, BiComponent) and c.key() == key]
+        assert ring.reach == plain_memo.lookup(cfg, key)
 
     def test_stop_that_fires_returns_its_estimate_and_stores_nothing(self):
         g, tree = long_ring_tree()

@@ -305,6 +305,16 @@ class TestCloseFriends:
         g = gen_erdos(30, 6, seed=2)
         assert assign_close_friends(g, f=4, seed=3) == assign_close_friends(g, f=4, seed=3)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(f=2.0), "f must be an integer, not 2.0"),
+        (dict(f=-1), "f must be non-negative, got -1"),
+        (dict(seed=1.5), "seed must be an integer, not 1.5"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
+    ], ids=["f-float", "f-negative", "seed-float", "seed-negative"])
+    def test_count_and_seed_are_checked_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assign_close_friends(gen_erdos(12, 4, seed=1), **{"f": 2, "seed": 5, **kwargs})
+
     def test_saved_probabilities_load_back(self):
         # Saved probabilities are written by repr, which load_graph parses
         # only for plain floats.
@@ -337,11 +347,30 @@ class TestGenSpec:
             (dict(family="erdos", n=20, degree=4.0), "degree"),
             (dict(family="partitioned", n=16, degree=4.0), "degree"),
             (dict(family="wsn", n=20.0, epsilon=0.3), "n"),
+            (dict(family="erdos", n=20, degree=4, seed=1.5), "seed"),
+            (dict(family="wsn", n=20, epsilon=0.3, seed=1.5), "seed"),
         ],
     )
     def test_integer_parameters(self, spec, field):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {spec[field]!r}")):
             GenSpec(**spec)
+
+    def test_negative_seed_is_rejected_by_name(self):
+        calls = [
+            lambda: gen_erdos(20, 4, -1),
+            lambda: gen_partitioned(16, 4, -1),
+            lambda: gen_wsn(20, 0.3, -1),
+            lambda: GenSpec(family="erdos", n=20, degree=4, seed=-1),
+            lambda: GenSpec(family="wsn", n=20, epsilon=0.3, seed=-1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+                call()
+
+    def test_integer_seeds_of_any_type_give_the_same_graph(self):
+        assert gen_erdos(20, 4, np.int64(3)) == gen_erdos(20, 4, 3)
+        out = assign_close_friends(gen_erdos(12, 4, seed=1), f=np.int32(2), seed=np.uint8(5))
+        assert out == assign_close_friends(gen_erdos(12, 4, seed=1), f=2, seed=5)
 
     def test_generators_take_integers(self):
         with pytest.raises(ValueError, match=re.escape("n must be an integer, not 20.0")):
@@ -350,3 +379,6 @@ class TestGenSpec:
             gen_partitioned(16, 4.0, seed=1)
         with pytest.raises(ValueError, match=re.escape("n must be an integer, not 20.0")):
             gen_wsn(20.0, 0.3, seed=1)
+        for gen, args in [(gen_erdos, (20, 4)), (gen_partitioned, (16, 4)), (gen_wsn, (20, 0.3))]:
+            with pytest.raises(ValueError, match=re.escape("seed must be an integer, not 1.5")):
+                gen(*args, seed=1.5)

@@ -492,6 +492,19 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=re.escape("alpha must be in (0,1)")):
                 SamplerConfig(alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [1e-16, 1e-17, 2.0**-53, 5e-324])
+    def test_alpha_too_small_for_its_interval_is_rejected(self, alpha):
+        # 1 - alpha/2 rounds to 1.0, whose normal quantile is infinite: the
+        # config names alpha instead of a draw failing mid-run.
+        with pytest.raises(ValueError, match=r"^alpha must be above 2\*\*-53 .*, got "):
+            SamplerConfig(alpha=alpha)
+
+    def test_smallest_alpha_accepted_has_a_finite_interval(self):
+        cfg = SamplerConfig(alpha=math.nextafter(2.0**-53, 1.0))
+        assert math.isfinite(sampling.critical_z(cfg.alpha))
+        lo, hi = sampling.wald_interval(np.array([0.5]), 100, cfg.alpha)
+        assert 0.0 <= lo[0] < 0.5 < hi[0] <= 1.0
+
     @pytest.mark.parametrize(
         "field, value", [("samples", 100.0), ("samples", 2.5), ("samples", "100"), ("master_seed", 1.0)]
     )
