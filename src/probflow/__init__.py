@@ -40,7 +40,6 @@ from .ftree import (
     FTree,
     FTreeError,
     InsertReport,
-    MemoStore,
     MonoComponent,
     new_ftree,
 )

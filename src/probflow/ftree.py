@@ -43,11 +43,14 @@ terms; the masses are rebuilt at the next cycle probe); a cycle-closing
 insert, a renewed reach table or a call naming another graph drops it.
 Beside it sit the candidate edges, with the cycle candidates (both
 endpoints attached) in a list of their own, and each probed cycle
-candidate's ring: its plan and sampler and, with a memo, its table's
-coefficients.  Those survive every insert.  A cycle-closing insert drops
-only the rings that take a component it folded: no other ring's members
-change their hang or factor, and attach order never changes.  A call
-naming another graph drops them all.  A copy keeps none of it.
+candidate's ring: its plan and sampler and, in a memo tree, its table and
+the table's coefficients.  Those survive every insert.  A cycle-closing
+insert drops only the rings that take a component it folded: no other
+ring's members change their hang or factor, and attach order never
+changes; the commit of a probed edge applies its ring's plan and, in a
+memo tree, adopts its ring's table.  A call naming another graph drops
+them all, and a memo tree's store (``MemoStore``) with them.  A copy keeps
+none of it.
 """
 
 from __future__ import annotations
@@ -175,18 +178,19 @@ _Coeffs = list[tuple[int, float, float, float]]
 @dataclass
 class _Ring:
     """A probed cycle candidate, kept until an insert folds a component it
-    takes (``parts``, their ids): its ring's (attach position, vertex)
-    pairs in attach order, the ring (a dirty ``BiComponent``), the insert
-    report, the sampler prepared at the first build a probe needs (until
-    a memo keeps the table it built) and, with a memo only, its table's
-    coefficients and world count once a probe read the table."""
+    takes: its ring's (attach position, vertex) pairs in attach order, the
+    ring (a dirty ``BiComponent``), the insert report, the parts it takes
+    (``_plan_cycle``'s plan is these parts, the ring and the report's
+    case), the sampler prepared at the first build a probe needs (until a
+    memo tree keeps the table it built) and, in a memo tree only, its
+    table and the table's coefficients once a probe read the table."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
     report: InsertReport
-    parts: frozenset[int]
+    parts: _Parts
     sampler: Optional[IncrementalComponentSampler] = None
-    scored: Optional[tuple[_Coeffs, int]] = None
+    scored: Optional[tuple[ReachTable, _Coeffs]] = None
 
 
 @dataclass
@@ -217,39 +221,36 @@ class _Kept:
 
 
 class MemoStore:
-    """Store of reach tables, keyed by the ``SamplerConfig`` a table was
-    built under and its component's ``BiComponent.key``: the articulation
-    vertex and the sorted edges.  Any other key raises ``TypeError``.
+    """A memo tree's store of reach tables (``FTree(q, memo=True)``), keyed
+    by the ``SamplerConfig`` a table was built under and its component's
+    ``BiComponent.key``: the articulation vertex and the sorted edges.
 
-    A store serves one graph.  Tables for equal keys are interchangeable
-    (exact tables depend on the component alone, sampling streams are
-    derived from the config's master seed and the component's signature,
-    which the key determines, and only full-budget tables are stored), so
-    whether a component's table comes from the store or is built anew
-    changes no result, only how often it is built.
+    The store is private to its tree, which makes every key, and serves
+    the one graph the tree serves: naming another graph gives the tree a
+    new store, and a copy gets one of its own.  Tables for equal keys are
+    interchangeable (exact tables depend on the component alone, sampling
+    streams are derived from the config's master seed and the component's
+    signature, which the key determines, and only full-budget tables are
+    stored), so whether a component's table comes from the store or is
+    built anew changes no result, only how often it is built.
 
-    Probes write full tables (``FTree.probe_edge``) and are the store's
-    only writer.  A cycle commit reads its ring's table (``FTree.refresh``),
-    which the probe of the committed edge stored.  Nothing is evicted.
+    Probes (``FTree.probe_edge``) are the store's only reader and only
+    writer: a probe stores each full table it builds and reads the table a
+    probe of a ring with the same key stored.  A commit of a probed edge
+    adopts the table its ring holds and reads no store.  Nothing is evicted.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[SamplerConfig, MemoKey], ReachTable] = {}
 
     def lookup(self, cfg: SamplerConfig, key: MemoKey) -> Optional[ReachTable]:
-        return self._entries.get(_entry(cfg, key))
+        return self._entries.get((cfg, key))
 
     def store(self, cfg: SamplerConfig, key: MemoKey, table: ReachTable) -> None:
-        self._entries[_entry(cfg, key)] = table
+        self._entries[cfg, key] = table
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def _entry(cfg: SamplerConfig, key: MemoKey) -> tuple[SamplerConfig, MemoKey]:
-    if type(key) is not tuple:
-        raise TypeError(f"a memo key is a BiComponent.key() tuple, not {type(key).__name__}")
-    return cfg, key
 
 
 class IncrementalComponentSampler:
@@ -344,13 +345,16 @@ class FTree:
     ``leaf_terms`` asked for them, and the subtree masses cycle probes
     score from.  Beside it sit the candidate edges (``candidates``), the
     cycle candidates among them (``cycle_candidates``) and each probed
-    cycle candidate's ring (``_Ring``), reused when it is re-probed under
-    the same ``SamplerConfig``; all of it serves one graph
-    (``_use_graph``).
+    cycle candidate's ring (``_Ring``), reused when it is re-probed or
+    committed under the same ``SamplerConfig``; all of it serves one graph
+    (``_use_graph``).  A memo tree (``memo``: the ``_m`` variants) also
+    keeps each full table its probes build, in a ``MemoStore`` of its own,
+    and each probed ring's table with it.
     """
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, memo: bool = False):
         self.q = check_integer("q", q)
+        self._memo = MemoStore() if memo else None
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
         self._kept: Optional[_Kept] = None
@@ -375,9 +379,11 @@ class FTree:
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
         need none).  It keeps no state: its first evaluation is from
-        scratch, and it has no candidates and no cycle probes."""
+        scratch, and it has no candidates, no cycle probes and, if a memo
+        tree, an empty store of its own."""
         other = FTree.__new__(FTree)
         other.q = self.q
+        other._memo = None if self._memo is None else MemoStore()
         other._next_id = self._next_id
         other._graph, other._kept, other._cands, other._cycles = None, None, None, None
         other._rings = {}
@@ -388,14 +394,16 @@ class FTree:
         return other
 
     def _use_graph(self, graph: ProbabilisticGraph) -> None:
-        """Serve ``graph`` from here on: the kept evaluation, candidates and
-        rings are for one graph, so naming another drops them all.  Every
-        public entry that reads or extends them calls this first.  The root
-        is checked against each graph the tree takes up."""
+        """Serve ``graph`` from here on: the kept evaluation, candidates,
+        rings and memo store are for one graph, so naming another drops them
+        all.  Every public entry that reads or extends them calls this
+        first.  The root is checked against each graph the tree takes up."""
         if graph is not self._graph:
             check_vertex(graph, self.q)
             self._graph, self._kept, self._cands, self._cycles = graph, None, None, None
             self._rings = {}
+            if self._memo is not None:
+                self._memo = MemoStore()
 
     def is_attached(self, v: int) -> bool:
         return v == self.q or v in self.vertex_index
@@ -451,23 +459,28 @@ class FTree:
         graph: ProbabilisticGraph,
         edge: tuple[int, int],
         cfg: SamplerConfig,
-        memo: Optional[MemoStore] = None,
         defer_sampling: bool = False,
     ) -> InsertReport:
         """Add one selected edge, dispatching the structural update cases.
 
-        At least one endpoint must already be attached.  Unless
-        ``defer_sampling`` is set, every component invalidated by the update
-        is re-sampled (or fetched from ``memo``) and the tree is evaluated
-        before returning.
+        At least one endpoint must already be attached.  A cycle-closing
+        edge probed under ``cfg`` applies its kept ring's plan, and in a
+        memo tree its ring takes the table the probe read, if the probe
+        read a full one; any other cycle is planned here.  Unless
+        ``defer_sampling`` is set, every component still without a table is
+        sampled (``refresh``) and the tree is evaluated before returning.
         """
         self._use_graph(graph)
         e, prob, att_u, att_v = self._insertable(graph, edge)
         u, v = e
         fresh: Optional[int] = None
+        ring = self._rings.get((e, cfg))
         if att_u and att_v:
             self._kept = None
-            case = self._close_cycle(*self._plan_cycle(u, v, e))
+            if ring is None:
+                case = self._close_cycle(*self._plan_cycle(u, v, e))
+            else:
+                case = self._close_cycle(ring.parts, ring.comp, ring.report.case_taken)
         else:
             attach, fresh = (u, v) if att_u else (v, u)
             case = self._attach_leaf(e, attach, fresh, prob)
@@ -480,9 +493,11 @@ class FTree:
             return InsertReport(case_taken=case, edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
+        if ring is not None and ring.scored is not None:
+            ring.comp.reach = ring.scored[0]
         if not defer_sampling:
             if pending:
-                self.refresh(graph, cfg, memo)
+                self.refresh(graph, cfg)
             self._evaluate(graph)
         return InsertReport(case_taken=case, edges_sampled_count=cost)
 
@@ -728,7 +743,9 @@ class FTree:
         """
         ring_id = self._add_component(ring)
         taken = {cid for cid, _, _ in parts}
-        self._rings = {k: r for k, r in self._rings.items() if r.parts.isdisjoint(taken)}
+        self._rings = {
+            k: r for k, r in self._rings.items() if taken.isdisjoint(c for c, _, _ in r.parts)
+        }
         for cid, path, wedge in parts:
             comp = self.components[cid]
             if isinstance(comp, MonoComponent):
@@ -772,28 +789,21 @@ class FTree:
     # sampling upkeep
     # ------------------------------------------------------------------
 
-    def refresh(
-        self, graph: ProbabilisticGraph, cfg: SamplerConfig, memo: Optional[MemoStore] = None
-    ) -> None:
-        """Renew every dirty component's reach table.
+    def refresh(self, graph: ProbabilisticGraph, cfg: SamplerConfig) -> None:
+        """Build every dirty component's reach table.
 
-        A table memoized under ``cfg`` is reused; every other dirty
-        component gets its table from its sampler's ``build`` (exact, or
-        drawn at its full budget in one call), which the memo does not
-        keep: only probes store tables (see ``MemoStore``).  Renewing a
-        table drops the tree's kept evaluation.  No kept ring takes a dirty
-        component: only a cycle-closing insert makes one, after dropping
-        the rings it touches, and rings are planned on evaluated trees
-        only.
+        Each dirty component gets its table from its sampler's ``build``
+        (exact, or drawn at its full budget in one call); no store is read
+        or written (see ``MemoStore``).  Renewing a table drops the tree's
+        kept evaluation.  No kept ring takes a dirty component: only a
+        cycle-closing insert makes one, after dropping the rings it
+        touches, and rings are planned on evaluated trees only.
         """
         for cid in self.dirty_components():
             self._kept = None
             comp = self.components[cid]
             assert isinstance(comp, BiComponent)
-            table = memo.lookup(cfg, comp.key()) if memo is not None else None
-            if table is None:
-                table, _ = IncrementalComponentSampler(graph, comp, cfg).build()
-            comp.reach = table
+            comp.reach, _ = IncrementalComponentSampler(graph, comp, cfg).build()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -908,7 +918,6 @@ class FTree:
         graph: ProbabilisticGraph,
         edge: tuple[int, int],
         cfg: SamplerConfig,
-        memo: Optional[MemoStore] = None,
         stop: Optional[Callable[[FlowEstimate], bool]] = None,
     ) -> tuple[FlowEstimate, InsertReport]:
         """Flow and insert report of a hypothetical cycle-closing insertion,
@@ -919,30 +928,31 @@ class FTree:
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
-        rounding.  Its ring's table comes from ``memo`` or from the ring's
-        sampler, and a table the sampler builds is stored in ``memo``
-        unless ``stop`` accepts one of its rounds: probes are the memo's
-        only writer, and a commit of a probed edge reads the table its
-        probe stored.  A drawn table's
-        estimates over its first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds
-        and over all of them are offered to ``stop`` in that order; the
-        first one it accepts is returned at once and its table kept out of
-        the memo.  An exact table's one estimate is offered once, after the
-        table is stored: the table is complete, so a stop that fires saves
-        nothing.  A memoized table is offered nothing.  A drawn table whose
-        every round was offered and refused returns its last round's
-        estimate, which is the full table's.
+        rounding.  Its ring's table comes from the ring's sampler or, in a
+        memo tree, from the ring or the tree's store (``MemoStore``), and a
+        memo tree stores a table the sampler builds and keeps it in the ring
+        unless ``stop`` accepts one of its rounds: probes are the store's
+        only reader and writer, and a commit of a probed edge adopts the
+        table its ring holds.  A drawn table's estimates over its first
+        ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and over all of them are
+        offered to ``stop`` in that order; the first one it accepts is
+        returned at once and its table kept out of the store and the ring.
+        An exact table's one estimate is offered once, after the table is
+        kept: the table is complete, so a stop that fires saves nothing.  A
+        kept or stored table is offered nothing.  A drawn table whose every
+        round was offered and refused returns its last round's estimate,
+        which is the full table's.
 
         Every tree keeps each cycle candidate it probes under ``cfg``
         (``_Ring``) until an insert folds a component its ring takes (see
-        ``_close_cycle``), so a re-probe skips planning and preparing the
-        sampler.  A memo also keeps full tables, and the ring their
-        coefficients, for re-probes to score in one multiply-add per member
-        and channel; without one, every probe builds its table and offers it
-        to ``stop`` afresh.  A memo is keyed by ``BiComponent.key``; the
-        signature text is built only as a drawn sampler's stream key, once
-        per sampler.  A re-probe returns what a fresh probe would, bit for
-        bit.
+        ``_close_cycle``), so a re-probe or a commit skips planning and a
+        re-probe skips preparing the sampler.  A memo tree's ring also
+        keeps its full table's coefficients, for re-probes to score in one
+        multiply-add per member and channel; in a tree without a memo,
+        every probe builds its table and offers it to ``stop`` afresh.  The
+        store is keyed by ``BiComponent.key``; the signature text is built
+        only as a drawn sampler's stream key, once per sampler.  A re-probe
+        returns what a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -954,10 +964,9 @@ class FTree:
             parts, comp, case = self._plan_cycle(*e, e)
             members = sorted((kept.rank[x], x) for x in comp.members)
             report = InsertReport(case, len(comp.internal_edges))
-            cids = frozenset(cid for cid, _, _ in parts)
-            ring = self._rings[e, cfg] = _Ring(members, comp, report, cids)
+            ring = self._rings[e, cfg] = _Ring(members, comp, report, parts)
         members, r, report = ring.members, ring.comp.articulation, ring.report
-        scored = ring.scored if memo is not None else None
+        memo, scored = self._memo, ring.scored
         table = memo.lookup(cfg, ring.comp.key()) if memo is not None and scored is None else None
         est = None
         if scored is None and table is None:
@@ -974,13 +983,14 @@ class FTree:
                 memo.store(cfg, ring.comp.key(), table)
                 ring.sampler = None  # no memoized probe builds again
         else:
-            stop = None  # kept coefficients and memoized tables are offered nothing
+            stop = None  # kept and stored tables are offered nothing
         if scored is None:
-            scored = self._coefficients(members, table.rows), table.sample_count
+            scored = table, self._coefficients(members, table.rows)
             if memo is not None:
                 ring.scored = scored
         if est is None:  # else the last round's, the full table's bit for bit
-            coeffs, n = scored
+            table, coeffs = scored
+            n = table.sample_count
             est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
             if stop is not None:
                 stop(est)  # the table is exact
@@ -1138,6 +1148,6 @@ def _connected(vertices: set[int], edges: set[Edge]) -> bool:
     return seen == vertices
 
 
-def new_ftree(q: int) -> FTree:
-    """Fresh tree holding only the query vertex."""
-    return FTree(q)
+def new_ftree(q: int, memo: bool = False) -> FTree:
+    """Fresh tree holding only the query vertex, a memo tree if ``memo``."""
+    return FTree(q, memo)

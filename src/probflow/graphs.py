@@ -9,6 +9,7 @@ for output.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +34,15 @@ def check_integer(name: str, value: object) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+def check_real(name: str, value: object) -> float:
+    """``value`` unchanged if it is a real number (``numbers.Real``: an
+    ``int``, a ``float`` or a numpy number, not text or None), else
+    ValueError naming ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return value
 
 
 def check_vertex(graph: ProbabilisticGraph, v: object) -> int:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_integer
+from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_integer, check_real
 
 FAMILIES = ("erdos", "partitioned", "wsn")
 
@@ -58,7 +58,7 @@ def _check(family: str, n: int, seed: int, degree: int = 0, epsilon: float = 0.0
     elif family == "wsn":
         if n < 1:
             raise ValueError("n must be positive")
-        if not (0.0 < epsilon <= math.sqrt(2.0)):
+        if not (0.0 < check_real("epsilon", epsilon) <= math.sqrt(2.0)):
             raise ValueError("epsilon must be in (0, sqrt(2)]")
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -207,14 +207,14 @@ def assign_distance_decay(
 
     ``lam`` is a per-meter rate; ``scale`` converts the stored coordinate
     units to meters (unit-square instances pass their world size here).
-    ``lam`` must be finite and non-negative and ``scale`` finite and
-    positive, so that every probability lies in [0, 1]; one that underflows
-    to 0.0 (``lam * distance`` beyond about 745) raises ValueError naming
-    both.
+    ``lam`` must be a finite and non-negative real number and ``scale`` a
+    finite and positive one (``check_real``), so that every probability
+    lies in [0, 1]; one that underflows to 0.0 (``lam * distance`` beyond
+    about 745) raises ValueError naming both.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
+    if not (math.isfinite(check_real("lam", lam)) and lam >= 0.0):
         raise ValueError(f"lam must be a finite rate >= 0, got {lam}")
-    if not (math.isfinite(scale) and scale > 0.0):
+    if not (math.isfinite(check_real("scale", scale)) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     if graph.coordinates is None:
         raise ValueError("graph has no coordinates")

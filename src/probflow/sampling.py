@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, check_integer, check_vertex
+from .graphs import Edge, ProbabilisticGraph, check_integer, check_real, check_vertex
 
 # samples_used value reported for estimates with no sampling error at all
 # (analytic flow on cycle-free trees, fully deterministic graphs).
@@ -58,10 +58,10 @@ class SamplerConfig:
 
 
 def check_alpha(name: str, alpha: float) -> None:
-    """Raise ValueError naming ``name`` unless ``alpha`` is in (0,1) and
-    above 2**-53, so that 1 - alpha/2 is below 1.0 and ``critical_z`` has
-    a finite value."""
-    if not (0.0 < alpha < 1.0):
+    """Raise ValueError naming ``name`` unless ``alpha`` is a real number
+    (``check_real``) in (0,1) and above 2**-53, so that 1 - alpha/2 is
+    below 1.0 and ``critical_z`` has a finite value."""
+    if not (0.0 < check_real(name, alpha) < 1.0):
         raise ValueError(f"{name} must be in (0,1)")
     if 1.0 - alpha / 2.0 == 1.0:
         raise ValueError(

@@ -17,12 +17,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 # new_ftree is a perfbench tracer install site: keep it imported here.
-from .ftree import FTree, InsertReport, MemoStore, new_ftree
+from .ftree import FTree, InsertReport, new_ftree
 from .graphs import (
     Edge,
     ProbabilisticGraph,
     candidate_edges,
     check_integer,
+    check_real,
     check_vertex,
     graph_signature,
     induced_subgraph,
@@ -55,7 +56,7 @@ class StrategyConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if check_integer("budget", self.budget) < 1:
             raise ValueError("budget must be >= 1")
-        if not (self.ds_c > 1.0):
+        if not (check_real("ds_c", self.ds_c) > 1.0):
             raise ValueError("ds_c must be > 1")
 
 
@@ -113,9 +114,9 @@ def ds_delay(pot: float, cost: int, c: float) -> int:
     floor(log_c(cost / pot)): expensive low-potential candidates wait longest.
     A free probe (no cycle formed, cost 0) is never delayed.
     """
-    if not (pot > 0.0):
+    if not (check_real("pot", pot) > 0.0):
         raise ValueError("pot must be positive")
-    if not (c > 1.0):
+    if not (check_real("c", c) > 1.0):
         raise ValueError("c must be > 1")
     if cost < 0:
         raise ValueError("cost must be non-negative")
@@ -146,17 +147,16 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     ties going to the smallest edge.  The flow recorded for the committed
     edge is the live tree's own after the insert.
 
-    Variant flags: ``_m`` reuses sampled reach tables across probes keyed by
-    component identity, ``_ci`` stops sampling candidates that are interval-
+    Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), which
+    reuses reach tables across probes keyed by component identity and lets
+    a commit adopt its probe's table, ``_ci`` stops sampling candidates that are interval-
     dominated, ``_ds`` suspends low-potential expensive candidates.  A leaf
     samples nothing, so it is never pruned or suspended.
     """
     q = check_vertex(graph, q)
-    use_memo = cfg.variant != "ft"
     use_ci = "_ci" in cfg.variant
     use_ds = "_ds" in cfg.variant
-    tree = new_ftree(q)
-    memo = MemoStore() if use_memo else None
+    tree = new_ftree(q, memo=cfg.variant != "ft")
     # Suspended candidates and the iterations they still wait; only _ds
     # suspends any, and only cycle candidates.  A suspended edge stays a
     # candidate, as only an eligible edge is committed, so the eligible
@@ -181,10 +181,10 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         base, terms = tree.leaf_terms(graph)
         if use_ci:
             eligible = [e for e in cands if e not in delays]
-            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg, memo)
+            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg)
         else:
             probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler, memo)
+                e: tree.probe_edge(graph, e, cfg.sampler)
                 for e in tree.cycle_candidates(graph)
                 if e not in delays
             }
@@ -195,7 +195,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         if leaf is not None:
             ranked.append((-(base.mean + terms[leaf][0]), leaf))
         _, best = min(ranked)
-        report = tree.insert_edge(graph, best, cfg.sampler, memo)
+        report = tree.insert_edge(graph, best, cfg.sampler)
         best_est = tree.expected_flow(graph)
         selected.append(best)
         trace.append(
@@ -231,7 +231,6 @@ def _probe_with_ci(
     base: FlowEstimate,
     terms: dict[Edge, tuple[float, float, float]],
     cfg: StrategyConfig,
-    memo: Optional[MemoStore],
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
     """Probe the cycle candidates among ``eligible`` in order, abandoning any
     that ``ci_prune`` rules dominated by the best confirmed candidate so far.
@@ -243,7 +242,7 @@ def _probe_with_ci(
     running best.  Once a confirmed best exists, each cycle probe is
     checked by ``FTree.probe_edge``'s stop predicate: a drawn ring table on
     every ``CI_BATCH``-world prefix of its worlds and on all of them, an
-    exact one once, on its one estimate, and a memoized one not at all.  A
+    exact one once, on its one estimate, and a kept or stored one not at all.  A
     pruned candidate keeps the estimate it was dropped at.  Returns the
     cycle probes' estimates and reports, and the pruned candidates.
     """
@@ -264,9 +263,7 @@ def _probe_with_ci(
             pruned.add(e)
             return True
 
-        est, report = tree.probe_edge(
-            graph, e, cfg.sampler, memo, None if best is None else dominated
-        )
+        est, report = tree.probe_edge(graph, e, cfg.sampler, None if best is None else dominated)
         if e not in pruned and est.samples_used >= CI_MIN_SAMPLES and (
             best is None or est.lb > best[1].lb
         ):

@@ -16,7 +16,6 @@ from probflow import (
     DirtyComponentError,
     FTreeError,
     InsertReport,
-    MemoStore,
     MonoComponent,
     ProbabilisticGraph,
     ReachTable,
@@ -30,7 +29,7 @@ from probflow import (
     new_ftree,
     normal_quantile,
 )
-from probflow.ftree import FTree, IncrementalComponentSampler
+from probflow.ftree import FTree, IncrementalComponentSampler, MemoStore
 from probflow.sampling import CI_BATCH
 from util import (
     BASE_ORDER,
@@ -49,24 +48,24 @@ from util import (
 CFG = SamplerConfig(samples=2000, master_seed=17)
 
 
-def build_base_tree(graph, cfg=CFG):
-    tree = new_ftree(0)
+def build_base_tree(graph, cfg=CFG, memo=False):
+    tree = new_ftree(0, memo)
     for e in BASE_ORDER:
         tree.insert_edge(graph, e, cfg)
     return tree
 
 
-def long_ring_tree(cfg=CFG):
+def long_ring_tree(cfg=CFG, memo=False):
     """An 11-edge cycle 0-1-...-10-0 through the query vertex with a tail
-    5-11-12, all inserted.  2^11 worlds exceed ``CFG``'s 2000 samples, so
-    the cycle's table is drawn; the edge (8, 12) closes a 14-edge ring
-    around it (case IV), also drawn."""
+    5-11-12, all inserted, in a memo tree if ``memo``.  2^11 worlds exceed
+    ``CFG``'s 2000 samples, so the cycle's table is drawn; the edge (8, 12)
+    closes a 14-edge ring around it (case IV), also drawn."""
     cycle = [(i, (i + 1) % 11, 0.5 + 0.04 * i) for i in range(11)]
     g = ProbabilisticGraph.build(
         13, cycle + [(5, 11, 0.8), (11, 12, 0.7), (8, 12, 0.6)],
         weights=[float(v % 5) for v in range(13)],
     )
-    tree = new_ftree(0)
+    tree = new_ftree(0, memo)
     for e in insertable_order(g):
         if e != (8, 12):
             tree.insert_edge(g, e, cfg)
@@ -462,23 +461,22 @@ class TestProbe:
         cases = set()
         for trial in range(30):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
-            memo = MemoStore() if trial % 2 else None
-            tree = new_ftree(0)
+            tree = new_ftree(0, memo=bool(trial % 2))
             for e in order[: rng.randint(1, len(order) - 1)]:
-                tree.insert_edge(g, e, cfg, memo)
+                tree.insert_edge(g, e, cfg)
             before = snapshot(tree, g)
             for e in sorted(set(g.edges) - tree.selected_edges):
                 if not (tree.is_attached(e[0]) or tree.is_attached(e[1])):
                     continue
                 if not (tree.is_attached(e[0]) and tree.is_attached(e[1])):
                     with pytest.raises(FTreeError, match="leaf_terms"):
-                        tree.probe_edge(g, e, cfg, memo)
-                    cases.add(tree.copy().insert_edge(g, e, cfg, memo).case_taken)
+                        tree.probe_edge(g, e, cfg)
+                    cases.add(tree.copy().insert_edge(g, e, cfg).case_taken)
                     continue
-                stopped, stopped_report = tree.probe_edge(g, e, cfg, memo, stop=lambda est: True)
+                stopped, stopped_report = tree.probe_edge(g, e, cfg, stop=lambda est: True)
                 probe = tree.copy()
-                report = probe.insert_edge(g, e, cfg, memo)
-                est, probe_report = tree.probe_edge(g, e, cfg, memo)
+                report = probe.insert_edge(g, e, cfg)
+                est, probe_report = tree.probe_edge(g, e, cfg)
                 assert report == probe_report == stopped_report
                 assert_close(est, probe.expected_flow(g))
                 assert est.samples_used == cfg.samples
@@ -497,10 +495,14 @@ class TestProbe:
     def check_kept_probes_match_fresh_probes(use_memo):
         # Before every commit each cycle candidate is probed plain and
         # stop-checked, on the tree (which keeps cycle probes and scores them
-        # again over the current masses) and on a copy of a twin tree fed the
-        # same calls with its own memo.  Estimates and reports agree bit for
-        # bit, and after every probe both memos hold the same keys in the
-        # same order.  Each leaf's estimate from ``leaf_terms`` agrees too.
+        # again over the current masses) and on a fresh copy of a twin tree
+        # fed the same inserts and no probes.  Estimates and reports agree
+        # bit for bit.  A memo tree's stop-checked probe follows its plain
+        # one, so its kept table is offered nothing and it gives the plain
+        # estimate, which the copy's plain probe gives.  Each leaf's
+        # estimate from ``leaf_terms`` agrees too.  Every commit, which on
+        # the tree applies its probe's ring (and in a memo tree adopts its
+        # table), reports and evaluates as the twin's unprobed commit does.
         # Without a memo each candidate is probed twice more, so a drawn
         # ring's kept sampler re-draws from its kept stream state many times.
         rng = random.Random(77)
@@ -514,8 +516,7 @@ class TestProbe:
         for trial in range(25):
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
-            memo, twin_memo = (MemoStore(), MemoStore()) if use_memo else (None, None)
-            tree, twin = new_ftree(0), new_ftree(0)
+            tree, twin = new_ftree(0, use_memo), new_ftree(0, use_memo)
             after_leaf = False
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
@@ -533,15 +534,12 @@ class TestProbe:
                         rescored += check is None and after_leaf and ring is not None
                         sampler = ring and ring.sampler  # prepared at its first build
                         redrawn += not use_memo and sampler is not None and not sampler.exact
-                        est, report = tree.probe_edge(g, c, cfg, memo, check)
-                        twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_memo, check)
+                        est, report = tree.probe_edge(g, c, cfg, check)
+                        twin_check = None if use_memo else check
+                        twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_check)
                         assert (est, report) == (twin_est, twin_report)
-                        if use_memo:
-                            assert list(memo._entries) == list(twin_memo._entries)
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
-                assert tree.insert_edge(g, e, cfg, memo) == twin.insert_edge(g, e, cfg, twin_memo)
-                if use_memo:
-                    assert list(memo._entries) == list(twin_memo._entries)
+                assert tree.insert_edge(g, e, cfg) == twin.insert_edge(g, e, cfg)
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
         assert use_memo or redrawn > 100
@@ -552,27 +550,25 @@ class TestProbe:
         # leaf commit scores the ring over the new masses, memoized or not,
         # and gives what a fresh probe of a copy gives, bit for bit.
         g = running_example_graph()
-        tree = build_base_tree(g)
-        memo = MemoStore() if use_memo else None
-        first, _ = tree.probe_edge(g, (14, 15), CFG, memo)
-        assert tree.insert_edge(g, (7, 17), CFG, memo).case_taken == "IIb"
+        tree = build_base_tree(g, memo=use_memo)
+        first, _ = tree.probe_edge(g, (14, 15), CFG)
+        assert tree.insert_edge(g, (7, 17), CFG).case_taken == "IIb"
         calls = []
         copy = type(tree).copy
         monkeypatch.setattr(type(tree), "copy", lambda self: calls.append(1) or copy(self))
-        est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
+        est, _ = tree.probe_edge(g, (14, 15), CFG)
         assert calls == []
         assert est != first
-        assert est == tree.copy().probe_edge(g, (14, 15), CFG, memo)[0]
+        assert est == tree.copy().probe_edge(g, (14, 15), CFG)[0]
 
     def test_kept_probe_serves_only_its_config(self):
         # A cycle probe kept under one sampler config is not replayed for a
         # probe under another, which draws that config's own tables.
         g = running_example_graph()
-        tree = build_base_tree(g)
-        memo = MemoStore()
-        tree.probe_edge(g, (14, 15), CFG, memo)
+        tree = build_base_tree(g, memo=True)
+        tree.probe_edge(g, (14, 15), CFG)
         other = replace(CFG, master_seed=CFG.master_seed + 1)
-        est, _ = tree.probe_edge(g, (14, 15), other, memo)
+        est, _ = tree.probe_edge(g, (14, 15), other)
         assert est == tree.copy().probe_edge(g, (14, 15), other)[0]
 
     @pytest.mark.pinned
@@ -627,46 +623,96 @@ class TestProbe:
         # insertion orders.  Before every commit each cycle candidate is
         # probed.  After every cycle commit each kept ring that survived is
         # what a fresh plan of its edge gives (members in attach order,
-        # articulation, edges, report and the components it takes), and a
-        # memoized ring's kept coefficients are its table's over the new
-        # tree.  Its re-probe, plain and, without a memo, with a stop that
-        # fires at its first offer, equals a probe of a tree rebuilt by
-        # replaying the inserts, bit for bit.
+        # articulation, edges, report and the parts it takes), and a
+        # memoized ring's kept table is its store's and its coefficients are
+        # the table's over the new tree.  Its re-probe, plain and, without a
+        # memo, with a stop that fires at its first offer, equals a probe of
+        # a tree rebuilt by replaying the inserts, bit for bit.
         rng = random.Random(6061)
         cfg = SamplerConfig(samples=300, master_seed=23)
         survived = dropped = 0
         for trial in range(20):
             g = netgen.gen_wsn(rng.randint(10, 18), 0.4, rng.randrange(1000))
-            memo = MemoStore() if use_memo else None
-            tree, inserted = new_ftree(0), []
+            tree, inserted = new_ftree(0, use_memo), []
             for e in insertable_order(g, rng):
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, cfg, memo)
+                    tree.probe_edge(g, c, cfg)
                 leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 before = len(tree._rings)
-                tree.insert_edge(g, e, cfg, memo)
+                tree.insert_edge(g, e, cfg)
                 inserted.append(e)
                 if leaf:
                     continue
                 dropped += before - len(tree._rings)
-                replay = replay_tree(g, inserted, cfg)
+                replay = replay_tree(g, inserted, cfg, use_memo)
                 for (c, _), ring in tree._rings.items():
                     parts, comp, case = tree._plan_cycle(*c, c)
                     assert (ring.comp.members, ring.comp.articulation, ring.comp.internal_edges) == (
                         comp.members, comp.articulation, comp.internal_edges
                     )
                     assert ring.report == InsertReport(case, len(comp.internal_edges))
-                    assert ring.parts == {cid for cid, _, _ in parts}
+                    assert ring.parts == parts
                     assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
                     if ring.scored is not None:
-                        table = memo.lookup(cfg, ring.comp.key())
-                        assert ring.scored == (tree._coefficients(ring.members, table.rows), table.sample_count)
+                        table, coeffs = ring.scored
+                        assert table is tree._memo.lookup(cfg, ring.comp.key())
+                        assert coeffs == tree._coefficients(ring.members, table.rows)
                     stops = (None,) if use_memo else (None, lambda est: True)
                     for stop in stops:
-                        fresh = replay.probe_edge(g, c, cfg, MemoStore() if use_memo else None, stop)
-                        assert tree.probe_edge(g, c, cfg, memo, stop) == fresh
+                        fresh = replay.probe_edge(g, c, cfg, stop)
+                        assert tree.probe_edge(g, c, cfg, stop) == fresh
                     survived += 1
         assert survived > 200 and dropped > 1000
+
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_probed_commit_reuses_its_probes_ring(self, monkeypatch, use_memo):
+        # Random graphs in random insertion orders.  Before most commits
+        # every cycle candidate is probed.  A cycle commit of an edge whose
+        # probe's ring is kept applies that ring's plan and, in a memo tree,
+        # adopts the ring's table: it plans no cycle and looks up no store.
+        # Any other cycle commit plans once.  Either way the tree then equals
+        # a fresh replay of the same inserts bit for bit: its dump, each bi
+        # component's table rows and world count, its estimate and the
+        # commit's report.  Graphs of up to 12 vertices give rings both
+        # enumerated (2^m <= 300) and drawn.
+        calls = []
+        plan, lookup = FTree._plan_cycle, MemoStore.lookup
+        monkeypatch.setattr(FTree, "_plan_cycle", lambda *a: calls.append("plan") or plan(*a))
+        monkeypatch.setattr(MemoStore, "lookup", lambda *a: calls.append("lookup") or lookup(*a))
+
+        def tables(tree):
+            return {
+                c.key(): ({v: hexed(r) for v, r in c.reach.rows.items()}, c.reach.sample_count)
+                for c in tree.components.values() if isinstance(c, BiComponent)
+            }
+
+        rng = random.Random(9091)
+        cfg = SamplerConfig(samples=300, master_seed=13)
+        commits = {True: 0, False: 0}  # cycle commits, by whether a ring was kept
+        for trial in range(25):
+            n = rng.randint(5, 12)
+            g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
+            tree, inserted = new_ftree(0, use_memo), []
+            for e in insertable_order(g, rng):
+                if rng.random() < 0.7:
+                    for c in tree.cycle_candidates(g):
+                        tree.probe_edge(g, c, cfg)
+                cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
+                kept = (e, cfg) in tree._rings
+                calls.clear()
+                report = tree.insert_edge(g, e, cfg)
+                if cycle:
+                    assert calls == ([] if kept else ["plan"])
+                    commits[kept] += 1
+                replay = replay_tree(g, inserted, cfg, use_memo)
+                assert replay.insert_edge(g, e, cfg) == report
+                inserted.append(e)
+                assert tree.dump(g) == replay.dump(g)
+                assert tables(tree) == tables(replay)
+                est, ref = tree.expected_flow(g), replay.expected_flow(g)
+                assert hexed((est.mean, est.lb, est.ub)) == hexed((ref.mean, ref.lb, ref.ub))
+                assert est.samples_used == ref.samples_used
+        assert commits[True] > 100 and commits[False] > 20
 
     @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_signature_text_is_built_once_per_drawn_sampler(self, monkeypatch, variant):
@@ -686,39 +732,24 @@ class TestProbe:
             greedy_select(g, 0, StrategyConfig(variant, 12, SamplerConfig(samples=60, master_seed=seed)))
         assert len(calls) == len(drawn) > 0
 
-    def test_memo_less_probe_after_memo_probe_builds_its_table(self, monkeypatch):
-        # A table kept by a memoized probe serves memoized re-probes only: a
-        # probe without a memo builds its own, and the estimates agree.
-        g = running_example_graph()
-        tree = build_base_tree(g)
-        memo = MemoStore()
-        est, _ = tree.probe_edge(g, (14, 15), CFG, memo)
-        assert tree._rings[(14, 15), CFG].scored is not None
-        built = count_builds(monkeypatch)
-        assert tree.probe_edge(g, (14, 15), CFG, memo)[0] == est
-        assert built == []
-        assert tree.probe_edge(g, (14, 15), CFG)[0] == est
-        assert len(built) == 1
-
     def test_leaf_probe_is_not_kept(self):
         # Only cycle edges are probed: a leaf probe raises, naming
         # ``leaf_terms``, and keeps nothing (a kept leaf probe would be
         # replayed as the cycle its edge closes once the free endpoint is
         # attached).  A leaf insert samples nothing.
         g = ProbabilisticGraph.build(3, [(0, 1, 0.6), (0, 2, 0.7), (1, 2, 0.8)], weights=[1.0, 2.0, 3.0])
-        memo = MemoStore()
-        tree = new_ftree(0)
-        tree.insert_edge(g, (0, 1), CFG, memo)
+        tree = new_ftree(0, memo=True)
+        tree.insert_edge(g, (0, 1), CFG)
         before = snapshot(tree, g)
         with pytest.raises(FTreeError, match="leaf_terms"):
-            tree.probe_edge(g, (1, 2), CFG, memo)
-        assert tree._rings == {} and len(memo) == 0 and snapshot(tree, g) == before
+            tree.probe_edge(g, (1, 2), CFG)
+        assert tree._rings == {} and len(tree._memo) == 0 and snapshot(tree, g) == before
         assert (1, 2) in tree.leaf_terms(g)[1]
-        assert tree.insert_edge(g, (0, 2), CFG, memo).edges_sampled_count == 0
+        assert tree.insert_edge(g, (0, 2), CFG).edges_sampled_count == 0
         assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
-        est, report = tree.probe_edge(g, (1, 2), CFG, memo)
+        est, report = tree.probe_edge(g, (1, 2), CFG)
         assert report.case_taken not in ("IIa", "IIb")
-        assert (est, report) == tree.copy().probe_edge(g, (1, 2), CFG, memo)
+        assert (est, report) == tree.copy().probe_edge(g, (1, 2), CFG)
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_frontier_matches_full_evaluations(self, use_memo):
@@ -736,8 +767,7 @@ class TestProbe:
         for trial in range(25):
             n = rng.randint(4, 11)
             g = random_connected_graph(rng, n, rng.randint(1, 2 * n))
-            memo = MemoStore() if use_memo else None
-            tree = new_ftree(0)
+            tree = new_ftree(0, use_memo)
             last = "empty"
             for e in insertable_order(g, rng):
                 cands = tree.candidates(g)
@@ -751,21 +781,21 @@ class TestProbe:
                     score = (base.mean + t[0], base.lb + t[1], base.ub + t[2])
                     trial_tree = tree.copy()
                     trial_tree.expected_flow(g)
-                    trial_tree.insert_edge(g, c, cfg, memo)
+                    trial_tree.insert_edge(g, c, cfg)
                     kept = trial_tree.expected_flow(g)
                     for est in (kept, trial_tree.copy().expected_flow(g)):
                         assert hexed(score) == hexed((est.mean, est.lb, est.ub))
                         assert base.samples_used == est.samples_used
                     with pytest.raises(FTreeError, match="leaf_terms"):
-                        tree.probe_edge(g, c, cfg, memo)
+                        tree.probe_edge(g, c, cfg)
                 assert snapshot(tree, g) == before
                 seen.add(last if leaves else None)
                 if rng.random() < 0.3:
-                    case = tree.insert_edge(g, e, cfg, memo, defer_sampling=True).case_taken
-                    tree.refresh(g, cfg, memo)
+                    case = tree.insert_edge(g, e, cfg, defer_sampling=True).case_taken
+                    tree.refresh(g, cfg)
                     last = case if tree._kept is not None else "unevaluated"
                 else:
-                    last = tree.insert_edge(g, e, cfg, memo).case_taken
+                    last = tree.insert_edge(g, e, cfg).case_taken
             assert tree.candidates(g) == []
         assert {"empty", "unevaluated", "IIa", "IIb", "IIIa", "IIIb", "IVb"} <= seen
 
@@ -851,19 +881,19 @@ class TestRingFormula:
         cases, offers, rescored = set(), set(), 0
         for trial in range(30):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
-            memo = MemoStore() if use_memo else None
-            tree, after_leaf = new_ftree(0), False
+            tree, after_leaf = new_ftree(0, use_memo), False
             for e in order:
                 before = snapshot(tree, g)
                 for c in tree.cycle_candidates(g).copy():
                     ref, ref_report, key = grown_flow(tree, g, c, cfg)
                     kept = use_memo and (c, cfg) in tree._rings
                     rescored += kept and after_leaf
+                    memo = tree._memo
                     hit = memo is not None and memo.lookup(cfg, key) is not None
                     stored = len(memo or ())
                     stop_at, offered = rng.randint(1, len(sizes) + 1), []
                     est, _ = tree.probe_edge(
-                        g, c, cfg, memo, lambda est: offered.append(est) or len(offered) == stop_at
+                        g, c, cfg, lambda est: offered.append(est) or len(offered) == stop_at
                     )
                     if hit:
                         assert offered == []
@@ -875,7 +905,7 @@ class TestRingFormula:
                         if stop_at <= len(sizes):
                             assert est is offered[-1]
                             assert len(memo or ()) == stored
-                    est, report = tree.probe_edge(g, c, cfg, memo)
+                    est, report = tree.probe_edge(g, c, cfg)
                     assert_close(est, ref)
                     assert est.samples_used == cfg.samples
                     assert (report.case_taken, report.edges_sampled_count) == (
@@ -886,7 +916,7 @@ class TestRingFormula:
                     cases.add(report.case_taken)
                 assert snapshot(tree, g) == before
                 after_leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
-                tree.insert_edge(g, e, cfg, memo)
+                tree.insert_edge(g, e, cfg)
         assert cases == {"IIIa", "IIIb", "IVb", "IVc-composite"}
         assert offers == {1, 2, 3}
         assert rescored > 0 or not use_memo
@@ -936,17 +966,14 @@ class TestKeptEvaluation:
         for trial in range(30):
             n = rng.randint(3, 10)
             g = random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2 - (n - 1)))
-            kept, replay = new_ftree(0), new_ftree(0)
-            kept_memo, replay_memo = (MemoStore(), MemoStore()) if memo else (None, None)
+            kept, replay = new_ftree(0, memo), new_ftree(0, memo)
             for e in insertable_order(g, rng):
                 if stop_round is not None and kept.is_attached(e[0]) and kept.is_attached(e[1]):
                     # A cycle edge is probed first, on the kept state and from scratch.
                     replay._kept = None
                     kept_stop, kept_offered = self.stop_at(stop_round)
                     replay_stop, replay_offered = self.stop_at(stop_round)
-                    assert kept.probe_edge(g, e, cfg, kept_memo, kept_stop) == replay.probe_edge(
-                        g, e, cfg, replay_memo, replay_stop
-                    )
+                    assert kept.probe_edge(g, e, cfg, kept_stop) == replay.probe_edge(g, e, cfg, replay_stop)
                     assert kept_offered == replay_offered
                 elif stop_round is not None:
                     # A leaf's estimate, from the kept terms and from scratch.
@@ -956,8 +983,8 @@ class TestKeptEvaluation:
                         replay_base, replay_terms[e]
                     )
                 replay._kept = None  # no kept state: replay evaluates from scratch
-                case = kept.insert_edge(g, e, cfg, kept_memo).case_taken
-                replay.insert_edge(g, e, cfg, replay_memo)
+                case = kept.insert_edge(g, e, cfg).case_taken
+                replay.insert_edge(g, e, cfg)
                 seen.add(case)
                 assert kept.expected_flow(g) == replay.expected_flow(g)
                 assert kept.expected_flow(g) == kept.copy().expected_flow(g)
@@ -972,7 +999,7 @@ class TestKeptEvaluation:
         rng = random.Random(1515)
         cfg = SamplerConfig(samples=200, master_seed=6)
 
-        def answers(tree, g, memo, order):
+        def answers(tree, g, order):
             out = {}
             for ask in order:
                 if ask == "flow":
@@ -990,7 +1017,7 @@ class TestKeptEvaluation:
                     for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                         if not (tree.is_attached(c[0]) and tree.is_attached(c[1])):
                             continue  # a leaf: the "terms" entry covers it
-                        est, report = tree.probe_edge(g, c, cfg, memo)
+                        est, report = tree.probe_edge(g, c, cfg)
                         out[ask][c] = (
                             hexed((est.mean, est.lb, est.ub)), est.samples_used,
                             report.case_taken, report.edges_sampled_count,
@@ -1006,21 +1033,18 @@ class TestKeptEvaluation:
                 ProbabilisticGraph.build(n, triples, weights=[rng.uniform(0, 9) for _ in range(n)])
                 for _ in range(2)
             ]
-            memos, fresh_memos = [MemoStore(), MemoStore()], [MemoStore(), MemoStore()]
-            tree, inserted = new_ftree(0), []
+            tree, inserted = new_ftree(0, memo=True), []
             for e in insertable_order(g, rng):
                 for x in (0, 1, 0):
                     order = ["flow", "candidates", "terms", "probe"]
                     rng.shuffle(order)
                     firsts.add(order[0])
-                    fresh = new_ftree(0)
+                    fresh = new_ftree(0, memo=True)
                     for d in inserted:
-                        fresh.insert_edge(graphs[x], d, cfg, fresh_memos[x])
-                    assert answers(tree, graphs[x], memos[x], order) == answers(
-                        fresh, graphs[x], fresh_memos[x], order
-                    )
+                        fresh.insert_edge(graphs[x], d, cfg)
+                    assert answers(tree, graphs[x], order) == answers(fresh, graphs[x], order)
                 x = rng.randrange(2)
-                tree.insert_edge(graphs[x], e, cfg, memos[x])
+                tree.insert_edge(graphs[x], e, cfg)
                 inserted.append(e)
         assert firsts == {"flow", "candidates", "terms", "probe"}
 
@@ -1038,12 +1062,42 @@ class TestKeptEvaluation:
 class TestMemo:
     def test_store_then_lookup(self):
         g = running_example_graph()
-        tree = build_base_tree(g)
-        memo = MemoStore()
-        est1, _ = tree.probe_edge(g, (14, 15), CFG, memo=memo)
-        assert len(memo) > 0
-        est2, _ = tree.probe_edge(g, (14, 15), CFG, memo=memo)
+        tree = build_base_tree(g, memo=True)
+        est1, _ = tree.probe_edge(g, (14, 15), CFG)
+        assert len(tree._memo) > 0
+        est2, _ = tree.probe_edge(g, (14, 15), CFG)
         assert est1 == est2
+
+    def test_store_serves_one_graph(self):
+        # Two graphs with the same edges, whose probabilities differ on the
+        # edges not yet inserted.  A memo tree's probes of the cycle
+        # candidates on the first graph fill its store; on the second graph
+        # the same probes answer as a fresh tree's do, not from the first
+        # graph's tables.
+        g1 = netgen.gen_erdos(30, 4, 2)
+        prefix = insertable_order(g1)[:20]
+        g2 = replace(g1, probabilities=tuple(
+            p if e in prefix else p / 2 for e, p in zip(g1.edges, g1.probabilities)
+        ))
+        tree = replay_tree(g1, prefix, CFG, memo=True)
+        cycles = list(tree.cycle_candidates(g1))
+        first = [tree.probe_edge(g1, c, CFG) for c in cycles]
+        assert len(tree._memo) == len(cycles) > 0
+        second = [tree.probe_edge(g2, c, CFG) for c in cycles]
+        fresh = replay_tree(g2, prefix, CFG, memo=True)
+        assert second == [fresh.probe_edge(g2, c, CFG) for c in cycles]
+        assert all(a[0].mean != b[0].mean for a, b in zip(first, second))
+
+    def test_copy_has_a_store_of_its_own(self):
+        g = running_example_graph()
+        tree = build_base_tree(g, memo=True)
+        tree.probe_edge(g, (14, 15), CFG)
+        stored = len(tree._memo)
+        copy = tree.copy()
+        assert copy._memo is not tree._memo and len(copy._memo) == 0
+        for c in copy.cycle_candidates(g):
+            copy.probe_edge(g, c, CFG)
+        assert len(copy._memo) > 0 and len(tree._memo) == stored
 
     def test_added_edge_changes_signature(self):
         comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
@@ -1069,50 +1123,43 @@ class TestMemo:
         assert len(memo) == 5000
         assert all(memo.lookup(CFG, key) is t for key, t in zip(keys, tables))
 
-    def test_text_keys_are_rejected(self):
-        # A signature is no memo key: looking one up raises instead of missing.
-        comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
-        table = ReachTable(articulation=0, rows={1: (0.5,) * 3, 2: (0.5,) * 3}, sample_count=10)
-        memo = MemoStore()
-        for call in (lambda: memo.lookup(CFG, comp.signature()), lambda: memo.store(CFG, comp.signature(), table)):
-            with pytest.raises(TypeError, match="BiComponent.key"):
-                call()
-        assert len(memo) == 0
-
     def test_tables_are_kept_apart_by_config(self):
-        # A store first filled under one config serves a run under another
-        # config nothing: the run gives what it gives with no store at all.
-        # Probes are the store's only writer, so the cycle edge is probed
-        # before its commit.
+        # A store first filled under one config serves a probe under another
+        # config nothing: the probe, and the commit after it, give what they
+        # give in a tree without a store.  The cycle edge (1, 3) is probed
+        # under each config in turn.
         g = netgen.gen_partitioned(16, 4, 1)
-
-        def flow(cfg, memo):
-            tree = new_ftree(0)
-            for e in [(0, 2), (0, 3), (1, 2), (1, 3)]:
-                if tree.is_attached(e[0]) and tree.is_attached(e[1]):
-                    tree.probe_edge(g, e, cfg, memo)
-                tree.insert_edge(g, e, cfg, memo)
-            return tree.expected_flow(g)
-
         # 15 samples are fewer than the 4-cycle's 16 worlds, so its table
         # is drawn and differs between configs.
         first = SamplerConfig(samples=15, master_seed=1)
-        memo = MemoStore()
-        assert flow(first, memo).samples_used == first.samples
-        stored = len(memo)
-        assert stored > 0
-        for cfg in (replace(first, master_seed=2), replace(first, alpha=0.05)):
-            assert flow(cfg, memo) == flow(cfg, None)
-        assert len(memo) == 3 * stored
+        cfgs = (first, replace(first, master_seed=2), replace(first, alpha=0.05))
+
+        def tree_before_cycle(memo):
+            tree = new_ftree(0, memo)
+            for e in [(0, 2), (0, 3), (1, 2)]:
+                tree.insert_edge(g, e, first)
+            return tree
+
+        tree = tree_before_cycle(memo=True)
+        for stored, cfg in enumerate(cfgs):
+            assert len(tree._memo) == stored
+            est = tree.probe_edge(g, (1, 3), cfg)
+            assert est == tree_before_cycle(memo=False).probe_edge(g, (1, 3), cfg)
+            assert est[0].samples_used == first.samples
+        assert len(tree._memo) == len(cfgs)
+        plain = tree_before_cycle(memo=False)
+        plain.insert_edge(g, (1, 3), cfgs[-1])
+        tree.insert_edge(g, (1, 3), cfgs[-1])
+        assert tree.expected_flow(g) == plain.expected_flow(g)
 
     @pytest.mark.parametrize("variant", ["ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_probes_are_the_only_writer(self, monkeypatch, variant):
-        # Greedy commits only probed edges, and each probe stored its ring's
-        # table, so every table a commit's refresh looks up is there: refresh
-        # neither builds a table nor stores one.  Small erdos, partitioned
-        # and wsn graphs, at the default 1000 samples and at 60, where rings
-        # are drawn and, under _ci, candidates are pruned.
-        depth, calls = [0], []
+        # Greedy commits only probed edges, and each probe kept its full
+        # table in its ring, which the commit adopts: a commit's refresh
+        # neither builds a table nor draws, stores or looks one up.  Small
+        # erdos, partitioned and wsn graphs, at the default 1000 samples and
+        # at 60, where rings are drawn and, under _ci, candidates are pruned.
+        depth, calls, refreshes = [0], [], []
 
         def record(owner, name, event):
             original = getattr(owner, name)
@@ -1125,6 +1172,7 @@ class TestMemo:
             monkeypatch.setattr(owner, name, wrapper)
 
         def refreshing(tree, *args, **kwargs):
+            refreshes.append(1)
             depth[0] += 1
             try:
                 return refresh(tree, *args, **kwargs)
@@ -1148,9 +1196,8 @@ class TestMemo:
                 for sampler in (SamplerConfig(master_seed=seed), SamplerConfig(samples=60, master_seed=seed)):
                     solution = greedy_select(g, 0, StrategyConfig(variant, 15, sampler))
                     pruned += sum(rec.candidates_pruned for rec in solution.trace)
-        in_refresh = {event for inside, event in calls if inside}
-        assert in_refresh == {"hit"}
-        assert {"build", "draw", "store"} <= {event for inside, event in calls if not inside}
+        assert refreshes and not any(inside for inside, _ in calls)
+        assert {"build", "draw", "store"} <= {event for _, event in calls}
         assert ("_ci" in variant) == (pruned > 0)
 
 
@@ -1194,39 +1241,37 @@ class TestRefreshStop:
     EDGE = (8, 12)
 
     def test_stop_that_never_fires_matches_plain_refresh(self):
-        g, plain = long_ring_tree()
-        (_, batched), (_, refreshed) = long_ring_tree(), long_ring_tree()
-        plain_memo, batched_memo, refreshed_memo = MemoStore(), MemoStore(), MemoStore()
+        g, plain = long_ring_tree(memo=True)
+        (_, batched), (_, refreshed) = long_ring_tree(memo=True), long_ring_tree(memo=True)
         offered = []
-        est = plain.probe_edge(g, self.EDGE, CFG, plain_memo)
+        est = plain.probe_edge(g, self.EDGE, CFG)
         assert batched.probe_edge(
-            g, self.EDGE, CFG, batched_memo, stop=lambda est: offered.append(est) or False
+            g, self.EDGE, CFG, stop=lambda est: offered.append(est) or False
         ) == est
         assert len(offered) == CFG.samples // CI_BATCH
         assert offered[-1] == est[0]
         assert est[0].samples_used == CFG.samples
-        assert plain_memo._entries == batched_memo._entries
+        assert plain._memo._entries == batched._memo._entries
         # A commit with no probe before it builds the same table and stores
-        # nothing: probes are the memo's only writer.
-        refreshed.insert_edge(g, self.EDGE, CFG, refreshed_memo)
-        assert len(refreshed_memo) == 0
-        [(cfg, key)] = plain_memo._entries
+        # nothing: probes are the store's only writer.
+        refreshed.insert_edge(g, self.EDGE, CFG)
+        assert len(refreshed._memo) == 0
+        [(cfg, key)] = plain._memo._entries
         [ring] = [c for c in refreshed.components.values() if isinstance(c, BiComponent) and c.key() == key]
-        assert ring.reach == plain_memo.lookup(cfg, key)
+        assert ring.reach == plain._memo.lookup(cfg, key)
 
     def test_stop_that_fires_returns_its_estimate_and_stores_nothing(self):
-        g, tree = long_ring_tree()
-        memo = MemoStore()
+        g, tree = long_ring_tree(memo=True)
         offered = []
 
         def stop(est):
             offered.append(est)
             return len(offered) == 3
 
-        est, _ = tree.probe_edge(g, self.EDGE, CFG, memo, stop)
+        est, _ = tree.probe_edge(g, self.EDGE, CFG, stop)
         assert est is offered[-1]
         assert est.samples_used == 3 * CI_BATCH
-        assert len(memo) == 0
+        assert len(tree._memo) == 0
         assert all(ring.scored is None for ring in tree._rings.values())
 
 
@@ -1277,31 +1322,30 @@ class TestRoundEstimates:
         cases, nesting = set(), set()
         for _ in range(25):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
-            tree = new_ftree(0)
-            store = MemoStore() if memo else None
+            tree = new_ftree(0, memo)
             for e in order:
                 if tree.is_attached(e[0]) and tree.is_attached(e[1]):
                     base = tree.copy()
                     cases.add(base.insert_edge(g, e, cfg, defer_sampling=True).case_taken)
-                    nesting |= self.nesting(base, store, cfg)
+                    nesting |= self.nesting(base, tree._memo, cfg)
                     stopped_at = []
                     for stop_round in range(1, rounds + 1):
                         offered = []
                         est, _ = tree.probe_edge(
-                            g, e, cfg, store, lambda est: offered.append(est) or len(offered) == stop_round
+                            g, e, cfg, lambda est: offered.append(est) or len(offered) == stop_round
                         )
                         assert est is offered[-1] and len(offered) == stop_round
                         assert_close(est, grown_flow(tree, g, e, cfg, stop_round * CI_BATCH)[0])
                         stopped_at.append(est)
                     offered = []
-                    est = tree.probe_edge(g, e, cfg, store, lambda est: offered.append(est) or False)
+                    est = tree.probe_edge(g, e, cfg, lambda est: offered.append(est) or False)
                     assert offered == stopped_at and est[0] == offered[-1]
                     assert est[0].samples_used == cfg.samples
-                    assert est == tree.probe_edge(g, e, cfg, store)
+                    assert est == tree.probe_edge(g, e, cfg)
                     offered = []
-                    tree.probe_edge(g, e, cfg, store, lambda est: offered.append(est) or False)
+                    tree.probe_edge(g, e, cfg, lambda est: offered.append(est) or False)
                     assert (offered == []) == memo
-                tree.insert_edge(g, e, cfg, store)
+                tree.insert_edge(g, e, cfg)
                 assert tree.expected_flow(g) == tree.copy().expected_flow(g)
         assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
         assert nesting == {"under", "above"}
@@ -1351,23 +1395,22 @@ class TestExactTables:
             n = rng.randint(4, 8)
             g = random_connected_graph(rng, n, rng.randint(1, 11 - (n - 1)))
             order = insertable_order(g, rng)
-            trees = [new_ftree(0) for _ in cfgs]
-            memos = [MemoStore() if use_memo else None for _ in cfgs]
+            trees = [new_ftree(0, use_memo) for _ in cfgs]
             for i, e in enumerate(order, start=1):
                 for c in trees[0].candidates(g).copy():
                     if not (trees[0].is_attached(c[0]) and trees[0].is_attached(c[1])):
                         continue
                     offered = []
                     probes = [
-                        t.probe_edge(g, c, cfg, memo, lambda est: offered.append(est) or False)[0]
-                        for t, cfg, memo in zip(trees, cfgs, memos)
+                        t.probe_edge(g, c, cfg, lambda est: offered.append(est) or False)[0]
+                        for t, cfg in zip(trees, cfgs)
                     ]
                     assert probes[0] == probes[1] and offered in ([], probes)
                     exact_close(probes[0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))
                     rings += 1
                 ests = []
-                for t, cfg, memo in zip(trees, cfgs, memos):
-                    t.insert_edge(g, e, cfg, memo)
+                for t, cfg in zip(trees, cfgs):
+                    t.insert_edge(g, e, cfg)
                     ests.append(t.expected_flow(g))
                 assert ests[0] == ests[1]
                 exact_close(ests[0], expected_flow_of_edges(g, 0, order[:i]))

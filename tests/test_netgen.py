@@ -273,6 +273,17 @@ class TestDistanceDecay:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             assign_distance_decay(g, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [({"lam": "1"}, "lam"), ({"scale": None}, "scale")])
+    def test_non_real_rate_or_scale_rejected_by_name(self, kwargs, name):
+        g = ProbabilisticGraph.build(2, [(0, 1, 0.5)], coordinates=[(0.0, 0.0), (0.9, 0.0)])
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, not {kwargs[name]!r}")):
+            assign_distance_decay(g, **kwargs)
+
+    def test_real_rates_and_scales_of_any_type_give_the_same_graph(self):
+        g = gen_wsn(30, 0.3, 1)
+        out = assign_distance_decay(g, lam=0.5, scale=2.0)
+        assert assign_distance_decay(g, lam=np.float64(0.5), scale=2) == out
+
     def test_replace_still_validates(self):
         # The decay returns its graph through dataclasses.replace, which
         # validates the new probabilities in full.
@@ -354,6 +365,16 @@ class TestGenSpec:
     def test_integer_parameters(self, spec, field):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {spec[field]!r}")):
             GenSpec(**spec)
+
+    @pytest.mark.parametrize("epsilon", ["0.1", None])
+    def test_real_epsilon(self, epsilon):
+        for call in (lambda: GenSpec("wsn", 10, epsilon=epsilon), lambda: gen_wsn(10, epsilon, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"epsilon must be a real number, not {epsilon!r}")):
+                call()
+
+    def test_real_epsilons_of_any_type_give_the_same_graph(self):
+        assert gen_wsn(30, np.float64(0.3), 1) == gen_wsn(30, 0.3, 1)
+        assert gen_wsn(30, 1, 1) == gen_wsn(30, 1.0, 1)
 
     def test_negative_seed_is_rejected_by_name(self):
         calls = [

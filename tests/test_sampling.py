@@ -522,6 +522,18 @@ class TestConfigValidation:
             path_graph(), 0, SamplerConfig(samples=100, master_seed=1)
         )
 
+    @pytest.mark.parametrize("alpha", ["0.01", None])
+    def test_sampler_config_takes_a_real_alpha(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be a real number, not {alpha!r}")):
+            SamplerConfig(alpha=alpha)
+
+    def test_real_alphas_of_any_type_give_the_same_estimate(self):
+        import numpy as np
+
+        plain = SamplerConfig(samples=100, master_seed=1, alpha=0.05)
+        cfg = SamplerConfig(samples=100, master_seed=1, alpha=np.float64(0.05))
+        assert mc_expected_flow(path_graph(), 0, cfg) == mc_expected_flow(path_graph(), 0, plain)
+
     @pytest.mark.parametrize("sample_count", [0, -1])
     def test_reach_table_needs_a_sample(self, sample_count):
         with pytest.raises(ValueError, match="sample_count must be >= 1"):

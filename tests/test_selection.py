@@ -261,8 +261,8 @@ class TestCiVariant:
         worlds = []
         original = FTree.probe_edge
 
-        def recording(tree, graph, edge, cfg, memo=None, stop=None):
-            est, report = original(tree, graph, edge, cfg, memo, stop)
+        def recording(tree, graph, edge, cfg, stop=None):
+            est, report = original(tree, graph, edge, cfg, stop)
             if report.edges_sampled_count:
                 worlds.append(est.samples_used)
             return est, report
@@ -293,16 +293,16 @@ class TestCiVariant:
         offers = []
         original_probe = FTree.probe_edge
 
-        def counting_probe(tree, graph, edge, cfg, memo=None, stop=None):
+        def counting_probe(tree, graph, edge, cfg, stop=None):
             if stop is None:
-                return original_probe(tree, graph, edge, cfg, memo)
+                return original_probe(tree, graph, edge, cfg)
             offers.append(0)
 
             def counted(est):
                 offers[-1] += 1
                 return stop(est)
 
-            return original_probe(tree, graph, edge, cfg, memo, counted)
+            return original_probe(tree, graph, edge, cfg, counted)
 
         monkeypatch.setattr(FTree, "_evaluate", recording)
         monkeypatch.setattr(FTree, "probe_edge", counting_probe)
@@ -324,16 +324,16 @@ class TestCiVariant:
         offers = []
         original = FTree.probe_edge
 
-        def counting(tree, graph, edge, cfg, memo=None, stop=None):
+        def counting(tree, graph, edge, cfg, stop=None):
             if stop is None:
-                return original(tree, graph, edge, cfg, memo)
+                return original(tree, graph, edge, cfg)
             offers.append(0)
 
             def counted(est):
                 offers[-1] += 1
                 return stop(est)
 
-            est, report = original(tree, graph, edge, cfg, memo, counted)
+            est, report = original(tree, graph, edge, cfg, counted)
             assert est.samples_used == EXACT_SAMPLES
             return est, report
 
@@ -390,6 +390,17 @@ class TestDsDelay:
             ds_delay(0.5, 1, 1.0)
         with pytest.raises(ValueError):
             ds_delay(0.5, -1, 2.0)
+
+    @pytest.mark.parametrize("args, message", [
+        (("1", 2, 2.0), "pot must be a real number, not '1'"),
+        ((0.5, 2, "2"), "c must be a real number, not '2'"),
+    ])
+    def test_non_real_parameters_rejected_by_name(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ds_delay(*args)
+
+    def test_integer_parameters_give_the_float_delay(self):
+        assert ds_delay(1, 8, 2) == ds_delay(1.0, 8, 2.0) == 3
 
     def test_nan_parameters_rejected(self):
         with pytest.raises(ValueError, match="pot"):
@@ -621,6 +632,17 @@ class TestRunStrategy:
     def test_non_integer_budget_rejected(self, budget):
         with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, not {budget!r}")):
             StrategyConfig("ft_m", budget)
+
+    @pytest.mark.parametrize("ds_c", ["3", None])
+    def test_non_real_ds_c_rejected(self, ds_c):
+        with pytest.raises(ValueError, match=re.escape(f"ds_c must be a real number, not {ds_c!r}")):
+            StrategyConfig("ft", 3, ds_c=ds_c)
+
+    def test_integer_ds_c_gives_the_float_selection(self):
+        g = netgen.gen_partitioned(40, 8, 1)
+        sampler = SamplerConfig(samples=60, master_seed=2)
+        runs = [greedy_select(g, 0, StrategyConfig("ft_m_ds", 10, sampler, ds_c=c)) for c in (3, 3.0)]
+        assert runs[0] == runs[1] and sum(r.candidates_delayed for r in runs[0].trace) > 0
 
     def test_determinism(self):
         rng = random.Random(6)

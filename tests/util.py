@@ -17,7 +17,6 @@ from probflow import (
     FTree,
     GraphError,
     IterationRecord,
-    MemoStore,
     ProbabilisticGraph,
     ReachTable,
     SamplerConfig,
@@ -417,14 +416,14 @@ def drawn_table(sampler, n: int) -> ReachTable:
 
 
 def replay_tree(
-    graph: ProbabilisticGraph, edges: Sequence[Edge], cfg: SamplerConfig, memo: MemoStore | None = None
+    graph: ProbabilisticGraph, edges: Sequence[Edge], cfg: SamplerConfig, memo: bool = False
 ) -> FTree:
-    """A fresh tree at query vertex 0 fed ``edges`` in order: the tree any
-    tree that took those inserts must agree with, holding none of its
-    kept state."""
-    tree = FTree(0)
+    """A fresh tree at query vertex 0, a memo tree if ``memo``, fed
+    ``edges`` in order: the tree any tree that took those inserts must
+    agree with, holding none of its kept state."""
+    tree = FTree(0, memo)
     for e in edges:
-        tree.insert_edge(graph, e, cfg, memo)
+        tree.insert_edge(graph, e, cfg)
     return tree
 
 
@@ -446,8 +445,7 @@ def reference_greedy_select(
     if not (0 <= q < graph.num_vertices):
         raise ValueError(f"unknown vertex {q}")
     use_ci, use_ds = "_ci" in cfg.variant, "_ds" in cfg.variant
-    tree = FTree(q)
-    memo = MemoStore() if cfg.variant != "ft" else None
+    tree = FTree(q, memo=cfg.variant != "ft")
     delays: dict[Edge, int] = {}
     selected: list[Edge] = []
     trace: list[IterationRecord] = []
@@ -465,10 +463,10 @@ def reference_greedy_select(
             eligible = [e for e in cands if e not in delays]
         base, terms = tree.leaf_terms(graph)
         if use_ci:
-            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg, memo)
+            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg)
         else:
             probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler, memo) for e in eligible if e not in terms
+                e: tree.probe_edge(graph, e, cfg.sampler) for e in eligible if e not in terms
             }
             pruned = set()
         mean = base.mean
@@ -476,7 +474,7 @@ def reference_greedy_select(
         if terms:
             ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
         _, best = min(ranked)
-        report = tree.insert_edge(graph, best, cfg.sampler, memo)
+        report = tree.insert_edge(graph, best, cfg.sampler)
         best_est = tree.expected_flow(graph)
         selected.append(best)
         trace.append(
