@@ -465,10 +465,12 @@ class FTree:
 
         At least one endpoint must already be attached.  A cycle-closing
         edge probed under ``cfg`` applies its kept ring's plan, and in a
-        memo tree its ring takes the table the probe read, if the probe
-        read a full one; any other cycle is planned here.  Unless
-        ``defer_sampling`` is set, every component still without a table is
-        sampled (``refresh``) and the tree is evaluated before returning.
+        memo tree, unless ``defer_sampling`` is set, its ring takes the
+        table the probe read, if the probe read a full one; any other cycle
+        is planned here.  Unless ``defer_sampling`` is set, every component
+        still without a table is sampled (``refresh``) and the tree is
+        evaluated before returning; a deferred insert leaves every new
+        component dirty.
         """
         self._use_graph(graph)
         e, prob, att_u, att_v = self._insertable(graph, edge)
@@ -493,9 +495,9 @@ class FTree:
             return InsertReport(case_taken=case, edges_sampled_count=0)
         pending = self.dirty_components()
         cost = sum(len(self.components[cid].internal_edges) for cid in pending)
-        if ring is not None and ring.scored is not None:
-            ring.comp.reach = ring.scored[0]
         if not defer_sampling:
+            if ring is not None and ring.scored is not None:
+                ring.comp.reach = ring.scored[0]
             if pending:
                 self.refresh(graph, cfg)
             self._evaluate(graph)

@@ -36,10 +36,10 @@ def check_integer(name: str, value: object) -> int:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
-def check_real(name: str, value: object) -> float:
-    """``value`` unchanged if it is a real number (``numbers.Real``: an
-    ``int``, a ``float`` or a numpy number, not text or None), else
-    ValueError naming ``name``."""
+def check_real(name: str, value: object) -> numbers.Real:
+    """``value`` unchanged, its type kept, if it is a real number
+    (``numbers.Real``: an ``int``, a ``bool``, a ``float`` or a numpy
+    number, not text or None), else ValueError naming ``name``."""
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
     return value

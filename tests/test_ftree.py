@@ -499,10 +499,14 @@ class TestProbe:
         # fed the same inserts and no probes.  Estimates and reports agree
         # bit for bit.  A memo tree's stop-checked probe follows its plain
         # one, so its kept table is offered nothing and it gives the plain
-        # estimate, which the copy's plain probe gives.  Each leaf's
-        # estimate from ``leaf_terms`` agrees too.  Every commit, which on
-        # the tree applies its probe's ring (and in a memo tree adopts its
-        # table), reports and evaluates as the twin's unprobed commit does.
+        # estimate, which the copy's plain probe gives.  After every probe
+        # and every commit a memo tree's store holds the keys the copies'
+        # stores hold, in the order they first appear: kept rings store
+        # the tables fresh probes store, and a commit adds nothing.  Each
+        # leaf's estimate from ``leaf_terms`` agrees too.  Every commit,
+        # which on the tree applies its probe's ring (and in a memo tree
+        # adopts its table), reports and evaluates as the twin's unprobed
+        # commit does.
         # Without a memo each candidate is probed twice more, so a drawn
         # ring's kept sampler re-draws from its kept stream state many times.
         rng = random.Random(77)
@@ -517,6 +521,7 @@ class TestProbe:
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
             tree, twin = new_ftree(0, use_memo), new_ftree(0, use_memo)
+            twin_keys = {}  # ordered; a key stored again keeps its first place
             after_leaf = False
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
@@ -536,10 +541,16 @@ class TestProbe:
                         redrawn += not use_memo and sampler is not None and not sampler.exact
                         est, report = tree.probe_edge(g, c, cfg, check)
                         twin_check = None if use_memo else check
-                        twin_est, twin_report = twin.copy().probe_edge(g, c, cfg, twin_check)
+                        copy = twin.copy()
+                        twin_est, twin_report = copy.probe_edge(g, c, cfg, twin_check)
                         assert (est, report) == (twin_est, twin_report)
+                        if use_memo:
+                            twin_keys.update(dict.fromkeys(copy._memo._entries))
+                            assert list(tree._memo._entries) == list(twin_keys)
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 assert tree.insert_edge(g, e, cfg) == twin.insert_edge(g, e, cfg)
+                if use_memo:
+                    assert list(tree._memo._entries) == list(twin_keys)
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
         assert use_memo or redrawn > 100
@@ -714,7 +725,25 @@ class TestProbe:
                 assert est.samples_used == ref.samples_used
         assert commits[True] > 100 and commits[False] > 20
 
-    @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_deferred_probed_commit_samples_nothing(self, use_memo):
+        # A deferred commit of a probed cycle edge leaves its new component
+        # dirty, memo tree or not, and reports and dumps as a deferred
+        # commit of an unprobed edge does; ``refresh`` then gives the tables
+        # of an undeferred commit.
+        g = running_example_graph()
+        tree, plain = build_base_tree(g, memo=use_memo), build_base_tree(g, memo=use_memo)
+        tree.probe_edge(g, (14, 15), CFG)
+        report = tree.insert_edge(g, (14, 15), CFG, defer_sampling=True)
+        assert report == plain.copy().insert_edge(g, (14, 15), CFG, defer_sampling=True)
+        assert report.case_taken == "IIIb"
+        assert len(tree.dirty_components()) == 1
+        tree.refresh(g, CFG)
+        plain.insert_edge(g, (14, 15), CFG)
+        assert tree.dump(g) == plain.dump(g)
+        assert tree.expected_flow(g) == plain.expected_flow(g)
+
+    @pytest.mark.parametrize("variant",["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_signature_text_is_built_once_per_drawn_sampler(self, monkeypatch, variant):
         # Memo lookups go by BiComponent.key; the signature text is only a
         # drawn sampler's stream key, built at its first draw.
