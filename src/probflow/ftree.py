@@ -43,7 +43,8 @@ terms; the masses are rebuilt at the next cycle probe); a cycle-closing
 insert, a renewed reach table or a call naming another graph drops it.
 Beside it sit the candidate edges, with the cycle candidates (both
 endpoints attached) in a list of their own, and each probed cycle
-candidate's ring: its plan and sampler and, in a memo tree, its table and
+candidate's ring: its plan and sampler, the drawn table a pruned probe
+left for the next probe to judge again and, in a memo tree, its table and
 the table's coefficients.  Those survive every insert.  A cycle-closing
 insert drops only the rings that take a component it folded: no other
 ring's members change their hang or factor, and attach order never
@@ -57,7 +58,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
+from functools import cache
+from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +68,7 @@ from .graphs import (
 )
 from .sampling import (
     CI_BATCH,
+    CI_MIN_SAMPLES,
     EXACT_SAMPLES,
     FlowEstimate,
     ReachTable,
@@ -167,12 +170,26 @@ class InsertReport:
 
 
 # The parts a cycle takes (``FTree._plan_cycle``); (p, lo, hi) over rounds
-# (``IncrementalComponentSampler.rows``), of all members and of each member;
-# a ring's coefficients (``FTree._coefficients``).
+# (``IncrementalComponentSampler.rows``), as (member, round) arrays; a
+# ring's coefficients (``FTree._coefficients``).
 _Parts = list[tuple[int, Optional[list[int]], int]]
 _Grid = tuple[np.ndarray, np.ndarray, np.ndarray]
-_Rows = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 _Coeffs = list[tuple[int, float, float, float]]
+
+
+@cache
+def _rounds(n: int) -> tuple[int, ...]:
+    """The world counts a drawn table of ``n`` worlds is judged at (see
+    ``FTree.probe_edge``): every multiple of ``CI_BATCH`` below n, then n."""
+    return (*range(CI_BATCH, n, CI_BATCH), n)
+
+
+def _prunes(est: FlowEstimate, floor: float) -> bool:
+    """Whether ``selection.ci_prune`` drops a candidate estimated at
+    ``est`` beside one whose lower bound is ``floor``: ``est`` has at least
+    ``CI_MIN_SAMPLES`` worlds and its ub is below the larger of the floor
+    and its own lb."""
+    return est.samples_used >= CI_MIN_SAMPLES and est.ub < max(floor, est.lb)
 
 
 @dataclass
@@ -182,14 +199,16 @@ class _Ring:
     ring (a dirty ``BiComponent``), the insert report, the parts it takes
     (``_plan_cycle``'s plan is these parts, the ring and the report's
     case), the sampler prepared at the first build a probe needs (until a
-    memo tree keeps the table it built) and, in a memo tree only, its
-    table and the table's coefficients once a probe read the table."""
+    memo tree keeps the table it built), the drawn table and its rounds'
+    grid a pruned probe left for the next probe and, in a memo tree only,
+    its table and the table's coefficients once a probe read the table."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
     report: InsertReport
     parts: _Parts
     sampler: Optional[IncrementalComponentSampler] = None
+    drawn: Optional[tuple[ReachTable, _Grid]] = None
     scored: Optional[tuple[ReachTable, _Coeffs]] = None
 
 
@@ -201,9 +220,11 @@ class _Kept:
     to the query vertex, the query vertex included, in attach order.
     ``terms``, once asked for, holds each leaf candidate's (one endpoint
     attached) weighted reach term t·w for mean, lb and ub, and ``order``
-    the same leaves as (−t·w mean, edge) pairs in ascending order.  Both
-    survive leaf inserts, which add and drop leaves but change no other
-    leaf's term.  ``rank`` holds every attached vertex's attach position
+    the same leaves as (−t·w mean, edge) pairs in ascending order;
+    ``lb_order``, once ``leaf_floors`` asks for it, holds them as (−t·w
+    lb, edge) pairs in ascending order.  All three survive leaf inserts,
+    which add and drop leaves but change no other leaf's term.  ``rank``
+    holds every attached vertex's attach position
     (the query vertex's is 0) and ``hangs`` each position's hang: the
     position of h(v) and g(v) (see the module docstring; position 0 holds
     a placeholder).  ``masses``, once a cycle probe asked for them, holds
@@ -217,6 +238,7 @@ class _Kept:
     hangs: list[tuple[int, tuple[float, float, float]]]
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
     order: Optional[list[tuple[float, Edge]]] = None
+    lb_order: Optional[list[tuple[float, Edge]]] = None
     masses: Optional[tuple[list[float], list[float], list[float]]] = None
 
 
@@ -235,9 +257,10 @@ class MemoStore:
     built anew changes no result, only how often it is built.
 
     Probes (``FTree.probe_edge``) are the store's only reader and only
-    writer: a probe stores each full table it builds and reads the table a
-    probe of a ring with the same key stored.  A commit of a probed edge
-    adopts the table its ring holds and reads no store.  Nothing is evicted.
+    writer: a probe stores each full table it builds or takes from its
+    ring, unless it prunes a drawn one, and reads the table a probe of a
+    ring with the same key stored.  A commit of a probed edge adopts the
+    table its ring holds and reads no store.  Nothing is evicted.
     """
 
     def __init__(self) -> None:
@@ -285,17 +308,17 @@ class IncrementalComponentSampler:
         self._start: Optional[dict] = None
         self._weights: Optional[np.ndarray] = None  # at the first exact build
 
-    def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Rows]]:
+    def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Grid]]:
         """The table, exact or of ``cfg.samples`` worlds drawn afresh; a drawn
-        one comes with ``rows`` over ``sizes`` if ``sizes`` (ending at
-        ``cfg.samples``) are given, its last round the table."""
+        one comes with its ``rows`` grid over ``sizes`` if ``sizes`` (ending
+        at ``cfg.samples``) are given, its last round the table."""
         if self.exact:
             return self.exact_table(), None
         n = self.cfg.samples
         grid = self.rows(self.draw(n), sizes or [n])
         p, lo, hi = (a[:, -1].tolist() for a in grid)
         table = ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), n)
-        return table, dict(zip(self._members, zip(*grid))) if sizes else None
+        return table, grid if sizes else None
 
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
@@ -349,7 +372,9 @@ class FTree:
     committed under the same ``SamplerConfig``; all of it serves one graph
     (``_use_graph``).  A memo tree (``memo``: the ``_m`` variants) also
     keeps each full table its probes build, in a ``MemoStore`` of its own,
-    and each probed ring's table with it.
+    and each probed ring's table with it.  Interval-checked callers read
+    each cycle candidate's best leaf bound from ``leaf_floors`` and probe
+    against it (``probe_edge``'s ``floor``).
     """
 
     def __init__(self, q: int, memo: bool = False):
@@ -548,7 +573,7 @@ class FTree:
         The new vertex's edges to attached vertices stop being leaves and
         close cycles from now on; its other edges become leaf candidates.
         A leaf insert changes no attached vertex's triple, so every other
-        leaf keeps its term and its place in the order.
+        leaf keeps its term and its place in both orders.
         """
         edges, cycles, graph = self._cands, self._cycles, self._graph
         del edges[bisect_left(edges, e)]
@@ -557,6 +582,7 @@ class FTree:
             return
         kept = self._kept
         terms = kept.terms if kept is not None else None
+        lows = kept.lb_order if kept is not None else None
         found: list[Edge] = []
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
@@ -564,7 +590,10 @@ class FTree:
                 if c != e:
                     insort(cycles, c)
                 if terms is not None:  # e itself, or a leaf that now closes a cycle
-                    del kept.order[bisect_left(kept.order, (-terms.pop(c)[0], c))]
+                    term = terms.pop(c)
+                    del kept.order[bisect_left(kept.order, (-term[0], c))]
+                    if lows is not None:
+                        del lows[bisect_left(lows, (-term[1], c))]
             else:
                 insort(edges, c)
                 found.append(c)
@@ -572,6 +601,8 @@ class FTree:
             for c, _, term in self._leaf_terms(found):
                 terms[c] = term
                 insort(kept.order, (-term[0], c))
+                if lows is not None:
+                    insort(lows, (-term[1], c))
 
     def _leaf_terms(
         self, edges: Iterable[Edge]
@@ -673,6 +704,35 @@ class FTree:
                 break
             best = min(best, e)
         return best
+
+    def leaf_floors(self, graph: ProbabilisticGraph, edges: Sequence[Edge]) -> list[Optional[float]]:
+        """For each of ``edges`` (edges that are not leaves, in canonical
+        order), the largest lower bound a leaf candidate before it in
+        canonical order reaches, ``lb + t`` over ``leaf_terms``, or None
+        if no leaf comes before it.
+
+        ``lb + t`` rounds monotonically in t, so each is read from the
+        leaves in descending lb-term order: the first leaf before the edge.
+        That order is built at the first call after ``leaf_terms`` builds
+        its terms and then kept beside them, so a run that never asks pays
+        nothing; one walk from its front, taking ``edges`` from the last,
+        serves them all and stops at the first leaf before the first edge.
+        """
+        base, terms = self.leaf_terms(graph)
+        kept = self._kept
+        if kept.lb_order is None:
+            kept.lb_order = sorted((-t[1], e) for e, t in terms.items())
+        order, lb = kept.lb_order, base.lb
+        floors: list[Optional[float]] = [None] * len(edges)
+        i, n = 0, len(order)
+        for j in range(len(edges) - 1, -1, -1):
+            e = edges[j]
+            while i < n and order[i][1] > e:
+                i += 1
+            if i == n:
+                break
+            floors[j] = lb - order[i][0]  # lb - (-t) is lb + t exactly
+        return floors
 
     def _plan_cycle(self, u: int, v: int, e: Edge) -> tuple[_Parts, BiComponent, str]:
         """Cases III and IV, read only: what folding the cycle the edge ``e``
@@ -864,9 +924,9 @@ class FTree:
         """The coefficients of the module docstring's sum regrouped by
         member: for each of ``ring``'s (attach position, vertex) pairs, in
         attach order, its position and g′(y) − g′(h(y))·g(y) for mean, lb
-        and ub, with g′ the reach rows ``rows`` and g′(r) = 1: floats, or
-        arrays over rounds when ``rows`` holds arrays.  They hold as long
-        as the members keep their hangs."""
+        and ub, with g′ the reach rows ``rows`` and g′(r) = 1
+        (``_round_flows`` forms them for every round of a grid at once).
+        They hold as long as the members keep their hangs."""
         hangs = self._kept.hangs
         new = {i: rows[x] for i, x in ring}
         one = (1.0, 1.0, 1.0)
@@ -877,16 +937,14 @@ class FTree:
             out.append((i, p[0] - c[0] * g[0], p[1] - c[1] * g[1], p[2] - c[2] * g[2]))
         return out
 
-    def _ring_flow(self, coeffs: _Coeffs, r: int) -> tuple:
-        """The (mean, lb, ub) flow of this tree once a cycle folds a ring
-        into a bi component hanging off r, from the ring's coefficients
-        (``_coefficients``): the sum of M(y) times y's coefficient, in
-        attach order, times t(r), on top of the tree's flow."""
+    def _masses(self) -> tuple[list[float], list[float], list[float]]:
+        """The kept mean, lb and ub subtree masses by attach position, built
+        at the first call after an evaluation or a leaf insert: one pass in
+        reverse attach order adds each g(v)·M(v) to M(h(v)) after all that
+        hangs off v was added to M(v)."""
         kept = self._kept
         if kept.masses is None:
             hangs = kept.hangs
-            # One pass in reverse attach order adds each g(v)·M(v) to M(h(v))
-            # after all that hangs off v was added to M(v).
             w = self._graph.weights
             m0 = [w[v] for v in kept.rank]
             m1, m2 = m0[:], m0[:]
@@ -896,14 +954,43 @@ class FTree:
                 m1[h] += g[1] * m1[i]
                 m2[h] += g[2] * m2[i]
             kept.masses = m0, m1, m2
-        m0, m1, m2 = kept.masses
+        return kept.masses
+
+    def _ring_flow(self, coeffs: _Coeffs, r: int) -> tuple:
+        """The (mean, lb, ub) flow of this tree once a cycle folds a ring
+        into a bi component hanging off r, from the ring's coefficients
+        (``_coefficients``): the sum of M(y) times y's coefficient, in
+        attach order, times t(r), on top of the tree's flow."""
+        m0, m1, m2 = self._masses()
         d0 = d1 = d2 = 0.0
         for i, k0, k1, k2 in coeffs:
             d0 += m0[i] * k0
             d1 += m1[i] * k1
             d2 += m2[i] * k2
-        t, base = kept.triples[r], kept.estimate
+        t, base = self._kept.triples[r], self._kept.estimate
         return base.mean + t[0] * d0, base.lb + t[1] * d1, base.ub + t[2] * d2
+
+    def _round_flows(self, ring: list[tuple[int, int]], r: int, grid: _Grid) -> np.ndarray:
+        """What ``_ring_flow`` gives for each round of a drawn table's
+        ``grid`` (rows in ascending member order) on its own, as a (mean,
+        lb, ub) × round array, scored at once and bit for bit: the
+        coefficients of ``_coefficients`` as (channel, member, round)
+        arrays in attach order, and their sums times the masses as an
+        ``np.cumsum`` down the member axis, which adds in ``_ring_flow``'s
+        order once its first term is added to 0.0."""
+        kept = self._kept
+        hangs, masses = kept.hangs, self._masses()
+        row = {x: k for k, x in enumerate(sorted(x for _, x in ring))}
+        at = {i: k for k, (i, _) in enumerate(ring)}
+        up = [at.get(hangs[i][0], -1) for i, _ in ring]
+        rows = np.stack(grid)[:, [row[x] for _, x in ring]]
+        g = np.array([[hangs[i][1][c] for i, _ in ring] for c in range(3)])[:, :, None]
+        m = np.array([[masses[c][i] for i, _ in ring] for c in range(3)])[:, :, None]
+        terms = m * (rows - np.where((np.array(up) >= 0)[:, None], rows[:, up], 1.0) * g)
+        terms[:, 0] += 0.0
+        base = kept.estimate
+        t = np.array(kept.triples[r])[:, None]
+        return np.array([base.mean, base.lb, base.ub])[:, None] + t * np.cumsum(terms, axis=1)[:, -1]
 
     def _ring_samples(self, ring: list[tuple[int, int]], n: int) -> int:
         """The fewest worlds behind any table of the grown tree, whose ring
@@ -920,30 +1007,38 @@ class FTree:
         graph: ProbabilisticGraph,
         edge: tuple[int, int],
         cfg: SamplerConfig,
-        stop: Optional[Callable[[FlowEstimate], bool]] = None,
-    ) -> tuple[FlowEstimate, InsertReport]:
+        floor: Optional[float] = None,
+    ) -> tuple[FlowEstimate, InsertReport, bool]:
         """Flow and insert report of a hypothetical cycle-closing insertion,
-        leaving this tree, its tables and its evaluation untouched (a tree
-        with no kept evaluation is evaluated first; a dirty one raises).
-        Both endpoints must be attached: a leaf edge raises FTreeError, as
-        ``leaf_terms`` scores leaves.
+        and whether ``floor`` pruned it, leaving this tree, its tables and
+        its evaluation untouched (a tree with no kept evaluation is
+        evaluated first; a dirty one raises).  Both endpoints must be
+        attached: a leaf edge raises FTreeError, as ``leaf_terms`` scores
+        leaves.
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
-        rounding.  Its ring's table comes from the ring's sampler or, in a
-        memo tree, from the ring or the tree's store (``MemoStore``), and a
-        memo tree stores a table the sampler builds and keeps it in the ring
-        unless ``stop`` accepts one of its rounds: probes are the store's
-        only reader and writer, and a commit of a probed edge adopts the
-        table its ring holds.  A drawn table's estimates over its first
-        ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and over all of them are
-        offered to ``stop`` in that order; the first one it accepts is
-        returned at once and its table kept out of the store and the ring.
-        An exact table's one estimate is offered once, after the table is
-        kept: the table is complete, so a stop that fires saves nothing.  A
-        kept or stored table is offered nothing.  A drawn table whose every
-        round was offered and refused returns its last round's estimate,
-        which is the full table's.
+        rounding.  Its ring's table comes, in this order, from the ring (a
+        memo tree's ring keeps the table a probe read), from the tree's
+        store (``MemoStore``, memo trees only), from the drawn table a
+        pruned probe left in the ring, or from the ring's sampler.  A memo
+        tree stores a table the sampler built, or a pruned probe left,
+        unless the floor prunes it: probes are the store's only reader and
+        writer, and a commit of a probed edge adopts the table its ring
+        holds.
+
+        ``floor`` is the best lower bound the caller has seen, or None.  A
+        drawn table given a floor is judged on each of its rounds, its
+        first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and all of them
+        (``_pruned_round``): at the first round whose estimate has at
+        least ``CI_MIN_SAMPLES`` worlds and an ub below the larger of the
+        floor and its own lb, the ring is pruned and that round's estimate
+        returned; the table and its grid stay in the ring, so the next
+        probe judges them again against its own floor and masses and draws
+        nothing.  An exact table is judged once, on its one estimate, after
+        it is kept: it is complete, so a prune saves nothing.  A kept or
+        stored table is never pruned.  A drawn table no round of which is
+        pruned returns its last round's estimate, the full table's.
 
         Every tree keeps each cycle candidate it probes under ``cfg``
         (``_Ring``) until an insert folds a component its ring takes (see
@@ -951,7 +1046,7 @@ class FTree:
         re-probe skips preparing the sampler.  A memo tree's ring also
         keeps its full table's coefficients, for re-probes to score in one
         multiply-add per member and channel; in a tree without a memo,
-        every probe builds its table and offers it to ``stop`` afresh.  The
+        every probe but one after a prune builds its table afresh.  The
         store is keyed by ``BiComponent.key``; the signature text is built
         only as a drawn sampler's stream key, once per sampler.  A re-probe
         returns what a fresh probe would, bit for bit.
@@ -969,34 +1064,71 @@ class FTree:
             ring = self._rings[e, cfg] = _Ring(members, comp, report, parts)
         members, r, report = ring.members, ring.comp.articulation, ring.report
         memo, scored = self._memo, ring.scored
-        table = memo.lookup(cfg, ring.comp.key()) if memo is not None and scored is None else None
-        est = None
-        if scored is None and table is None:
-            ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
-            sizes = () if stop is None else [*range(CI_BATCH, cfg.samples, CI_BATCH), cfg.samples]
-            table, rounds = ring.sampler.build(sizes)
-            if rounds is not None:
-                flows = self._ring_flow(self._coefficients(members, rounds), r)
-                for n, *flow in zip(sizes, *(f.tolist() for f in flows)):
-                    est = FlowEstimate(*flow, self._ring_samples(members, n))
-                    if stop(est):
-                        return est, report
-            if memo is not None:
-                memo.store(cfg, ring.comp.key(), table)
-                ring.sampler = None  # no memoized probe builds again
-        else:
-            stop = None  # kept and stored tables are offered nothing
+        check = None  # the floor an exact table is judged against
         if scored is None:
+            table = memo.lookup(cfg, ring.comp.key()) if memo is not None else None
+            drawn, ring.drawn = ring.drawn, None
+            if table is None:
+                if drawn is None:
+                    ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
+                    drawn = ring.sampler.build(() if floor is None else _rounds(cfg.samples))
+                table, grid = drawn
+                if grid is None:
+                    check = floor
+                elif floor is not None:
+                    est = self._pruned_round(members, r, table, grid, floor)
+                    if est is not None:
+                        ring.drawn = drawn
+                        return est, report, True
+                if memo is not None:
+                    memo.store(cfg, ring.comp.key(), table)
+                    ring.sampler = None  # no memoized probe builds again
             scored = table, self._coefficients(members, table.rows)
             if memo is not None:
                 ring.scored = scored
-        if est is None:  # else the last round's, the full table's bit for bit
-            table, coeffs = scored
-            n = table.sample_count
-            est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
-            if stop is not None:
-                stop(est)  # the table is exact
-        return est, report
+        table, coeffs = scored
+        n = table.sample_count
+        est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
+        return est, report, check is not None and _prunes(est, check)
+
+    def _pruned_round(
+        self, members: list[tuple[int, int]], r: int, table: ReachTable, grid: _Grid, floor: float
+    ) -> Optional[FlowEstimate]:
+        """The estimate of the first of a drawn table's rounds (``_rounds``
+        of its worlds; ``grid`` holds their rows) that ``floor`` prunes
+        (``_prunes``), or None if none is.
+
+        A round's worlds behind the grown tree, ``_ring_samples``, never
+        fall as its own grow, so the rounds that have ``CI_MIN_SAMPLES``
+        are the ones from the first with that many worlds of its own on,
+        if the last has.  Regrouped by member, the ring's lb is a sum of
+        lo rows times outside-ring masses Mext ≥ 0, times t(r) ≥ 0, so it
+        never falls as a lo row grows; nor does its ub as a hi row grows.
+        Scored, as one table, with each member's largest lo and smallest hi
+        over those rounds, the ring's lb bounds every round's from above
+        and its ub every round's from below: if, with a margin far above
+        their rounding error, they leave the ub at or above both the floor
+        and the lb, no round is pruned.  Otherwise every round is scored
+        (``_round_flows``) and judged.
+        """
+        sizes = _rounds(table.sample_count)
+        if self._ring_samples(members, sizes[-1]) < CI_MIN_SAMPLES:
+            return None
+        first = bisect_left(sizes, CI_MIN_SAMPLES)
+        lo_max, hi_min = grid[1][:, first:].max(1).tolist(), grid[2][:, first:].min(1).tolist()
+        bound = dict(zip(table.rows, zip(lo_max, lo_max, hi_min)))
+        _, lb, ub = self._ring_flow(self._coefficients(members, bound), r)
+        scale = self._kept.triples[r][2] * sum(self._masses()[2][i] for i, _ in members)
+        margin = 1e-9 * (abs(lb) + abs(ub) + scale)
+        if ub - margin >= max(floor, lb + margin):
+            return None
+        means, lbs, ubs = self._round_flows(members, r, grid)
+        hits = np.flatnonzero(ubs[first:] < np.maximum(floor, lbs[first:]))
+        if not hits.size:
+            return None
+        j = first + int(hits[0])
+        flow = float(means[j]), float(lbs[j]), float(ubs[j])
+        return FlowEstimate(*flow, self._ring_samples(members, sizes[j]))
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -112,13 +112,15 @@ def ds_delay(pot: float, cost: int, c: float) -> int:
     """Iterations to suspend a probed-but-unchosen candidate.
 
     floor(log_c(cost / pot)): expensive low-potential candidates wait longest.
-    A free probe (no cycle formed, cost 0) is never delayed.
+    A free probe (no cycle formed, cost 0) is never delayed.  A bad
+    parameter raises ValueError naming it: pot and c must be real numbers
+    (pot > 0, c > 1) and cost a non-negative integer.
     """
     if not (check_real("pot", pot) > 0.0):
         raise ValueError("pot must be positive")
     if not (check_real("c", c) > 1.0):
         raise ValueError("c must be > 1")
-    if cost < 0:
+    if check_integer("cost", cost) < 0:
         raise ValueError("cost must be non-negative")
     if cost == 0:
         return 0
@@ -149,8 +151,10 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
 
     Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), which
     reuses reach tables across probes keyed by component identity and lets
-    a commit adopt its probe's table, ``_ci`` stops sampling candidates that are interval-
-    dominated, ``_ds`` suspends low-potential expensive candidates.  A leaf
+    a commit adopt its probe's table; ``_ci`` probes each cycle candidate
+    against the best lower bound before it (``_probe_with_ci``), so that
+    one an interval shows dominated is pruned, often on a prefix of its
+    worlds; ``_ds`` suspends low-potential expensive candidates.  A leaf
     samples nothing, so it is never pruned or suspended.
     """
     q = check_vertex(graph, q)
@@ -179,15 +183,11 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
 
         # Leaves are never suspended, so every one is eligible.
         base, terms = tree.leaf_terms(graph)
+        cycles = [e for e in tree.cycle_candidates(graph) if e not in delays]
         if use_ci:
-            eligible = [e for e in cands if e not in delays]
-            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg)
+            probes, pruned = _probe_with_ci(tree, graph, cycles, base, cfg)
         else:
-            probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler)
-                for e in tree.cycle_candidates(graph)
-                if e not in delays
-            }
+            probes = {e: tree.probe_edge(graph, e, cfg.sampler)[:2] for e in cycles}
             pruned = set()
 
         ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
@@ -227,47 +227,38 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
 def _probe_with_ci(
     tree: FTree,
     graph: ProbabilisticGraph,
-    eligible: Sequence[Edge],
+    cycles: Sequence[Edge],
     base: FlowEstimate,
-    terms: dict[Edge, tuple[float, float, float]],
     cfg: StrategyConfig,
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
-    """Probe the cycle candidates among ``eligible`` in order, abandoning any
-    that ``ci_prune`` rules dominated by the best confirmed candidate so far.
+    """Probe the cycle candidates ``cycles`` (in canonical order) with
+    ``FTree.probe_edge``, each against the best lower bound of the
+    candidates before it among the leaves and ``cycles``: the prune
+    ``ci_prune`` would make beside the best candidate so far.
 
-    ``base`` is the tree's estimate and ``terms`` the leaf candidates'
-    terms from ``FTree.leaf_terms``; a leaf's estimate is
-    ``FTree.leaf_estimate`` of the two.  A leaf samples nothing, so it is
-    never pruned; it takes its place in the order as a candidate for the
-    running best.  Once a confirmed best exists, each cycle probe is
-    checked by ``FTree.probe_edge``'s stop predicate: a drawn ring table on
-    every ``CI_BATCH``-world prefix of its worlds and on all of them, an
-    exact one once, on its one estimate, and a kept or stored one not at all.  A
-    pruned candidate keeps the estimate it was dropped at.  Returns the
-    cycle probes' estimates and reports, and the pruned candidates.
+    Only estimates with at least ``CI_MIN_SAMPLES`` worlds count toward
+    that bound, and a pruned candidate's does not.  ``base`` is the tree's
+    estimate (``FTree.leaf_terms``); every leaf's estimate has its worlds,
+    and the best leaf bound before each cycle candidate is read from the
+    tree (``FTree.leaf_floors``), so no leaf is visited.  A candidate with
+    no bound before it is probed unchecked.  A pruned candidate keeps the
+    estimate it was pruned at.  Returns the cycle probes' estimates and
+    reports, and the pruned candidates.
     """
-    best: Optional[tuple[Edge, FlowEstimate]] = None
+    floors: Sequence[Optional[float]] = [None] * len(cycles)
+    if cycles and base.samples_used >= CI_MIN_SAMPLES:
+        floors = tree.leaf_floors(graph, cycles)
+    best: Optional[float] = None  # the best confirmed cycle lb so far
     probes: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
     pruned: set[Edge] = set()
-    for e in eligible:
-        t = terms.get(e)
-        if t is not None:
-            if base.samples_used >= CI_MIN_SAMPLES:
-                if best is None or base.lb + t[1] > best[1].lb:
-                    best = (e, tree.leaf_estimate(base, t))
-            continue
-
-        def dominated(est: FlowEstimate) -> bool:
-            if e in ci_prune([best, (e, est)]):
-                return False
+    for e, floor in zip(cycles, floors):
+        if best is not None and (floor is None or best > floor):
+            floor = best
+        est, report, cut = tree.probe_edge(graph, e, cfg.sampler, floor)
+        if cut:
             pruned.add(e)
-            return True
-
-        est, report = tree.probe_edge(graph, e, cfg.sampler, None if best is None else dominated)
-        if e not in pruned and est.samples_used >= CI_MIN_SAMPLES and (
-            best is None or est.lb > best[1].lb
-        ):
-            best = (e, est)
+        elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best):
+            best = est.lb
         probes[e] = (est, report)
     return probes, pruned
 

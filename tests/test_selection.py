@@ -38,7 +38,9 @@ from probflow import (
     netgen,
     run_strategy,
     sampling,
+    selection,
 )
+from probflow.ftree import IncrementalComponentSampler
 from probflow.selection import _local_subgraph, mc_flow_of_edges
 from util import (
     random_connected_graph,
@@ -261,11 +263,11 @@ class TestCiVariant:
         worlds = []
         original = FTree.probe_edge
 
-        def recording(tree, graph, edge, cfg, stop=None):
-            est, report = original(tree, graph, edge, cfg, stop)
+        def recording(tree, graph, edge, cfg, floor=None):
+            est, report, pruned = original(tree, graph, edge, cfg, floor)
             if report.edges_sampled_count:
                 worlds.append(est.samples_used)
-            return est, report
+            return est, report, pruned
 
         monkeypatch.setattr(FTree, "probe_edge", recording)
         sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 11, seed=7))
@@ -290,58 +292,105 @@ class TestCiVariant:
             evaluated.append((tree, counts))
             return original(tree, graph)
 
-        offers = []
-        original_probe = FTree.probe_edge
+        rounds = []
+        build = IncrementalComponentSampler.build
 
-        def counting_probe(tree, graph, edge, cfg, stop=None):
-            if stop is None:
-                return original_probe(tree, graph, edge, cfg)
-            offers.append(0)
-
-            def counted(est):
-                offers[-1] += 1
-                return stop(est)
-
-            return original_probe(tree, graph, edge, cfg, counted)
+        def counting_build(sampler, sizes=()):
+            rounds.append(len(sizes))
+            return build(sampler, sizes)
 
         monkeypatch.setattr(FTree, "_evaluate", recording)
-        monkeypatch.setattr(FTree, "probe_edge", counting_probe)
+        monkeypatch.setattr(IncrementalComponentSampler, "build", counting_build)
         # Two 9-edge rings: 2^9 worlds exceed 400 samples, so every table
-        # is drawn and offered in rounds.
+        # is drawn and, given a floor, judged in rounds.
         g = ring_chain_graph(2, ring=9)
         for seed in range(4):
             greedy_select(g, 0, scfg("ft_m_ci", 20, seed=seed, samples=400))
-        assert max(offers) > 1  # batched rounds ran
+        assert max(rounds) > 1  # batched rounds ran
         assert {n for _, counts in evaluated for _, n in counts} == {400}
         assert len(evaluated) == len({(id(tree), counts) for tree, counts in evaluated})
 
     @pytest.mark.pinned
     def test_single_offer_prunes_an_exact_candidate(self, monkeypatch):
-        # The chord's exact table is offered once, shows it dominated and
-        # prunes it; the table is stored, so a later probe of it is offered
-        # nothing.
+        # The chord's exact table is judged once against its floor, shows
+        # it dominated and prunes it; the table is stored, so a later probe
+        # of it is never pruned.
         g = pruning_demo_graph()
-        offers = []
+        judged = {}
         original = FTree.probe_edge
 
-        def counting(tree, graph, edge, cfg, stop=None):
-            if stop is None:
-                return original(tree, graph, edge, cfg)
-            offers.append(0)
+        def recording(tree, graph, edge, cfg, floor=None):
+            est, report, pruned = original(tree, graph, edge, cfg, floor)
+            if floor is not None:
+                assert est.samples_used == EXACT_SAMPLES
+                judged.setdefault(edge, []).append(pruned)
+            return est, report, pruned
 
-            def counted(est):
-                offers[-1] += 1
-                return stop(est)
-
-            est, report = original(tree, graph, edge, cfg, counted)
-            assert est.samples_used == EXACT_SAMPLES
-            return est, report
-
-        monkeypatch.setattr(FTree, "probe_edge", counting)
+        monkeypatch.setattr(FTree, "probe_edge", recording)
         sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 6, seed=7))
         assert sum(r.candidates_pruned for r in sol_ci.trace) >= 1
-        assert set(offers) == {0, 1}
+        assert judged[(2, 3)][0] and len(judged[(2, 3)]) > 1
+        assert not any(flags[1:].count(True) for flags in judged.values())
         assert sol_ci.selected == greedy_select(g, 0, scfg("ft", 6, seed=7)).selected
+
+    @pytest.mark.parametrize("variant", ["ft_m_ci", "ft_m_ci_ds"])
+    def test_floors_match_the_reference_scan(self, monkeypatch, variant):
+        # Random graphs, grown by greedy selection.  Every cycle candidate
+        # is probed against the floor the reference's running-best scan over
+        # every eligible candidate, leaves and cycles in canonical order,
+        # gives it (``reference_probe_with_ci``), bit for bit and in the same
+        # order, and the selections agree.  Some floors come from leaves
+        # (``FTree.leaf_floors``), and some candidates have none.
+        rng = random.Random(53)
+        floors_seen, from_leaves = set(), 0
+        original, leaf_floors = FTree.probe_edge, FTree.leaf_floors
+        for trial in range(10):
+            g = random_connected_graph(rng, rng.randint(8, 16), rng.randint(8, 30))
+            cfg = scfg(variant, 16, seed=trial, samples=rng.choice([60, 300]))
+            expected: list = []
+            ref = reference_greedy_select(g, 0, cfg, floors=expected)
+            got = []
+
+            def recording(tree, graph, edge, c, floor=None):
+                got.append((edge, floor))
+                return original(tree, graph, edge, c, floor)
+
+            def reading(tree, graph, edges):
+                nonlocal from_leaves
+                floors = leaf_floors(tree, graph, edges)
+                from_leaves += sum(f is not None for f in floors)
+                return floors
+
+            monkeypatch.setattr(FTree, "probe_edge", recording)
+            monkeypatch.setattr(FTree, "leaf_floors", reading)
+            assert greedy_select(g, 0, cfg) == ref
+            monkeypatch.undo()
+            assert got == expected
+            floors_seen |= {f is None for _, f in got}
+        assert floors_seen == {True, False} and from_leaves > 20
+
+    @pytest.mark.parametrize("variant", TREE_VARIANTS)
+    def test_only_interval_checks_build_the_lb_order(self, monkeypatch, variant):
+        # The leaves' lb order (``FTree.leaf_floors``) is built only when an
+        # interval-checked run first asks for it, so the other variants
+        # never hold one.
+        trees, held = [], []
+        new_tree, insert = selection.new_ftree, FTree.insert_edge
+
+        def building(*args, **kwargs):
+            trees.append(new_tree(*args, **kwargs))
+            return trees[-1]
+
+        def inserting(tree, *args, **kwargs):
+            held.append(tree._kept is not None and tree._kept.lb_order is not None)
+            return insert(tree, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "new_ftree", building)
+        monkeypatch.setattr(FTree, "insert_edge", inserting)
+        for seed in (1, 2):
+            for g in (netgen.gen_erdos(40, 6, seed), netgen.gen_partitioned(40, 8, seed)):
+                greedy_select(g, 0, scfg(variant, 15, seed=seed, samples=300))
+        assert len(trees) == 4 and any(held) == ("_ci" in variant)
 
     def test_ci_prune_interval_dominance(self):
         a = ((0, 1), FlowEstimate(0.85, 0.8, 0.9, 100))
@@ -394,6 +443,9 @@ class TestDsDelay:
     @pytest.mark.parametrize("args, message", [
         (("1", 2, 2.0), "pot must be a real number, not '1'"),
         ((0.5, 2, "2"), "c must be a real number, not '2'"),
+        ((0.5, "2", 2.0), "cost must be an integer, not '2'"),
+        ((0.5, 2.0, 2.0), "cost must be an integer, not 2.0"),
+        ((0.5, None, 2.0), "cost must be an integer, not None"),
     ])
     def test_non_real_parameters_rejected_by_name(self, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):

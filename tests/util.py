@@ -25,10 +25,12 @@ from probflow import (
     candidate_edges,
     canonical_edge,
     ds_delay,
+    ci_prune,
     induced_subgraph,
     mc_expected_flow,
 )
-from probflow.selection import _probe_with_ci
+from probflow.ftree import IncrementalComponentSampler
+from probflow.sampling import CI_BATCH, CI_MIN_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -428,20 +430,113 @@ def replay_tree(
 
 
 # ----------------------------------------------------------------------
+# Reference interval checks: every round of a probe scored on its own,
+# and the running best lower bound of a scan over every candidate.  The
+# library judges all rounds of a table at once and reads leaf floors from
+# an ordered list, and must agree with these bit for bit.
+# ----------------------------------------------------------------------
+
+def round_sizes(samples: int) -> list[int]:
+    """The world counts a drawn table of ``samples`` worlds is judged at:
+    ``CI_BATCH``, 2·``CI_BATCH``, ... below ``samples``, then ``samples``."""
+    return [*range(CI_BATCH, samples, CI_BATCH), samples]
+
+
+def reference_round_estimates(
+    tree: FTree, graph: ProbabilisticGraph, e: Edge, cfg: SamplerConfig
+) -> list[FlowEstimate] | None:
+    """The estimate a cycle probe of ``e`` gives at each round of its
+    ring's drawn table (``round_sizes``), each round's rows taken as one
+    table and scored on its own through ``FTree._coefficients`` and
+    ``FTree._ring_flow``, over the worlds ``FTree._ring_samples`` counts;
+    None for a ring whose table is exact.  The ring is planned and drawn
+    afresh, from a new sampler; ``tree`` is evaluated if it is not."""
+    tree.expected_flow(graph)
+    _, comp, _ = tree._plan_cycle(*e, e)
+    members = sorted((tree._kept.rank[x], x) for x in comp.members)
+    sampler = IncrementalComponentSampler(graph, comp, cfg)
+    if sampler.exact:
+        return None
+    sizes = round_sizes(cfg.samples)
+    p, lo, hi = sampler.rows(sampler.draw(cfg.samples), sizes)
+    out = []
+    for j, n in enumerate(sizes):
+        rows = {v: (p[k, j].item(), lo[k, j].item(), hi[k, j].item()) for k, v in enumerate(sampler._members)}
+        flow = tree._ring_flow(tree._coefficients(members, rows), comp.articulation)
+        out.append(FlowEstimate(*flow, tree._ring_samples(members, n)))
+    return out
+
+
+def reference_prune_round(estimates: Sequence[FlowEstimate], floor: float | None) -> int | None:
+    """The index of the first of ``estimates`` that ``ci_prune`` drops
+    beside a candidate whose lower bound is ``floor`` (with enough worlds
+    to count), or None: none is, or there is no floor."""
+    if floor is None:
+        return None
+    best = ((-1, -1), FlowEstimate(floor, floor, floor, CI_MIN_SAMPLES))
+    for j, est in enumerate(estimates):
+        if (0, 0) not in ci_prune([best, ((0, 0), est)]):
+            return j
+    return None
+
+
+def reference_probe_with_ci(
+    tree: FTree,
+    graph: ProbabilisticGraph,
+    eligible: Sequence[Edge],
+    cfg: StrategyConfig,
+    floors: list[tuple[Edge, float | None]] | None = None,
+) -> tuple[dict[Edge, tuple[FlowEstimate, object]], set[Edge]]:
+    """The interval-checked probes of one iteration by a scan over every
+    eligible candidate, leaves and cycles, in canonical order, keeping the
+    best candidate (by lower bound, with at least ``CI_MIN_SAMPLES``
+    worlds) so far: each cycle candidate is probed with that best's lower
+    bound as its floor, or with none before there is one, and counts
+    toward the best unless pruned.  Each (cycle candidate, floor) is
+    appended to ``floors`` when it is given.  Returns the cycle probes'
+    estimates and reports, and the pruned candidates."""
+    base, terms = tree.leaf_terms(graph)
+    best: FlowEstimate | None = None
+    probes: dict[Edge, tuple[FlowEstimate, object]] = {}
+    pruned: set[Edge] = set()
+    for e in eligible:
+        t = terms.get(e)
+        if t is not None:
+            if base.samples_used >= CI_MIN_SAMPLES and (best is None or base.lb + t[1] > best.lb):
+                best = tree.leaf_estimate(base, t)
+            continue
+        floor = None if best is None else best.lb
+        if floors is not None:
+            floors.append((e, floor))
+        est, report, cut = tree.probe_edge(graph, e, cfg.sampler, floor)
+        if cut:
+            pruned.add(e)
+        elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best.lb):
+            best = est
+        probes[e] = (est, report)
+    return probes, pruned
+
+
+# ----------------------------------------------------------------------
 # Reference component-tree greedy: every iteration walks every candidate.
 # The library's greedy_select reads the best leaf from an ordered frontier
 # and probes only the kept cycle candidates, and must agree bit for bit.
 # ----------------------------------------------------------------------
 
 def reference_greedy_select(
-    graph: ProbabilisticGraph, q: int, cfg: StrategyConfig, fast_forwards: list[int] | None = None
+    graph: ProbabilisticGraph,
+    q: int,
+    cfg: StrategyConfig,
+    fast_forwards: list[int] | None = None,
+    floors: list[tuple[Edge, float | None]] | None = None,
 ) -> Solution:
     """The component-tree greedy in O(candidates) per iteration: the
     eligible list from ``candidate_edges``, a probe of every eligible cycle
-    candidate (``_probe_with_ci`` over the eligible list under ``_ci``), and
-    ``min`` over every leaf term.  Iterations whose candidates were all
-    suspended, so that the clock was fast-forwarded, are appended to
-    ``fast_forwards`` when it is given."""
+    candidate (``reference_probe_with_ci`` over the eligible list under
+    ``_ci``, which appends each probe's floor to ``floors`` when it is
+    given), and ``min`` over every leaf term.  Iterations whose candidates
+    were all suspended, so that the clock was fast-forwarded, are appended
+    to ``fast_forwards`` when it is given."""
     if not (0 <= q < graph.num_vertices):
         raise ValueError(f"unknown vertex {q}")
     use_ci, use_ds = "_ci" in cfg.variant, "_ds" in cfg.variant
@@ -463,10 +558,10 @@ def reference_greedy_select(
             eligible = [e for e in cands if e not in delays]
         base, terms = tree.leaf_terms(graph)
         if use_ci:
-            probes, pruned = _probe_with_ci(tree, graph, eligible, base, terms, cfg)
+            probes, pruned = reference_probe_with_ci(tree, graph, eligible, cfg, floors)
         else:
             probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler) for e in eligible if e not in terms
+                e: tree.probe_edge(graph, e, cfg.sampler)[:2] for e in eligible if e not in terms
             }
             pruned = set()
         mean = base.mean

@@ -1,20 +1,23 @@
-"""Wall time and peak memory of the world kernels at scale.
+"""Wall time and peak memory of the world kernels and of selection at scale.
 
 Each kernel runs once in a fresh Python process, so that one's peak cannot
-hide the other's:
+hide another's:
 
 - ``mc_expected_flow`` on the whole
   ``assign_distance_decay(gen_wsn(500, 0.08, 1), lam=0.001, scale=10000)``
   graph (2309 edges) at 20 000 samples: the draw path;
 - ``exact_expected_flow`` on the tests' 20-edge graph
   (``twenty_edge_graph`` in ``tests/util.py``), 2^20 worlds: the
-  enumeration path at the oracle's limit.
+  enumeration path at the oracle's limit;
+- ``run_strategy`` of ``ft_m`` and of ``ft_m_ci`` on
+  ``gen_partitioned(1000, 8, 1)`` at k=200 (1000 samples, master seed 7):
+  the memoized greedy and its interval-checked variant at scale.
 
 Each line gives the kernel call's wall seconds (imports and graph
 construction not included), the process's maximum resident set size
 (``ru_maxrss``, which includes the interpreter and numpy) and the value
-computed.  The library and the tests' helpers are imported from this
-checkout.
+computed: a flow, or a selection's last recorded flow.  The library and
+the tests' helpers are imported from this checkout.
 
 Run from the repository root:
 
@@ -39,11 +42,22 @@ KERNELS = {
         "graph = twenty_edge_graph()\n"
         "run = lambda: exact_expected_flow(graph, 0)\n"
     ),
+    **{
+        f"run_strategy {variant}, partitioned-1000, k=200": (
+            "graph = gen_partitioned(1000, 8, 1)\n"
+            f"cfg = StrategyConfig({variant!r}, 200, SamplerConfig(samples=1000, master_seed=7))\n"
+            "run = lambda: run_strategy(graph, 0, cfg).trace[-1].flow.mean\n"
+        )
+        for variant in ("ft_m", "ft_m_ci")
+    },
 }
 
 CHILD = """\
 import resource, time
-from probflow import SamplerConfig, assign_distance_decay, exact_expected_flow, gen_wsn, mc_expected_flow
+from probflow import (
+    SamplerConfig, StrategyConfig, assign_distance_decay, exact_expected_flow, gen_partitioned, gen_wsn,
+    mc_expected_flow, run_strategy,
+)
 from util import twenty_edge_graph
 {setup}
 start = time.perf_counter()
