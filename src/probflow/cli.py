@@ -190,12 +190,13 @@ def _cmd_maxflow(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     graph, q = _load_inputs(args)
     edges = _read_edge_set(args.edge_set, graph) if args.edge_set else []
+    sampler = _sampler_config(args)  # checked in every mode, though exact draws nothing
     if args.mode == "exact":
         flow = expected_flow_of_edges(graph, q, edges)
         lb = ub = flow
         samples = "exact"
     else:
-        est = mc_flow_of_edges(graph, q, edges, _sampler_config(args))
+        est = mc_flow_of_edges(graph, q, edges, sampler)
         flow, lb, ub = est.mean, est.lb, est.ub
         samples = str(est.samples_used)
     line = (
@@ -213,6 +214,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
+
+# The generator parameter each family never reads (``netgen._check``): a
+# sweep of it would write the same instance at every point.
+UNREAD_AXIS = {"erdos": "eps", "partitioned": "eps", "wsn": "deg"}
 
 BENCH_HEADER = (
     "axis,value,variant,repeat,flow_ref,ref_lb,ref_ub,flow_self,selected,elapsed_ms,"
@@ -288,6 +293,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown sweep axis {axis!r}")
         if instance is not None and axis in ("n", "deg", "eps"):
             raise ValueError(f"axis {axis!r} requires generated instances, not --edges input")
+        if instance is None and axis == UNREAD_AXIS[args.family]:
+            raise ValueError(f"sweep axis {axis!r} is not read by family {args.family!r}")
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
         if not values:
             raise ValueError("empty sweep value list")

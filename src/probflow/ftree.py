@@ -45,13 +45,14 @@ Beside it sit the candidate edges, with the cycle candidates (both
 endpoints attached) in a list of their own, and each probed cycle
 candidate's ring: its plan and sampler, the drawn table a pruned probe
 left for the next probe to judge again and, in a memo tree, its table and
-the table's coefficients.  Those survive every insert.  A cycle-closing
-insert drops only the rings that take a component it folded: no other
-ring's members change their hang or factor, and attach order never
-changes; the commit of a probed edge applies its ring's plan and, in a
-memo tree, adopts its ring's table.  A call naming another graph drops
-them all, and a memo tree's store (``MemoStore``) with them.  A copy keeps
-none of it.
+the table's coefficients.  The rings are a memo tree's only table cache.
+They survive every insert but their own edge's commit, which applies the
+ring's plan and, in a memo tree, adopts its table.  A cycle-closing insert
+marks stale the rings that take a component it folded: no other ring's
+members change their hang or factor, and attach order never changes.  A
+stale ring is planned again at its next probe, and keeps its table, draw
+and sampler if its component is unchanged.  A call naming another graph
+drops them all.  A copy keeps none of it.
 """
 
 from __future__ import annotations
@@ -116,10 +117,6 @@ class MonoComponent:
         return MonoComponent(self.articulation, dict(self.parent_edges))
 
 
-# A bi component's memo key (``BiComponent.key``).
-MemoKey = tuple[int, tuple[Edge, ...]]
-
-
 @dataclass
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
@@ -140,12 +137,6 @@ class BiComponent:
         verts = ",".join(map(str, sorted(self.members)))
         edges = ",".join(f"{u}-{v}" for u, v in sorted(self.internal_edges))
         return f"av={self.articulation};v={verts};e={edges}"
-
-    def key(self) -> MemoKey:
-        """The component's identity as the signature gives it, as a memo key:
-        the articulation vertex and the edges in sorted order.  Its members
-        are its edges' endpoints other than the articulation vertex."""
-        return self.articulation, tuple(sorted(self.internal_edges))
 
     def copy(self) -> "BiComponent":
         return BiComponent(set(self.members), self.articulation, set(self.internal_edges), self.reach)
@@ -194,19 +185,22 @@ def _prunes(est: FlowEstimate, floor: float) -> bool:
 
 @dataclass
 class _Ring:
-    """A probed cycle candidate, kept until an insert folds a component it
-    takes: its ring's (attach position, vertex) pairs in attach order, the
-    ring (a dirty ``BiComponent``), the insert report, the parts it takes
+    """A probed cycle candidate, kept until its edge is committed: its
+    ring's (attach position, vertex) pairs in attach order, the ring (a
+    dirty ``BiComponent``), the insert report, the parts it takes
     (``_plan_cycle``'s plan is these parts, the ring and the report's
-    case), the sampler prepared at the first build a probe needs (until a
-    memo tree keeps the table it built), the drawn table and its rounds'
-    grid a pruned probe left for the next probe and, in a memo tree only,
-    its table and the table's coefficients once a probe read the table."""
+    case; None once an insert folded a component it takes, which makes
+    the ring stale), the sampler prepared at the first build a probe needs
+    (until a memo tree keeps the table it built), the drawn table and its
+    rounds' grid a pruned probe left for the next probe and, in a memo tree
+    only, its table and the table's coefficients once a probe read the
+    table.  All but the parts and the report hold for as long as the
+    ring's component is unchanged (see ``FTree._close_cycle``)."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
     report: InsertReport
-    parts: _Parts
+    parts: Optional[_Parts]
     sampler: Optional[IncrementalComponentSampler] = None
     drawn: Optional[tuple[ReachTable, _Grid]] = None
     scored: Optional[tuple[ReachTable, _Coeffs]] = None
@@ -243,37 +237,21 @@ class _Kept:
 
 
 class MemoStore:
-    """A memo tree's store of reach tables (``FTree(q, memo=True)``), keyed
-    by the ``SamplerConfig`` a table was built under and its component's
-    ``BiComponent.key``: the articulation vertex and the sorted edges.
-
-    The store is private to its tree, which makes every key, and serves
-    the one graph the tree serves: naming another graph gives the tree a
-    new store, and a copy gets one of its own.  Tables for equal keys are
-    interchangeable (exact tables depend on the component alone, sampling
-    streams are derived from the config's master seed and the component's
-    signature, which the key determines, and only full-budget tables are
-    stored), so whether a component's table comes from the store or is
-    built anew changes no result, only how often it is built.
-
-    Probes (``FTree.probe_edge``) are the store's only reader and only
-    writer: a probe stores each full table it builds or takes from its
-    ring, unless it prunes a drawn one, and reads the table a probe of a
-    ring with the same key stored.  A commit of a probed edge adopts the
-    table its ring holds and reads no store.  Nothing is evicted.
+    """A store of reach tables keyed by a ``SamplerConfig`` and a component
+    key.  No tree uses it: a memo tree's probed rings (``_Ring``) are its
+    only table cache.  It stays only because the benchmark tracer
+    (``perfbench/tracer.py``) wraps ``lookup`` and ``store`` for its
+    ``ftree.memo.*`` counters, which read 0, until that tracer drops them.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[SamplerConfig, MemoKey], ReachTable] = {}
+        self._entries: dict[tuple[SamplerConfig, object], ReachTable] = {}
 
-    def lookup(self, cfg: SamplerConfig, key: MemoKey) -> Optional[ReachTable]:
+    def lookup(self, cfg: SamplerConfig, key: object) -> Optional[ReachTable]:
         return self._entries.get((cfg, key))
 
-    def store(self, cfg: SamplerConfig, key: MemoKey, table: ReachTable) -> None:
+    def store(self, cfg: SamplerConfig, key: object, table: ReachTable) -> None:
         self._entries[cfg, key] = table
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class IncrementalComponentSampler:
@@ -371,15 +349,15 @@ class FTree:
     cycle candidate's ring (``_Ring``), reused when it is re-probed or
     committed under the same ``SamplerConfig``; all of it serves one graph
     (``_use_graph``).  A memo tree (``memo``: the ``_m`` variants) also
-    keeps each full table its probes build, in a ``MemoStore`` of its own,
-    and each probed ring's table with it.  Interval-checked callers read
+    keeps in each probed ring the full table its probes read, with the
+    table's coefficients.  Interval-checked callers read
     each cycle candidate's best leaf bound from ``leaf_floors`` and probe
     against it (``probe_edge``'s ``floor``).
     """
 
     def __init__(self, q: int, memo: bool = False):
         self.q = check_integer("q", q)
-        self._memo = MemoStore() if memo else None
+        self.memo = memo
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
         self._kept: Optional[_Kept] = None
@@ -404,11 +382,10 @@ class FTree:
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
         need none).  It keeps no state: its first evaluation is from
-        scratch, and it has no candidates, no cycle probes and, if a memo
-        tree, an empty store of its own."""
+        scratch, and it has no candidates and no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
-        other._memo = None if self._memo is None else MemoStore()
+        other.memo = self.memo
         other._next_id = self._next_id
         other._graph, other._kept, other._cands, other._cycles = None, None, None, None
         other._rings = {}
@@ -419,16 +396,14 @@ class FTree:
         return other
 
     def _use_graph(self, graph: ProbabilisticGraph) -> None:
-        """Serve ``graph`` from here on: the kept evaluation, candidates,
-        rings and memo store are for one graph, so naming another drops them
-        all.  Every public entry that reads or extends them calls this
-        first.  The root is checked against each graph the tree takes up."""
+        """Serve ``graph`` from here on: the kept evaluation, candidates and
+        rings are for one graph, so naming another drops them all.  Every
+        public entry that reads or extends them calls this first.  The root
+        is checked against each graph the tree takes up."""
         if graph is not self._graph:
             check_vertex(graph, self.q)
             self._graph, self._kept, self._cands, self._cycles = graph, None, None, None
             self._rings = {}
-            if self._memo is not None:
-                self._memo = MemoStore()
 
     def is_attached(self, v: int) -> bool:
         return v == self.q or v in self.vertex_index
@@ -489,19 +464,22 @@ class FTree:
         """Add one selected edge, dispatching the structural update cases.
 
         At least one endpoint must already be attached.  A cycle-closing
-        edge probed under ``cfg`` applies its kept ring's plan, and in a
-        memo tree, unless ``defer_sampling`` is set, its ring takes the
-        table the probe read, if the probe read a full one; any other cycle
-        is planned here.  Unless ``defer_sampling`` is set, every component
-        still without a table is sampled (``refresh``) and the tree is
-        evaluated before returning; a deferred insert leaves every new
-        component dirty.
+        edge probed under ``cfg`` applies its kept ring's plan, unless the
+        ring is stale, and in a memo tree, unless ``defer_sampling`` is set,
+        its ring takes the table the probe read, if the probe read a full
+        one; any other cycle is planned here.  The commit drops the edge's
+        rings (``_close_cycle``).  Unless ``defer_sampling`` is set, every
+        component still without a table is sampled (``refresh``) and the
+        tree is evaluated before returning; a deferred insert leaves every
+        new component dirty.
         """
         self._use_graph(graph)
         e, prob, att_u, att_v = self._insertable(graph, edge)
         u, v = e
         fresh: Optional[int] = None
         ring = self._rings.get((e, cfg))
+        if ring is not None and ring.parts is None:
+            ring = None  # stale: planned afresh
         if att_u and att_v:
             self._kept = None
             if ring is None:
@@ -794,20 +772,27 @@ class FTree:
         them: a member joins its parent's group, or the parent's own if the
         parent is on the path.  Returns the case.
 
-        The kept rings that take a part go.  A ring that takes none is
-        planned again as it was: every component it takes is unchanged,
-        and a climb from one of them still leads to the others, or to the
-        component owning the vertex where the ring's two climbs meet.  Its
-        members keep their hangs, factors and attach positions, so its
-        coefficients hold too.  Sharing no edge with the new ring is not
-        enough: a mono part shared without a shared edge still loses a path
-        and may split, and the ring's case can change with it.
+        The rings of the edge the new ring closes, under every config, go;
+        the kept rings that take a part are marked stale (``_Ring``).  A
+        ring that takes none is planned again as it was: every component it
+        takes is unchanged, and a climb from one of them still leads to the
+        others, or to the component owning the vertex where the ring's two
+        climbs meet.  Its members keep their hangs, factors and attach
+        positions, so its coefficients hold too.  Sharing no edge with the
+        new ring is not enough: a mono part shared without a shared edge
+        still loses a path and may split, and the ring's case can change
+        with it.  A stale ring whose new plan has the same component keeps
+        its table and coefficients for the same reason: had the new ring
+        taken one of its members, its new plan would take the new ring
+        whole, and with it the edge just committed, which its old plan
+        lacks.
         """
         ring_id = self._add_component(ring)
         taken = {cid for cid, _, _ in parts}
-        self._rings = {
-            k: r for k, r in self._rings.items() if taken.isdisjoint(c for c, _, _ in r.parts)
-        }
+        self._rings = {k: r for k, r in self._rings.items() if k[0] not in ring.internal_edges}
+        for r in self._rings.values():
+            if r.parts is not None and not taken.isdisjoint(c for c, _, _ in r.parts):
+                r.parts = None
         for cid, path, wedge in parts:
             comp = self.components[cid]
             if isinstance(comp, MonoComponent):
@@ -855,11 +840,11 @@ class FTree:
         """Build every dirty component's reach table.
 
         Each dirty component gets its table from its sampler's ``build``
-        (exact, or drawn at its full budget in one call); no store is read
-        or written (see ``MemoStore``).  Renewing a table drops the tree's
-        kept evaluation.  No kept ring takes a dirty component: only a
-        cycle-closing insert makes one, after dropping the rings it
-        touches, and rings are planned on evaluated trees only.
+        (exact, or drawn at its full budget in one call).  Renewing a table
+        drops the tree's kept evaluation.  No live kept ring takes a dirty
+        component: only a cycle-closing insert makes one, after marking
+        stale the rings it touches, and rings are planned on evaluated trees
+        only.
         """
         for cid in self.dirty_components():
             self._kept = None
@@ -1019,13 +1004,10 @@ class FTree:
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
         rounding.  Its ring's table comes, in this order, from the ring (a
-        memo tree's ring keeps the table a probe read), from the tree's
-        store (``MemoStore``, memo trees only), from the drawn table a
-        pruned probe left in the ring, or from the ring's sampler.  A memo
-        tree stores a table the sampler built, or a pruned probe left,
-        unless the floor prunes it: probes are the store's only reader and
-        writer, and a commit of a probed edge adopts the table its ring
-        holds.
+        memo tree's ring keeps the table a probe read unless the floor
+        pruned it), from the drawn table a pruned probe left in the ring, or
+        from the ring's sampler.  A commit of a probed edge adopts the table
+        its ring holds.
 
         ``floor`` is the best lower bound the caller has seen, or None.  A
         drawn table given a floor is judged on each of its rounds, its
@@ -1041,15 +1023,17 @@ class FTree:
         pruned returns its last round's estimate, the full table's.
 
         Every tree keeps each cycle candidate it probes under ``cfg``
-        (``_Ring``) until an insert folds a component its ring takes (see
-        ``_close_cycle``), so a re-probe or a commit skips planning and a
-        re-probe skips preparing the sampler.  A memo tree's ring also
-        keeps its full table's coefficients, for re-probes to score in one
-        multiply-add per member and channel; in a tree without a memo,
-        every probe but one after a prune builds its table afresh.  The
-        store is keyed by ``BiComponent.key``; the signature text is built
-        only as a drawn sampler's stream key, once per sampler.  A re-probe
-        returns what a fresh probe would, bit for bit.
+        (``_Ring``) until its edge is committed, so a re-probe or a commit
+        skips planning and a re-probe skips preparing the sampler.  A ring
+        an insert made stale (see ``_close_cycle``) is planned again: if
+        its component, the articulation vertex and the edges, is unchanged,
+        it takes the new parts and report and keeps the rest; otherwise a
+        new ring replaces it.  A memo tree's ring also keeps its full
+        table's coefficients, for re-probes to score in one multiply-add
+        per member and channel; in a tree without a memo, every probe but
+        one after a prune builds its table afresh.  The signature text is
+        built only as a drawn sampler's stream key, once per sampler.  A
+        re-probe returns what a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -1057,35 +1041,34 @@ class FTree:
             raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
         kept = self._kept or self._evaluate(graph)
         ring = self._rings.get((e, cfg))
-        if ring is None:
+        if ring is None or ring.parts is None:
             parts, comp, case = self._plan_cycle(*e, e)
-            members = sorted((kept.rank[x], x) for x in comp.members)
             report = InsertReport(case, len(comp.internal_edges))
-            ring = self._rings[e, cfg] = _Ring(members, comp, report, parts)
-        members, r, report = ring.members, ring.comp.articulation, ring.report
-        memo, scored = self._memo, ring.scored
+            if ring is not None and (ring.comp.articulation, ring.comp.internal_edges) == (
+                comp.articulation, comp.internal_edges
+            ):
+                ring.parts, ring.report = parts, report  # its component is unchanged
+            else:
+                members = sorted((kept.rank[x], x) for x in comp.members)
+                ring = self._rings[e, cfg] = _Ring(members, comp, report, parts)
+        members, r, report, scored = ring.members, ring.comp.articulation, ring.report, ring.scored
         check = None  # the floor an exact table is judged against
         if scored is None:
-            table = memo.lookup(cfg, ring.comp.key()) if memo is not None else None
             drawn, ring.drawn = ring.drawn, None
-            if table is None:
-                if drawn is None:
-                    ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
-                    drawn = ring.sampler.build(() if floor is None else _rounds(cfg.samples))
-                table, grid = drawn
-                if grid is None:
-                    check = floor
-                elif floor is not None:
-                    est = self._pruned_round(members, r, table, grid, floor)
-                    if est is not None:
-                        ring.drawn = drawn
-                        return est, report, True
-                if memo is not None:
-                    memo.store(cfg, ring.comp.key(), table)
-                    ring.sampler = None  # no memoized probe builds again
+            if drawn is None:
+                ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
+                drawn = ring.sampler.build(() if floor is None else _rounds(cfg.samples))
+            table, grid = drawn
+            if grid is None:
+                check = floor
+            elif floor is not None:
+                est = self._pruned_round(members, r, table, grid, floor)
+                if est is not None:
+                    ring.drawn = drawn
+                    return est, report, True
             scored = table, self._coefficients(members, table.rows)
-            if memo is not None:
-                ring.scored = scored
+            if self.memo:
+                ring.scored, ring.sampler = scored, None  # no memoized probe builds again
         table, coeffs = scored
         n = table.sample_count
         est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))

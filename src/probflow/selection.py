@@ -149,9 +149,10 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     ties going to the smallest edge.  The flow recorded for the committed
     edge is the live tree's own after the insert.
 
-    Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), which
-    reuses reach tables across probes keyed by component identity and lets
-    a commit adopt its probe's table; ``_ci`` probes each cycle candidate
+    Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), whose
+    probed rings keep their reach tables across probes and across the
+    commits that leave a ring's component unchanged, and whose commit
+    adopts its probe's table; ``_ci`` probes each cycle candidate
     against the best lower bound before it (``_probe_with_ci``), so that
     one an interval shows dominated is pruned, often on a prefix of its
     worlds; ``_ds`` suspends low-potential expensive candidates.  A leaf

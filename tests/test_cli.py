@@ -227,6 +227,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "error: alpha must be above 2**-53" in err and "quantile argument" not in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "5", "error: alpha must be in (0,1)\n"),
+        ("--samples", "0", "error: samples must be >= 1\n"),
+    ], ids=["alpha", "samples"])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_bad_sampler_flag_rejected_in_every_mode(self, tmp_path, capsys, mode, flag, value, message):
+        # Exact mode samples nothing, but a bad sampler flag is still an
+        # error, with the text mc mode and maxflow give.
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        rc = main(["evaluate", "--edges", paths["edges"], "--weights", paths["weights"],
+                   "--query", "Q", "--mode", mode, flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == message
+
     def test_missing_input_file_leaks_no_handle(self, tmp_path, capsys):
         paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
         with warnings.catch_warnings(record=True) as caught:
@@ -373,14 +387,14 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sweep, message", [
-        ("k=2,2", "sweep value 2 listed twice"),
-        ("k=2,2.0", "sweep value 2 listed twice"),
-        ("eps=0.1,0.10", "sweep value 0.1 listed twice"),
+    @pytest.mark.parametrize("family, sweep, message", [
+        ("erdos", "k=2,2", "sweep value 2 listed twice"),
+        ("erdos", "k=2,2.0", "sweep value 2 listed twice"),
+        ("wsn", "eps=0.1,0.10", "sweep value 0.1 listed twice"),
     ], ids=["twice", "int-and-float", "trailing-zero"])
-    def test_repeated_sweep_value_rejected(self, tmp_path, capsys, sweep, message):
+    def test_repeated_sweep_value_rejected(self, tmp_path, capsys, family, sweep, message):
         out = tmp_path / "x.csv"
-        rc = main(["bench", "--family", "erdos", "--n", "24", "--deg", "4",
+        rc = main(["bench", "--family", family, "--n", "24", "--deg", "4",
                    "--variants", "ft", "--sweep", sweep, "--samples", "200",
                    "--ref-samples", "1000", "--seed", "5", "--out", str(out)])
         assert rc == 2
@@ -427,6 +441,27 @@ class TestBench:
                    "--variants", "ft,ft_m_ds", "--sweep", sweep, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, sweep", [
+        ("erdos", "eps=0.1,0.3"),
+        ("partitioned", "eps=0.1,0.3"),
+        ("wsn", "deg=2,4"),
+    ])
+    def test_sweep_of_an_axis_the_family_never_reads_rejected(
+        self, tmp_path, capsys, monkeypatch, family, sweep
+    ):
+        # erdos and partitioned read no epsilon and wsn no degree, so every
+        # point of such a sweep would be the same instance.
+        calls = []
+        monkeypatch.setattr("probflow.cli.run_strategy", lambda *args: calls.append(args))
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--family", family, "--n", "40", "--deg", "4",
+                   "--variants", "ft", "--sweep", sweep, "--out", str(out)])
+        assert rc == 2
+        axis = sweep.split("=")[0]
+        assert capsys.readouterr().err == f"error: sweep axis {axis!r} is not read by family {family!r}\n"
         assert calls == []
         assert not out.exists()
 

@@ -31,6 +31,7 @@ from probflow import (
     netgen,
     new_ftree,
     normal_quantile,
+    selection,
 )
 from probflow.ftree import FTree, IncrementalComponentSampler, MemoStore
 from probflow.sampling import CI_BATCH
@@ -508,13 +509,11 @@ class TestProbe:
         # probe's mean or ub, or infinite.  A memo tree's floor-checked probe
         # follows its plain one, so its kept table is never pruned and it
         # gives the plain estimate, which the copy's plain probe gives.
-        # After every probe and every commit a memo tree's store holds the
-        # keys the copies' stores hold, in the order they first appear:
-        # kept rings store the tables fresh probes store, and a commit adds
-        # nothing.  Each leaf's estimate from ``leaf_terms`` agrees too.
-        # Every commit, which on the tree applies its probe's ring (and in a
-        # memo tree adopts its table), reports and evaluates as the twin's
-        # unprobed commit does.
+        # After every probe a memo tree's ring holds the table the copy's
+        # fresh ring holds.  Each leaf's estimate from ``leaf_terms`` agrees
+        # too.  Every commit, which on the tree applies its probe's ring (and
+        # in a memo tree adopts its table) and drops it, reports and
+        # evaluates as the twin's unprobed commit does.
         # Without a memo each candidate is probed twice more, so a drawn
         # ring's kept sampler re-draws from its kept stream state many
         # times, and a pruned ring's next probe judges its kept draw.
@@ -526,7 +525,6 @@ class TestProbe:
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
             tree, twin = new_ftree(0, use_memo), new_ftree(0, use_memo)
-            twin_keys = {}  # ordered; a key stored again keeps its first place
             after_leaf = False
             for e in insertable_order(g, rng):
                 for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
@@ -555,12 +553,10 @@ class TestProbe:
                         assert got == copy.probe_edge(g, c, cfg, None if use_memo else floor)
                         pruned += got[2]
                         if use_memo:
-                            twin_keys.update(dict.fromkeys(copy._memo._entries))
-                            assert list(tree._memo._entries) == list(twin_keys)
+                            assert tree._rings[c, cfg].scored[0] == copy._rings[c, cfg].scored[0]
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 assert tree.insert_edge(g, e, cfg) == twin.insert_edge(g, e, cfg)
-                if use_memo:
-                    assert list(tree._memo._entries) == list(twin_keys)
+                assert (e, cfg) not in tree._rings
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
         assert use_memo or (redrawn > 100 and pruned > 100)
@@ -648,17 +644,18 @@ class TestProbe:
     def test_kept_rings_survive_untouched_commits(self, use_memo):
         # Random geometric graphs, whose cycles are local, in random
         # insertion orders.  Before every commit each cycle candidate is
-        # probed.  After every cycle commit each kept ring that survived is
-        # what a fresh plan of its edge gives (members in attach order,
-        # articulation, edges, report and the parts it takes), and a
-        # memoized ring's kept table is its store's and its coefficients are
-        # the table's over the new tree.  Its re-probe, plain and, without a
-        # memo, with an infinite floor, which prunes it at its first round,
-        # equals a probe of a tree rebuilt by replaying the inserts, bit for
-        # bit.
+        # probed.  After every cycle commit each kept ring the commit did not
+        # mark stale is what a fresh plan of its edge gives (members in
+        # attach order, articulation, edges, report and the parts it takes),
+        # and a memoized ring's kept table is the one a fresh probe builds and
+        # its coefficients are the table's over the new tree.  Its re-probe,
+        # plain and, without a memo, with an infinite floor, which prunes it
+        # at its first round, equals a probe of a tree rebuilt by replaying
+        # the inserts, bit for bit.  (Stale rings are
+        # test_stale_rings_keep_unchanged_tables's.)
         rng = random.Random(6061)
         cfg = SamplerConfig(samples=300, master_seed=23)
-        survived = dropped = 0
+        survived = stale = 0
         for trial in range(20):
             g = netgen.gen_wsn(rng.randint(10, 18), 0.4, rng.randrange(1000))
             tree, inserted = new_ftree(0, use_memo), []
@@ -666,14 +663,15 @@ class TestProbe:
                 for c in tree.cycle_candidates(g):
                     tree.probe_edge(g, c, cfg)
                 leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
-                before = len(tree._rings)
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
                 if leaf:
                     continue
-                dropped += before - len(tree._rings)
                 replay = replay_tree(g, inserted, cfg, use_memo)
                 for (c, _), ring in tree._rings.items():
+                    if ring.parts is None:
+                        stale += 1
+                        continue
                     parts, comp, case = tree._plan_cycle(*c, c)
                     assert (ring.comp.members, ring.comp.articulation, ring.comp.internal_edges) == (
                         comp.members, comp.articulation, comp.internal_edges
@@ -681,41 +679,113 @@ class TestProbe:
                     assert ring.report == InsertReport(case, len(comp.internal_edges))
                     assert ring.parts == parts
                     assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
-                    if ring.scored is not None:
-                        table, coeffs = ring.scored
-                        assert table is tree._memo.lookup(cfg, ring.comp.key())
-                        assert coeffs == tree._coefficients(ring.members, table.rows)
                     for floor in (None,) if use_memo else (None, math.inf):
                         fresh = replay.probe_edge(g, c, cfg, floor)
                         assert tree.probe_edge(g, c, cfg, floor) == fresh
+                    if use_memo:
+                        table, coeffs = ring.scored
+                        assert table == replay._rings[c, cfg].scored[0]
+                        assert coeffs == tree._coefficients(ring.members, table.rows)
                     survived += 1
-        assert survived > 200 and dropped > 1000
+        assert survived > 200 and stale > 1000
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_stale_rings_keep_unchanged_tables(self, monkeypatch, use_memo):
+        # Random graphs in random insertion orders.  Before every commit each
+        # cycle candidate is probed, plain or, twice as often, against an
+        # infinite floor, which prunes a drawn ring at its first round.
+        # After every cycle commit each ring the commit marked stale is
+        # probed again.  A ring whose new plan keeps its component
+        # (articulation vertex and edges) stays the
+        # same ring, with the new plan's parts, prepares no sampler and
+        # builds only what a live ring's re-probe builds: nothing for a table
+        # it keeps (memo trees, exact or drawn) or a pruned draw it judges
+        # again, else one table from its kept sampler.  A ring whose
+        # component changed is replaced and builds once.  Either way the
+        # re-probe returns what a probe of a tree rebuilt by replaying the
+        # inserts returns, bit for bit.  A kept table is never pruned, so it
+        # is compared plain, and an infinite floor then leaves it unpruned.
+        # Sparse graphs of up to 20 vertices, whose long mono paths a commit
+        # often splits without folding a ring that crosses them, give rings
+        # both enumerated (2^m <= 30) and drawn.
+        built, prepared = count_builds(monkeypatch), []
+        init = IncrementalComponentSampler.__init__
+        monkeypatch.setattr(
+            IncrementalComponentSampler, "__init__", lambda s, *a: prepared.append(1) or init(s, *a)
+        )
+        rng = random.Random(4711)
+        cfg = SamplerConfig(samples=30, master_seed=19)
+        seen: dict[tuple[bool, str], int] = {}
+        for trial in range(100):
+            n = rng.randint(10, 20)
+            g = random_connected_graph(rng, n, rng.randint(2, n))
+            tree, inserted = new_ftree(0, use_memo), []
+            for e in insertable_order(g, rng):
+                for c in tree.cycle_candidates(g):
+                    tree.probe_edge(g, c, cfg, rng.choice([None, math.inf, math.inf]))
+                cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
+                tree.insert_edge(g, e, cfg)
+                inserted.append(e)
+                if not cycle:
+                    continue
+                replay = replay_tree(g, inserted, cfg, use_memo)
+                for (c, _), ring in list(tree._rings.items()):
+                    if ring.parts is not None:
+                        continue
+                    parts, comp, _ = tree._plan_cycle(*c, c)
+                    same = (ring.comp.articulation, ring.comp.internal_edges) == (
+                        comp.articulation, comp.internal_edges
+                    )
+                    held, resumed = ring.scored is not None, ring.drawn is not None
+                    if resumed:
+                        kind = "pruned"
+                    else:
+                        exact = ring.scored[0].sample_count == EXACT_SAMPLES if held else ring.sampler.exact
+                        kind = "exact" if exact else "drawn"
+                    floor = None if held else rng.choice([None, math.inf])
+                    before, made = len(built), len(prepared)
+                    got = tree.probe_edge(g, c, cfg, floor)
+                    builds, samplers = len(built) - before, len(prepared) - made
+                    assert got == replay.probe_edge(g, c, cfg, floor)
+                    assert (tree._rings[c, cfg] is ring) == same
+                    if same:
+                        assert ring.parts == parts and samplers == 0
+                        assert builds == (0 if held or resumed else 1)
+                    else:
+                        assert builds == samplers == 1
+                    if held:
+                        assert tree.probe_edge(g, c, cfg, math.inf) == got and not got[2]
+                    seen[same, kind] = seen.get((same, kind), 0) + 1
+        assert all(seen.get((True, kind), 0) > 5 for kind in ("exact", "drawn", "pruned"))
+        assert sum(count for (same, _), count in seen.items() if not same) > 100
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probed_commit_reuses_its_probes_ring(self, monkeypatch, use_memo):
         # Random graphs in random insertion orders.  Before most commits
         # every cycle candidate is probed.  A cycle commit of an edge whose
-        # probe's ring is kept applies that ring's plan and, in a memo tree,
-        # adopts the ring's table: it plans no cycle and looks up no store.
-        # Any other cycle commit plans once.  Either way the tree then equals
+        # probe's ring is kept and not stale applies that ring's plan and, in
+        # a memo tree, adopts the ring's table: it plans no cycle.  Any other
+        # cycle commit, of a stale ring's edge too, plans once.  No ring of
+        # the committed edge stays.  Either way the tree then equals
         # a fresh replay of the same inserts bit for bit: its dump, each bi
         # component's table rows and world count, its estimate and the
         # commit's report.  Graphs of up to 12 vertices give rings both
         # enumerated (2^m <= 300) and drawn.
         calls = []
-        plan, lookup = FTree._plan_cycle, MemoStore.lookup
+        plan = FTree._plan_cycle
         monkeypatch.setattr(FTree, "_plan_cycle", lambda *a: calls.append("plan") or plan(*a))
-        monkeypatch.setattr(MemoStore, "lookup", lambda *a: calls.append("lookup") or lookup(*a))
 
         def tables(tree):
             return {
-                c.key(): ({v: hexed(r) for v, r in c.reach.rows.items()}, c.reach.sample_count)
+                c.signature(): ({v: hexed(r) for v, r in c.reach.rows.items()}, c.reach.sample_count)
                 for c in tree.components.values() if isinstance(c, BiComponent)
             }
 
         rng = random.Random(9091)
         cfg = SamplerConfig(samples=300, master_seed=13)
-        commits = {True: 0, False: 0}  # cycle commits, by whether a ring was kept
+        commits = {True: 0, False: 0}  # cycle commits, by whether a live ring was kept
+        stale = 0
         for trial in range(25):
             n = rng.randint(5, 12)
             g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
@@ -725,9 +795,12 @@ class TestProbe:
                     for c in tree.cycle_candidates(g):
                         tree.probe_edge(g, c, cfg)
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
-                kept = (e, cfg) in tree._rings
+                ring = tree._rings.get((e, cfg))
+                kept = ring is not None and ring.parts is not None
+                stale += ring is not None and not kept
                 calls.clear()
                 report = tree.insert_edge(g, e, cfg)
+                assert (e, cfg) not in tree._rings
                 if cycle:
                     assert calls == ([] if kept else ["plan"])
                     commits[kept] += 1
@@ -739,7 +812,7 @@ class TestProbe:
                 est, ref = tree.expected_flow(g), replay.expected_flow(g)
                 assert hexed((est.mean, est.lb, est.ub)) == hexed((ref.mean, ref.lb, ref.ub))
                 assert est.samples_used == ref.samples_used
-        assert commits[True] > 100 and commits[False] > 20
+        assert commits[True] > 100 and commits[False] > 20 and stale > 5
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probe_after_a_prune_draws_nothing(self, monkeypatch, use_memo):
@@ -751,8 +824,8 @@ class TestProbe:
         # turn plain or against an infinite floor: the probe judges the
         # table the prune left in the ring against the new masses and draws
         # nothing, and returns what a probe of a fresh copy returns, which
-        # draws the table anew.  A memo tree stores the table once a probe
-        # of it is not pruned.
+        # draws the table anew.  A memo tree's ring keeps the table once a
+        # probe of it is not pruned.
         built = count_builds(monkeypatch)
         rng = random.Random(8118)
         cfg = SamplerConfig(samples=300, master_seed=5)
@@ -772,12 +845,11 @@ class TestProbe:
                         continue
                     floor = rng.choice([None, math.inf])
                     fresh = tree.copy().probe_edge(g, c, cfg, floor)
-                    before, stored = len(built), len(tree._memo or ())
+                    before = len(built)
                     assert tree.probe_edge(g, c, cfg, floor) == fresh
                     assert len(built) == before
                     assert (ring.drawn is None) == (floor is None)
                     assert (ring.scored is not None) == (use_memo and floor is None)
-                    assert len(tree._memo or ()) == stored + (use_memo and floor is None)
                     resumed[floor] += 1
         assert min(resumed.values()) > 20
 
@@ -801,8 +873,9 @@ class TestProbe:
 
     @pytest.mark.parametrize("variant",["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_signature_text_is_built_once_per_drawn_sampler(self, monkeypatch, variant):
-        # Memo lookups go by BiComponent.key; the signature text is only a
-        # drawn sampler's stream key, built at its first draw.
+        # The signature text is only a drawn sampler's stream key, built at
+        # its first draw; a stale ring is matched to its new plan by its
+        # articulation vertex and edges.
         calls, drawn = [], {}
         signature, draw = BiComponent.signature, IncrementalComponentSampler.draw
         monkeypatch.setattr(BiComponent, "signature", lambda c: calls.append(1) or signature(c))
@@ -828,7 +901,7 @@ class TestProbe:
         before = snapshot(tree, g)
         with pytest.raises(FTreeError, match="leaf_terms"):
             tree.probe_edge(g, (1, 2), CFG)
-        assert tree._rings == {} and len(tree._memo) == 0 and snapshot(tree, g) == before
+        assert tree._rings == {} and snapshot(tree, g) == before
         assert (1, 2) in tree.leaf_terms(g)[1]
         assert tree.insert_edge(g, (0, 2), CFG).edges_sampled_count == 0
         assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
@@ -932,7 +1005,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     """The reference a cycle probe of ``e`` must agree with: insert ``e``
     into a copy of ``tree``, give its new ring the table of the ring's
     first ``worlds`` worlds (all of them by default) and evaluate it.
-    Returns that estimate, the insert's report and the ring's memo key.
+    Returns that estimate, the insert's report and the ring's signature.
     The ring must be one whose table is drawn, not enumerated."""
     ref = tree.copy()
     report = ref.insert_edge(g, e, cfg, defer_sampling=True)
@@ -940,7 +1013,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     sampler = IncrementalComponentSampler(g, ring, cfg)
     assert not sampler.exact
     ring.reach = drawn_table(sampler, worlds or cfg.samples)
-    return ref.expected_flow(g), report, ring.key()
+    return ref.expected_flow(g), report, ring.signature()
 
 
 class TestRingFormula:
@@ -960,9 +1033,10 @@ class TestRingFormula:
         # probe prunes at the first round ``ci_prune`` drops beside the
         # floor, returning that round's estimate bit for bit, and otherwise
         # returns the last round's.  A memoized table is never pruned, and a
-        # pruned table is not stored.  The probed tree's dump, tables and
-        # evaluation stay as they were.  Every bi component has at least 9
-        # edges (``long_ring_graph``), so every table is drawn (2^9 > 300).
+        # pruned table is not kept as the ring's.  The probed tree's dump,
+        # tables and evaluation stay as they were.  Every bi component has
+        # at least 9 edges (``long_ring_graph``), so every table is drawn
+        # (2^9 > 300).
         rng = random.Random(5150)
         cfg = SamplerConfig(samples=300, master_seed=21)
         sizes = [CI_BATCH, 2 * CI_BATCH, 3 * CI_BATCH]
@@ -973,12 +1047,11 @@ class TestRingFormula:
             for e in order:
                 before = snapshot(tree, g)
                 for c in tree.cycle_candidates(g).copy():
-                    ref, ref_report, key = grown_flow(tree, g, c, cfg)
-                    kept = use_memo and (c, cfg) in tree._rings
+                    ref, ref_report, sig = grown_flow(tree, g, c, cfg)
+                    ring = tree._rings.get((c, cfg))
+                    kept = use_memo and ring is not None
                     rescored += kept and after_leaf
-                    memo = tree._memo
-                    hit = memo is not None and memo.lookup(cfg, key) is not None
-                    stored = len(memo or ())
+                    hit = kept and ring.scored is not None and ring.comp.signature() == sig
                     rounds = reference_round_estimates(tree, g, c, cfg)
                     for got, worlds in zip(rounds, sizes, strict=True):
                         assert_close(got, grown_flow(tree, g, c, cfg, worlds)[0])
@@ -991,7 +1064,7 @@ class TestRingFormula:
                     assert pruned == (at is not None)
                     if pruned:
                         assert est == rounds[at] and at < stop_at
-                        assert len(memo or ()) == stored
+                        assert tree._rings[c, cfg].scored is None
                     else:
                         assert est == rounds[-1]
                     prunes.add(at)
@@ -1146,20 +1219,20 @@ class TestKeptEvaluation:
 
 
 class TestMemo:
-    def test_store_then_lookup(self):
+    def test_ring_keeps_its_table(self):
         g = running_example_graph()
         tree = build_base_tree(g, memo=True)
         est1 = tree.probe_edge(g, (14, 15), CFG)
-        assert len(tree._memo) > 0
+        assert tree._rings[(14, 15), CFG].scored is not None
         est2 = tree.probe_edge(g, (14, 15), CFG)
         assert est1 == est2
 
-    def test_store_serves_one_graph(self):
+    def test_ring_tables_serve_one_graph(self):
         # Two graphs with the same edges, whose probabilities differ on the
         # edges not yet inserted.  A memo tree's probes of the cycle
-        # candidates on the first graph fill its store; on the second graph
-        # the same probes answer as a fresh tree's do, not from the first
-        # graph's tables.
+        # candidates on the first graph fill its rings' tables; on the
+        # second graph the same probes answer as a fresh tree's do, not from
+        # the first graph's tables.
         g1 = netgen.gen_erdos(30, 4, 2)
         prefix = insertable_order(g1)[:20]
         g2 = replace(g1, probabilities=tuple(
@@ -1168,35 +1241,33 @@ class TestMemo:
         tree = replay_tree(g1, prefix, CFG, memo=True)
         cycles = list(tree.cycle_candidates(g1))
         first = [tree.probe_edge(g1, c, CFG) for c in cycles]
-        assert len(tree._memo) == len(cycles) > 0
+        assert cycles and all(tree._rings[c, CFG].scored is not None for c in cycles)
         second = [tree.probe_edge(g2, c, CFG) for c in cycles]
         fresh = replay_tree(g2, prefix, CFG, memo=True)
         assert second == [fresh.probe_edge(g2, c, CFG) for c in cycles]
         assert all(a[0].mean != b[0].mean for a, b in zip(first, second))
 
-    def test_copy_has_a_store_of_its_own(self):
+    def test_copy_keeps_no_rings(self):
         g = running_example_graph()
         tree = build_base_tree(g, memo=True)
         tree.probe_edge(g, (14, 15), CFG)
-        stored = len(tree._memo)
+        rings = dict(tree._rings)
         copy = tree.copy()
-        assert copy._memo is not tree._memo and len(copy._memo) == 0
+        assert copy._rings == {}
         for c in copy.cycle_candidates(g):
             copy.probe_edge(g, c, CFG)
-        assert len(copy._memo) > 0 and len(tree._memo) == stored
+        assert len(copy._rings) > 1 and tree._rings == rings
 
     def test_added_edge_changes_signature(self):
         comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
-        sig1, key1 = comp.signature(), comp.key()
+        sig1 = comp.signature()
         comp.internal_edges.add((2, 3))
         assert comp.signature() != sig1
-        assert comp.key() != key1
 
     def test_articulation_is_part_of_identity(self):
         a = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
         b = BiComponent({1, 2}, 3, {(0, 1), (0, 2), (1, 2)})
         assert a.signature() != b.signature()
-        assert a.key() != b.key()
 
     def test_store_keeps_every_table(self):
         memo = MemoStore()
@@ -1206,14 +1277,81 @@ class TestMemo:
         keys = [(0, ((0, 1), (1, i + 2))) for i in range(5000)]
         for key, t in zip(keys, tables):
             memo.store(CFG, key, t)
-        assert len(memo) == 5000
         assert all(memo.lookup(CFG, key) is t for key, t in zip(keys, tables))
 
+    @pytest.mark.pinned
+    def test_ring_builds_match_pinned_counts(self, monkeypatch):
+        # Rings are the only table cache, and a stale ring whose component is
+        # unchanged keeps its table, so no variant builds a table more often
+        # than when a store kept every table a probe built: the draws and
+        # exact builds of each memo variant's greedy run, at 300 samples, on
+        # one small graph of each benchmark family.  On each graph a re-probe
+        # after a cycle commit that left its ring's component unchanged,
+        # which only a kept table serves, happens at least once.
+        built = count_builds(monkeypatch)
+        graphs = {
+            "erdos": (netgen.gen_erdos(300, 6, 1), 60),
+            "partitioned": (netgen.gen_partitioned(200, 8, 1), 30),
+            "wsn": (netgen.assign_distance_decay(netgen.gen_wsn(200, 0.12, 1), lam=0.001, scale=2000), 30),
+        }
+        counts = {}
+        for name, (g, k) in graphs.items():
+            for variant in ("ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"):
+                built.clear()
+                greedy_select(g, 0, StrategyConfig(variant, k, SamplerConfig(samples=300, master_seed=7)))
+                counts[name, variant] = built.count("draw"), built.count("exact")
+        assert counts == {
+            ("erdos", "ft_m"): (15, 3),
+            ("erdos", "ft_m_ci"): (15, 3),
+            ("erdos", "ft_m_ds"): (13, 3),
+            ("erdos", "ft_m_ci_ds"): (13, 3),
+            ("partitioned", "ft_m"): (58, 43),
+            ("partitioned", "ft_m_ci"): (58, 43),
+            ("partitioned", "ft_m_ds"): (46, 43),
+            ("partitioned", "ft_m_ci_ds"): (46, 43),
+            ("wsn", "ft_m"): (8, 73),
+            ("wsn", "ft_m_ci"): (8, 73),
+            ("wsn", "ft_m_ds"): (21, 63),
+            ("wsn", "ft_m_ci_ds"): (21, 63),
+        }
+
+    @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    def test_tables_are_bounded_by_uncommitted_cycle_candidates(self, monkeypatch, variant):
+        # After a greedy run the live tree (the one ``new_ftree`` returned)
+        # holds tables only in the rings of cycle candidates it has not
+        # committed, one ring per edge under the run's config, and each ring
+        # holds at most one table: the one a probe read, or the draw a pruned
+        # probe left.  Only memo trees hold any, and no tree creates a
+        # ``MemoStore``.  Small erdos, partitioned and wsn graphs, at 1000
+        # samples and at 60, where rings are drawn and, under _ci, pruned.
+        trees, stores = [], []
+        build = selection.new_ftree
+        monkeypatch.setattr(selection, "new_ftree", lambda *a, **k: trees.append(build(*a, **k)) or trees[-1])
+        monkeypatch.setattr(MemoStore, "__init__", lambda self: stores.append(self))
+        held = 0
+        for seed in (1, 2):
+            graphs = [
+                netgen.gen_erdos(40, 4, seed),
+                netgen.gen_partitioned(40, 8, seed),
+                netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, seed), lam=0.001, scale=2000),
+            ]
+            for g in graphs:
+                for cfg in (SamplerConfig(master_seed=seed), SamplerConfig(samples=60, master_seed=seed)):
+                    greedy_select(g, 0, StrategyConfig(variant, 15, cfg))
+                    tree = trees.pop()
+                    cycles = set(tree.cycle_candidates(g))
+                    for (e, ring_cfg), ring in tree._rings.items():
+                        assert e in cycles and e not in tree.selected_edges and ring_cfg == cfg
+                        assert ring.scored is None or ring.drawn is None
+                        held += ring.scored is not None or ring.drawn is not None
+        assert (held > 0) == (variant != "ft") and stores == []
+
     def test_tables_are_kept_apart_by_config(self):
-        # A store first filled under one config serves a probe under another
-        # config nothing: the probe, and the commit after it, give what they
-        # give in a tree without a store.  The cycle edge (1, 3) is probed
-        # under each config in turn.
+        # A ring kept under one config serves a probe under another config
+        # nothing: the probe, and the commit after it, give what they give
+        # in a tree without a memo.  The cycle edge (1, 3) is probed under
+        # each config in turn, and keeps one ring with its own table per
+        # config, until its commit drops them all.
         g = netgen.gen_partitioned(16, 4, 1)
         # 15 samples are fewer than the 4-cycle's 16 worlds, so its table
         # is drawn and differs between configs.
@@ -1227,22 +1365,23 @@ class TestMemo:
             return tree
 
         tree = tree_before_cycle(memo=True)
-        for stored, cfg in enumerate(cfgs):
-            assert len(tree._memo) == stored
+        for kept, cfg in enumerate(cfgs):
+            assert len(tree._rings) == kept
             est = tree.probe_edge(g, (1, 3), cfg)
             assert est == tree_before_cycle(memo=False).probe_edge(g, (1, 3), cfg)
             assert est[0].samples_used == first.samples
-        assert len(tree._memo) == len(cfgs)
+        assert len({id(tree._rings[(1, 3), cfg].scored[0]) for cfg in cfgs}) == len(cfgs)
         plain = tree_before_cycle(memo=False)
         plain.insert_edge(g, (1, 3), cfgs[-1])
         tree.insert_edge(g, (1, 3), cfgs[-1])
         assert tree.expected_flow(g) == plain.expected_flow(g)
+        assert tree._rings == {}
 
     @pytest.mark.parametrize("variant", ["ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_probes_are_the_only_writer(self, monkeypatch, variant):
         # Greedy commits only probed edges, and each probe kept its full
         # table in its ring, which the commit adopts: a commit's refresh
-        # neither builds a table nor draws, stores or looks one up.  Small
+        # neither builds a table nor draws.  Small
         # erdos, partitioned and wsn graphs, at the default 1000 samples and
         # at 60, where rings are drawn and, under _ci, candidates are pruned.
         depth, calls, refreshes = [0], [], []
@@ -1269,8 +1408,6 @@ class TestMemo:
         monkeypatch.setattr(FTree, "refresh", refreshing)
         record(IncrementalComponentSampler, "build", lambda _: "build")
         record(IncrementalComponentSampler, "draw", lambda _: "draw")
-        record(MemoStore, "store", lambda _: "store")
-        record(MemoStore, "lookup", lambda table: "miss" if table is None else "hit")
         pruned = 0
         for seed in (1, 2):
             graphs = [
@@ -1283,7 +1420,7 @@ class TestMemo:
                     solution = greedy_select(g, 0, StrategyConfig(variant, 15, sampler))
                     pruned += sum(rec.candidates_pruned for rec in solution.trace)
         assert refreshes and not any(inside for inside, _ in calls)
-        assert {"build", "draw", "store"} <= {event for _, event in calls}
+        assert {"build", "draw"} <= {event for _, event in calls}
         assert ("_ci" in variant) == (pruned > 0)
 
 
@@ -1342,19 +1479,20 @@ class TestRefreshFloor:
         assert len(built[-1]) == CFG.samples // CI_BATCH
         assert reference_round_estimates(plain, g, self.EDGE, CFG)[-1] == est[0]
         assert est[0].samples_used == CFG.samples
-        assert plain._memo._entries == batched._memo._entries
-        # A commit with no probe before it builds the same table and stores
-        # nothing: probes are the store's only writer.
+        kept = plain._rings[self.EDGE, CFG]
+        assert kept.scored[0] == batched._rings[self.EDGE, CFG].scored[0]
+        # A commit with no probe before it builds the same table.
         refreshed.insert_edge(g, self.EDGE, CFG)
-        assert len(refreshed._memo) == 0
-        [(cfg, key)] = plain._memo._entries
-        [ring] = [c for c in refreshed.components.values() if isinstance(c, BiComponent) and c.key() == key]
-        assert ring.reach == plain._memo.lookup(cfg, key)
+        sig = kept.comp.signature()
+        [ring] = [
+            c for c in refreshed.components.values() if isinstance(c, BiComponent) and c.signature() == sig
+        ]
+        assert ring.reach == kept.scored[0]
 
     def test_floor_that_prunes_returns_its_round_and_stores_nothing(self):
         # A floor just above the third round's ub prunes at that round or
         # an earlier one, whose estimate the probe returns.  The drawn table
-        # stays in the ring, out of the store.
+        # stays in the ring, not kept as its table.
         g, tree = long_ring_tree(memo=True)
         rounds = reference_round_estimates(tree, g, self.EDGE, CFG)
         floor = math.nextafter(rounds[2].ub, math.inf)
@@ -1362,7 +1500,6 @@ class TestRefreshFloor:
         est, _, pruned = tree.probe_edge(g, self.EDGE, CFG, floor)
         assert pruned and at <= 2 and est == rounds[at]
         assert est.samples_used == (at + 1) * CI_BATCH
-        assert len(tree._memo) == 0
         assert all(ring.scored is None for ring in tree._rings.values())
         assert tree._rings[self.EDGE, CFG].drawn is not None
 
@@ -1372,8 +1509,9 @@ class TestRoundEstimates:
     full evaluation of the grown tree carrying that round's table."""
 
     @staticmethod
-    def nesting(tree, memo, cfg):
-        """How each component about to be sampled sits against clean sampled ones."""
+    def nesting(tree, held):
+        """How each component about to be sampled sits against clean sampled
+        ones; a component whose signature is ``held`` has its table already."""
         def clean_bi(cid):
             comp = tree.components[cid]
             return isinstance(comp, BiComponent) and not comp.dirty
@@ -1384,7 +1522,7 @@ class TestRoundEstimates:
             if cid != tree.root_id:
                 children[tree.parent_of(cid)].append(cid)
         for cid in tree.dirty_components():
-            if memo and memo.lookup(cfg, tree.components[cid].key()) is not None:
+            if tree.components[cid].signature() == held:
                 continue
             pid = tree.parent_of(cid)
             while pid is not None:
@@ -1423,7 +1561,9 @@ class TestRoundEstimates:
                 if tree.is_attached(e[0]) and tree.is_attached(e[1]):
                     base = tree.copy()
                     cases.add(base.insert_edge(g, e, cfg, defer_sampling=True).case_taken)
-                    nesting |= self.nesting(base, tree._memo, cfg)
+                    ring = tree._rings.get((e, cfg))
+                    held = ring.comp.signature() if ring is not None and ring.scored is not None else None
+                    nesting |= self.nesting(base, held)
                     rounds = reference_round_estimates(tree, g, e, cfg)
                     assert len(rounds) == cfg.samples // CI_BATCH
                     for k, est in enumerate(rounds):
@@ -1459,9 +1599,9 @@ class TestFloorRule:
         # and returns that round's estimate bit for bit, which agrees with
         # a copy grown by the edge with that round's table within 1e-12;
         # an unpruned probe returns the full table's.  A pruned drawn table
-        # is neither stored nor kept as the ring's table but left in the
-        # ring, where the next probe judges it again, building nothing, to
-        # the same result.  Any other table is kept (memo trees) and never
+        # is not kept as the ring's table but left in the ring, where the
+        # next probe judges it again, building nothing, to the same result.
+        # Any other table is kept (memo trees) and never
         # pruned again, not even by an infinite floor; without a memo the
         # next probe builds it afresh and judges it the same.
         # Graphs of up to 11 vertices give rings both enumerated (2^m <=
@@ -1497,7 +1637,6 @@ class TestFloorRule:
                         left = pruned and not exact
                         assert (ring.drawn is not None) == left
                         assert (ring.scored is not None) == (use_memo and not left)
-                        assert len(probe._memo or ()) == (use_memo and not left)
                         before = len(built)
                         again = (est, report, pruned) if left or not use_memo else (full, report, False)
                         assert probe.probe_edge(g, e, cfg, floor) == again
@@ -1621,7 +1760,7 @@ class TestExactTables:
         # seeds: the flow is the oracle's within 1e-12 relative, with zero
         # width and EXACT_SAMPLES worlds, equal under both seeds; and every
         # cycle probe is too, judging its one estimate once against an
-        # infinite floor, which prunes it, unless its memo tree's store held
+        # infinite floor, which prunes it, unless its memo tree's ring held
         # the table already.
         rng = random.Random(1717)
         cfgs = [SamplerConfig(samples=2048, master_seed=seed) for seed in (1, 2)]
@@ -1641,8 +1780,8 @@ class TestExactTables:
                 for c in trees[0].candidates(g).copy():
                     if not (trees[0].is_attached(c[0]) and trees[0].is_attached(c[1])):
                         continue
-                    memo, key = trees[0]._memo, trees[0]._plan_cycle(*c, c)[1].key()
-                    held = memo is not None and memo.lookup(cfgs[0], key) is not None
+                    ring, sig = trees[0]._rings.get((c, cfgs[0])), trees[0]._plan_cycle(*c, c)[1].signature()
+                    held = ring is not None and ring.scored is not None and ring.comp.signature() == sig
                     probes = [t.probe_edge(g, c, cfg, math.inf) for t, cfg in zip(trees, cfgs)]
                     assert probes[0] == probes[1] and probes[0][2] == (not held)
                     exact_close(probes[0][0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))

@@ -11,7 +11,11 @@ hide another's:
   enumeration path at the oracle's limit;
 - ``run_strategy`` of ``ft_m`` and of ``ft_m_ci`` on
   ``gen_partitioned(1000, 8, 1)`` at k=200 (1000 samples, master seed 7):
-  the memoized greedy and its interval-checked variant at scale.
+  the memoized greedy and its interval-checked variant at scale;
+- ``run_strategy`` of ``ft_m`` on
+  ``assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)``
+  at k=200 (1000 samples, master seed 7), where many probed rings go stale
+  at a cycle commit and keep their tables.
 
 Each line gives the kernel call's wall seconds (imports and graph
 construction not included), the process's maximum resident set size
@@ -50,6 +54,11 @@ KERNELS = {
         )
         for variant in ("ft_m", "ft_m_ci")
     },
+    "run_strategy ft_m, wsn-2000 decayed, k=200": (
+        "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
+        "cfg = StrategyConfig('ft_m', 200, SamplerConfig(samples=1000, master_seed=7))\n"
+        "run = lambda: run_strategy(graph, 0, cfg).trace[-1].flow.mean\n"
+    ),
 }
 
 CHILD = """\
