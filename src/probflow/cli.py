@@ -107,7 +107,18 @@ def _read_edge_set(path: str, graph: ProbabilisticGraph) -> list[Edge]:
 # generate
 # ----------------------------------------------------------------------
 
+# The generator parameter each family never reads (``netgen._check``):
+# ``generate`` refuses its flag, and ``bench`` a sweep of it, since either
+# would write the same instance as without it.
+UNREAD_AXIS = {"erdos": "eps", "partitioned": "eps", "wsn": "deg"}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    unread = UNREAD_AXIS[args.family]
+    if getattr(args, unread) is not None:
+        raise ValueError(f"--{unread} is not read by family {args.family!r}")
+    if args.no_wrap and args.family != "partitioned":
+        raise ValueError(f"--no-wrap is not read by family {args.family!r}")
     if args.decay and args.close_friends is not None:
         raise ValueError("--decay and --close-friends cannot be combined: "
                          "--close-friends overwrites every decayed probability")
@@ -118,8 +129,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     spec = GenSpec(
         family=args.family,
         n=args.n,
-        degree=args.deg,
-        epsilon=args.eps,
+        degree=args.deg or 0,
+        epsilon=args.eps or 0.0,
         seed=args.seed,
         wrap=not args.no_wrap,
         unit_weights=args.unit_weights,
@@ -214,10 +225,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
-
-# The generator parameter each family never reads (``netgen._check``): a
-# sweep of it would write the same instance at every point.
-UNREAD_AXIS = {"erdos": "eps", "partitioned": "eps", "wsn": "deg"}
 
 BENCH_HEADER = (
     "axis,value,variant,repeat,flow_ref,ref_lb,ref_ub,flow_self,selected,elapsed_ms,"
@@ -380,8 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic instance to files")
     g.add_argument("family", choices=FAMILIES)
     g.add_argument("--n", type=int, required=True, help="vertex count")
-    g.add_argument("--deg", type=int, default=0, help="vertex degree (erdos, partitioned)")
-    g.add_argument("--eps", type=float, default=0.0, help="connection radius (wsn)")
+    g.add_argument("--deg", type=int, help="vertex degree (erdos, partitioned)")
+    g.add_argument("--eps", type=float, help="connection radius (wsn)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--no-wrap", action="store_true", help="open the partition ring into a path")
     g.add_argument("--unit-weights", action="store_true", help="weight 1.0 everywhere")

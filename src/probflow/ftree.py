@@ -36,23 +36,25 @@ Mext(x) = M(x) − Σ_{y∈R, h(y)=x} g(y)·M(y): R ∪ {r} is closed under h, s
 no vertex outside R changes its hang or its factor.  Cycle probes score
 this sum in O(|R|) and change nothing.
 
-A tree keeps one evaluation for the graph it last served: every vertex's
-reach, the leaf candidates' terms in a dict and in descending order, and
-the subtree masses.  A leaf insert extends it in place (the new vertex's
-terms; the masses are rebuilt at the next cycle probe); a cycle-closing
-insert, a renewed reach table or a call naming another graph drops it.
-Beside it sit the candidate edges, with the cycle candidates (both
-endpoints attached) in a list of their own, and each probed cycle
-candidate's ring: its plan and sampler, the drawn table a pruned probe
-left for the next probe to judge again and, in a memo tree, its table and
-the table's coefficients.  The rings are a memo tree's only table cache.
+A tree serves only the graph it was first given, or one equal to it: its
+components' edge factors and reach tables carry that graph's
+probabilities, so any other graph is refused.  It keeps one evaluation:
+every vertex's reach, the leaf candidates' terms in a dict and in
+descending order, and the subtree masses.  A leaf insert extends it in
+place (the new vertex's terms; the masses are rebuilt at the next cycle
+probe); a cycle-closing insert or a renewed reach table drops it.  Beside
+it sit the candidate edges, with the cycle candidates (both endpoints
+attached) in a list of their own, and each probed cycle candidate's ring:
+its plan and sampler, the drawn table a pruned probe left for the next
+probe to judge again and, in a memo tree, its table and the table's
+coefficients.  The rings are a memo tree's only table cache.
 They survive every insert but their own edge's commit, which applies the
 ring's plan and, in a memo tree, adopts its table.  A cycle-closing insert
 marks stale the rings that take a component it folded: no other ring's
 members change their hang or factor, and attach order never changes.  A
 stale ring is planned again at its next probe, and keeps its table, draw
-and sampler if its component is unchanged.  A call naming another graph
-drops them all.  A copy keeps none of it.
+and sampler if its component is unchanged.  A copy keeps none of it,
+but serves the same graph.
 """
 
 from __future__ import annotations
@@ -347,12 +349,12 @@ class FTree:
     score from.  Beside it sit the candidate edges (``candidates``), the
     cycle candidates among them (``cycle_candidates``) and each probed
     cycle candidate's ring (``_Ring``), reused when it is re-probed or
-    committed under the same ``SamplerConfig``; all of it serves one graph
-    (``_use_graph``).  A memo tree (``memo``: the ``_m`` variants) also
-    keeps in each probed ring the full table its probes read, with the
-    table's coefficients.  Interval-checked callers read
-    each cycle candidate's best leaf bound from ``leaf_floors`` and probe
-    against it (``probe_edge``'s ``floor``).
+    committed under the same ``SamplerConfig``.  The tree serves one
+    graph, the first it is given (``_use_graph``).  A memo tree (``memo``:
+    the ``_m`` variants) also keeps in each probed ring the full table its
+    probes read, with the table's coefficients.  Interval-checked callers
+    read each cycle candidate's best leaf bound from ``leaf_floors`` and
+    probe against it (``probe_edge``'s ``floor``).
     """
 
     def __init__(self, q: int, memo: bool = False):
@@ -381,13 +383,14 @@ class FTree:
 
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
-        need none).  It keeps no state: its first evaluation is from
-        scratch, and it has no candidates and no cycle probes."""
+        need none) and the graph it serves.  It keeps no state: its first
+        evaluation is from scratch, and it has no candidates and no cycle
+        probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other.memo = self.memo
         other._next_id = self._next_id
-        other._graph, other._kept, other._cands, other._cycles = None, None, None, None
+        other._graph, other._kept, other._cands, other._cycles = self._graph, None, None, None
         other._rings = {}
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other.root_id = self.root_id
@@ -396,14 +399,19 @@ class FTree:
         return other
 
     def _use_graph(self, graph: ProbabilisticGraph) -> None:
-        """Serve ``graph`` from here on: the kept evaluation, candidates and
-        rings are for one graph, so naming another drops them all.  Every
-        public entry that reads or extends them calls this first.  The root
-        is checked against each graph the tree takes up."""
-        if graph is not self._graph:
+        """Serve ``graph``: the first graph a tree is given, its root checked
+        against it, or one equal to it; any other raises FTreeError.  The
+        components, the kept evaluation, the candidates and the rings all
+        carry the first graph's probabilities and weights, so they serve
+        an equal graph as they are.  Every public entry that reads the
+        graph calls this first."""
+        if graph is self._graph:
+            return
+        if self._graph is None:
             check_vertex(graph, self.q)
-            self._graph, self._kept, self._cands, self._cycles = graph, None, None, None
-            self._rings = {}
+        elif graph != self._graph:
+            raise FTreeError("the tree serves another graph; build a new tree for this one")
+        self._graph = graph
 
     def is_attached(self, v: int) -> bool:
         return v == self.q or v in self.vertex_index
@@ -846,6 +854,7 @@ class FTree:
         stale the rings it touches, and rings are planned on evaluated trees
         only.
         """
+        self._use_graph(graph)
         for cid in self.dirty_components():
             self._kept = None
             comp = self.components[cid]
@@ -909,9 +918,10 @@ class FTree:
         """The coefficients of the module docstring's sum regrouped by
         member: for each of ``ring``'s (attach position, vertex) pairs, in
         attach order, its position and g′(y) − g′(h(y))·g(y) for mean, lb
-        and ub, with g′ the reach rows ``rows`` and g′(r) = 1
-        (``_round_flows`` forms them for every round of a grid at once).
-        They hold as long as the members keep their hangs."""
+        and ub, with g′ the reach rows ``rows`` and g′(r) = 1.  Every ring
+        table is scored through them: a full table, a round of a drawn one
+        (``_pruned_round``) or the bound that certifies its rounds.  They
+        hold as long as the members keep their hangs."""
         hangs = self._kept.hangs
         new = {i: rows[x] for i, x in ring}
         one = (1.0, 1.0, 1.0)
@@ -955,28 +965,6 @@ class FTree:
         t, base = self._kept.triples[r], self._kept.estimate
         return base.mean + t[0] * d0, base.lb + t[1] * d1, base.ub + t[2] * d2
 
-    def _round_flows(self, ring: list[tuple[int, int]], r: int, grid: _Grid) -> np.ndarray:
-        """What ``_ring_flow`` gives for each round of a drawn table's
-        ``grid`` (rows in ascending member order) on its own, as a (mean,
-        lb, ub) × round array, scored at once and bit for bit: the
-        coefficients of ``_coefficients`` as (channel, member, round)
-        arrays in attach order, and their sums times the masses as an
-        ``np.cumsum`` down the member axis, which adds in ``_ring_flow``'s
-        order once its first term is added to 0.0."""
-        kept = self._kept
-        hangs, masses = kept.hangs, self._masses()
-        row = {x: k for k, x in enumerate(sorted(x for _, x in ring))}
-        at = {i: k for k, (i, _) in enumerate(ring)}
-        up = [at.get(hangs[i][0], -1) for i, _ in ring]
-        rows = np.stack(grid)[:, [row[x] for _, x in ring]]
-        g = np.array([[hangs[i][1][c] for i, _ in ring] for c in range(3)])[:, :, None]
-        m = np.array([[masses[c][i] for i, _ in ring] for c in range(3)])[:, :, None]
-        terms = m * (rows - np.where((np.array(up) >= 0)[:, None], rows[:, up], 1.0) * g)
-        terms[:, 0] += 0.0
-        base = kept.estimate
-        t = np.array(kept.triples[r])[:, None]
-        return np.array([base.mean, base.lb, base.ub])[:, None] + t * np.cumsum(terms, axis=1)[:, -1]
-
     def _ring_samples(self, ring: list[tuple[int, int]], n: int) -> int:
         """The fewest worlds behind any table of the grown tree, whose ring
         table has ``n``: the tables outside the ring stay, and the fewest
@@ -1018,9 +1006,10 @@ class FTree:
         returned; the table and its grid stay in the ring, so the next
         probe judges them again against its own floor and masses and draws
         nothing.  An exact table is judged once, on its one estimate, after
-        it is kept: it is complete, so a prune saves nothing.  A kept or
-        stored table is never pruned.  A drawn table no round of which is
-        pruned returns its last round's estimate, the full table's.
+        it is kept: it is complete, so a prune saves nothing.  A table a
+        memo tree's ring already keeps is never pruned.  A drawn table no
+        round of which is pruned returns its last round's estimate, the
+        full table's.
 
         Every tree keeps each cycle candidate it probes under ``cfg``
         (``_Ring``) until its edge is committed, so a re-probe or a commit
@@ -1091,8 +1080,9 @@ class FTree:
         over those rounds, the ring's lb bounds every round's from above
         and its ub every round's from below: if, with a margin far above
         their rounding error, they leave the ub at or above both the floor
-        and the lb, no round is pruned.  Otherwise every round is scored
-        (``_round_flows``) and judged.
+        and the lb, no round is pruned.  Otherwise the rounds are scored in
+        turn from the first of those, each round's rows as a table of its
+        own (``_coefficients``, ``_ring_flow``), up to the first pruned.
         """
         sizes = _rounds(table.sample_count)
         if self._ring_samples(members, sizes[-1]) < CI_MIN_SAMPLES:
@@ -1105,13 +1095,15 @@ class FTree:
         margin = 1e-9 * (abs(lb) + abs(ub) + scale)
         if ub - margin >= max(floor, lb + margin):
             return None
-        means, lbs, ubs = self._round_flows(members, r, grid)
-        hits = np.flatnonzero(ubs[first:] < np.maximum(floor, lbs[first:]))
-        if not hits.size:
-            return None
-        j = first + int(hits[0])
-        flow = float(means[j]), float(lbs[j]), float(ubs[j])
-        return FlowEstimate(*flow, self._ring_samples(members, sizes[j]))
+        p, lo, hi = (a[:, first:].T.tolist() for a in grid)
+        for j, n in enumerate(sizes[first:]):
+            rows = dict(zip(table.rows, zip(p[j], lo[j], hi[j])))
+            est = FlowEstimate(
+                *self._ring_flow(self._coefficients(members, rows), r), self._ring_samples(members, n)
+            )
+            if _prunes(est, floor):
+                return est
+        return None
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -1161,8 +1153,10 @@ class FTree:
         component's members, and a mono component lists its members in
         attach order, each after its parent.  Parents and links then always
         lead to an earlier vertex, so neither can cycle and no mono path can
-        leave its component.
+        leave its component.  A graph the tree does not serve is refused
+        (``_use_graph``).
         """
+        self._use_graph(graph)
         if self.root_id not in self.components:
             raise FTreeError("root component missing")
         if self.components[self.root_id].articulation != self.q:

@@ -56,8 +56,16 @@ class StrategyConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if check_integer("budget", self.budget) < 1:
             raise ValueError("budget must be >= 1")
-        if not (check_real("ds_c", self.ds_c) > 1.0):
+        if not (_finite("ds_c", self.ds_c) > 1.0):
             raise ValueError("ds_c must be > 1")
+
+
+def _finite(name: str, value: object) -> float:
+    """``value`` unchanged if it is a finite real number, else ValueError
+    naming ``name``."""
+    if not math.isfinite(check_real(name, value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,12 +121,12 @@ def ds_delay(pot: float, cost: int, c: float) -> int:
 
     floor(log_c(cost / pot)): expensive low-potential candidates wait longest.
     A free probe (no cycle formed, cost 0) is never delayed.  A bad
-    parameter raises ValueError naming it: pot and c must be real numbers
-    (pot > 0, c > 1) and cost a non-negative integer.
+    parameter raises ValueError naming it: pot and c must be finite real
+    numbers (pot > 0, c > 1) and cost a non-negative integer.
     """
-    if not (check_real("pot", pot) > 0.0):
+    if not (_finite("pot", pot) > 0.0):
         raise ValueError("pot must be positive")
-    if not (check_real("c", c) > 1.0):
+    if not (_finite("c", c) > 1.0):
         raise ValueError("c must be > 1")
     if check_integer("cost", cost) < 0:
         raise ValueError("cost must be non-negative")

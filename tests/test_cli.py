@@ -108,6 +108,22 @@ class TestGenerate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not Path(f"{out}.edges").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["erdos", "--deg", "4", "--eps", "0.7"], "--eps"),
+        (["erdos", "--deg", "4", "--no-wrap"], "--no-wrap"),
+        (["partitioned", "--deg", "6", "--eps", "0.5"], "--eps"),
+        (["wsn", "--eps", "0.3", "--deg", "9"], "--deg"),
+        (["wsn", "--eps", "0.3", "--no-wrap"], "--no-wrap"),
+    ], ids=["erdos-eps", "erdos-no-wrap", "partitioned-eps", "wsn-deg", "wsn-no-wrap"])
+    def test_flag_the_family_never_reads_rejected(self, tmp_path, capsys, argv, flag):
+        # Each flag would leave the written instance byte for byte as it is
+        # without it.
+        out = tmp_path / "g"
+        rc = main(["generate", argv[0], "--n", "30", *argv[1:], "--out", str(out)])
+        assert rc == 2
+        assert f"error: {flag} is not read by family {argv[0]!r}" in capsys.readouterr().err
+        assert not Path(f"{out}.edges").exists()
+
     def test_decay_with_close_friends_rejected(self, tmp_path, capsys):
         # --close-friends redraws every probability, so the decay would
         # leave no trace in the output.
@@ -179,6 +195,20 @@ class TestMaxflow:
             assert rc == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "ds_c must be finite, got inf"),
+        ("nan", "ds_c must be finite, got nan"),
+        ("1", "ds_c must be > 1"),
+    ], ids=["inf", "nan", "one"])
+    def test_bad_ds_c_rejected_by_name(self, tmp_path, capsys, value, message):
+        paths = write_instance(tmp_path, TRIANGLE_EDGES, TRIANGLE_WEIGHTS)
+        out = tmp_path / "run.csv"
+        rc = main(["maxflow", "--edges", paths["edges"], "--query", "Q", "--variant", "ft_m_ds",
+                   "--k", "2", "--ds-c", value, "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_query_is_validation_error(self, tmp_path, capsys):
         paths = write_instance(tmp_path, PATH_EDGES)
@@ -425,11 +455,12 @@ class TestBench:
 
     @pytest.mark.parametrize("family, sweep, message", [
         ("partitioned", "c=2,0.5", "ds_c must be > 1"),
+        ("partitioned", "c=2,inf", "ds_c must be finite, got inf"),
         ("partitioned", "k=20,0", "budget must be >= 1"),
         ("erdos", "n=40,1", "n must be >= 2"),
         ("partitioned", "deg=4,5", "degree must be a positive even number"),
         ("wsn", "eps=0.3,2", "epsilon must be in (0, sqrt(2)]"),
-    ], ids=["c", "k", "n", "deg", "eps"])
+    ], ids=["c", "c-inf", "k", "n", "deg", "eps"])
     def test_bad_sweep_point_rejected_before_selecting(
         self, tmp_path, capsys, monkeypatch, family, sweep, message
     ):

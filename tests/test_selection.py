@@ -443,6 +443,9 @@ class TestDsDelay:
     @pytest.mark.parametrize("args, message", [
         (("1", 2, 2.0), "pot must be a real number, not '1'"),
         ((0.5, 2, "2"), "c must be a real number, not '2'"),
+        ((math.inf, 10, 2.0), "pot must be finite, got inf"),
+        ((0.5, 10, math.inf), "c must be finite, got inf"),
+        ((0.5, 10, -math.inf), "c must be finite, got -inf"),
         ((0.5, "2", 2.0), "cost must be an integer, not '2'"),
         ((0.5, 2.0, 2.0), "cost must be an integer, not 2.0"),
         ((0.5, None, 2.0), "cost must be an integer, not None"),
@@ -685,9 +688,14 @@ class TestRunStrategy:
         with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, not {budget!r}")):
             StrategyConfig("ft_m", budget)
 
-    @pytest.mark.parametrize("ds_c", ["3", None])
-    def test_non_real_ds_c_rejected(self, ds_c):
-        with pytest.raises(ValueError, match=re.escape(f"ds_c must be a real number, not {ds_c!r}")):
+    @pytest.mark.parametrize("ds_c, message", [
+        ("3", "ds_c must be a real number, not '3'"),
+        (None, "ds_c must be a real number, not None"),
+        (math.inf, "ds_c must be finite, got inf"),
+    ], ids=["text", "none", "inf"])
+    def test_non_real_ds_c_rejected(self, ds_c, message):
+        # An infinite ds_c would delay nothing, running ft_m_ds as ft_m.
+        with pytest.raises(ValueError, match=re.escape(message)):
             StrategyConfig("ft", 3, ds_c=ds_c)
 
     def test_integer_ds_c_gives_the_float_selection(self):
@@ -967,6 +975,30 @@ class TestSeededSolutions:
             for variant in VARIANTS
         }
         assert digests == PINNED_TRACES[family]
+
+    def test_pruned_rounds_match_their_digest(self, monkeypatch):
+        # The runs above prune no drawn table.  Here ``ft_m_ci`` sends tables
+        # past the certificate and prunes some at rounds of 100 to 1000
+        # worlds, so the judge's round path (``FTree._pruned_round``) is
+        # pinned end to end.
+        judge = FTree._pruned_round
+        found = []
+
+        def counted(self, *args):
+            found.append(judge(self, *args))
+            return found[-1]
+
+        monkeypatch.setattr(FTree, "_pruned_round", counted)
+        g = netgen.gen_partitioned(60, 6, 2)
+        digests = {
+            variant: trace_digest(run_strategy(g, 0, scfg(variant, 15, seed=7, samples=1000)))
+            for variant in ("ft_m_ci", "ft_m_ci_ds")
+        }
+        assert digests == {
+            "ft_m_ci": "e62d7c73b6325df8baac38959abba307663918d5451460049fb1631ecb5fe973",
+            "ft_m_ci_ds": "caebaf736a9a8983698c11b6e96ec6451819f7e607c1560450311964908afa7a",
+        }
+        assert any(est is not None for est in found)
 
 
 def run_within_budget(g, variant, k):

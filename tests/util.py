@@ -432,8 +432,9 @@ def replay_tree(
 # ----------------------------------------------------------------------
 # Reference interval checks: every round of a probe scored on its own,
 # and the running best lower bound of a scan over every candidate.  The
-# library judges all rounds of a table at once and reads leaf floors from
-# an ordered list, and must agree with these bit for bit.
+# library settles most rounds of a table with one bound, stops at the first
+# pruned round and reads leaf floors from an ordered list, and must agree
+# with these bit for bit.
 # ----------------------------------------------------------------------
 
 def round_sizes(samples: int) -> list[int]:
