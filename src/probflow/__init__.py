@@ -36,7 +36,6 @@ from .sampling import (
 )
 from .ftree import (
     BiComponent,
-    DirtyComponentError,
     FTree,
     FTreeError,
     InsertReport,

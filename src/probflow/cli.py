@@ -174,13 +174,30 @@ def _write_solution_csv(
         out.write(",".join(map(str, row)) + "\n")
 
 
+def _check_ds_read(name: str, variants: Sequence[str]) -> None:
+    """Refuse ``name``, ``--ds-c`` or a sweep of it, unless one of
+    ``variants`` reads it: only the ``_ds`` variants do."""
+    if not any("_ds" in v for v in variants):
+        raise ValueError(f"{name} is read only by the _ds variants, not by {', '.join(variants)}")
+
+
+def _ds_c(args: argparse.Namespace, variants: Sequence[str]) -> float:
+    """``--ds-c``, checked against ``variants``, or ``StrategyConfig``'s
+    default without it."""
+    if args.ds_c is None:
+        return StrategyConfig.ds_c
+    _check_ds_read("--ds-c", variants)
+    return args.ds_c
+
+
 def _cmd_maxflow(args: argparse.Namespace) -> int:
+    ds_c = _ds_c(args, [args.variant])
     graph, q = _load_inputs(args)
     cfg = StrategyConfig(
         variant=args.variant,
         budget=args.k,
         sampler=_sampler_config(args),
-        ds_c=args.ds_c,
+        ds_c=ds_c,
     )
     solution = run_strategy(graph, q, cfg)
     with _output(args.out) as fh:
@@ -225,6 +242,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
+
+# The generator flags' values when not given; ``--edges`` input reads none
+# of them, so it refuses each one given.
+BENCH_GENERATOR_DEFAULTS = {"family": "erdos", "n": 100, "deg": 6, "eps": 0.1}
 
 BENCH_HEADER = (
     "axis,value,variant,repeat,flow_ref,ref_lb,ref_ub,flow_self,selected,elapsed_ms,"
@@ -283,14 +304,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.ref_samples < 1:
         raise ValueError("--ref-samples must be >= 1")
     check_alpha("--alpha", args.alpha)
+    ds_c = _ds_c(args, variants)
     sampler = _sampler_config(args)
     ref_sampler = replace(sampler, samples=args.ref_samples)
     instance = None
     if args.edges:
+        generator_flags = (
+            ("--family", args.family), ("--n", args.n), ("--deg", args.deg), ("--eps", args.eps),
+            ("--unit-weights", args.unit_weights or None),
+        )
+        for flag, value in generator_flags:
+            if value is not None:
+                raise ValueError(f"{flag} is not read with --edges input")
         graph, q = _load_inputs(args)
         instance = (graph, q)
+    else:
+        for name, default in BENCH_GENERATOR_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
     # The five sweep axes' values; a sweep point replaces its axis's value.
-    axes = {"n": args.n, "deg": args.deg, "k": args.k, "eps": args.eps, "c": args.ds_c}
+    axes = {"n": args.n, "deg": args.deg, "k": args.k, "eps": args.eps, "c": ds_c}
     axis = "k"
     values: list[float] = [args.k]
     if args.sweep:
@@ -302,6 +335,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"axis {axis!r} requires generated instances, not --edges input")
         if instance is None and axis == UNREAD_AXIS[args.family]:
             raise ValueError(f"sweep axis {axis!r} is not read by family {args.family!r}")
+        if axis == "c":
+            _check_ds_read("sweep axis 'c'", variants)
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
         if not values:
             raise ValueError("empty sweep value list")
@@ -361,13 +396,14 @@ def _cmd_dump_ftree(args: argparse.Namespace) -> int:
     graph, q = _load_inputs(args)
     cfg = SamplerConfig()
     tree = new_ftree(q)
-    # The dump shows structure only, so no reach table is sampled.
+    # The dump shows structure only, and only an evaluation builds reach
+    # tables, so nothing is sampled.
     if args.insert:
         for e in _read_edge_set(args.insert, graph):
-            tree.insert_edge(graph, e, cfg, defer_sampling=True)
+            tree.insert_edge(graph, e, cfg)
     else:
         while cands := tree.candidates(graph):
-            tree.insert_edge(graph, cands[0], cfg, defer_sampling=True)
+            tree.insert_edge(graph, cands[0], cfg)
     with _output(args.out) as fh:
         fh.write(tree.dump(graph) + "\n")
     return 0
@@ -405,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_flags(m)
     m.add_argument("--variant", choices=VARIANTS, default="ft_m")
     m.add_argument("--k", type=int, required=True, help="edge budget")
-    m.add_argument("--ds-c", type=float, default=2.0, help="delay penalization base")
+    m.add_argument("--ds-c", type=float, help="delay penalization base of the _ds variants (default 2.0)")
     _add_sampler_flags(m)
     m.add_argument("--timings", action="store_true", help="fill elapsed_ms (breaks byte-determinism)")
     m.add_argument("--out", help="CSV path (default stdout)")
@@ -424,18 +460,18 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--weights", help="vertex-weight file for --edges")
     b.add_argument("--coords", help="vertex-coordinate file for --edges")
     b.add_argument("--query", default="0", help="query vertex label")
-    b.add_argument("--family", choices=FAMILIES, default="erdos")
-    b.add_argument("--n", type=int, default=100)
-    b.add_argument("--deg", type=int, default=6)
-    b.add_argument("--eps", type=float, default=0.1)
+    b.add_argument("--family", choices=FAMILIES, help="generated family (default erdos)")
+    b.add_argument("--n", type=int, help="generated vertex count (default 100)")
+    b.add_argument("--deg", type=int, help="generated vertex degree (default 6)")
+    b.add_argument("--eps", type=float, help="generated connection radius (default 0.1)")
     b.add_argument("--k", type=int, default=20)
     b.add_argument("--variants", default="ft,dijkstra,naive")
-    b.add_argument("--ds-c", type=float, default=2.0, help="delay penalization base")
+    b.add_argument("--ds-c", type=float, help="delay penalization base of the _ds variants (default 2.0)")
     b.add_argument("--sweep", help="axis=v1,v2,... with axis in {n,deg,k,eps,c}")
     b.add_argument("--repeat", type=int, default=1)
     b.add_argument("--ref-samples", type=int, default=100000,
                    help="reference evaluation sample budget")
-    b.add_argument("--unit-weights", action="store_true")
+    b.add_argument("--unit-weights", action="store_true", help="weight 1.0 everywhere (generated)")
     _add_sampler_flags(b)
     b.add_argument("--timings", action="store_true", help="fill elapsed_ms (breaks byte-determinism)")
     b.add_argument("--out", help="CSV path (default stdout)")

@@ -36,25 +36,31 @@ Mext(x) = M(x) − Σ_{y∈R, h(y)=x} g(y)·M(y): R ∪ {r} is closed under h, s
 no vertex outside R changes its hang or its factor.  Cycle probes score
 this sum in O(|R|) and change nothing.
 
-A tree serves only the graph it was first given, or one equal to it: its
-components' edge factors and reach tables carry that graph's
-probabilities, so any other graph is refused.  It keeps one evaluation:
-every vertex's reach, the leaf candidates' terms in a dict and in
-descending order, and the subtree masses.  A leaf insert extends it in
-place (the new vertex's terms; the masses are rebuilt at the next cycle
-probe); a cycle-closing insert or a renewed reach table drops it.  Beside
-it sit the candidate edges, with the cycle candidates (both endpoints
-attached) in a list of their own, and each probed cycle candidate's ring:
-its plan and sampler, the drawn table a pruned probe left for the next
-probe to judge again and, in a memo tree, its table and the table's
-coefficients.  The rings are a memo tree's only table cache.
-They survive every insert but their own edge's commit, which applies the
-ring's plan and, in a memo tree, adopts its table.  A cycle-closing insert
-marks stale the rings that take a component it folded: no other ring's
-members change their hang or factor, and attach order never changes.  A
-stale ring is planned again at its next probe, and keeps its table, draw
-and sampler if its component is unchanged.  A copy keeps none of it,
-but serves the same graph.
+A tree serves only the graph it was first given, or one equal to it, and
+samples under only the ``SamplerConfig`` its first insert gave it, or one
+equal to it: its edge factors and reach tables carry that graph's
+probabilities and that config's worlds, so any other graph or config is
+refused.  An insert builds no reach table; the first evaluation that needs
+one builds every table still missing, so a tree that is only inserted into
+and dumped never samples.  A table's worlds depend only on its component
+and the config, so where it is built changes no result.
+
+The tree keeps one evaluation: every vertex's reach, the leaf candidates'
+terms in a dict and in descending order, and the subtree masses.  A leaf
+insert extends it in place (the new vertex's terms; the masses are rebuilt
+at the next cycle probe); a cycle-closing insert drops it.  Beside it sit
+the candidate edges, with the cycle candidates (both endpoints attached)
+in a list of their own, and each probed cycle candidate's ring, keyed by
+its edge: its plan and sampler, the drawn table a pruned probe left for
+the next probe to judge again and, in a memo tree, its table and the
+table's coefficients.  The rings are a memo tree's only table cache.  They
+survive every insert but their own edge's commit, which applies the ring's
+plan and, in a memo tree, adopts its table.  A cycle-closing insert marks
+stale the rings that take a component it folded: no other ring's members
+change their hang or factor, and attach order never changes.  A stale ring
+is planned again at its next probe, and keeps its table, draw and sampler
+if its component is unchanged.  A copy keeps none of it, but serves the
+same graph under the same config.
 """
 
 from __future__ import annotations
@@ -88,10 +94,6 @@ class FTreeError(ValueError):
     """Structural misuse of the component tree."""
 
 
-class DirtyComponentError(FTreeError):
-    """An operation needed sampled reach tables but a component was stale."""
-
-
 @dataclass
 class MonoComponent:
     """Tree-shaped component: every member has a unique path to the articulation
@@ -122,17 +124,14 @@ class MonoComponent:
 @dataclass
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
-    enumerated or sampled (``IncrementalComponentSampler.build``).  Without a
-    reach table the component is dirty."""
+    enumerated or sampled (``IncrementalComponentSampler.build``).  A new
+    component has no reach table until the tree's next evaluation builds it
+    (``FTree.refresh``) or a memo tree's commit adopts its probe's."""
 
     members: set[int]
     articulation: int
     internal_edges: set[Edge]
     reach: Optional[ReachTable] = None
-
-    @property
-    def dirty(self) -> bool:
-        return self.reach is None
 
     def signature(self) -> str:
         """The component's identity as text, its sampling stream's key."""
@@ -152,10 +151,10 @@ class InsertReport:
     """What an insertion did and what it cost.
 
     ``edges_sampled_count`` is the structural sampling cost of the insertion:
-    the number of edges in every component whose reach table had to be
-    renewed, counted whether or not a memoized table made the actual work
-    unnecessary, so the cost of an edge is a deterministic property of the
-    tree shape.
+    the new bi component's edge count for a cycle-closing insert, 0 for a
+    leaf insert.  It is counted whether the table is built at the next
+    evaluation or adopted from a memo tree's probe, so the cost of an edge
+    is a deterministic property of the tree shape.
     """
 
     case_taken: str
@@ -189,15 +188,16 @@ def _prunes(est: FlowEstimate, floor: float) -> bool:
 class _Ring:
     """A probed cycle candidate, kept until its edge is committed: its
     ring's (attach position, vertex) pairs in attach order, the ring (a
-    dirty ``BiComponent``), the insert report, the parts it takes
-    (``_plan_cycle``'s plan is these parts, the ring and the report's
-    case; None once an insert folded a component it takes, which makes
-    the ring stale), the sampler prepared at the first build a probe needs
-    (until a memo tree keeps the table it built), the drawn table and its
-    rounds' grid a pruned probe left for the next probe and, in a memo tree
-    only, its table and the table's coefficients once a probe read the
-    table.  All but the parts and the report hold for as long as the
-    ring's component is unchanged (see ``FTree._close_cycle``)."""
+    ``BiComponent`` with no table of its own), the insert report, the
+    parts it takes (``_plan_cycle``'s plan is these parts, the ring and
+    the report's case; None once an insert folded a component it takes,
+    which makes the ring stale), the sampler prepared at the first build a
+    probe needs (until a memo tree keeps the table it built), the drawn
+    table and its rounds' grid a pruned probe left for the next probe and,
+    in a memo tree only, its table and the table's coefficients once a
+    probe read the table.  All but the parts and the report hold for as
+    long as the ring's component is unchanged (see
+    ``FTree._close_cycle``)."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
@@ -349,8 +349,11 @@ class FTree:
     score from.  Beside it sit the candidate edges (``candidates``), the
     cycle candidates among them (``cycle_candidates``) and each probed
     cycle candidate's ring (``_Ring``), reused when it is re-probed or
-    committed under the same ``SamplerConfig``.  The tree serves one
-    graph, the first it is given (``_use_graph``).  A memo tree (``memo``:
+    committed.  The tree serves one graph, the first it is given
+    (``_use_graph``), and samples under one ``SamplerConfig``, the first
+    ``insert_edge`` gives it.  Inserts build no reach table: the first
+    evaluation that needs one builds it (``refresh``), so a tree that is
+    only inserted into and dumped never samples.  A memo tree (``memo``:
     the ``_m`` variants) also keeps in each probed ring the full table its
     probes read, with the table's coefficients.  Interval-checked callers
     read each cycle candidate's best leaf bound from ``leaf_floors`` and
@@ -362,10 +365,11 @@ class FTree:
         self.memo = memo
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
+        self._cfg: Optional[SamplerConfig] = None
         self._kept: Optional[_Kept] = None
         self._cands: Optional[list[Edge]] = None
         self._cycles: Optional[list[Edge]] = None
-        self._rings: dict[tuple[Edge, SamplerConfig], _Ring] = {}
+        self._rings: dict[Edge, _Ring] = {}
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
         self.vertex_index: dict[int, int] = {}
@@ -383,14 +387,15 @@ class FTree:
 
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
-        need none) and the graph it serves.  It keeps no state: its first
-        evaluation is from scratch, and it has no candidates and no cycle
-        probes."""
+        need none), the graph it serves and its config.  It keeps no state:
+        its first evaluation is from scratch, building the tables this tree
+        has not built yet, and it has no candidates and no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other.memo = self.memo
         other._next_id = self._next_id
-        other._graph, other._kept, other._cands, other._cycles = self._graph, None, None, None
+        other._graph, other._cfg = self._graph, self._cfg
+        other._kept, other._cands, other._cycles = None, None, None
         other._rings = {}
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other.root_id = self.root_id
@@ -435,13 +440,6 @@ class FTree:
             return None
         return self.vertex_index.get(self.components[cid].articulation, self.root_id)
 
-    def dirty_components(self) -> list[int]:
-        return sorted(
-            cid
-            for cid, comp in self.components.items()
-            if isinstance(comp, BiComponent) and comp.dirty
-        )
-
     def lowest_common_ancestor(self, c1: int, c2: int) -> int:
         """Deepest component that is an ancestor-or-self of both."""
         if c1 not in self.components or c2 not in self.components:
@@ -463,55 +461,45 @@ class FTree:
     # ------------------------------------------------------------------
 
     def insert_edge(
-        self,
-        graph: ProbabilisticGraph,
-        edge: tuple[int, int],
-        cfg: SamplerConfig,
-        defer_sampling: bool = False,
+        self, graph: ProbabilisticGraph, edge: tuple[int, int], cfg: SamplerConfig
     ) -> InsertReport:
         """Add one selected edge, dispatching the structural update cases.
 
-        At least one endpoint must already be attached.  A cycle-closing
-        edge probed under ``cfg`` applies its kept ring's plan, unless the
-        ring is stale, and in a memo tree, unless ``defer_sampling`` is set,
-        its ring takes the table the probe read, if the probe read a full
-        one; any other cycle is planned here.  The commit drops the edge's
-        rings (``_close_cycle``).  Unless ``defer_sampling`` is set, every
-        component still without a table is sampled (``refresh``) and the
-        tree is evaluated before returning; a deferred insert leaves every
-        new component dirty.
+        At least one endpoint must already be attached.  The tree samples
+        under the config its first insert gives, or one equal to it; any
+        other raises FTreeError and changes nothing.  A cycle-closing edge
+        the tree probed applies its kept ring's plan, unless the ring is
+        stale, and in a memo tree its ring takes the table the probe read,
+        if the probe read a full one; any other cycle is planned here.  The
+        commit drops the edge's rings (``_close_cycle``).  No table is
+        built here: the next evaluation builds every one still missing
+        (``refresh``).
         """
         self._use_graph(graph)
+        if self._cfg is not None and cfg != self._cfg:
+            raise FTreeError("the tree samples under another config; build a new tree for this one")
         e, prob, att_u, att_v = self._insertable(graph, edge)
+        self._cfg = cfg
         u, v = e
         fresh: Optional[int] = None
-        ring = self._rings.get((e, cfg))
-        if ring is not None and ring.parts is None:
-            ring = None  # stale: planned afresh
         if att_u and att_v:
             self._kept = None
-            if ring is None:
-                case = self._close_cycle(*self._plan_cycle(u, v, e))
+            ring = self._rings.get(e)
+            if ring is None or ring.parts is None:  # unprobed or stale: planned afresh
+                parts, comp, case = self._plan_cycle(u, v, e)
             else:
-                case = self._close_cycle(ring.parts, ring.comp, ring.report.case_taken)
+                parts, comp, case = ring.parts, ring.comp, ring.report.case_taken
+                if ring.scored is not None:
+                    comp.reach = ring.scored[0]
+            self._close_cycle(parts, comp)
+            cost = len(comp.internal_edges)
         else:
             attach, fresh = (u, v) if att_u else (v, u)
             case = self._attach_leaf(e, attach, fresh, prob)
-
+            cost = 0
         self.selected_edges.add(e)
         if self._cands is not None:
             self._advance_candidates(e, fresh)
-        if self._kept is not None:
-            # A leaf insert into an evaluated, hence clean, tree.
-            return InsertReport(case_taken=case, edges_sampled_count=0)
-        pending = self.dirty_components()
-        cost = sum(len(self.components[cid].internal_edges) for cid in pending)
-        if not defer_sampling:
-            if ring is not None and ring.scored is not None:
-                ring.comp.reach = ring.scored[0]
-            if pending:
-                self.refresh(graph, cfg)
-            self._evaluate(graph)
         return InsertReport(case_taken=case, edges_sampled_count=cost)
 
     def _insertable(
@@ -655,10 +643,9 @@ class FTree:
         The terms are part of the tree's kept evaluation, kept in order
         (``best_leaf``) beside it and extended in place by leaf inserts; a
         caller reads them and must not change them.  A cycle-closing insert
-        or a renewed reach table changes reach triples, so it drops the
-        terms with the evaluation.  A tree without a kept evaluation for
-        ``graph`` is evaluated first, and dropped terms are rebuilt in one
-        pass over the candidates.
+        changes reach triples, so it drops the terms with the evaluation.
+        A tree without a kept evaluation for ``graph`` is evaluated first,
+        and dropped terms are rebuilt in one pass over the candidates.
         """
         edges = self.candidates(graph)
         kept = self._kept or self._evaluate(graph)
@@ -730,7 +717,7 @@ class FTree:
         component the path between the two vertices where the cycle enters
         it.  Returns the parts, each a component id with the path cut out
         of a mono component and the vertex the path hangs off (None and the
-        articulation vertex for a bi component); the ring, a new dirty bi
+        articulation vertex for a bi component); the ring, a new bi
         component holding every part's members and edges plus ``e`` that
         drains through the last part's vertex; and the case.
         """
@@ -770,7 +757,7 @@ class FTree:
             case = "IVc-composite" if below else "IVb"
         return parts, ring, case
 
-    def _close_cycle(self, parts: _Parts, ring: BiComponent, case: str) -> str:
+    def _close_cycle(self, parts: _Parts, ring: BiComponent) -> None:
         """Apply a plan (see ``_plan_cycle``): the ring joins the tree as a
         new component, every part gives up its members to it, and a
         component left empty goes (the ring takes the root's place).
@@ -778,9 +765,9 @@ class FTree:
         hanging off the path vertex their old path crossed first, in member
         order; members are listed after their parents, so one pass groups
         them: a member joins its parent's group, or the parent's own if the
-        parent is on the path.  Returns the case.
+        parent is on the path.
 
-        The rings of the edge the new ring closes, under every config, go;
+        The ring of the edge the new ring closes goes;
         the kept rings that take a part are marked stale (``_Ring``).  A
         ring that takes none is planned again as it was: every component it
         takes is unchanged, and a climb from one of them still leads to the
@@ -797,7 +784,7 @@ class FTree:
         """
         ring_id = self._add_component(ring)
         taken = {cid for cid, _, _ in parts}
-        self._rings = {k: r for k, r in self._rings.items() if k[0] not in ring.internal_edges}
+        self._rings = {c: r for c, r in self._rings.items() if c not in ring.internal_edges}
         for r in self._rings.values():
             if r.parts is not None and not taken.isdisjoint(c for c, _, _ in r.parts):
                 r.parts = None
@@ -824,7 +811,6 @@ class FTree:
             if cid == self.root_id:
                 self.root_id = ring_id
         self.vertex_index.update(dict.fromkeys(ring.members, ring_id))
-        return case
 
     def _split_mono(self, comp_id: int, v_src: int, v_dest: int) -> tuple[list[int], int]:
         """Where a cycle through v_src and v_dest cuts a mono component: the
@@ -844,22 +830,22 @@ class FTree:
     # sampling upkeep
     # ------------------------------------------------------------------
 
-    def refresh(self, graph: ProbabilisticGraph, cfg: SamplerConfig) -> None:
-        """Build every dirty component's reach table.
+    def refresh(self) -> None:
+        """Build every bi component's reach table not built yet, under the
+        tree's config: ``_evaluate`` calls it first.
 
-        Each dirty component gets its table from its sampler's ``build``
-        (exact, or drawn at its full budget in one call).  Renewing a table
-        drops the tree's kept evaluation.  No live kept ring takes a dirty
-        component: only a cycle-closing insert makes one, after marking
-        stale the rings it touches, and rings are planned on evaluated trees
-        only.
+        Each one gets its table from its sampler's ``build`` (exact, or
+        drawn at its full budget in one call).  Its worlds depend only on
+        its signature and the config, so a table built here equals one
+        built at the insert that made the component.  Only a cycle-closing
+        insert makes a component without a table, and it drops the kept
+        evaluation and marks stale the rings it touches; rings are planned
+        on evaluated trees only.  So no kept evaluation or live ring reads
+        a component this builds.
         """
-        self._use_graph(graph)
-        for cid in self.dirty_components():
-            self._kept = None
-            comp = self.components[cid]
-            assert isinstance(comp, BiComponent)
-            comp.reach, _ = IncrementalComponentSampler(graph, comp, cfg).build()
+        for comp in self.components.values():
+            if isinstance(comp, BiComponent) and comp.reach is None:
+                comp.reach, _ = IncrementalComponentSampler(self._graph, comp, self._cfg).build()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -872,23 +858,24 @@ class FTree:
         contribute their per-vertex intervals, multiplied lower-times-lower /
         upper-times-upper down the hang chain (t = g·t(h), see the module
         docstring) and summed with the vertex weights.  The tree's kept
-        evaluation is returned when it has one for ``graph``.
+        evaluation is returned when it has one for ``graph``; otherwise the
+        tree is evaluated, building the tables not built yet (``refresh``).
         """
         self._use_graph(graph)
         return (self._kept or self._evaluate(graph)).estimate
 
     def _evaluate(self, graph: ProbabilisticGraph) -> _Kept:
         """Evaluate the whole tree and keep the result as a new kept state;
-        the caller has made ``graph`` the one the tree serves.  One pass in
+        the caller has made ``graph`` the one the tree serves.  The reach
+        tables not built yet are built first (``refresh``).  One pass in
         attach order (see the module docstring) gives every reach triple
         and hang and the weighted sums; a component's kind only picks each
         member's h and g.  The estimate's worlds are the fewest behind any
-        reach table.  A dirty bi component raises DirtyComponentError.
+        reach table.
         """
+        self.refresh()
         weights, comps = graph.weights, self.components
         tables = [c.reach for c in comps.values() if isinstance(c, BiComponent)]
-        if any(table is None for table in tables):
-            raise DirtyComponentError("expected_flow called with stale components")
         samples_used = min([EXACT_SAMPLES] + [table.sample_count for table in tables])
         triples: dict[int, tuple[float, float, float]] = {self.q: (1.0, 1.0, 1.0)}
         rank = {self.q: 0}
@@ -976,18 +963,14 @@ class FTree:
         return min([n] + [c.reach.sample_count for c in bis if c.members.isdisjoint(inside)])
 
     def probe_edge(
-        self,
-        graph: ProbabilisticGraph,
-        edge: tuple[int, int],
-        cfg: SamplerConfig,
-        floor: Optional[float] = None,
+        self, graph: ProbabilisticGraph, edge: tuple[int, int], floor: Optional[float] = None
     ) -> tuple[FlowEstimate, InsertReport, bool]:
         """Flow and insert report of a hypothetical cycle-closing insertion,
         and whether ``floor`` pruned it, leaving this tree, its tables and
         its evaluation untouched (a tree with no kept evaluation is
-        evaluated first; a dirty one raises).  Both endpoints must be
-        attached: a leaf edge raises FTreeError, as ``leaf_terms`` scores
-        leaves.
+        evaluated first).  Both endpoints must be attached, so an insert
+        has given the tree its config, which the probe samples under: a
+        leaf edge raises FTreeError, as ``leaf_terms`` scores leaves.
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
@@ -1011,8 +994,8 @@ class FTree:
         round of which is pruned returns its last round's estimate, the
         full table's.
 
-        Every tree keeps each cycle candidate it probes under ``cfg``
-        (``_Ring``) until its edge is committed, so a re-probe or a commit
+        Every tree keeps each cycle candidate it probes (``_Ring``), keyed
+        by its edge, until its edge is committed, so a re-probe or a commit
         skips planning and a re-probe skips preparing the sampler.  A ring
         an insert made stale (see ``_close_cycle``) is planned again: if
         its component, the articulation vertex and the edges, is unchanged,
@@ -1029,7 +1012,7 @@ class FTree:
         if not (att_u and att_v):
             raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
         kept = self._kept or self._evaluate(graph)
-        ring = self._rings.get((e, cfg))
+        cfg, ring = self._cfg, self._rings.get(e)
         if ring is None or ring.parts is None:
             parts, comp, case = self._plan_cycle(*e, e)
             report = InsertReport(case, len(comp.internal_edges))
@@ -1039,7 +1022,7 @@ class FTree:
                 ring.parts, ring.report = parts, report  # its component is unchanged
             else:
                 members = sorted((kept.rank[x], x) for x in comp.members)
-                ring = self._rings[e, cfg] = _Ring(members, comp, report, parts)
+                ring = self._rings[e] = _Ring(members, comp, report, parts)
         members, r, report, scored = ring.members, ring.comp.articulation, ring.report, ring.scored
         check = None  # the floor an exact table is judged against
         if scored is None:

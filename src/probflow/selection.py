@@ -196,7 +196,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         if use_ci:
             probes, pruned = _probe_with_ci(tree, graph, cycles, base, cfg)
         else:
-            probes = {e: tree.probe_edge(graph, e, cfg.sampler)[:2] for e in cycles}
+            probes = {e: tree.probe_edge(graph, e)[:2] for e in cycles}
             pruned = set()
 
         ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
@@ -263,7 +263,7 @@ def _probe_with_ci(
     for e, floor in zip(cycles, floors):
         if best is not None and (floor is None or best > floor):
             floor = best
-        est, report, cut = tree.probe_edge(graph, e, cfg.sampler, floor)
+        est, report, cut = tree.probe_edge(graph, e, floor)
         if cut:
             pruned.add(e)
         elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best):

@@ -16,6 +16,7 @@ import pytest
 
 from probflow import (
     EXACT_SAMPLES,
+    BiComponent,
     FlowEstimate,
     ProbabilisticGraph,
     SamplerConfig,
@@ -36,6 +37,7 @@ from probflow import (
     run_strategy,
 )
 from probflow.cli import main as cli_main
+from probflow.ftree import IncrementalComponentSampler
 from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
@@ -230,7 +232,7 @@ def test_criterion_05_structural_invariants():
 
 
 @pytest.mark.pinned
-def test_criterion_06_walkthrough_cases():
+def test_criterion_06_walkthrough_cases(monkeypatch):
     with criterion(6, "running-example insertion walkthrough", None):
         g = running_example_graph()
         cfg = SamplerConfig(samples=2000, master_seed=17)
@@ -252,10 +254,20 @@ def test_criterion_06_walkthrough_cases():
             assert report.case_taken.startswith(case)
             trial.verify(g)
             assert trial.dump(g) + "\n" == (GOLDEN / golden_name).read_text()
-        # the IIIa insertion must re-sample exactly one component
+        # the IIIa insertion builds no table, and the next evaluation
+        # re-samples exactly the one component it made
+        tree.expected_flow(g)
         trial = tree.copy()
-        trial.insert_edge(g, (6, 8), cfg, defer_sampling=True)
-        assert len(trial.dirty_components()) == 1
+        builds = []
+        build = IncrementalComponentSampler.build
+        monkeypatch.setattr(
+            IncrementalComponentSampler, "build", lambda s, *a: builds.append(s) or build(s, *a)
+        )
+        trial.insert_edge(g, (6, 8), cfg)
+        pending = [c for c in trial.components.values() if isinstance(c, BiComponent) and c.reach is None]
+        assert builds == [] and len(pending) == 1
+        trial.expected_flow(g)
+        assert [s._comp for s in builds] == pending
 
 
 def test_criterion_07_greedy_quality(greedy_corpus):

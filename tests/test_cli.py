@@ -12,6 +12,7 @@ import pytest
 
 from probflow import VARIANTS
 from probflow.cli import _build_parser, main
+from probflow.ftree import IncrementalComponentSampler
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -208,6 +209,20 @@ class TestMaxflow:
                    "--k", "2", "--ds-c", value, "--out", str(out)])
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if "_ds" not in v])
+    def test_ds_c_rejected_where_no_variant_reads_it(self, tmp_path, capsys, variant):
+        # Only the _ds variants read --ds-c; any other would write the same
+        # CSV as without it.
+        paths = write_instance(tmp_path, TRIANGLE_EDGES, TRIANGLE_WEIGHTS)
+        out = tmp_path / "run.csv"
+        rc = main(["maxflow", "--edges", paths["edges"], "--query", "Q", "--variant", variant,
+                   "--k", "2", "--ds-c", "9", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --ds-c is read only by the _ds variants, not by {variant}\n"
+        )
         assert not out.exists()
 
     def test_unknown_query_is_validation_error(self, tmp_path, capsys):
@@ -496,6 +511,34 @@ class TestBench:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--ds-c", "5"], "--ds-c is read only by the _ds variants, not by ft, naive"),
+        (["--sweep", "c=2,3"], "sweep axis 'c' is read only by the _ds variants, not by ft, naive"),
+    ], ids=["ds-c", "sweep-c"])
+    def test_ds_c_rejected_where_no_variant_reads_it(self, tmp_path, capsys, monkeypatch, argv, message):
+        calls = []
+        monkeypatch.setattr("probflow.cli.run_strategy", lambda *args: calls.append(args))
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--n", "20", "--deg", "4", "--variants", "ft,naive", *argv, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "wsn"], ["--n", "9"], ["--deg", "4"], ["--eps", "0.7"], ["--unit-weights"],
+    ], ids=lambda argv: argv[0])
+    def test_file_input_rejects_generator_flags(self, tmp_path, capsys, monkeypatch, argv):
+        # An --edges run generates nothing, so each generator flag would
+        # leave its CSV as it is without the flag.
+        calls = []
+        monkeypatch.setattr("probflow.cli.run_strategy", lambda *args: calls.append(args))
+        paths = write_instance(tmp_path, TRIANGLE_EDGES, TRIANGLE_WEIGHTS)
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--edges", paths["edges"], "--query", "Q", *argv, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} is not read with --edges input\n"
+        assert calls == [] and not out.exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -551,6 +594,22 @@ class TestDumpFtree:
         rc = main(["dump-ftree", "--edges", paths["edges"], "--weights", paths["weights"],
                    "--query", "Q", "--insert", str(order)])
         assert rc == 2
+
+    @pytest.mark.parametrize("family, size", [
+        ("erdos", ["--n", "60", "--deg", "6"]),
+        ("partitioned", ["--n", "64", "--deg", "8"]),
+        ("wsn", ["--n", "80", "--eps", "0.25"]),
+    ])
+    def test_inserting_every_candidate_builds_no_table(self, tmp_path, capsys, monkeypatch, family, size):
+        # The dump shows structure only, and inserts build no reach table:
+        # only an evaluation does, and the dump evaluates nothing.
+        assert main(["generate", family, *size, "--seed", "1", "--out", str(tmp_path / "g")]) == 0
+        capsys.readouterr()
+        built = []
+        monkeypatch.setattr(IncrementalComponentSampler, "build", lambda s, *a: built.append(s))
+        rc, stdout = run(capsys, "dump-ftree", "--edges", str(tmp_path / "g.edges"),
+                         "--weights", str(tmp_path / "g.weights"), "--query", "0")
+        assert rc == 0 and " BI " in stdout and built == []
 
     @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--samples", "5"), ("--alpha", "0.5")])
     def test_sampler_flag_rejected(self, tmp_path, capsys, flag, value):

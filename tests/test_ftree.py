@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from probflow import (
     EXACT_SAMPLES,
     BiComponent,
-    DirtyComponentError,
     FlowEstimate,
     FTreeError,
     InsertReport,
@@ -56,15 +55,17 @@ CFG = SamplerConfig(samples=2000, master_seed=17)
 
 
 def build_base_tree(graph, cfg=CFG, memo=False):
+    """The running example's base tree, evaluated, so its tables are built."""
     tree = new_ftree(0, memo)
     for e in BASE_ORDER:
         tree.insert_edge(graph, e, cfg)
+    tree.expected_flow(graph)
     return tree
 
 
 def long_ring_tree(cfg=CFG, memo=False):
     """An 11-edge cycle 0-1-...-10-0 through the query vertex with a tail
-    5-11-12, all inserted, in a memo tree if ``memo``.  2^11 worlds exceed
+    5-11-12, all inserted and evaluated, in a memo tree if ``memo``.  2^11 worlds exceed
     ``CFG``'s 2000 samples, so the cycle's table is drawn; the edge (8, 12)
     closes a 14-edge ring around it (case IV), also drawn."""
     cycle = [(i, (i + 1) % 11, 0.5 + 0.04 * i) for i in range(11)]
@@ -76,6 +77,7 @@ def long_ring_tree(cfg=CFG, memo=False):
     for e in insertable_order(g):
         if e != (8, 12):
             tree.insert_edge(g, e, cfg)
+    tree.expected_flow(g)
     return g, tree
 
 
@@ -131,10 +133,10 @@ class TestInsertionCases:
         g = ProbabilisticGraph.build(
             3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)], weights=[0.0, 1.0, 1.0]
         )
-        tree = new_ftree(0)
-        tree.insert_edge(g, (0, 1), CFG)
-        tree.insert_edge(g, (1, 2), CFG)
         cfg = SamplerConfig(samples=100000, master_seed=3)
+        tree = new_ftree(0)
+        tree.insert_edge(g, (0, 1), cfg)
+        tree.insert_edge(g, (1, 2), cfg)
         report = tree.insert_edge(g, (0, 2), cfg)
         assert report.case_taken == "IIIb"
         root = tree.components[tree.root_id]
@@ -202,12 +204,11 @@ class TestRunningExample:
         g = running_example_graph()
         tree = build_base_tree(g)
         before = tree.dump(g)
-        deferred = tree.copy()
-        deferred.insert_edge(g, (6, 8), CFG, defer_sampling=True)
-        assert len(deferred.dirty_components()) == 1
         report = tree.insert_edge(g, (6, 8), CFG)
         assert report.case_taken == "IIIa"
         assert report.edges_sampled_count == 5  # the four-cycle plus the chord
+        _, bis = components_by_kind(tree)
+        assert [len(c.internal_edges) for c in bis.values() if c.reach is None] == [5]
         assert tree.dump(g) == before  # no structural change
         tree.verify(g)
 
@@ -278,14 +279,15 @@ class TestSplitTree:
     def test_direct_split_matches_narrative(self):
         g = running_example_graph()
         tree = build_base_tree(g)
-        report = tree.insert_edge(g, (14, 15), CFG, defer_sampling=True)
+        report = tree.insert_edge(g, (14, 15), CFG)
         assert report.case_taken == "IIIb"
         _, bis = components_by_kind(tree)
         bi = bis[frozenset({14, 15})]
         assert bi.articulation == 13
         assert bi.internal_edges == {(13, 14), (13, 15), (14, 15)}
-        assert bi.dirty
-        tree.refresh(g, CFG)
+        assert bi.reach is None
+        tree.refresh()
+        assert bi.reach is not None
         tree.verify(g)
 
     def test_split_requires_mono(self):
@@ -382,18 +384,19 @@ class TestExpectedFlow:
         assert {type(x) for c in bis.values() for row in c.reach.rows.values() for x in row} == {float}
         assert {len(row) for c in bis.values() for row in c.reach.rows.values()} == {3}
 
-    def test_dirty_component_rejected(self):
+    def test_evaluation_builds_the_table_a_cycle_insert_left_out(self):
         g = ProbabilisticGraph.build(
             3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)]
         )
         tree = new_ftree(0)
         tree.insert_edge(g, (0, 1), CFG)
         tree.insert_edge(g, (1, 2), CFG)
-        tree.insert_edge(g, (0, 2), CFG, defer_sampling=True)
-        with pytest.raises(DirtyComponentError):
-            tree.expected_flow(g)
-        tree.refresh(g, CFG)
-        tree.expected_flow(g)
+        tree.insert_edge(g, (0, 2), CFG)
+        [bi] = components_by_kind(tree)[1].values()
+        assert bi.reach is None
+        est = tree.expected_flow(g)
+        assert bi.reach is not None and bi.reach.sample_count == EXACT_SAMPLES
+        assert est.mean == est.lb == est.ub == pytest.approx(exact_expected_flow(g, 0), abs=1e-12)
 
     def test_sampled_flow_converges_to_oracle(self):
         # Cycles of 14 or more uncertain edges: 2^14 worlds exceed 10000
@@ -441,7 +444,7 @@ class TestProbe:
         # what the probe reported.
         g = running_example_graph()
         tree = build_base_tree(g)
-        est, report, pruned = tree.probe_edge(g, (14, 15), CFG)
+        est, report, pruned = tree.probe_edge(g, (14, 15))
         assert not pruned
         assert tree.insert_edge(g, (14, 15), CFG) == report
         assert_close(est, tree.expected_flow(g))
@@ -451,7 +454,7 @@ class TestProbe:
         tree = build_base_tree(g)
         before_dump = tree.dump(g)
         before_est = tree.expected_flow(g)
-        tree.probe_edge(g, (11, 15), CFG)
+        tree.probe_edge(g, (11, 15))
         assert tree.dump(g) == before_dump
         assert tree.expected_flow(g) == before_est
 
@@ -478,13 +481,13 @@ class TestProbe:
                     continue
                 if not (tree.is_attached(e[0]) and tree.is_attached(e[1])):
                     with pytest.raises(FTreeError, match="leaf_terms"):
-                        tree.probe_edge(g, e, cfg)
+                        tree.probe_edge(g, e)
                     cases.add(tree.copy().insert_edge(g, e, cfg).case_taken)
                     continue
-                stopped, stopped_report, pruned = tree.probe_edge(g, e, cfg, math.inf)
+                stopped, stopped_report, pruned = tree.probe_edge(g, e, math.inf)
                 probe = tree.copy()
                 report = probe.insert_edge(g, e, cfg)
-                est, probe_report, _ = tree.probe_edge(g, e, cfg)
+                est, probe_report, _ = tree.probe_edge(g, e)
                 assert report == probe_report == stopped_report
                 assert_close(est, probe.expected_flow(g))
                 assert est.samples_used == cfg.samples
@@ -538,7 +541,7 @@ class TestProbe:
                         continue
                     picks += 1
                     for check in checks:
-                        ring = tree._rings.get((c, cfg))
+                        ring = tree._rings.get(c)
                         # Kept before the last commit, which was a leaf.
                         rescored += check == "plain" and after_leaf and ring is not None
                         sampler = ring and ring.sampler  # prepared at its first build
@@ -547,16 +550,16 @@ class TestProbe:
                             and ring.drawn is None
                         )
                         floor = None if check == "plain" else (plain.mean, plain.ub, math.inf)[picks % 3]
-                        got = tree.probe_edge(g, c, cfg, floor)
+                        got = tree.probe_edge(g, c, floor)
                         plain = got[0] if check == "plain" else plain
                         copy = twin.copy()
-                        assert got == copy.probe_edge(g, c, cfg, None if use_memo else floor)
+                        assert got == copy.probe_edge(g, c, None if use_memo else floor)
                         pruned += got[2]
                         if use_memo:
-                            assert tree._rings[c, cfg].scored[0] == copy._rings[c, cfg].scored[0]
+                            assert tree._rings[c].scored[0] == copy._rings[c].scored[0]
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 assert tree.insert_edge(g, e, cfg) == twin.insert_edge(g, e, cfg)
-                assert (e, cfg) not in tree._rings
+                assert e not in tree._rings
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
         assert use_memo or (redrawn > 100 and pruned > 100)
@@ -568,25 +571,15 @@ class TestProbe:
         # and gives what a fresh probe of a copy gives, bit for bit.
         g = running_example_graph()
         tree = build_base_tree(g, memo=use_memo)
-        first = tree.probe_edge(g, (14, 15), CFG)[0]
+        first = tree.probe_edge(g, (14, 15))[0]
         assert tree.insert_edge(g, (7, 17), CFG).case_taken == "IIb"
         calls = []
         copy = type(tree).copy
         monkeypatch.setattr(type(tree), "copy", lambda self: calls.append(1) or copy(self))
-        est = tree.probe_edge(g, (14, 15), CFG)[0]
+        est = tree.probe_edge(g, (14, 15))[0]
         assert calls == []
         assert est != first
-        assert est == tree.copy().probe_edge(g, (14, 15), CFG)[0]
-
-    def test_kept_probe_serves_only_its_config(self):
-        # A cycle probe kept under one sampler config is not replayed for a
-        # probe under another, which draws that config's own tables.
-        g = running_example_graph()
-        tree = build_base_tree(g, memo=True)
-        tree.probe_edge(g, (14, 15), CFG)
-        other = replace(CFG, master_seed=CFG.master_seed + 1)
-        est = tree.probe_edge(g, (14, 15), other)[0]
-        assert est == tree.copy().probe_edge(g, (14, 15), other)[0]
+        assert est == tree.copy().probe_edge(g, (14, 15))[0]
 
     @pytest.mark.pinned
     def test_memo_less_reprobes_match_fresh_probes(self, monkeypatch):
@@ -606,11 +599,12 @@ class TestProbe:
 
         def probe(tree, c, floor=None):
             nonlocal resumed
-            ring = tree._rings.get((c, cfg))
+            ring = tree._rings.get(c)
             kept = ring is not None and ring.drawn is not None
             resumed += kept
+            tree.expected_flow(g)  # builds the table the last cycle commit left out
             before = len(built)
-            result = tree.probe_edge(g, c, cfg, floor)
+            result = tree.probe_edge(g, c, floor)
             assert len(built) == before + (not kept)
             return result
 
@@ -632,7 +626,7 @@ class TestProbe:
                 for c in cycles:
                     if c == e:
                         continue
-                    assert tree._rings[c, cfg].scored is None
+                    assert tree._rings[c].scored is None
                     for floor in (None, math.inf):
                         assert probe(tree, c, floor) == probe(tree.copy(), c, floor)
                     reprobed += 1
@@ -661,14 +655,15 @@ class TestProbe:
             tree, inserted = new_ftree(0, use_memo), []
             for e in insertable_order(g, rng):
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, cfg)
+                    tree.probe_edge(g, c)
                 leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
                 if leaf:
                     continue
+                tree.expected_flow(g)  # the kept evaluation gives attach positions
                 replay = replay_tree(g, inserted, cfg, use_memo)
-                for (c, _), ring in tree._rings.items():
+                for c, ring in tree._rings.items():
                     if ring.parts is None:
                         stale += 1
                         continue
@@ -680,11 +675,11 @@ class TestProbe:
                     assert ring.parts == parts
                     assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
                     for floor in (None,) if use_memo else (None, math.inf):
-                        fresh = replay.probe_edge(g, c, cfg, floor)
-                        assert tree.probe_edge(g, c, cfg, floor) == fresh
+                        fresh = replay.probe_edge(g, c, floor)
+                        assert tree.probe_edge(g, c, floor) == fresh
                     if use_memo:
                         table, coeffs = ring.scored
-                        assert table == replay._rings[c, cfg].scored[0]
+                        assert table == replay._rings[c].scored[0]
                         assert coeffs == tree._coefficients(ring.members, table.rows)
                     survived += 1
         assert survived > 200 and stale > 1000
@@ -723,14 +718,15 @@ class TestProbe:
             tree, inserted = new_ftree(0, use_memo), []
             for e in insertable_order(g, rng):
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, cfg, rng.choice([None, math.inf, math.inf]))
+                    tree.probe_edge(g, c, rng.choice([None, math.inf, math.inf]))
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
                 if not cycle:
                     continue
+                tree.expected_flow(g)  # builds the commit's table before builds are counted
                 replay = replay_tree(g, inserted, cfg, use_memo)
-                for (c, _), ring in list(tree._rings.items()):
+                for c, ring in list(tree._rings.items()):
                     if ring.parts is not None:
                         continue
                     parts, comp, _ = tree._plan_cycle(*c, c)
@@ -745,17 +741,17 @@ class TestProbe:
                         kind = "exact" if exact else "drawn"
                     floor = None if held else rng.choice([None, math.inf])
                     before, made = len(built), len(prepared)
-                    got = tree.probe_edge(g, c, cfg, floor)
+                    got = tree.probe_edge(g, c, floor)
                     builds, samplers = len(built) - before, len(prepared) - made
-                    assert got == replay.probe_edge(g, c, cfg, floor)
-                    assert (tree._rings[c, cfg] is ring) == same
+                    assert got == replay.probe_edge(g, c, floor)
+                    assert (tree._rings[c] is ring) == same
                     if same:
                         assert ring.parts == parts and samplers == 0
                         assert builds == (0 if held or resumed else 1)
                     else:
                         assert builds == samplers == 1
                     if held:
-                        assert tree.probe_edge(g, c, cfg, math.inf) == got and not got[2]
+                        assert tree.probe_edge(g, c, math.inf) == got and not got[2]
                     seen[same, kind] = seen.get((same, kind), 0) + 1
         assert all(seen.get((True, kind), 0) > 5 for kind in ("exact", "drawn", "pruned"))
         assert sum(count for (same, _), count in seen.items() if not same) > 100
@@ -793,14 +789,14 @@ class TestProbe:
             for e in insertable_order(g, rng):
                 if rng.random() < 0.7:
                     for c in tree.cycle_candidates(g):
-                        tree.probe_edge(g, c, cfg)
+                        tree.probe_edge(g, c)
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
-                ring = tree._rings.get((e, cfg))
+                ring = tree._rings.get(e)
                 kept = ring is not None and ring.parts is not None
                 stale += ring is not None and not kept
                 calls.clear()
                 report = tree.insert_edge(g, e, cfg)
-                assert (e, cfg) not in tree._rings
+                assert e not in tree._rings
                 if cycle:
                     assert calls == ([] if kept else ["plan"])
                     commits[kept] += 1
@@ -808,8 +804,8 @@ class TestProbe:
                 assert replay.insert_edge(g, e, cfg) == report
                 inserted.append(e)
                 assert tree.dump(g) == replay.dump(g)
-                assert tables(tree) == tables(replay)
                 est, ref = tree.expected_flow(g), replay.expected_flow(g)
+                assert tables(tree) == tables(replay)
                 assert hexed((est.mean, est.lb, est.ub)) == hexed((ref.mean, ref.lb, ref.ub))
                 assert est.samples_used == ref.samples_used
         assert commits[True] > 100 and commits[False] > 20 and stale > 5
@@ -835,18 +831,18 @@ class TestProbe:
             tree = new_ftree(0, use_memo)
             for e in order:
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, cfg, math.inf)
+                    tree.probe_edge(g, c, math.inf)
                 leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 if not leaf:
                     continue
-                for (c, _), ring in list(tree._rings.items()):
+                for c, ring in list(tree._rings.items()):
                     if ring.drawn is None:
                         continue
                     floor = rng.choice([None, math.inf])
-                    fresh = tree.copy().probe_edge(g, c, cfg, floor)
+                    fresh = tree.copy().probe_edge(g, c, floor)
                     before = len(built)
-                    assert tree.probe_edge(g, c, cfg, floor) == fresh
+                    assert tree.probe_edge(g, c, floor) == fresh
                     assert len(built) == before
                     assert (ring.drawn is None) == (floor is None)
                     assert (ring.scored is not None) == (use_memo and floor is None)
@@ -854,22 +850,24 @@ class TestProbe:
         assert min(resumed.values()) > 20
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
-    def test_deferred_probed_commit_samples_nothing(self, use_memo):
-        # A deferred commit of a probed cycle edge leaves its new component
-        # dirty, memo tree or not, and reports and dumps as a deferred
-        # commit of an unprobed edge does; ``refresh`` then gives the tables
-        # of an undeferred commit.
+    def test_probed_commit_builds_nothing(self, monkeypatch, use_memo):
+        # A commit of a probed cycle edge builds no table: a memo tree's new
+        # component takes its ring's, any other has none until the next
+        # evaluation builds it.  The commit reports, dumps and evaluates as
+        # a commit of an unprobed edge does.
         g = running_example_graph()
         tree, plain = build_base_tree(g, memo=use_memo), build_base_tree(g, memo=use_memo)
-        tree.probe_edge(g, (14, 15), CFG)
-        report = tree.insert_edge(g, (14, 15), CFG, defer_sampling=True)
-        assert report == plain.copy().insert_edge(g, (14, 15), CFG, defer_sampling=True)
+        tree.probe_edge(g, (14, 15))
+        built = count_builds(monkeypatch)
+        report = tree.insert_edge(g, (14, 15), CFG)
+        assert built == [] and report == plain.insert_edge(g, (14, 15), CFG)
         assert report.case_taken == "IIIb"
-        assert len(tree.dirty_components()) == 1
-        tree.refresh(g, CFG)
-        plain.insert_edge(g, (14, 15), CFG)
+        _, bis = components_by_kind(tree)
+        assert (bis[frozenset({14, 15})].reach is not None) == use_memo
         assert tree.dump(g) == plain.dump(g)
-        assert tree.expected_flow(g) == plain.expected_flow(g)
+        est = tree.expected_flow(g)
+        assert len(built) == (0 if use_memo else 1)
+        assert est == plain.expected_flow(g)
 
     @pytest.mark.parametrize("variant",["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_signature_text_is_built_once_per_drawn_sampler(self, monkeypatch, variant):
@@ -900,14 +898,14 @@ class TestProbe:
         tree.insert_edge(g, (0, 1), CFG)
         before = snapshot(tree, g)
         with pytest.raises(FTreeError, match="leaf_terms"):
-            tree.probe_edge(g, (1, 2), CFG)
+            tree.probe_edge(g, (1, 2))
         assert tree._rings == {} and snapshot(tree, g) == before
         assert (1, 2) in tree.leaf_terms(g)[1]
         assert tree.insert_edge(g, (0, 2), CFG).edges_sampled_count == 0
         assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
-        est, report, pruned = tree.probe_edge(g, (1, 2), CFG)
+        est, report, pruned = tree.probe_edge(g, (1, 2))
         assert report.case_taken not in ("IIa", "IIb")
-        assert (est, report, pruned) == tree.copy().probe_edge(g, (1, 2), CFG)
+        assert (est, report, pruned) == tree.copy().probe_edge(g, (1, 2))
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_frontier_matches_full_evaluations(self, use_memo):
@@ -917,8 +915,8 @@ class TestProbe:
         # exactly the candidates with one endpoint attached, and each leaf's
         # estimate plus term equals inserting it into an evaluated copy, bit
         # for bit, both as the copy's extended estimate and evaluated from
-        # scratch.  Some commits defer sampling and refresh after, so the
-        # terms are read with no kept evaluation, as the empty tree's are.
+        # scratch.  Some cycle commits are not evaluated after, so the terms
+        # are read with no kept evaluation, as the empty tree's are.
         rng = random.Random(4242)
         cfg = SamplerConfig(samples=300, master_seed=3)
         seen = set()
@@ -945,15 +943,13 @@ class TestProbe:
                         assert hexed(score) == hexed((est.mean, est.lb, est.ub))
                         assert base.samples_used == est.samples_used
                     with pytest.raises(FTreeError, match="leaf_terms"):
-                        tree.probe_edge(g, c, cfg)
+                        tree.probe_edge(g, c)
                 assert snapshot(tree, g) == before
                 seen.add(last if leaves else None)
-                if rng.random() < 0.3:
-                    case = tree.insert_edge(g, e, cfg, defer_sampling=True).case_taken
-                    tree.refresh(g, cfg)
-                    last = case if tree._kept is not None else "unevaluated"
-                else:
-                    last = tree.insert_edge(g, e, cfg).case_taken
+                case = tree.insert_edge(g, e, cfg).case_taken
+                if rng.random() < 0.7:
+                    tree.expected_flow(g)
+                last = case if tree._kept is not None else "unevaluated"
             assert tree.candidates(g) == []
         assert {"empty", "unevaluated", "IIa", "IIb", "IIIa", "IIIb", "IVb"} <= seen
 
@@ -973,7 +969,9 @@ class TestProbe:
 
 
 def snapshot(tree, g):
-    """Deep, comparable picture of a tree: layout, components, links, flow."""
+    """Deep, comparable picture of a tree, evaluated first so that every
+    table is built: layout, components, links, flow."""
+    flow = tree.expected_flow(g)
     comps = {}
     for cid, c in tree.components.items():
         if isinstance(c, MonoComponent):
@@ -981,13 +979,13 @@ def snapshot(tree, g):
         else:
             comps[cid] = (
                 "bi", frozenset(c.members), c.articulation, frozenset(c.internal_edges),
-                c.reach, c.dirty,
+                c.reach,
             )
     links = (
         tree.root_id, {cid: tree.parent_of(cid) for cid in tree.components},
         dict(tree.vertex_index), frozenset(tree.selected_edges),
     )
-    return tree.dump(g), comps, links, tree.expected_flow(g), tree.copy().expected_flow(g)
+    return tree.dump(g), comps, links, flow, tree.copy().expected_flow(g)
 
 
 def hexed(values):
@@ -1008,8 +1006,8 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     Returns that estimate, the insert's report and the ring's signature.
     The ring must be one whose table is drawn, not enumerated."""
     ref = tree.copy()
-    report = ref.insert_edge(g, e, cfg, defer_sampling=True)
-    [ring] = [ref.components[cid] for cid in ref.dirty_components()]
+    report = ref.insert_edge(g, e, cfg)
+    [ring] = [c for c in ref.components.values() if isinstance(c, BiComponent) and c.reach is None]
     sampler = IncrementalComponentSampler(g, ring, cfg)
     assert not sampler.exact
     ring.reach = drawn_table(sampler, worlds or cfg.samples)
@@ -1048,7 +1046,7 @@ class TestRingFormula:
                 before = snapshot(tree, g)
                 for c in tree.cycle_candidates(g).copy():
                     ref, ref_report, sig = grown_flow(tree, g, c, cfg)
-                    ring = tree._rings.get((c, cfg))
+                    ring = tree._rings.get(c)
                     kept = use_memo and ring is not None
                     rescored += kept and after_leaf
                     hit = kept and ring.scored is not None and ring.comp.signature() == sig
@@ -1059,16 +1057,16 @@ class TestRingFormula:
                     floor = -math.inf
                     if stop_at <= len(sizes):
                         floor = math.nextafter(rounds[stop_at - 1].ub, math.inf)
-                    est, _, pruned = tree.probe_edge(g, c, cfg, floor)
+                    est, _, pruned = tree.probe_edge(g, c, floor)
                     at = None if hit else reference_prune_round(rounds, floor)
                     assert pruned == (at is not None)
                     if pruned:
                         assert est == rounds[at] and at < stop_at
-                        assert tree._rings[c, cfg].scored is None
+                        assert tree._rings[c].scored is None
                     else:
                         assert est == rounds[-1]
                     prunes.add(at)
-                    est, report, _ = tree.probe_edge(g, c, cfg)
+                    est, report, _ = tree.probe_edge(g, c)
                     assert_close(est, ref)
                     assert est.samples_used == cfg.samples
                     assert (report.case_taken, report.edges_sampled_count) == (
@@ -1085,22 +1083,26 @@ class TestRingFormula:
         assert rescored > 0 or not use_memo
 
     def test_worlds_used_count_only_the_tables_the_grown_tree_keeps(self):
-        # The triangle {0, 1, 2} is drawn with 4 worlds and the probes'
-        # rings with 6, fewer than any of them has (2^3 or 2^5), so all
-        # are drawn.  The ring (0, 3) closes takes the triangle in, so the
-        # grown tree has 6-world tables only; the ring (0, 5) closes leaves
-        # it, so 4 worlds remain the fewest.
+        # The tree draws 6 worlds, fewer than any component here has (2^3
+        # or 2^5), so all are drawn.  The triangle {0, 1, 2} gets the table
+        # of its first 4 worlds before the tree is evaluated, as a pruned
+        # probe's round would carry.  The ring (0, 3) closes takes the
+        # triangle in, so the grown tree has 6-world tables only; the ring
+        # (0, 5) closes leaves it, so 4 worlds remain the fewest.
         g = ProbabilisticGraph.build(
             6, [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.5), (2, 3, 0.8), (0, 3, 0.4),
                 (0, 4, 0.9), (4, 5, 0.6), (0, 5, 0.3)],
             weights=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
         )
+        wide = replace(CFG, samples=6)
         tree = new_ftree(0)
         for e in [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4), (4, 5)]:
-            tree.insert_edge(g, e, replace(CFG, samples=4))
-        wide = replace(CFG, samples=6)
+            tree.insert_edge(g, e, wide)
+        [triangle] = components_by_kind(tree)[1].values()
+        triangle.reach = drawn_table(IncrementalComponentSampler(g, triangle, wide), 4)
+        assert tree.expected_flow(g).samples_used == 4
         for edge, worlds in [((0, 3), 6), ((0, 5), 4)]:
-            est = tree.probe_edge(g, edge, wide)[0]
+            est = tree.probe_edge(g, edge)[0]
             assert_close(est, grown_flow(tree, g, edge, wide)[0])
             assert est.samples_used == worlds
 
@@ -1109,6 +1111,43 @@ class TestKeptEvaluation:
     """A tree's kept evaluation always equals a from-scratch evaluation."""
 
     CASES = {"IIa", "IIb", "IIIa", "IIIb", "IVb", "IVc-composite"}
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+    def test_one_evaluation_at_the_end_equals_one_per_insert(self, memo):
+        # Random graphs in random insertion orders.  One tree is evaluated
+        # after every insert, and before about half of them its cycle
+        # candidates are probed, so a memo tree's commit adopts its probe's
+        # table; the other takes the whole order and is evaluated once, so
+        # every table is built at the end.  Both give the same estimate, bit
+        # for bit, and the same dump.  Both report every cycle insert's cost
+        # as its new component's edge count, and every leaf insert's as 0.
+        # Graphs of up to 14 vertices give tables both enumerated (2^m <=
+        # 300) and drawn.
+        rng = random.Random(3131)
+        cfg = SamplerConfig(samples=300, master_seed=29)
+        cases = set()
+        for trial in range(30):
+            n = rng.randint(4, 14)
+            g = random_connected_graph(rng, n, rng.randint(1, 2 * n))
+            eager, lazy = new_ftree(0, memo), new_ftree(0, memo)
+            for e in insertable_order(g, rng):
+                if rng.random() < 0.5:
+                    for c in eager.cycle_candidates(g):
+                        eager.probe_edge(g, c)
+                cycle = eager.is_attached(e[0]) and eager.is_attached(e[1])
+                report = eager.insert_edge(g, e, cfg)
+                assert lazy.insert_edge(g, e, cfg) == report
+                rings = [c for c in eager.components.values() if isinstance(c, BiComponent) and e in c.internal_edges]
+                assert report.edges_sampled_count == sum(len(c.internal_edges) for c in rings)
+                assert len(rings) == cycle
+                eager.expected_flow(g)
+                cases.add(report.case_taken)
+            est, ref = lazy.expected_flow(g), eager.expected_flow(g)
+            assert hexed((est.mean, est.lb, est.ub)) == hexed((ref.mean, ref.lb, ref.ub))
+            assert est.samples_used == ref.samples_used
+            assert lazy.dump(g) == eager.dump(g)
+        assert cases == self.CASES
 
     @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
     @pytest.mark.parametrize("floor", [None, math.inf, -math.inf], ids=["plain", "stops", "never-stops"])
@@ -1133,7 +1172,7 @@ class TestKeptEvaluation:
                     rounds = reference_round_estimates(kept, g, e, cfg)
                     assert rounds == reference_round_estimates(replay, g, e, cfg)
                     replay._kept = None
-                    assert kept.probe_edge(g, e, cfg, floor) == replay.probe_edge(g, e, cfg, floor)
+                    assert kept.probe_edge(g, e, floor) == replay.probe_edge(g, e, floor)
                 elif floor is not None:
                     # A leaf's estimate, from the kept terms and from scratch.
                     replay._kept = None
@@ -1180,7 +1219,7 @@ class TestKeptEvaluation:
                     for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                         if not (tree.is_attached(c[0]) and tree.is_attached(c[1])):
                             continue  # a leaf: the "terms" entry covers it
-                        est, report, _ = tree.probe_edge(g, c, cfg)
+                        est, report, _ = tree.probe_edge(g, c)
                         out[ask][c] = (
                             hexed((est.mean, est.lb, est.ub)), est.samples_used,
                             report.case_taken, report.edges_sampled_count,
@@ -1195,9 +1234,8 @@ class TestKeptEvaluation:
                 "terms": lambda: tree.leaf_terms(g),
                 "best": lambda: tree.best_leaf(g),
                 "floors": lambda: tree.leaf_floors(g, []),
-                "probe": lambda: tree.probe_edge(g, e, cfg),
+                "probe": lambda: tree.probe_edge(g, e),
                 "insert": lambda: tree.insert_edge(g, e, cfg),
-                "refresh": lambda: tree.refresh(g, cfg),
                 "verify": lambda: tree.verify(g),
                 "copy": lambda: tree.copy().expected_flow(g),
             }
@@ -1269,9 +1307,9 @@ class TestMemo:
     def test_ring_keeps_its_table(self):
         g = running_example_graph()
         tree = build_base_tree(g, memo=True)
-        est1 = tree.probe_edge(g, (14, 15), CFG)
-        assert tree._rings[(14, 15), CFG].scored is not None
-        est2 = tree.probe_edge(g, (14, 15), CFG)
+        est1 = tree.probe_edge(g, (14, 15))
+        assert tree._rings[(14, 15)].scored is not None
+        est2 = tree.probe_edge(g, (14, 15))
         assert est1 == est2
 
     def test_ring_tables_serve_one_graph(self, monkeypatch):
@@ -1289,28 +1327,28 @@ class TestMemo:
         ))
         tree = replay_tree(g1, prefix, CFG, memo=True)
         cycles = list(tree.cycle_candidates(g1))
-        first = [tree.probe_edge(g1, c, CFG) for c in cycles]
-        assert cycles and all(tree._rings[c, CFG].scored is not None for c in cycles)
+        first = [tree.probe_edge(g1, c) for c in cycles]
+        assert cycles and all(tree._rings[c].scored is not None for c in cycles)
         rings = dict(tree._rings)
         for c in cycles:
             with pytest.raises(FTreeError, match="another graph"):
-                tree.probe_edge(g2, c, CFG)
+                tree.probe_edge(g2, c)
         assert tree._rings == rings
         fresh = replay_tree(g2, prefix, CFG, memo=True)
-        assert all(a[0].mean != fresh.probe_edge(g2, c, CFG)[0].mean for a, c in zip(first, cycles))
+        assert all(a[0].mean != fresh.probe_edge(g2, c)[0].mean for a, c in zip(first, cycles))
         built = count_builds(monkeypatch)
-        assert [tree.probe_edge(replace(g1), c, CFG) for c in cycles] == first
+        assert [tree.probe_edge(replace(g1), c) for c in cycles] == first
         assert built == [] and tree._rings == rings
 
     def test_copy_keeps_no_rings(self):
         g = running_example_graph()
         tree = build_base_tree(g, memo=True)
-        tree.probe_edge(g, (14, 15), CFG)
+        tree.probe_edge(g, (14, 15))
         rings = dict(tree._rings)
         copy = tree.copy()
         assert copy._rings == {}
         for c in copy.cycle_candidates(g):
-            copy.probe_edge(g, c, CFG)
+            copy.probe_edge(g, c)
         assert len(copy._rings) > 1 and tree._rings == rings
 
     def test_added_edge_changes_signature(self):
@@ -1374,7 +1412,7 @@ class TestMemo:
     def test_tables_are_bounded_by_uncommitted_cycle_candidates(self, monkeypatch, variant):
         # After a greedy run the live tree (the one ``new_ftree`` returned)
         # holds tables only in the rings of cycle candidates it has not
-        # committed, one ring per edge under the run's config, and each ring
+        # committed, one ring per edge, and each ring
         # holds at most one table: the one a probe read, or the draw a pruned
         # probe left.  Only memo trees hold any, and no tree creates a
         # ``MemoStore``.  Small erdos, partitioned and wsn graphs, at 1000
@@ -1395,23 +1433,25 @@ class TestMemo:
                     greedy_select(g, 0, StrategyConfig(variant, 15, cfg))
                     tree = trees.pop()
                     cycles = set(tree.cycle_candidates(g))
-                    for (e, ring_cfg), ring in tree._rings.items():
-                        assert e in cycles and e not in tree.selected_edges and ring_cfg == cfg
+                    for e, ring in tree._rings.items():
+                        assert e in cycles and e not in tree.selected_edges
                         assert ring.scored is None or ring.drawn is None
                         held += ring.scored is not None or ring.drawn is not None
         assert (held > 0) == (variant != "ft") and stores == []
 
-    def test_tables_are_kept_apart_by_config(self):
-        # A ring kept under one config serves a probe under another config
-        # nothing: the probe, and the commit after it, give what they give
-        # in a tree without a memo.  The cycle edge (1, 3) is probed under
-        # each config in turn, and keeps one ring with its own table per
-        # config, until its commit drops them all.
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_a_second_config_is_refused(self, use_memo):
+        # A tree samples under the config of its first insert, or one equal
+        # to it.  The cycle edge (1, 3) is probed, so its ring holds a
+        # table (memo tree) or a sampler.  Inserting any candidate under
+        # another seed, alpha or sample count is refused, by the tree and
+        # by its copy, and leaves the selection, the rings, the kept
+        # evaluation and the tables as they were.  An equal config is taken,
+        # and the commit gives what it gives in a tree without a memo.
         g = netgen.gen_partitioned(16, 4, 1)
         # 15 samples are fewer than the 4-cycle's 16 worlds, so its table
-        # is drawn and differs between configs.
+        # is drawn.
         first = SamplerConfig(samples=15, master_seed=1)
-        cfgs = (first, replace(first, master_seed=2), replace(first, alpha=0.05))
 
         def tree_before_cycle(memo):
             tree = new_ftree(0, memo)
@@ -1419,24 +1459,33 @@ class TestMemo:
                 tree.insert_edge(g, e, first)
             return tree
 
-        tree = tree_before_cycle(memo=True)
-        for kept, cfg in enumerate(cfgs):
-            assert len(tree._rings) == kept
-            est = tree.probe_edge(g, (1, 3), cfg)
-            assert est == tree_before_cycle(memo=False).probe_edge(g, (1, 3), cfg)
-            assert est[0].samples_used == first.samples
-        assert len({id(tree._rings[(1, 3), cfg].scored[0]) for cfg in cfgs}) == len(cfgs)
+        tree = tree_before_cycle(use_memo)
+        est = tree.probe_edge(g, (1, 3))
+        before, kept = snapshot(tree, g), tree._kept
+        ring = tree._rings[(1, 3)]
+        rings, held = dict(tree._rings), (ring.parts, ring.sampler, ring.drawn, ring.scored)
+        assert (ring.scored is not None) == use_memo
+        cands = list(tree.candidates(g))
+        assert (1, 3) in cands and set(cands) - set(tree.cycle_candidates(g))
+        others = (replace(first, master_seed=2), replace(first, alpha=0.05), replace(first, samples=16))
+        for other in others:
+            for e in cands:
+                for target in (tree, tree.copy()):
+                    with pytest.raises(FTreeError, match="another config"):
+                        target.insert_edge(g, e, other)
+        assert tree._rings == rings and tree._kept is kept
+        assert (ring.parts, ring.sampler, ring.drawn, ring.scored) == held
+        assert snapshot(tree, g) == before and tree.probe_edge(g, (1, 3)) == est
         plain = tree_before_cycle(memo=False)
-        plain.insert_edge(g, (1, 3), cfgs[-1])
-        tree.insert_edge(g, (1, 3), cfgs[-1])
+        assert tree.insert_edge(g, (1, 3), replace(first)) == plain.insert_edge(g, (1, 3), first)
         assert tree.expected_flow(g) == plain.expected_flow(g)
         assert tree._rings == {}
 
     @pytest.mark.parametrize("variant", ["ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_probes_are_the_only_writer(self, monkeypatch, variant):
         # Greedy commits only probed edges, and each probe kept its full
-        # table in its ring, which the commit adopts: a commit's refresh
-        # neither builds a table nor draws.  Small
+        # table in its ring, which the commit adopts: the refresh of the
+        # evaluation after a commit neither builds a table nor draws.  Small
         # erdos, partitioned and wsn graphs, at the default 1000 samples and
         # at 60, where rings are drawn and, under _ci, candidates are pruned.
         depth, calls, refreshes = [0], [], []
@@ -1528,16 +1577,17 @@ class TestRefreshFloor:
         monkeypatch.setattr(
             IncrementalComponentSampler, "build", lambda s, sizes=(): built.append(sizes) or build(s, sizes)
         )
-        est = plain.probe_edge(g, self.EDGE, CFG)
-        assert batched.probe_edge(g, self.EDGE, CFG, -math.inf) == est
+        est = plain.probe_edge(g, self.EDGE)
+        assert batched.probe_edge(g, self.EDGE, -math.inf) == est
         assert [list(sizes) for sizes in built] == [[], round_sizes(CFG.samples)]
         assert len(built[-1]) == CFG.samples // CI_BATCH
         assert reference_round_estimates(plain, g, self.EDGE, CFG)[-1] == est[0]
         assert est[0].samples_used == CFG.samples
-        kept = plain._rings[self.EDGE, CFG]
-        assert kept.scored[0] == batched._rings[self.EDGE, CFG].scored[0]
-        # A commit with no probe before it builds the same table.
+        kept = plain._rings[self.EDGE]
+        assert kept.scored[0] == batched._rings[self.EDGE].scored[0]
+        # A commit with no probe before it, evaluated, builds the same table.
         refreshed.insert_edge(g, self.EDGE, CFG)
+        refreshed.expected_flow(g)
         sig = kept.comp.signature()
         [ring] = [
             c for c in refreshed.components.values() if isinstance(c, BiComponent) and c.signature() == sig
@@ -1552,11 +1602,11 @@ class TestRefreshFloor:
         rounds = reference_round_estimates(tree, g, self.EDGE, CFG)
         floor = math.nextafter(rounds[2].ub, math.inf)
         at = reference_prune_round(rounds, floor)
-        est, _, pruned = tree.probe_edge(g, self.EDGE, CFG, floor)
+        est, _, pruned = tree.probe_edge(g, self.EDGE, floor)
         assert pruned and at <= 2 and est == rounds[at]
         assert est.samples_used == (at + 1) * CI_BATCH
         assert all(ring.scored is None for ring in tree._rings.values())
-        assert tree._rings[self.EDGE, CFG].drawn is not None
+        assert tree._rings[self.EDGE].drawn is not None
 
 
 class TestRoundEstimates:
@@ -1565,19 +1615,20 @@ class TestRoundEstimates:
 
     @staticmethod
     def nesting(tree, held):
-        """How each component about to be sampled sits against clean sampled
-        ones; a component whose signature is ``held`` has its table already."""
+        """How each component about to be sampled (one with no table yet)
+        sits against sampled ones; a component whose signature is ``held``
+        has its table already."""
         def clean_bi(cid):
             comp = tree.components[cid]
-            return isinstance(comp, BiComponent) and not comp.dirty
+            return isinstance(comp, BiComponent) and comp.reach is not None
 
         found = set()
         children = {cid: [] for cid in tree.components}
         for cid in tree.components:
             if cid != tree.root_id:
                 children[tree.parent_of(cid)].append(cid)
-        for cid in tree.dirty_components():
-            if tree.components[cid].signature() == held:
+        for cid, comp in tree.components.items():
+            if not isinstance(comp, BiComponent) or clean_bi(cid) or comp.signature() == held:
                 continue
             pid = tree.parent_of(cid)
             while pid is not None:
@@ -1615,8 +1666,8 @@ class TestRoundEstimates:
             for e in order:
                 if tree.is_attached(e[0]) and tree.is_attached(e[1]):
                     base = tree.copy()
-                    cases.add(base.insert_edge(g, e, cfg, defer_sampling=True).case_taken)
-                    ring = tree._rings.get((e, cfg))
+                    cases.add(base.insert_edge(g, e, cfg).case_taken)
+                    ring = tree._rings.get(e)
                     held = ring.comp.signature() if ring is not None and ring.scored is not None else None
                     nesting |= self.nesting(base, held)
                     rounds = reference_round_estimates(tree, g, e, cfg)
@@ -1625,13 +1676,13 @@ class TestRoundEstimates:
                         assert_close(est, grown_flow(tree, g, e, cfg, (k + 1) * CI_BATCH)[0])
                         floor = math.nextafter(est.ub, math.inf)
                         at = reference_prune_round(rounds, floor)
-                        got, _, pruned = tree.probe_edge(g, e, cfg, floor)
+                        got, _, pruned = tree.probe_edge(g, e, floor)
                         assert pruned and at <= k and got == rounds[at]
-                    est = tree.probe_edge(g, e, cfg, -math.inf)
+                    est = tree.probe_edge(g, e, -math.inf)
                     assert est[0] == rounds[-1] and not est[2]
                     assert est[0].samples_used == cfg.samples
-                    assert est == tree.probe_edge(g, e, cfg)
-                    assert tree.probe_edge(g, e, cfg, math.inf)[2] != memo
+                    assert est == tree.probe_edge(g, e)
+                    assert tree.probe_edge(g, e, math.inf)[2] != memo
                 tree.insert_edge(g, e, cfg)
                 assert tree.expected_flow(g) == tree.copy().expected_flow(g)
         assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
@@ -1674,7 +1725,7 @@ class TestFloorRule:
                 if tree.is_attached(e[0]) and tree.is_attached(e[1]):
                     rounds = reference_round_estimates(tree, g, e, cfg)
                     exact = rounds is None
-                    full = tree.copy().probe_edge(g, e, cfg)[0]
+                    full = tree.copy().probe_edge(g, e)[0]
                     rounds = rounds or [full]
                     assert rounds[-1] == full
                     floors = {None}
@@ -1682,22 +1733,22 @@ class TestFloorRule:
                         floors |= {math.nextafter(est.ub, -math.inf), est.ub, math.nextafter(est.ub, math.inf)}
                     for floor in floors:
                         probe = tree.copy()
-                        est, report, pruned = probe.probe_edge(g, e, cfg, floor)
+                        est, report, pruned = probe.probe_edge(g, e, floor)
                         at = reference_prune_round(rounds, floor)
                         assert pruned == (at is not None)
                         assert est == (rounds[at] if pruned else full)
                         if pruned and not exact:
                             assert_close(est, grown_flow(tree, g, e, cfg, sizes[at])[0])
-                        ring = probe._rings[e, cfg]
+                        ring = probe._rings[e]
                         left = pruned and not exact
                         assert (ring.drawn is not None) == left
                         assert (ring.scored is not None) == (use_memo and not left)
                         before = len(built)
                         again = (est, report, pruned) if left or not use_memo else (full, report, False)
-                        assert probe.probe_edge(g, e, cfg, floor) == again
+                        assert probe.probe_edge(g, e, floor) == again
                         assert len(built) == before + (not left and not use_memo)
                         if use_memo:
-                            assert probe.probe_edge(g, e, cfg, math.inf)[2] == left
+                            assert probe.probe_edge(g, e, math.inf)[2] == left
                         seen.add((exact, at))
                 tree.insert_edge(g, e, cfg)
         assert {(False, j) for j in range(len(sizes))} | {(True, 0), (False, None), (True, None)} <= seen
@@ -1762,11 +1813,13 @@ def cycle_graph(probs):
 
 
 def closed_cycle(probs, cfg):
-    """``cycle_graph`` with every edge inserted, and its one bi component."""
+    """``cycle_graph`` with every edge inserted, the tree evaluated, and its
+    one bi component."""
     g = cycle_graph(probs)
     tree = new_ftree(0)
     for e in insertable_order(g):
         tree.insert_edge(g, e, cfg)
+    tree.expected_flow(g)
     [ring] = [c for c in tree.components.values() if isinstance(c, BiComponent)]
     return g, tree, ring
 
@@ -1803,9 +1856,9 @@ class TestExactTables:
                 for c in trees[0].candidates(g).copy():
                     if not (trees[0].is_attached(c[0]) and trees[0].is_attached(c[1])):
                         continue
-                    ring, sig = trees[0]._rings.get((c, cfgs[0])), trees[0]._plan_cycle(*c, c)[1].signature()
+                    ring, sig = trees[0]._rings.get(c), trees[0]._plan_cycle(*c, c)[1].signature()
                     held = ring is not None and ring.scored is not None and ring.comp.signature() == sig
-                    probes = [t.probe_edge(g, c, cfg, math.inf) for t, cfg in zip(trees, cfgs)]
+                    probes = [t.probe_edge(g, c, math.inf) for t in trees]
                     assert probes[0] == probes[1] and probes[0][2] == (not held)
                     exact_close(probes[0][0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))
                     rings += 1
@@ -1861,6 +1914,7 @@ class TestBoundPropagation:
         for e in g.edges:
             tree.insert_edge(g, e, cfg)
         tree.verify(g)
+        est = tree.expected_flow(g)
         outer = next(
             c for c in tree.components.values()
             if isinstance(c, BiComponent) and c.articulation == 0
@@ -1870,7 +1924,6 @@ class TestBoundPropagation:
             if isinstance(c, BiComponent) and c.articulation == 2
         )
         assert inner.reach.sample_count == outer.reach.sample_count == cfg.samples
-        est = tree.expected_flow(g)
         assert est.lb < est.mean < est.ub
         lo = inner.reach.rows[4][1] * outer.reach.rows[2][1]
         hi = inner.reach.rows[4][2] * outer.reach.rows[2][2]
@@ -1918,7 +1971,7 @@ def structure_digest(graphs: int) -> tuple[str, dict[str, int]]:
         g = random_connected_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2 - (n - 1), 2 * n)))
         tree = new_ftree(0)
         for e in insertable_order(g, rng):
-            case = tree.insert_edge(g, e, cfg, defer_sampling=True).case_taken
+            case = tree.insert_edge(g, e, cfg).case_taken
             tree.verify(g)
             counts[case] += 1
             parts = []

@@ -263,8 +263,8 @@ class TestCiVariant:
         worlds = []
         original = FTree.probe_edge
 
-        def recording(tree, graph, edge, cfg, floor=None):
-            est, report, pruned = original(tree, graph, edge, cfg, floor)
+        def recording(tree, graph, edge, floor=None):
+            est, report, pruned = original(tree, graph, edge, floor)
             if report.edges_sampled_count:
                 worlds.append(est.samples_used)
             return est, report, pruned
@@ -319,8 +319,8 @@ class TestCiVariant:
         judged = {}
         original = FTree.probe_edge
 
-        def recording(tree, graph, edge, cfg, floor=None):
-            est, report, pruned = original(tree, graph, edge, cfg, floor)
+        def recording(tree, graph, edge, floor=None):
+            est, report, pruned = original(tree, graph, edge, floor)
             if floor is not None:
                 assert est.samples_used == EXACT_SAMPLES
                 judged.setdefault(edge, []).append(pruned)
@@ -351,9 +351,9 @@ class TestCiVariant:
             ref = reference_greedy_select(g, 0, cfg, floors=expected)
             got = []
 
-            def recording(tree, graph, edge, c, floor=None):
+            def recording(tree, graph, edge, floor=None):
                 got.append((edge, floor))
-                return original(tree, graph, edge, c, floor)
+                return original(tree, graph, edge, floor)
 
             def reading(tree, graph, edges):
                 nonlocal from_leaves
@@ -1052,7 +1052,7 @@ class TestEdgeCases:
     TREE_ENTRIES = {
         "candidates": lambda t, g: t.candidates(g),
         "insert_edge": lambda t, g: t.insert_edge(g, (0, 1), SamplerConfig(samples=50)),
-        "probe_edge": lambda t, g: t.probe_edge(g, (0, 1), SamplerConfig(samples=50)),
+        "probe_edge": lambda t, g: t.probe_edge(g, (0, 1)),
         "expected_flow": lambda t, g: t.expected_flow(g),
     }
 

@@ -509,7 +509,7 @@ def reference_probe_with_ci(
         floor = None if best is None else best.lb
         if floors is not None:
             floors.append((e, floor))
-        est, report, cut = tree.probe_edge(graph, e, cfg.sampler, floor)
+        est, report, cut = tree.probe_edge(graph, e, floor)
         if cut:
             pruned.add(e)
         elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best.lb):
@@ -562,7 +562,7 @@ def reference_greedy_select(
             probes, pruned = reference_probe_with_ci(tree, graph, eligible, cfg, floors)
         else:
             probes = {
-                e: tree.probe_edge(graph, e, cfg.sampler)[:2] for e in eligible if e not in terms
+                e: tree.probe_edge(graph, e)[:2] for e in eligible if e not in terms
             }
             pruned = set()
         mean = base.mean

@@ -15,13 +15,18 @@ hide another's:
 - ``run_strategy`` of ``ft_m`` on
   ``assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)``
   at k=200 (1000 samples, master seed 7), where many probed rings go stale
-  at a cycle commit and keep their tables.
+  at a cycle commit and keep their tables;
+- ``dump-ftree``'s structure-only loop on that wsn-2000 graph (9648
+  edges): insert the first candidate until none is left, never evaluate.
+  Inserts build no reach table, so its value, (edges inserted, tables
+  built), ends in 0, and its time is the tree's structural upkeep alone.
 
 Each line gives the kernel call's wall seconds (imports and graph
 construction not included), the process's maximum resident set size
 (``ru_maxrss``, which includes the interpreter and numpy) and the value
-computed: a flow, or a selection's last recorded flow.  The library and
-the tests' helpers are imported from this checkout.
+computed: a flow, a selection's last recorded flow, or the dump loop's
+counts.  The library and the tests' helpers are imported from this
+checkout.
 
 Run from the repository root:
 
@@ -59,13 +64,22 @@ KERNELS = {
         "cfg = StrategyConfig('ft_m', 200, SamplerConfig(samples=1000, master_seed=7))\n"
         "run = lambda: run_strategy(graph, 0, cfg).trace[-1].flow.mean\n"
     ),
+    "dump-ftree structure, wsn-2000 decayed, every edge": (
+        "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
+        "def run():\n"
+        "    tree, cfg = new_ftree(0), SamplerConfig()\n"
+        "    while cands := tree.candidates(graph):\n"
+        "        tree.insert_edge(graph, cands[0], cfg)\n"
+        "    bis = [c for c in tree.components.values() if isinstance(c, BiComponent)]\n"
+        "    return len(tree.selected_edges), sum(c.reach is not None for c in bis)\n"
+    ),
 }
 
 CHILD = """\
 import resource, time
 from probflow import (
-    SamplerConfig, StrategyConfig, assign_distance_decay, exact_expected_flow, gen_partitioned, gen_wsn,
-    mc_expected_flow, run_strategy,
+    BiComponent, SamplerConfig, StrategyConfig, assign_distance_decay, exact_expected_flow,
+    gen_partitioned, gen_wsn, mc_expected_flow, new_ftree, run_strategy,
 )
 from util import twenty_edge_graph
 {setup}
@@ -85,8 +99,8 @@ def main() -> int:
             [sys.executable, "-c", CHILD.format(setup=setup)],
             env=env, stdout=subprocess.PIPE, text=True, check=True,
         ).stdout
-        wall, rss_kb, value = out.split()
-        print(f"{name:<52}{float(wall):>8.3f}{int(rss_kb) / 1024:>12.1f}  {value}")
+        wall, rss_kb, value = out.split(maxsplit=2)
+        print(f"{name:<52}{float(wall):>8.3f}{int(rss_kb) / 1024:>12.1f}  {value.strip()}")
     return 0
 
 
