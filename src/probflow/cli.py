@@ -244,7 +244,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 # The generator flags' values when not given; ``--edges`` input reads none
-# of them, so it refuses each one given.
+# of them, so it refuses each one given.  Generated input reads none of the
+# input-file flags (``--weights``, ``--coords``, ``--query``), so it refuses
+# those, and ``--query`` defaults to "0" only for ``--edges`` input.
 BENCH_GENERATOR_DEFAULTS = {"family": "erdos", "n": 100, "deg": 6, "eps": 0.1}
 
 BENCH_HEADER = (
@@ -316,9 +318,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for flag, value in generator_flags:
             if value is not None:
                 raise ValueError(f"{flag} is not read with --edges input")
+        if args.query is None:
+            args.query = "0"
         graph, q = _load_inputs(args)
         instance = (graph, q)
     else:
+        for flag, value in (("--weights", args.weights), ("--coords", args.coords), ("--query", args.query)):
+            if value is not None:
+                raise ValueError(f"{flag} is read only with --edges input")
         for name, default in BENCH_GENERATOR_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, default)
@@ -459,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--edges", help="run on this edge-list file instead of generating")
     b.add_argument("--weights", help="vertex-weight file for --edges")
     b.add_argument("--coords", help="vertex-coordinate file for --edges")
-    b.add_argument("--query", default="0", help="query vertex label")
+    b.add_argument("--query", help="query vertex label for --edges (default 0)")
     b.add_argument("--family", choices=FAMILIES, help="generated family (default erdos)")
     b.add_argument("--n", type=int, help="generated vertex count (default 100)")
     b.add_argument("--deg", type=int, help="generated vertex degree (default 6)")

@@ -5,11 +5,15 @@ components (unique paths, flow computed analytically as edge-probability
 products) and bi-connected components (cycles, whose reach tables come
 from the component's own edges only: exact over all 2^m worlds of its m
 uncertain edges when 2^m is at most the sample budget, sampled otherwise;
-see ``IncrementalComponentSampler.build``).  Each component drains through
-a single articulation vertex toward the query vertex at the root, so
-per-component results multiply up the tree.  A component's parent is the
-component owning its articulation vertex (the root for the query vertex),
-so no links are stored.
+see ``IncrementalComponentSampler.build``).  A sampled table propagates
+its edges' worlds, which the tree's world store (``WorldStore``) draws
+once per edge and keeps, so every table and every probe of a tree sees
+the same worlds of an edge, and components, which share no edge, stay
+independent.  Each component drains through a single articulation vertex
+toward the query vertex at the root, so per-component results multiply
+up the tree.  A component's parent is the component owning its
+articulation vertex (the root for the query vertex), so no links are
+stored.
 
 Two rules grow the tree.  A leaf edge, with one endpoint attached, hangs
 its new vertex off the attached endpoint's component (cases IIa, IIb).  A
@@ -42,8 +46,8 @@ equal to it: its edge factors and reach tables carry that graph's
 probabilities and that config's worlds, so any other graph or config is
 refused.  An insert builds no reach table; the first evaluation that needs
 one builds every table still missing, so a tree that is only inserted into
-and dumped never samples.  A table's worlds depend only on its component
-and the config, so where it is built changes no result.
+and dumped never samples.  A table's worlds depend only on its component's
+edges and the config, so where it is built changes no result.
 
 The tree keeps one evaluation: every vertex's reach, the leaf candidates'
 terms in a dict and in descending order, and the subtree masses.  A leaf
@@ -60,7 +64,7 @@ stale the rings that take a component it folded: no other ring's members
 change their hang or factor, and attach order never changes.  A stale ring
 is planned again at its next probe, and keeps its table, draw and sampler
 if its component is unchanged.  A copy keeps none of it, but serves the
-same graph under the same config.
+same graph under the same config, with the same world store.
 """
 
 from __future__ import annotations
@@ -82,9 +86,9 @@ from .sampling import (
     FlowEstimate,
     ReachTable,
     SamplerConfig,
-    _reach_worlds,
+    WorldStore,
+    _reach_bitsets,
     exact_reach,
-    substream,
     wald_interval,
     world_weights,
 )
@@ -132,12 +136,6 @@ class BiComponent:
     articulation: int
     internal_edges: set[Edge]
     reach: Optional[ReachTable] = None
-
-    def signature(self) -> str:
-        """The component's identity as text, its sampling stream's key."""
-        verts = ",".join(map(str, sorted(self.members)))
-        edges = ",".join(f"{u}-{v}" for u, v in sorted(self.internal_edges))
-        return f"av={self.articulation};v={verts};e={edges}"
 
     def copy(self) -> "BiComponent":
         return BiComponent(set(self.members), self.articulation, set(self.internal_edges), self.reach)
@@ -258,34 +256,41 @@ class MemoStore:
 
 class IncrementalComponentSampler:
     """One bi component's worlds: all 2^m of its m uncertain edges (p < 1)
-    if 2^m <= ``cfg.samples`` (no draw, no stream, no master seed), else
-    ``cfg.samples`` worlds drawn from a signature-derived stream (``draw``).
+    if 2^m <= ``cfg.samples`` (no draw, no store, no master seed), else
+    the ``cfg.samples`` worlds of a ``WorldStore`` (``draw``): its tree's
+    store, or one of its own if it is given none.
 
     Vertices and edges are taken in sorted order, so worlds never follow
-    set order.  A drawn world i lands in bit i of every vertex's world
-    bitset, so one draw gives the table of every prefix of its worlds; a
-    draw's worlds are returned, never kept.  Construction prepares what
-    every build reads: local vertices and edges, probabilities and the
-    exact flag.  The first draw adds the stream and its start state, which
-    every later draw restores; the first exact build adds the worlds'
-    weights, which every later one reads.
+    set order.  World i of every edge lands in bit i of every vertex's
+    world bitset, so one draw gives the table of every prefix of its
+    worlds.  A draw draws nothing itself: it reads its edges' bitsets from
+    the store, which draws each edge once, and propagates them; the
+    propagated worlds are returned, never kept.  Construction prepares
+    what every build reads: local vertices and edges, probabilities and
+    the exact flag.  The first exact build adds the worlds' weights, which
+    every later one reads.
     """
 
-    def __init__(self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig):
+    def __init__(
+        self,
+        graph: ProbabilisticGraph,
+        comp: BiComponent,
+        cfg: SamplerConfig,
+        store: Optional[WorldStore] = None,
+    ):
         self.articulation = comp.articulation
         self.cfg = cfg
         verts = sorted(comp.members | {comp.articulation})
         local = {v: i for i, v in enumerate(verts)}
         edges = sorted(comp.internal_edges)
+        self._graph_edges = edges
         self._edges = [(local[u], local[v]) for u, v in edges]
         self._probs = [graph.probabilities[graph.edge_index[e]] for e in edges]
         self._verts = verts
         self._members = [v for v in verts if v != comp.articulation]
         self._source = local[comp.articulation]
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
-        self._comp = comp
-        self._rng: Optional[np.random.Generator] = None  # at the first draw
-        self._start: Optional[dict] = None
+        self._store = store if store is not None else WorldStore(graph, cfg)
         self._weights: Optional[np.ndarray] = None  # at the first exact build
 
     def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Grid]]:
@@ -313,17 +318,18 @@ class IncrementalComponentSampler:
         return ReachTable(articulation=av, rows=rows, sample_count=EXACT_SAMPLES)
 
     def draw(self, batch: int) -> list[int]:
-        """``batch`` worlds drawn from the stream's start: per local vertex
-        (the vertices in ascending order), the worlds in which it reaches
-        the articulation vertex, as a bitset with world i in bit i."""
-        if self._rng is None:
-            self._rng = substream(self.cfg.master_seed, "component", self._comp.signature())
-            self._start = self._rng.bit_generator.state
-        else:
-            self._rng.bit_generator.state = self._start
-        return _reach_worlds(
-            self._edges, self._probs, len(self._verts), self._source, batch, self._rng
-        )
+        """The store's first ``batch`` worlds (at most ``cfg.samples``):
+        per local vertex (the vertices in ascending order), the worlds in
+        which it reaches the articulation vertex, as a bitset with world i
+        in bit i."""
+        n = self.cfg.samples
+        if batch > n:
+            raise ValueError(f"a draw reads at most the store's {n} worlds, not {batch}")
+        live = self._store.live(self._graph_edges)
+        if batch < n:
+            mask = (1 << batch) - 1
+            live = [bits & mask for bits in live]
+        return _reach_bitsets(live, self._edges, len(self._verts), self._source, batch)
 
     def rows(self, bits: Sequence[int], sizes: Sequence[int]) -> _Grid:
         """Every member's (p, lo, hi) over ``sizes``, from the bitsets of
@@ -353,7 +359,10 @@ class FTree:
     (``_use_graph``), and samples under one ``SamplerConfig``, the first
     ``insert_edge`` gives it.  Inserts build no reach table: the first
     evaluation that needs one builds it (``refresh``), so a tree that is
-    only inserted into and dumped never samples.  A memo tree (``memo``:
+    only inserted into and dumped never samples.  Drawn tables read the
+    tree's world store, made at the first table that needs it: each edge's
+    worlds are drawn once per tree, so building a ring's table is only a
+    propagation.  A memo tree (``memo``:
     the ``_m`` variants) also keeps in each probed ring the full table its
     probes read, with the table's coefficients.  Interval-checked callers
     read each cycle candidate's best leaf bound from ``leaf_floors`` and
@@ -366,6 +375,7 @@ class FTree:
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
         self._cfg: Optional[SamplerConfig] = None
+        self._store: Optional[WorldStore] = None
         self._kept: Optional[_Kept] = None
         self._cands: Optional[list[Edge]] = None
         self._cycles: Optional[list[Edge]] = None
@@ -387,14 +397,16 @@ class FTree:
 
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
-        need none), the graph it serves and its config.  It keeps no state:
-        its first evaluation is from scratch, building the tables this tree
-        has not built yet, and it has no candidates and no cycle probes."""
+        need none), the graph it serves, its config and its world store,
+        whose bits are a pure function of the config and the edge.  It
+        keeps no other state: its first evaluation is from scratch,
+        building the tables this tree has not built yet, and it has no
+        candidates and no cycle probes."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other.memo = self.memo
         other._next_id = self._next_id
-        other._graph, other._cfg = self._graph, self._cfg
+        other._graph, other._cfg, other._store = self._graph, self._cfg, self._store
         other._kept, other._cands, other._cycles = None, None, None
         other._rings = {}
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
@@ -830,22 +842,30 @@ class FTree:
     # sampling upkeep
     # ------------------------------------------------------------------
 
+    def _sampler(self, comp: BiComponent) -> IncrementalComponentSampler:
+        """A sampler of ``comp`` under the tree's config, reading the tree's
+        world store, which is made here at the first need: it lives and
+        dies with the tree (and the copies that share it)."""
+        if self._store is None:
+            self._store = WorldStore(self._graph, self._cfg)
+        return IncrementalComponentSampler(self._graph, comp, self._cfg, self._store)
+
     def refresh(self) -> None:
         """Build every bi component's reach table not built yet, under the
         tree's config: ``_evaluate`` calls it first.
 
         Each one gets its table from its sampler's ``build`` (exact, or
-        drawn at its full budget in one call).  Its worlds depend only on
-        its signature and the config, so a table built here equals one
-        built at the insert that made the component.  Only a cycle-closing
-        insert makes a component without a table, and it drops the kept
-        evaluation and marks stale the rings it touches; rings are planned
-        on evaluated trees only.  So no kept evaluation or live ring reads
-        a component this builds.
+        propagated over the tree's world store at its full budget in one
+        call).  Its worlds depend only on its edges and the config, so a
+        table built here equals one built at the insert that made the
+        component.  Only a cycle-closing insert makes a component without
+        a table, and it drops the kept evaluation and marks stale the
+        rings it touches; rings are planned on evaluated trees only.  So
+        no kept evaluation or live ring reads a component this builds.
         """
         for comp in self.components.values():
             if isinstance(comp, BiComponent) and comp.reach is None:
-                comp.reach, _ = IncrementalComponentSampler(self._graph, comp, self._cfg).build()
+                comp.reach, _ = self._sampler(comp).build()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -968,9 +988,11 @@ class FTree:
         """Flow and insert report of a hypothetical cycle-closing insertion,
         and whether ``floor`` pruned it, leaving this tree, its tables and
         its evaluation untouched (a tree with no kept evaluation is
-        evaluated first).  Both endpoints must be attached, so an insert
-        has given the tree its config, which the probe samples under: a
-        leaf edge raises FTreeError, as ``leaf_terms`` scores leaves.
+        evaluated first); only the tree's world store may gain the ring's
+        edges it had not drawn yet, whose bits no order of asking changes.
+        Both endpoints must be attached, so an insert has given the tree
+        its config, which the probe samples under: a leaf edge raises
+        FTreeError, as ``leaf_terms`` scores leaves.
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
@@ -1003,9 +1025,10 @@ class FTree:
         new ring replaces it.  A memo tree's ring also keeps its full
         table's coefficients, for re-probes to score in one multiply-add
         per member and channel; in a tree without a memo, every probe but
-        one after a prune builds its table afresh.  The signature text is
-        built only as a drawn sampler's stream key, once per sampler.  A
-        re-probe returns what a fresh probe would, bit for bit.
+        one after a prune builds its table afresh, propagating its edges'
+        worlds from the tree's world store again; no probe draws an edge
+        the store holds.  A re-probe returns what a fresh probe would, bit
+        for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -1028,7 +1051,7 @@ class FTree:
         if scored is None:
             drawn, ring.drawn = ring.drawn, None
             if drawn is None:
-                ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, cfg)
+                ring.sampler = ring.sampler or self._sampler(ring.comp)
                 drawn = ring.sampler.build(() if floor is None else _rounds(cfg.samples))
             table, grid = drawn
             if grid is None:

@@ -2,13 +2,16 @@
 exact enumeration for small edge sets.
 
 All randomness flows from one master seed: every sampling task derives an
-independent substream from a stable hash of its purpose and its subject's
-canonical signature, so results depend only on the configuration, never on
-scheduling or call order.  Sampled worlds and enumerated ones go through
-one propagation kernel, ``_reach_bitsets``, which takes each edge's worlds
-as a bitset.  ``exact_reach`` enumerates every world of the uncertain
-edges; it gives small bi components their exact reach tables and the
-oracle its reference values, and draws nothing.
+independent substream from a stable hash of its purpose and its subject,
+so results depend only on the configuration, never on scheduling or call
+order.  A whole-graph estimate draws from a stream keyed by the graph's
+signature; a component tree's drawn tables read a ``WorldStore``, which
+draws each edge's worlds once, from a stream keyed by the edge.  Sampled
+worlds and enumerated ones go through one propagation kernel,
+``_reach_bitsets``, which takes each edge's worlds as a bitset.
+``exact_reach`` enumerates every world of the uncertain edges; it gives
+small bi components their exact reach tables and the oracle its reference
+values, and draws nothing.
 """
 
 from __future__ import annotations
@@ -139,6 +142,35 @@ def _live_worlds(rng: np.random.Generator, probs: np.ndarray, count: int) -> lis
     data = (np.hstack(packed) if len(packed) > 1 else packed[0]).tobytes()
     width = (count + 7) // 8
     return [int.from_bytes(data[j * width:(j + 1) * width], "little") for j in range(edges)]
+
+
+class WorldStore:
+    """Each edge's presence over ``cfg.samples`` sampled worlds of one
+    graph, as one bitset with world i in bit i, drawn at the first
+    ``live`` call that asks for the edge and then kept.
+
+    Edge (u, v) is drawn from its own stream, ``substream(master_seed,
+    "edge", u, v)``, by ``_live_worlds`` with one edge (present where the
+    uniform is below p), so its bits depend only on the master seed, the
+    edge, ``samples`` and p: never on which caller asks first, or in what
+    order.  Every table drawn from one store sees the same worlds of an
+    edge (common random numbers), and tables of edge-disjoint components
+    stay independent.
+    """
+
+    def __init__(self, graph: ProbabilisticGraph, cfg: SamplerConfig):
+        self._graph = graph
+        self._cfg = cfg
+        self._bits: dict[Edge, int] = {}
+
+    def live(self, edges: Sequence[Edge]) -> list[int]:
+        """The bitsets of ``edges`` (canonical edges of the graph), in order."""
+        bits, graph, cfg = self._bits, self._graph, self._cfg
+        for e in edges:
+            if e not in bits:
+                p = np.array([graph.probabilities[graph.edge_index[e]]])
+                [bits[e]] = _live_worlds(substream(cfg.master_seed, "edge", *e), p, cfg.samples)
+        return [bits[e] for e in edges]
 
 
 def _reach_bitsets(
@@ -280,22 +312,6 @@ def _reach_chunks(
         count = min(chunk, samples - done)
         live = _live_worlds(rng, parr, count)
         yield done, _reach_bitsets(live, graph_edges, num_vertices, source, count)
-
-
-def _reach_worlds(
-    graph_edges: Sequence[Edge],
-    probs: Sequence[float],
-    num_vertices: int,
-    source: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Sampled worlds in which each vertex reaches the source, one bitset per
-    vertex with world i in bit i."""
-    bits = [0] * num_vertices
-    for done, reached in _reach_chunks(graph_edges, probs, num_vertices, source, samples, rng):
-        bits = reached if done == 0 else [b | r << done for b, r in zip(bits, reached)]
-    return bits
 
 
 def _success_counts(

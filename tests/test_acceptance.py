@@ -42,6 +42,7 @@ from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
     DeterministicWorld,
+    comp_key,
     enumerate_worlds,
     insertable_order,
     long_cycle_graph,
@@ -267,7 +268,7 @@ def test_criterion_06_walkthrough_cases(monkeypatch):
         pending = [c for c in trial.components.values() if isinstance(c, BiComponent) and c.reach is None]
         assert builds == [] and len(pending) == 1
         trial.expected_flow(g)
-        assert [s._comp for s in builds] == pending
+        assert [(s.articulation, tuple(s._graph_edges)) for s in builds] == [comp_key(c) for c in pending]
 
 
 def test_criterion_07_greedy_quality(greedy_corpus):

@@ -539,6 +539,32 @@ class TestBench:
         assert capsys.readouterr().err == f"error: {argv[0]} is not read with --edges input\n"
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--weights", "missing.weights"], ["--coords", "missing.coords"], ["--query", "7"],
+    ], ids=lambda argv: argv[0])
+    def test_generated_input_rejects_file_flags(self, tmp_path, capsys, monkeypatch, argv):
+        # A generated run reads no input file and queries vertex 0, so each
+        # input-file flag would leave its CSV as it is without the flag.
+        calls = []
+        monkeypatch.setattr("probflow.cli.run_strategy", lambda *args: calls.append(args))
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--n", "20", "--deg", "4", "--variants", "ft", *argv, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} is read only with --edges input\n"
+        assert calls == [] and not out.exists()
+
+    def test_file_input_queries_vertex_0_by_default(self, tmp_path):
+        # Without --query, an --edges run queries the vertex labelled 0.
+        paths = write_instance(tmp_path, "0 1 0.5\n1 2 0.9\n")
+        csvs = {}
+        for query in (None, "0", "2"):
+            out = tmp_path / f"{query}.csv"
+            flags = [] if query is None else ["--query", query]
+            assert main(["bench", "--edges", paths["edges"], *flags, "--variants", "ft", "--k", "1",
+                         "--ref-samples", "100", "--out", str(out)]) == 0
+            csvs[query] = out.read_text()
+        assert csvs[None] == csvs["0"] != csvs["2"]
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = main(["bench", "--variants", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -645,7 +671,7 @@ class TestPinnedBytes:
     # of every variant on each instance, and the default-order dump of the
     # erdos instance.  A change that keeps results bit-identical leaves it
     # as it is; one that changes results re-pins it and says why.
-    DIGEST = "31f33cad4682df8264dd8421b0b3c27444b91165debf08e4cc14e88c933696f7"
+    DIGEST = "8c0c12edcb35208f8f8d1c56718d2c9ecb512d1186ca1da0a91da871c9fd4119"
 
     INSTANCES = (
         ("er", ["erdos", "--n", "60", "--deg", "6"]),

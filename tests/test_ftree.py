@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from probflow.sampling import CI_BATCH
 from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
+    comp_key,
     drawn_table,
     insertable_order,
     long_cycle_graph,
@@ -774,7 +775,7 @@ class TestProbe:
 
         def tables(tree):
             return {
-                c.signature(): ({v: hexed(r) for v, r in c.reach.rows.items()}, c.reach.sample_count)
+                comp_key(c): ({v: hexed(r) for v, r in c.reach.rows.items()}, c.reach.sample_count)
                 for c in tree.components.values() if isinstance(c, BiComponent)
             }
 
@@ -869,24 +870,30 @@ class TestProbe:
         assert len(built) == (0 if use_memo else 1)
         assert est == plain.expected_flow(g)
 
-    @pytest.mark.parametrize("variant",["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
-    def test_signature_text_is_built_once_per_drawn_sampler(self, monkeypatch, variant):
-        # The signature text is only a drawn sampler's stream key, built at
-        # its first draw; a stale ring is matched to its new plan by its
-        # articulation vertex and edges.
-        calls, drawn = [], {}
-        signature, draw = BiComponent.signature, IncrementalComponentSampler.draw
-        monkeypatch.setattr(BiComponent, "signature", lambda c: calls.append(1) or signature(c))
+    @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    def test_each_edge_is_drawn_once_per_tree(self, monkeypatch, variant):
+        # A selection's tree draws each edge's worlds once, from the edge's
+        # own stream, and only the edges of the rings it draws: a draw
+        # reads its edges from the tree's store and draws nothing itself.
+        from probflow import sampling
+
+        keys, wanted = [], set()
+        stream, draw = sampling.substream, IncrementalComponentSampler.draw
+        monkeypatch.setattr(sampling, "substream", lambda *key: keys.append(key) or stream(*key))
 
         def recording_draw(sampler, batch):
-            drawn[id(sampler)] = sampler
+            wanted.update(sampler._graph_edges)
             return draw(sampler, batch)
 
         monkeypatch.setattr(IncrementalComponentSampler, "draw", recording_draw)
         for seed in (1, 2):
+            keys.clear()
+            wanted.clear()
             g = netgen.gen_partitioned(40, 8, seed)
             greedy_select(g, 0, StrategyConfig(variant, 12, SamplerConfig(samples=60, master_seed=seed)))
-        assert len(calls) == len(drawn) > 0
+            assert all(key[:2] == (seed, "edge") for key in keys)
+            drawn = [key[2:] for key in keys]
+            assert len(drawn) == len(set(drawn)) and set(drawn) == wanted and wanted
 
     def test_leaf_probe_is_not_kept(self):
         # Only cycle edges are probed: a leaf probe raises, naming
@@ -1003,7 +1010,8 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     """The reference a cycle probe of ``e`` must agree with: insert ``e``
     into a copy of ``tree``, give its new ring the table of the ring's
     first ``worlds`` worlds (all of them by default) and evaluate it.
-    Returns that estimate, the insert's report and the ring's signature.
+    Returns that estimate, the insert's report and the ring's identity
+    (``comp_key``).
     The ring must be one whose table is drawn, not enumerated."""
     ref = tree.copy()
     report = ref.insert_edge(g, e, cfg)
@@ -1011,7 +1019,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     sampler = IncrementalComponentSampler(g, ring, cfg)
     assert not sampler.exact
     ring.reach = drawn_table(sampler, worlds or cfg.samples)
-    return ref.expected_flow(g), report, ring.signature()
+    return ref.expected_flow(g), report, comp_key(ring)
 
 
 class TestRingFormula:
@@ -1049,7 +1057,7 @@ class TestRingFormula:
                     ring = tree._rings.get(c)
                     kept = use_memo and ring is not None
                     rescored += kept and after_leaf
-                    hit = kept and ring.scored is not None and ring.comp.signature() == sig
+                    hit = kept and ring.scored is not None and comp_key(ring.comp) == sig
                     rounds = reference_round_estimates(tree, g, c, cfg)
                     for got, worlds in zip(rounds, sizes, strict=True):
                         assert_close(got, grown_flow(tree, g, c, cfg, worlds)[0])
@@ -1351,17 +1359,6 @@ class TestMemo:
             copy.probe_edge(g, c)
         assert len(copy._rings) > 1 and tree._rings == rings
 
-    def test_added_edge_changes_signature(self):
-        comp = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
-        sig1 = comp.signature()
-        comp.internal_edges.add((2, 3))
-        assert comp.signature() != sig1
-
-    def test_articulation_is_part_of_identity(self):
-        a = BiComponent({1, 2}, 0, {(0, 1), (0, 2), (1, 2)})
-        b = BiComponent({1, 2}, 3, {(0, 1), (0, 2), (1, 2)})
-        assert a.signature() != b.signature()
-
     def test_store_keeps_every_table(self):
         memo = MemoStore()
         tables = [
@@ -1396,14 +1393,14 @@ class TestMemo:
         assert counts == {
             ("erdos", "ft_m"): (15, 3),
             ("erdos", "ft_m_ci"): (15, 3),
-            ("erdos", "ft_m_ds"): (13, 3),
-            ("erdos", "ft_m_ci_ds"): (13, 3),
-            ("partitioned", "ft_m"): (58, 43),
-            ("partitioned", "ft_m_ci"): (58, 43),
+            ("erdos", "ft_m_ds"): (16, 3),
+            ("erdos", "ft_m_ci_ds"): (16, 3),
+            ("partitioned", "ft_m"): (57, 43),
+            ("partitioned", "ft_m_ci"): (57, 43),
             ("partitioned", "ft_m_ds"): (46, 43),
             ("partitioned", "ft_m_ci_ds"): (46, 43),
-            ("wsn", "ft_m"): (8, 73),
-            ("wsn", "ft_m_ci"): (8, 73),
+            ("wsn", "ft_m"): (20, 70),
+            ("wsn", "ft_m_ci"): (20, 70),
             ("wsn", "ft_m_ds"): (21, 63),
             ("wsn", "ft_m_ci_ds"): (21, 63),
         }
@@ -1564,6 +1561,149 @@ class TestIncrementalSampling:
             assert [a[k].tolist() for a in grid] == [a.tolist() for a in rows[v]]
 
 
+class TestWorldStore:
+    """A tree's drawn tables read its world store, which draws each edge
+    once from the edge's own stream: a table's worlds depend only on its
+    component and the config, whatever asks first."""
+
+    @staticmethod
+    def record_drawn(monkeypatch):
+        """A dict that gains, at every drawn build, the table's rows in hex
+        form under its component's ``comp_key``, and the tags (see
+        ``tag``) of the runs that built it; it asserts every build of one
+        component gives one table."""
+        drawn, tag = {}, []
+        build = IncrementalComponentSampler.build
+
+        def recording(sampler, sizes=()):
+            table, grid = build(sampler, sizes)
+            if not sampler.exact:
+                key = (sampler.articulation, tuple(sampler._graph_edges))
+                rows = {v: hexed(r) for v, r in table.rows.items()}
+                seen = drawn.setdefault(key, (rows, set()))
+                assert seen[0] == rows, key
+                seen[1].add(tag[-1])
+            return table, grid
+
+        monkeypatch.setattr(IncrementalComponentSampler, "build", recording)
+        return drawn, tag
+
+    @staticmethod
+    def swapped(order):
+        """``order`` with each pair of edges 2i, 2i + 1 swapped where the
+        later one touches a vertex attached before them both."""
+        out, attached = list(order), {0}
+        for i in range(0, len(out) - 1, 2):
+            if attached & set(out[i + 1]):
+                out[i], out[i + 1] = out[i + 1], out[i]
+            attached.update(out[i] + out[i + 1])
+        return out
+
+    @pytest.mark.pinned
+    def test_tables_do_not_depend_on_insert_or_probe_order(self, monkeypatch):
+        # Two trees of one graph and config, a memo tree and a plain one,
+        # take the same edges in two orders (``swapped``) and probe every
+        # cycle candidate before each insert, one in canonical order and
+        # one in reverse.  The store draws an edge when a ring first asks
+        # for it, so the two trees draw their edges in different orders.
+        # Every drawn table of one component, probed or built at an
+        # evaluation, in either tree, has the same rows bit for bit, and so
+        # do the two trees' final tables.
+        drawn, tag = self.record_drawn(monkeypatch)
+        cfg = SamplerConfig(samples=300, master_seed=23)
+        rng = random.Random(2024)
+        shared = 0
+        for trial in range(6):
+            g, order = long_ring_graph(rng, pendants=4, extra_edges=8)
+            finals = []
+            for memo, edges, step in ((True, order, 1), (False, self.swapped(order), -1)):
+                tag.append((trial, memo))
+                tree = new_ftree(0, memo)
+                for e in edges:
+                    if tree.selected_edges:
+                        for c in tree.cycle_candidates(g)[::step]:
+                            tree.probe_edge(g, c)
+                    tree.insert_edge(g, e, cfg)
+                tree.expected_flow(g)
+                finals.append({
+                    comp_key(c): {v: hexed(r) for v, r in c.reach.rows.items()}
+                    for c in tree.components.values() if isinstance(c, BiComponent)
+                })
+            assert finals[0] == finals[1]
+            shared += sum(len(tags) == 2 for _, tags in drawn.values())
+            drawn.clear()
+        assert shared > 100
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    def test_selection_replays_to_its_last_flow(self, variant):
+        # The selected edges, inserted into a fresh plain tree, give the
+        # flow the selection last reported, bit for bit: each table the
+        # selection's tree adopted from a probe or built at an evaluation
+        # is the one a fresh tree builds from its own store.
+        drawn = 0
+        for seed in (1, 2, 3):
+            graphs = (
+                netgen.gen_partitioned(40, 8, seed),
+                netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, seed), lam=0.001, scale=2000),
+            )
+            for g in graphs:
+                cfg = StrategyConfig(variant, 15, SamplerConfig(samples=100, master_seed=seed))
+                solution = greedy_select(g, 0, cfg)
+                flow = replay_tree(g, solution.selected, cfg.sampler).expected_flow(g)
+                assert hexed(astuple(flow)[:3]) == hexed(astuple(solution.trace[-1].flow)[:3])
+                assert flow.samples_used == solution.trace[-1].flow.samples_used
+                drawn += flow.samples_used == cfg.sampler.samples
+        assert drawn >= 3
+
+    def test_drawn_means_converge_to_exact_reach(self):
+        # Over 200 master seeds, each its own store, the mean of a drawn
+        # table's rows is within 3 standard errors of the exact reach of
+        # every member of four random rings: a cycle of 7-9 uncertain edges
+        # with two chords, 2^9 worlds or more, drawn at 64 samples.
+        rng = random.Random(77)
+        seeds, samples, checked = 200, 64, 0
+        for _ in range(4):
+            n = rng.randint(7, 9)
+            triples = [(i, (i + 1) % n, rng.uniform(0.2, 0.9)) for i in range(n)]
+            chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+            triples += [(u, v, rng.uniform(0.2, 0.9)) for u, v in rng.sample(chords, 2)]
+            g = ProbabilisticGraph.build(n, triples)
+            ring = BiComponent(set(range(1, n)), 0, set(g.edges))
+            exact = IncrementalComponentSampler(g, ring, SamplerConfig(samples)).exact_table().rows
+            sums = dict.fromkeys(ring.members, 0.0)
+            for seed in range(seeds):
+                sampler = IncrementalComponentSampler(g, ring, SamplerConfig(samples, master_seed=seed))
+                assert not sampler.exact
+                for v, (p, _, _) in sampler.build()[0].rows.items():
+                    sums[v] += p
+            for v, total in sums.items():
+                p = exact[v][0]
+                se = math.sqrt(p * (1.0 - p) / (seeds * samples))
+                assert abs(total / seeds - p) <= 3.0 * se, (v, total / seeds, p)
+                checked += 1
+        assert checked >= 24
+
+    def test_naive_and_whole_graph_estimates_build_no_store(self, monkeypatch):
+        # ``naive`` and ``mc_expected_flow`` draw from their own streams
+        # (their seeded pins in test_selection.py and test_cli.py are
+        # unchanged by the store); an F-tree selection builds one store.
+        from probflow import mc_expected_flow, run_strategy, sampling
+
+        built = []
+        init = sampling.WorldStore.__init__
+        monkeypatch.setattr(
+            sampling.WorldStore, "__init__", lambda s, *a: built.append(a) or init(s, *a)
+        )
+        g = netgen.gen_partitioned(40, 8, 1)
+        cfg = SamplerConfig(samples=100, master_seed=5)
+        run_strategy(g, 0, StrategyConfig("naive", 8, cfg))
+        mc_expected_flow(g, 0, cfg)
+        assert built == []
+        run_strategy(g, 0, StrategyConfig("ft", 8, cfg))
+        assert len(built) == 1
+
+
 class TestRefreshFloor:
     """A floor-checked probe draws what a commit's plain refresh draws."""
 
@@ -1588,9 +1728,9 @@ class TestRefreshFloor:
         # A commit with no probe before it, evaluated, builds the same table.
         refreshed.insert_edge(g, self.EDGE, CFG)
         refreshed.expected_flow(g)
-        sig = kept.comp.signature()
+        sig = comp_key(kept.comp)
         [ring] = [
-            c for c in refreshed.components.values() if isinstance(c, BiComponent) and c.signature() == sig
+            c for c in refreshed.components.values() if isinstance(c, BiComponent) and comp_key(c) == sig
         ]
         assert ring.reach == kept.scored[0]
 
@@ -1616,7 +1756,7 @@ class TestRoundEstimates:
     @staticmethod
     def nesting(tree, held):
         """How each component about to be sampled (one with no table yet)
-        sits against sampled ones; a component whose signature is ``held``
+        sits against sampled ones; a component whose ``comp_key`` is ``held``
         has its table already."""
         def clean_bi(cid):
             comp = tree.components[cid]
@@ -1628,7 +1768,7 @@ class TestRoundEstimates:
             if cid != tree.root_id:
                 children[tree.parent_of(cid)].append(cid)
         for cid, comp in tree.components.items():
-            if not isinstance(comp, BiComponent) or clean_bi(cid) or comp.signature() == held:
+            if not isinstance(comp, BiComponent) or clean_bi(cid) or comp_key(comp) == held:
                 continue
             pid = tree.parent_of(cid)
             while pid is not None:
@@ -1668,7 +1808,7 @@ class TestRoundEstimates:
                     base = tree.copy()
                     cases.add(base.insert_edge(g, e, cfg).case_taken)
                     ring = tree._rings.get(e)
-                    held = ring.comp.signature() if ring is not None and ring.scored is not None else None
+                    held = comp_key(ring.comp) if ring is not None and ring.scored is not None else None
                     nesting |= self.nesting(base, held)
                     rounds = reference_round_estimates(tree, g, e, cfg)
                     assert len(rounds) == cfg.samples // CI_BATCH
@@ -1856,8 +1996,8 @@ class TestExactTables:
                 for c in trees[0].candidates(g).copy():
                     if not (trees[0].is_attached(c[0]) and trees[0].is_attached(c[1])):
                         continue
-                    ring, sig = trees[0]._rings.get(c), trees[0]._plan_cycle(*c, c)[1].signature()
-                    held = ring is not None and ring.scored is not None and ring.comp.signature() == sig
+                    ring, sig = trees[0]._rings.get(c), comp_key(trees[0]._plan_cycle(*c, c)[1])
+                    held = ring is not None and ring.scored is not None and comp_key(ring.comp) == sig
                     probes = [t.probe_edge(g, c, math.inf) for t in trees]
                     assert probes[0] == probes[1] and probes[0][2] == (not held)
                     exact_close(probes[0][0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))

@@ -365,8 +365,9 @@ class TestMcComponentReach:
         assert table.rows == {1: (1.0, 1.0, 1.0), 2: (1.0, 1.0, 1.0)}
 
     def test_stream_key_controls_determinism(self):
-        # The stream is keyed by the component signature and the master seed
-        # only: the same component inside a larger graph samples identically.
+        # A drawn table's worlds are its edges' worlds, each keyed by the
+        # edge and the master seed only: the same component inside a larger
+        # graph samples identically.
         # Its 9 edges have 2^9 worlds, more than 200, so its sampler's
         # ``build`` draws the table as a tree would.
         cycle = [(i, (i + 1) % 9, 0.5) for i in range(9)]
@@ -479,9 +480,7 @@ class TestSubstreams:
         assert substream(0, "stability-probe").random() == pytest.approx(
             0.09314243390118637, abs=0.0
         )
-        assert substream(12345, "component", "av=1;v=2,3;e=1-2,1-3,2-3").random() == pytest.approx(
-            0.20257361973466148, abs=0.0
-        )
+        assert substream(12345, "edge", 1, 2).random() == pytest.approx(0.22030314507939774, abs=0.0)
 
 
 class TestConfigValidation:

@@ -804,7 +804,7 @@ PINNED = {
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(56.13939593829269, 53.2995331266958, 58.97925874988959, 300),
+            FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
             (0, 0),
         ),
         'ft_m': (
@@ -812,7 +812,7 @@ PINNED = {
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(56.13939593829269, 53.2995331266958, 58.97925874988959, 300),
+            FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
             (0, 0),
         ),
         'ft_m_ci': (
@@ -820,7 +820,7 @@ PINNED = {
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(56.13939593829269, 53.2995331266958, 58.97925874988959, 300),
+            FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
             (6, 0),
         ),
         'ft_m_ds': (
@@ -916,9 +916,9 @@ PINNED_TRACES = {
     'partitioned': {
         'naive': 'e2d06e34c661591042f7ad56350dcc216870252684bbe9603c288bcdd9fc8534',
         'dijkstra': '224467544f7ae02a3bc78364998a4832be98c097e2ac3d131c929a242cee0085',
-        'ft': '46d1dbac4fca8ad715863ab2c6c3c226ede6efbd26eeb82950df35f573bdcb0c',
-        'ft_m': '46d1dbac4fca8ad715863ab2c6c3c226ede6efbd26eeb82950df35f573bdcb0c',
-        'ft_m_ci': '46279fe0f3b261198bece1baf5822147ae70ee4bef1a548d37cc5702fe1475dc',
+        'ft': 'b918298925e23ae8255c8b4a903c54ed799d43879cfad26a230b7f5debf0edaf',
+        'ft_m': 'b918298925e23ae8255c8b4a903c54ed799d43879cfad26a230b7f5debf0edaf',
+        'ft_m_ci': 'ec894f868398cb7997ab37a2a91cebab9a5ee86caa0bcfccb345cd66304c72e7',
         'ft_m_ds': '0145ec43b2807693440ef00d056a2d47267951634bf4e52586c6fc95164324ad',
         'ft_m_ci_ds': '00e907c0a064663f1821b46736b64a3a2be45579d9491098fb2bd4423f189e8f',
     },
@@ -995,8 +995,8 @@ class TestSeededSolutions:
             for variant in ("ft_m_ci", "ft_m_ci_ds")
         }
         assert digests == {
-            "ft_m_ci": "e62d7c73b6325df8baac38959abba307663918d5451460049fb1631ecb5fe973",
-            "ft_m_ci_ds": "caebaf736a9a8983698c11b6e96ec6451819f7e607c1560450311964908afa7a",
+            "ft_m_ci": "16fa9a1479375c407711bd0dc2bc896b8d75ceb83e0dbae0d35920322b637815",
+            "ft_m_ci_ds": "1c327bec3e973406387d1fe16ad3d721712ab70a3eb9aa51d9cc1f1cf0647232",
         }
         assert any(est is not None for est in found)
 

@@ -410,9 +410,16 @@ def reference_mc_flow_of_edges(
     return mc_expected_flow(sub, q_local, scfg)
 
 
+def comp_key(comp) -> tuple[int, tuple[Edge, ...]]:
+    """A bi component's identity: its articulation vertex and its edges in
+    canonical order, which fix its worlds and its table."""
+    return comp.articulation, tuple(sorted(comp.internal_edges))
+
+
 def drawn_table(sampler, n: int) -> ReachTable:
-    """The reach table of ``n`` worlds that the component sampler
-    ``sampler`` draws afresh, enumerable or not: ``rows(draw(n), [n])``."""
+    """The reach table of the first ``n`` store worlds that the component
+    sampler ``sampler`` propagates, enumerable or not:
+    ``rows(draw(n), [n])``."""
     p, lo, hi = (a[:, 0].tolist() for a in sampler.rows(sampler.draw(n), [n]))
     return ReachTable(sampler.articulation, dict(zip(sampler._members, zip(p, lo, hi))), n)
 

@@ -12,6 +12,9 @@ hide another's:
 - ``run_strategy`` of ``ft_m`` and of ``ft_m_ci`` on
   ``gen_partitioned(1000, 8, 1)`` at k=200 (1000 samples, master seed 7):
   the memoized greedy and its interval-checked variant at scale;
+- ``run_strategy`` of ``ft`` on that graph at k=100 (same sampler), where
+  every probe builds its ring's table again, so drawing each edge once
+  per tree (the tree's world store) saves the most;
 - ``run_strategy`` of ``ft_m`` on
   ``assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)``
   at k=200 (1000 samples, master seed 7), where many probed rings go stale
@@ -25,7 +28,8 @@ Each line gives the kernel call's wall seconds (imports and graph
 construction not included), the process's maximum resident set size
 (``ru_maxrss``, which includes the interpreter and numpy) and the value
 computed: a flow, a selection's last recorded flow, or the dump loop's
-counts.  The library and the tests' helpers are imported from this
+counts.  A selection at scale also gives the number of edges its tree's
+world store drew, each once, as ``(flow, edges drawn)``.  The library and the tests' helpers are imported from this
 checkout.
 
 Run from the repository root:
@@ -42,6 +46,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# A selection's kernel: its last recorded flow and the edges its tree's
+# world store drew (the stores built during the run, each edge once).
+SELECT = (
+    "stores, init = [], WorldStore.__init__\n"
+    "WorldStore.__init__ = lambda store, *args: stores.append(store) or init(store, *args)\n"
+    "run = lambda: (run_strategy(graph, 0, cfg).trace[-1].flow.mean, sum(len(s._bits) for s in stores))\n"
+)
+
 KERNELS = {
     "mc_expected_flow, wsn-500 decayed, 20000 samples": (
         "graph = assign_distance_decay(gen_wsn(500, 0.08, 1), lam=0.001, scale=10000)\n"
@@ -52,17 +64,17 @@ KERNELS = {
         "run = lambda: exact_expected_flow(graph, 0)\n"
     ),
     **{
-        f"run_strategy {variant}, partitioned-1000, k=200": (
+        f"run_strategy {variant}, partitioned-1000, k={k}": (
             "graph = gen_partitioned(1000, 8, 1)\n"
-            f"cfg = StrategyConfig({variant!r}, 200, SamplerConfig(samples=1000, master_seed=7))\n"
-            "run = lambda: run_strategy(graph, 0, cfg).trace[-1].flow.mean\n"
+            f"cfg = StrategyConfig({variant!r}, {k}, SamplerConfig(samples=1000, master_seed=7))\n"
+            + SELECT
         )
-        for variant in ("ft_m", "ft_m_ci")
+        for variant, k in (("ft_m", 200), ("ft_m_ci", 200), ("ft", 100))
     },
     "run_strategy ft_m, wsn-2000 decayed, k=200": (
         "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
         "cfg = StrategyConfig('ft_m', 200, SamplerConfig(samples=1000, master_seed=7))\n"
-        "run = lambda: run_strategy(graph, 0, cfg).trace[-1].flow.mean\n"
+        + SELECT
     ),
     "dump-ftree structure, wsn-2000 decayed, every edge": (
         "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
@@ -81,6 +93,7 @@ from probflow import (
     BiComponent, SamplerConfig, StrategyConfig, assign_distance_decay, exact_expected_flow,
     gen_partitioned, gen_wsn, mc_expected_flow, new_ftree, run_strategy,
 )
+from probflow.sampling import WorldStore
 from util import twenty_edge_graph
 {setup}
 start = time.perf_counter()
