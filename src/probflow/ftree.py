@@ -17,8 +17,11 @@ stored.
 
 Two rules grow the tree.  A leaf edge, with one endpoint attached, hangs
 its new vertex off the attached endpoint's component (cases IIa, IIb).  A
-cycle-closing edge, with both endpoints attached, folds the parts of the
-components that lie on the cycle it closes into one bi-connected component
+cycle-closing edge, with both endpoints attached, closes the cycle made of
+itself and the two chains of hangs (below) that climb from its endpoints to
+the vertex where they meet.  Every component those climbs pass folds into
+one new bi-connected component that drains through the meeting vertex: a bi
+component whole, a mono component the vertices the climbs pass in it
 (cases IIIa, IIIb, IVb, IVc).
 
 One rule gives every attached vertex its reach.  Each one, v, hangs off
@@ -110,17 +113,6 @@ class MonoComponent:
     def members(self) -> KeysView[int]:
         return self.parent_edges.keys()
 
-    def path_to_articulation(self, v: int) -> list[int]:
-        """Vertices from v up to and including the articulation vertex."""
-        if v == self.articulation:
-            return [v]
-        if v not in self.members:
-            raise FTreeError(f"vertex {v} not in component")
-        path = [v]
-        while path[-1] != self.articulation:
-            path.append(self.parent_edges[path[-1]][0])
-        return path
-
     def copy(self) -> "MonoComponent":
         return MonoComponent(self.articulation, dict(self.parent_edges))
 
@@ -159,10 +151,10 @@ class InsertReport:
     edges_sampled_count: int
 
 
-# The parts a cycle takes (``FTree._plan_cycle``); (p, lo, hi) over rounds
-# (``IncrementalComponentSampler.rows``), as (member, round) arrays; a
-# ring's coefficients (``FTree._coefficients``).
-_Parts = list[tuple[int, Optional[list[int]], int]]
+# The ids of the components a cycle takes (``FTree._plan_cycle``); (p, lo,
+# hi) over rounds (``IncrementalComponentSampler.rows``), as (member, round)
+# arrays; a ring's coefficients (``FTree._coefficients``).
+_Parts = list[int]
 _Grid = tuple[np.ndarray, np.ndarray, np.ndarray]
 _Coeffs = list[tuple[int, float, float, float]]
 
@@ -186,16 +178,16 @@ def _prunes(est: FlowEstimate, floor: float) -> bool:
 class _Ring:
     """A probed cycle candidate, kept until its edge is committed: its
     ring's (attach position, vertex) pairs in attach order, the ring (a
-    ``BiComponent`` with no table of its own), the insert report, the
-    parts it takes (``_plan_cycle``'s plan is these parts, the ring and
-    the report's case; None once an insert folded a component it takes,
-    which makes the ring stale), the sampler prepared at the first build a
-    probe needs (until a memo tree keeps the table it built), the drawn
-    table and its rounds' grid a pruned probe left for the next probe and,
-    in a memo tree only, its table and the table's coefficients once a
-    probe read the table.  All but the parts and the report hold for as
-    long as the ring's component is unchanged (see
-    ``FTree._close_cycle``)."""
+    ``BiComponent`` with no table of its own, draining through the vertex
+    where its climbs meet), the insert report, the parts it takes, as
+    component ids (``_plan_cycle``'s plan is these parts, the ring and the
+    report's case; None once an insert folded a component it takes, which
+    makes the ring stale), the sampler prepared at the first build a probe
+    needs (until a memo tree keeps the table it built), the drawn table and
+    its rounds' grid a pruned probe left for the next probe and, in a memo
+    tree only, its table and the table's coefficients once a probe read the
+    table.  All but the parts and the report hold for as long as the ring's
+    component is unchanged (see ``FTree._close_cycle``)."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
@@ -258,7 +250,8 @@ class IncrementalComponentSampler:
     """One bi component's worlds: all 2^m of its m uncertain edges (p < 1)
     if 2^m <= ``cfg.samples`` (no draw, no store, no master seed), else
     the ``cfg.samples`` worlds of a ``WorldStore`` (``draw``): its tree's
-    store, or one of its own if it is given none.
+    store, or one of its own if it is given none.  A store made for another
+    graph or config (``WorldStore.serves``) raises ValueError.
 
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  World i of every edge lands in bit i of every vertex's
@@ -290,7 +283,11 @@ class IncrementalComponentSampler:
         self._members = [v for v in verts if v != comp.articulation]
         self._source = local[comp.articulation]
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
-        self._store = store if store is not None else WorldStore(graph, cfg)
+        if store is None:
+            store = WorldStore(graph, cfg)
+        elif not store.serves(graph, cfg):
+            raise ValueError("the world store holds another graph's or config's worlds")
+        self._store = store
         self._weights: Optional[np.ndarray] = None  # at the first exact build
 
     def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Grid]]:
@@ -436,37 +433,12 @@ class FTree:
     def attached_vertices(self) -> set[int]:
         return set(self.vertex_index) | {self.q}
 
-    def component_of_vertex(self, v: int) -> int:
-        """Component owning v as a member; the root for the query vertex."""
-        if v == self.q:
-            return self.root_id
-        try:
-            return self.vertex_index[v]
-        except KeyError:
-            raise FTreeError(f"vertex {v} is not attached") from None
-
     def parent_of(self, cid: int) -> Optional[int]:
         """The component owning ``cid``'s articulation vertex (the root for
         the query vertex); None for the root."""
         if cid == self.root_id:
             return None
         return self.vertex_index.get(self.components[cid].articulation, self.root_id)
-
-    def lowest_common_ancestor(self, c1: int, c2: int) -> int:
-        """Deepest component that is an ancestor-or-self of both."""
-        if c1 not in self.components or c2 not in self.components:
-            raise FTreeError("component not in tree")
-        seen = set()
-        cur: Optional[int] = c1
-        while cur is not None:
-            seen.add(cur)
-            cur = self.parent_of(cur)
-        cur = c2
-        while cur is not None:
-            if cur in seen:
-                return cur
-            cur = self.parent_of(cur)
-        raise FTreeError("components are not in the same tree")
 
     # ------------------------------------------------------------------
     # insertion
@@ -541,7 +513,7 @@ class FTree:
             kept.hangs.append((kept.rank[attach], (prob, prob, prob)))
             kept.estimate = self.leaf_estimate(kept.estimate, term)
             kept.masses = None
-        cid = self.component_of_vertex(attach)
+        cid = self.vertex_index.get(attach, self.root_id)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
             comp.parent_edges[fresh] = (attach, prob)
@@ -719,99 +691,114 @@ class FTree:
             floors[j] = lb - order[i][0]  # lb - (-t) is lb + t exactly
         return floors
 
+    def _hang(self, v: int) -> int:
+        """h(v) of an attached vertex v other than the query vertex: its mono
+        parent, or its bi component's articulation vertex."""
+        comp = self.components[self.vertex_index[v]]
+        return comp.parent_edges[v][0] if isinstance(comp, MonoComponent) else comp.articulation
+
     def _plan_cycle(self, u: int, v: int, e: Edge) -> tuple[_Parts, BiComponent, str]:
         """Cases III and IV, read only: what folding the cycle the edge ``e``
         between attached vertices u and v closes into one bi component takes.
 
-        The cycle climbs from each endpoint's component to the two
-        components' lowest common ancestor.  Every component it passes gives
-        up its part on the cycle: a bi component all of itself, a mono
-        component the path between the two vertices where the cycle enters
-        it.  Returns the parts, each a component id with the path cut out
-        of a mono component and the vertex the path hangs off (None and the
-        articulation vertex for a bi component); the ring, a new bi
-        component holding every part's members and edges plus ``e`` that
-        drains through the last part's vertex; and the case.
+        The cycle is e and the two h-chains from u and v up to the vertex w
+        where they meet.  They are climbed in turn, one step each, and
+        ``seen`` records which climb reached each vertex: the first step
+        onto a vertex the other climb reached is onto w, and the other climb
+        is cut back to end below w.  So the walk is as long as the cycle,
+        not as deep as the tree.  Every component the climbs pass is a part:
+        a bi component goes into the ring whole, a mono component gives up
+        the vertices the climbs pass in it.  Returns the parts, as component
+        ids; the ring, a new bi component holding those vertices, the bi
+        parts' members and edges, the mono vertices' parent edges and ``e``,
+        which drains through w; and the case.
+
+        One part is IIIa (bi) or IIIb (mono).  Several are IVc-composite if
+        a mono part lies below the component the climbs meet in, and IVb
+        otherwise.  They meet in the component both climbs end in, if both
+        pass a vertex and their last vertices share one (w may then be its
+        articulation vertex, which another component owns); else in the
+        component owning w, the root for the query vertex.
         """
-        cid_u, cid_v = self.component_of_vertex(u), self.component_of_vertex(v)
-        anc = cid_u if cid_u == cid_v else self.lowest_common_ancestor(cid_u, cid_v)
-        parts: _Parts = []
-        members: set[int] = set()
-        edges = {e}
-
-        def take(cid: int, a: int, b: int) -> None:
-            comp = self.components[cid]
-            if isinstance(comp, BiComponent):
-                parts.append((cid, None, comp.articulation))
-                members.update(comp.members)
-                edges.update(comp.internal_edges)
-            else:
-                path, wedge = self._split_mono(cid, a, b)
-                parts.append((cid, path, wedge))
-                members.update(path)
-                edges.update(canonical_edge(x, comp.parent_edges[x][0]) for x in path)
-
-        def climb(cid: int, entry: int) -> int:
-            while cid != anc:
-                av = self.components[cid].articulation
-                take(cid, entry, av)
-                entry, cid = av, self.parent_of(cid)  # type: ignore[assignment]
-            return entry
-
-        entry_u, entry_v = climb(cid_u, u), climb(cid_v, v)
-        below = any(path is not None for _, path, _ in parts)
-        if entry_u != entry_v:
-            take(anc, entry_u, entry_v)
-        ring = BiComponent(members, articulation=parts[-1][2], internal_edges=edges)
+        index, q = self.vertex_index, self.q
+        climbs, seen, side = ([u], [v]), {u: 0, v: 1}, 0
+        while True:
+            x = climbs[side][-1]
+            if x != q:
+                w = self._hang(x)
+                if seen.setdefault(w, side) != side:
+                    break
+                climbs[side].append(w)
+            side ^= 1
+        other = climbs[1 - side]
+        del other[other.index(w):]
+        path = climbs[0] + climbs[1]
+        parts: _Parts = list(dict.fromkeys(index[x] for x in path))
+        comps = [self.components[cid] for cid in parts]
+        kinds = [isinstance(comp, MonoComponent) for comp in comps]
+        members, edges = set(), {e}
+        for comp, mono in zip(comps, kinds):
+            if not mono:
+                members |= comp.members
+                edges |= comp.internal_edges
+        for x in path:
+            if x not in members:  # a mono vertex: its edge to its parent
+                members.add(x)
+                edges.add(canonical_edge(x, self._hang(x)))
+        ring = BiComponent(members, articulation=w, internal_edges=edges)
         if len(parts) == 1:
-            case = "IIIb" if parts[0][1] is not None else "IIIa"
-        else:
-            case = "IVc-composite" if below else "IVb"
-        return parts, ring, case
+            return parts, ring, "IIIb" if kinds[0] else "IIIa"
+        a, b = climbs
+        meet = index[a[-1]] if a and b and index[a[-1]] == index[b[-1]] else index.get(w, self.root_id)
+        below = any(mono and cid != meet for cid, mono in zip(parts, kinds))
+        return parts, ring, "IVc-composite" if below else "IVb"
 
     def _close_cycle(self, parts: _Parts, ring: BiComponent) -> None:
         """Apply a plan (see ``_plan_cycle``): the ring joins the tree as a
         new component, every part gives up its members to it, and a
-        component left empty goes (the ring takes the root's place).
-        Members a mono part's path cut off regroup into new mono components
-        hanging off the path vertex their old path crossed first, in member
-        order; members are listed after their parents, so one pass groups
-        them: a member joins its parent's group, or the parent's own if the
-        parent is on the path.
+        component left empty goes (the ring takes the root's place).  A
+        mono part's path is the ring's members among its own, the vertices
+        the climbs passed in it.  Members that path cut off regroup into new
+        mono components hanging off the path vertex their old path crossed
+        first, in member order; members are listed after their parents, so
+        one pass groups them: a member joins its parent's group, or the
+        parent's own if the parent is on the path, and a member whose path
+        misses the cut stays.
 
         The ring of the edge the new ring closes goes;
         the kept rings that take a part are marked stale (``_Ring``).  A
-        ring that takes none is planned again as it was: every component it
-        takes is unchanged, and a climb from one of them still leads to the
-        others, or to the component owning the vertex where the ring's two
-        climbs meet.  Its members keep their hangs, factors and attach
-        positions, so its coefficients hold too.  Sharing no edge with the
-        new ring is not enough: a mono part shared without a shared edge
-        still loses a path and may split, and the ring's case can change
-        with it.  A stale ring whose new plan has the same component keeps
+        ring that takes none is planned again as it was: every vertex its
+        climbs pass lies in a component it takes, which is unchanged, so
+        they pass the same vertices, meet at the same one and end in the
+        same components; the component owning the meeting vertex can change
+        only if the ring takes it.  Its members keep their hangs, factors
+        and attach positions, so its coefficients hold too.  Sharing no
+        edge with the new ring is not enough: a mono part shared without a
+        shared edge still loses a path and may split, and the ring's case
+        can change with it.  A stale ring whose new plan has the same component keeps
         its table and coefficients for the same reason: had the new ring
         taken one of its members, its new plan would take the new ring
         whole, and with it the edge just committed, which its old plan
         lacks.
         """
         ring_id = self._add_component(ring)
-        taken = {cid for cid, _, _ in parts}
+        taken = set(parts)
         self._rings = {c: r for c, r in self._rings.items() if c not in ring.internal_edges}
         for r in self._rings.values():
-            if r.parts is not None and not taken.isdisjoint(c for c, _, _ in r.parts):
+            if r.parts is not None and not taken.isdisjoint(r.parts):
                 r.parts = None
-        for cid, path, wedge in parts:
+        for cid in parts:
             comp = self.components[cid]
             if isinstance(comp, MonoComponent):
-                cut = set(path)
-                group_of: dict[int, Optional[int]] = dict.fromkeys((wedge, comp.articulation))
+                cut = comp.members & ring.members
+                group_of: dict[int, Optional[int]] = {comp.articulation: None}
                 groups: dict[int, list[int]] = {}  # by anchor; group_of None: stays
                 for m, (parent, _) in comp.parent_edges.items():
-                    if m not in cut and m not in group_of:
+                    if m not in cut:
                         group_of[m] = anchor = parent if parent in cut else group_of[parent]
                         if anchor is not None:
                             groups.setdefault(anchor, []).append(m)
-                for x in path:
+                for x in cut:
                     del comp.parent_edges[x]
                 for anchor in sorted(groups):
                     group = {m: comp.parent_edges.pop(m) for m in groups[anchor]}
@@ -823,20 +810,6 @@ class FTree:
             if cid == self.root_id:
                 self.root_id = ring_id
         self.vertex_index.update(dict.fromkeys(ring.members, ring_id))
-
-    def _split_mono(self, comp_id: int, v_src: int, v_dest: int) -> tuple[list[int], int]:
-        """Where a cycle through v_src and v_dest cuts a mono component: the
-        path between them, without the first vertex common to both paths
-        toward the articulation vertex, and that vertex, which the path
-        hangs off."""
-        comp = self.components[comp_id]
-        if not isinstance(comp, MonoComponent):
-            raise FTreeError("_split_mono requires a mono component")
-        path_src = comp.path_to_articulation(v_src)
-        path_dest = comp.path_to_articulation(v_dest)
-        dest_set = set(path_dest)
-        wedge = next(x for x in path_src if x in dest_set)
-        return path_src[: path_src.index(wedge)] + path_dest[: path_dest.index(wedge)], wedge
 
     # ------------------------------------------------------------------
     # sampling upkeep
@@ -1116,7 +1089,11 @@ class FTree:
     # ------------------------------------------------------------------
 
     def dump(self, graph: Optional[ProbabilisticGraph] = None) -> str:
-        """One line per component, pre-order, children sorted structurally."""
+        """One line per component, pre-order, children sorted structurally;
+        vertices are named by ``graph``'s labels if a graph is given, which
+        must be one the tree serves (``_use_graph``)."""
+        if graph is not None:
+            self._use_graph(graph)
 
         def name(v: int) -> str:
             return graph.labels[v] if graph is not None else str(v)

@@ -172,6 +172,12 @@ class WorldStore:
                 [bits[e]] = _live_worlds(substream(cfg.master_seed, "edge", *e), p, cfg.samples)
         return [bits[e] for e in edges]
 
+    def serves(self, graph: ProbabilisticGraph, cfg: SamplerConfig) -> bool:
+        """Whether this store holds ``graph``'s worlds under ``cfg``: the
+        graph and config it was made for, checked by identity first, or
+        ones equal to them."""
+        return (graph is self._graph or graph == self._graph) and (cfg is self._cfg or cfg == self._cfg)
+
 
 def _reach_bitsets(
     live: Sequence[int], edges: Sequence[Edge], num_vertices: int, source: int, count: int

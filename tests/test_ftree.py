@@ -168,6 +168,67 @@ class TestInsertionCases:
             new_ftree(0).insert_edge(g, (0, 2), CFG)
 
 
+def complete_graph(n):
+    return ProbabilisticGraph.build(n, [(u, v, 0.5) for u in range(n) for v in range(u + 1, n)])
+
+
+class TestCycleCases:
+    """A cycle's case is read where its two climbs meet: several parts are
+    IVc-composite only if a mono part lies below the meeting component."""
+
+    @pytest.mark.parametrize(
+        "n, inserts, cases, dump",
+        [
+            # (1,3) meets at the query vertex; the climbs end in the bi
+            # component {1,2} and in the root, so they meet in the root,
+            # which owns the query vertex: its mono part is not below.
+            (6, [(0, 3), (0, 1), (1, 2), (0, 2), (1, 3)],
+             ["IIa", "IIa", "IIa", "IIIb", "IVb"],
+             "0 BI AV=0 V={1,2,3} children=[]"),
+            # (1,5): both climbs end in the bi component {1,2}, and the
+            # mono component {5} hangs below it.
+            (6, [(0, 3), (0, 1), (1, 2), (0, 2), (2, 5), (1, 5)],
+             ["IIa", "IIa", "IIa", "IIIb", "IIb", "IVc-composite"],
+             "0 MONO AV=0 V={3} children=[1]\n1 BI AV=0 V={1,2,5} children=[]"),
+            # (0,3) closes a mono path (IIIb), (1,3) a chord of its ring (IIIa).
+            (6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)],
+             ["IIa", "IIa", "IIa", "IIIb", "IIIa"],
+             "0 BI AV=0 V={1,2,3} children=[]"),
+            # (4,6) meets at 2, the articulation vertex of the mono component
+            # {3,4} that both climbs end in; 2 itself is owned by the bi
+            # component {1,2}.  The meeting component is {3,4}, so taking
+            # the component owning the meeting vertex would count {3,4} as
+            # below it and label this IVb insert IVc-composite.
+            (7, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (5, 6), (3, 6), (0, 2), (4, 6)],
+             ["IIa"] * 6 + ["IIIb", "IIIb", "IVb"],
+             "0 BI AV=0 V={1,2} children=[1]\n1 BI AV=2 V={3,4,5,6} children=[]"),
+        ],
+        ids=["IVb-root-meets", "IVc-mono-below", "IIIb-IIIa", "IVb-articulation-meets"],
+    )
+    def test_case_is_read_at_the_meeting_component(self, n, inserts, cases, dump):
+        g, tree = complete_graph(n), new_ftree(0)
+        assert [tree.insert_edge(g, e, CFG).case_taken for e in inserts] == cases
+        assert tree.dump() == dump
+        tree.verify(g)
+
+    def test_mono_grouping_follows_insert_order(self):
+        # The same edges in two orders: leaves hung off a bi member form
+        # one mono component each (IIb), while leaves a cycle split off
+        # together stay in one.  So mono components are not a function of
+        # where each vertex hangs.
+        g = complete_graph(5)
+        dumps = []
+        for order in ([(0, 1), (1, 2), (0, 2), (2, 3), (2, 4)], [(0, 1), (1, 2), (2, 3), (2, 4), (0, 2)]):
+            tree = new_ftree(0)
+            for e in order:
+                tree.insert_edge(g, e, CFG)
+            dumps.append(tree.dump())
+        assert dumps == [
+            "0 BI AV=0 V={1,2} children=[1,2]\n1 MONO AV=2 V={3} children=[]\n2 MONO AV=2 V={4} children=[]",
+            "0 BI AV=0 V={1,2} children=[1]\n1 MONO AV=2 V={3,4} children=[]",
+        ]
+
+
 class TestRunningExample:
     def test_base_component_structure(self):
         g = running_example_graph()
@@ -241,21 +302,6 @@ class TestRunningExample:
         assert monos[frozenset({16})].articulation == 15
         tree.verify(g)
 
-    def test_lowest_common_ancestor(self):
-        g = running_example_graph()
-        tree = build_base_tree(g)
-        monos, bis = components_by_kind(tree)
-
-        def cid_of(comp):
-            return next(cid for cid, c in tree.components.items() if c is comp)
-
-        d = cid_of(bis[frozenset({10, 11})])
-        e = cid_of(monos[frozenset({13, 14, 15, 16})])
-        c = cid_of(bis[frozenset({7, 8, 9})])
-        assert tree.lowest_common_ancestor(d, e) == c
-        assert tree.lowest_common_ancestor(d, d) == d
-        assert tree.lowest_common_ancestor(tree.root_id, d) == tree.root_id
-
     def test_component_a_flow_anchor(self):
         # The stated flow of the root component's four vertices is 5.75.
         g = running_example_graph()
@@ -290,14 +336,6 @@ class TestSplitTree:
         tree.refresh()
         assert bi.reach is not None
         tree.verify(g)
-
-    def test_split_requires_mono(self):
-        g = running_example_graph()
-        tree = build_base_tree(g)
-        _, bis = components_by_kind(tree)
-        cid = next(c for c, comp in tree.components.items() if comp is bis[frozenset({4, 5})])
-        with pytest.raises(FTreeError):
-            tree._split_mono(cid, 4, 5)
 
 
 def owner(tree, v):
@@ -1246,6 +1284,7 @@ class TestKeptEvaluation:
                 "insert": lambda: tree.insert_edge(g, e, cfg),
                 "verify": lambda: tree.verify(g),
                 "copy": lambda: tree.copy().expected_flow(g),
+                "dump": lambda: tree.dump(g),
             }
 
         firsts = set()
@@ -1683,6 +1722,23 @@ class TestWorldStore:
                 assert abs(total / seeds - p) <= 3.0 * se, (v, total / seeds, p)
                 checked += 1
         assert checked >= 24
+
+    def test_a_store_of_another_graph_or_config_is_refused(self):
+        # A draw reads the store's bits as they are: a 200-world store read
+        # under a 1000-world config, or another graph's store, would give
+        # rows of other worlds.  An equal graph and config are served.
+        from probflow.sampling import WorldStore
+
+        g = ring_chain_graph(1, ring=11)
+        comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
+        cfg = SamplerConfig(samples=1000, master_seed=99)
+        other = replace(g, probabilities=tuple(p / 2 for p in g.probabilities))
+        for store in (WorldStore(g, replace(cfg, samples=200)), WorldStore(g, replace(cfg, master_seed=1)),
+                      WorldStore(other, cfg)):
+            with pytest.raises(ValueError, match="another graph's or config's"):
+                IncrementalComponentSampler(g, comp, cfg, store)
+        own = IncrementalComponentSampler(g, comp, cfg).build()
+        assert IncrementalComponentSampler(g, comp, cfg, WorldStore(replace(g), replace(cfg))).build() == own
 
     def test_naive_and_whole_graph_estimates_build_no_store(self, monkeypatch):
         # ``naive`` and ``mc_expected_flow`` draw from their own streams
@@ -2177,6 +2233,18 @@ class TestStructuralInvariants:
 
 
 class TestDump:
+    def test_a_graph_the_tree_does_not_serve_is_refused(self):
+        # Labels are read from the graph given, so another graph's would
+        # name the tree's vertices wrongly, as verify would refuse it.
+        g = ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5)], labels="abc")
+        h = ProbabilisticGraph.build(3, [(0, 1, 0.5), (1, 2, 0.5)], labels="xyz")
+        tree = new_ftree(0)
+        tree.insert_edge(g, (0, 1), CFG)
+        for call in (tree.verify, tree.dump):
+            with pytest.raises(FTreeError, match="another graph"):
+                call(h)
+        assert tree.dump(g) == "0 MONO AV=a V={b} children=[]"
+
     def test_running_example_layout(self):
         g = running_example_graph()
         tree = build_base_tree(g)

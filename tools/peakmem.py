@@ -22,7 +22,9 @@ hide another's:
 - ``dump-ftree``'s structure-only loop on that wsn-2000 graph (9648
   edges): insert the first candidate until none is left, never evaluate.
   Inserts build no reach table, so its value, (edges inserted, tables
-  built), ends in 0, and its time is the tree's structural upkeep alone.
+  built, inserts per case), has 0 tables, and its time is the tree's
+  structural upkeep alone.  The per-case counts show at scale whether a
+  structural change keeps every insert's case.
 
 Each line gives the kernel call's wall seconds (imports and graph
 construction not included), the process's maximum resident set size
@@ -79,11 +81,12 @@ KERNELS = {
     "dump-ftree structure, wsn-2000 decayed, every edge": (
         "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
         "def run():\n"
-        "    tree, cfg = new_ftree(0), SamplerConfig()\n"
+        "    tree, cfg, cases = new_ftree(0), SamplerConfig(), {}\n"
         "    while cands := tree.candidates(graph):\n"
-        "        tree.insert_edge(graph, cands[0], cfg)\n"
+        "        case = tree.insert_edge(graph, cands[0], cfg).case_taken\n"
+        "        cases[case] = cases.get(case, 0) + 1\n"
         "    bis = [c for c in tree.components.values() if isinstance(c, BiComponent)]\n"
-        "    return len(tree.selected_edges), sum(c.reach is not None for c in bis)\n"
+        "    return len(tree.selected_edges), sum(c.reach is not None for c in bis), dict(sorted(cases.items()))\n"
     ),
 }
 
