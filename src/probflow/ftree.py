@@ -80,7 +80,8 @@ from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 import numpy as np
 
 from .graphs import (
-    Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_integer, check_vertex,
+    Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_finite, check_integer,
+    check_vertex,
 )
 from .sampling import (
     CI_BATCH,
@@ -206,11 +207,9 @@ class _Kept:
     to the query vertex, the query vertex included, in attach order.
     ``terms``, once asked for, holds each leaf candidate's (one endpoint
     attached) weighted reach term t·w for mean, lb and ub, and ``order``
-    the same leaves as (−t·w mean, edge) pairs in ascending order;
-    ``lb_order``, once ``leaf_floors`` asks for it, holds them as (−t·w
-    lb, edge) pairs in ascending order.  All three survive leaf inserts,
-    which add and drop leaves but change no other leaf's term.  ``rank``
-    holds every attached vertex's attach position
+    the same leaves as (−t·w mean, edge) pairs in ascending order.  Both
+    survive leaf inserts, which add and drop leaves but change no other
+    leaf's term.  ``rank`` holds every attached vertex's attach position
     (the query vertex's is 0) and ``hangs`` each position's hang: the
     position of h(v) and g(v) (see the module docstring; position 0 holds
     a placeholder).  ``masses``, once a cycle probe asked for them, holds
@@ -224,7 +223,6 @@ class _Kept:
     hangs: list[tuple[int, tuple[float, float, float]]]
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
     order: Optional[list[tuple[float, Edge]]] = None
-    lb_order: Optional[list[tuple[float, Edge]]] = None
     masses: Optional[tuple[list[float], list[float], list[float]]] = None
 
 
@@ -315,18 +313,16 @@ class IncrementalComponentSampler:
         return ReachTable(articulation=av, rows=rows, sample_count=EXACT_SAMPLES)
 
     def draw(self, batch: int) -> list[int]:
-        """The store's first ``batch`` worlds (at most ``cfg.samples``):
-        per local vertex (the vertices in ascending order), the worlds in
-        which it reaches the articulation vertex, as a bitset with world i
-        in bit i."""
+        """The store's ``batch`` worlds, which must be all ``cfg.samples``
+        of them (any other count raises ValueError naming ``batch``; a
+        round is a prefix of them, see ``rows``): per local vertex (the
+        vertices in ascending order), the worlds in which it reaches the
+        articulation vertex, as a bitset with world i in bit i."""
         n = self.cfg.samples
-        if batch > n:
-            raise ValueError(f"a draw reads at most the store's {n} worlds, not {batch}")
+        if batch != n:
+            raise ValueError(f"batch must be the store's {n} worlds, not {batch!r}")
         live = self._store.live(self._graph_edges)
-        if batch < n:
-            mask = (1 << batch) - 1
-            live = [bits & mask for bits in live]
-        return _reach_bitsets(live, self._edges, len(self._verts), self._source, batch)
+        return _reach_bitsets(live, self._edges, len(self._verts), self._source, n)
 
     def rows(self, bits: Sequence[int], sizes: Sequence[int]) -> _Grid:
         """Every member's (p, lo, hi) over ``sizes``, from the bitsets of
@@ -362,8 +358,8 @@ class FTree:
     propagation.  A memo tree (``memo``:
     the ``_m`` variants) also keeps in each probed ring the full table its
     probes read, with the table's coefficients.  Interval-checked callers
-    read each cycle candidate's best leaf bound from ``leaf_floors`` and
-    probe against it (``probe_edge``'s ``floor``).
+    probe each cycle candidate against the best lower bound they have seen
+    (``probe_edge``'s ``floor``).
     """
 
     def __init__(self, q: int, memo: bool = False):
@@ -531,7 +527,7 @@ class FTree:
         The new vertex's edges to attached vertices stop being leaves and
         close cycles from now on; its other edges become leaf candidates.
         A leaf insert changes no attached vertex's triple, so every other
-        leaf keeps its term and its place in both orders.
+        leaf keeps its term and its place in the order.
         """
         edges, cycles, graph = self._cands, self._cycles, self._graph
         del edges[bisect_left(edges, e)]
@@ -540,7 +536,6 @@ class FTree:
             return
         kept = self._kept
         terms = kept.terms if kept is not None else None
-        lows = kept.lb_order if kept is not None else None
         found: list[Edge] = []
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
@@ -550,8 +545,6 @@ class FTree:
                 if terms is not None:  # e itself, or a leaf that now closes a cycle
                     term = terms.pop(c)
                     del kept.order[bisect_left(kept.order, (-term[0], c))]
-                    if lows is not None:
-                        del lows[bisect_left(lows, (-term[1], c))]
             else:
                 insort(edges, c)
                 found.append(c)
@@ -559,8 +552,6 @@ class FTree:
             for c, _, term in self._leaf_terms(found):
                 terms[c] = term
                 insort(kept.order, (-term[0], c))
-                if lows is not None:
-                    insort(lows, (-term[1], c))
 
     def _leaf_terms(
         self, edges: Iterable[Edge]
@@ -661,35 +652,6 @@ class FTree:
                 break
             best = min(best, e)
         return best
-
-    def leaf_floors(self, graph: ProbabilisticGraph, edges: Sequence[Edge]) -> list[Optional[float]]:
-        """For each of ``edges`` (edges that are not leaves, in canonical
-        order), the largest lower bound a leaf candidate before it in
-        canonical order reaches, ``lb + t`` over ``leaf_terms``, or None
-        if no leaf comes before it.
-
-        ``lb + t`` rounds monotonically in t, so each is read from the
-        leaves in descending lb-term order: the first leaf before the edge.
-        That order is built at the first call after ``leaf_terms`` builds
-        its terms and then kept beside them, so a run that never asks pays
-        nothing; one walk from its front, taking ``edges`` from the last,
-        serves them all and stops at the first leaf before the first edge.
-        """
-        base, terms = self.leaf_terms(graph)
-        kept = self._kept
-        if kept.lb_order is None:
-            kept.lb_order = sorted((-t[1], e) for e, t in terms.items())
-        order, lb = kept.lb_order, base.lb
-        floors: list[Optional[float]] = [None] * len(edges)
-        i, n = 0, len(order)
-        for j in range(len(edges) - 1, -1, -1):
-            e = edges[j]
-            while i < n and order[i][1] > e:
-                i += 1
-            if i == n:
-                break
-            floors[j] = lb - order[i][0]  # lb - (-t) is lb + t exactly
-        return floors
 
     def _hang(self, v: int) -> int:
         """h(v) of an attached vertex v other than the query vertex: its mono
@@ -975,9 +937,10 @@ class FTree:
         from the ring's sampler.  A commit of a probed edge adopts the table
         its ring holds.
 
-        ``floor`` is the best lower bound the caller has seen, or None.  A
-        drawn table given a floor is judged on each of its rounds, its
-        first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and all of them
+        ``floor`` is the best lower bound the caller has seen, or None; a
+        floor that is not a finite real number raises ValueError naming
+        it.  A drawn table given a floor is judged on each of its rounds,
+        its first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and all of them
         (``_pruned_round``): at the first round whose estimate has at
         least ``CI_MIN_SAMPLES`` worlds and an ub below the larger of the
         floor and its own lb, the ring is pruned and that round's estimate
@@ -1004,6 +967,8 @@ class FTree:
         for bit.
         """
         self._use_graph(graph)
+        if floor is not None:
+            check_finite("floor", floor)
         e, _, att_u, att_v = self._insertable(graph, edge)
         if not (att_u and att_v):
             raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
@@ -1049,37 +1014,36 @@ class FTree:
         of its worlds; ``grid`` holds their rows) that ``floor`` prunes
         (``_prunes``), or None if none is.
 
-        A round's worlds behind the grown tree, ``_ring_samples``, never
-        fall as its own grow, so the rounds that have ``CI_MIN_SAMPLES``
-        are the ones from the first with that many worlds of its own on,
-        if the last has.  Regrouped by member, the ring's lb is a sum of
-        lo rows times outside-ring masses Mext ≥ 0, times t(r) ≥ 0, so it
-        never falls as a lo row grows; nor does its ub as a hi row grows.
-        Scored, as one table, with each member's largest lo and smallest hi
-        over those rounds, the ring's lb bounds every round's from above
-        and its ub every round's from below: if, with a margin far above
-        their rounding error, they leave the ub at or above both the floor
-        and the lb, no round is pruned.  Otherwise the rounds are scored in
-        turn from the first of those, each round's rows as a table of its
+        The tree samples under one config, so every drawn table has the
+        config's ``samples`` worlds, and the fewest worlds behind any table
+        of the grown tree are a round's own: no round has more than the
+        tree's other tables.  A round has at least ``min(CI_BATCH, n)`` of
+        the table's n worlds, and ``CI_BATCH`` is at least
+        ``CI_MIN_SAMPLES``, so either every round has ``CI_MIN_SAMPLES``
+        or none does.  Regrouped by member, the
+        ring's lb is a sum of lo rows times outside-ring masses Mext ≥ 0,
+        times t(r) ≥ 0, so it never falls as a lo row grows; nor does its
+        ub as a hi row grows.  Scored, as one table, with each member's
+        largest lo and smallest hi over the rounds, the ring's lb bounds
+        every round's from above and its ub every round's from below: if,
+        with a margin far above their rounding error, they leave the ub at
+        or above both the floor and the lb, no round is pruned.  Otherwise
+        the rounds are scored in turn, each round's rows as a table of its
         own (``_coefficients``, ``_ring_flow``), up to the first pruned.
         """
-        sizes = _rounds(table.sample_count)
-        if self._ring_samples(members, sizes[-1]) < CI_MIN_SAMPLES:
+        if table.sample_count < CI_MIN_SAMPLES:
             return None
-        first = bisect_left(sizes, CI_MIN_SAMPLES)
-        lo_max, hi_min = grid[1][:, first:].max(1).tolist(), grid[2][:, first:].min(1).tolist()
+        lo_max, hi_min = grid[1].max(1).tolist(), grid[2].min(1).tolist()
         bound = dict(zip(table.rows, zip(lo_max, lo_max, hi_min)))
         _, lb, ub = self._ring_flow(self._coefficients(members, bound), r)
         scale = self._kept.triples[r][2] * sum(self._masses()[2][i] for i, _ in members)
         margin = 1e-9 * (abs(lb) + abs(ub) + scale)
         if ub - margin >= max(floor, lb + margin):
             return None
-        p, lo, hi = (a[:, first:].T.tolist() for a in grid)
-        for j, n in enumerate(sizes[first:]):
+        p, lo, hi = (a.T.tolist() for a in grid)
+        for j, n in enumerate(_rounds(table.sample_count)):
             rows = dict(zip(table.rows, zip(p[j], lo[j], hi[j])))
-            est = FlowEstimate(
-                *self._ring_flow(self._coefficients(members, rows), r), self._ring_samples(members, n)
-            )
+            est = FlowEstimate(*self._ring_flow(self._coefficients(members, rows), r), n)
             if _prunes(est, floor):
                 return est
         return None

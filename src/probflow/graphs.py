@@ -45,6 +45,14 @@ def check_real(name: str, value: object) -> numbers.Real:
     return value
 
 
+def check_finite(name: str, value: object) -> numbers.Real:
+    """``value`` unchanged if it is a finite real number (``check_real``,
+    then not NaN or infinite), else ValueError naming ``name``."""
+    if not math.isfinite(check_real(name, value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def check_vertex(graph: ProbabilisticGraph, v: object) -> int:
     """``v`` as an ``int`` vertex id of ``graph`` (``check_integer``), else
     GraphError naming it as an unknown vertex."""

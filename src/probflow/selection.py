@@ -22,8 +22,8 @@ from .graphs import (
     Edge,
     ProbabilisticGraph,
     candidate_edges,
+    check_finite,
     check_integer,
-    check_real,
     check_vertex,
     graph_signature,
     induced_subgraph,
@@ -56,16 +56,8 @@ class StrategyConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if check_integer("budget", self.budget) < 1:
             raise ValueError("budget must be >= 1")
-        if not (_finite("ds_c", self.ds_c) > 1.0):
+        if not (check_finite("ds_c", self.ds_c) > 1.0):
             raise ValueError("ds_c must be > 1")
-
-
-def _finite(name: str, value: object) -> float:
-    """``value`` unchanged if it is a finite real number, else ValueError
-    naming ``name``."""
-    if not math.isfinite(check_real(name, value)):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -124,9 +116,9 @@ def ds_delay(pot: float, cost: int, c: float) -> int:
     parameter raises ValueError naming it: pot and c must be finite real
     numbers (pot > 0, c > 1) and cost a non-negative integer.
     """
-    if not (_finite("pot", pot) > 0.0):
+    if not (check_finite("pot", pot) > 0.0):
         raise ValueError("pot must be positive")
-    if not (_finite("c", c) > 1.0):
+    if not (check_finite("c", c) > 1.0):
         raise ValueError("c must be > 1")
     if check_integer("cost", cost) < 0:
         raise ValueError("cost must be non-negative")
@@ -161,10 +153,11 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     probed rings keep their reach tables across probes and across the
     commits that leave a ring's component unchanged, and whose commit
     adopts its probe's table; ``_ci`` probes each cycle candidate
-    against the best lower bound before it (``_probe_with_ci``), so that
-    one an interval shows dominated is pruned, often on a prefix of its
-    worlds; ``_ds`` suspends low-potential expensive candidates.  A leaf
-    samples nothing, so it is never pruned or suspended.
+    against the best lower bound before it, leaf or cycle, which one walk
+    over the candidates gives (``_probe_with_ci``), so that one an
+    interval shows dominated is pruned, often on a prefix of its worlds;
+    ``_ds`` suspends low-potential expensive candidates.  A leaf samples
+    nothing, so it is never pruned or suspended.
     """
     q = check_vertex(graph, q)
     use_ci = "_ci" in cfg.variant
@@ -240,27 +233,42 @@ def _probe_with_ci(
     base: FlowEstimate,
     cfg: StrategyConfig,
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
-    """Probe the cycle candidates ``cycles`` (in canonical order) with
-    ``FTree.probe_edge``, each against the best lower bound of the
-    candidates before it among the leaves and ``cycles``: the prune
-    ``ci_prune`` would make beside the best candidate so far.
+    """Probe the cycle candidates ``cycles`` (the eligible ones, in
+    canonical order) with ``FTree.probe_edge``, each against the best
+    lower bound of the candidates before it among the leaves and
+    ``cycles``: the prune ``ci_prune`` would make beside the best
+    candidate so far.
 
-    Only estimates with at least ``CI_MIN_SAMPLES`` worlds count toward
-    that bound, and a pruned candidate's does not.  ``base`` is the tree's
-    estimate (``FTree.leaf_terms``); every leaf's estimate has its worlds,
-    and the best leaf bound before each cycle candidate is read from the
-    tree (``FTree.leaf_floors``), so no leaf is visited.  A candidate with
-    no bound before it is probed unchecked.  A pruned candidate keeps the
-    estimate it was pruned at.  Returns the cycle probes' estimates and
-    reports, and the pruned candidates.
+    One walk over the tree's candidates (``FTree.candidates``) in
+    canonical order gives each bound.  A leaf raises the best leaf lb
+    term t so far (``FTree.leaf_terms``, whose estimate is ``base``); a
+    suspended cycle candidate is passed over; the next of ``cycles`` is
+    probed against the larger of ``base.lb + t`` and the best cycle lb so
+    far.  ``lb + t`` rounds monotonically in t, so that is the best leaf
+    lb bit for bit.  Only estimates with at least ``CI_MIN_SAMPLES``
+    worlds count toward the bound: a leaf's has ``base``'s worlds, and a
+    pruned candidate's does not count.  A candidate with no bound before
+    it is probed unchecked.  A pruned candidate keeps the estimate it was
+    pruned at.  Returns the cycle probes' estimates and reports, and the
+    pruned candidates.
     """
-    floors: Sequence[Optional[float]] = [None] * len(cycles)
-    if cycles and base.samples_used >= CI_MIN_SAMPLES:
-        floors = tree.leaf_floors(graph, cycles)
+    _, terms = tree.leaf_terms(graph)
+    leaves = terms if base.samples_used >= CI_MIN_SAMPLES else {}
+    top: Optional[float] = None  # the best leaf lb term so far
     best: Optional[float] = None  # the best confirmed cycle lb so far
     probes: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
     pruned: set[Edge] = set()
-    for e, floor in zip(cycles, floors):
+    todo = iter(cycles)
+    nxt = next(todo, None)
+    for e in tree.candidates(graph):
+        if nxt is None:
+            break
+        if e != nxt:
+            t = leaves.get(e)  # None for a suspended cycle candidate
+            if t is not None and (top is None or t[1] > top):
+                top = t[1]
+            continue
+        floor = None if top is None else base.lb + top
         if best is not None and (floor is None or best > floor):
             floor = best
         est, report, cut = tree.probe_edge(graph, e, floor)
@@ -269,6 +277,7 @@ def _probe_with_ci(
         elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best):
             best = est.lb
         probes[e] = (est, report)
+        nxt = next(todo, None)
     return probes, pruned
 
 

@@ -33,9 +33,11 @@ from probflow import (
     selection,
 )
 from probflow.ftree import FTree, IncrementalComponentSampler, MemoStore
-from probflow.sampling import CI_BATCH
+from probflow.sampling import CI_BATCH, CI_MIN_SAMPLES
 from util import (
     BASE_ORDER,
+    BOTTOM_FLOOR,
+    TOP_FLOOR,
     WALKTHROUGH_EDGES,
     comp_key,
     drawn_table,
@@ -503,8 +505,8 @@ class TestProbe:
         # ``leaf_terms`` scores leaves, and test_frontier_matches_full_evaluations
         # checks them against grown copies.  A cycle probe
         # agrees with an insert into a copy up to rounding and reports what
-        # that insert reports, and an infinite floor prunes it at once, at
-        # the first round's estimate.  Every bi component has at least 9
+        # that insert reports, and the top floor (``TOP_FLOOR``) prunes it at
+        # once, at the first round's estimate.  Every bi component has at least 9
         # edges (``long_ring_graph``), so every table is drawn (2^9 > 300).
         rng = random.Random(2024)
         cfg = SamplerConfig(samples=300, master_seed=12)
@@ -523,7 +525,7 @@ class TestProbe:
                         tree.probe_edge(g, e)
                     cases.add(tree.copy().insert_edge(g, e, cfg).case_taken)
                     continue
-                stopped, stopped_report, pruned = tree.probe_edge(g, e, math.inf)
+                stopped, stopped_report, pruned = tree.probe_edge(g, e, TOP_FLOOR)
                 probe = tree.copy()
                 report = probe.insert_edge(g, e, cfg)
                 est, probe_report, _ = tree.probe_edge(g, e)
@@ -534,6 +536,32 @@ class TestProbe:
                 cases.add(report.case_taken)
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
+
+    @pytest.mark.parametrize(
+        "floor", [math.nan, math.inf, -math.inf, "3", [1.0]],
+        ids=["nan", "inf", "-inf", "text", "list"],
+    )
+    def test_floor_must_be_a_finite_real_number(self, floor):
+        # On gen_partitioned(40, 8, 1) with 14 edges inserted, (1, 38)
+        # closes a drawn IVb ring.  A NaN floor would prune no round, and
+        # text would fail a comparison: a floor that is not a finite real
+        # number raises ValueError naming it and changes nothing.  The
+        # finite floor 1e9 prunes the ring at its first round.
+        g = netgen.gen_partitioned(40, 8, 1)
+        cfg = SamplerConfig(samples=300, master_seed=3)
+        tree = new_ftree(0)
+        for e in insertable_order(g)[:14]:
+            tree.insert_edge(g, e, cfg)
+        edge = (1, 38)
+        est, report, _ = tree.probe_edge(g, edge)
+        assert report.case_taken == "IVb" and not tree._rings[edge].sampler.exact
+        before = snapshot(tree, g)
+        with pytest.raises(ValueError, match="^floor must be"):
+            tree.probe_edge(g, edge, floor)
+        assert snapshot(tree, g) == before
+        assert tree.probe_edge(g, edge) == (est, report, False)
+        stopped, _, pruned = tree.probe_edge(g, edge, 1e9)
+        assert pruned and stopped.samples_used == CI_BATCH
 
     def test_kept_probes_match_fresh_probes(self):
         self.check_kept_probes_match_fresh_probes(use_memo=True)
@@ -548,7 +576,7 @@ class TestProbe:
         # them again over the current masses) and on a fresh copy of a twin
         # tree fed the same inserts and no probes.  Estimates, reports and
         # prunes agree bit for bit.  The floor is, in turn, the plain
-        # probe's mean or ub, or infinite.  A memo tree's floor-checked probe
+        # probe's mean or ub, or the top floor.  A memo tree's floor-checked probe
         # follows its plain one, so its kept table is never pruned and it
         # gives the plain estimate, which the copy's plain probe gives.
         # After every probe a memo tree's ring holds the table the copy's
@@ -588,7 +616,7 @@ class TestProbe:
                             not use_memo and sampler is not None and not sampler.exact
                             and ring.drawn is None
                         )
-                        floor = None if check == "plain" else (plain.mean, plain.ub, math.inf)[picks % 3]
+                        floor = None if check == "plain" else (plain.mean, plain.ub, TOP_FLOOR)[picks % 3]
                         got = tree.probe_edge(g, c, floor)
                         plain = got[0] if check == "plain" else plain
                         copy = twin.copy()
@@ -626,7 +654,7 @@ class TestProbe:
         # commit each cycle candidate is probed, and the tree keeps its plan.
         # After every leaf commit each kept candidate is probed again (after
         # a cycle commit, see test_kept_rings_survive_untouched_commits), plain
-        # and with an infinite floor, which prunes it at its first round:
+        # and against the top floor, which prunes it at its first round:
         # both return what a fresh probe of a copy returns, bit for bit.
         # Every memo-less cycle probe, first, kept or fresh, builds its table
         # exactly once (one draw or one enumeration), but for the probe after
@@ -666,7 +694,7 @@ class TestProbe:
                     if c == e:
                         continue
                     assert tree._rings[c].scored is None
-                    for floor in (None, math.inf):
+                    for floor in (None, TOP_FLOOR):
                         assert probe(tree, c, floor) == probe(tree.copy(), c, floor)
                     reprobed += 1
         assert reprobed > 200 and resumed > 50
@@ -682,7 +710,7 @@ class TestProbe:
         # attach order, articulation, edges, report and the parts it takes),
         # and a memoized ring's kept table is the one a fresh probe builds and
         # its coefficients are the table's over the new tree.  Its re-probe,
-        # plain and, without a memo, with an infinite floor, which prunes it
+        # plain and, without a memo, against the top floor, which prunes it
         # at its first round, equals a probe of a tree rebuilt by replaying
         # the inserts, bit for bit.  (Stale rings are
         # test_stale_rings_keep_unchanged_tables's.)
@@ -713,7 +741,7 @@ class TestProbe:
                     assert ring.report == InsertReport(case, len(comp.internal_edges))
                     assert ring.parts == parts
                     assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
-                    for floor in (None,) if use_memo else (None, math.inf):
+                    for floor in (None,) if use_memo else (None, TOP_FLOOR):
                         fresh = replay.probe_edge(g, c, floor)
                         assert tree.probe_edge(g, c, floor) == fresh
                     if use_memo:
@@ -727,8 +755,8 @@ class TestProbe:
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_stale_rings_keep_unchanged_tables(self, monkeypatch, use_memo):
         # Random graphs in random insertion orders.  Before every commit each
-        # cycle candidate is probed, plain or, twice as often, against an
-        # infinite floor, which prunes a drawn ring at its first round.
+        # cycle candidate is probed, plain or, twice as often, against the
+        # top floor, which prunes a drawn ring at its first round.
         # After every cycle commit each ring the commit marked stale is
         # probed again.  A ring whose new plan keeps its component
         # (articulation vertex and edges) stays the
@@ -739,7 +767,7 @@ class TestProbe:
         # component changed is replaced and builds once.  Either way the
         # re-probe returns what a probe of a tree rebuilt by replaying the
         # inserts returns, bit for bit.  A kept table is never pruned, so it
-        # is compared plain, and an infinite floor then leaves it unpruned.
+        # is compared plain, and the top floor then leaves it unpruned.
         # Sparse graphs of up to 20 vertices, whose long mono paths a commit
         # often splits without folding a ring that crosses them, give rings
         # both enumerated (2^m <= 30) and drawn.
@@ -757,7 +785,7 @@ class TestProbe:
             tree, inserted = new_ftree(0, use_memo), []
             for e in insertable_order(g, rng):
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, rng.choice([None, math.inf, math.inf]))
+                    tree.probe_edge(g, c, rng.choice([None, TOP_FLOOR, TOP_FLOOR]))
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
@@ -778,7 +806,7 @@ class TestProbe:
                     else:
                         exact = ring.scored[0].sample_count == EXACT_SAMPLES if held else ring.sampler.exact
                         kind = "exact" if exact else "drawn"
-                    floor = None if held else rng.choice([None, math.inf])
+                    floor = None if held else rng.choice([None, TOP_FLOOR])
                     before, made = len(built), len(prepared)
                     got = tree.probe_edge(g, c, floor)
                     builds, samplers = len(built) - before, len(prepared) - made
@@ -790,7 +818,7 @@ class TestProbe:
                     else:
                         assert builds == samplers == 1
                     if held:
-                        assert tree.probe_edge(g, c, math.inf) == got and not got[2]
+                        assert tree.probe_edge(g, c, TOP_FLOOR) == got and not got[2]
                     seen[same, kind] = seen.get((same, kind), 0) + 1
         assert all(seen.get((True, kind), 0) > 5 for kind in ("exact", "drawn", "pruned"))
         assert sum(count for (same, _), count in seen.items() if not same) > 100
@@ -853,10 +881,10 @@ class TestProbe:
     def test_probe_after_a_prune_draws_nothing(self, monkeypatch, use_memo):
         # Random trees grown edge by edge, every table drawn
         # (``long_ring_graph``).  Before every commit each cycle candidate is
-        # probed against an infinite floor, which prunes a ring at its first
+        # probed against the top floor, which prunes a ring at its first
         # round unless its memo tree holds its table.  After a leaf commit,
         # which changes the masses, each pruned ring is probed again, in
-        # turn plain or against an infinite floor: the probe judges the
+        # turn plain or against the top floor: the probe judges the
         # table the prune left in the ring against the new masses and draws
         # nothing, and returns what a probe of a fresh copy returns, which
         # draws the table anew.  A memo tree's ring keeps the table once a
@@ -864,13 +892,13 @@ class TestProbe:
         built = count_builds(monkeypatch)
         rng = random.Random(8118)
         cfg = SamplerConfig(samples=300, master_seed=5)
-        resumed = {None: 0, math.inf: 0}
+        resumed = {None: 0, TOP_FLOOR: 0}
         for trial in range(20):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             tree = new_ftree(0, use_memo)
             for e in order:
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, math.inf)
+                    tree.probe_edge(g, c, TOP_FLOOR)
                 leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 if not leaf:
@@ -878,7 +906,7 @@ class TestProbe:
                 for c, ring in list(tree._rings.items()):
                     if ring.drawn is None:
                         continue
-                    floor = rng.choice([None, math.inf])
+                    floor = rng.choice([None, TOP_FLOOR])
                     fresh = tree.copy().probe_edge(g, c, floor)
                     before = len(built)
                     assert tree.probe_edge(g, c, floor) == fresh
@@ -1100,7 +1128,7 @@ class TestRingFormula:
                     for got, worlds in zip(rounds, sizes, strict=True):
                         assert_close(got, grown_flow(tree, g, c, cfg, worlds)[0])
                     stop_at = rng.randint(1, len(sizes) + 1)
-                    floor = -math.inf
+                    floor = BOTTOM_FLOOR
                     if stop_at <= len(sizes):
                         floor = math.nextafter(rounds[stop_at - 1].ub, math.inf)
                     est, _, pruned = tree.probe_edge(g, c, floor)
@@ -1196,7 +1224,7 @@ class TestKeptEvaluation:
         assert cases == self.CASES
 
     @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
-    @pytest.mark.parametrize("floor", [None, math.inf, -math.inf], ids=["plain", "stops", "never-stops"])
+    @pytest.mark.parametrize("floor", [None, TOP_FLOOR, BOTTOM_FLOOR], ids=["plain", "stops", "never-stops"])
     def test_matches_replay_with_cache_cleared(self, memo, floor):
         # Before each commit, unless plain, the edge is scored on a tree
         # that keeps its evaluation and on a replay evaluated from scratch:
@@ -1279,7 +1307,6 @@ class TestKeptEvaluation:
                 "cycles": lambda: tree.cycle_candidates(g),
                 "terms": lambda: tree.leaf_terms(g),
                 "best": lambda: tree.best_leaf(g),
-                "floors": lambda: tree.leaf_floors(g, []),
                 "probe": lambda: tree.probe_edge(g, e),
                 "insert": lambda: tree.insert_edge(g, e, cfg),
                 "verify": lambda: tree.verify(g),
@@ -1600,6 +1627,21 @@ class TestIncrementalSampling:
             assert [a[k].tolist() for a in grid] == [a.tolist() for a in rows[v]]
 
 
+    @pytest.mark.parametrize("batch", [0, -1, 1, 999, 1001])
+    def test_draw_takes_the_whole_budget(self, batch):
+        # Rounds are prefixes of one full draw (``rows``), so a draw reads
+        # all of the config's worlds: any other batch raises ValueError
+        # naming it, and a full one gives every local vertex's worlds.
+        g = ring_chain_graph(1, ring=11)
+        comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
+        cfg = SamplerConfig(samples=1000, master_seed=99)
+        sampler = IncrementalComponentSampler(g, comp, cfg)
+        with pytest.raises(ValueError, match="^batch must be"):
+            sampler.draw(batch)
+        bits = sampler.draw(np.int64(cfg.samples))
+        assert len(bits) == len(comp.members) + 1 and max(bits).bit_length() <= cfg.samples
+
+
 class TestWorldStore:
     """A tree's drawn tables read its world store, which draws each edge
     once from the edge's own stream: a table's worlds depend only on its
@@ -1774,7 +1816,7 @@ class TestRefreshFloor:
             IncrementalComponentSampler, "build", lambda s, sizes=(): built.append(sizes) or build(s, sizes)
         )
         est = plain.probe_edge(g, self.EDGE)
-        assert batched.probe_edge(g, self.EDGE, -math.inf) == est
+        assert batched.probe_edge(g, self.EDGE, BOTTOM_FLOOR) == est
         assert [list(sizes) for sizes in built] == [[], round_sizes(CFG.samples)]
         assert len(built[-1]) == CFG.samples // CI_BATCH
         assert reference_round_estimates(plain, g, self.EDGE, CFG)[-1] == est[0]
@@ -1848,7 +1890,7 @@ class TestRoundEstimates:
         # first round ``ci_prune`` drops and returns its estimate bit for
         # bit, judging the draw the last prune left.  Then against a floor
         # below every bound, which prunes nothing and gives the last round's
-        # estimate, the plain probe's.  A re-probe against an infinite floor
+        # estimate, the plain probe's.  A re-probe against the top floor
         # is then pruned only without a memo: a memoized table is never
         # pruned, and a memo-less one is drawn again and judged.  Every bi
         # component has at least 9 edges (``long_ring_graph``), so every
@@ -1874,11 +1916,11 @@ class TestRoundEstimates:
                         at = reference_prune_round(rounds, floor)
                         got, _, pruned = tree.probe_edge(g, e, floor)
                         assert pruned and at <= k and got == rounds[at]
-                    est = tree.probe_edge(g, e, -math.inf)
+                    est = tree.probe_edge(g, e, BOTTOM_FLOOR)
                     assert est[0] == rounds[-1] and not est[2]
                     assert est[0].samples_used == cfg.samples
                     assert est == tree.probe_edge(g, e)
-                    assert tree.probe_edge(g, e, math.inf)[2] != memo
+                    assert tree.probe_edge(g, e, TOP_FLOOR)[2] != memo
                 tree.insert_edge(g, e, cfg)
                 assert tree.expected_flow(g) == tree.copy().expected_flow(g)
         assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
@@ -1888,6 +1930,17 @@ class TestRoundEstimates:
 class TestFloorRule:
     """A floor-checked probe prunes where ``ci_prune`` would: at the first
     round whose estimate it drops beside a candidate at the floor."""
+
+    def test_every_round_has_the_minimum_worlds_or_none_does(self):
+        # ``FTree._pruned_round`` judges a drawn table's rounds only if the
+        # table has ``CI_MIN_SAMPLES`` worlds, and then judges them all:
+        # its first round has min(CI_BATCH, n) of the n worlds, which takes
+        # CI_BATCH >= CI_MIN_SAMPLES.
+        assert CI_BATCH >= CI_MIN_SAMPLES
+        for n in range(1, 3 * CI_BATCH + 2):
+            sizes = round_sizes(n)
+            assert sizes[0] == min(CI_BATCH, n)
+            assert {size >= CI_MIN_SAMPLES for size in sizes} == {n >= CI_MIN_SAMPLES}
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_prunes_at_the_first_round_ci_prune_drops(self, monkeypatch, use_memo):
@@ -1904,7 +1957,7 @@ class TestFloorRule:
         # is not kept as the ring's table but left in the ring, where the
         # next probe judges it again, building nothing, to the same result.
         # Any other table is kept (memo trees) and never
-        # pruned again, not even by an infinite floor; without a memo the
+        # pruned again, not even by the top floor; without a memo the
         # next probe builds it afresh and judges it the same.
         # Graphs of up to 11 vertices give rings both enumerated (2^m <=
         # 250) and drawn, over rounds of 100, 200 and 250 worlds.
@@ -1944,7 +1997,7 @@ class TestFloorRule:
                         assert probe.probe_edge(g, e, floor) == again
                         assert len(built) == before + (not left and not use_memo)
                         if use_memo:
-                            assert probe.probe_edge(g, e, math.inf)[2] == left
+                            assert probe.probe_edge(g, e, TOP_FLOOR)[2] == left
                         seen.add((exact, at))
                 tree.insert_edge(g, e, cfg)
         assert {(False, j) for j in range(len(sizes))} | {(True, 0), (False, None), (True, None)} <= seen
@@ -2031,8 +2084,8 @@ class TestExactTables:
         # 2^11 = samples worlds.  After every insert, under two master
         # seeds: the flow is the oracle's within 1e-12 relative, with zero
         # width and EXACT_SAMPLES worlds, equal under both seeds; and every
-        # cycle probe is too, judging its one estimate once against an
-        # infinite floor, which prunes it, unless its memo tree's ring held
+        # cycle probe is too, judging its one estimate once against the top
+        # floor, which prunes it, unless its memo tree's ring held
         # the table already.
         rng = random.Random(1717)
         cfgs = [SamplerConfig(samples=2048, master_seed=seed) for seed in (1, 2)]
@@ -2054,7 +2107,7 @@ class TestExactTables:
                         continue
                     ring, sig = trees[0]._rings.get(c), comp_key(trees[0]._plan_cycle(*c, c)[1])
                     held = ring is not None and ring.scored is not None and comp_key(ring.comp) == sig
-                    probes = [t.probe_edge(g, c, math.inf) for t in trees]
+                    probes = [t.probe_edge(g, c, TOP_FLOOR) for t in trees]
                     assert probes[0] == probes[1] and probes[0][2] == (not held)
                     exact_close(probes[0][0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))
                     rings += 1

@@ -38,7 +38,6 @@ from probflow import (
     netgen,
     run_strategy,
     sampling,
-    selection,
 )
 from probflow.ftree import IncrementalComponentSampler
 from probflow.selection import _local_subgraph, mc_flow_of_edges
@@ -339,11 +338,11 @@ class TestCiVariant:
         # is probed against the floor the reference's running-best scan over
         # every eligible candidate, leaves and cycles in canonical order,
         # gives it (``reference_probe_with_ci``), bit for bit and in the same
-        # order, and the selections agree.  Some floors come from leaves
-        # (``FTree.leaf_floors``), and some candidates have none.
+        # order, and the selections agree.  Some floors come from leaves,
+        # as the reference notes, and some candidates have none.
         rng = random.Random(53)
         floors_seen, from_leaves = set(), 0
-        original, leaf_floors = FTree.probe_edge, FTree.leaf_floors
+        original = FTree.probe_edge
         for trial in range(10):
             g = random_connected_graph(rng, rng.randint(8, 16), rng.randint(8, 30))
             cfg = scfg(variant, 16, seed=trial, samples=rng.choice([60, 300]))
@@ -355,42 +354,13 @@ class TestCiVariant:
                 got.append((edge, floor))
                 return original(tree, graph, edge, floor)
 
-            def reading(tree, graph, edges):
-                nonlocal from_leaves
-                floors = leaf_floors(tree, graph, edges)
-                from_leaves += sum(f is not None for f in floors)
-                return floors
-
             monkeypatch.setattr(FTree, "probe_edge", recording)
-            monkeypatch.setattr(FTree, "leaf_floors", reading)
             assert greedy_select(g, 0, cfg) == ref
             monkeypatch.undo()
-            assert got == expected
+            assert got == [(e, floor) for e, floor, _ in expected]
             floors_seen |= {f is None for _, f in got}
+            from_leaves += sum(leaf for *_, leaf in expected)
         assert floors_seen == {True, False} and from_leaves > 20
-
-    @pytest.mark.parametrize("variant", TREE_VARIANTS)
-    def test_only_interval_checks_build_the_lb_order(self, monkeypatch, variant):
-        # The leaves' lb order (``FTree.leaf_floors``) is built only when an
-        # interval-checked run first asks for it, so the other variants
-        # never hold one.
-        trees, held = [], []
-        new_tree, insert = selection.new_ftree, FTree.insert_edge
-
-        def building(*args, **kwargs):
-            trees.append(new_tree(*args, **kwargs))
-            return trees[-1]
-
-        def inserting(tree, *args, **kwargs):
-            held.append(tree._kept is not None and tree._kept.lb_order is not None)
-            return insert(tree, *args, **kwargs)
-
-        monkeypatch.setattr(selection, "new_ftree", building)
-        monkeypatch.setattr(FTree, "insert_edge", inserting)
-        for seed in (1, 2):
-            for g in (netgen.gen_erdos(40, 6, seed), netgen.gen_partitioned(40, 8, seed)):
-                greedy_select(g, 0, scfg(variant, 15, seed=seed, samples=300))
-        assert len(trees) == 4 and any(held) == ("_ci" in variant)
 
     def test_ci_prune_interval_dominance(self):
         a = ((0, 1), FlowEstimate(0.85, 0.8, 0.9, 100))

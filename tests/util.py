@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ from probflow import (
     mc_expected_flow,
 )
 from probflow.ftree import IncrementalComponentSampler
-from probflow.sampling import CI_BATCH, CI_MIN_SAMPLES
+from probflow.sampling import CI_BATCH, CI_MIN_SAMPLES, _reach_bitsets
 
 
 @dataclass(frozen=True)
@@ -418,9 +419,12 @@ def comp_key(comp) -> tuple[int, tuple[Edge, ...]]:
 
 def drawn_table(sampler, n: int) -> ReachTable:
     """The reach table of the first ``n`` store worlds that the component
-    sampler ``sampler`` propagates, enumerable or not:
-    ``rows(draw(n), [n])``."""
-    p, lo, hi = (a[:, 0].tolist() for a in sampler.rows(sampler.draw(n), [n]))
+    sampler ``sampler`` propagates, enumerable or not: its edges' worlds
+    from the store, cut to the first n, propagated on their own
+    (``_reach_bitsets``) and counted (``rows``)."""
+    live = [bits & ((1 << n) - 1) for bits in sampler._store.live(sampler._graph_edges)]
+    reach = _reach_bitsets(live, sampler._edges, len(sampler._verts), sampler._source, n)
+    p, lo, hi = (a[:, 0].tolist() for a in sampler.rows(reach, [n]))
     return ReachTable(sampler.articulation, dict(zip(sampler._members, zip(p, lo, hi))), n)
 
 
@@ -440,9 +444,18 @@ def replay_tree(
 # Reference interval checks: every round of a probe scored on its own,
 # and the running best lower bound of a scan over every candidate.  The
 # library settles most rounds of a table with one bound, stops at the first
-# pruned round and reads leaf floors from an ordered list, and must agree
-# with these bit for bit.
+# pruned round and keeps the best leaf's lb term, not its estimate, and
+# must agree with these bit for bit.
 # ----------------------------------------------------------------------
+
+# The largest and the smallest floor a probe takes (``FTree.probe_edge``
+# refuses one that is not finite).  Every estimate's ub is below the top
+# floor, so it prunes a drawn table at its first round and an exact one at
+# its one estimate; no estimate's ub is below the larger of the bottom
+# floor and its own lb, so that one prunes nothing.
+TOP_FLOOR = sys.float_info.max
+BOTTOM_FLOOR = -sys.float_info.max
+
 
 def round_sizes(samples: int) -> list[int]:
     """The world counts a drawn table of ``samples`` worlds is judged at:
@@ -493,34 +506,36 @@ def reference_probe_with_ci(
     graph: ProbabilisticGraph,
     eligible: Sequence[Edge],
     cfg: StrategyConfig,
-    floors: list[tuple[Edge, float | None]] | None = None,
+    floors: list[tuple[Edge, float | None, bool]] | None = None,
 ) -> tuple[dict[Edge, tuple[FlowEstimate, object]], set[Edge]]:
     """The interval-checked probes of one iteration by a scan over every
     eligible candidate, leaves and cycles, in canonical order, keeping the
     best candidate (by lower bound, with at least ``CI_MIN_SAMPLES``
     worlds) so far: each cycle candidate is probed with that best's lower
     bound as its floor, or with none before there is one, and counts
-    toward the best unless pruned.  Each (cycle candidate, floor) is
-    appended to ``floors`` when it is given.  Returns the cycle probes'
-    estimates and reports, and the pruned candidates."""
+    toward the best unless pruned.  Each (cycle candidate, floor, whether
+    the best so far is a leaf) is appended to ``floors`` when it is given.
+    Returns the cycle probes' estimates and reports, and the pruned
+    candidates."""
     base, terms = tree.leaf_terms(graph)
     best: FlowEstimate | None = None
+    from_leaf = False
     probes: dict[Edge, tuple[FlowEstimate, object]] = {}
     pruned: set[Edge] = set()
     for e in eligible:
         t = terms.get(e)
         if t is not None:
             if base.samples_used >= CI_MIN_SAMPLES and (best is None or base.lb + t[1] > best.lb):
-                best = tree.leaf_estimate(base, t)
+                best, from_leaf = tree.leaf_estimate(base, t), True
             continue
         floor = None if best is None else best.lb
         if floors is not None:
-            floors.append((e, floor))
+            floors.append((e, floor, from_leaf))
         est, report, cut = tree.probe_edge(graph, e, floor)
         if cut:
             pruned.add(e)
         elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best.lb):
-            best = est
+            best, from_leaf = est, False
         probes[e] = (est, report)
     return probes, pruned
 
@@ -536,13 +551,13 @@ def reference_greedy_select(
     q: int,
     cfg: StrategyConfig,
     fast_forwards: list[int] | None = None,
-    floors: list[tuple[Edge, float | None]] | None = None,
+    floors: list[tuple[Edge, float | None, bool]] | None = None,
 ) -> Solution:
     """The component-tree greedy in O(candidates) per iteration: the
     eligible list from ``candidate_edges``, a probe of every eligible cycle
     candidate (``reference_probe_with_ci`` over the eligible list under
-    ``_ci``, which appends each probe's floor to ``floors`` when it is
-    given), and ``min`` over every leaf term.  Iterations whose candidates
+    ``_ci``, which appends each probe's floor, and whether a leaf set it,
+    to ``floors`` when it is given), and ``min`` over every leaf term.  Iterations whose candidates
     were all suspended, so that the clock was fast-forwarded, are appended
     to ``fast_forwards`` when it is given."""
     if not (0 <= q < graph.num_vertices):
