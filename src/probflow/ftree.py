@@ -58,15 +58,14 @@ insert extends it in place (the new vertex's terms; the masses are rebuilt
 at the next cycle probe); a cycle-closing insert drops it.  Beside it sit
 the candidate edges, with the cycle candidates (both endpoints attached)
 in a list of their own, and each probed cycle candidate's ring, keyed by
-its edge: its plan and sampler, the drawn table a pruned probe left for
-the next probe to judge again and, in a memo tree, its table and the
+its edge: its plan and sampler and, in a memo tree, its table and the
 table's coefficients.  The rings are a memo tree's only table cache.  They
 survive every insert but their own edge's commit, which applies the ring's
 plan and, in a memo tree, adopts its table.  A cycle-closing insert marks
 stale the rings that take a component it folded: no other ring's members
 change their hang or factor, and attach order never changes.  A stale ring
-is planned again at its next probe, and keeps its table, draw and sampler
-if its component is unchanged.  A copy keeps none of it, but serves the
+is planned again at its next probe, and keeps its table and sampler if
+its component is unchanged.  A copy keeps none of it, but serves the
 same graph under the same config, with the same world store.
 """
 
@@ -74,7 +73,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 import numpy as np
@@ -84,7 +82,6 @@ from .graphs import (
     check_vertex,
 )
 from .sampling import (
-    CI_BATCH,
     CI_MIN_SAMPLES,
     EXACT_SAMPLES,
     FlowEstimate,
@@ -152,19 +149,10 @@ class InsertReport:
     edges_sampled_count: int
 
 
-# The ids of the components a cycle takes (``FTree._plan_cycle``); (p, lo,
-# hi) over rounds (``IncrementalComponentSampler.rows``), as (member, round)
-# arrays; a ring's coefficients (``FTree._coefficients``).
+# The ids of the components a cycle takes (``FTree._plan_cycle``); a
+# ring's coefficients (``FTree._coefficients``).
 _Parts = list[int]
-_Grid = tuple[np.ndarray, np.ndarray, np.ndarray]
 _Coeffs = list[tuple[int, float, float, float]]
-
-
-@cache
-def _rounds(n: int) -> tuple[int, ...]:
-    """The world counts a drawn table of ``n`` worlds is judged at (see
-    ``FTree.probe_edge``): every multiple of ``CI_BATCH`` below n, then n."""
-    return (*range(CI_BATCH, n, CI_BATCH), n)
 
 
 def _prunes(est: FlowEstimate, floor: float) -> bool:
@@ -184,10 +172,9 @@ class _Ring:
     component ids (``_plan_cycle``'s plan is these parts, the ring and the
     report's case; None once an insert folded a component it takes, which
     makes the ring stale), the sampler prepared at the first build a probe
-    needs (until a memo tree keeps the table it built), the drawn table and
-    its rounds' grid a pruned probe left for the next probe and, in a memo
-    tree only, its table and the table's coefficients once a probe read the
-    table.  All but the parts and the report hold for as long as the ring's
+    needs (until a memo tree keeps the table it built) and, in a memo tree
+    only, the table the first probe built and the table's coefficients.
+    All but the parts and the report hold for as long as the ring's
     component is unchanged (see ``FTree._close_cycle``)."""
 
     members: list[tuple[int, int]]
@@ -195,7 +182,6 @@ class _Ring:
     report: InsertReport
     parts: Optional[_Parts]
     sampler: Optional[IncrementalComponentSampler] = None
-    drawn: Optional[tuple[ReachTable, _Grid]] = None
     scored: Optional[tuple[ReachTable, _Coeffs]] = None
 
 
@@ -253,9 +239,8 @@ class IncrementalComponentSampler:
 
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  World i of every edge lands in bit i of every vertex's
-    world bitset, so one draw gives the table of every prefix of its
-    worlds.  A draw draws nothing itself: it reads its edges' bitsets from
-    the store, which draws each edge once, and propagates them; the
+    world bitset.  A draw draws nothing itself: it reads its edges' bitsets
+    from the store, which draws each edge once, and propagates them; the
     propagated worlds are returned, never kept.  Construction prepares
     what every build reads: local vertices and edges, probabilities and
     the exact flag.  The first exact build adds the worlds' weights, which
@@ -288,17 +273,14 @@ class IncrementalComponentSampler:
         self._store = store
         self._weights: Optional[np.ndarray] = None  # at the first exact build
 
-    def build(self, sizes: Sequence[int] = ()) -> tuple[ReachTable, Optional[_Grid]]:
-        """The table, exact or of ``cfg.samples`` worlds drawn afresh; a drawn
-        one comes with its ``rows`` grid over ``sizes`` if ``sizes`` (ending
-        at ``cfg.samples``) are given, its last round the table."""
+    def build(self) -> ReachTable:
+        """The full table: exact (``exact_table``), or the ``rows`` of all
+        ``cfg.samples`` of the store's worlds, propagated afresh (``draw``)."""
         if self.exact:
-            return self.exact_table(), None
+            return self.exact_table()
         n = self.cfg.samples
-        grid = self.rows(self.draw(n), sizes or [n])
-        p, lo, hi = (a[:, -1].tolist() for a in grid)
-        table = ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), n)
-        return table, grid if sizes else None
+        p, lo, hi = (a.tolist() for a in self.rows(self.draw(n)))
+        return ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), n)
 
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
@@ -314,27 +296,23 @@ class IncrementalComponentSampler:
 
     def draw(self, batch: int) -> list[int]:
         """The store's ``batch`` worlds, which must be all ``cfg.samples``
-        of them (any other count raises ValueError naming ``batch``; a
-        round is a prefix of them, see ``rows``): per local vertex (the
-        vertices in ascending order), the worlds in which it reaches the
-        articulation vertex, as a bitset with world i in bit i."""
+        of them (any other count raises ValueError naming ``batch``): per
+        local vertex (the vertices in ascending order), the worlds in which
+        it reaches the articulation vertex, as a bitset with world i in bit
+        i."""
         n = self.cfg.samples
         if batch != n:
             raise ValueError(f"batch must be the store's {n} worlds, not {batch!r}")
         live = self._store.live(self._graph_edges)
         return _reach_bitsets(live, self._edges, len(self._verts), self._source, n)
 
-    def rows(self, bits: Sequence[int], sizes: Sequence[int]) -> _Grid:
-        """Every member's (p, lo, hi) over ``sizes``, from the bitsets of
-        ``draw``, as three (member, round) arrays, members in ascending
-        order: round j's p is the member's successes in the first
-        ``sizes[j]`` worlds (a popcount) over ``sizes[j]``, and its (lo, hi)
-        are ``wald_interval`` of that p."""
-        n = np.array(sizes, dtype=np.int64)
-        masks = [(1 << k) - 1 for k in sizes]
-        src = self._source
-        counts = [(b & m).bit_count() for i, b in enumerate(bits) if i != src for m in masks]
-        p = np.array(counts, dtype=np.int64).reshape(-1, len(sizes)) / n
+    def rows(self, bits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every member's (p, lo, hi) over all ``cfg.samples`` worlds, from
+        the bitsets of ``draw``, as three arrays, members in ascending
+        order: p is the member's successes (a popcount) over
+        ``cfg.samples``, and (lo, hi) are ``wald_interval`` of that p."""
+        n, src = self.cfg.samples, self._source
+        p = np.array([b.bit_count() for i, b in enumerate(bits) if i != src], dtype=np.int64) / n
         return (p, *wald_interval(p, n, self.cfg.alpha))
 
 
@@ -800,7 +778,7 @@ class FTree:
         """
         for comp in self.components.values():
             if isinstance(comp, BiComponent) and comp.reach is None:
-                comp.reach, _ = self._sampler(comp).build()
+                comp.reach = self._sampler(comp).build()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -861,9 +839,8 @@ class FTree:
         member: for each of ``ring``'s (attach position, vertex) pairs, in
         attach order, its position and g′(y) − g′(h(y))·g(y) for mean, lb
         and ub, with g′ the reach rows ``rows`` and g′(r) = 1.  Every ring
-        table is scored through them: a full table, a round of a drawn one
-        (``_pruned_round``) or the bound that certifies its rounds.  They
-        hold as long as the members keep their hangs."""
+        table, exact or drawn, is scored through them.  They hold as long as
+        the members keep their hangs."""
         hangs = self._kept.hangs
         new = {i: rows[x] for i, x in ring}
         one = (1.0, 1.0, 1.0)
@@ -931,26 +908,21 @@ class FTree:
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
-        rounding.  Its ring's table comes, in this order, from the ring (a
-        memo tree's ring keeps the table a probe read unless the floor
-        pruned it), from the drawn table a pruned probe left in the ring, or
-        from the ring's sampler.  A commit of a probed edge adopts the table
-        its ring holds.
+        rounding.  Its ring's table comes from the ring, if a memo tree's
+        ring keeps one, or else from the ring's sampler, which builds the
+        full table, exact or drawn (``IncrementalComponentSampler.build``).
+        A commit of a probed edge adopts the table its ring holds.
 
         ``floor`` is the best lower bound the caller has seen, or None; a
         floor that is not a finite real number raises ValueError naming
-        it.  A drawn table given a floor is judged on each of its rounds,
-        its first ``CI_BATCH``, 2·``CI_BATCH``, ... worlds and all of them
-        (``_pruned_round``): at the first round whose estimate has at
+        it.  The probe that builds a table judges its one estimate against
+        the floor (``_prunes``): the ring is pruned if the estimate has at
         least ``CI_MIN_SAMPLES`` worlds and an ub below the larger of the
-        floor and its own lb, the ring is pruned and that round's estimate
-        returned; the table and its grid stay in the ring, so the next
-        probe judges them again against its own floor and masses and draws
-        nothing.  An exact table is judged once, on its one estimate, after
-        it is kept: it is complete, so a prune saves nothing.  A table a
-        memo tree's ring already keeps is never pruned.  A drawn table no
-        round of which is pruned returns its last round's estimate, the
-        full table's.
+        floor and its own lb.  The estimate is returned either way, and a
+        memo tree's ring keeps the table, pruned or not.  A table is
+        complete before it is judged, so a prune saves no work, and the
+        estimate does not depend on the floor.  A table a memo tree's ring
+        already keeps is never pruned.
 
         Every tree keeps each cycle candidate it probes (``_Ring``), keyed
         by its edge, until its edge is committed, so a re-probe or a commit
@@ -960,11 +932,10 @@ class FTree:
         it takes the new parts and report and keeps the rest; otherwise a
         new ring replaces it.  A memo tree's ring also keeps its full
         table's coefficients, for re-probes to score in one multiply-add
-        per member and channel; in a tree without a memo, every probe but
-        one after a prune builds its table afresh, propagating its edges'
-        worlds from the tree's world store again; no probe draws an edge
-        the store holds.  A re-probe returns what a fresh probe would, bit
-        for bit.
+        per member and channel; in a tree without a memo, every probe
+        builds its table afresh, propagating its edges' worlds from the
+        tree's world store again; no probe draws an edge the store holds.
+        A re-probe returns what a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         if floor is not None:
@@ -973,7 +944,7 @@ class FTree:
         if not (att_u and att_v):
             raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
         kept = self._kept or self._evaluate(graph)
-        cfg, ring = self._cfg, self._rings.get(e)
+        ring = self._rings.get(e)
         if ring is None or ring.parts is None:
             parts, comp, case = self._plan_cycle(*e, e)
             report = InsertReport(case, len(comp.internal_edges))
@@ -984,69 +955,18 @@ class FTree:
             else:
                 members = sorted((kept.rank[x], x) for x in comp.members)
                 ring = self._rings[e] = _Ring(members, comp, report, parts)
-        members, r, report, scored = ring.members, ring.comp.articulation, ring.report, ring.scored
-        check = None  # the floor an exact table is judged against
+        members, report, scored = ring.members, ring.report, ring.scored
+        check = None  # the floor a table built here is judged against
         if scored is None:
-            drawn, ring.drawn = ring.drawn, None
-            if drawn is None:
-                ring.sampler = ring.sampler or self._sampler(ring.comp)
-                drawn = ring.sampler.build(() if floor is None else _rounds(cfg.samples))
-            table, grid = drawn
-            if grid is None:
-                check = floor
-            elif floor is not None:
-                est = self._pruned_round(members, r, table, grid, floor)
-                if est is not None:
-                    ring.drawn = drawn
-                    return est, report, True
-            scored = table, self._coefficients(members, table.rows)
+            ring.sampler = ring.sampler or self._sampler(ring.comp)
+            table = ring.sampler.build()
+            scored, check = (table, self._coefficients(members, table.rows)), floor
             if self.memo:
                 ring.scored, ring.sampler = scored, None  # no memoized probe builds again
         table, coeffs = scored
-        n = table.sample_count
-        est = FlowEstimate(*self._ring_flow(coeffs, r), self._ring_samples(members, n))
+        flow = self._ring_flow(coeffs, ring.comp.articulation)
+        est = FlowEstimate(*flow, self._ring_samples(members, table.sample_count))
         return est, report, check is not None and _prunes(est, check)
-
-    def _pruned_round(
-        self, members: list[tuple[int, int]], r: int, table: ReachTable, grid: _Grid, floor: float
-    ) -> Optional[FlowEstimate]:
-        """The estimate of the first of a drawn table's rounds (``_rounds``
-        of its worlds; ``grid`` holds their rows) that ``floor`` prunes
-        (``_prunes``), or None if none is.
-
-        The tree samples under one config, so every drawn table has the
-        config's ``samples`` worlds, and the fewest worlds behind any table
-        of the grown tree are a round's own: no round has more than the
-        tree's other tables.  A round has at least ``min(CI_BATCH, n)`` of
-        the table's n worlds, and ``CI_BATCH`` is at least
-        ``CI_MIN_SAMPLES``, so either every round has ``CI_MIN_SAMPLES``
-        or none does.  Regrouped by member, the
-        ring's lb is a sum of lo rows times outside-ring masses Mext ≥ 0,
-        times t(r) ≥ 0, so it never falls as a lo row grows; nor does its
-        ub as a hi row grows.  Scored, as one table, with each member's
-        largest lo and smallest hi over the rounds, the ring's lb bounds
-        every round's from above and its ub every round's from below: if,
-        with a margin far above their rounding error, they leave the ub at
-        or above both the floor and the lb, no round is pruned.  Otherwise
-        the rounds are scored in turn, each round's rows as a table of its
-        own (``_coefficients``, ``_ring_flow``), up to the first pruned.
-        """
-        if table.sample_count < CI_MIN_SAMPLES:
-            return None
-        lo_max, hi_min = grid[1].max(1).tolist(), grid[2].min(1).tolist()
-        bound = dict(zip(table.rows, zip(lo_max, lo_max, hi_min)))
-        _, lb, ub = self._ring_flow(self._coefficients(members, bound), r)
-        scale = self._kept.triples[r][2] * sum(self._masses()[2][i] for i, _ in members)
-        margin = 1e-9 * (abs(lb) + abs(ub) + scale)
-        if ub - margin >= max(floor, lb + margin):
-            return None
-        p, lo, hi = (a.T.tolist() for a in grid)
-        for j, n in enumerate(_rounds(table.sample_count)):
-            rows = dict(zip(table.rows, zip(p[j], lo[j], hi[j])))
-            est = FlowEstimate(*self._ring_flow(self._coefficients(members, rows), r), n)
-            if _prunes(est, floor):
-                return est
-        return None
 
     # ------------------------------------------------------------------
     # diagnostics

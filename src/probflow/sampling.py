@@ -37,10 +37,8 @@ EXACT_SAMPLES = 2**31 - 1
 _CHUNK_BUDGET = 4_000_000
 
 # Interval pruning trusts a normal-approximation bound only from this many
-# sampled worlds on, and checks dominance on every CI_BATCH-world prefix of
-# a probe's sampled worlds.
+# sampled worlds on.
 CI_MIN_SAMPLES = 30
-CI_BATCH = 100
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,16 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     adopts its probe's table; ``_ci`` probes each cycle candidate
     against the best lower bound before it, leaf or cycle, which one walk
     over the candidates gives (``_probe_with_ci``), so that one an
-    interval shows dominated is pruned, often on a prefix of its worlds;
-    ``_ds`` suspends low-potential expensive candidates.  A leaf samples
-    nothing, so it is never pruned or suspended.
+    interval shows dominated is pruned; ``_ds`` suspends low-potential
+    expensive candidates.  A leaf samples nothing, so it is never pruned
+    or suspended.
+
+    A probe's estimate does not depend on its floor: the full table is
+    built and then judged.  A pruned candidate's ub is below some
+    candidate's lb, so below that candidate's mean, and it could not have
+    been the argmax; ``_ds`` reads the same estimate, pruned or not.  So
+    ``ft_m_ci`` selects exactly ``ft_m``'s edges with ``ft_m``'s flows, and
+    ``ft_m_ci_ds`` exactly ``ft_m_ds``'s; only the prune counts differ.
     """
     q = check_vertex(graph, q)
     use_ci = "_ci" in cfg.variant
@@ -248,9 +255,9 @@ def _probe_with_ci(
     lb bit for bit.  Only estimates with at least ``CI_MIN_SAMPLES``
     worlds count toward the bound: a leaf's has ``base``'s worlds, and a
     pruned candidate's does not count.  A candidate with no bound before
-    it is probed unchecked.  A pruned candidate keeps the estimate it was
-    pruned at.  Returns the cycle probes' estimates and reports, and the
-    pruned candidates.
+    it is probed unchecked.  A pruned candidate keeps its full estimate.
+    Returns the cycle probes' estimates and reports, and the pruned
+    candidates.
     """
     _, terms = tree.leaf_terms(graph)
     leaves = terms if base.samples_used >= CI_MIN_SAMPLES else {}

@@ -306,6 +306,8 @@ def test_criterion_09_heuristic_invariance(trend_runs):
             ft_sol, ft_ref = per_variant["ft"]
             m_sol, _ = per_variant["ft_m"]
             assert m_sol.selected == ft_sol.selected, name
+            # A pruned candidate could not be the argmax: _ci selects _m's edges.
+            assert per_variant["ft_m_ci"][0].selected == m_sol.selected, name
             for variant in ("ft_m_ds", "ft_m_ci", "ft_m_ci_ds"):
                 ratio = per_variant[variant][1].mean / ft_ref.mean
                 print(f"[ACCEPTANCE] criterion  9: {name} {variant} {ratio:.4f}")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from probflow import (
     EXACT_SAMPLES,
     BiComponent,
-    FlowEstimate,
     FTreeError,
     InsertReport,
     MonoComponent,
@@ -33,7 +32,7 @@ from probflow import (
     selection,
 )
 from probflow.ftree import FTree, IncrementalComponentSampler, MemoStore
-from probflow.sampling import CI_BATCH, CI_MIN_SAMPLES
+from probflow.sampling import CI_MIN_SAMPLES
 from util import (
     BASE_ORDER,
     BOTTOM_FLOOR,
@@ -46,11 +45,10 @@ from util import (
     long_ring_graph,
     random_connected_graph,
     random_tree,
-    reference_prune_round,
-    reference_round_estimates,
+    reference_pruned,
+    reference_ring_estimate,
     replay_tree,
     ring_chain_graph,
-    round_sizes,
     running_example_graph,
 )
 
@@ -505,9 +503,10 @@ class TestProbe:
         # ``leaf_terms`` scores leaves, and test_frontier_matches_full_evaluations
         # checks them against grown copies.  A cycle probe
         # agrees with an insert into a copy up to rounding and reports what
-        # that insert reports, and the top floor (``TOP_FLOOR``) prunes it at
-        # once, at the first round's estimate.  Every bi component has at least 9
-        # edges (``long_ring_graph``), so every table is drawn (2^9 > 300).
+        # that insert reports, and the top floor (``TOP_FLOOR``) prunes it
+        # and returns its full estimate, the plain probe's.  Every bi
+        # component has at least 9 edges (``long_ring_graph``), so every
+        # table is drawn (2^9 > 300).
         rng = random.Random(2024)
         cfg = SamplerConfig(samples=300, master_seed=12)
         cases = set()
@@ -532,7 +531,7 @@ class TestProbe:
                 assert report == probe_report == stopped_report
                 assert_close(est, probe.expected_flow(g))
                 assert est.samples_used == cfg.samples
-                assert pruned and stopped.samples_used == CI_BATCH
+                assert pruned and stopped == est
                 cases.add(report.case_taken)
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
@@ -543,10 +542,11 @@ class TestProbe:
     )
     def test_floor_must_be_a_finite_real_number(self, floor):
         # On gen_partitioned(40, 8, 1) with 14 edges inserted, (1, 38)
-        # closes a drawn IVb ring.  A NaN floor would prune no round, and
+        # closes a drawn IVb ring.  A NaN floor would prune nothing, and
         # text would fail a comparison: a floor that is not a finite real
         # number raises ValueError naming it and changes nothing.  The
-        # finite floor 1e9 prunes the ring at its first round.
+        # finite floor 1e9 prunes the ring, and the pruned probe returns the
+        # plain probe's estimate, over all 300 worlds.
         g = netgen.gen_partitioned(40, 8, 1)
         cfg = SamplerConfig(samples=300, master_seed=3)
         tree = new_ftree(0)
@@ -561,7 +561,7 @@ class TestProbe:
         assert snapshot(tree, g) == before
         assert tree.probe_edge(g, edge) == (est, report, False)
         stopped, _, pruned = tree.probe_edge(g, edge, 1e9)
-        assert pruned and stopped.samples_used == CI_BATCH
+        assert pruned and stopped == est and est.samples_used == cfg.samples
 
     def test_kept_probes_match_fresh_probes(self):
         self.check_kept_probes_match_fresh_probes(use_memo=True)
@@ -585,8 +585,8 @@ class TestProbe:
         # in a memo tree adopts its table) and drops it, reports and
         # evaluates as the twin's unprobed commit does.
         # Without a memo each candidate is probed twice more, so a drawn
-        # ring's kept sampler re-draws from its kept stream state many
-        # times, and a pruned ring's next probe judges its kept draw.
+        # ring's kept sampler builds its table again many times, pruned or
+        # not.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
         checks = ("plain", "floor") if use_memo else ("plain", "floor", "plain", "floor")
@@ -612,10 +612,7 @@ class TestProbe:
                         # Kept before the last commit, which was a leaf.
                         rescored += check == "plain" and after_leaf and ring is not None
                         sampler = ring and ring.sampler  # prepared at its first build
-                        redrawn += (
-                            not use_memo and sampler is not None and not sampler.exact
-                            and ring.drawn is None
-                        )
+                        redrawn += not use_memo and sampler is not None and not sampler.exact
                         floor = None if check == "plain" else (plain.mean, plain.ub, TOP_FLOOR)[picks % 3]
                         got = tree.probe_edge(g, c, floor)
                         plain = got[0] if check == "plain" else plain
@@ -654,38 +651,34 @@ class TestProbe:
         # commit each cycle candidate is probed, and the tree keeps its plan.
         # After every leaf commit each kept candidate is probed again (after
         # a cycle commit, see test_kept_rings_survive_untouched_commits), plain
-        # and against the top floor, which prunes it at its first round:
-        # both return what a fresh probe of a copy returns, bit for bit.
-        # Every memo-less cycle probe, first, kept or fresh, builds its table
-        # exactly once (one draw or one enumeration), but for the probe after
-        # a pruned one, which judges the drawn table the prune left in the
-        # ring and builds nothing; a kept ring keeps no full table.  Graphs
-        # of up to 14 vertices give rings both enumerated (2^m <= 300) and
-        # drawn.
+        # and against the top floor, which prunes it: both return what a
+        # fresh probe of a copy returns, bit for bit.  Every memo-less cycle
+        # probe, first, kept, fresh or after a pruned one, builds its table
+        # exactly once (one draw or one enumeration); a kept ring keeps no
+        # full table.  Graphs of up to 14 vertices give rings both
+        # enumerated (2^m <= 300) and drawn.
         built = count_builds(monkeypatch)
 
         def probe(tree, c, floor=None):
-            nonlocal resumed
-            ring = tree._rings.get(c)
-            kept = ring is not None and ring.drawn is not None
-            resumed += kept
             tree.expected_flow(g)  # builds the table the last cycle commit left out
             before = len(built)
             result = tree.probe_edge(g, c, floor)
-            assert len(built) == before + (not kept)
+            assert len(built) == before + 1
             return result
 
         rng = random.Random(2718)
         cfg = SamplerConfig(samples=300, master_seed=31)
-        reprobed = resumed = 0
+        reprobed = after_prune = 0
         for trial in range(25):
             n = rng.randint(6, 14)
             g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
-            tree = new_ftree(0)
+            tree, cut = new_ftree(0), set()  # cut: the rings pruned at their last probe
             for e in insertable_order(g, rng):
                 cycles = [c for c in tree.candidates(g) if tree.is_attached(c[0]) and tree.is_attached(c[1])]
                 for c in cycles:
+                    after_prune += c in cut
                     probe(tree, c)
+                cut.clear()
                 leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 tree.insert_edge(g, e, cfg)
                 if not leaf:
@@ -695,9 +688,12 @@ class TestProbe:
                         continue
                     assert tree._rings[c].scored is None
                     for floor in (None, TOP_FLOOR):
-                        assert probe(tree, c, floor) == probe(tree.copy(), c, floor)
+                        got = probe(tree, c, floor)
+                        assert got == probe(tree.copy(), c, floor)
+                    assert got[2]
+                    cut.add(c)
                     reprobed += 1
-        assert reprobed > 200 and resumed > 50
+        assert reprobed > 200 and after_prune > 50
         assert {"draw", "exact"} <= set(built)
 
     @pytest.mark.pinned
@@ -710,9 +706,9 @@ class TestProbe:
         # attach order, articulation, edges, report and the parts it takes),
         # and a memoized ring's kept table is the one a fresh probe builds and
         # its coefficients are the table's over the new tree.  Its re-probe,
-        # plain and, without a memo, against the top floor, which prunes it
-        # at its first round, equals a probe of a tree rebuilt by replaying
-        # the inserts, bit for bit.  (Stale rings are
+        # plain and, without a memo, against the top floor, which prunes it,
+        # equals a probe of a tree rebuilt by replaying the inserts, bit for
+        # bit.  (Stale rings are
         # test_stale_rings_keep_unchanged_tables's.)
         rng = random.Random(6061)
         cfg = SamplerConfig(samples=300, master_seed=23)
@@ -756,14 +752,14 @@ class TestProbe:
     def test_stale_rings_keep_unchanged_tables(self, monkeypatch, use_memo):
         # Random graphs in random insertion orders.  Before every commit each
         # cycle candidate is probed, plain or, twice as often, against the
-        # top floor, which prunes a drawn ring at its first round.
+        # top floor, which prunes the ring it builds a table for.
         # After every cycle commit each ring the commit marked stale is
         # probed again.  A ring whose new plan keeps its component
         # (articulation vertex and edges) stays the
         # same ring, with the new plan's parts, prepares no sampler and
         # builds only what a live ring's re-probe builds: nothing for a table
-        # it keeps (memo trees, exact or drawn) or a pruned draw it judges
-        # again, else one table from its kept sampler.  A ring whose
+        # it keeps (memo trees, exact or drawn, pruned or not), else one
+        # table from its kept sampler, pruned at its last probe or not.  A ring whose
         # component changed is replaced and builds once.  Either way the
         # re-probe returns what a probe of a tree rebuilt by replaying the
         # inserts returns, bit for bit.  A kept table is never pruned, so it
@@ -782,10 +778,10 @@ class TestProbe:
         for trial in range(100):
             n = rng.randint(10, 20)
             g = random_connected_graph(rng, n, rng.randint(2, n))
-            tree, inserted = new_ftree(0, use_memo), []
+            tree, inserted, cut = new_ftree(0, use_memo), [], {}
             for e in insertable_order(g, rng):
                 for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, rng.choice([None, TOP_FLOOR, TOP_FLOOR]))
+                    cut[c] = tree.probe_edge(g, c, rng.choice([None, TOP_FLOOR, TOP_FLOOR]))[2]
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
@@ -800,8 +796,8 @@ class TestProbe:
                     same = (ring.comp.articulation, ring.comp.internal_edges) == (
                         comp.articulation, comp.internal_edges
                     )
-                    held, resumed = ring.scored is not None, ring.drawn is not None
-                    if resumed:
+                    held = ring.scored is not None
+                    if cut[c]:
                         kind = "pruned"
                     else:
                         exact = ring.scored[0].sample_count == EXACT_SAMPLES if held else ring.sampler.exact
@@ -814,7 +810,7 @@ class TestProbe:
                     assert (tree._rings[c] is ring) == same
                     if same:
                         assert ring.parts == parts and samplers == 0
-                        assert builds == (0 if held or resumed else 1)
+                        assert builds == (0 if held else 1)
                     else:
                         assert builds == samplers == 1
                     if held:
@@ -881,14 +877,14 @@ class TestProbe:
     def test_probe_after_a_prune_draws_nothing(self, monkeypatch, use_memo):
         # Random trees grown edge by edge, every table drawn
         # (``long_ring_graph``).  Before every commit each cycle candidate is
-        # probed against the top floor, which prunes a ring at its first
-        # round unless its memo tree holds its table.  After a leaf commit,
-        # which changes the masses, each pruned ring is probed again, in
-        # turn plain or against the top floor: the probe judges the
-        # table the prune left in the ring against the new masses and draws
-        # nothing, and returns what a probe of a fresh copy returns, which
-        # draws the table anew.  A memo tree's ring keeps the table once a
-        # probe of it is not pruned.
+        # probed against the top floor, which prunes every ring whose table
+        # the probe builds.  After a leaf commit, which changes the masses,
+        # each ring pruned there is probed again, in turn plain or against
+        # the top floor, and returns the estimate and report a probe of a
+        # fresh copy returns, bit for bit.  A memo tree's ring keeps the
+        # table its pruned probe built, so the next probe draws nothing and
+        # is not pruned.  A memo-less tree builds the table again, as for
+        # any probe, and the top floor prunes it again.
         built = count_builds(monkeypatch)
         rng = random.Random(8118)
         cfg = SamplerConfig(samples=300, master_seed=5)
@@ -897,22 +893,20 @@ class TestProbe:
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             tree = new_ftree(0, use_memo)
             for e in order:
-                for c in tree.cycle_candidates(g):
-                    tree.probe_edge(g, c, TOP_FLOOR)
+                cut = sorted(c for c in tree.cycle_candidates(g) if tree.probe_edge(g, c, TOP_FLOOR)[2])
                 leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 if not leaf:
                     continue
-                for c, ring in list(tree._rings.items()):
-                    if ring.drawn is None:
-                        continue
+                for c in cut:
+                    assert (tree._rings[c].scored is not None) == use_memo
                     floor = rng.choice([None, TOP_FLOOR])
                     fresh = tree.copy().probe_edge(g, c, floor)
                     before = len(built)
-                    assert tree.probe_edge(g, c, floor) == fresh
-                    assert len(built) == before
-                    assert (ring.drawn is None) == (floor is None)
-                    assert (ring.scored is not None) == (use_memo and floor is None)
+                    got = tree.probe_edge(g, c, floor)
+                    assert got[:2] == fresh[:2]
+                    assert got[2] == (floor is not None and not use_memo)
+                    assert len(built) == before + (not use_memo)
                     resumed[floor] += 1
         assert min(resumed.values()) > 20
 
@@ -1072,10 +1066,10 @@ def assert_close(est, ref, rel=1e-12):
     assert est.samples_used == ref.samples_used
 
 
-def grown_flow(tree, g, e, cfg, worlds=None):
+def grown_flow(tree, g, e, cfg):
     """The reference a cycle probe of ``e`` must agree with: insert ``e``
-    into a copy of ``tree``, give its new ring the table of the ring's
-    first ``worlds`` worlds (all of them by default) and evaluate it.
+    into a copy of ``tree``, give its new ring the table of all the ring's
+    worlds and evaluate it.
     Returns that estimate, the insert's report and the ring's identity
     (``comp_key``).
     The ring must be one whose table is drawn, not enumerated."""
@@ -1084,7 +1078,7 @@ def grown_flow(tree, g, e, cfg, worlds=None):
     [ring] = [c for c in ref.components.values() if isinstance(c, BiComponent) and c.reach is None]
     sampler = IncrementalComponentSampler(g, ring, cfg)
     assert not sampler.exact
-    ring.reach = drawn_table(sampler, worlds or cfg.samples)
+    ring.reach = drawn_table(sampler, cfg.samples)
     return ref.expected_flow(g), report, comp_key(ring)
 
 
@@ -1097,21 +1091,20 @@ class TestRingFormula:
         # Random trees grown edge by edge.  Before every commit each cycle
         # candidate is probed (leaves are ``leaf_terms``'s, see
         # ``test_frontier_matches_full_evaluations``) against a floor just
-        # above a random round's ub, or below every bound, then plain; every
-        # round's estimate (``reference_round_estimates``) and the plain
-        # estimate must agree with a copy grown by the edge whose ring
-        # carries that round's table or the full one, within 1e-12 relative
-        # on mean, lb and ub, with equal worlds used.  The floor-checked
-        # probe prunes at the first round ``ci_prune`` drops beside the
-        # floor, returning that round's estimate bit for bit, and otherwise
-        # returns the last round's.  A memoized table is never pruned, and a
-        # pruned table is not kept as the ring's.  The probed tree's dump,
+        # above the ub of its full table's estimate, at that ub or below
+        # every bound, then plain; the full table's estimate
+        # (``reference_ring_estimate``) and the plain estimate must agree
+        # with a copy grown by the edge, within 1e-12 relative on mean, lb
+        # and ub, with equal worlds used.  The floor-checked probe returns
+        # that estimate bit for bit, and it is pruned iff ``ci_prune`` drops
+        # the estimate beside the floor, unless its memo tree's ring already
+        # kept the table, which is never pruned.  A memo tree's ring keeps
+        # the table its probe built, pruned or not.  The probed tree's dump,
         # tables and evaluation stay as they were.  Every bi component has
         # at least 9 edges (``long_ring_graph``), so every table is drawn
         # (2^9 > 300).
         rng = random.Random(5150)
         cfg = SamplerConfig(samples=300, master_seed=21)
-        sizes = [CI_BATCH, 2 * CI_BATCH, 3 * CI_BATCH]
         cases, prunes, rescored = set(), set(), 0
         for trial in range(30):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
@@ -1124,22 +1117,17 @@ class TestRingFormula:
                     kept = use_memo and ring is not None
                     rescored += kept and after_leaf
                     hit = kept and ring.scored is not None and comp_key(ring.comp) == sig
-                    rounds = reference_round_estimates(tree, g, c, cfg)
-                    for got, worlds in zip(rounds, sizes, strict=True):
-                        assert_close(got, grown_flow(tree, g, c, cfg, worlds)[0])
-                    stop_at = rng.randint(1, len(sizes) + 1)
-                    floor = BOTTOM_FLOOR
-                    if stop_at <= len(sizes):
-                        floor = math.nextafter(rounds[stop_at - 1].ub, math.inf)
+                    full = reference_ring_estimate(tree, g, c, cfg)
+                    assert_close(full, ref)
+                    kind = rng.choice(["above", "at", "bottom"])
+                    floor = {
+                        "above": math.nextafter(full.ub, math.inf), "at": full.ub, "bottom": BOTTOM_FLOOR
+                    }[kind]
                     est, _, pruned = tree.probe_edge(g, c, floor)
-                    at = None if hit else reference_prune_round(rounds, floor)
-                    assert pruned == (at is not None)
-                    if pruned:
-                        assert est == rounds[at] and at < stop_at
-                        assert tree._rings[c].scored is None
-                    else:
-                        assert est == rounds[-1]
-                    prunes.add(at)
+                    assert est == full
+                    assert pruned == (not hit and reference_pruned(full, floor))
+                    assert (tree._rings[c].scored is not None) == use_memo
+                    prunes.add((kind, hit, pruned))
                     est, report, _ = tree.probe_edge(g, c)
                     assert_close(est, ref)
                     assert est.samples_used == cfg.samples
@@ -1153,14 +1141,15 @@ class TestRingFormula:
                 after_leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
         assert cases == {"IIIa", "IIIb", "IVb", "IVc-composite"}
-        assert prunes == {0, 1, 2, None}
+        assert {("above", False, True), ("at", False, False), ("bottom", False, False)} <= prunes
         assert rescored > 0 or not use_memo
+        assert ("above", True, False) in prunes or not use_memo
 
     def test_worlds_used_count_only_the_tables_the_grown_tree_keeps(self):
         # The tree draws 6 worlds, fewer than any component here has (2^3
         # or 2^5), so all are drawn.  The triangle {0, 1, 2} gets the table
-        # of its first 4 worlds before the tree is evaluated, as a pruned
-        # probe's round would carry.  The ring (0, 3) closes takes the
+        # of its first 4 worlds before the tree is evaluated, so its table has
+        # fewer worlds than the tree's others.  The ring (0, 3) closes takes the
         # triangle in, so the grown tree has 6-world tables only; the ring
         # (0, 5) closes leaves it, so 4 worlds remain the fewest.
         g = ProbabilisticGraph.build(
@@ -1228,10 +1217,10 @@ class TestKeptEvaluation:
     def test_matches_replay_with_cache_cleared(self, memo, floor):
         # Before each commit, unless plain, the edge is scored on a tree
         # that keeps its evaluation and on a replay evaluated from scratch:
-        # a cycle edge by every round's estimate and by a probe against a
-        # floor that prunes at the first round it can or never, a leaf by
-        # its term.  Both agree bit for bit, as do the evaluations after
-        # every commit.
+        # a cycle edge by its full drawn table's estimate
+        # (``reference_ring_estimate``) and by a probe against a floor that
+        # prunes whenever it can or never, a leaf by its term.  Both agree
+        # bit for bit, as do the evaluations after every commit.
         rng = random.Random(808)
         cfg = SamplerConfig(samples=300, master_seed=4)
         seen = set()
@@ -1243,8 +1232,8 @@ class TestKeptEvaluation:
                 if floor is not None and kept.is_attached(e[0]) and kept.is_attached(e[1]):
                     # A cycle edge is probed first, on the kept state and from scratch.
                     replay._kept = None
-                    rounds = reference_round_estimates(kept, g, e, cfg)
-                    assert rounds == reference_round_estimates(replay, g, e, cfg)
+                    full = reference_ring_estimate(kept, g, e, cfg)
+                    assert full == reference_ring_estimate(replay, g, e, cfg)
                     replay._kept = None
                     assert kept.probe_edge(g, e, floor) == replay.probe_edge(g, e, floor)
                 elif floor is not None:
@@ -1475,9 +1464,9 @@ class TestMemo:
     def test_tables_are_bounded_by_uncommitted_cycle_candidates(self, monkeypatch, variant):
         # After a greedy run the live tree (the one ``new_ftree`` returned)
         # holds tables only in the rings of cycle candidates it has not
-        # committed, one ring per edge, and each ring
-        # holds at most one table: the one a probe read, or the draw a pruned
-        # probe left.  Only memo trees hold any, and no tree creates a
+        # committed, one ring per edge, and each ring holds at most one
+        # table, the one its first probe built, pruned or not, and then no
+        # sampler.  Only memo trees hold any, and no tree creates a
         # ``MemoStore``.  Small erdos, partitioned and wsn graphs, at 1000
         # samples and at 60, where rings are drawn and, under _ci, pruned.
         trees, stores = [], []
@@ -1498,8 +1487,8 @@ class TestMemo:
                     cycles = set(tree.cycle_candidates(g))
                     for e, ring in tree._rings.items():
                         assert e in cycles and e not in tree.selected_edges
-                        assert ring.scored is None or ring.drawn is None
-                        held += ring.scored is not None or ring.drawn is not None
+                        assert ring.scored is None or ring.sampler is None
+                        held += ring.scored is not None
         assert (held > 0) == (variant != "ft") and stores == []
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
@@ -1526,7 +1515,7 @@ class TestMemo:
         est = tree.probe_edge(g, (1, 3))
         before, kept = snapshot(tree, g), tree._kept
         ring = tree._rings[(1, 3)]
-        rings, held = dict(tree._rings), (ring.parts, ring.sampler, ring.drawn, ring.scored)
+        rings, held = dict(tree._rings), (ring.parts, ring.sampler, ring.scored)
         assert (ring.scored is not None) == use_memo
         cands = list(tree.candidates(g))
         assert (1, 3) in cands and set(cands) - set(tree.cycle_candidates(g))
@@ -1537,7 +1526,7 @@ class TestMemo:
                     with pytest.raises(FTreeError, match="another config"):
                         target.insert_edge(g, e, other)
         assert tree._rings == rings and tree._kept is kept
-        assert (ring.parts, ring.sampler, ring.drawn, ring.scored) == held
+        assert (ring.parts, ring.sampler, ring.scored) == held
         assert snapshot(tree, g) == before and tree.probe_edge(g, (1, 3)) == est
         plain = tree_before_cycle(memo=False)
         assert tree.insert_edge(g, (1, 3), replace(first)) == plain.insert_edge(g, (1, 3), first)
@@ -1592,46 +1581,11 @@ class TestMemo:
 
 
 class TestIncrementalSampling:
-    @pytest.mark.pinned
-    @pytest.mark.parametrize("chunk_budget", [None, 40], ids=["one-chunk", "ten-world-chunks"])
-    def test_prefix_tables_match_batched_draws(self, monkeypatch, chunk_budget):
-        # A full-budget draw holds every world, so rows() gives, element by
-        # element, the rows of a fresh sampler that drew n worlds, for each
-        # n asked.  The full draw may span many chunks.  The 11-edge ring
-        # has 2^11 worlds, more than 1000, so a tree draws its table too.
-        # build(sizes) gives those rounds as (member, round) arrays, members
-        # ascending, and, as its table, their last round, which is also a
-        # plain build()'s table.
-        from probflow import sampling
-
-        g = ring_chain_graph(1, ring=11)
-        comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
-        cfg = SamplerConfig(samples=1000, master_seed=99)
-        sizes = range(CI_BATCH, cfg.samples + 1, CI_BATCH)
-        expected = [drawn_table(IncrementalComponentSampler(g, comp, cfg), n) for n in sizes]
-        if chunk_budget is not None:
-            monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
-        full = IncrementalComponentSampler(g, comp, cfg)
-        assert not full.exact
-        rows = dict(zip(sorted(comp.members), zip(*full.rows(full.draw(cfg.samples), sizes))))
-        for j, table in enumerate(expected):
-            for v in comp.members:
-                assert tuple(a[j] for a in rows[v]) == table.rows[v]
-        built, grid = full.build(list(sizes))
-        plain, none = IncrementalComponentSampler(g, comp, cfg).build()
-        assert none is None and built == plain == expected[-1]
-        assert built.sample_count == cfg.samples
-        members = sorted(comp.members)
-        assert {v: tuple(a[k, -1] for a in grid) for k, v in enumerate(members)} == built.rows
-        for k, v in enumerate(members):
-            assert [a[k].tolist() for a in grid] == [a.tolist() for a in rows[v]]
-
-
     @pytest.mark.parametrize("batch", [0, -1, 1, 999, 1001])
     def test_draw_takes_the_whole_budget(self, batch):
-        # Rounds are prefixes of one full draw (``rows``), so a draw reads
-        # all of the config's worlds: any other batch raises ValueError
-        # naming it, and a full one gives every local vertex's worlds.
+        # A table counts all of the config's worlds (``rows``), so a draw
+        # reads all of them: any other batch raises ValueError naming it,
+        # and a full one gives every local vertex's worlds.
         g = ring_chain_graph(1, ring=11)
         comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
@@ -1656,15 +1610,15 @@ class TestWorldStore:
         drawn, tag = {}, []
         build = IncrementalComponentSampler.build
 
-        def recording(sampler, sizes=()):
-            table, grid = build(sampler, sizes)
+        def recording(sampler):
+            table = build(sampler)
             if not sampler.exact:
                 key = (sampler.articulation, tuple(sampler._graph_edges))
                 rows = {v: hexed(r) for v, r in table.rows.items()}
                 seen = drawn.setdefault(key, (rows, set()))
                 assert seen[0] == rows, key
                 seen[1].add(tag[-1])
-            return table, grid
+            return table
 
         monkeypatch.setattr(IncrementalComponentSampler, "build", recording)
         return drawn, tag
@@ -1756,7 +1710,7 @@ class TestWorldStore:
             for seed in range(seeds):
                 sampler = IncrementalComponentSampler(g, ring, SamplerConfig(samples, master_seed=seed))
                 assert not sampler.exact
-                for v, (p, _, _) in sampler.build()[0].rows.items():
+                for v, (p, _, _) in sampler.build().rows.items():
                     sums[v] += p
             for v, total in sums.items():
                 p = exact[v][0]
@@ -1812,14 +1766,11 @@ class TestRefreshFloor:
         (_, batched), (_, refreshed) = long_ring_tree(memo=True), long_ring_tree(memo=True)
         built = []
         build = IncrementalComponentSampler.build
-        monkeypatch.setattr(
-            IncrementalComponentSampler, "build", lambda s, sizes=(): built.append(sizes) or build(s, sizes)
-        )
+        monkeypatch.setattr(IncrementalComponentSampler, "build", lambda s: built.append(s) or build(s))
         est = plain.probe_edge(g, self.EDGE)
         assert batched.probe_edge(g, self.EDGE, BOTTOM_FLOOR) == est
-        assert [list(sizes) for sizes in built] == [[], round_sizes(CFG.samples)]
-        assert len(built[-1]) == CFG.samples // CI_BATCH
-        assert reference_round_estimates(plain, g, self.EDGE, CFG)[-1] == est[0]
+        assert len(built) == 2 and not any(sampler.exact for sampler in built)
+        assert reference_ring_estimate(plain, g, self.EDGE, CFG) == est[0]
         assert est[0].samples_used == CFG.samples
         kept = plain._rings[self.EDGE]
         assert kept.scored[0] == batched._rings[self.EDGE].scored[0]
@@ -1832,139 +1783,52 @@ class TestRefreshFloor:
         ]
         assert ring.reach == kept.scored[0]
 
-    def test_floor_that_prunes_returns_its_round_and_stores_nothing(self):
-        # A floor just above the third round's ub prunes at that round or
-        # an earlier one, whose estimate the probe returns.  The drawn table
-        # stays in the ring, not kept as its table.
+    def test_floor_that_prunes_returns_the_full_estimate_and_keeps_the_table(self):
+        # A floor just above the full table's ub prunes the probe, which
+        # returns that full estimate, a plain probe's, over all the
+        # config's worlds.  The memo tree's ring keeps the table as a plain
+        # probe's ring does, and its next probe, which builds nothing, is
+        # not pruned by that floor.
         g, tree = long_ring_tree(memo=True)
-        rounds = reference_round_estimates(tree, g, self.EDGE, CFG)
-        floor = math.nextafter(rounds[2].ub, math.inf)
-        at = reference_prune_round(rounds, floor)
-        est, _, pruned = tree.probe_edge(g, self.EDGE, floor)
-        assert pruned and at <= 2 and est == rounds[at]
-        assert est.samples_used == (at + 1) * CI_BATCH
-        assert all(ring.scored is None for ring in tree._rings.values())
-        assert tree._rings[self.EDGE].drawn is not None
-
-
-class TestRoundEstimates:
-    """Each round's estimate a floor-checked probe judges agrees with a
-    full evaluation of the grown tree carrying that round's table."""
-
-    @staticmethod
-    def nesting(tree, held):
-        """How each component about to be sampled (one with no table yet)
-        sits against sampled ones; a component whose ``comp_key`` is ``held``
-        has its table already."""
-        def clean_bi(cid):
-            comp = tree.components[cid]
-            return isinstance(comp, BiComponent) and comp.reach is not None
-
-        found = set()
-        children = {cid: [] for cid in tree.components}
-        for cid in tree.components:
-            if cid != tree.root_id:
-                children[tree.parent_of(cid)].append(cid)
-        for cid, comp in tree.components.items():
-            if not isinstance(comp, BiComponent) or clean_bi(cid) or comp_key(comp) == held:
-                continue
-            pid = tree.parent_of(cid)
-            while pid is not None:
-                if clean_bi(pid):
-                    found.add("under")
-                pid = tree.parent_of(pid)
-            stack = list(children[cid])
-            while stack:
-                kid = stack.pop()
-                if clean_bi(kid):
-                    found.add("above")
-                stack.extend(children[kid])
-        return found
-
-    @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
-    def test_every_round_equals_a_full_evaluation(self, memo):
-        # Before each cycle-closing commit every round's estimate
-        # (``reference_round_estimates``) agrees with a grown copy whose ring
-        # carries that round's table.  The edge is then probed against a
-        # floor just above each round's ub in turn: each probe prunes at the
-        # first round ``ci_prune`` drops and returns its estimate bit for
-        # bit, judging the draw the last prune left.  Then against a floor
-        # below every bound, which prunes nothing and gives the last round's
-        # estimate, the plain probe's.  A re-probe against the top floor
-        # is then pruned only without a memo: a memoized table is never
-        # pruned, and a memo-less one is drawn again and judged.  Every bi
-        # component has at least 9 edges (``long_ring_graph``), so every
-        # table is drawn (2^9 > 400).
-        rng = random.Random(4242)
-        cfg = SamplerConfig(samples=400, master_seed=8)
-        cases, nesting = set(), set()
-        for _ in range(25):
-            g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
-            tree = new_ftree(0, memo)
-            for e in order:
-                if tree.is_attached(e[0]) and tree.is_attached(e[1]):
-                    base = tree.copy()
-                    cases.add(base.insert_edge(g, e, cfg).case_taken)
-                    ring = tree._rings.get(e)
-                    held = comp_key(ring.comp) if ring is not None and ring.scored is not None else None
-                    nesting |= self.nesting(base, held)
-                    rounds = reference_round_estimates(tree, g, e, cfg)
-                    assert len(rounds) == cfg.samples // CI_BATCH
-                    for k, est in enumerate(rounds):
-                        assert_close(est, grown_flow(tree, g, e, cfg, (k + 1) * CI_BATCH)[0])
-                        floor = math.nextafter(est.ub, math.inf)
-                        at = reference_prune_round(rounds, floor)
-                        got, _, pruned = tree.probe_edge(g, e, floor)
-                        assert pruned and at <= k and got == rounds[at]
-                    est = tree.probe_edge(g, e, BOTTOM_FLOOR)
-                    assert est[0] == rounds[-1] and not est[2]
-                    assert est[0].samples_used == cfg.samples
-                    assert est == tree.probe_edge(g, e)
-                    assert tree.probe_edge(g, e, TOP_FLOOR)[2] != memo
-                tree.insert_edge(g, e, cfg)
-                assert tree.expected_flow(g) == tree.copy().expected_flow(g)
-        assert {"IIIa", "IIIb", "IVb", "IVc-composite"} <= cases
-        assert nesting == {"under", "above"}
+        (_, plain), (_, replay) = long_ring_tree(memo=True), long_ring_tree(memo=True)
+        full = reference_ring_estimate(tree, g, self.EDGE, CFG)
+        floor = math.nextafter(full.ub, math.inf)
+        est, report, pruned = tree.probe_edge(g, self.EDGE, floor)
+        assert pruned and est == full and est.samples_used == CFG.samples
+        assert (est, report, False) == plain.probe_edge(g, self.EDGE)
+        assert tree._rings[self.EDGE].scored[0] == plain._rings[self.EDGE].scored[0]
+        sampler = tree._rings[self.EDGE].sampler
+        assert sampler is None and tree.probe_edge(g, self.EDGE, floor) == (est, report, False)
+        # The committed edge adopts the kept table: the tree evaluates as a
+        # replay of the same inserts that built its table itself.
+        tree.insert_edge(g, self.EDGE, CFG)
+        replay.insert_edge(g, self.EDGE, CFG)
+        assert tree.expected_flow(g) == replay.expected_flow(g)
 
 
 class TestFloorRule:
-    """A floor-checked probe prunes where ``ci_prune`` would: at the first
-    round whose estimate it drops beside a candidate at the floor."""
-
-    def test_every_round_has_the_minimum_worlds_or_none_does(self):
-        # ``FTree._pruned_round`` judges a drawn table's rounds only if the
-        # table has ``CI_MIN_SAMPLES`` worlds, and then judges them all:
-        # its first round has min(CI_BATCH, n) of the n worlds, which takes
-        # CI_BATCH >= CI_MIN_SAMPLES.
-        assert CI_BATCH >= CI_MIN_SAMPLES
-        for n in range(1, 3 * CI_BATCH + 2):
-            sizes = round_sizes(n)
-            assert sizes[0] == min(CI_BATCH, n)
-            assert {size >= CI_MIN_SAMPLES for size in sizes} == {n >= CI_MIN_SAMPLES}
+    """A floor-checked probe prunes where ``ci_prune`` would: when it drops
+    the full table's estimate beside a candidate at the floor."""
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
-    def test_prunes_at_the_first_round_ci_prune_drops(self, monkeypatch, use_memo):
+    def test_prunes_where_ci_prune_drops_the_full_estimate(self, monkeypatch, use_memo):
         # Random graphs in random insertion orders, with weights of 0 or 1,
         # so that many ring members carry no outside-ring mass.  Before
         # every cycle commit the edge is probed on fresh copies of the tree
-        # against floors just below, at and just above each round's ub (the
-        # one estimate of an exact table, drawn tables' rounds from
-        # ``reference_round_estimates``), and against none.  Each probe
-        # prunes exactly when and where ``ci_prune`` first drops a round,
-        # and returns that round's estimate bit for bit, which agrees with
-        # a copy grown by the edge with that round's table within 1e-12;
-        # an unpruned probe returns the full table's.  A pruned drawn table
-        # is not kept as the ring's table but left in the ring, where the
-        # next probe judges it again, building nothing, to the same result.
-        # Any other table is kept (memo trees) and never
-        # pruned again, not even by the top floor; without a memo the
-        # next probe builds it afresh and judges it the same.
-        # Graphs of up to 11 vertices give rings both enumerated (2^m <=
-        # 250) and drawn, over rounds of 100, 200 and 250 worlds.
+        # against floors just below, at and just above the ub of its full
+        # table's estimate (the plain probe's, which a drawn table's
+        # ``reference_ring_estimate`` gives too), and against none.  Each
+        # probe prunes exactly when ``ci_prune`` drops that estimate beside
+        # the floor, and returns it bit for bit, pruned or not; a drawn one
+        # agrees with a copy grown by the edge within 1e-12.  A memo tree's
+        # ring keeps the table, pruned or not, so its next probe builds
+        # nothing and is never pruned, not even by the top floor; without a
+        # memo the next probe builds the table afresh and judges it the
+        # same.  Graphs of up to 11 vertices give rings both enumerated
+        # (2^m <= 250) and drawn.
         built = count_builds(monkeypatch)
         rng = random.Random(3131)
         cfg = SamplerConfig(samples=250, master_seed=41)
-        sizes = round_sizes(cfg.samples)
         seen = set()
         for trial in range(30):
             n = rng.randint(5, 11)
@@ -1972,84 +1836,37 @@ class TestFloorRule:
             tree = new_ftree(0, use_memo)
             for e in insertable_order(g, rng):
                 if tree.is_attached(e[0]) and tree.is_attached(e[1]):
-                    rounds = reference_round_estimates(tree, g, e, cfg)
-                    exact = rounds is None
+                    drawn = reference_ring_estimate(tree, g, e, cfg)
                     full = tree.copy().probe_edge(g, e)[0]
-                    rounds = rounds or [full]
-                    assert rounds[-1] == full
-                    floors = {None}
-                    for est in rounds:
-                        floors |= {math.nextafter(est.ub, -math.inf), est.ub, math.nextafter(est.ub, math.inf)}
+                    exact = drawn is None
+                    assert exact or drawn == full
+                    floors = {None, math.nextafter(full.ub, -math.inf), full.ub, math.nextafter(full.ub, math.inf)}
                     for floor in floors:
                         probe = tree.copy()
                         est, report, pruned = probe.probe_edge(g, e, floor)
-                        at = reference_prune_round(rounds, floor)
-                        assert pruned == (at is not None)
-                        assert est == (rounds[at] if pruned else full)
-                        if pruned and not exact:
-                            assert_close(est, grown_flow(tree, g, e, cfg, sizes[at])[0])
-                        ring = probe._rings[e]
-                        left = pruned and not exact
-                        assert (ring.drawn is not None) == left
-                        assert (ring.scored is not None) == (use_memo and not left)
+                        assert pruned == reference_pruned(full, floor)
+                        assert est == full
+                        if not exact:
+                            assert_close(est, grown_flow(tree, g, e, cfg)[0])
+                        assert (probe._rings[e].scored is not None) == use_memo
                         before = len(built)
-                        again = (est, report, pruned) if left or not use_memo else (full, report, False)
+                        again = (est, report, False) if use_memo else (est, report, pruned)
                         assert probe.probe_edge(g, e, floor) == again
-                        assert len(built) == before + (not left and not use_memo)
+                        assert len(built) == before + (not use_memo)
                         if use_memo:
-                            assert probe.probe_edge(g, e, TOP_FLOOR)[2] == left
-                        seen.add((exact, at))
+                            assert not probe.probe_edge(g, e, TOP_FLOOR)[2]
+                        seen.add((exact, pruned))
                 tree.insert_edge(g, e, cfg)
-        assert {(False, j) for j in range(len(sizes))} | {(True, 0), (False, None), (True, None)} <= seen
-
-
-    def test_rounds_that_tie_the_bound_are_judged(self):
-        # A path 0-1-...-(n-1) closed by (0, n-1) folds every other vertex
-        # into one ring hanging off 0.  A member of weight 0 whose only child
-        # is the next member carries no outside-ring mass, so its rows move
-        # the ring's flows by rounding alone.  Grids whose rounds differ only
-        # in such members' rows give rounds whose ubs differ by rounding, and
-        # the bound scored from each member's smallest hi can round above
-        # some of them.  Against floors just below, at and just above each
-        # round's ub, the probe's judge (``FTree._pruned_round``) prunes at
-        # the first round ``ci_prune`` drops, returning the estimate that
-        # round's rows give as a table of their own, bit for bit.
-        rng = random.Random(4447)
-        sizes = round_sizes(1000)
-        judged = set()
-        for trial in range(40):
-            n = rng.randint(5, 9)
-            weights = [float(rng.choice([0, 0, 1, 3])) for _ in range(n)]
-            path = [(v, v + 1, rng.uniform(0.3, 0.95)) for v in range(n - 1)]
-            g = ProbabilisticGraph.build(n, path + [(0, n - 1, 0.5)], weights=weights)
-            tree = new_ftree(0)
-            for u, v, _ in path:
-                tree.insert_edge(g, (u, v), CFG)
-            tree.expected_flow(g)
-            _, comp, _ = tree._plan_cycle(0, n - 1, (0, n - 1))
-            members = sorted((tree._kept.rank[x], x) for x in comp.members)
-            for _ in range(5):
-                rows = {v: [sorted(rng.random() for _ in range(3))] * len(sizes) for v in range(1, n)}
-                for v in range(1, n - 1):
-                    if weights[v] == 0.0:
-                        rows[v] = [sorted(rng.random() for _ in range(3)) for _ in sizes]
-                # (p, lo, hi) grids, members ascending; each sorted triple is (lo, p, hi).
-                grid = tuple(np.array([[r[c] for r in rows[v]] for v in range(1, n)]) for c in (1, 0, 2))
-                tables = [
-                    ReachTable(0, {v: (rows[v][j][1], rows[v][j][0], rows[v][j][2]) for v in rows}, worlds)
-                    for j, worlds in enumerate(sizes)
-                ]
-                rounds = [
-                    FlowEstimate(*tree._ring_flow(tree._coefficients(members, t.rows), 0), t.sample_count)
-                    for t in tables
-                ]
-                for est in rounds:
-                    for floor in (math.nextafter(est.ub, -math.inf), est.ub, math.nextafter(est.ub, math.inf)):
-                        at = reference_prune_round(rounds, floor)
-                        got = tree._pruned_round(members, 0, tables[-1], grid, floor)
-                        assert got == (None if at is None else rounds[at])
-                        judged.add(at)
-        assert judged >= {None, *range(len(sizes))}
+        assert seen == {(False, True), (True, True), (False, False), (True, False)}
+        # ``_prunes`` trusts no estimate of fewer than ``CI_MIN_SAMPLES``
+        # worlds: the top floor leaves a drawn table of 29 worlds unpruned,
+        # and prunes one of 30.
+        for samples in (CI_MIN_SAMPLES - 1, CI_MIN_SAMPLES):
+            cfg = replace(CFG, samples=samples)
+            g, tree = long_ring_tree(cfg, use_memo)
+            est, _, pruned = tree.probe_edge(g, TestRefreshFloor.EDGE, TOP_FLOOR)
+            assert not IncrementalComponentSampler(g, tree._rings[TestRefreshFloor.EDGE].comp, cfg).exact
+            assert est.samples_used == samples and pruned == (samples >= CI_MIN_SAMPLES)
 
 
 def cycle_graph(probs):

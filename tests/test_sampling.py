@@ -378,7 +378,7 @@ class TestMcComponentReach:
 
         def drawn(graph, cfg):
             sampler = IncrementalComponentSampler(graph, ring, cfg)
-            table, _ = sampler.build()
+            table = sampler.build()
             assert not sampler.exact and table.sample_count == cfg.samples
             return table
 
@@ -431,7 +431,7 @@ class TestConfidenceInterval:
                 assert [type(x) for x in (p, lo, hi)] == [float] * 3
                 assert p == counts[v] / n
                 assert (lo.hex(), hi.hex()) == (float(want_lo).hex(), float(want_hi).hex())
-            assert sampler.build()[0] == table
+            assert sampler.build() == table
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -275,11 +275,36 @@ class TestCiVariant:
         sol_ft = greedy_select(g, 0, scfg("ft", 11, seed=7))
         assert sol_ci.selected == sol_ft.selected
 
+    @pytest.mark.parametrize("samples", [20, 29, 30, 31, 150, 1000])
+    def test_pruning_changes_no_selection(self, samples):
+        # A probe's estimate does not depend on its floor, and a pruned
+        # candidate's ub is below some candidate's lb, so it could not be
+        # the argmax; ``_ds`` reads the same estimate, pruned or not.  So on
+        # random graphs ``ft_m_ci``'s trace equals ``ft_m``'s, and
+        # ``ft_m_ci_ds``'s equals ``ft_m_ds``'s, in every field but
+        # ``candidates_pruned``, bit for bit.  Some probes are pruned (none
+        # below ``CI_MIN_SAMPLES`` worlds, where no drawn table is judged).
+        def unpruned(sol):
+            return sol.selected, [dataclasses.replace(r, candidates_pruned=0) for r in sol.trace]
+
+        rng = random.Random(4100 + samples)
+        pruned = 0
+        for trial in range(10):
+            n = rng.randint(12, 30)
+            g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
+            for plain, checked in (("ft_m", "ft_m_ci"), ("ft_m_ds", "ft_m_ci_ds")):
+                cfg = scfg(plain, 20, seed=trial, samples=samples)
+                sol = greedy_select(g, 0, cfg)
+                sol_ci = greedy_select(g, 0, dataclasses.replace(cfg, variant=checked))
+                assert unpruned(sol_ci) == unpruned(sol)
+                pruned += sum(r.candidates_pruned for r in sol_ci.trace)
+        assert pruned > 0
+
     def test_each_sampled_state_is_evaluated_once(self, monkeypatch):
-        # Interval-checked probes score their rounds from the live tree's
-        # masses and evaluate no tree; the live tree is evaluated once per
-        # state its commits leave, and a call answered from its kept
-        # evaluation evaluates nothing.
+        # Interval-checked probes score their full tables from the live
+        # tree's masses and evaluate no tree, pruned or not; the live tree
+        # is evaluated once per state its commits leave, and a call answered
+        # from its kept evaluation evaluates nothing.
         evaluated = []
         original = FTree._evaluate
 
@@ -291,21 +316,32 @@ class TestCiVariant:
             evaluated.append((tree, counts))
             return original(tree, graph)
 
-        rounds = []
+        built = []
         build = IncrementalComponentSampler.build
 
-        def counting_build(sampler, sizes=()):
-            rounds.append(len(sizes))
-            return build(sampler, sizes)
+        def counting_build(sampler):
+            built.append(sampler.exact)
+            return build(sampler)
+
+        judged = 0
+        probe = FTree.probe_edge
+
+        def floored_probe(tree, graph, edge, floor=None):
+            nonlocal judged
+            before = len(built)
+            out = probe(tree, graph, edge, floor)
+            judged += floor is not None and len(built) > before
+            return out
 
         monkeypatch.setattr(FTree, "_evaluate", recording)
         monkeypatch.setattr(IncrementalComponentSampler, "build", counting_build)
+        monkeypatch.setattr(FTree, "probe_edge", floored_probe)
         # Two 9-edge rings: 2^9 worlds exceed 400 samples, so every table
-        # is drawn and, given a floor, judged in rounds.
+        # is drawn and, given a floor, judged once it is built.
         g = ring_chain_graph(2, ring=9)
         for seed in range(4):
             greedy_select(g, 0, scfg("ft_m_ci", 20, seed=seed, samples=400))
-        assert max(rounds) > 1  # batched rounds ran
+        assert built and not any(built) and judged > 0  # drawn tables were judged against floors
         assert {n for _, counts in evaluated for _, n in counts} == {400}
         assert len(evaluated) == len({(id(tree), counts) for tree, counts in evaluated})
 
@@ -946,29 +982,29 @@ class TestSeededSolutions:
         }
         assert digests == PINNED_TRACES[family]
 
-    def test_pruned_rounds_match_their_digest(self, monkeypatch):
-        # The runs above prune no drawn table.  Here ``ft_m_ci`` sends tables
-        # past the certificate and prunes some at rounds of 100 to 1000
-        # worlds, so the judge's round path (``FTree._pruned_round``) is
-        # pinned end to end.
-        judge = FTree._pruned_round
+    def test_pruned_drawn_tables_match_their_digest(self, monkeypatch):
+        # The runs above prune no drawn table.  Here ``ft_m_ci`` prunes
+        # drawn tables of 1000 worlds, each judged once it is built, so the
+        # full-table prune path is pinned end to end.
+        probe = FTree.probe_edge
         found = []
 
-        def counted(self, *args):
-            found.append(judge(self, *args))
-            return found[-1]
+        def recording(tree, graph, edge, floor=None):
+            out = probe(tree, graph, edge, floor)
+            found.append((out[2], tree._rings[edge].scored[0].sample_count))
+            return out
 
-        monkeypatch.setattr(FTree, "_pruned_round", counted)
+        monkeypatch.setattr(FTree, "probe_edge", recording)
         g = netgen.gen_partitioned(60, 6, 2)
         digests = {
             variant: trace_digest(run_strategy(g, 0, scfg(variant, 15, seed=7, samples=1000)))
             for variant in ("ft_m_ci", "ft_m_ci_ds")
         }
         assert digests == {
-            "ft_m_ci": "16fa9a1479375c407711bd0dc2bc896b8d75ceb83e0dbae0d35920322b637815",
+            "ft_m_ci": "9931c95710e38317c564466b6a14305b22a1c2649c8a8368fd6e65f9944994c4",
             "ft_m_ci_ds": "1c327bec3e973406387d1fe16ad3d721712ab70a3eb9aa51d9cc1f1cf0647232",
         }
-        assert any(est is not None for est in found)
+        assert (True, 1000) in found
 
 
 def run_within_budget(g, variant, k):

@@ -31,7 +31,7 @@ from probflow import (
     mc_expected_flow,
 )
 from probflow.ftree import IncrementalComponentSampler
-from probflow.sampling import CI_BATCH, CI_MIN_SAMPLES, _reach_bitsets
+from probflow.sampling import CI_MIN_SAMPLES, _reach_bitsets, confidence_interval
 
 
 @dataclass(frozen=True)
@@ -421,11 +421,14 @@ def drawn_table(sampler, n: int) -> ReachTable:
     """The reach table of the first ``n`` store worlds that the component
     sampler ``sampler`` propagates, enumerable or not: its edges' worlds
     from the store, cut to the first n, propagated on their own
-    (``_reach_bitsets``) and counted (``rows``)."""
+    (``_reach_bitsets``) and counted, each member's row its success
+    proportion and ``confidence_interval`` of its count."""
     live = [bits & ((1 << n) - 1) for bits in sampler._store.live(sampler._graph_edges)]
     reach = _reach_bitsets(live, sampler._edges, len(sampler._verts), sampler._source, n)
-    p, lo, hi = (a[:, 0].tolist() for a in sampler.rows(reach, [n]))
-    return ReachTable(sampler.articulation, dict(zip(sampler._members, zip(p, lo, hi))), n)
+    counts = np.array([r.bit_count() for r, v in zip(reach, sampler._verts) if v != sampler.articulation])
+    lo, hi = confidence_interval(counts, n, sampler.cfg.alpha)
+    rows = zip((counts / n).tolist(), lo.tolist(), hi.tolist())
+    return ReachTable(sampler.articulation, dict(zip(sampler._members, rows)), n)
 
 
 def replay_tree(
@@ -441,64 +444,49 @@ def replay_tree(
 
 
 # ----------------------------------------------------------------------
-# Reference interval checks: every round of a probe scored on its own,
+# Reference interval checks: a probe's full drawn table scored on its own,
 # and the running best lower bound of a scan over every candidate.  The
-# library settles most rounds of a table with one bound, stops at the first
-# pruned round and keeps the best leaf's lb term, not its estimate, and
-# must agree with these bit for bit.
+# library scores kept coefficients and keeps the best leaf's lb term, not
+# its estimate, and must agree with these bit for bit.
 # ----------------------------------------------------------------------
 
 # The largest and the smallest floor a probe takes (``FTree.probe_edge``
 # refuses one that is not finite).  Every estimate's ub is below the top
-# floor, so it prunes a drawn table at its first round and an exact one at
-# its one estimate; no estimate's ub is below the larger of the bottom
-# floor and its own lb, so that one prunes nothing.
+# floor, so it prunes every table a probe builds, drawn or exact, once the
+# estimate has ``CI_MIN_SAMPLES`` worlds; no estimate's ub is below the
+# larger of the bottom floor and its own lb, so that one prunes nothing.
 TOP_FLOOR = sys.float_info.max
 BOTTOM_FLOOR = -sys.float_info.max
 
 
-def round_sizes(samples: int) -> list[int]:
-    """The world counts a drawn table of ``samples`` worlds is judged at:
-    ``CI_BATCH``, 2·``CI_BATCH``, ... below ``samples``, then ``samples``."""
-    return [*range(CI_BATCH, samples, CI_BATCH), samples]
-
-
-def reference_round_estimates(
+def reference_ring_estimate(
     tree: FTree, graph: ProbabilisticGraph, e: Edge, cfg: SamplerConfig
-) -> list[FlowEstimate] | None:
-    """The estimate a cycle probe of ``e`` gives at each round of its
-    ring's drawn table (``round_sizes``), each round's rows taken as one
-    table and scored on its own through ``FTree._coefficients`` and
-    ``FTree._ring_flow``, over the worlds ``FTree._ring_samples`` counts;
-    None for a ring whose table is exact.  The ring is planned and drawn
-    afresh, from a new sampler; ``tree`` is evaluated if it is not."""
+) -> FlowEstimate | None:
+    """The estimate a cycle probe of ``e`` gives from its ring's full
+    drawn table (``drawn_table`` of all ``cfg.samples`` worlds), scored
+    through ``FTree._coefficients`` and ``FTree._ring_flow``, over the
+    worlds ``FTree._ring_samples`` counts; None for a ring whose table is
+    exact.  The ring is planned afresh and its table drawn from a new
+    sampler; ``tree`` is evaluated if it is not."""
     tree.expected_flow(graph)
     _, comp, _ = tree._plan_cycle(*e, e)
     members = sorted((tree._kept.rank[x], x) for x in comp.members)
     sampler = IncrementalComponentSampler(graph, comp, cfg)
     if sampler.exact:
         return None
-    sizes = round_sizes(cfg.samples)
-    p, lo, hi = sampler.rows(sampler.draw(cfg.samples), sizes)
-    out = []
-    for j, n in enumerate(sizes):
-        rows = {v: (p[k, j].item(), lo[k, j].item(), hi[k, j].item()) for k, v in enumerate(sampler._members)}
-        flow = tree._ring_flow(tree._coefficients(members, rows), comp.articulation)
-        out.append(FlowEstimate(*flow, tree._ring_samples(members, n)))
-    return out
+    table = drawn_table(sampler, cfg.samples)
+    flow = tree._ring_flow(tree._coefficients(members, table.rows), comp.articulation)
+    return FlowEstimate(*flow, tree._ring_samples(members, cfg.samples))
 
 
-def reference_prune_round(estimates: Sequence[FlowEstimate], floor: float | None) -> int | None:
-    """The index of the first of ``estimates`` that ``ci_prune`` drops
-    beside a candidate whose lower bound is ``floor`` (with enough worlds
-    to count), or None: none is, or there is no floor."""
+def reference_pruned(est: FlowEstimate, floor: float | None) -> bool:
+    """Whether ``ci_prune`` drops a candidate estimated at ``est`` beside
+    one whose lower bound is ``floor`` (with enough worlds to count); never
+    with no floor."""
     if floor is None:
-        return None
+        return False
     best = ((-1, -1), FlowEstimate(floor, floor, floor, CI_MIN_SAMPLES))
-    for j, est in enumerate(estimates):
-        if (0, 0) not in ci_prune([best, ((0, 0), est)]):
-            return j
-    return None
+    return (0, 0) not in ci_prune([best, ((0, 0), est)])
 
 
 def reference_probe_with_ci(

@@ -1,7 +1,9 @@
-"""Wall time and peak memory of the world kernels and of selection at scale.
+"""Wall time, CPU time and peak memory of the world kernels and of
+selection at scale.
 
-Each kernel runs once in a fresh Python process, so that one's peak cannot
-hide another's:
+Each kernel runs ``REPEATS`` times, each time in a fresh Python process, so
+that one's peak cannot hide another's and one run's host noise cannot pass
+for a change:
 
 - ``mc_expected_flow`` on the whole
   ``assign_distance_decay(gen_wsn(500, 0.08, 1), lam=0.001, scale=10000)``
@@ -26,12 +28,16 @@ hide another's:
   structural upkeep alone.  The per-case counts show at scale whether a
   structural change keeps every insert's case.
 
-Each line gives the kernel call's wall seconds (imports and graph
-construction not included), the process's maximum resident set size
-(``ru_maxrss``, which includes the interpreter and numpy) and the value
-computed: a flow, a selection's last recorded flow, or the dump loop's
-counts.  A selection at scale also gives the number of edges its tree's
-world store drew, each once, as ``(flow, edges drawn)``.  The library and the tests' helpers are imported from this
+Each line gives the kernel call's wall seconds and CPU seconds
+(``time.process_time``; imports and graph construction not included), each
+as the median over the repeats with its min-max range, the largest maximum
+resident set size of the repeats (``ru_maxrss``, which includes the
+interpreter and numpy) and the value computed: a flow, a selection's last
+recorded flow, or the dump loop's counts.  Every repeat must compute the
+same value; a value that differs between repeats is printed as
+``DIFFERS:`` followed by each repeat's.  A selection at scale also gives
+the number of edges its tree's world store drew, each once, as ``(flow,
+edges drawn)``.  The library and the tests' helpers are imported from this
 checkout.
 
 Run from the repository root:
@@ -42,11 +48,16 @@ Run from the repository root:
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Fresh processes per kernel; the median of five resolves a few percent
+# where a single run at scale can differ by a third between runs.
+REPEATS = 5
 
 # A selection's kernel: its last recorded flow and the edges its tree's
 # world store drew (the stores built during the run, each edge once).
@@ -99,24 +110,37 @@ from probflow import (
 from probflow.sampling import WorldStore
 from util import twenty_edge_graph
 {setup}
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 value = run()
-wall = time.perf_counter() - start
-print(wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, repr(value))
+wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+print(wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, repr(value))
 """
+
+
+def spread(values: list[float]) -> str:
+    """The median of ``values`` and their min-max range, in seconds."""
+    return f"{statistics.median(values):.3f} [{min(values):.3f}-{max(values):.3f}]"
 
 
 def main() -> int:
     paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    print(f"{'kernel':<52}{'wall s':>8}{'max RSS MB':>12}  value")
+    print(f"{'kernel':<52}{'wall s median [min-max]':>26}{'cpu s median [min-max]':>26}"
+          f"{'max RSS MB':>12}  value")
     for name, setup in KERNELS.items():
-        out = subprocess.run(
-            [sys.executable, "-c", CHILD.format(setup=setup)],
-            env=env, stdout=subprocess.PIPE, text=True, check=True,
-        ).stdout
-        wall, rss_kb, value = out.split(maxsplit=2)
-        print(f"{name:<52}{float(wall):>8.3f}{int(rss_kb) / 1024:>12.1f}  {value.strip()}")
+        walls, cpus, rss, values = [], [], [], []
+        for _ in range(REPEATS):
+            out = subprocess.run(
+                [sys.executable, "-c", CHILD.format(setup=setup)],
+                env=env, stdout=subprocess.PIPE, text=True, check=True,
+            ).stdout
+            wall, cpu, rss_kb, value = out.split(maxsplit=3)
+            walls.append(float(wall))
+            cpus.append(float(cpu))
+            rss.append(int(rss_kb))
+            values.append(value.strip())
+        shown = values[0] if len(set(values)) == 1 else "DIFFERS: " + " | ".join(values)
+        print(f"{name:<52}{spread(walls):>26}{spread(cpus):>26}{max(rss) / 1024:>12.1f}  {shown}")
     return 0
 
 
