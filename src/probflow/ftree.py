@@ -78,11 +78,9 @@ from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 import numpy as np
 
 from .graphs import (
-    Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_finite, check_integer,
-    check_vertex,
+    Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_integer, check_vertex,
 )
 from .sampling import (
-    CI_MIN_SAMPLES,
     EXACT_SAMPLES,
     FlowEstimate,
     ReachTable,
@@ -153,14 +151,6 @@ class InsertReport:
 # ring's coefficients (``FTree._coefficients``).
 _Parts = list[int]
 _Coeffs = list[tuple[int, float, float, float]]
-
-
-def _prunes(est: FlowEstimate, floor: float) -> bool:
-    """Whether ``selection.ci_prune`` drops a candidate estimated at
-    ``est`` beside one whose lower bound is ``floor``: ``est`` has at least
-    ``CI_MIN_SAMPLES`` worlds and its ub is below the larger of the floor
-    and its own lb."""
-    return est.samples_used >= CI_MIN_SAMPLES and est.ub < max(floor, est.lb)
 
 
 @dataclass
@@ -333,11 +323,9 @@ class FTree:
     only inserted into and dumped never samples.  Drawn tables read the
     tree's world store, made at the first table that needs it: each edge's
     worlds are drawn once per tree, so building a ring's table is only a
-    propagation.  A memo tree (``memo``:
-    the ``_m`` variants) also keeps in each probed ring the full table its
-    probes read, with the table's coefficients.  Interval-checked callers
-    probe each cycle candidate against the best lower bound they have seen
-    (``probe_edge``'s ``floor``).
+    propagation.  A memo tree (``memo``: the ``_m`` variants) also keeps
+    in each probed ring the full table its probes read, with the table's
+    coefficients.
     """
 
     def __init__(self, q: int, memo: bool = False):
@@ -895,16 +883,16 @@ class FTree:
         return min([n] + [c.reach.sample_count for c in bis if c.members.isdisjoint(inside)])
 
     def probe_edge(
-        self, graph: ProbabilisticGraph, edge: tuple[int, int], floor: Optional[float] = None
-    ) -> tuple[FlowEstimate, InsertReport, bool]:
+        self, graph: ProbabilisticGraph, edge: tuple[int, int]
+    ) -> tuple[FlowEstimate, InsertReport]:
         """Flow and insert report of a hypothetical cycle-closing insertion,
-        and whether ``floor`` pruned it, leaving this tree, its tables and
-        its evaluation untouched (a tree with no kept evaluation is
-        evaluated first); only the tree's world store may gain the ring's
-        edges it had not drawn yet, whose bits no order of asking changes.
-        Both endpoints must be attached, so an insert has given the tree
-        its config, which the probe samples under: a leaf edge raises
-        FTreeError, as ``leaf_terms`` scores leaves.
+        leaving this tree, its tables and its evaluation untouched (a tree
+        with no kept evaluation is evaluated first); only the tree's world
+        store may gain the ring's edges it had not drawn yet, whose bits no
+        order of asking changes.  Both endpoints must be attached, so an
+        insert has given the tree its config, which the probe samples
+        under: a leaf edge raises FTreeError, as ``leaf_terms`` scores
+        leaves.
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
@@ -912,17 +900,6 @@ class FTree:
         ring keeps one, or else from the ring's sampler, which builds the
         full table, exact or drawn (``IncrementalComponentSampler.build``).
         A commit of a probed edge adopts the table its ring holds.
-
-        ``floor`` is the best lower bound the caller has seen, or None; a
-        floor that is not a finite real number raises ValueError naming
-        it.  The probe that builds a table judges its one estimate against
-        the floor (``_prunes``): the ring is pruned if the estimate has at
-        least ``CI_MIN_SAMPLES`` worlds and an ub below the larger of the
-        floor and its own lb.  The estimate is returned either way, and a
-        memo tree's ring keeps the table, pruned or not.  A table is
-        complete before it is judged, so a prune saves no work, and the
-        estimate does not depend on the floor.  A table a memo tree's ring
-        already keeps is never pruned.
 
         Every tree keeps each cycle candidate it probes (``_Ring``), keyed
         by its edge, until its edge is committed, so a re-probe or a commit
@@ -938,8 +915,6 @@ class FTree:
         A re-probe returns what a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
-        if floor is not None:
-            check_finite("floor", floor)
         e, _, att_u, att_v = self._insertable(graph, edge)
         if not (att_u and att_v):
             raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
@@ -955,18 +930,17 @@ class FTree:
             else:
                 members = sorted((kept.rank[x], x) for x in comp.members)
                 ring = self._rings[e] = _Ring(members, comp, report, parts)
-        members, report, scored = ring.members, ring.report, ring.scored
-        check = None  # the floor a table built here is judged against
+        scored = ring.scored
         if scored is None:
             ring.sampler = ring.sampler or self._sampler(ring.comp)
             table = ring.sampler.build()
-            scored, check = (table, self._coefficients(members, table.rows)), floor
+            scored = (table, self._coefficients(ring.members, table.rows))
             if self.memo:
                 ring.scored, ring.sampler = scored, None  # no memoized probe builds again
         table, coeffs = scored
         flow = self._ring_flow(coeffs, ring.comp.articulation)
-        est = FlowEstimate(*flow, self._ring_samples(members, table.sample_count))
-        return est, report, check is not None and _prunes(est, check)
+        samples = self._ring_samples(ring.members, table.sample_count)
+        return FlowEstimate(*flow, samples), ring.report
 
     # ------------------------------------------------------------------
     # diagnostics

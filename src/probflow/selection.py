@@ -152,19 +152,17 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), whose
     probed rings keep their reach tables across probes and across the
     commits that leave a ring's component unchanged, and whose commit
-    adopts its probe's table; ``_ci`` probes each cycle candidate
-    against the best lower bound before it, leaf or cycle, which one walk
-    over the candidates gives (``_probe_with_ci``), so that one an
-    interval shows dominated is pruned; ``_ds`` suspends low-potential
-    expensive candidates.  A leaf samples nothing, so it is never pruned
-    or suspended.
+    adopts its probe's table; ``_ci`` prunes the cycle candidates that
+    ``ci_prune`` drops beside the others and the best leaf
+    (``_probe_with_ci``); ``_ds`` suspends low-potential expensive
+    candidates.  A leaf samples nothing, so it is never pruned or
+    suspended.
 
-    A probe's estimate does not depend on its floor: the full table is
-    built and then judged.  A pruned candidate's ub is below some
-    candidate's lb, so below that candidate's mean, and it could not have
-    been the argmax; ``_ds`` reads the same estimate, pruned or not.  So
-    ``ft_m_ci`` selects exactly ``ft_m``'s edges with ``ft_m``'s flows, and
-    ``ft_m_ci_ds`` exactly ``ft_m_ds``'s; only the prune counts differ.
+    A pruned candidate's ub is below some candidate's lb, so below that
+    candidate's mean, and it could not have been the argmax; ``_ds`` reads
+    the same estimate, pruned or not.  So ``ft_m_ci`` selects exactly
+    ``ft_m``'s edges with ``ft_m``'s flows, and ``ft_m_ci_ds`` exactly
+    ``ft_m_ds``'s; only the prune counts differ.
     """
     q = check_vertex(graph, q)
     use_ci = "_ci" in cfg.variant
@@ -192,17 +190,17 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
 
         # Leaves are never suspended, so every one is eligible.
         base, terms = tree.leaf_terms(graph)
+        leaf = tree.best_leaf(graph)
+        leaves = [] if leaf is None else [(leaf, tree.leaf_estimate(base, terms[leaf]))]
         cycles = [e for e in tree.cycle_candidates(graph) if e not in delays]
         if use_ci:
-            probes, pruned = _probe_with_ci(tree, graph, cycles, base, cfg)
+            probes, pruned = _probe_with_ci(tree, graph, cycles, leaves)
         else:
-            probes = {e: tree.probe_edge(graph, e)[:2] for e in cycles}
+            probes = {e: tree.probe_edge(graph, e) for e in cycles}
             pruned = set()
 
         ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
-        leaf = tree.best_leaf(graph)
-        if leaf is not None:
-            ranked.append((-(base.mean + terms[leaf][0]), leaf))
+        ranked += [(-est.mean, e) for e, est in leaves]
         _, best = min(ranked)
         report = tree.insert_edge(graph, best, cfg.sampler)
         best_est = tree.expected_flow(graph)
@@ -237,55 +235,19 @@ def _probe_with_ci(
     tree: FTree,
     graph: ProbabilisticGraph,
     cycles: Sequence[Edge],
-    base: FlowEstimate,
-    cfg: StrategyConfig,
+    leaves: list[tuple[Edge, FlowEstimate]],
 ) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
-    """Probe the cycle candidates ``cycles`` (the eligible ones, in
-    canonical order) with ``FTree.probe_edge``, each against the best
-    lower bound of the candidates before it among the leaves and
-    ``cycles``: the prune ``ci_prune`` would make beside the best
-    candidate so far.
-
-    One walk over the tree's candidates (``FTree.candidates``) in
-    canonical order gives each bound.  A leaf raises the best leaf lb
-    term t so far (``FTree.leaf_terms``, whose estimate is ``base``); a
-    suspended cycle candidate is passed over; the next of ``cycles`` is
-    probed against the larger of ``base.lb + t`` and the best cycle lb so
-    far.  ``lb + t`` rounds monotonically in t, so that is the best leaf
-    lb bit for bit.  Only estimates with at least ``CI_MIN_SAMPLES``
-    worlds count toward the bound: a leaf's has ``base``'s worlds, and a
-    pruned candidate's does not count.  A candidate with no bound before
-    it is probed unchecked.  A pruned candidate keeps its full estimate.
-    Returns the cycle probes' estimates and reports, and the pruned
-    candidates.
+    """Probe the cycle candidates ``cycles`` (the eligible ones) with
+    ``FTree.probe_edge`` and prune with one ``ci_prune`` over their
+    estimates and ``leaves`` (the best leaf's, if any).  Returns the cycle
+    probes' estimates and reports, and the cycle candidates ``ci_prune``
+    drops; a leaf is never pruned.  Every table is built before it is
+    judged, so a prune skips no work, and the pruned set depends on the
+    iteration's estimates alone, not on probe order or memo state.
     """
-    _, terms = tree.leaf_terms(graph)
-    leaves = terms if base.samples_used >= CI_MIN_SAMPLES else {}
-    top: Optional[float] = None  # the best leaf lb term so far
-    best: Optional[float] = None  # the best confirmed cycle lb so far
-    probes: dict[Edge, tuple[FlowEstimate, InsertReport]] = {}
-    pruned: set[Edge] = set()
-    todo = iter(cycles)
-    nxt = next(todo, None)
-    for e in tree.candidates(graph):
-        if nxt is None:
-            break
-        if e != nxt:
-            t = leaves.get(e)  # None for a suspended cycle candidate
-            if t is not None and (top is None or t[1] > top):
-                top = t[1]
-            continue
-        floor = None if top is None else base.lb + top
-        if best is not None and (floor is None or best > floor):
-            floor = best
-        est, report, cut = tree.probe_edge(graph, e, floor)
-        if cut:
-            pruned.add(e)
-        elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best):
-            best = est.lb
-        probes[e] = (est, report)
-        nxt = next(todo, None)
-    return probes, pruned
+    probes = {e: tree.probe_edge(graph, e) for e in cycles}
+    kept = ci_prune([(e, est) for e, (est, _) in probes.items()] + leaves)
+    return probes, {e for e in probes if e not in kept}
 
 
 def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:

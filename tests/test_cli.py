@@ -671,7 +671,7 @@ class TestPinnedBytes:
     # of every variant on each instance, and the default-order dump of the
     # erdos instance.  A change that keeps results bit-identical leaves it
     # as it is; one that changes results re-pins it and says why.
-    DIGEST = "8c0c12edcb35208f8f8d1c56718d2c9ecb512d1186ca1da0a91da871c9fd4119"
+    DIGEST = "ac2ddf952197aea39131d45a9f4dce0afca02242152492e7e86a2fa299ae92cc"
 
     INSTANCES = (
         ("er", ["erdos", "--n", "60", "--deg", "6"]),

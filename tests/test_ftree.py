@@ -32,11 +32,8 @@ from probflow import (
     selection,
 )
 from probflow.ftree import FTree, IncrementalComponentSampler, MemoStore
-from probflow.sampling import CI_MIN_SAMPLES
 from util import (
     BASE_ORDER,
-    BOTTOM_FLOOR,
-    TOP_FLOOR,
     WALKTHROUGH_EDGES,
     comp_key,
     drawn_table,
@@ -45,7 +42,6 @@ from util import (
     long_ring_graph,
     random_connected_graph,
     random_tree,
-    reference_pruned,
     reference_ring_estimate,
     replay_tree,
     ring_chain_graph,
@@ -62,24 +58,6 @@ def build_base_tree(graph, cfg=CFG, memo=False):
         tree.insert_edge(graph, e, cfg)
     tree.expected_flow(graph)
     return tree
-
-
-def long_ring_tree(cfg=CFG, memo=False):
-    """An 11-edge cycle 0-1-...-10-0 through the query vertex with a tail
-    5-11-12, all inserted and evaluated, in a memo tree if ``memo``.  2^11 worlds exceed
-    ``CFG``'s 2000 samples, so the cycle's table is drawn; the edge (8, 12)
-    closes a 14-edge ring around it (case IV), also drawn."""
-    cycle = [(i, (i + 1) % 11, 0.5 + 0.04 * i) for i in range(11)]
-    g = ProbabilisticGraph.build(
-        13, cycle + [(5, 11, 0.8), (11, 12, 0.7), (8, 12, 0.6)],
-        weights=[float(v % 5) for v in range(13)],
-    )
-    tree = new_ftree(0, memo)
-    for e in insertable_order(g):
-        if e != (8, 12):
-            tree.insert_edge(g, e, cfg)
-    tree.expected_flow(g)
-    return g, tree
 
 
 def count_builds(monkeypatch):
@@ -483,8 +461,7 @@ class TestProbe:
         # what the probe reported.
         g = running_example_graph()
         tree = build_base_tree(g)
-        est, report, pruned = tree.probe_edge(g, (14, 15))
-        assert not pruned
+        est, report = tree.probe_edge(g, (14, 15))
         assert tree.insert_edge(g, (14, 15), CFG) == report
         assert_close(est, tree.expected_flow(g))
 
@@ -498,15 +475,14 @@ class TestProbe:
         assert tree.expected_flow(g) == before_est
 
     def test_probes_of_every_candidate_do_not_mutate(self):
-        # Each probe, plain and floor-checked, leaves the tree's structure,
-        # tables and evaluation exactly as they were.  A leaf probe raises:
+        # Each probe, first or repeated, leaves the tree's structure, tables
+        # and evaluation exactly as they were.  A leaf probe raises:
         # ``leaf_terms`` scores leaves, and test_frontier_matches_full_evaluations
         # checks them against grown copies.  A cycle probe
         # agrees with an insert into a copy up to rounding and reports what
-        # that insert reports, and the top floor (``TOP_FLOOR``) prunes it
-        # and returns its full estimate, the plain probe's.  Every bi
-        # component has at least 9 edges (``long_ring_graph``), so every
-        # table is drawn (2^9 > 300).
+        # that insert reports, and a repeated probe returns what the first
+        # returned.  Every bi component has at least 9 edges
+        # (``long_ring_graph``), so every table is drawn (2^9 > 300).
         rng = random.Random(2024)
         cfg = SamplerConfig(samples=300, master_seed=12)
         cases = set()
@@ -524,44 +500,17 @@ class TestProbe:
                         tree.probe_edge(g, e)
                     cases.add(tree.copy().insert_edge(g, e, cfg).case_taken)
                     continue
-                stopped, stopped_report, pruned = tree.probe_edge(g, e, TOP_FLOOR)
+                first = tree.probe_edge(g, e)
                 probe = tree.copy()
                 report = probe.insert_edge(g, e, cfg)
-                est, probe_report, _ = tree.probe_edge(g, e)
-                assert report == probe_report == stopped_report
+                est, probe_report = tree.probe_edge(g, e)
+                assert report == probe_report
                 assert_close(est, probe.expected_flow(g))
                 assert est.samples_used == cfg.samples
-                assert pruned and stopped == est
+                assert first == (est, probe_report)
                 cases.add(report.case_taken)
             assert snapshot(tree, g) == before
         assert {"IIa", "IIb", "IIIa", "IIIb", "IVb"} <= cases
-
-    @pytest.mark.parametrize(
-        "floor", [math.nan, math.inf, -math.inf, "3", [1.0]],
-        ids=["nan", "inf", "-inf", "text", "list"],
-    )
-    def test_floor_must_be_a_finite_real_number(self, floor):
-        # On gen_partitioned(40, 8, 1) with 14 edges inserted, (1, 38)
-        # closes a drawn IVb ring.  A NaN floor would prune nothing, and
-        # text would fail a comparison: a floor that is not a finite real
-        # number raises ValueError naming it and changes nothing.  The
-        # finite floor 1e9 prunes the ring, and the pruned probe returns the
-        # plain probe's estimate, over all 300 worlds.
-        g = netgen.gen_partitioned(40, 8, 1)
-        cfg = SamplerConfig(samples=300, master_seed=3)
-        tree = new_ftree(0)
-        for e in insertable_order(g)[:14]:
-            tree.insert_edge(g, e, cfg)
-        edge = (1, 38)
-        est, report, _ = tree.probe_edge(g, edge)
-        assert report.case_taken == "IVb" and not tree._rings[edge].sampler.exact
-        before = snapshot(tree, g)
-        with pytest.raises(ValueError, match="^floor must be"):
-            tree.probe_edge(g, edge, floor)
-        assert snapshot(tree, g) == before
-        assert tree.probe_edge(g, edge) == (est, report, False)
-        stopped, _, pruned = tree.probe_edge(g, edge, 1e9)
-        assert pruned and stopped == est and est.samples_used == cfg.samples
 
     def test_kept_probes_match_fresh_probes(self):
         self.check_kept_probes_match_fresh_probes(use_memo=True)
@@ -571,26 +520,21 @@ class TestProbe:
 
     @staticmethod
     def check_kept_probes_match_fresh_probes(use_memo):
-        # Before every commit each cycle candidate is probed plain and
-        # floor-checked, on the tree (which keeps cycle probes and scores
-        # them again over the current masses) and on a fresh copy of a twin
-        # tree fed the same inserts and no probes.  Estimates, reports and
-        # prunes agree bit for bit.  The floor is, in turn, the plain
-        # probe's mean or ub, or the top floor.  A memo tree's floor-checked probe
-        # follows its plain one, so its kept table is never pruned and it
-        # gives the plain estimate, which the copy's plain probe gives.
+        # Before every commit each cycle candidate is probed twice, on the
+        # tree (which keeps cycle probes and scores them again over the
+        # current masses) and on a fresh copy of a twin tree fed the same
+        # inserts and no probes.  Estimates and reports agree bit for bit.
         # After every probe a memo tree's ring holds the table the copy's
         # fresh ring holds.  Each leaf's estimate from ``leaf_terms`` agrees
         # too.  Every commit, which on the tree applies its probe's ring (and
         # in a memo tree adopts its table) and drops it, reports and
         # evaluates as the twin's unprobed commit does.
         # Without a memo each candidate is probed twice more, so a drawn
-        # ring's kept sampler builds its table again many times, pruned or
-        # not.
+        # ring's kept sampler builds its table again many times.
         rng = random.Random(77)
         cfg = SamplerConfig(samples=300, master_seed=9)
-        checks = ("plain", "floor") if use_memo else ("plain", "floor", "plain", "floor")
-        rescored = redrawn = pruned = picks = 0
+        probes = 2 if use_memo else 4
+        rescored = redrawn = 0
         for trial in range(25):
             n = rng.randint(5, 11)
             g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
@@ -606,19 +550,15 @@ class TestProbe:
                             twin_base, twin_terms[c]
                         )
                         continue
-                    picks += 1
-                    for check in checks:
+                    for probe in range(probes):
                         ring = tree._rings.get(c)
                         # Kept before the last commit, which was a leaf.
-                        rescored += check == "plain" and after_leaf and ring is not None
+                        rescored += probe % 2 == 0 and after_leaf and ring is not None
                         sampler = ring and ring.sampler  # prepared at its first build
                         redrawn += not use_memo and sampler is not None and not sampler.exact
-                        floor = None if check == "plain" else (plain.mean, plain.ub, TOP_FLOOR)[picks % 3]
-                        got = tree.probe_edge(g, c, floor)
-                        plain = got[0] if check == "plain" else plain
+                        got = tree.probe_edge(g, c)
                         copy = twin.copy()
-                        assert got == copy.probe_edge(g, c, None if use_memo else floor)
-                        pruned += got[2]
+                        assert got == copy.probe_edge(g, c)
                         if use_memo:
                             assert tree._rings[c].scored[0] == copy._rings[c].scored[0]
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
@@ -626,7 +566,7 @@ class TestProbe:
                 assert e not in tree._rings
                 assert tree.expected_flow(g) == twin.expected_flow(g)
         assert rescored > 100
-        assert use_memo or (redrawn > 100 and pruned > 100)
+        assert use_memo or redrawn > 100
 
     @pytest.mark.parametrize("use_memo", [True, False], ids=["memo", "no-memo"])
     def test_cycle_reprobe_after_leaf_commit_copies(self, monkeypatch, use_memo):
@@ -650,35 +590,34 @@ class TestProbe:
         # Random graphs in random insertion orders, no memo.  Before every
         # commit each cycle candidate is probed, and the tree keeps its plan.
         # After every leaf commit each kept candidate is probed again (after
-        # a cycle commit, see test_kept_rings_survive_untouched_commits), plain
-        # and against the top floor, which prunes it: both return what a
-        # fresh probe of a copy returns, bit for bit.  Every memo-less cycle
-        # probe, first, kept, fresh or after a pruned one, builds its table
-        # exactly once (one draw or one enumeration); a kept ring keeps no
-        # full table.  Graphs of up to 14 vertices give rings both
-        # enumerated (2^m <= 300) and drawn.
+        # a cycle commit, see test_kept_rings_survive_untouched_commits),
+        # twice: each returns what a fresh probe of a copy returns, bit for
+        # bit.  Every memo-less cycle probe, first, kept, fresh or after a
+        # re-probe, builds its table exactly once (one draw or one
+        # enumeration); a kept ring keeps no full table.  Graphs of up to
+        # 14 vertices give rings both enumerated (2^m <= 300) and drawn.
         built = count_builds(monkeypatch)
 
-        def probe(tree, c, floor=None):
+        def probe(tree, c):
             tree.expected_flow(g)  # builds the table the last cycle commit left out
             before = len(built)
-            result = tree.probe_edge(g, c, floor)
+            result = tree.probe_edge(g, c)
             assert len(built) == before + 1
             return result
 
         rng = random.Random(2718)
         cfg = SamplerConfig(samples=300, master_seed=31)
-        reprobed = after_prune = 0
+        reprobed = after_reprobe = 0
         for trial in range(25):
             n = rng.randint(6, 14)
             g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
-            tree, cut = new_ftree(0), set()  # cut: the rings pruned at their last probe
+            tree, again = new_ftree(0), set()  # again: the rings re-probed after the last commit
             for e in insertable_order(g, rng):
                 cycles = [c for c in tree.candidates(g) if tree.is_attached(c[0]) and tree.is_attached(c[1])]
                 for c in cycles:
-                    after_prune += c in cut
+                    after_reprobe += c in again
                     probe(tree, c)
-                cut.clear()
+                again.clear()
                 leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 tree.insert_edge(g, e, cfg)
                 if not leaf:
@@ -687,13 +626,11 @@ class TestProbe:
                     if c == e:
                         continue
                     assert tree._rings[c].scored is None
-                    for floor in (None, TOP_FLOOR):
-                        got = probe(tree, c, floor)
-                        assert got == probe(tree.copy(), c, floor)
-                    assert got[2]
-                    cut.add(c)
+                    for _ in range(2):
+                        assert probe(tree, c) == probe(tree.copy(), c)
+                    again.add(c)
                     reprobed += 1
-        assert reprobed > 200 and after_prune > 50
+        assert reprobed > 200 and after_reprobe > 50
         assert {"draw", "exact"} <= set(built)
 
     @pytest.mark.pinned
@@ -705,8 +642,7 @@ class TestProbe:
         # mark stale is what a fresh plan of its edge gives (members in
         # attach order, articulation, edges, report and the parts it takes),
         # and a memoized ring's kept table is the one a fresh probe builds and
-        # its coefficients are the table's over the new tree.  Its re-probe,
-        # plain and, without a memo, against the top floor, which prunes it,
+        # its coefficients are the table's over the new tree.  Its re-probe
         # equals a probe of a tree rebuilt by replaying the inserts, bit for
         # bit.  (Stale rings are
         # test_stale_rings_keep_unchanged_tables's.)
@@ -737,9 +673,7 @@ class TestProbe:
                     assert ring.report == InsertReport(case, len(comp.internal_edges))
                     assert ring.parts == parts
                     assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
-                    for floor in (None,) if use_memo else (None, TOP_FLOOR):
-                        fresh = replay.probe_edge(g, c, floor)
-                        assert tree.probe_edge(g, c, floor) == fresh
+                    assert tree.probe_edge(g, c) == replay.probe_edge(g, c)
                     if use_memo:
                         table, coeffs = ring.scored
                         assert table == replay._rings[c].scored[0]
@@ -751,22 +685,19 @@ class TestProbe:
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_stale_rings_keep_unchanged_tables(self, monkeypatch, use_memo):
         # Random graphs in random insertion orders.  Before every commit each
-        # cycle candidate is probed, plain or, twice as often, against the
-        # top floor, which prunes the ring it builds a table for.
-        # After every cycle commit each ring the commit marked stale is
-        # probed again.  A ring whose new plan keeps its component
-        # (articulation vertex and edges) stays the
-        # same ring, with the new plan's parts, prepares no sampler and
-        # builds only what a live ring's re-probe builds: nothing for a table
-        # it keeps (memo trees, exact or drawn, pruned or not), else one
-        # table from its kept sampler, pruned at its last probe or not.  A ring whose
-        # component changed is replaced and builds once.  Either way the
-        # re-probe returns what a probe of a tree rebuilt by replaying the
-        # inserts returns, bit for bit.  A kept table is never pruned, so it
-        # is compared plain, and the top floor then leaves it unpruned.
-        # Sparse graphs of up to 20 vertices, whose long mono paths a commit
-        # often splits without folding a ring that crosses them, give rings
-        # both enumerated (2^m <= 30) and drawn.
+        # cycle candidate is probed.  After every cycle commit each ring the
+        # commit marked stale is probed again.  A ring whose new plan keeps
+        # its component (articulation vertex and edges) stays the same ring,
+        # with the new plan's parts, prepares no sampler and builds only
+        # what a live ring's re-probe builds: nothing for a table it keeps
+        # (memo trees, exact or drawn), else one table from its kept
+        # sampler.  A ring whose component changed is replaced and builds
+        # once.  Either way the re-probe returns what a probe of a tree
+        # rebuilt by replaying the inserts returns, bit for bit, and a kept
+        # table's next probe returns it again.  Sparse graphs of up to 20
+        # vertices, whose long mono paths a commit often splits without
+        # folding a ring that crosses them, give rings both enumerated
+        # (2^m <= 30) and drawn.
         built, prepared = count_builds(monkeypatch), []
         init = IncrementalComponentSampler.__init__
         monkeypatch.setattr(
@@ -778,10 +709,10 @@ class TestProbe:
         for trial in range(100):
             n = rng.randint(10, 20)
             g = random_connected_graph(rng, n, rng.randint(2, n))
-            tree, inserted, cut = new_ftree(0, use_memo), [], {}
+            tree, inserted = new_ftree(0, use_memo), []
             for e in insertable_order(g, rng):
                 for c in tree.cycle_candidates(g):
-                    cut[c] = tree.probe_edge(g, c, rng.choice([None, TOP_FLOOR, TOP_FLOOR]))[2]
+                    tree.probe_edge(g, c)
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
@@ -797,16 +728,12 @@ class TestProbe:
                         comp.articulation, comp.internal_edges
                     )
                     held = ring.scored is not None
-                    if cut[c]:
-                        kind = "pruned"
-                    else:
-                        exact = ring.scored[0].sample_count == EXACT_SAMPLES if held else ring.sampler.exact
-                        kind = "exact" if exact else "drawn"
-                    floor = None if held else rng.choice([None, TOP_FLOOR])
+                    exact = ring.scored[0].sample_count == EXACT_SAMPLES if held else ring.sampler.exact
+                    kind = "exact" if exact else "drawn"
                     before, made = len(built), len(prepared)
-                    got = tree.probe_edge(g, c, floor)
+                    got = tree.probe_edge(g, c)
                     builds, samplers = len(built) - before, len(prepared) - made
-                    assert got == replay.probe_edge(g, c, floor)
+                    assert got == replay.probe_edge(g, c)
                     assert (tree._rings[c] is ring) == same
                     if same:
                         assert ring.parts == parts and samplers == 0
@@ -814,9 +741,9 @@ class TestProbe:
                     else:
                         assert builds == samplers == 1
                     if held:
-                        assert tree.probe_edge(g, c, TOP_FLOOR) == got and not got[2]
+                        assert tree.probe_edge(g, c) == got
                     seen[same, kind] = seen.get((same, kind), 0) + 1
-        assert all(seen.get((True, kind), 0) > 5 for kind in ("exact", "drawn", "pruned"))
+        assert all(seen.get((True, kind), 0) > 5 for kind in ("exact", "drawn"))
         assert sum(count for (same, _), count in seen.items() if not same) > 100
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
@@ -876,39 +803,38 @@ class TestProbe:
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probe_after_a_prune_draws_nothing(self, monkeypatch, use_memo):
         # Random trees grown edge by edge, every table drawn
-        # (``long_ring_graph``).  Before every commit each cycle candidate is
-        # probed against the top floor, which prunes every ring whose table
-        # the probe builds.  After a leaf commit, which changes the masses,
-        # each ring pruned there is probed again, in turn plain or against
-        # the top floor, and returns the estimate and report a probe of a
-        # fresh copy returns, bit for bit.  A memo tree's ring keeps the
-        # table its pruned probe built, so the next probe draws nothing and
-        # is not pruned.  A memo-less tree builds the table again, as for
-        # any probe, and the top floor prunes it again.
+        # (``long_ring_graph``).  Before every commit the cycle candidates
+        # are probed and judged as ``_ci`` judges them: ``ci_prune`` over
+        # their estimates and the best leaf's (``selection._probe_with_ci``).
+        # After a leaf commit, which changes the masses, each ring pruned
+        # there is probed again and returns the estimate and report a probe
+        # of a fresh copy returns, bit for bit.  A memo tree's ring keeps
+        # the table its pruned probe built, so the next probe draws nothing.
+        # A memo-less tree builds the table again, as for any probe.
         built = count_builds(monkeypatch)
         rng = random.Random(8118)
         cfg = SamplerConfig(samples=300, master_seed=5)
-        resumed = {None: 0, TOP_FLOOR: 0}
+        resumed = 0
         for trial in range(20):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             tree = new_ftree(0, use_memo)
             for e in order:
-                cut = sorted(c for c in tree.cycle_candidates(g) if tree.probe_edge(g, c, TOP_FLOOR)[2])
-                leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
+                base, terms = tree.leaf_terms(g)
+                leaf = tree.best_leaf(g)
+                leaves = [] if leaf is None else [(leaf, tree.leaf_estimate(base, terms[leaf]))]
+                _, cut = selection._probe_with_ci(tree, g, tree.cycle_candidates(g), leaves)
+                leaf_commit = tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
-                if not leaf:
+                if not leaf_commit:
                     continue
-                for c in cut:
+                for c in sorted(cut):
                     assert (tree._rings[c].scored is not None) == use_memo
-                    floor = rng.choice([None, TOP_FLOOR])
-                    fresh = tree.copy().probe_edge(g, c, floor)
+                    fresh = tree.copy().probe_edge(g, c)
                     before = len(built)
-                    got = tree.probe_edge(g, c, floor)
-                    assert got[:2] == fresh[:2]
-                    assert got[2] == (floor is not None and not use_memo)
+                    assert tree.probe_edge(g, c) == fresh
                     assert len(built) == before + (not use_memo)
-                    resumed[floor] += 1
-        assert min(resumed.values()) > 20
+                    resumed += 1
+        assert resumed > 20
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probed_commit_builds_nothing(self, monkeypatch, use_memo):
@@ -970,9 +896,9 @@ class TestProbe:
         assert (1, 2) in tree.leaf_terms(g)[1]
         assert tree.insert_edge(g, (0, 2), CFG).edges_sampled_count == 0
         assert (1, 2) in tree.candidates(g) and (1, 2) not in tree.leaf_terms(g)[1]
-        est, report, pruned = tree.probe_edge(g, (1, 2))
+        est, report = tree.probe_edge(g, (1, 2))
         assert report.case_taken not in ("IIa", "IIb")
-        assert (est, report, pruned) == tree.copy().probe_edge(g, (1, 2))
+        assert (est, report) == tree.copy().probe_edge(g, (1, 2))
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_frontier_matches_full_evaluations(self, use_memo):
@@ -1089,23 +1015,20 @@ class TestRingFormula:
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probes_match_grown_copies(self, use_memo):
         # Random trees grown edge by edge.  Before every commit each cycle
-        # candidate is probed (leaves are ``leaf_terms``'s, see
-        # ``test_frontier_matches_full_evaluations``) against a floor just
-        # above the ub of its full table's estimate, at that ub or below
-        # every bound, then plain; the full table's estimate
-        # (``reference_ring_estimate``) and the plain estimate must agree
-        # with a copy grown by the edge, within 1e-12 relative on mean, lb
-        # and ub, with equal worlds used.  The floor-checked probe returns
-        # that estimate bit for bit, and it is pruned iff ``ci_prune`` drops
-        # the estimate beside the floor, unless its memo tree's ring already
-        # kept the table, which is never pruned.  A memo tree's ring keeps
-        # the table its probe built, pruned or not.  The probed tree's dump,
+        # candidate is probed twice (leaves are ``leaf_terms``'s, see
+        # ``test_frontier_matches_full_evaluations``); the full table's
+        # estimate (``reference_ring_estimate``) and the second probe's
+        # estimate must agree with a copy grown by the edge, within 1e-12
+        # relative on mean, lb and ub, with equal worlds used.  The first
+        # probe returns the full table's estimate bit for bit, whether or
+        # not its memo tree's ring already kept the table.  A memo tree's
+        # ring keeps the table its probe built.  The probed tree's dump,
         # tables and evaluation stay as they were.  Every bi component has
         # at least 9 edges (``long_ring_graph``), so every table is drawn
         # (2^9 > 300).
         rng = random.Random(5150)
         cfg = SamplerConfig(samples=300, master_seed=21)
-        cases, prunes, rescored = set(), set(), 0
+        cases, rescored, hits = set(), 0, 0
         for trial in range(30):
             g, order = long_ring_graph(rng, rng.randint(2, 8), rng.randint(2, 12))
             tree, after_leaf = new_ftree(0, use_memo), False
@@ -1119,16 +1042,11 @@ class TestRingFormula:
                     hit = kept and ring.scored is not None and comp_key(ring.comp) == sig
                     full = reference_ring_estimate(tree, g, c, cfg)
                     assert_close(full, ref)
-                    kind = rng.choice(["above", "at", "bottom"])
-                    floor = {
-                        "above": math.nextafter(full.ub, math.inf), "at": full.ub, "bottom": BOTTOM_FLOOR
-                    }[kind]
-                    est, _, pruned = tree.probe_edge(g, c, floor)
+                    est, _ = tree.probe_edge(g, c)
                     assert est == full
-                    assert pruned == (not hit and reference_pruned(full, floor))
                     assert (tree._rings[c].scored is not None) == use_memo
-                    prunes.add((kind, hit, pruned))
-                    est, report, _ = tree.probe_edge(g, c)
+                    hits += hit
+                    est, report = tree.probe_edge(g, c)
                     assert_close(est, ref)
                     assert est.samples_used == cfg.samples
                     assert (report.case_taken, report.edges_sampled_count) == (
@@ -1141,9 +1059,8 @@ class TestRingFormula:
                 after_leaf = tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
         assert cases == {"IIIa", "IIIb", "IVb", "IVc-composite"}
-        assert {("above", False, True), ("at", False, False), ("bottom", False, False)} <= prunes
         assert rescored > 0 or not use_memo
-        assert ("above", True, False) in prunes or not use_memo
+        assert hits > 0 or not use_memo
 
     def test_worlds_used_count_only_the_tables_the_grown_tree_keeps(self):
         # The tree draws 6 worlds, fewer than any component here has (2^3
@@ -1213,14 +1130,15 @@ class TestKeptEvaluation:
         assert cases == self.CASES
 
     @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
-    @pytest.mark.parametrize("floor", [None, TOP_FLOOR, BOTTOM_FLOOR], ids=["plain", "stops", "never-stops"])
-    def test_matches_replay_with_cache_cleared(self, memo, floor):
+    @pytest.mark.parametrize("probes", [0, 1, 2], ids=["plain", "scored", "rescored"])
+    def test_matches_replay_with_cache_cleared(self, memo, probes):
         # Before each commit, unless plain, the edge is scored on a tree
         # that keeps its evaluation and on a replay evaluated from scratch:
         # a cycle edge by its full drawn table's estimate
-        # (``reference_ring_estimate``) and by a probe against a floor that
-        # prunes whenever it can or never, a leaf by its term.  Both agree
-        # bit for bit, as do the evaluations after every commit.
+        # (``reference_ring_estimate``) and by a probe, a leaf by its term.
+        # Rescored, the cycle edge is probed twice, so that a memo tree's
+        # second probe scores the table its first one kept.  Both agree bit
+        # for bit, as do the evaluations after every commit.
         rng = random.Random(808)
         cfg = SamplerConfig(samples=300, master_seed=4)
         seen = set()
@@ -1229,14 +1147,15 @@ class TestKeptEvaluation:
             g = random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2 - (n - 1)))
             kept, replay = new_ftree(0, memo), new_ftree(0, memo)
             for e in insertable_order(g, rng):
-                if floor is not None and kept.is_attached(e[0]) and kept.is_attached(e[1]):
+                if probes and kept.is_attached(e[0]) and kept.is_attached(e[1]):
                     # A cycle edge is probed first, on the kept state and from scratch.
                     replay._kept = None
                     full = reference_ring_estimate(kept, g, e, cfg)
                     assert full == reference_ring_estimate(replay, g, e, cfg)
-                    replay._kept = None
-                    assert kept.probe_edge(g, e, floor) == replay.probe_edge(g, e, floor)
-                elif floor is not None:
+                    for _ in range(probes):
+                        replay._kept = None
+                        assert kept.probe_edge(g, e) == replay.probe_edge(g, e)
+                elif probes:
                     # A leaf's estimate, from the kept terms and from scratch.
                     replay._kept = None
                     (base, terms), (replay_base, replay_terms) = kept.leaf_terms(g), replay.leaf_terms(g)
@@ -1282,7 +1201,7 @@ class TestKeptEvaluation:
                     for c in candidate_edges(g, tree.attached_vertices(), tree.selected_edges):
                         if not (tree.is_attached(c[0]) and tree.is_attached(c[1])):
                             continue  # a leaf: the "terms" entry covers it
-                        est, report, _ = tree.probe_edge(g, c)
+                        est, report = tree.probe_edge(g, c)
                         out[ask][c] = (
                             hexed((est.mean, est.lb, est.ub)), est.samples_used,
                             report.case_taken, report.edges_sampled_count,
@@ -1756,119 +1675,6 @@ class TestWorldStore:
         assert len(built) == 1
 
 
-class TestRefreshFloor:
-    """A floor-checked probe draws what a commit's plain refresh draws."""
-
-    EDGE = (8, 12)
-
-    def test_floor_that_never_prunes_matches_plain_refresh(self, monkeypatch):
-        g, plain = long_ring_tree(memo=True)
-        (_, batched), (_, refreshed) = long_ring_tree(memo=True), long_ring_tree(memo=True)
-        built = []
-        build = IncrementalComponentSampler.build
-        monkeypatch.setattr(IncrementalComponentSampler, "build", lambda s: built.append(s) or build(s))
-        est = plain.probe_edge(g, self.EDGE)
-        assert batched.probe_edge(g, self.EDGE, BOTTOM_FLOOR) == est
-        assert len(built) == 2 and not any(sampler.exact for sampler in built)
-        assert reference_ring_estimate(plain, g, self.EDGE, CFG) == est[0]
-        assert est[0].samples_used == CFG.samples
-        kept = plain._rings[self.EDGE]
-        assert kept.scored[0] == batched._rings[self.EDGE].scored[0]
-        # A commit with no probe before it, evaluated, builds the same table.
-        refreshed.insert_edge(g, self.EDGE, CFG)
-        refreshed.expected_flow(g)
-        sig = comp_key(kept.comp)
-        [ring] = [
-            c for c in refreshed.components.values() if isinstance(c, BiComponent) and comp_key(c) == sig
-        ]
-        assert ring.reach == kept.scored[0]
-
-    def test_floor_that_prunes_returns_the_full_estimate_and_keeps_the_table(self):
-        # A floor just above the full table's ub prunes the probe, which
-        # returns that full estimate, a plain probe's, over all the
-        # config's worlds.  The memo tree's ring keeps the table as a plain
-        # probe's ring does, and its next probe, which builds nothing, is
-        # not pruned by that floor.
-        g, tree = long_ring_tree(memo=True)
-        (_, plain), (_, replay) = long_ring_tree(memo=True), long_ring_tree(memo=True)
-        full = reference_ring_estimate(tree, g, self.EDGE, CFG)
-        floor = math.nextafter(full.ub, math.inf)
-        est, report, pruned = tree.probe_edge(g, self.EDGE, floor)
-        assert pruned and est == full and est.samples_used == CFG.samples
-        assert (est, report, False) == plain.probe_edge(g, self.EDGE)
-        assert tree._rings[self.EDGE].scored[0] == plain._rings[self.EDGE].scored[0]
-        sampler = tree._rings[self.EDGE].sampler
-        assert sampler is None and tree.probe_edge(g, self.EDGE, floor) == (est, report, False)
-        # The committed edge adopts the kept table: the tree evaluates as a
-        # replay of the same inserts that built its table itself.
-        tree.insert_edge(g, self.EDGE, CFG)
-        replay.insert_edge(g, self.EDGE, CFG)
-        assert tree.expected_flow(g) == replay.expected_flow(g)
-
-
-class TestFloorRule:
-    """A floor-checked probe prunes where ``ci_prune`` would: when it drops
-    the full table's estimate beside a candidate at the floor."""
-
-    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
-    def test_prunes_where_ci_prune_drops_the_full_estimate(self, monkeypatch, use_memo):
-        # Random graphs in random insertion orders, with weights of 0 or 1,
-        # so that many ring members carry no outside-ring mass.  Before
-        # every cycle commit the edge is probed on fresh copies of the tree
-        # against floors just below, at and just above the ub of its full
-        # table's estimate (the plain probe's, which a drawn table's
-        # ``reference_ring_estimate`` gives too), and against none.  Each
-        # probe prunes exactly when ``ci_prune`` drops that estimate beside
-        # the floor, and returns it bit for bit, pruned or not; a drawn one
-        # agrees with a copy grown by the edge within 1e-12.  A memo tree's
-        # ring keeps the table, pruned or not, so its next probe builds
-        # nothing and is never pruned, not even by the top floor; without a
-        # memo the next probe builds the table afresh and judges it the
-        # same.  Graphs of up to 11 vertices give rings both enumerated
-        # (2^m <= 250) and drawn.
-        built = count_builds(monkeypatch)
-        rng = random.Random(3131)
-        cfg = SamplerConfig(samples=250, master_seed=41)
-        seen = set()
-        for trial in range(30):
-            n = rng.randint(5, 11)
-            g = random_connected_graph(rng, n, rng.randint(n, 3 * n), weight_range=(0, 1))
-            tree = new_ftree(0, use_memo)
-            for e in insertable_order(g, rng):
-                if tree.is_attached(e[0]) and tree.is_attached(e[1]):
-                    drawn = reference_ring_estimate(tree, g, e, cfg)
-                    full = tree.copy().probe_edge(g, e)[0]
-                    exact = drawn is None
-                    assert exact or drawn == full
-                    floors = {None, math.nextafter(full.ub, -math.inf), full.ub, math.nextafter(full.ub, math.inf)}
-                    for floor in floors:
-                        probe = tree.copy()
-                        est, report, pruned = probe.probe_edge(g, e, floor)
-                        assert pruned == reference_pruned(full, floor)
-                        assert est == full
-                        if not exact:
-                            assert_close(est, grown_flow(tree, g, e, cfg)[0])
-                        assert (probe._rings[e].scored is not None) == use_memo
-                        before = len(built)
-                        again = (est, report, False) if use_memo else (est, report, pruned)
-                        assert probe.probe_edge(g, e, floor) == again
-                        assert len(built) == before + (not use_memo)
-                        if use_memo:
-                            assert not probe.probe_edge(g, e, TOP_FLOOR)[2]
-                        seen.add((exact, pruned))
-                tree.insert_edge(g, e, cfg)
-        assert seen == {(False, True), (True, True), (False, False), (True, False)}
-        # ``_prunes`` trusts no estimate of fewer than ``CI_MIN_SAMPLES``
-        # worlds: the top floor leaves a drawn table of 29 worlds unpruned,
-        # and prunes one of 30.
-        for samples in (CI_MIN_SAMPLES - 1, CI_MIN_SAMPLES):
-            cfg = replace(CFG, samples=samples)
-            g, tree = long_ring_tree(cfg, use_memo)
-            est, _, pruned = tree.probe_edge(g, TestRefreshFloor.EDGE, TOP_FLOOR)
-            assert not IncrementalComponentSampler(g, tree._rings[TestRefreshFloor.EDGE].comp, cfg).exact
-            assert est.samples_used == samples and pruned == (samples >= CI_MIN_SAMPLES)
-
-
 def cycle_graph(probs):
     """One cycle 0-1-...-0 with these edge probabilities, weights 1..n."""
     n = len(probs)
@@ -1901,9 +1707,8 @@ class TestExactTables:
         # 2^11 = samples worlds.  After every insert, under two master
         # seeds: the flow is the oracle's within 1e-12 relative, with zero
         # width and EXACT_SAMPLES worlds, equal under both seeds; and every
-        # cycle probe is too, judging its one estimate once against the top
-        # floor, which prunes it, unless its memo tree's ring held
-        # the table already.
+        # cycle probe is too, whether or not its memo tree's ring held the
+        # table already.
         rng = random.Random(1717)
         cfgs = [SamplerConfig(samples=2048, master_seed=seed) for seed in (1, 2)]
 
@@ -1922,10 +1727,8 @@ class TestExactTables:
                 for c in trees[0].candidates(g).copy():
                     if not (trees[0].is_attached(c[0]) and trees[0].is_attached(c[1])):
                         continue
-                    ring, sig = trees[0]._rings.get(c), comp_key(trees[0]._plan_cycle(*c, c)[1])
-                    held = ring is not None and ring.scored is not None and comp_key(ring.comp) == sig
-                    probes = [t.probe_edge(g, c, TOP_FLOOR) for t in trees]
-                    assert probes[0] == probes[1] and probes[0][2] == (not held)
+                    probes = [t.probe_edge(g, c) for t in trees]
+                    assert probes[0] == probes[1]
                     exact_close(probes[0][0], expected_flow_of_edges(g, 0, order[: i - 1] + [c]))
                     rings += 1
                 ests = []

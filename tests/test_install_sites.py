@@ -67,3 +67,52 @@ def test_commits_run_on_the_tree_new_ftree_returns(monkeypatch):
     assert {id(tree) for tree, _ in inserted} == {id(tree) for tree in built}
     assert {case.split("-")[0] for _, case in inserted} <= set(cases)
     assert any(case not in ("IIa", "IIb") for _, case in inserted)
+
+
+def test_interval_probes_run_inside_the_spanned_probe_loop(monkeypatch):
+    # The tracer spans selection._probe_with_ci as probing.  Under _ci it is
+    # called once in every iteration that has eligible cycle candidates,
+    # before that iteration's commit, and every cycle probe runs inside it;
+    # ft_m probes outside it and never calls it.
+    from probflow import FTree, SamplerConfig, StrategyConfig, greedy_select, netgen, selection
+
+    events, depth = [], [0]
+    probe_with_ci, probe, insert = selection._probe_with_ci, FTree.probe_edge, FTree.insert_edge
+
+    def probing_with_ci(*args, **kwargs):
+        events.append("ci")
+        depth[0] += 1
+        try:
+            return probe_with_ci(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def probing(*args, **kwargs):
+        events.append("probe in ci" if depth[0] else "probe")
+        return probe(*args, **kwargs)
+
+    def inserting(*args, **kwargs):
+        events.append("commit")
+        return insert(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "_probe_with_ci", probing_with_ci)
+    monkeypatch.setattr(FTree, "probe_edge", probing)
+    monkeypatch.setattr(FTree, "insert_edge", inserting)
+    g = netgen.gen_partitioned(16, 4, 1)
+    for variant in ("ft_m", "ft_m_ci", "ft_m_ci_ds"):
+        events.clear()
+        sol = greedy_select(g, 0, StrategyConfig(variant, 12, SamplerConfig(samples=60)))
+        iterations = [[]]
+        for event in events:
+            if event == "commit":
+                iterations.append([])
+            else:
+                iterations[-1].append(event)
+        assert len(iterations) == len(sol.trace) + 1 and iterations[-1] == []
+        if "_ci" in variant:
+            assert "probe in ci" in events and "probe" not in events
+            for it in iterations:
+                assert it.count("ci") == 1 or "probe in ci" not in it
+                assert it.count("ci") <= 1 and it[:1] in ([], ["ci"])
+        else:
+            assert "probe" in events and "ci" not in events

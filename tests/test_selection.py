@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +42,7 @@ from probflow import (
     netgen,
     run_strategy,
     sampling,
+    selection,
 )
 from probflow.ftree import IncrementalComponentSampler
 from probflow.selection import _local_subgraph, mc_flow_of_edges
@@ -225,9 +230,9 @@ class TestIncrementalLoop:
 
 
 def pruning_demo_graph():
-    """After (0,1), (1,2), (1,3) are taken, the fourth iteration probes the
-    exact spokes (1,4) and (1,5) before the weak cycle chord (2,3), whose
-    interval then sits entirely below the best lower bound.  The chord's
+    """After (0,1), (1,2), (1,3) are taken, the fourth iteration scores the
+    exact spokes (1,4) and (1,5) and the weak cycle chord (2,3), whose
+    interval sits entirely below the best spoke's lower bound.  The chord's
     triangle has 2^3 worlds, so its table is exact from 8 samples on."""
     return ProbabilisticGraph.build(
         6,
@@ -245,8 +250,8 @@ def pruning_demo_graph():
 
 def sampled_pruning_demo_graph():
     """After (0,1) and the path 1-2-...-10 are taken, the eleventh iteration
-    probes the exact spoke (0,11) before the weak chord (1,10), whose
-    sampled interval then sits entirely below the best lower bound.  The
+    scores the exact spoke (0,11) and the weak chord (1,10), whose sampled
+    interval sits entirely below the spoke's lower bound.  The
     chord closes a ring of 10 edges, whose 2^10 worlds exceed 1000 samples,
     so its table is drawn."""
     return ProbabilisticGraph.build(
@@ -262,11 +267,11 @@ class TestCiVariant:
         worlds = []
         original = FTree.probe_edge
 
-        def recording(tree, graph, edge, floor=None):
-            est, report, pruned = original(tree, graph, edge, floor)
+        def recording(tree, graph, edge):
+            est, report = original(tree, graph, edge)
             if report.edges_sampled_count:
                 worlds.append(est.samples_used)
-            return est, report, pruned
+            return est, report
 
         monkeypatch.setattr(FTree, "probe_edge", recording)
         sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 11, seed=7))
@@ -277,13 +282,13 @@ class TestCiVariant:
 
     @pytest.mark.parametrize("samples", [20, 29, 30, 31, 150, 1000])
     def test_pruning_changes_no_selection(self, samples):
-        # A probe's estimate does not depend on its floor, and a pruned
+        # A probe's estimate does not depend on the prune, and a pruned
         # candidate's ub is below some candidate's lb, so it could not be
         # the argmax; ``_ds`` reads the same estimate, pruned or not.  So on
         # random graphs ``ft_m_ci``'s trace equals ``ft_m``'s, and
         # ``ft_m_ci_ds``'s equals ``ft_m_ds``'s, in every field but
         # ``candidates_pruned``, bit for bit.  Some probes are pruned (none
-        # below ``CI_MIN_SAMPLES`` worlds, where no drawn table is judged).
+        # below ``CI_MIN_SAMPLES`` worlds, where ``ci_prune`` judges none).
         def unpruned(sol):
             return sol.selected, [dataclasses.replace(r, candidates_pruned=0) for r in sol.trace]
 
@@ -324,79 +329,194 @@ class TestCiVariant:
             return build(sampler)
 
         judged = 0
-        probe = FTree.probe_edge
+        probe_with_ci = selection._probe_with_ci
 
-        def floored_probe(tree, graph, edge, floor=None):
+        def judging(*args):
             nonlocal judged
             before = len(built)
-            out = probe(tree, graph, edge, floor)
-            judged += floor is not None and len(built) > before
+            out = probe_with_ci(*args)
+            judged += len(built) > before
             return out
 
         monkeypatch.setattr(FTree, "_evaluate", recording)
         monkeypatch.setattr(IncrementalComponentSampler, "build", counting_build)
-        monkeypatch.setattr(FTree, "probe_edge", floored_probe)
+        monkeypatch.setattr(selection, "_probe_with_ci", judging)
         # Two 9-edge rings: 2^9 worlds exceed 400 samples, so every table
-        # is drawn and, given a floor, judged once it is built.
+        # is drawn, and judged in the iteration that builds it.
         g = ring_chain_graph(2, ring=9)
         for seed in range(4):
             greedy_select(g, 0, scfg("ft_m_ci", 20, seed=seed, samples=400))
-        assert built and not any(built) and judged > 0  # drawn tables were judged against floors
+        assert built and not any(built) and judged > 0  # drawn tables were judged
         assert {n for _, counts in evaluated for _, n in counts} == {400}
         assert len(evaluated) == len({(id(tree), counts) for tree, counts in evaluated})
 
     @pytest.mark.pinned
     def test_single_offer_prunes_an_exact_candidate(self, monkeypatch):
-        # The chord's exact table is judged once against its floor, shows
-        # it dominated and prunes it; the table is stored, so a later probe
-        # of it is never pruned.
+        # The chord's exact table shows it dominated beside the best leaf
+        # in the fourth iteration, which builds the table, and again in the
+        # fifth, which reads it from its memo ring: each iteration judges
+        # its own estimates.  In the sixth the chord is the only candidate
+        # left, and it is taken.
         g = pruning_demo_graph()
-        judged = {}
-        original = FTree.probe_edge
+        pruned = []
+        original = selection._probe_with_ci
 
-        def recording(tree, graph, edge, floor=None):
-            est, report, pruned = original(tree, graph, edge, floor)
-            if floor is not None:
-                assert est.samples_used == EXACT_SAMPLES
-                judged.setdefault(edge, []).append(pruned)
-            return est, report, pruned
+        def recording(tree, graph, cycles, leaves):
+            probes, cut = original(tree, graph, cycles, leaves)
+            assert all(est.samples_used == EXACT_SAMPLES for est, _ in probes.values())
+            pruned.append(sorted(cut))
+            return probes, cut
 
-        monkeypatch.setattr(FTree, "probe_edge", recording)
+        monkeypatch.setattr(selection, "_probe_with_ci", recording)
         sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 6, seed=7))
-        assert sum(r.candidates_pruned for r in sol_ci.trace) >= 1
-        assert judged[(2, 3)][0] and len(judged[(2, 3)]) > 1
-        assert not any(flags[1:].count(True) for flags in judged.values())
+        assert pruned == [[], [], [], [(2, 3)], [(2, 3)], []]
+        assert [r.candidates_pruned for r in sol_ci.trace] == [0, 0, 0, 1, 1, 0]
         assert sol_ci.selected == greedy_select(g, 0, scfg("ft", 6, seed=7)).selected
 
+    @pytest.mark.parametrize("samples", [29, 30, 250, 1000])
+    def test_prunes_are_ci_prune_of_a_fresh_replay(self, samples):
+        # Prune counts come from the iteration's estimates alone, whatever
+        # the probe order or the memo state.  On random graphs, for each
+        # ``ft_m_ci`` iteration the selected prefix is replayed into a fresh
+        # tree with no memo, which probes every cycle candidate in reverse
+        # canonical order; beside the best leaf's estimate, ``ci_prune``
+        # drops as many cycle candidates as the iteration pruned.  Some
+        # iterations prune, at 29 samples only by exact tables, as a drawn
+        # table has fewer than ``CI_MIN_SAMPLES`` worlds.
+        rng = random.Random(4242)
+        pruned = 0
+        for trial in range(8):
+            n = rng.randint(10, 24)
+            g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
+            cfg = scfg("ft_m_ci", 16, seed=trial, samples=samples)
+            sol = greedy_select(g, 0, cfg)
+            for i, rec in enumerate(sol.trace):
+                tree = FTree(0)
+                for e in sol.selected[:i]:
+                    tree.insert_edge(g, e, cfg.sampler)
+                base, terms = tree.leaf_terms(g)
+                cycles = tree.cycle_candidates(g)[::-1]
+                ranked = [(e, tree.probe_edge(g, e)[0]) for e in cycles]
+                leaf = tree.best_leaf(g)
+                if leaf is not None:
+                    ranked.append((leaf, tree.leaf_estimate(base, terms[leaf])))
+                assert len(set(cycles) - ci_prune(ranked)) == rec.candidates_pruned
+                pruned += rec.candidates_pruned
+        assert pruned > 0
+
+    @pytest.mark.parametrize("samples", [29, 30, 250, 1000])
+    def test_suspended_runs_prune_ci_prune_of_a_fresh_replay(self, monkeypatch, samples):
+        # As above, under ``ft_m_ci_ds``, whose suspended candidates are
+        # neither probed nor judged.  The cycle candidates each iteration
+        # hands ``_probe_with_ci`` are recorded; a fresh tree with no memo,
+        # fed the selected prefix, probes them in reverse order, and beside
+        # the best leaf's estimate ``ci_prune`` drops as many as the
+        # iteration pruned.  Some iterations prune, and some suspend.
+        handed = []
+        original = selection._probe_with_ci
+
+        def recording(tree, graph, cycles, leaves):
+            handed.append(list(cycles))
+            return original(tree, graph, cycles, leaves)
+
+        monkeypatch.setattr(selection, "_probe_with_ci", recording)
+        rng = random.Random(2424)
+        pruned = delayed = 0
+        for trial in range(8):
+            n = rng.randint(10, 24)
+            g = random_connected_graph(rng, n, rng.randint(n, 3 * n))
+            cfg = scfg("ft_m_ci_ds", 16, seed=trial, samples=samples)
+            handed.clear()
+            sol = greedy_select(g, 0, cfg)
+            assert len(handed) == len(sol.trace)
+            for i, (rec, cycles) in enumerate(zip(sol.trace, handed)):
+                tree = FTree(0)
+                for e in sol.selected[:i]:
+                    tree.insert_edge(g, e, cfg.sampler)
+                assert set(cycles) <= set(tree.cycle_candidates(g))
+                base, terms = tree.leaf_terms(g)
+                ranked = [(e, tree.probe_edge(g, e)[0]) for e in cycles[::-1]]
+                leaf = tree.best_leaf(g)
+                if leaf is not None:
+                    ranked.append((leaf, tree.leaf_estimate(base, terms[leaf])))
+                assert len(set(cycles) - ci_prune(ranked)) == rec.candidates_pruned
+                pruned += rec.candidates_pruned
+                delayed += rec.candidates_delayed
+        assert pruned > 0 and delayed > 0
+
+    def test_without_a_leaf_the_cycles_are_judged_alone(self, monkeypatch):
+        # Once the spokes (0,1), (0,2) and (0,3) are taken, every vertex is
+        # attached: the fourth iteration has no leaf, and ``ci_prune``
+        # judges the three chords beside each other alone.  Their tables
+        # are exact, so each interval is its mean, and the two weaker
+        # chords are pruned.  The strongest, (1,2), is taken.
+        g = ProbabilisticGraph.build(
+            4,
+            [(0, 1, 0.9), (0, 2, 0.9), (0, 3, 0.9), (1, 2, 0.9), (1, 3, 0.5), (2, 3, 0.2)],
+            weights=[0.0, 10.0, 10.0, 10.0],
+        )
+        calls = []
+        original = selection._probe_with_ci
+
+        def recording(tree, graph, cycles, leaves):
+            probes, pruned = original(tree, graph, cycles, leaves)
+            assert all(est.samples_used == EXACT_SAMPLES for est, _ in probes.values())
+            calls.append((sorted(cycles), [e for e, _ in leaves], sorted(pruned)))
+            return probes, pruned
+
+        monkeypatch.setattr(selection, "_probe_with_ci", recording)
+        sol = greedy_select(g, 0, scfg("ft_m_ci", 4, seed=7))
+        assert sol.selected == ((0, 1), (0, 2), (0, 3), (1, 2))
+        assert calls[3] == ([(1, 2), (1, 3), (2, 3)], [], [(1, 3), (2, 3)])
+        assert sol.trace[3].candidates_pruned == 2
+
     @pytest.mark.parametrize("variant", ["ft_m_ci", "ft_m_ci_ds"])
-    def test_floors_match_the_reference_scan(self, monkeypatch, variant):
-        # Random graphs, grown by greedy selection.  Every cycle candidate
-        # is probed against the floor the reference's running-best scan over
-        # every eligible candidate, leaves and cycles in canonical order,
-        # gives it (``reference_probe_with_ci``), bit for bit and in the same
-        # order, and the selections agree.  Some floors come from leaves,
-        # as the reference notes, and some candidates have none.
-        rng = random.Random(53)
-        floors_seen, from_leaves = set(), 0
-        original = FTree.probe_edge
-        for trial in range(10):
-            g = random_connected_graph(rng, rng.randint(8, 16), rng.randint(8, 30))
-            cfg = scfg(variant, 16, seed=trial, samples=rng.choice([60, 300]))
-            expected: list = []
-            ref = reference_greedy_select(g, 0, cfg, floors=expected)
-            got = []
+    def test_prunes_do_not_depend_on_the_hash_seed(self, variant):
+        # ``ci_prune`` returns a set and the pruned set is one: no count,
+        # selection or suspension may follow their iteration order.  A run
+        # that prunes drawn tables of 1000 worlds gives the same trace
+        # digest under two hash seeds as in this process.
+        code = (
+            "from test_selection import scfg, trace_digest\n"
+            "from probflow import netgen, run_strategy\n"
+            f"cfg = scfg({variant!r}, 15, seed=7, samples=1000)\n"
+            "print(trace_digest(run_strategy(netgen.gen_partitioned(60, 6, 2), 0, cfg)))\n"
+        )
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for seed in ("0", "12345")
+        }
+        sol = run_strategy(netgen.gen_partitioned(60, 6, 2), 0, scfg(variant, 15, seed=7, samples=1000))
+        assert digests == {trace_digest(sol)} and sum(r.candidates_pruned for r in sol.trace) > 0
 
-            def recording(tree, graph, edge, floor=None):
-                got.append((edge, floor))
-                return original(tree, graph, edge, floor)
+    @pytest.mark.parametrize("variant", ["ft_m_ci", "ft_m_ci_ds"])
+    def test_a_dominated_leaf_is_never_pruned(self, monkeypatch, variant):
+        # Once (0,1) and (0,2) are taken, the chord (1,2) closes an exact
+        # triangle of flow 19.62, and the best leaf, (0,3), reaches 18.1:
+        # ``ci_prune`` drops the leaf, which is not pruned, as a leaf
+        # samples nothing.  The chord is taken.
+        g = ProbabilisticGraph.build(
+            4, [(0, 1, 0.9), (0, 2, 0.9), (1, 2, 0.9), (0, 3, 0.1)],
+            weights=[0.0, 10.0, 10.0, 1.0],
+        )
+        dropped = []
+        original = selection.ci_prune
 
-            monkeypatch.setattr(FTree, "probe_edge", recording)
-            assert greedy_select(g, 0, cfg) == ref
-            monkeypatch.undo()
-            assert got == [(e, floor) for e, floor, _ in expected]
-            floors_seen |= {f is None for _, f in got}
-            from_leaves += sum(leaf for *_, leaf in expected)
-        assert floors_seen == {True, False} and from_leaves > 20
+        def recording(candidates):
+            kept = original(candidates)
+            dropped.append(sorted(e for e, _ in candidates if e not in kept))
+            return kept
+
+        monkeypatch.setattr(selection, "ci_prune", recording)
+        sol = greedy_select(g, 0, scfg(variant, 3, seed=7))
+        assert sol.selected == ((0, 1), (0, 2), (1, 2))
+        assert dropped[2] == [(0, 3)]
+        assert [r.candidates_pruned for r in sol.trace] == [0, 0, 0]
 
     def test_ci_prune_interval_dominance(self):
         a = ((0, 1), FlowEstimate(0.85, 0.8, 0.9, 100))
@@ -769,7 +889,7 @@ PINNED = {
                 (26, 33), (15, 38), (21, 38), (22, 38), (3, 38), (22, 34),
             ),
             FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
-            (8, 0),
+            (26, 0),
         ),
         'ft_m_ds': (
             (
@@ -785,7 +905,7 @@ PINNED = {
                 (26, 33), (15, 38), (21, 38), (22, 38), (22, 34), (3, 38),
             ),
             FlowEstimate(33.99003520444501, 33.99003520444501, 33.99003520444501, 2147483647),
-            (6, 16),
+            (13, 16),
         ),
     },
     'partitioned': {
@@ -827,7 +947,7 @@ PINNED = {
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
             FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
-            (6, 0),
+            (16, 0),
         ),
         'ft_m_ds': (
             (
@@ -843,7 +963,7 @@ PINNED = {
                 (6, 11), (3, 7), (2, 37), (3, 37), (8, 12), (12, 18),
             ),
             FlowEstimate(56.871062949655965, 56.871062949655965, 56.871062949655965, 2147483647),
-            (7, 15),
+            (8, 15),
         ),
     },
     'wsn': {
@@ -885,7 +1005,7 @@ PINNED = {
                 (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
             FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
-            (4, 0),
+            (29, 0),
         ),
         'ft_m_ds': (
             (
@@ -901,7 +1021,7 @@ PINNED = {
                 (37, 52), (14, 52), (4, 48), (5, 56), (5, 8), (37, 40),
             ),
             FlowEstimate(72.98796696322967, 72.98796696322967, 72.98796696322967, 2147483647),
-            (4, 14),
+            (15, 14),
         ),
     },
 }
@@ -915,27 +1035,27 @@ PINNED_TRACES = {
         'dijkstra': '0bdfc4879fe3472ff65dee851ad7a1d5cede3abafd99550a5b84abfad9336f96',
         'ft': '6ea95126b33be676f9e69532de7266336ef6847da6b8e6a2323c5dd41279ac9b',
         'ft_m': '6ea95126b33be676f9e69532de7266336ef6847da6b8e6a2323c5dd41279ac9b',
-        'ft_m_ci': '0e7d5f5118e98db37e4ac70813fbad6174154017e56f2a23c4020ba51f65e91d',
+        'ft_m_ci': '0d576f71647b6a80bba796ab1708127fe01d4261982a40daa7b454f8a911a803',
         'ft_m_ds': '390a11963f2975853ae7b1ec4154431f53e39187a6521d5159d64315d134728a',
-        'ft_m_ci_ds': '9c21c8d6d5f73e4d93104ca59864a37051ef086e133f6fe2fa25d729bdd76d3e',
+        'ft_m_ci_ds': 'ff4ef2650a2f09c47d313951c3b8be413e12ce0b4b588c5c69f7a414102c98bd',
     },
     'partitioned': {
         'naive': 'e2d06e34c661591042f7ad56350dcc216870252684bbe9603c288bcdd9fc8534',
         'dijkstra': '224467544f7ae02a3bc78364998a4832be98c097e2ac3d131c929a242cee0085',
         'ft': 'b918298925e23ae8255c8b4a903c54ed799d43879cfad26a230b7f5debf0edaf',
         'ft_m': 'b918298925e23ae8255c8b4a903c54ed799d43879cfad26a230b7f5debf0edaf',
-        'ft_m_ci': 'ec894f868398cb7997ab37a2a91cebab9a5ee86caa0bcfccb345cd66304c72e7',
+        'ft_m_ci': '2e6122cfa12c08f2b9e3cba6bf6ef21448aff44bfd7c8f8c1514cc44f105c870',
         'ft_m_ds': '0145ec43b2807693440ef00d056a2d47267951634bf4e52586c6fc95164324ad',
-        'ft_m_ci_ds': '00e907c0a064663f1821b46736b64a3a2be45579d9491098fb2bd4423f189e8f',
+        'ft_m_ci_ds': '951503545a487f4367216bd944f0990f16637c70cc562aafcebf331e088a0c80',
     },
     'wsn': {
         'naive': '06a697d4d6c0871adc694a377ce764d82df27579491f437aced50dbd47da3a8b',
         'dijkstra': 'c203d92a8524799970fc585fdebeebb853e85baa4c2b42cff5f9217d69cbb4e8',
         'ft': 'd8b8c540f0f48d01fb500e18a4182f758e6988337495797359416975296e14b3',
         'ft_m': 'd8b8c540f0f48d01fb500e18a4182f758e6988337495797359416975296e14b3',
-        'ft_m_ci': '483448b1c783845089f435e5c526f08dce1e914d4fc78a1860cc32322368958d',
+        'ft_m_ci': 'a70819d5e91b8adb84bd6d988e79bb9c563c32038fae4975b29ae2dea3e680e0',
         'ft_m_ds': '1863e16901fd875d833000a32fefcc908f78075c676e6d735ec14fce4410affb',
-        'ft_m_ci_ds': '2592b90634472b124cf5547322dceb2e141e7ef2a1f52af4e76967770eeedce1',
+        'ft_m_ci_ds': '91524e6dfcca1fc85ff76e159ea66a0f1e43a7c0ceb4bbe2dc16f37cb181ec73',
     },
 }
 
@@ -983,28 +1103,27 @@ class TestSeededSolutions:
         assert digests == PINNED_TRACES[family]
 
     def test_pruned_drawn_tables_match_their_digest(self, monkeypatch):
-        # The runs above prune no drawn table.  Here ``ft_m_ci`` prunes
-        # drawn tables of 1000 worlds, each judged once it is built, so the
+        # Here ``ft_m_ci`` prunes drawn tables of 1000 worlds, so the
         # full-table prune path is pinned end to end.
-        probe = FTree.probe_edge
+        probe_with_ci = selection._probe_with_ci
         found = []
 
-        def recording(tree, graph, edge, floor=None):
-            out = probe(tree, graph, edge, floor)
-            found.append((out[2], tree._rings[edge].scored[0].sample_count))
-            return out
+        def recording(tree, graph, cycles, leaves):
+            probes, pruned = probe_with_ci(tree, graph, cycles, leaves)
+            found.extend(tree._rings[e].scored[0].sample_count for e in pruned)
+            return probes, pruned
 
-        monkeypatch.setattr(FTree, "probe_edge", recording)
+        monkeypatch.setattr(selection, "_probe_with_ci", recording)
         g = netgen.gen_partitioned(60, 6, 2)
         digests = {
             variant: trace_digest(run_strategy(g, 0, scfg(variant, 15, seed=7, samples=1000)))
             for variant in ("ft_m_ci", "ft_m_ci_ds")
         }
         assert digests == {
-            "ft_m_ci": "9931c95710e38317c564466b6a14305b22a1c2649c8a8368fd6e65f9944994c4",
-            "ft_m_ci_ds": "1c327bec3e973406387d1fe16ad3d721712ab70a3eb9aa51d9cc1f1cf0647232",
+            "ft_m_ci": "8ac7e1384df38bbbd2ff6e20c822c6e37b350a88b86a707b5a7747872b32bf53",
+            "ft_m_ci_ds": "1e420af6a98170e68b33911f9a454d11f6e1241e1360e9b5bf24ea80a0329c4e",
         }
-        assert (True, 1000) in found
+        assert 1000 in found
 
 
 def run_within_budget(g, variant, k):

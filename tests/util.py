@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import sys
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +30,7 @@ from probflow import (
     mc_expected_flow,
 )
 from probflow.ftree import IncrementalComponentSampler
-from probflow.sampling import CI_MIN_SAMPLES, _reach_bitsets, confidence_interval
+from probflow.sampling import _reach_bitsets, confidence_interval
 
 
 @dataclass(frozen=True)
@@ -444,20 +443,9 @@ def replay_tree(
 
 
 # ----------------------------------------------------------------------
-# Reference interval checks: a probe's full drawn table scored on its own,
-# and the running best lower bound of a scan over every candidate.  The
-# library scores kept coefficients and keeps the best leaf's lb term, not
-# its estimate, and must agree with these bit for bit.
+# Reference ring scoring: a probe's full drawn table scored on its own.
+# The library scores kept coefficients and must agree with it bit for bit.
 # ----------------------------------------------------------------------
-
-# The largest and the smallest floor a probe takes (``FTree.probe_edge``
-# refuses one that is not finite).  Every estimate's ub is below the top
-# floor, so it prunes every table a probe builds, drawn or exact, once the
-# estimate has ``CI_MIN_SAMPLES`` worlds; no estimate's ub is below the
-# larger of the bottom floor and its own lb, so that one prunes nothing.
-TOP_FLOOR = sys.float_info.max
-BOTTOM_FLOOR = -sys.float_info.max
-
 
 def reference_ring_estimate(
     tree: FTree, graph: ProbabilisticGraph, e: Edge, cfg: SamplerConfig
@@ -479,55 +467,6 @@ def reference_ring_estimate(
     return FlowEstimate(*flow, tree._ring_samples(members, cfg.samples))
 
 
-def reference_pruned(est: FlowEstimate, floor: float | None) -> bool:
-    """Whether ``ci_prune`` drops a candidate estimated at ``est`` beside
-    one whose lower bound is ``floor`` (with enough worlds to count); never
-    with no floor."""
-    if floor is None:
-        return False
-    best = ((-1, -1), FlowEstimate(floor, floor, floor, CI_MIN_SAMPLES))
-    return (0, 0) not in ci_prune([best, ((0, 0), est)])
-
-
-def reference_probe_with_ci(
-    tree: FTree,
-    graph: ProbabilisticGraph,
-    eligible: Sequence[Edge],
-    cfg: StrategyConfig,
-    floors: list[tuple[Edge, float | None, bool]] | None = None,
-) -> tuple[dict[Edge, tuple[FlowEstimate, object]], set[Edge]]:
-    """The interval-checked probes of one iteration by a scan over every
-    eligible candidate, leaves and cycles, in canonical order, keeping the
-    best candidate (by lower bound, with at least ``CI_MIN_SAMPLES``
-    worlds) so far: each cycle candidate is probed with that best's lower
-    bound as its floor, or with none before there is one, and counts
-    toward the best unless pruned.  Each (cycle candidate, floor, whether
-    the best so far is a leaf) is appended to ``floors`` when it is given.
-    Returns the cycle probes' estimates and reports, and the pruned
-    candidates."""
-    base, terms = tree.leaf_terms(graph)
-    best: FlowEstimate | None = None
-    from_leaf = False
-    probes: dict[Edge, tuple[FlowEstimate, object]] = {}
-    pruned: set[Edge] = set()
-    for e in eligible:
-        t = terms.get(e)
-        if t is not None:
-            if base.samples_used >= CI_MIN_SAMPLES and (best is None or base.lb + t[1] > best.lb):
-                best, from_leaf = tree.leaf_estimate(base, t), True
-            continue
-        floor = None if best is None else best.lb
-        if floors is not None:
-            floors.append((e, floor, from_leaf))
-        est, report, cut = tree.probe_edge(graph, e, floor)
-        if cut:
-            pruned.add(e)
-        elif est.samples_used >= CI_MIN_SAMPLES and (best is None or est.lb > best.lb):
-            best, from_leaf = est, False
-        probes[e] = (est, report)
-    return probes, pruned
-
-
 # ----------------------------------------------------------------------
 # Reference component-tree greedy: every iteration walks every candidate.
 # The library's greedy_select reads the best leaf from an ordered frontier
@@ -539,13 +478,12 @@ def reference_greedy_select(
     q: int,
     cfg: StrategyConfig,
     fast_forwards: list[int] | None = None,
-    floors: list[tuple[Edge, float | None, bool]] | None = None,
 ) -> Solution:
     """The component-tree greedy in O(candidates) per iteration: the
     eligible list from ``candidate_edges``, a probe of every eligible cycle
-    candidate (``reference_probe_with_ci`` over the eligible list under
-    ``_ci``, which appends each probe's floor, and whether a leaf set it,
-    to ``floors`` when it is given), and ``min`` over every leaf term.  Iterations whose candidates
+    candidate, and ``min`` over every leaf term.  Under ``_ci``, the cycle
+    candidates that ``ci_prune`` drops beside the ranked candidates (every
+    cycle probe and the best leaf) are pruned.  Iterations whose candidates
     were all suspended, so that the clock was fast-forwarded, are appended
     to ``fast_forwards`` when it is given."""
     if not (0 <= q < graph.num_vertices):
@@ -568,18 +506,13 @@ def reference_greedy_select(
             delays = {e: d - shift for e, d in delays.items() if d > shift}
             eligible = [e for e in cands if e not in delays]
         base, terms = tree.leaf_terms(graph)
-        if use_ci:
-            probes, pruned = reference_probe_with_ci(tree, graph, eligible, cfg, floors)
-        else:
-            probes = {
-                e: tree.probe_edge(graph, e)[:2] for e in eligible if e not in terms
-            }
-            pruned = set()
-        mean = base.mean
-        ranked = [(-est.mean, e) for e, (est, _) in probes.items() if e not in pruned]
+        probes = {e: tree.probe_edge(graph, e) for e in eligible if e not in terms}
+        ranked = [(e, est) for e, (est, _) in probes.items()]
         if terms:
-            ranked.append(min((-(mean + t[0]), e) for e, t in terms.items()))
-        _, best = min(ranked)
+            _, leaf = min((-(base.mean + t[0]), e) for e, t in terms.items())
+            ranked.append((leaf, tree.leaf_estimate(base, terms[leaf])))
+        pruned = set(probes) - ci_prune(ranked) if use_ci else set()
+        _, best = min((-est.mean, e) for e, est in ranked if e not in pruned)
         report = tree.insert_edge(graph, best, cfg.sampler)
         best_est = tree.expected_flow(graph)
         selected.append(best)
