@@ -54,26 +54,28 @@ edges and the config, so where it is built changes no result.
 
 The tree keeps one evaluation: every vertex's reach, the leaf candidates'
 terms in a dict and in descending order, and the subtree masses.  A leaf
-insert extends it in place (the new vertex's terms; the masses are rebuilt
-at the next cycle probe); a cycle-closing insert drops it.  Beside it sit
-the candidate edges, with the cycle candidates (both endpoints attached)
-in a list of their own, and each probed cycle candidate's ring, keyed by
-its edge: its plan and sampler and, in a memo tree, its table and the
-table's coefficients.  The rings are a memo tree's only table cache.  They
-survive every insert but their own edge's commit, which applies the ring's
-plan and, in a memo tree, adopts its table.  A cycle-closing insert marks
-stale the rings that take a component it folded: no other ring's members
-change their hang or factor, and attach order never changes.  A stale ring
-is planned again at its next probe, and keeps its table and sampler if
-its component is unchanged.  A copy keeps none of it, but serves the
-same graph under the same config, with the same world store.
+insert extends it in place: the new vertex's triple, its new leaves' terms
+and, once a cycle probe has built them, the masses on its hang chain, the
+only ones it changes.  A cycle-closing insert drops it, so the next cycle
+probe builds the masses again.  Beside it sit the candidate edges, with the
+cycle candidates (both endpoints attached) in a list of their own, and
+each probed cycle candidate's ring, keyed by its edge: its plan and
+sampler and, in a memo tree, its table and the table's coefficients.  The
+rings are a memo tree's only table cache.  They survive every insert but
+their own edge's commit, which applies the ring's plan and, in a memo
+tree, adopts its table.  A cycle-closing insert marks stale the rings that
+take a component it folded: no other ring's members change their hang or
+factor, and attach order never changes.  A stale ring is planned again at
+its next probe, and keeps its table and sampler if its component is
+unchanged.  A copy keeps none of it, but serves the same graph under the
+same config, with the same world store.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence
+from typing import KeysView, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -189,8 +191,9 @@ class _Kept:
     (the query vertex's is 0) and ``hangs`` each position's hang: the
     position of h(v) and g(v) (see the module docstring; position 0 holds
     a placeholder).  ``masses``, once a cycle probe asked for them, holds
-    the mean, lb and ub subtree masses by position; a leaf insert drops
-    them.
+    the mean, lb and ub subtree masses by position, beside each position's
+    weight (``weights``) and the positions that hang off it, in attach
+    order (``kids``); a leaf insert extends all three (``_attach_leaf``).
     """
 
     estimate: FlowEstimate
@@ -200,6 +203,8 @@ class _Kept:
     terms: Optional[dict[Edge, tuple[float, float, float]]] = None
     order: Optional[list[tuple[float, Edge]]] = None
     masses: Optional[tuple[list[float], list[float], list[float]]] = None
+    weights: Optional[list[float]] = None
+    kids: Optional[list[list[int]]] = None
 
 
 class MemoStore:
@@ -422,7 +427,7 @@ class FTree:
         (``refresh``).
         """
         self._use_graph(graph)
-        if self._cfg is not None and cfg != self._cfg:
+        if self._cfg is not None and cfg is not self._cfg and cfg != self._cfg:
             raise FTreeError("the tree samples under another config; build a new tree for this one")
         e, prob, att_u, att_v = self._insertable(graph, edge)
         self._cfg = cfg
@@ -441,7 +446,7 @@ class FTree:
             cost = len(comp.internal_edges)
         else:
             attach, fresh = (u, v) if att_u else (v, u)
-            case = self._attach_leaf(e, attach, fresh, prob)
+            case = self._attach_leaf(attach, fresh, prob)
             cost = 0
         self.selected_edges.add(e)
         if self._cands is not None:
@@ -463,18 +468,46 @@ class FTree:
             raise FTreeError(f"neither endpoint of {e} is attached")
         return e, graph.probabilities[graph.edge_index[e]], att_u, att_v
 
-    def _attach_leaf(self, e: Edge, attach: int, fresh: int, prob: float) -> str:
-        """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by the
-        edge ``e``.  The kept evaluation, if any, gains the new vertex's
-        triple, hang and term in place and drops its masses."""
+    def _attach_leaf(self, attach: int, fresh: int, prob: float) -> str:
+        """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by an
+        edge of probability ``prob``.  The kept evaluation, if any, gains the new vertex's
+        triple, hang and term in place, computed as ``leaf_terms`` would.
+
+        Kept masses gain the new position, whose masses are its weight, and
+        the hang chain from ``attach`` up to the query vertex is recomputed:
+        at each vertex y on it, w(y) plus g(c)·M(c) over y's kids c in
+        reverse attach order.  Those are the operations ``_masses``' reverse
+        pass does for y, in its order, so every mass stays bit for bit what
+        a rebuild would give; masses off the chain do not change."""
         kept = self._kept
         if kept is not None:
-            [(_, t, term)] = self._leaf_terms([e])
+            base = kept.triples[attach]
+            t = (prob * base[0], prob * base[1], prob * base[2])
+            w = self._graph.weights[fresh]
+            a, i = kept.rank[attach], len(kept.hangs)
             kept.triples[fresh] = t
-            kept.rank[fresh] = len(kept.hangs)
-            kept.hangs.append((kept.rank[attach], (prob, prob, prob)))
-            kept.estimate = self.leaf_estimate(kept.estimate, term)
-            kept.masses = None
+            kept.rank[fresh] = i
+            kept.hangs.append((a, (prob, prob, prob)))
+            kept.estimate = self.leaf_estimate(kept.estimate, (t[0] * w, t[1] * w, t[2] * w))
+            if kept.masses is not None:
+                m0, m1, m2 = kept.masses
+                weights, kids, hangs = kept.weights, kept.kids, kept.hangs
+                for m in (m0, m1, m2, weights):
+                    m.append(w)
+                kids.append([])
+                kids[a].append(i)
+                y = a
+                while True:
+                    s0 = s1 = s2 = weights[y]
+                    for c in reversed(kids[y]):
+                        g = hangs[c][1]
+                        s0 += g[0] * m0[c]
+                        s1 += g[1] * m1[c]
+                        s2 += g[2] * m2[c]
+                    m0[y], m1[y], m2[y] = s0, s1, s2
+                    if not y:
+                        break
+                    y = hangs[y][0]
         cid = self.vertex_index.get(attach, self.root_id)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
@@ -491,9 +524,11 @@ class FTree:
         which attached the vertex ``fresh`` if it was a leaf edge.
 
         The new vertex's edges to attached vertices stop being leaves and
-        close cycles from now on; its other edges become leaf candidates.
-        A leaf insert changes no attached vertex's triple, so every other
-        leaf keeps its term and its place in the order.
+        close cycles from now on; its other edges become leaf candidates,
+        all hanging off ``fresh``, so their terms are computed from its
+        triple as ``leaf_terms`` would.  A leaf insert changes no attached
+        vertex's triple, so every other leaf keeps its term and its place in
+        the order.
         """
         edges, cycles, graph = self._cands, self._cycles, self._graph
         del edges[bisect_left(edges, e)]
@@ -502,10 +537,11 @@ class FTree:
             return
         kept = self._kept
         terms = kept.terms if kept is not None else None
-        found: list[Edge] = []
+        q, index = self.q, self.vertex_index
+        found: list[tuple[Edge, int, int]] = []
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
-            if self.is_attached(nbr):
+            if nbr == q or nbr in index:
                 if c != e:
                     insort(cycles, c)
                 if terms is not None:  # e itself, or a leaf that now closes a cycle
@@ -513,37 +549,14 @@ class FTree:
                     del kept.order[bisect_left(kept.order, (-term[0], c))]
             else:
                 insort(edges, c)
-                found.append(c)
+                found.append((c, nbr, i))
         if terms is not None:
-            for c, _, term in self._leaf_terms(found):
+            base, probs, weights = kept.triples[fresh], graph.probabilities, graph.weights
+            for c, nbr, i in found:
+                p, w = probs[i], weights[nbr]
+                term = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
                 terms[c] = term
                 insort(kept.order, (-term[0], c))
-
-    def _leaf_terms(
-        self, edges: Iterable[Edge]
-    ) -> Iterator[tuple[Edge, tuple[float, float, float], tuple[float, float, float]]]:
-        """For each leaf edge (one endpoint attached) among ``edges``: the
-        edge, the reach triple t = p·t(attach) its new vertex would get, and
-        the weighted term t·w its insert adds, given the kept triples.
-
-        The triple is the one ``_evaluate`` would compute, and the new vertex
-        comes last in ``vertex_index``, so ``leaf_estimate`` of the kept
-        estimate and the term matches a full evaluation of the grown tree
-        bit for bit.
-        """
-        q, index = self.q, self.vertex_index
-        triples, graph = self._kept.triples, self._graph
-        for e in edges:
-            u, v = e
-            att_u = u == q or u in index
-            if att_u == (v == q or v in index):
-                continue
-            attach, fresh = (u, v) if att_u else (v, u)
-            p = graph.probabilities[graph.edge_index[e]]
-            base = triples[attach]
-            t = (p * base[0], p * base[1], p * base[2])
-            w = graph.weights[fresh]
-            yield e, t, (t[0] * w, t[1] * w, t[2] * w)
 
     @staticmethod
     def leaf_estimate(base: FlowEstimate, t: tuple[float, float, float]) -> FlowEstimate:
@@ -578,8 +591,11 @@ class FTree:
     ) -> tuple[FlowEstimate, dict[Edge, tuple[float, float, float]]]:
         """The tree's estimate and, for every leaf candidate in ``graph``
         (one endpoint attached), the weighted term (t·w for mean, lb, ub)
-        its insert adds: ``leaf_estimate`` of the two is what ``probe_edge``
-        would estimate for the leaf, bit for bit, from the same samples.
+        its insert adds, with t = p·t(attach) the reach triple its new
+        vertex would get.  That is the triple ``_evaluate`` would compute,
+        and the new vertex would come last in ``vertex_index``, so
+        ``leaf_estimate`` of the two matches a full evaluation of the grown
+        tree bit for bit.
 
         The terms are part of the tree's kept evaluation, kept in order
         (``best_leaf``) beside it and extended in place by leaf inserts; a
@@ -591,7 +607,16 @@ class FTree:
         edges = self.candidates(graph)
         kept = self._kept or self._evaluate(graph)
         if kept.terms is None:
-            kept.terms = {e: term for e, _, term in self._leaf_terms(edges)}
+            q, index, triples = self.q, self.vertex_index, kept.triples
+            kept.terms = {}
+            for e in edges:
+                u, v = e
+                att_u = u == q or u in index
+                if att_u == (v == q or v in index):
+                    continue
+                attach, fresh = (u, v) if att_u else (v, u)
+                p, base, w = graph.probabilities[graph.edge_index[e]], triples[attach], graph.weights[fresh]
+                kept.terms[e] = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
             kept.order = sorted((-term[0], e) for e, term in kept.terms.items())
         return kept.estimate, kept.terms
 
@@ -841,21 +866,27 @@ class FTree:
 
     def _masses(self) -> tuple[list[float], list[float], list[float]]:
         """The kept mean, lb and ub subtree masses by attach position, built
-        at the first call after an evaluation or a leaf insert: one pass in
-        reverse attach order adds each g(v)·M(v) to M(h(v)) after all that
-        hangs off v was added to M(v)."""
+        at the first call after an evaluation, with each position's weight
+        and kids: one pass in reverse attach order adds each g(v)·M(v) to
+        M(h(v)) after all that hangs off v was added to M(v).  Leaf inserts
+        then extend them (``_attach_leaf``); only a cycle-closing insert,
+        which drops the evaluation, makes the next call build them again."""
         kept = self._kept
         if kept.masses is None:
             hangs = kept.hangs
             w = self._graph.weights
-            m0 = [w[v] for v in kept.rank]
-            m1, m2 = m0[:], m0[:]
+            weights = [w[v] for v in kept.rank]
+            m0, m1, m2 = weights[:], weights[:], weights[:]
+            kids: list[list[int]] = [[] for _ in hangs]
             for i in range(len(hangs) - 1, 0, -1):
                 h, g = hangs[i]
                 m0[h] += g[0] * m0[i]
                 m1[h] += g[1] * m1[i]
                 m2[h] += g[2] * m2[i]
-            kept.masses = m0, m1, m2
+                kids[h].append(i)
+            for k in kids:
+                k.reverse()
+            kept.masses, kept.weights, kept.kids = (m0, m1, m2), weights, kids
         return kept.masses
 
     def _ring_flow(self, coeffs: _Coeffs, r: int) -> tuple:
@@ -967,14 +998,12 @@ class FTree:
                 children[pid].append(cid)
         display: dict[int, int] = {}
         order: list[int] = []
-
-        def walk(cid: int) -> None:
+        stack = [self.root_id]  # an explicit stack: chains may be deeper than the recursion limit
+        while stack:
+            cid = stack.pop()
             display[cid] = len(display)
             order.append(cid)
-            for kid in children[cid]:
-                walk(kid)
-
-        walk(self.root_id)
+            stack.extend(reversed(children[cid]))
         lines = []
         for cid in order:
             comp = self.components[cid]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -636,6 +637,29 @@ class TestDumpFtree:
         rc, stdout = run(capsys, "dump-ftree", "--edges", str(tmp_path / "g.edges"),
                          "--weights", str(tmp_path / "g.weights"), "--query", "0")
         assert rc == 0 and " BI " in stdout and built == []
+
+    @pytest.mark.parametrize("ordered", [False, True], ids=["insert-all", "insert-file"])
+    def test_a_chain_deeper_than_the_recursion_limit_dumps(self, tmp_path, capsys, ordered):
+        # Triangle i on vertices 2i, 2i+1 and 2i+2 hangs off triangle i-1,
+        # so the chain nests one component per triangle, deeper than the
+        # recursion limit; the dump still has one line per triangle.
+        chain = sys.getrecursionlimit() + 200
+        pairs = []
+        for i in range(chain):
+            a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+            pairs += [f"{a} {b}", f"{a} {c}", f"{b} {c}"]
+        paths = write_instance(tmp_path, "".join(f"{pair} 0.5\n" for pair in pairs))
+        argv = ["dump-ftree", "--edges", paths["edges"], "--query", "0"]
+        if ordered:
+            order = tmp_path / "order.txt"
+            order.write_text("".join(f"{pair}\n" for pair in pairs), encoding="utf-8")
+            argv += ["--insert", str(order)]
+        rc, stdout = run(capsys, *argv)
+        assert rc == 0
+        lines = stdout.splitlines()
+        assert len(lines) == chain
+        assert lines[0] == "0 BI AV=0 V={1,2} children=[1]"
+        assert lines[-1] == f"{chain - 1} BI AV={2 * chain - 2} V={{{2 * chain - 1},{2 * chain}}} children=[]"
 
     @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--samples", "5"), ("--alpha", "0.5")])
     def test_sampler_flag_rejected(self, tmp_path, capsys, flag, value):

@@ -1274,6 +1274,54 @@ class TestKeptEvaluation:
         tree.verify(a)
         assert tree.expected_flow(replace(a)) == flow == tree.copy().expected_flow(a)
 
+    def test_leaf_inserts_extend_masses_and_terms_as_rebuilds_would(self):
+        # Random graphs in random insertion orders.  Before about half the
+        # inserts the leaf terms are asked for and every cycle candidate is
+        # probed, so masses and terms are kept when a leaf commits.  After
+        # every insert that keeps them, the three mass channels (with each
+        # position's weight and kids) equal ``_masses`` rebuilt from scratch
+        # over the same evaluation, and the leaf terms and their order equal
+        # a ``leaf_terms`` rebuild, all compared by hex.
+        rng = random.Random(5757)
+        cfg = SamplerConfig(samples=300, master_seed=13)
+
+        def rebuilt(tree, fields, ask):
+            kept = tree._kept
+            tree._kept = replace(kept, **dict.fromkeys(fields))
+            try:
+                return ask(tree)
+            finally:
+                tree._kept = kept
+
+        def hex_terms(terms, order):
+            return {e: hexed(t) for e, t in terms.items()}, [(neg.hex(), e) for neg, e in order]
+
+        extended = terms_kept = 0
+        for trial in range(40):
+            n = rng.randint(5, 20)
+            g = random_connected_graph(rng, n, rng.randint(1, n))
+            tree = new_ftree(0)
+            for e in insertable_order(g, rng):
+                if rng.random() < 0.5:
+                    tree.leaf_terms(g)
+                    for c in tree.cycle_candidates(g):
+                        tree.probe_edge(g, c)
+                tree.insert_edge(g, e, cfg)
+                kept = tree._kept
+                if kept is not None and kept.masses is not None:
+                    masses = rebuilt(
+                        tree, ("masses", "weights", "kids"),
+                        lambda t: (t._masses(), t._kept.weights, t._kept.kids),
+                    )
+                    assert [hexed(m) for m in kept.masses] == [hexed(m) for m in masses[0]]
+                    assert (kept.weights, kept.kids) == masses[1:]
+                    extended += 1
+                if kept is not None and kept.terms is not None:
+                    terms = rebuilt(tree, ("terms", "order"), lambda t: (t.leaf_terms(g)[1], t._kept.order))
+                    assert hex_terms(kept.terms, kept.order) == hex_terms(*terms)
+                    terms_kept += 1
+        assert extended > 150 and terms_kept > 150
+
     def test_leaf_insert_extends_without_evaluating(self, monkeypatch):
         g = running_example_graph()
         tree = build_base_tree(g)

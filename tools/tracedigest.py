@@ -14,10 +14,13 @@ samples (master seed 7):
 - ``assign_distance_decay(gen_wsn(500, 0.08, s), lam=0.001, scale=10000)``
   at k=15.
 
-Report only: it checks nothing.  Run it at two commits and compare.  Run
-from the repository root:
+``tools/tracedigest.txt`` holds the expected output, and CI fails when the
+output differs from it.  A change that moves a selection result
+regenerates the file and names the moved rows.  Run from the repository
+root:
 
-    python3 tools/tracedigest.py
+    python3 tools/tracedigest.py | diff tools/tracedigest.txt -
+    python3 tools/tracedigest.py > tools/tracedigest.txt  # after a result-changing change
 """
 
 from __future__ import annotations
