@@ -59,15 +59,14 @@ and, once a cycle probe has built them, the masses on its hang chain, the
 only ones it changes.  A cycle-closing insert drops it, so the next cycle
 probe builds the masses again.  Beside it sit the candidate edges, with the
 cycle candidates (both endpoints attached) in a list of their own, and
-each probed cycle candidate's ring, keyed by its edge: its plan and
-sampler and, in a memo tree, its table and the table's coefficients.  The
-rings are a memo tree's only table cache.  They survive every insert but
-their own edge's commit, which applies the ring's plan and, in a memo
-tree, adopts its table.  A cycle-closing insert marks stale the rings that
-take a component it folded: no other ring's members change their hang or
-factor, and attach order never changes.  A stale ring is planned again at
-its next probe, and keeps its table and sampler if its component is
-unchanged.  A copy keeps none of it, but serves the same graph under the
+each probed cycle candidate's ring, keyed by its edge: its members, its
+component and sampler and, in a memo tree, its table and the table's
+coefficients, all of which depend on the ring's component alone.  The
+rings are a memo tree's only table cache.  A leaf insert keeps them all,
+and a cycle-closing insert keeps exactly those whose members its new
+component misses, since it changes no other vertex's hang or factor and
+attach order never changes; a memo tree's commit adopts the table of its
+edge's ring.  A copy keeps none of it, but serves the same graph under the
 same config, with the same world store.
 """
 
@@ -157,22 +156,16 @@ _Coeffs = list[tuple[int, float, float, float]]
 
 @dataclass
 class _Ring:
-    """A probed cycle candidate, kept until its edge is committed: its
-    ring's (attach position, vertex) pairs in attach order, the ring (a
-    ``BiComponent`` with no table of its own, draining through the vertex
-    where its climbs meet), the insert report, the parts it takes, as
-    component ids (``_plan_cycle``'s plan is these parts, the ring and the
-    report's case; None once an insert folded a component it takes, which
-    makes the ring stale), the sampler prepared at the first build a probe
-    needs (until a memo tree keeps the table it built) and, in a memo tree
-    only, the table the first probe built and the table's coefficients.
-    All but the parts and the report hold for as long as the ring's
-    component is unchanged (see ``FTree._close_cycle``)."""
+    """A probed cycle candidate, kept while commits leave its component as
+    it is (see ``FTree._close_cycle``): its ring's (attach position,
+    vertex) pairs in attach order, the ring (a ``BiComponent`` with no
+    table of its own, draining through the vertex where its climbs meet),
+    the sampler prepared at the first build a probe needs (until a memo
+    tree keeps the table it built) and, in a memo tree only, the table the
+    first probe built and the table's coefficients."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
-    report: InsertReport
-    parts: Optional[_Parts]
     sampler: Optional[IncrementalComponentSampler] = None
     scored: Optional[tuple[ReachTable, _Coeffs]] = None
 
@@ -417,15 +410,17 @@ class FTree:
         """Add one selected edge, dispatching the structural update cases.
 
         At least one endpoint must already be attached.  The tree samples
-        under the config its first insert gives, or one equal to it; any
-        other raises FTreeError and changes nothing.  A cycle-closing edge
-        the tree probed applies its kept ring's plan, unless the ring is
-        stale, and in a memo tree its ring takes the table the probe read,
-        if the probe read a full one; any other cycle is planned here.  The
-        commit drops the edge's rings (``_close_cycle``).  No table is
+        under the ``SamplerConfig`` its first insert gives, or one equal to
+        it; anything else raises FTreeError and changes nothing.  A
+        cycle-closing edge is planned here (``_plan_cycle``), and in a memo
+        tree its new component takes the table its probe's ring holds, if
+        the edge was probed; the commit drops the rings that share a member
+        with it, the edge's own among them (``_close_cycle``).  No table is
         built here: the next evaluation builds every one still missing
         (``refresh``).
         """
+        if not isinstance(cfg, SamplerConfig):
+            raise FTreeError(f"cfg must be a SamplerConfig, not {cfg!r}")
         self._use_graph(graph)
         if self._cfg is not None and cfg is not self._cfg and cfg != self._cfg:
             raise FTreeError("the tree samples under another config; build a new tree for this one")
@@ -435,13 +430,10 @@ class FTree:
         fresh: Optional[int] = None
         if att_u and att_v:
             self._kept = None
+            parts, comp, case = self._plan_cycle(u, v, e)
             ring = self._rings.get(e)
-            if ring is None or ring.parts is None:  # unprobed or stale: planned afresh
-                parts, comp, case = self._plan_cycle(u, v, e)
-            else:
-                parts, comp, case = ring.parts, ring.comp, ring.report.case_taken
-                if ring.scored is not None:
-                    comp.reach = ring.scored[0]
+            if ring is not None and ring.scored is not None:
+                comp.reach = ring.scored[0]
             self._close_cycle(parts, comp)
             cost = len(comp.internal_edges)
         else:
@@ -620,10 +612,11 @@ class FTree:
             kept.order = sorted((-term[0], e) for e, term in kept.terms.items())
         return kept.estimate, kept.terms
 
-    def best_leaf(self, graph: ProbabilisticGraph) -> Optional[Edge]:
+    def best_leaf(self, graph: ProbabilisticGraph) -> Optional[tuple[Edge, FlowEstimate]]:
         """The leaf candidate whose insert gives the largest mean, the
-        smallest edge among those that tie, or None with no leaf: the edge
-        of ``min((-(mean + t[0]), e) for e, t in terms.items())`` over
+        smallest edge among those that tie, with the estimate its insert
+        gives (``leaf_estimate``), or None with no leaf: the edge of
+        ``min((-(mean + t[0]), e) for e, t in terms.items())`` over
         ``leaf_terms``, read from the front of the kept order.
 
         ``mean + t`` rounds monotonically in t, so the leaves whose rounded
@@ -642,7 +635,7 @@ class FTree:
             if mean - neg != top:
                 break
             best = min(best, e)
-        return best
+        return best, self.leaf_estimate(base, terms[best])
 
     def _hang(self, v: int) -> int:
         """h(v) of an attached vertex v other than the query vertex: its mono
@@ -718,28 +711,18 @@ class FTree:
         parent's own if the parent is on the path, and a member whose path
         misses the cut stays.
 
-        The ring of the edge the new ring closes goes;
-        the kept rings that take a part are marked stale (``_Ring``).  A
-        ring that takes none is planned again as it was: every vertex its
-        climbs pass lies in a component it takes, which is unchanged, so
-        they pass the same vertices, meet at the same one and end in the
-        same components; the component owning the meeting vertex can change
-        only if the ring takes it.  Its members keep their hangs, factors
-        and attach positions, so its coefficients hold too.  Sharing no
-        edge with the new ring is not enough: a mono part shared without a
-        shared edge still loses a path and may split, and the ring's case
-        can change with it.  A stale ring whose new plan has the same component keeps
-        its table and coefficients for the same reason: had the new ring
-        taken one of its members, its new plan would take the new ring
-        whole, and with it the edge just committed, which its old plan
-        lacks.
+        The kept rings (``_Ring``) that share a member with the new ring
+        go, the committed edge's own among them, and the others stay as
+        they are.  Only the new ring's members change their hang or factor,
+        attach order never changes, and a bi part is taken whole.  So a
+        ring that shares no member climbs through the same vertices to the
+        same meeting vertex, and its component, sampler, table and
+        coefficients are what a fresh probe would make.  A ring that shares
+        a member would now take the new ring whole, and with it the edge
+        just committed.
         """
         ring_id = self._add_component(ring)
-        taken = set(parts)
-        self._rings = {c: r for c, r in self._rings.items() if c not in ring.internal_edges}
-        for r in self._rings.values():
-            if r.parts is not None and not taken.isdisjoint(r.parts):
-                r.parts = None
+        self._rings = {c: r for c, r in self._rings.items() if r.comp.members.isdisjoint(ring.members)}
         for cid in parts:
             comp = self.components[cid]
             if isinstance(comp, MonoComponent):
@@ -785,9 +768,9 @@ class FTree:
         call).  Its worlds depend only on its edges and the config, so a
         table built here equals one built at the insert that made the
         component.  Only a cycle-closing insert makes a component without
-        a table, and it drops the kept evaluation and marks stale the
-        rings it touches; rings are planned on evaluated trees only.  So
-        no kept evaluation or live ring reads a component this builds.
+        a table, and it drops the kept evaluation and the rings that share
+        a member with it; rings are planned on evaluated trees only.  So
+        no kept evaluation or kept ring reads a component this builds.
         """
         for comp in self.components.values():
             if isinstance(comp, BiComponent) and comp.reach is None:
@@ -903,47 +886,35 @@ class FTree:
         t, base = self._kept.triples[r], self._kept.estimate
         return base.mean + t[0] * d0, base.lb + t[1] * d1, base.ub + t[2] * d2
 
-    def _ring_samples(self, ring: list[tuple[int, int]], n: int) -> int:
-        """The fewest worlds behind any table of the grown tree, whose ring
-        table has ``n``: the tables outside the ring stay, and the fewest
-        worlds behind them is at least the tree's own."""
-        if n <= self._kept.estimate.samples_used:
-            return n
-        inside = {x for _, x in ring}
-        bis = [c for c in self.components.values() if isinstance(c, BiComponent)]
-        return min([n] + [c.reach.sample_count for c in bis if c.members.isdisjoint(inside)])
-
-    def probe_edge(
-        self, graph: ProbabilisticGraph, edge: tuple[int, int]
-    ) -> tuple[FlowEstimate, InsertReport]:
-        """Flow and insert report of a hypothetical cycle-closing insertion,
-        leaving this tree, its tables and its evaluation untouched (a tree
-        with no kept evaluation is evaluated first); only the tree's world
-        store may gain the ring's edges it had not drawn yet, whose bits no
-        order of asking changes.  Both endpoints must be attached, so an
-        insert has given the tree its config, which the probe samples
-        under: a leaf edge raises FTreeError, as ``leaf_terms`` scores
-        leaves.
+    def probe_edge(self, graph: ProbabilisticGraph, edge: tuple[int, int]) -> tuple[FlowEstimate, int]:
+        """Flow of a hypothetical cycle-closing insertion and its cost, the
+        new ring's edge count (an insert's ``edges_sampled_count``), leaving
+        this tree, its tables and its evaluation untouched (a tree with no
+        kept evaluation is evaluated first); only the tree's world store may
+        gain the ring's edges it had not drawn yet, whose bits no order of
+        asking changes.  Both endpoints must be attached, so an insert has
+        given the tree its config, which the probe samples under: a leaf
+        edge raises FTreeError, as ``leaf_terms`` scores leaves.
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
         rounding.  Its ring's table comes from the ring, if a memo tree's
         ring keeps one, or else from the ring's sampler, which builds the
         full table, exact or drawn (``IncrementalComponentSampler.build``).
-        A commit of a probed edge adopts the table its ring holds.
+        A commit of a probed edge adopts the table its ring holds.  The
+        estimate's worlds are the fewer of the table's and the tree's: a
+        ring that takes a drawn table has at least that table's uncertain
+        edges, so it is drawn too.
 
         Every tree keeps each cycle candidate it probes (``_Ring``), keyed
-        by its edge, until its edge is committed, so a re-probe or a commit
-        skips planning and a re-probe skips preparing the sampler.  A ring
-        an insert made stale (see ``_close_cycle``) is planned again: if
-        its component, the articulation vertex and the edges, is unchanged,
-        it takes the new parts and report and keeps the rest; otherwise a
-        new ring replaces it.  A memo tree's ring also keeps its full
-        table's coefficients, for re-probes to score in one multiply-add
-        per member and channel; in a tree without a memo, every probe
-        builds its table afresh, propagating its edges' worlds from the
-        tree's world store again; no probe draws an edge the store holds.
-        A re-probe returns what a fresh probe would, bit for bit.
+        by its edge, while commits leave its component as it is
+        (``_close_cycle``), so a re-probe skips planning and preparing the
+        sampler.  A memo tree's ring also keeps its full table's
+        coefficients, for re-probes to score in one multiply-add per member
+        and channel; in a tree without a memo, every probe builds its table
+        afresh, propagating its edges' worlds from the tree's world store
+        again; no probe draws an edge the store holds.  A re-probe returns
+        what a fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -951,16 +922,10 @@ class FTree:
             raise FTreeError(f"edge {e} closes no cycle: leaf_terms scores leaf edges")
         kept = self._kept or self._evaluate(graph)
         ring = self._rings.get(e)
-        if ring is None or ring.parts is None:
-            parts, comp, case = self._plan_cycle(*e, e)
-            report = InsertReport(case, len(comp.internal_edges))
-            if ring is not None and (ring.comp.articulation, ring.comp.internal_edges) == (
-                comp.articulation, comp.internal_edges
-            ):
-                ring.parts, ring.report = parts, report  # its component is unchanged
-            else:
-                members = sorted((kept.rank[x], x) for x in comp.members)
-                ring = self._rings[e] = _Ring(members, comp, report, parts)
+        if ring is None:
+            _, comp, _ = self._plan_cycle(*e, e)
+            members = sorted((kept.rank[x], x) for x in comp.members)
+            ring = self._rings[e] = _Ring(members, comp)
         scored = ring.scored
         if scored is None:
             ring.sampler = ring.sampler or self._sampler(ring.comp)
@@ -970,8 +935,8 @@ class FTree:
                 ring.scored, ring.sampler = scored, None  # no memoized probe builds again
         table, coeffs = scored
         flow = self._ring_flow(coeffs, ring.comp.articulation)
-        samples = self._ring_samples(ring.members, table.sample_count)
-        return FlowEstimate(*flow, samples), ring.report
+        samples = min(table.sample_count, kept.estimate.samples_used)
+        return FlowEstimate(*flow, samples), len(ring.comp.internal_edges)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 # new_ftree is a perfbench tracer install site: keep it imported here.
-from .ftree import FTree, InsertReport, new_ftree
+from .ftree import FTree, new_ftree
 from .graphs import (
     Edge,
     ProbabilisticGraph,
@@ -144,15 +144,17 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     candidates among them (``FTree.cycle_candidates``) and every leaf
     candidate's (one endpoint attached) term over its kept evaluation, in
     order (``FTree.leaf_terms``), across iterations; only cycle candidates
-    are probed (``FTree.probe_edge``).  The best leaf, read from the front
-    of the order (``FTree.best_leaf``), is the one with the largest mean,
-    ties going to the smallest edge.  The flow recorded for the committed
-    edge is the live tree's own after the insert.
+    are probed (``FTree.probe_edge``), each giving its estimate and its
+    cost, the ring's edge count.  The best leaf, read with its estimate
+    once per iteration from the front of the order (``FTree.best_leaf``),
+    is the one with the largest mean, ties going to the smallest edge.
+    The flow recorded for the committed edge is the live tree's own after
+    the insert.
 
     Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), whose
     probed rings keep their reach tables across probes and across the
-    commits that leave a ring's component unchanged, and whose commit
-    adopts its probe's table; ``_ci`` prunes the cycle candidates that
+    commits that take none of a ring's members, and whose commit adopts
+    its probe's table; ``_ci`` prunes the cycle candidates that
     ``ci_prune`` drops beside the others and the best leaf
     (``_probe_with_ci``); ``_ds`` suspends low-potential expensive
     candidates.  A leaf samples nothing, so it is never pruned or
@@ -189,9 +191,8 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         probed = len(cands) - len(delays)
 
         # Leaves are never suspended, so every one is eligible.
-        base, terms = tree.leaf_terms(graph)
         leaf = tree.best_leaf(graph)
-        leaves = [] if leaf is None else [(leaf, tree.leaf_estimate(base, terms[leaf]))]
+        leaves = [] if leaf is None else [leaf]
         cycles = [e for e in tree.cycle_candidates(graph) if e not in delays]
         if use_ci:
             probes, pruned = _probe_with_ci(tree, graph, cycles, leaves)
@@ -220,12 +221,12 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
         delays = {e: d - 1 for e, d in delays.items() if d > 1}
         if use_ds:
             denom = best_est.mean
-            for e, (est, rep) in probes.items():
+            for e, (est, cost) in probes.items():
                 if e == best:
                     continue
                 ratio = est.mean / denom if denom > 0 else 1.0
                 pot = min(1.0, max(1e-9, ratio))
-                delay = ds_delay(pot, rep.edges_sampled_count, cfg.ds_c)
+                delay = ds_delay(pot, cost, cfg.ds_c)
                 if delay:
                     delays[e] = delay
     return Solution(selected=tuple(selected), trace=tuple(trace))
@@ -236,11 +237,11 @@ def _probe_with_ci(
     graph: ProbabilisticGraph,
     cycles: Sequence[Edge],
     leaves: list[tuple[Edge, FlowEstimate]],
-) -> tuple[dict[Edge, tuple[FlowEstimate, InsertReport]], set[Edge]]:
+) -> tuple[dict[Edge, tuple[FlowEstimate, int]], set[Edge]]:
     """Probe the cycle candidates ``cycles`` (the eligible ones) with
     ``FTree.probe_edge`` and prune with one ``ci_prune`` over their
     estimates and ``leaves`` (the best leaf's, if any).  Returns the cycle
-    probes' estimates and reports, and the cycle candidates ``ci_prune``
+    probes' estimates and costs, and the cycle candidates ``ci_prune``
     drops; a leaf is never pruned.  Every table is built before it is
     judged, so a prune skips no work, and the pruned set depends on the
     iteration's estimates alone, not on probe order or memo state.

@@ -213,6 +213,16 @@ class TestIncrementalLoop:
         assert fast_forwarded > 0
 
     @pytest.mark.parametrize("variant", TREE_VARIANTS)
+    def test_leaf_terms_are_read_once_per_iteration(self, monkeypatch, variant):
+        # Each iteration reads the leaf terms once, through ``FTree.best_leaf``,
+        # which gives the best leaf with its estimate.
+        calls = []
+        leaf_terms = FTree.leaf_terms
+        monkeypatch.setattr(FTree, "leaf_terms", lambda tree, g: calls.append(1) or leaf_terms(tree, g))
+        sol = greedy_select(netgen.gen_erdos(40, 6, 1), 0, scfg(variant, 12, samples=300))
+        assert len(sol.trace) == 12 and len(calls) == 12
+
+    @pytest.mark.parametrize("variant", TREE_VARIANTS)
     def test_best_leaf_ties_after_rounding_go_to_the_smallest_edge(self, variant):
         # Beside a query weight of 1e16, whose ulp is 2, the terms 4.0, 3.5
         # and 3.2 all round to 1e16 + 4, and 1.0 to 1e16.  The leaf with the
@@ -223,7 +233,8 @@ class TestIncrementalLoop:
             weights=[1e16, 3.2, 4.0, 3.5, 1.0],
         )
         tree = FTree(0)
-        assert tree.best_leaf(g) == (0, 1)
+        base, terms = tree.leaf_terms(g)
+        assert tree.best_leaf(g) == ((0, 1), tree.leaf_estimate(base, terms[0, 1]))
         cfg = scfg(variant, 1)
         assert greedy_select(g, 0, cfg).selected == ((0, 1),)
         assert greedy_select(g, 0, cfg) == reference_greedy_select(g, 0, cfg)
@@ -268,10 +279,10 @@ class TestCiVariant:
         original = FTree.probe_edge
 
         def recording(tree, graph, edge):
-            est, report = original(tree, graph, edge)
-            if report.edges_sampled_count:
+            est, cost = original(tree, graph, edge)
+            if cost:
                 worlds.append(est.samples_used)
-            return est, report
+            return est, cost
 
         monkeypatch.setattr(FTree, "probe_edge", recording)
         sol_ci = greedy_select(g, 0, scfg("ft_m_ci", 11, seed=7))
@@ -394,12 +405,11 @@ class TestCiVariant:
                 tree = FTree(0)
                 for e in sol.selected[:i]:
                     tree.insert_edge(g, e, cfg.sampler)
-                base, terms = tree.leaf_terms(g)
                 cycles = tree.cycle_candidates(g)[::-1]
                 ranked = [(e, tree.probe_edge(g, e)[0]) for e in cycles]
                 leaf = tree.best_leaf(g)
                 if leaf is not None:
-                    ranked.append((leaf, tree.leaf_estimate(base, terms[leaf])))
+                    ranked.append(leaf)
                 assert len(set(cycles) - ci_prune(ranked)) == rec.candidates_pruned
                 pruned += rec.candidates_pruned
         assert pruned > 0
@@ -434,11 +444,10 @@ class TestCiVariant:
                 for e in sol.selected[:i]:
                     tree.insert_edge(g, e, cfg.sampler)
                 assert set(cycles) <= set(tree.cycle_candidates(g))
-                base, terms = tree.leaf_terms(g)
                 ranked = [(e, tree.probe_edge(g, e)[0]) for e in cycles[::-1]]
                 leaf = tree.best_leaf(g)
                 if leaf is not None:
-                    ranked.append((leaf, tree.leaf_estimate(base, terms[leaf])))
+                    ranked.append(leaf)
                 assert len(set(cycles) - ci_prune(ranked)) == rec.candidates_pruned
                 pruned += rec.candidates_pruned
                 delayed += rec.candidates_delayed

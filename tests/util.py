@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from probflow import (
+    BiComponent,
     Edge,
     FlowEstimate,
     FTree,
@@ -453,9 +454,10 @@ def reference_ring_estimate(
     """The estimate a cycle probe of ``e`` gives from its ring's full
     drawn table (``drawn_table`` of all ``cfg.samples`` worlds), scored
     through ``FTree._coefficients`` and ``FTree._ring_flow``, over the
-    worlds ``FTree._ring_samples`` counts; None for a ring whose table is
-    exact.  The ring is planned afresh and its table drawn from a new
-    sampler; ``tree`` is evaluated if it is not."""
+    fewest worlds behind any table of the grown tree: the ring's and those
+    of the bi components whose members the ring misses; None for a ring
+    whose table is exact.  The ring is planned afresh and its table drawn
+    from a new sampler; ``tree`` is evaluated if it is not."""
     tree.expected_flow(graph)
     _, comp, _ = tree._plan_cycle(*e, e)
     members = sorted((tree._kept.rank[x], x) for x in comp.members)
@@ -464,7 +466,11 @@ def reference_ring_estimate(
         return None
     table = drawn_table(sampler, cfg.samples)
     flow = tree._ring_flow(tree._coefficients(members, table.rows), comp.articulation)
-    return FlowEstimate(*flow, tree._ring_samples(members, cfg.samples))
+    outside = [
+        c.reach.sample_count for c in tree.components.values()
+        if isinstance(c, BiComponent) and c.members.isdisjoint(comp.members)
+    ]
+    return FlowEstimate(*flow, min([cfg.samples] + outside))
 
 
 # ----------------------------------------------------------------------
@@ -530,11 +536,11 @@ def reference_greedy_select(
         )
         delays = {e: d - 1 for e, d in delays.items() if d > 1}
         if use_ds:
-            for e, (est, rep) in probes.items():
+            for e, (est, cost) in probes.items():
                 if e == best:
                     continue
                 ratio = est.mean / best_est.mean if best_est.mean > 0 else 1.0
-                delay = ds_delay(min(1.0, max(1e-9, ratio)), rep.edges_sampled_count, cfg.ds_c)
+                delay = ds_delay(min(1.0, max(1e-9, ratio)), cost, cfg.ds_c)
                 if delay:
                     delays[e] = delay
     return Solution(selected=tuple(selected), trace=tuple(trace))

@@ -19,8 +19,8 @@ for a change:
   per tree (the tree's world store) saves the most;
 - ``run_strategy`` of ``ft_m`` on
   ``assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)``
-  at k=200 (1000 samples, master seed 7), where many probed rings go stale
-  at a cycle commit and keep their tables;
+  at k=200 (1000 samples, master seed 7), where many probed rings outlive
+  a cycle commit that takes none of their members, and keep their tables;
 - ``dump-ftree``'s structure-only loop on that wsn-2000 graph (9648
   edges): insert the first candidate until none is left, never evaluate.
   Inserts build no reach table, so its value, (edges inserted, tables
