@@ -47,26 +47,29 @@ A tree serves only the graph it was first given, or one equal to it, and
 samples under only the ``SamplerConfig`` its first insert gave it, or one
 equal to it: its edge factors and reach tables carry that graph's
 probabilities and that config's worlds, so any other graph or config is
-refused.  An insert builds no reach table; the first evaluation that needs
+refused.  Binding the graph makes the candidate edges, and binding the
+config the world store.  An insert builds no reach table; the first evaluation that needs
 one builds every table still missing, so a tree that is only inserted into
 and dumped never samples.  A table's worlds depend only on its component's
 edges and the config, so where it is built changes no result.
 
-The tree keeps one evaluation: every vertex's reach, the leaf candidates'
-terms in a dict and in descending order, and the subtree masses.  A leaf
-insert extends it in place: the new vertex's triple, its new leaves' terms
-and, once a cycle probe has built them, the masses on its hang chain, the
-only ones it changes.  A cycle-closing insert drops it, so the next cycle
-probe builds the masses again.  Beside it sit the candidate edges, with the
-cycle candidates (both endpoints attached) in a list of their own, and
-each probed cycle candidate's ring, keyed by its edge: its members, its
+The tree keeps one evaluation, which every evaluation builds whole: every
+vertex's reach, the leaf candidates' terms in a dict and in descending
+order, and the subtree masses.  A leaf insert extends it in place: the new
+vertex's triple, its new leaves' terms and the masses on its hang chain,
+the only ones it changes.  A cycle-closing insert drops it, so the next
+evaluation builds it whole again.  Beside it sit the candidate edges, with
+the cycle candidates (both endpoints attached) in a list of their own,
+which every insert keeps up to date, and each probed cycle candidate's
+ring, keyed by its edge: its members, its
 component and sampler and, in a memo tree, its table and the table's
 coefficients, all of which depend on the ring's component alone.  The
 rings are a memo tree's only table cache.  A leaf insert keeps them all,
 and a cycle-closing insert keeps exactly those whose members its new
 component misses, since it changes no other vertex's hang or factor and
 attach order never changes; a memo tree's commit adopts the table of its
-edge's ring.  A copy keeps none of it, but serves the same graph under the
+edge's ring.  A copy has candidate lists of its own, equal to the
+source's, and no evaluation or ring; it serves the same graph under the
 same config, with the same world store.
 """
 
@@ -174,30 +177,30 @@ class _Ring:
 class _Kept:
     """What a tree keeps of its last evaluation, for one graph.
 
-    ``triples`` holds every attached vertex's (mean, lb, ub) reach factor
-    to the query vertex, the query vertex included, in attach order.
-    ``terms``, once asked for, holds each leaf candidate's (one endpoint
-    attached) weighted reach term t·w for mean, lb and ub, and ``order``
-    the same leaves as (−t·w mean, edge) pairs in ascending order.  Both
-    survive leaf inserts, which add and drop leaves but change no other
-    leaf's term.  ``rank`` holds every attached vertex's attach position
-    (the query vertex's is 0) and ``hangs`` each position's hang: the
-    position of h(v) and g(v) (see the module docstring; position 0 holds
-    a placeholder).  ``masses``, once a cycle probe asked for them, holds
-    the mean, lb and ub subtree masses by position, beside each position's
-    weight (``weights``) and the positions that hang off it, in attach
-    order (``kids``); a leaf insert extends all three (``_attach_leaf``).
+    Built whole by ``FTree._evaluate``.  ``triples`` holds every attached
+    vertex's (mean, lb, ub) reach factor to the query vertex, the query
+    vertex included, in attach order.  ``terms`` holds each leaf
+    candidate's (one endpoint attached) weighted reach term t·w for mean,
+    lb and ub, and ``order`` the same leaves as (−t·w mean, edge) pairs in
+    ascending order.  Both survive leaf inserts, which add and drop leaves
+    but change no other leaf's term.  ``rank`` holds every attached
+    vertex's attach position (the query vertex's is 0) and ``hangs`` each
+    position's hang: the position of h(v) and g(v) (see the module
+    docstring; position 0 holds a placeholder).  ``masses`` holds the mean,
+    lb and ub subtree masses by position, beside each position's weight
+    (``weights``) and the positions that hang off it, in attach order
+    (``kids``); a leaf insert extends all three (``_attach_leaf``).
     """
 
     estimate: FlowEstimate
     triples: dict[int, tuple[float, float, float]]
     rank: dict[int, int]
     hangs: list[tuple[int, tuple[float, float, float]]]
-    terms: Optional[dict[Edge, tuple[float, float, float]]] = None
-    order: Optional[list[tuple[float, Edge]]] = None
-    masses: Optional[tuple[list[float], list[float], list[float]]] = None
-    weights: Optional[list[float]] = None
-    kids: Optional[list[list[int]]] = None
+    terms: dict[Edge, tuple[float, float, float]]
+    order: list[tuple[float, Edge]]
+    masses: tuple[list[float], list[float], list[float]]
+    weights: list[float]
+    kids: list[list[int]]
 
 
 class MemoStore:
@@ -309,18 +312,18 @@ class FTree:
 
     One writer at a time; probes never change its structure or its tables.
     The kept evaluation (``_Kept``, see the module docstring) holds the
-    tree's last evaluation, the leaf candidates' terms and their order once
-    ``leaf_terms`` asked for them, and the subtree masses cycle probes
-    score from.  Beside it sit the candidate edges (``candidates``), the
-    cycle candidates among them (``cycle_candidates``) and each probed
-    cycle candidate's ring (``_Ring``), reused when it is re-probed or
-    committed.  The tree serves one graph, the first it is given
-    (``_use_graph``), and samples under one ``SamplerConfig``, the first
-    ``insert_edge`` gives it.  Inserts build no reach table: the first
-    evaluation that needs one builds it (``refresh``), so a tree that is
-    only inserted into and dumped never samples.  Drawn tables read the
-    tree's world store, made at the first table that needs it: each edge's
-    worlds are drawn once per tree, so building a ring's table is only a
+    tree's last evaluation, the leaf candidates' terms and their order, and
+    the subtree masses cycle probes score from.  Beside it sit the
+    candidate edges (``candidates``), the cycle candidates among them
+    (``cycle_candidates``) and each probed cycle candidate's ring
+    (``_Ring``), reused when it is re-probed or committed.  The tree serves
+    one graph, the first it is given (``_use_graph``), which makes the
+    candidate lists, and samples under one ``SamplerConfig``, the first
+    ``insert_edge`` gives it, which makes the tree's world store.  Inserts
+    build no reach table: the first evaluation that needs one builds it
+    (``refresh``), so a tree that is only inserted into and dumped never
+    samples.  Drawn tables read the world store: each edge's worlds are
+    drawn once per tree, so building a ring's table is only a
     propagation.  A memo tree (``memo``: the ``_m`` variants) also keeps
     in each probed ring the full table its probes read, with the table's
     coefficients.
@@ -328,14 +331,16 @@ class FTree:
 
     def __init__(self, q: int, memo: bool = False):
         self.q = check_integer("q", q)
+        if not isinstance(memo, bool):
+            raise FTreeError(f"memo must be a bool, not {memo!r}")
         self.memo = memo
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
         self._cfg: Optional[SamplerConfig] = None
         self._store: Optional[WorldStore] = None
         self._kept: Optional[_Kept] = None
-        self._cands: Optional[list[Edge]] = None
-        self._cycles: Optional[list[Edge]] = None
+        self._cands: list[Edge] = []
+        self._cycles: list[Edge] = []
         self._rings: dict[Edge, _Ring] = {}
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
@@ -355,16 +360,16 @@ class FTree:
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
         need none), the graph it serves, its config and its world store,
-        whose bits are a pure function of the config and the edge.  It
-        keeps no other state: its first evaluation is from scratch,
-        building the tables this tree has not built yet, and it has no
-        candidates and no cycle probes."""
+        whose bits are a pure function of the config and the edge.  Its
+        candidate lists equal this tree's but are its own.  It keeps no
+        evaluation and no ring: its first evaluation is from scratch,
+        building the tables this tree has not built yet."""
         other = FTree.__new__(FTree)
         other.q = self.q
         other.memo = self.memo
         other._next_id = self._next_id
         other._graph, other._cfg, other._store = self._graph, self._cfg, self._store
-        other._kept, other._cands, other._cycles = None, None, None
+        other._kept, other._cands, other._cycles = None, self._cands[:], self._cycles[:]
         other._rings = {}
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other.root_id = self.root_id
@@ -375,14 +380,17 @@ class FTree:
     def _use_graph(self, graph: ProbabilisticGraph) -> None:
         """Serve ``graph``: the first graph a tree is given, its root checked
         against it, or one equal to it; any other raises FTreeError.  The
-        components, the kept evaluation, the candidates and the rings all
-        carry the first graph's probabilities and weights, so they serve
-        an equal graph as they are.  Every public entry that reads the
-        graph calls this first."""
+        first graph makes the candidates, the query vertex's edges, and
+        the cycle candidates, none yet.  The components, the kept
+        evaluation, the candidates and the rings all carry the first
+        graph's probabilities and weights, so they serve an equal graph as
+        they are.  Every public entry that reads the graph calls this
+        first."""
         if graph is self._graph:
             return
         if self._graph is None:
             check_vertex(graph, self.q)
+            self._cands, self._cycles = candidate_edges(graph, {self.q}, set()), []
         elif graph != self._graph:
             raise FTreeError("the tree serves another graph; build a new tree for this one")
         self._graph = graph
@@ -411,13 +419,16 @@ class FTree:
 
         At least one endpoint must already be attached.  The tree samples
         under the ``SamplerConfig`` its first insert gives, or one equal to
-        it; anything else raises FTreeError and changes nothing.  A
+        it; anything else raises FTreeError and changes nothing.  The first
+        insert that goes through binds the config and makes the tree's
+        world store.  A
         cycle-closing edge is planned here (``_plan_cycle``), and in a memo
         tree its new component takes the table its probe's ring holds, if
         the edge was probed; the commit drops the rings that share a member
         with it, the edge's own among them (``_close_cycle``).  No table is
         built here: the next evaluation builds every one still missing
-        (``refresh``).
+        (``refresh``).  Every insert brings the candidate lists up to date
+        (``_advance_candidates``).
         """
         if not isinstance(cfg, SamplerConfig):
             raise FTreeError(f"cfg must be a SamplerConfig, not {cfg!r}")
@@ -425,7 +436,8 @@ class FTree:
         if self._cfg is not None and cfg is not self._cfg and cfg != self._cfg:
             raise FTreeError("the tree samples under another config; build a new tree for this one")
         e, prob, att_u, att_v = self._insertable(graph, edge)
-        self._cfg = cfg
+        if self._cfg is None:
+            self._cfg, self._store = cfg, WorldStore(graph, cfg)
         u, v = e
         fresh: Optional[int] = None
         if att_u and att_v:
@@ -441,8 +453,7 @@ class FTree:
             case = self._attach_leaf(attach, fresh, prob)
             cost = 0
         self.selected_edges.add(e)
-        if self._cands is not None:
-            self._advance_candidates(e, fresh)
+        self._advance_candidates(e, fresh)
         return InsertReport(case_taken=case, edges_sampled_count=cost)
 
     def _insertable(
@@ -462,15 +473,17 @@ class FTree:
 
     def _attach_leaf(self, attach: int, fresh: int, prob: float) -> str:
         """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by an
-        edge of probability ``prob``.  The kept evaluation, if any, gains the new vertex's
-        triple, hang and term in place, computed as ``leaf_terms`` would.
+        edge of probability ``prob``.  The kept evaluation, if any, gains the
+        new vertex's triple, hang and estimate term in place, computed as
+        ``_evaluate`` would.
 
-        Kept masses gain the new position, whose masses are its weight, and
+        Its masses gain the new position, whose masses are its weight, and
         the hang chain from ``attach`` up to the query vertex is recomputed:
         at each vertex y on it, w(y) plus g(c)·M(c) over y's kids c in
-        reverse attach order.  Those are the operations ``_masses``' reverse
-        pass does for y, in its order, so every mass stays bit for bit what
-        a rebuild would give; masses off the chain do not change."""
+        reverse attach order.  Those are the operations ``_evaluate``'s
+        reverse pass does for y, in its order, so every mass stays bit for
+        bit what a rebuild would give; masses off the chain do not
+        change."""
         kept = self._kept
         if kept is not None:
             base = kept.triples[attach]
@@ -481,25 +494,24 @@ class FTree:
             kept.rank[fresh] = i
             kept.hangs.append((a, (prob, prob, prob)))
             kept.estimate = self.leaf_estimate(kept.estimate, (t[0] * w, t[1] * w, t[2] * w))
-            if kept.masses is not None:
-                m0, m1, m2 = kept.masses
-                weights, kids, hangs = kept.weights, kept.kids, kept.hangs
-                for m in (m0, m1, m2, weights):
-                    m.append(w)
-                kids.append([])
-                kids[a].append(i)
-                y = a
-                while True:
-                    s0 = s1 = s2 = weights[y]
-                    for c in reversed(kids[y]):
-                        g = hangs[c][1]
-                        s0 += g[0] * m0[c]
-                        s1 += g[1] * m1[c]
-                        s2 += g[2] * m2[c]
-                    m0[y], m1[y], m2[y] = s0, s1, s2
-                    if not y:
-                        break
-                    y = hangs[y][0]
+            m0, m1, m2 = kept.masses
+            weights, kids, hangs = kept.weights, kept.kids, kept.hangs
+            for m in (m0, m1, m2, weights):
+                m.append(w)
+            kids.append([])
+            kids[a].append(i)
+            y = a
+            while True:
+                s0 = s1 = s2 = weights[y]
+                for c in reversed(kids[y]):
+                    g = hangs[c][1]
+                    s0 += g[0] * m0[c]
+                    s1 += g[1] * m1[c]
+                    s2 += g[2] * m2[c]
+                m0[y], m1[y], m2[y] = s0, s1, s2
+                if not y:
+                    break
+                y = hangs[y][0]
         cid = self.vertex_index.get(attach, self.root_id)
         comp = self.components[cid]
         if isinstance(comp, MonoComponent):
@@ -511,14 +523,15 @@ class FTree:
         return "IIb"
 
     def _advance_candidates(self, e: Edge, fresh: Optional[int]) -> None:
-        """Bring the kept candidates and cycle candidates, and the kept leaf
-        terms and their order if any, up to date after inserting ``e``,
-        which attached the vertex ``fresh`` if it was a leaf edge.
+        """Bring the candidates and cycle candidates, and the kept leaf terms
+        and their order if the tree keeps an evaluation, up to date after
+        inserting ``e``, which attached the vertex ``fresh`` if it was a
+        leaf edge.
 
         The new vertex's edges to attached vertices stop being leaves and
         close cycles from now on; its other edges become leaf candidates,
         all hanging off ``fresh``, so their terms are computed from its
-        triple as ``leaf_terms`` would.  A leaf insert changes no attached
+        triple as ``_evaluate`` would.  A leaf insert changes no attached
         vertex's triple, so every other leaf keeps its term and its place in
         the order.
         """
@@ -527,28 +540,22 @@ class FTree:
         if fresh is None:
             del cycles[bisect_left(cycles, e)]
             return
-        kept = self._kept
-        terms = kept.terms if kept is not None else None
-        q, index = self.q, self.vertex_index
-        found: list[tuple[Edge, int, int]] = []
+        q, index, kept = self.q, self.vertex_index, self._kept
+        base = kept.triples[fresh] if kept is not None else None
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
             if nbr == q or nbr in index:
                 if c != e:
                     insort(cycles, c)
-                if terms is not None:  # e itself, or a leaf that now closes a cycle
-                    term = terms.pop(c)
+                if kept is not None:  # e itself, or a leaf that now closes a cycle
+                    term = kept.terms.pop(c)
                     del kept.order[bisect_left(kept.order, (-term[0], c))]
             else:
                 insort(edges, c)
-                found.append((c, nbr, i))
-        if terms is not None:
-            base, probs, weights = kept.triples[fresh], graph.probabilities, graph.weights
-            for c, nbr, i in found:
-                p, w = probs[i], weights[nbr]
-                term = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
-                terms[c] = term
-                insort(kept.order, (-term[0], c))
+                if kept is not None:
+                    p, w = graph.probabilities[i], graph.weights[nbr]
+                    kept.terms[c] = term = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
+                    insort(kept.order, (-term[0], c))
 
     @staticmethod
     def leaf_estimate(base: FlowEstimate, t: tuple[float, float, float]) -> FlowEstimate:
@@ -560,15 +567,12 @@ class FTree:
         """The unselected edges of ``graph`` with an attached endpoint, in
         canonical order, as ``candidate_edges`` gives them.
 
-        The list is the tree's own, kept up to date by every insert, cycle
-        closing or not, as are the cycle candidates among them
-        (``cycle_candidates``); a caller reads it and must not change it.
+        The list is the tree's own, made when the tree is bound to its
+        graph and kept up to date by every insert, cycle closing or not, as
+        are the cycle candidates among them (``cycle_candidates``); a
+        caller reads it and must not change it.
         """
         self._use_graph(graph)
-        if self._cands is None:
-            self._cands = candidate_edges(graph, self.attached_vertices(), self.selected_edges)
-            attached = self.is_attached
-            self._cycles = [c for c in self._cands if attached(c[0]) and attached(c[1])]
         return self._cands
 
     def cycle_candidates(self, graph: ProbabilisticGraph) -> list[Edge]:
@@ -593,23 +597,11 @@ class FTree:
         (``best_leaf``) beside it and extended in place by leaf inserts; a
         caller reads them and must not change them.  A cycle-closing insert
         changes reach triples, so it drops the terms with the evaluation.
-        A tree without a kept evaluation for ``graph`` is evaluated first,
-        and dropped terms are rebuilt in one pass over the candidates.
+        A tree without a kept evaluation is evaluated first (``_evaluate``),
+        which builds the terms with it.
         """
-        edges = self.candidates(graph)
+        self._use_graph(graph)
         kept = self._kept or self._evaluate(graph)
-        if kept.terms is None:
-            q, index, triples = self.q, self.vertex_index, kept.triples
-            kept.terms = {}
-            for e in edges:
-                u, v = e
-                att_u = u == q or u in index
-                if att_u == (v == q or v in index):
-                    continue
-                attach, fresh = (u, v) if att_u else (v, u)
-                p, base, w = graph.probabilities[graph.edge_index[e]], triples[attach], graph.weights[fresh]
-                kept.terms[e] = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
-            kept.order = sorted((-term[0], e) for e, term in kept.terms.items())
         return kept.estimate, kept.terms
 
     def best_leaf(self, graph: ProbabilisticGraph) -> Optional[tuple[Edge, FlowEstimate]]:
@@ -617,7 +609,7 @@ class FTree:
         smallest edge among those that tie, with the estimate its insert
         gives (``leaf_estimate``), or None with no leaf: the edge of
         ``min((-(mean + t[0]), e) for e, t in terms.items())`` over
-        ``leaf_terms``, read from the front of the kept order.
+        ``leaf_terms``, read from the front of the kept evaluation's order.
 
         ``mean + t`` rounds monotonically in t, so the leaves whose rounded
         means tie with the best form the order's front run; distinct terms
@@ -751,14 +743,6 @@ class FTree:
     # sampling upkeep
     # ------------------------------------------------------------------
 
-    def _sampler(self, comp: BiComponent) -> IncrementalComponentSampler:
-        """A sampler of ``comp`` under the tree's config, reading the tree's
-        world store, which is made here at the first need: it lives and
-        dies with the tree (and the copies that share it)."""
-        if self._store is None:
-            self._store = WorldStore(self._graph, self._cfg)
-        return IncrementalComponentSampler(self._graph, comp, self._cfg, self._store)
-
     def refresh(self) -> None:
         """Build every bi component's reach table not built yet, under the
         tree's config: ``_evaluate`` calls it first.
@@ -771,10 +755,12 @@ class FTree:
         a table, and it drops the kept evaluation and the rings that share
         a member with it; rings are planned on evaluated trees only.  So
         no kept evaluation or kept ring reads a component this builds.
+        Each sampler reads the tree's world store, made when the first
+        insert bound the config.
         """
         for comp in self.components.values():
             if isinstance(comp, BiComponent) and comp.reach is None:
-                comp.reach = self._sampler(comp).build()
+                comp.reach = IncrementalComponentSampler(self._graph, comp, self._cfg, self._store).build()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -794,13 +780,17 @@ class FTree:
         return (self._kept or self._evaluate(graph)).estimate
 
     def _evaluate(self, graph: ProbabilisticGraph) -> _Kept:
-        """Evaluate the whole tree and keep the result as a new kept state;
-        the caller has made ``graph`` the one the tree serves.  The reach
-        tables not built yet are built first (``refresh``).  One pass in
-        attach order (see the module docstring) gives every reach triple
-        and hang and the weighted sums; a component's kind only picks each
-        member's h and g.  The estimate's worlds are the fewest behind any
-        reach table.
+        """Evaluate the whole tree and keep the result, whole, as a new kept
+        state (``_Kept``); the caller has made ``graph`` the one the tree
+        serves.  The reach tables not built yet are built first
+        (``refresh``).  One pass in attach order (see the module docstring)
+        gives every reach triple and hang and the weighted sums; a
+        component's kind only picks each member's h and g.  The estimate's
+        worlds are the fewest behind any reach table.  One pass over the
+        candidates gives each leaf's term, t = p·t(attach) times the new
+        vertex's weight (``leaf_terms``), and one pass in reverse attach
+        order gives the masses: it adds each g(v)·M(v) to M(h(v)) after all
+        that hangs off v was added to M(v), and lists each position's kids.
         """
         self.refresh()
         weights, comps = graph.weights, self.components
@@ -827,7 +817,28 @@ class FTree:
             lb += t[1] * w
             ub += t[2] * w
         est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
-        self._kept = _Kept(est, triples, rank, hangs)
+        terms = {}
+        for e in self._cands:
+            u, v = e
+            att_u = u in rank
+            if att_u == (v in rank):
+                continue
+            attach, fresh = (u, v) if att_u else (v, u)
+            p, base, w = graph.probabilities[graph.edge_index[e]], triples[attach], weights[fresh]
+            terms[e] = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
+        order = sorted((-term[0], e) for e, term in terms.items())
+        ws = [weights[v] for v in rank]
+        m0, m1, m2 = ws[:], ws[:], ws[:]
+        kids: list[list[int]] = [[] for _ in hangs]
+        for i in range(len(hangs) - 1, 0, -1):
+            h, g = hangs[i]
+            m0[h] += g[0] * m0[i]
+            m1[h] += g[1] * m1[i]
+            m2[h] += g[2] * m2[i]
+            kids[h].append(i)
+        for k in kids:
+            k.reverse()
+        self._kept = _Kept(est, triples, rank, hangs, terms, order, (m0, m1, m2), ws, kids)
         return self._kept
 
     def _coefficients(self, ring: list[tuple[int, int]], rows: Mapping[int, tuple]) -> _Coeffs:
@@ -847,43 +858,20 @@ class FTree:
             out.append((i, p[0] - c[0] * g[0], p[1] - c[1] * g[1], p[2] - c[2] * g[2]))
         return out
 
-    def _masses(self) -> tuple[list[float], list[float], list[float]]:
-        """The kept mean, lb and ub subtree masses by attach position, built
-        at the first call after an evaluation, with each position's weight
-        and kids: one pass in reverse attach order adds each g(v)·M(v) to
-        M(h(v)) after all that hangs off v was added to M(v).  Leaf inserts
-        then extend them (``_attach_leaf``); only a cycle-closing insert,
-        which drops the evaluation, makes the next call build them again."""
-        kept = self._kept
-        if kept.masses is None:
-            hangs = kept.hangs
-            w = self._graph.weights
-            weights = [w[v] for v in kept.rank]
-            m0, m1, m2 = weights[:], weights[:], weights[:]
-            kids: list[list[int]] = [[] for _ in hangs]
-            for i in range(len(hangs) - 1, 0, -1):
-                h, g = hangs[i]
-                m0[h] += g[0] * m0[i]
-                m1[h] += g[1] * m1[i]
-                m2[h] += g[2] * m2[i]
-                kids[h].append(i)
-            for k in kids:
-                k.reverse()
-            kept.masses, kept.weights, kept.kids = (m0, m1, m2), weights, kids
-        return kept.masses
-
     def _ring_flow(self, coeffs: _Coeffs, r: int) -> tuple:
         """The (mean, lb, ub) flow of this tree once a cycle folds a ring
         into a bi component hanging off r, from the ring's coefficients
         (``_coefficients``): the sum of M(y) times y's coefficient, in
-        attach order, times t(r), on top of the tree's flow."""
-        m0, m1, m2 = self._masses()
+        attach order, times t(r), on top of the tree's flow.  M is the kept
+        evaluation's masses."""
+        kept = self._kept
+        m0, m1, m2 = kept.masses
         d0 = d1 = d2 = 0.0
         for i, k0, k1, k2 in coeffs:
             d0 += m0[i] * k0
             d1 += m1[i] * k1
             d2 += m2[i] * k2
-        t, base = self._kept.triples[r], self._kept.estimate
+        t, base = kept.triples[r], kept.estimate
         return base.mean + t[0] * d0, base.lb + t[1] * d1, base.ub + t[2] * d2
 
     def probe_edge(self, graph: ProbabilisticGraph, edge: tuple[int, int]) -> tuple[FlowEstimate, int]:
@@ -928,7 +916,7 @@ class FTree:
             ring = self._rings[e] = _Ring(members, comp)
         scored = ring.scored
         if scored is None:
-            ring.sampler = ring.sampler or self._sampler(ring.comp)
+            ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, self._cfg, self._store)
             table = ring.sampler.build()
             scored = (table, self._coefficients(ring.members, table.rows))
             if self.memo:

@@ -44,7 +44,8 @@ VARIANTS = ("naive", "dijkstra", "ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Which selector to run and its budgets."""
+    """Which selector to run and its budgets.  A field out of range, or not
+    of its kind, raises ValueError naming it."""
 
     variant: str
     budget: int
@@ -58,6 +59,8 @@ class StrategyConfig:
             raise ValueError("budget must be >= 1")
         if not (check_finite("ds_c", self.ds_c) > 1.0):
             raise ValueError("ds_c must be > 1")
+        if not isinstance(self.sampler, SamplerConfig):
+            raise ValueError(f"sampler must be a SamplerConfig, not {self.sampler!r}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from probflow import (
     EXACT_SAMPLES,
     BiComponent,
+    FlowEstimate,
     FTreeError,
     InsertReport,
     MonoComponent,
@@ -90,6 +91,13 @@ class TestNewFTree:
 
     def test_two_calls_structurally_equal(self):
         assert new_ftree(3).dump() == new_ftree(3).dump()
+
+    @pytest.mark.parametrize("memo", ["no", 1, None], ids=["text", "int", "none"])
+    def test_a_memo_that_is_not_a_bool_is_refused(self, memo):
+        # Any truthy value would build a memo tree.
+        for build in (FTree, new_ftree):
+            with pytest.raises(FTreeError, match=re.escape(f"memo must be a bool, not {memo!r}")):
+                build(0, memo)
 
     def test_initial_flow_is_query_weight(self):
         g = ProbabilisticGraph.build(1, [], weights=[5.0])
@@ -941,13 +949,57 @@ class TestProbe:
         _, terms = tree.leaf_terms(g)
         assert [e for e in [(7, 17), (14, 15), (11, 15), (6, 8)] if e in terms] == [(7, 17)]
 
-    def test_copy_keeps_no_frontier(self):
+    def test_a_copy_has_its_own_frontier(self):
+        # A copy's candidates and cycle candidates equal the source's but
+        # sit in lists of its own: a leaf and a cycle insert into the copy
+        # leave the source's lists as they were.  The copy keeps no
+        # evaluation.
         g = running_example_graph()
         tree = build_base_tree(g)
         tree.leaf_terms(g)
-        assert tree._cands is not None and tree._kept is not None
+        cands, cycles = list(tree.candidates(g)), list(tree.cycle_candidates(g))
         other = tree.copy()
-        assert other._cands is None and other._kept is None
+        assert other._kept is None
+        assert (other.candidates(g), other.cycle_candidates(g)) == (cands, cycles)
+        assert (7, 17) in cands and (14, 15) in cycles
+        for e in [(7, 17), (14, 15)]:
+            other.insert_edge(g, e, CFG)
+            assert other.candidates(g) == candidate_edges(g, other.attached_vertices(), other.selected_edges)
+            assert (tree.candidates(g), tree.cycle_candidates(g)) == (cands, cycles)
+
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_frontier_follows_inserts_never_asked_for(self, use_memo):
+        # A tree that takes inserts without asking for candidates, as
+        # ``dump-ftree --insert`` and a replay use it, keeps them up to date
+        # from its first insert: after every insert, the candidates are
+        # ``candidate_edges`` and the cycle candidates those with both
+        # endpoints attached, whether or not the tree was evaluated.
+        rng = random.Random(6464)
+        cfg = SamplerConfig(samples=300, master_seed=5)
+        for trial in range(20):
+            n = rng.randint(4, 14)
+            g = random_connected_graph(rng, n, rng.randint(1, 2 * n))
+            tree = new_ftree(0, use_memo)
+            for e in insertable_order(g, rng):
+                tree.insert_edge(g, e, cfg)
+                if rng.random() < 0.5:
+                    tree.expected_flow(g)
+                cands = candidate_edges(g, tree.attached_vertices(), tree.selected_edges)
+                assert tree.candidates(g) == cands
+                cycles = [c for c in cands if tree.is_attached(c[0]) and tree.is_attached(c[1])]
+                assert tree.cycle_candidates(g) == cycles
+            assert tree.candidates(g) == tree.cycle_candidates(g) == []
+
+    def test_a_refused_insert_binds_no_config(self):
+        # The graph binds at the first entry that reads it, the config and
+        # the world store at the first insert that goes through.
+        g = ProbabilisticGraph.build(4, [(0, 1, 0.5), (2, 3, 0.5)])
+        tree = new_ftree(0)
+        with pytest.raises(FTreeError, match="neither endpoint"):
+            tree.insert_edge(g, (2, 3), CFG)
+        assert (tree._graph, tree._cfg, tree._store, tree.candidates(g)) == (g, None, None, [(0, 1)])
+        tree.insert_edge(g, (0, 1), CFG)
+        assert tree._cfg is CFG and tree._store.serves(g, CFG)
 
 
 def snapshot(tree, g):
@@ -1267,29 +1319,43 @@ class TestKeptEvaluation:
         tree.verify(a)
         assert tree.expected_flow(replace(a)) == flow == tree.copy().expected_flow(a)
 
-    def test_leaf_inserts_extend_masses_and_terms_as_rebuilds_would(self):
+    def test_kept_evaluation_is_whole_and_equals_a_fresh_one(self):
         # Random graphs in random insertion orders.  Before about half the
         # inserts the leaf terms are asked for and every cycle candidate is
-        # probed, so masses and terms are kept when a leaf commits.  After
-        # every insert that keeps them, the three mass channels (with each
-        # position's weight and kids) equal ``_masses`` rebuilt from scratch
-        # over the same evaluation, and the leaf terms and their order equal
-        # a ``leaf_terms`` rebuild, all compared by hex.
+        # probed, so the kept evaluation is extended when a leaf commits.
+        # After every insert and probe the tree keeps no evaluation or a
+        # whole one, every field set, and each field equals, by hex, what
+        # ``_evaluate`` gives the same tree from scratch.
         rng = random.Random(5757)
         cfg = SamplerConfig(samples=300, master_seed=13)
 
-        def rebuilt(tree, fields, ask):
+        def hexdeep(x):
+            if isinstance(x, float):
+                return x.hex()
+            if isinstance(x, FlowEstimate):
+                return hexdeep(astuple(x))
+            if isinstance(x, dict):
+                return {k: hexdeep(v) for k, v in x.items()}
+            if isinstance(x, (list, tuple)):
+                return type(x)(hexdeep(v) for v in x)
+            return x
+
+        def check_whole(tree):
             kept = tree._kept
-            tree._kept = replace(kept, **dict.fromkeys(fields))
+            if kept is None:
+                return False
+            names = [f.name for f in fields(kept)]
+            assert all(getattr(kept, name) is not None for name in names)
+            tree._kept = None
             try:
-                return ask(tree)
+                fresh = tree._evaluate(g)
             finally:
                 tree._kept = kept
+            for name in names:
+                assert hexdeep(getattr(kept, name)) == hexdeep(getattr(fresh, name)), name
+            return True
 
-        def hex_terms(terms, order):
-            return {e: hexed(t) for e, t in terms.items()}, [(neg.hex(), e) for neg, e in order]
-
-        extended = terms_kept = 0
+        extended = 0
         for trial in range(40):
             n = rng.randint(5, 20)
             g = random_connected_graph(rng, n, rng.randint(1, n))
@@ -1297,23 +1363,15 @@ class TestKeptEvaluation:
             for e in insertable_order(g, rng):
                 if rng.random() < 0.5:
                     tree.leaf_terms(g)
+                    check_whole(tree)
                     for c in tree.cycle_candidates(g):
                         tree.probe_edge(g, c)
+                        check_whole(tree)
+                leaf = tree._kept is not None and tree.is_attached(e[0]) != tree.is_attached(e[1])
                 tree.insert_edge(g, e, cfg)
-                kept = tree._kept
-                if kept is not None and kept.masses is not None:
-                    masses = rebuilt(
-                        tree, ("masses", "weights", "kids"),
-                        lambda t: (t._masses(), t._kept.weights, t._kept.kids),
-                    )
-                    assert [hexed(m) for m in kept.masses] == [hexed(m) for m in masses[0]]
-                    assert (kept.weights, kept.kids) == masses[1:]
-                    extended += 1
-                if kept is not None and kept.terms is not None:
-                    terms = rebuilt(tree, ("terms", "order"), lambda t: (t.leaf_terms(g)[1], t._kept.order))
-                    assert hex_terms(kept.terms, kept.order) == hex_terms(*terms)
-                    terms_kept += 1
-        assert extended > 150 and terms_kept > 150
+                if check_whole(tree):
+                    extended += leaf
+        assert extended > 300
 
     def test_leaf_insert_extends_without_evaluating(self, monkeypatch):
         g = running_example_graph()

@@ -833,6 +833,15 @@ class TestRunStrategy:
         with pytest.raises(ValueError, match=re.escape(message)):
             StrategyConfig("ft", 3, ds_c=ds_c)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("sampler", [None, {"samples": 60}, 60], ids=["none", "dict", "int"])
+    def test_a_sampler_that_is_not_a_sampler_config_is_rejected(self, variant, sampler):
+        # Refused at construction, naming ``sampler``, for every variant:
+        # not by a bare AttributeError mid-run, nor at a tree's first insert,
+        # nor ignored, as dijkstra would.
+        with pytest.raises(ValueError, match=re.escape(f"sampler must be a SamplerConfig, not {sampler!r}")):
+            StrategyConfig(variant, 3, sampler=sampler)
+
     def test_integer_ds_c_gives_the_float_selection(self):
         g = netgen.gen_partitioned(40, 8, 1)
         sampler = SamplerConfig(samples=60, master_seed=2)

@@ -35,10 +35,12 @@ resident set size of the repeats (``ru_maxrss``, which includes the
 interpreter and numpy) and the value computed: a flow, a selection's last
 recorded flow, or the dump loop's counts.  Every repeat must compute the
 same value; a value that differs between repeats is printed as
-``DIFFERS:`` followed by each repeat's.  A selection at scale also gives
-the number of edges its tree's world store drew, each once, as ``(flow,
-edges drawn)``.  The library and the tests' helpers are imported from this
-checkout.
+``DIFFERS:`` followed by each repeat's, and the tool exits 1 once the
+table is printed.  Each fresh process draws its own hash seed (unless
+``PYTHONHASHSEED`` is set), so a value that follows set order differs.
+A selection at scale also gives the number of edges its tree's world
+store drew, each once, as ``(flow, edges drawn)``.  The library and the
+tests' helpers are imported from this checkout.
 
 Run from the repository root:
 
@@ -125,6 +127,7 @@ def spread(values: list[float]) -> str:
 def main() -> int:
     paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    differs = False
     print(f"{'kernel':<52}{'wall s median [min-max]':>26}{'cpu s median [min-max]':>26}"
           f"{'max RSS MB':>12}  value")
     for name, setup in KERNELS.items():
@@ -139,9 +142,11 @@ def main() -> int:
             cpus.append(float(cpu))
             rss.append(int(rss_kb))
             values.append(value.strip())
-        shown = values[0] if len(set(values)) == 1 else "DIFFERS: " + " | ".join(values)
+        same = len(set(values)) == 1
+        differs |= not same
+        shown = values[0] if same else "DIFFERS: " + " | ".join(values)
         print(f"{name:<52}{spread(walls):>26}{spread(cpus):>26}{max(rss) / 1024:>12.1f}  {shown}")
-    return 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
