@@ -5,15 +5,15 @@ components (unique paths, flow computed analytically as edge-probability
 products) and bi-connected components (cycles, whose reach tables come
 from the component's own edges only: exact over all 2^m worlds of its m
 uncertain edges when 2^m is at most the sample budget, sampled otherwise;
-see ``IncrementalComponentSampler.build``).  A sampled table propagates
-its edges' worlds, which the tree's world store (``WorldStore``) draws
-once per edge and keeps, so every table and every probe of a tree sees
-the same worlds of an edge, and components, which share no edge, stay
-independent.  Each component drains through a single articulation vertex
-toward the query vertex at the root, so per-component results multiply
-up the tree.  A component's parent is the component owning its
-articulation vertex (the root for the query vertex), so no links are
-stored.
+see ``IncrementalComponentSampler.build``).  Every component's sampler
+is made on its tree's world store (``WorldStore``), and a sampled table
+propagates its edges' worlds, which the store draws once per edge and
+keeps, so every table and every probe of a tree sees the same worlds of
+an edge, and components, which share no edge, stay independent.  Each
+component drains through a single articulation vertex toward the query
+vertex at the root, so per-component results multiply up the tree.  A
+component's parent is the component owning its articulation vertex (the
+root for the query vertex), so no links are stored.
 
 Two rules grow the tree.  A leaf edge, with one endpoint attached, hangs
 its new vertex off the attached endpoint's component (cases IIa, IIb).  A
@@ -61,10 +61,10 @@ the only ones it changes.  A cycle-closing insert drops it, so the next
 evaluation builds it whole again.  Beside it sit the candidate edges, with
 the cycle candidates (both endpoints attached) in a list of their own,
 which every insert keeps up to date, and each probed cycle candidate's
-ring, keyed by its edge: its members, its
-component and sampler and, in a memo tree, its table and the table's
-coefficients, all of which depend on the ring's component alone.  The
-rings are a memo tree's only table cache.  A leaf insert keeps them all,
+ring, keyed by its edge: its members, its component and the sampler made
+with it and, in a memo tree, its table and the table's coefficients in
+place of the sampler, all of which depend on the ring's component alone.
+The rings are a memo tree's only table cache.  A leaf insert keeps them all,
 and a cycle-closing insert keeps exactly those whose members its new
 component misses, since it changes no other vertex's hang or factor and
 attach order never changes; a memo tree's commit adopts the table of its
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import KeysView, Mapping, Optional, Sequence
+from typing import KeysView, Mapping, Optional
 
 import numpy as np
 
@@ -162,14 +162,15 @@ class _Ring:
     """A probed cycle candidate, kept while commits leave its component as
     it is (see ``FTree._close_cycle``): its ring's (attach position,
     vertex) pairs in attach order, the ring (a ``BiComponent`` with no
-    table of its own, draining through the vertex where its climbs meet),
-    the sampler prepared at the first build a probe needs (until a memo
-    tree keeps the table it built) and, in a memo tree only, the table the
-    first probe built and the table's coefficients."""
+    table of its own, draining through the vertex where its climbs meet)
+    and the ring's sampler, made with the ring on the tree's world store.
+    In a memo tree the first probe keeps the table it built and the
+    table's coefficients (``scored``) and drops the sampler, which no
+    later probe needs."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
-    sampler: Optional[IncrementalComponentSampler] = None
+    sampler: Optional[IncrementalComponentSampler]
     scored: Optional[tuple[ReachTable, _Coeffs]] = None
 
 
@@ -222,29 +223,26 @@ class MemoStore:
 
 
 class IncrementalComponentSampler:
-    """One bi component's worlds: all 2^m of its m uncertain edges (p < 1)
-    if 2^m <= ``cfg.samples`` (no draw, no store, no master seed), else
-    the ``cfg.samples`` worlds of a ``WorldStore`` (``draw``): its tree's
-    store, or one of its own if it is given none.  A store made for another
-    graph or config (``WorldStore.serves``) raises ValueError.
+    """One bi component's worlds, under its tree's config and from its
+    tree's world store: all 2^m of its m uncertain edges (p < 1) if 2^m <=
+    ``cfg.samples`` (no draw, no master seed), else the ``cfg.samples``
+    worlds of the store (``draw``).  A store made for another graph or
+    config (``WorldStore.serves``) raises ValueError.
 
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  World i of every edge lands in bit i of every vertex's
     world bitset.  A draw draws nothing itself: it reads its edges' bitsets
     from the store, which draws each edge once, and propagates them; the
     propagated worlds are returned, never kept.  Construction prepares
-    what every build reads: local vertices and edges, probabilities and
-    the exact flag.  The first exact build adds the worlds' weights, which
-    every later one reads.
+    all that every build reads: local vertices and edges, probabilities,
+    the exact flag and, for an exact component, its worlds' weights.
     """
 
     def __init__(
-        self,
-        graph: ProbabilisticGraph,
-        comp: BiComponent,
-        cfg: SamplerConfig,
-        store: Optional[WorldStore] = None,
+        self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig, store: WorldStore
     ):
+        if not store.serves(graph, cfg):
+            raise ValueError("the world store holds another graph's or config's worlds")
         self.articulation = comp.articulation
         self.cfg = cfg
         verts = sorted(comp.members | {comp.articulation})
@@ -257,27 +255,26 @@ class IncrementalComponentSampler:
         self._members = [v for v in verts if v != comp.articulation]
         self._source = local[comp.articulation]
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
-        if store is None:
-            store = WorldStore(graph, cfg)
-        elif not store.serves(graph, cfg):
-            raise ValueError("the world store holds another graph's or config's worlds")
+        self._weights = world_weights(self._probs) if self.exact else None
         self._store = store
-        self._weights: Optional[np.ndarray] = None  # at the first exact build
 
     def build(self) -> ReachTable:
-        """The full table: exact (``exact_table``), or the ``rows`` of all
-        ``cfg.samples`` of the store's worlds, propagated afresh (``draw``)."""
+        """The full table: exact (``exact_table``), or drawn from all
+        ``cfg.samples`` of the store's worlds, propagated afresh
+        (``draw``).  A drawn row is the member's successes (a popcount)
+        over ``cfg.samples``, with ``wald_interval`` of that proportion."""
         if self.exact:
             return self.exact_table()
-        n = self.cfg.samples
-        p, lo, hi = (a.tolist() for a in self.rows(self.draw(n)))
-        return ReachTable(self.articulation, dict(zip(self._members, zip(p, lo, hi))), n)
+        n, src = self.cfg.samples, self._source
+        bits = self.draw(n)
+        p = np.array([b.bit_count() for i, b in enumerate(bits) if i != src], dtype=np.int64) / n
+        lo, hi = wald_interval(p, n, self.cfg.alpha)
+        rows = zip(p.tolist(), lo.tolist(), hi.tolist())
+        return ReachTable(self.articulation, dict(zip(self._members, rows)), n)
 
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
         world probability: ``EXACT_SAMPLES`` worlds, zero-width rows."""
-        if self._weights is None:
-            self._weights = world_weights(self._probs)
         reach = exact_reach(
             self._edges, self._probs, len(self._verts), self._source, self._weights
         )
@@ -296,15 +293,6 @@ class IncrementalComponentSampler:
             raise ValueError(f"batch must be the store's {n} worlds, not {batch!r}")
         live = self._store.live(self._graph_edges)
         return _reach_bitsets(live, self._edges, len(self._verts), self._source, n)
-
-    def rows(self, bits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every member's (p, lo, hi) over all ``cfg.samples`` worlds, from
-        the bitsets of ``draw``, as three arrays, members in ascending
-        order: p is the member's successes (a popcount) over
-        ``cfg.samples``, and (lo, hi) are ``wald_interval`` of that p."""
-        n, src = self.cfg.samples, self._source
-        p = np.array([b.bit_count() for i, b in enumerate(bits) if i != src], dtype=np.int64) / n
-        return (p, *wald_interval(p, n, self.cfg.alpha))
 
 
 class FTree:
@@ -331,6 +319,8 @@ class FTree:
 
     def __init__(self, q: int, memo: bool = False):
         self.q = check_integer("q", q)
+        if self.q < 0:
+            raise FTreeError(f"q must be non-negative, got {q}")
         if not isinstance(memo, bool):
             raise FTreeError(f"memo must be a bool, not {memo!r}")
         self.memo = memo
@@ -460,8 +450,14 @@ class FTree:
         self, graph: ProbabilisticGraph, edge: tuple[int, int]
     ) -> tuple[Edge, float, bool, bool]:
         """The canonical edge, its probability and whether each endpoint is
-        attached; raises FTreeError for an edge that cannot be inserted."""
-        e = canonical_edge(*edge)
+        attached; raises FTreeError for an edge that cannot be inserted,
+        naming it, or for anything that is not a pair of integers
+        (``check_integer``)."""
+        try:
+            u, v = edge
+            e = canonical_edge(check_integer("u", u), check_integer("v", v))
+        except (TypeError, ValueError):
+            raise FTreeError(f"edge {edge!r} is not a pair of vertex ids") from None
         if e not in graph.edge_index:
             raise FTreeError(f"edge {e} is not an edge of the graph")
         if e in self.selected_edges:
@@ -896,13 +892,14 @@ class FTree:
 
         Every tree keeps each cycle candidate it probes (``_Ring``), keyed
         by its edge, while commits leave its component as it is
-        (``_close_cycle``), so a re-probe skips planning and preparing the
-        sampler.  A memo tree's ring also keeps its full table's
-        coefficients, for re-probes to score in one multiply-add per member
-        and channel; in a tree without a memo, every probe builds its table
-        afresh, propagating its edges' worlds from the tree's world store
-        again; no probe draws an edge the store holds.  A re-probe returns
-        what a fresh probe would, bit for bit.
+        (``_close_cycle``); the first probe plans the ring and makes its
+        sampler with it, so a re-probe does neither.  A memo tree's ring
+        keeps its full table's coefficients in place of the sampler, for
+        re-probes to score in one multiply-add per member and channel; in
+        a tree without a memo, every probe builds its table afresh,
+        propagating its edges' worlds from the tree's world store again;
+        no probe draws an edge the store holds.  A re-probe returns what a
+        fresh probe would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -913,10 +910,10 @@ class FTree:
         if ring is None:
             _, comp, _ = self._plan_cycle(*e, e)
             members = sorted((kept.rank[x], x) for x in comp.members)
-            ring = self._rings[e] = _Ring(members, comp)
+            sampler = IncrementalComponentSampler(graph, comp, self._cfg, self._store)
+            ring = self._rings[e] = _Ring(members, comp, sampler)
         scored = ring.scored
         if scored is None:
-            ring.sampler = ring.sampler or IncrementalComponentSampler(graph, ring.comp, self._cfg, self._store)
             table = ring.sampler.build()
             scored = (table, self._coefficients(ring.members, table.rows))
             if self.memo:

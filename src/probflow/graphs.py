@@ -29,11 +29,14 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 def check_integer(name: str, value: object) -> int:
     """``value`` as an ``int`` if ``operator.index`` takes it (an ``int`` or
-    a numpy integer, not ``1.0``), else ValueError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    a numpy integer, not ``1.0``) and it is not a ``bool``, else ValueError
+    naming ``name``: ``True`` is no count, seed or vertex id."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def check_real(name: str, value: object) -> numbers.Real:

@@ -5,13 +5,14 @@ All randomness flows from one master seed: every sampling task derives an
 independent substream from a stable hash of its purpose and its subject,
 so results depend only on the configuration, never on scheduling or call
 order.  A whole-graph estimate draws from a stream keyed by the graph's
-signature; a component tree's drawn tables read a ``WorldStore``, which
-draws each edge's worlds once, from a stream keyed by the edge.  Sampled
-worlds and enumerated ones go through one propagation kernel,
-``_reach_bitsets``, which takes each edge's worlds as a bitset.
-``exact_reach`` enumerates every world of the uncertain edges; it gives
-small bi components their exact reach tables and the oracle its reference
-values, and draws nothing.
+signature, in one loop (``mc_counts``) that draws, propagates and counts
+its worlds chunk by chunk; a component tree's drawn tables read the
+tree's ``WorldStore``, which draws each edge's worlds once, from a stream
+keyed by the edge.  Sampled worlds and enumerated ones go through one
+propagation kernel, ``_reach_bitsets``, which takes each edge's worlds
+as a bitset.  ``exact_reach`` enumerates every world of the uncertain
+edges; it gives small bi components their exact reach tables and the
+oracle its reference values, and draws nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -298,42 +299,6 @@ def exact_reach(
     return np.minimum(reach, 1.0)
 
 
-def _reach_chunks(
-    graph_edges: Sequence[Edge],
-    probs: Sequence[float],
-    num_vertices: int,
-    source: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> Iterator[tuple[int, list[int]]]:
-    """Sampled worlds in chunks of at most ``_CHUNK_BUDGET`` edge-worlds:
-    per chunk, the index of its first world and ``_reach_bitsets`` of its
-    worlds.  A chunk's uniforms are drawn and packed in blocks
-    (``_live_worlds``), so a chunk holds its packed bits, never its floats."""
-    parr = np.asarray(probs, dtype=float)
-    chunk = max(1, _CHUNK_BUDGET // max(1, len(graph_edges)))
-    for done in range(0, samples, chunk):
-        count = min(chunk, samples - done)
-        live = _live_worlds(rng, parr, count)
-        yield done, _reach_bitsets(live, graph_edges, num_vertices, source, count)
-
-
-def _success_counts(
-    graph_edges: Sequence[Edge],
-    probs: Sequence[float],
-    num_vertices: int,
-    source: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-vertex counts of sampled worlds in which the vertex reaches the
-    source, summed chunk by chunk so memory stays flat in ``samples``."""
-    counts = np.zeros(num_vertices, dtype=np.int64)
-    for _, reached in _reach_chunks(graph_edges, probs, num_vertices, source, samples, rng):
-        counts += [r.bit_count() for r in reached]
-    return counts
-
-
 def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> FlowEstimate:
     """Whole-graph Monte-Carlo estimate of the expected flow into ``q``:
     ``flow_estimate`` of ``mc_counts``, drawn from the stream keyed by the
@@ -351,12 +316,24 @@ def mc_counts(
     key: str,
     cfg: SamplerConfig,
 ) -> np.ndarray:
-    """``mc_expected_flow``'s draw step: per vertex of the graph on vertices
-    0..num_vertices-1, the number of its ``cfg.samples`` sampled worlds in
-    which it is connected to ``q`` (q itself in every one), drawn from the
-    stream keyed by ``key``."""
+    """``mc_expected_flow``'s draw step, and the one whole-graph draw
+    loop: per vertex of the graph on vertices 0..num_vertices-1, the
+    number of its ``cfg.samples`` sampled worlds in which it is connected
+    to ``q`` (q itself in every one), drawn from the stream keyed by
+    ``key``.  The worlds go in chunks of at most ``_CHUNK_BUDGET``
+    edge-worlds: each chunk's edges are drawn and packed in blocks
+    (``_live_worlds``), propagated (``_reach_bitsets``) and counted, so
+    memory stays flat in ``cfg.samples`` and a chunk never holds its
+    floats."""
     rng = substream(cfg.master_seed, "mc-flow", key, q)
-    return _success_counts(edges, probs, num_vertices, q, cfg.samples, rng)
+    parr = np.asarray(probs, dtype=float)
+    chunk = max(1, _CHUNK_BUDGET // max(1, len(edges)))
+    counts = np.zeros(num_vertices, dtype=np.int64)
+    for done in range(0, cfg.samples, chunk):
+        count = min(chunk, cfg.samples - done)
+        reached = _reach_bitsets(_live_worlds(rng, parr, count), edges, num_vertices, q, count)
+        counts += [r.bit_count() for r in reached]
+    return counts
 
 
 def flow_mean(counts: np.ndarray, weights: np.ndarray, samples: int) -> float:

@@ -33,6 +33,7 @@ from probflow import (
     selection,
 )
 from probflow.ftree import FTree, IncrementalComponentSampler, MemoStore
+from probflow.sampling import WorldStore
 from util import (
     BASE_ORDER,
     WALKTHROUGH_EDGES,
@@ -98,6 +99,14 @@ class TestNewFTree:
         for build in (FTree, new_ftree):
             with pytest.raises(FTreeError, match=re.escape(f"memo must be a bool, not {memo!r}")):
                 build(0, memo)
+
+    @pytest.mark.parametrize("q", [-1, -7])
+    def test_a_negative_query_vertex_is_refused(self, q):
+        # No graph has a vertex -1, so the tree refuses it when it is built,
+        # not at the first graph it is given.
+        for build in (FTree, new_ftree):
+            with pytest.raises(FTreeError, match=re.escape(f"q must be non-negative, got {q}")):
+                build(q)
 
     def test_initial_flow_is_query_weight(self):
         g = ProbabilisticGraph.build(1, [], weights=[5.0])
@@ -171,6 +180,25 @@ class TestInsertionCases:
         plain = build_base_tree(g)
         assert tree.insert_edge(g, (14, 15), CFG) == plain.insert_edge(g, (14, 15), CFG)
         assert tree.expected_flow(g) == plain.expected_flow(g)
+
+    @pytest.mark.parametrize(
+        "edge", [None, 5, (), (0, 1, 2), (0, "x"), (True, 2)],
+        ids=["none", "int", "empty", "triple", "text", "bool"],
+    )
+    def test_a_malformed_edge_is_refused(self, edge):
+        # Inserts and probes take a pair of integers only: anything else is
+        # refused, naming it, by a fresh tree and by a grown one, which
+        # stays as it was.
+        g = running_example_graph()
+        message = re.escape(f"edge {edge!r} is not a pair of vertex ids")
+        fresh, tree = new_ftree(0), build_base_tree(g)
+        before = snapshot(tree, g)
+        for target in (fresh, tree):
+            with pytest.raises(FTreeError, match=message):
+                target.insert_edge(g, edge, CFG)
+            with pytest.raises(FTreeError, match=message):
+                target.probe_edge(g, edge)
+        assert fresh.selected_edges == set() and snapshot(tree, g) == before
 
 
 def complete_graph(n):
@@ -1043,7 +1071,7 @@ def grown_flow(tree, g, e, cfg):
     ref = tree.copy()
     report = ref.insert_edge(g, e, cfg)
     [ring] = [c for c in ref.components.values() if isinstance(c, BiComponent) and c.reach is None]
-    sampler = IncrementalComponentSampler(g, ring, cfg)
+    sampler = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg))
     assert not sampler.exact
     ring.reach = drawn_table(sampler, cfg.samples)
     return ref.expected_flow(g), report, comp_key(ring)
@@ -1128,7 +1156,7 @@ class TestRingFormula:
                         for comp in tree.components.values()
                         if isinstance(comp, BiComponent) and comp.reach.sample_count != EXACT_SAMPLES
                     ]
-                    exact = IncrementalComponentSampler(g, ring, cfg).exact
+                    exact = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg)).exact
                     assert not (exact and any(drawn))
                     seen.update((exact, taken) for taken in drawn)
                 tree.insert_edge(g, e, cfg)
@@ -1607,7 +1635,7 @@ class TestIncrementalSampling:
         g = ring_chain_graph(1, ring=11)
         comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
-        sampler = IncrementalComponentSampler(g, comp, cfg)
+        sampler = IncrementalComponentSampler(g, comp, cfg, WorldStore(g, cfg))
         with pytest.raises(ValueError, match="^batch must be"):
             sampler.draw(batch)
         bits = sampler.draw(np.int64(cfg.samples))
@@ -1723,10 +1751,14 @@ class TestWorldStore:
             triples += [(u, v, rng.uniform(0.2, 0.9)) for u, v in rng.sample(chords, 2)]
             g = ProbabilisticGraph.build(n, triples)
             ring = BiComponent(set(range(1, n)), 0, set(g.edges))
-            exact = IncrementalComponentSampler(g, ring, SamplerConfig(samples)).exact_table().rows
+            whole = SamplerConfig(1 << g.num_edges)  # a budget of every world: exact
+            sampler = IncrementalComponentSampler(g, ring, whole, WorldStore(g, whole))
+            assert sampler.exact
+            exact = sampler.build().rows
             sums = dict.fromkeys(ring.members, 0.0)
             for seed in range(seeds):
-                sampler = IncrementalComponentSampler(g, ring, SamplerConfig(samples, master_seed=seed))
+                cfg = SamplerConfig(samples, master_seed=seed)
+                sampler = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg))
                 assert not sampler.exact
                 for v, (p, _, _) in sampler.build().rows.items():
                     sums[v] += p
@@ -1741,8 +1773,6 @@ class TestWorldStore:
         # A draw reads the store's bits as they are: a 200-world store read
         # under a 1000-world config, or another graph's store, would give
         # rows of other worlds.  An equal graph and config are served.
-        from probflow.sampling import WorldStore
-
         g = ring_chain_graph(1, ring=11)
         comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
@@ -1751,7 +1781,7 @@ class TestWorldStore:
                       WorldStore(other, cfg)):
             with pytest.raises(ValueError, match="another graph's or config's"):
                 IncrementalComponentSampler(g, comp, cfg, store)
-        own = IncrementalComponentSampler(g, comp, cfg).build()
+        own = IncrementalComponentSampler(g, comp, cfg, WorldStore(g, cfg)).build()
         assert IncrementalComponentSampler(g, comp, cfg, WorldStore(replace(g), replace(cfg))).build() == own
 
     def test_naive_and_whole_graph_estimates_build_no_store(self, monkeypatch):

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -14,14 +15,25 @@ import numpy as np
 from hypothesis import strategies as st
 
 from probflow import (
+    FTree,
+    GenSpec,
     GraphError,
     ProbabilisticGraph,
+    SamplerConfig,
+    StrategyConfig,
+    assign_close_friends,
     assign_distance_decay,
+    dijkstra_select,
+    ds_delay,
+    exact_expected_flow,
+    exhaustive_maxflow,
     gen_erdos,
     gen_partitioned,
     gen_wsn,
     induced_subgraph,
     load_graph,
+    mc_expected_flow,
+    run_strategy,
     save_graph,
 )
 from util import (
@@ -381,3 +393,43 @@ def test_validation_agrees_with_reference(data):
     expected = graph_error(lambda f: reference_validate(SimpleNamespace(**f)), fields)
     assert (expected is None) == (fault == "none")
     assert graph_error(lambda f: ProbabilisticGraph(**f), fields) == expected
+
+
+STAR = ProbabilisticGraph.build(4, [(0, 1, 0.9), (0, 2, 0.5), (0, 3, 0.1)])
+
+# Every integer parameter that ``check_integer`` reads, by the name its
+# message gives and one public call that passes it the value in place of
+# that parameter, valid arguments elsewhere.
+INTEGER_PARAMETERS = {
+    "SamplerConfig-samples": ("samples", lambda x: SamplerConfig(samples=x)),
+    "SamplerConfig-master_seed": ("master_seed", lambda x: SamplerConfig(master_seed=x)),
+    "StrategyConfig-budget": ("budget", lambda x: StrategyConfig("ft_m", x)),
+    "ds_delay-cost": ("cost", lambda x: ds_delay(0.5, x, 2.0)),
+    "dijkstra_select-k": ("k", lambda x: dijkstra_select(STAR, 0, x)),
+    "exhaustive_maxflow-k": ("k", lambda x: exhaustive_maxflow(STAR, 0, x)),
+    "run_strategy-q": ("vertex", lambda x: run_strategy(STAR, x, StrategyConfig("ft_m", 2))),
+    "mc_expected_flow-q": ("vertex", lambda x: mc_expected_flow(STAR, x, SamplerConfig())),
+    "exact_expected_flow-q": ("vertex", lambda x: exact_expected_flow(STAR, x)),
+    "induced_subgraph-vertex": ("vertex", lambda x: induced_subgraph(STAR, [2, x], [])),
+    "FTree-q": ("q", lambda x: FTree(x)),
+    "gen_erdos-n": ("n", lambda x: gen_erdos(x, 4, 1)),
+    "gen_erdos-degree": ("degree", lambda x: gen_erdos(20, x, 1)),
+    "gen_erdos-seed": ("seed", lambda x: gen_erdos(20, 4, x)),
+    "gen_partitioned-degree": ("degree", lambda x: gen_partitioned(16, x, 1)),
+    "gen_wsn-n": ("n", lambda x: gen_wsn(x, 0.3, 1)),
+    "GenSpec-n": ("n", lambda x: GenSpec("erdos", x, degree=4)),
+    "GenSpec-seed": ("seed", lambda x: GenSpec("wsn", 20, epsilon=0.3, seed=x)),
+    "assign_close_friends-f": ("f", lambda x: assign_close_friends(STAR, x, 1)),
+    "assign_close_friends-seed": ("seed", lambda x: assign_close_friends(STAR, 2, x)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("entry", sorted(INTEGER_PARAMETERS))
+def test_a_bool_is_not_an_integer(entry, value):
+    # One bool policy: ``check_integer`` refuses True and False, naming the
+    # parameter, as ``FTree`` refuses a memo that is not a bool, so no
+    # count, seed or vertex id takes True for 1.
+    name, call = INTEGER_PARAMETERS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, not {value!r}")):
+        call(value)

@@ -25,7 +25,7 @@ from probflow import (
 )
 from probflow import sampling
 from probflow.ftree import BiComponent, IncrementalComponentSampler
-from probflow.sampling import _reach_bitsets, _reach_chunks, _success_counts, exact_reach, mc_counts
+from probflow.sampling import WorldStore, _reach_bitsets, exact_reach, mc_counts
 from util import (
     DeterministicWorld,
     drawn_table,
@@ -84,11 +84,13 @@ class TestReachableSet:
         assert reachable_set(world, 0) == {0}
 
 
-def per_world_counts(graph, source, samples, stream, absent=frozenset()):
-    """Reference for ``_success_counts``: one ``sample_world`` per world and
-    a set-based search.  Edges in ``absent`` stand for probability 0: they
+def per_world_counts(graph, source, samples, key, absent=frozenset()):
+    """Reference for ``mc_counts``: one ``sample_world`` per world, from the
+    stream ``mc_counts`` reads under master seed 0 and ``key``, and a
+    set-based search.  Edges in ``absent`` stand for probability 0: they
     are drawn at probability 1 and then dropped, which consumes the stream
     exactly as the kernel's draw for them does."""
+    stream = substream(0, "mc-flow", key, source)
     counts = [0] * graph.num_vertices
     for _ in range(samples):
         world = sample_world(graph, stream)
@@ -98,16 +100,16 @@ def per_world_counts(graph, source, samples, stream, absent=frozenset()):
     return counts
 
 
-def kernel_counts(graph, source, samples, stream, absent=frozenset()):
+def kernel_counts(graph, source, samples, key, absent=frozenset()):
     probs = [0.0 if e in absent else p for e, p in zip(graph.edges, graph.probabilities)]
-    counts = _success_counts(graph.edges, probs, graph.num_vertices, source, samples, stream)
+    counts = mc_counts(graph.edges, probs, graph.num_vertices, source, key, SamplerConfig(samples))
     return counts.tolist()
 
 
 class TestSuccessCountsKernel:
-    """The bitset kernel counts exactly what a per-world search counts on
-    the same stream: row i of ``rng.random((n, E))`` is the i-th of n
-    ``rng.random(E)`` calls."""
+    """The whole-graph draw loop's success counts (``mc_counts``) are
+    exactly what a per-world search counts on the same stream: row i of
+    ``rng.random((n, E))`` is the i-th of n ``rng.random(E)`` calls."""
 
     def graphs(self, seed, count=6):
         rng = random.Random(seed)
@@ -117,8 +119,8 @@ class TestSuccessCountsKernel:
     def test_matches_per_world_reference(self, samples):
         for i, g in enumerate(self.graphs(samples)):
             source = i % g.num_vertices
-            got = kernel_counts(g, source, samples, substream(i, "kernel", samples))
-            want = per_world_counts(g, source, samples, substream(i, "kernel", samples))
+            got = kernel_counts(g, source, samples, f"kernel-{samples}-{i}")
+            want = per_world_counts(g, source, samples, f"kernel-{samples}-{i}")
             assert got == want
 
     def test_many_chunks(self, monkeypatch):
@@ -126,8 +128,8 @@ class TestSuccessCountsKernel:
         # one partial, so one call draws and propagates in many batches.
         monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 40)
         for i, g in enumerate(self.graphs(99)):
-            got = kernel_counts(g, 0, 301, substream(i, "chunks"))
-            want = per_world_counts(g, 0, 301, substream(i, "chunks"))
+            got = kernel_counts(g, 0, 301, f"chunks-{i}")
+            want = per_world_counts(g, 0, 301, f"chunks-{i}")
             assert got == want
 
     def test_memory_flat_in_samples(self, monkeypatch):
@@ -137,11 +139,10 @@ class TestSuccessCountsKernel:
         g = ProbabilisticGraph.build(4, [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.5), (2, 3, 0.8)])
         samples = 200_000
         monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 64 * g.num_edges)
-        kernel_counts(g, 0, 1000, substream(1, "flat"))
-        stream = substream(0, "flat")
+        kernel_counts(g, 0, 1000, "flat-warm")
         tracemalloc.start()
         try:
-            counts = kernel_counts(g, 0, samples, stream)
+            counts = kernel_counts(g, 0, samples, "flat")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -173,18 +174,18 @@ class TestSuccessCountsKernel:
             [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 1.0), (3, 4, 0.4), (4, 5, 0.7), (1, 5, 1.0)],
         )
         absent = frozenset({(1, 2), (4, 5)})
-        got = kernel_counts(g, 0, 500, substream(3, "p01"), absent)
-        assert got == per_world_counts(g, 0, 500, substream(3, "p01"), absent)
+        got = kernel_counts(g, 0, 500, "p01", absent)
+        assert got == per_world_counts(g, 0, 500, "p01", absent)
         assert got[0] == got[1] == got[5] == 500
 
     def test_edgeless_component(self):
         g = ProbabilisticGraph.build(3, [])
-        assert kernel_counts(g, 1, 65, substream(0, "none")) == [0, 65, 0]
+        assert kernel_counts(g, 1, 65, "none") == [0, 65, 0]
 
     def test_isolated_source(self):
         g = ProbabilisticGraph.build(5, [(1, 2, 0.5), (2, 3, 0.9), (1, 3, 0.3)])
-        got = kernel_counts(g, 4, 200, substream(1, "iso"))
-        assert got == per_world_counts(g, 4, 200, substream(1, "iso")) == [0, 0, 0, 0, 200]
+        got = kernel_counts(g, 4, 200, "iso")
+        assert got == per_world_counts(g, 4, 200, "iso") == [0, 0, 0, 0, 200]
 
 
 def block_worlds(edges):
@@ -240,21 +241,27 @@ class TestBlockedDraws:
         assert live[0] == live[2] == (1 << 1001) - 1
 
     def test_chunks_match_one_matrix_per_chunk(self, monkeypatch):
-        # Chunks of 2560 // 9 = 284 worlds, each drawn in blocks of 8.
+        # Chunks of 2560 // 9 = 284 worlds, each drawn in blocks of 8: the
+        # counts are the popcounts of each chunk's one-matrix worlds,
+        # propagated on their own, summed over the 4 chunks.
         monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 64 * 40)
         g = random_connected_graph(random.Random(8), 7, 3)
         probs = np.asarray(g.probabilities)
         chunk = sampling._CHUNK_BUDGET // g.num_edges
-        stream = substream(2, "chunks")
-        got = list(_reach_chunks(g.edges, probs, g.num_vertices, 0, 1001, stream))
-        want_stream = substream(2, "chunks")
-        want = []
+        cfg = SamplerConfig(samples=1001, master_seed=2)
+        drawn, live_worlds = [], sampling._live_worlds
+        monkeypatch.setattr(
+            sampling, "_live_worlds", lambda rng, p, count: drawn.append(count) or live_worlds(rng, p, count)
+        )
+        got = mc_counts(g.edges, probs, g.num_vertices, 0, "chunks", cfg)
+        stream = substream(2, "mc-flow", "chunks", 0)
+        want = np.zeros(g.num_vertices, dtype=np.int64)
         for done in range(0, 1001, chunk):
             count = min(chunk, 1001 - done)
-            live = reference_live_worlds(want_stream, probs, count)
-            want.append((done, _reach_bitsets(live, g.edges, g.num_vertices, 0, count)))
-        assert len(got) == 4
-        assert got == want
+            live = reference_live_worlds(stream, probs, count)
+            want += [r.bit_count() for r in _reach_bitsets(live, g.edges, g.num_vertices, 0, count)]
+        assert drawn == [284, 284, 284, 149]
+        assert got.tolist() == want.tolist()
 
 
 class TestEnumerationKernels:
@@ -339,7 +346,7 @@ class TestMcExpectedFlow:
 
 def component_reach(graph, comp, cfg):
     """Reach table of one component sampled at the full budget."""
-    return drawn_table(IncrementalComponentSampler(graph, comp, cfg), cfg.samples)
+    return drawn_table(IncrementalComponentSampler(graph, comp, cfg, WorldStore(graph, cfg)), cfg.samples)
 
 
 TRIANGLE = BiComponent({1, 2}, 0, {(0, 1), (1, 2), (0, 2)})
@@ -377,7 +384,7 @@ class TestMcComponentReach:
         cfg = SamplerConfig(samples=200, master_seed=8)
 
         def drawn(graph, cfg):
-            sampler = IncrementalComponentSampler(graph, ring, cfg)
+            sampler = IncrementalComponentSampler(graph, ring, cfg, WorldStore(graph, cfg))
             table = sampler.build()
             assert not sampler.exact and table.sample_count == cfg.samples
             return table
@@ -422,7 +429,8 @@ class TestConfidenceInterval:
             probs = [rng.choice([0.05, 0.5, 0.95, rng.uniform(0.01, 0.99)]) for _ in range(m)]
             g = ProbabilisticGraph.build(m, [(j, (j + 1) % m, p) for j, p in enumerate(probs)])
             ring = BiComponent(set(range(1, m)), 0, set(g.edges))
-            sampler = IncrementalComponentSampler(g, ring, SamplerConfig(n, alpha, master_seed=i))
+            cfg = SamplerConfig(n, alpha, master_seed=i)
+            sampler = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg))
             counts = dict(zip(sampler._verts, (b.bit_count() for b in sampler.draw(n))))
             table = drawn_table(sampler, n)
             assert not sampler.exact and table.sample_count == n and set(table.rows) == ring.members

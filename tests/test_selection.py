@@ -1200,9 +1200,11 @@ class TestEdgeCases:
     }
 
     @pytest.mark.parametrize("entry", sorted(TREE_ENTRIES))
-    @pytest.mark.parametrize("q", [-1, 4], ids=["negative", "past-the-end"])
+    @pytest.mark.parametrize("q", [4], ids=["past-the-end"])
     def test_tree_root_checked_against_graph(self, entry, q):
-        # FTree(q) has no graph to check q against until its first use.
+        # FTree(q) has no graph to check q against until its first use; a
+        # negative q it refuses when it is built
+        # (``TestNewFTree::test_a_negative_query_vertex_is_refused``).
         with pytest.raises(GraphError, match=re.escape(f"unknown vertex {q}")):
             self.TREE_ENTRIES[entry](FTree(q), star_graph())
 

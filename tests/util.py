@@ -31,7 +31,7 @@ from probflow import (
     mc_expected_flow,
 )
 from probflow.ftree import IncrementalComponentSampler
-from probflow.sampling import _reach_bitsets, confidence_interval
+from probflow.sampling import WorldStore, _reach_bitsets, confidence_interval
 
 
 @dataclass(frozen=True)
@@ -457,11 +457,12 @@ def reference_ring_estimate(
     fewest worlds behind any table of the grown tree: the ring's and those
     of the bi components whose members the ring misses; None for a ring
     whose table is exact.  The ring is planned afresh and its table drawn
-    from a new sampler; ``tree`` is evaluated if it is not."""
+    from a new sampler on a new world store; ``tree`` is evaluated if it
+    is not."""
     tree.expected_flow(graph)
     _, comp, _ = tree._plan_cycle(*e, e)
     members = sorted((tree._kept.rank[x], x) for x in comp.members)
-    sampler = IncrementalComponentSampler(graph, comp, cfg)
+    sampler = IncrementalComponentSampler(graph, comp, cfg, WorldStore(graph, cfg))
     if sampler.exact:
         return None
     table = drawn_table(sampler, cfg.samples)
