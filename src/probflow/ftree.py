@@ -91,9 +91,9 @@ from .sampling import (
     SamplerConfig,
     WorldStore,
     _reach_bitsets,
-    exact_reach,
+    enumerated_reach,
     wald_interval,
-    world_weights,
+    world_frame,
 )
 
 
@@ -235,7 +235,12 @@ class IncrementalComponentSampler:
     from the store, which draws each edge once, and propagates them; the
     propagated worlds are returned, never kept.  Construction prepares
     all that every build reads: local vertices and edges, probabilities,
-    the exact flag and, for an exact component, its worlds' weights.
+    the exact flag and, for an exact component, its enumeration frame
+    (``world_frame``: each edge's world pattern in edge order and the
+    worlds' weights), built once per component.  An exact build is then
+    the enumeration alone (``enumerated_reach``: the kept patterns
+    propagated and every member's row summed in one masked reduce); a
+    drawn build reads the store's bitsets and propagates them.
     """
 
     def __init__(
@@ -254,8 +259,9 @@ class IncrementalComponentSampler:
         self._verts = verts
         self._members = [v for v in verts if v != comp.articulation]
         self._source = local[comp.articulation]
+        self._member_ids = [local[v] for v in self._members]
         self.exact = 1 << sum(p < 1.0 for p in self._probs) <= cfg.samples
-        self._weights = world_weights(self._probs) if self.exact else None
+        self._frame = world_frame(self._probs) if self.exact else None
         self._store = store
 
     def build(self) -> ReachTable:
@@ -265,22 +271,20 @@ class IncrementalComponentSampler:
         over ``cfg.samples``, with ``wald_interval`` of that proportion."""
         if self.exact:
             return self.exact_table()
-        n, src = self.cfg.samples, self._source
+        n = self.cfg.samples
         bits = self.draw(n)
-        p = np.array([b.bit_count() for i, b in enumerate(bits) if i != src], dtype=np.int64) / n
+        p = np.array([bits[i].bit_count() for i in self._member_ids], dtype=np.int64) / n
         lo, hi = wald_interval(p, n, self.cfg.alpha)
         rows = zip(p.tolist(), lo.tolist(), hi.tolist())
         return ReachTable(self.articulation, dict(zip(self._members, rows)), n)
 
     def exact_table(self) -> ReachTable:
         """Reach table over every world of the uncertain edges, weighted by
-        world probability: ``EXACT_SAMPLES`` worlds, zero-width rows."""
-        reach = exact_reach(
-            self._edges, self._probs, len(self._verts), self._source, self._weights
-        )
-        av = self.articulation
-        rows = {v: (p, p, p) for v, p in zip(self._verts, reach.tolist()) if v != av}
-        return ReachTable(articulation=av, rows=rows, sample_count=EXACT_SAMPLES)
+        world probability: the enumeration of the kept frame, through the
+        oracle's routine, with ``EXACT_SAMPLES`` worlds and zero-width rows."""
+        reach = enumerated_reach(self._frame, self._edges, len(self._verts), self._source, self._member_ids)
+        rows = {v: (p, p, p) for v, p in zip(self._members, reach.tolist())}
+        return ReachTable(articulation=self.articulation, rows=rows, sample_count=EXACT_SAMPLES)
 
     def draw(self, batch: int) -> list[int]:
         """The store's ``batch`` worlds, which must be all ``cfg.samples``

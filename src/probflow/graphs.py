@@ -71,7 +71,8 @@ class ProbabilisticGraph:
 
     Immutable after construction; safe to share across worker threads.
     Vertex ids and the vertex count must be integers (``int`` or numpy
-    integers: what ``operator.index`` accepts); ``1.0`` raises ``GraphError``.
+    integers: what ``check_integer`` accepts); ``1.0`` and ``True`` raise
+    ``GraphError``.
 
     Attributes:
         num_vertices: vertices are the dense ids 0..num_vertices-1.
@@ -92,8 +93,8 @@ class ProbabilisticGraph:
     def __post_init__(self) -> None:
         n = self.num_vertices
         try:
-            operator.index(n)
-        except TypeError:
+            check_integer("vertex count", n)
+        except ValueError:
             raise GraphError(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise GraphError("vertex count must be non-negative")
@@ -123,8 +124,8 @@ class ProbabilisticGraph:
                 prev_u, prev_v = u, v
                 continue
             try:
-                operator.index(u), operator.index(v)
-            except TypeError:
+                check_integer("vertex id", u), check_integer("vertex id", v)
+            except ValueError:
                 raise GraphError(f"edge ({u!r},{v!r}) has a non-integer vertex id") from None
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")

@@ -10,9 +10,14 @@ its worlds chunk by chunk; a component tree's drawn tables read the
 tree's ``WorldStore``, which draws each edge's worlds once, from a stream
 keyed by the edge.  Sampled worlds and enumerated ones go through one
 propagation kernel, ``_reach_bitsets``, which takes each edge's worlds
-as a bitset.  ``exact_reach`` enumerates every world of the uncertain
-edges; it gives small bi components their exact reach tables and the
-oracle its reference values, and draws nothing.
+as a bitset.  An enumeration covers every world of the uncertain edges
+and draws nothing, through one routine, ``enumerated_reach``: it
+propagates a frame's world patterns and sums each vertex's world weights
+in one masked reduce.  A small bi component's sampler builds its frame
+(``world_frame``: the patterns and the weights) once, when it is made,
+so each build of its exact table is the enumeration alone; the oracle's
+``exact_reach`` builds the frame at each call.  A world store's first
+draw of an edge, one edge in one block, is drawn and packed as one row.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,11 +131,15 @@ def _live_worlds(rng: np.random.Generator, probs: np.ndarray, count: int) -> lis
     at a time, each block a whole number of bytes of worlds but the last.
     Each block is compared and packed edge by edge as it is drawn (as one
     run of bits, or row by row when its worlds end mid-byte); the blocks'
-    byte rows are then joined edge by edge."""
+    byte rows are then joined edge by edge.  One edge in one block (a
+    world store's draw) is drawn, compared and packed as one row, with
+    the same bits and no buffer."""
     edges = probs.size
     if edges == 0:
         return []
     block = max(8, _CHUNK_BUDGET // 64 // edges // 8 * 8)
+    if edges == 1 and count <= block:
+        return [int.from_bytes(np.packbits(rng.random(count) < probs, bitorder="little").tobytes(), "little")]
     uniforms = np.empty((min(block, count), edges))
     packed = []
     for lo in range(0, count, block):
@@ -243,60 +252,105 @@ def _world_patterns(m: int) -> tuple[int, ...]:
     return (_kept_patterns if m <= _KEPT_PATTERN_EDGES else _build_patterns)(m)
 
 
+# World weights multiply the factors of at most this many leading
+# uncertain edges in one reduce (``world_weights``), whose kept indices
+# take under 13 kB in all.  The reduce costs m * 2^m products, doubling
+# 2^m and two calls per edge, so past a few hundred worlds doubling the
+# rest is as fast, and holds no m x 2^m temporaries.
+_REDUCED_WEIGHT_EDGES = 7
+
+
+@cache
+def _factor_index(m: int) -> np.ndarray:
+    """Read-only [m, 2^m] indices into the factors (1 - p_0, p_0, 1 - p_1,
+    p_1, ...) of m edges: row i picks edge i's factor in each world, p_i
+    where bit i of the world is set (``_world_patterns``), 1 - p_i where
+    it is not."""
+    edge = np.arange(m)[:, None]
+    index = 2 * edge + ((np.arange(1 << m) >> edge) & 1)
+    index.flags.writeable = False
+    return index
+
+
 def world_weights(probs: Sequence[float]) -> np.ndarray:
     """The probability of each world of the uncertain edges (p < 1) among
     ``probs``, in ``exact_reach``'s world order: the product of its edges'
-    factors (p or 1 - p) in edge order.  Built in place by doubling: for
-    uncertain edge i, the 2^i weights so far times p_i fill the next 2^i
-    (the worlds with edge i present) and are then scaled by 1 - p_i, so
-    each world multiplies its factors left to right."""
+    factors (p or 1 - p) in edge order, each world multiplying its factors
+    left to right.  The factors of the first ``_REDUCED_WEIGHT_EDGES``
+    uncertain edges are picked by their kept indices (``_factor_index``)
+    and multiplied down the edge axis in one ``np.multiply.reduce``; each
+    later uncertain edge i doubles the weights in place: the 2^i weights
+    so far times p_i fill the next 2^i (the worlds with edge i present)
+    and are then scaled by 1 - p_i."""
     uncertain = [p for p in probs if p < 1.0]
+    head = min(len(uncertain), _REDUCED_WEIGHT_EDGES)
     weights = np.empty(1 << len(uncertain))
-    weights[0] = 1.0
-    for i, p in enumerate(uncertain):
-        half = 1 << i
+    factors = np.array([f for p in uncertain[:head] for f in (1.0 - p, p)], dtype=float)
+    np.multiply.reduce(factors.take(_factor_index(head)), axis=0, out=weights[:1 << head])
+    for i in range(head, len(uncertain)):
+        half, p = 1 << i, uncertain[i]
         np.multiply(weights[:half], p, out=weights[half:2 * half])
         weights[:half] *= 1.0 - p
     return weights
 
 
-def exact_reach(
-    edges: Sequence[Edge],
-    probs: Sequence[float],
-    num_vertices: int,
-    source: int,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Exact probability of each vertex reaching ``source``, over every
-    world of the uncertain edges (p < 1) in their listed order; edges of
-    probability 1 are present in every world and not enumerated.
-
-    A world's probability is ``world_weights(probs)``; a caller that keeps
-    those weights passes them in.  A vertex's reach is the sum of its worlds'
-    probabilities, taken row by row in world order with no matrix product
-    (so the thread count cannot change a bit), in row chunks of at most
-    ``_CHUNK_BUDGET // 64`` doubles, and at least one row: an enumeration
-    holds its 2^m weights, its vertices' bitsets and one chunk of rows.  A
-    sum of world probabilities is at least 0 but may round above 1, so it
-    is clamped to 1.
-    """
+def world_frame(probs: Sequence[float]) -> tuple[list[int], np.ndarray]:
+    """What an enumeration of edges of probabilities ``probs`` reads
+    besides the edges themselves: each edge's live set over the 2^m worlds
+    of the m uncertain edges (p < 1), in edge order (an uncertain edge's
+    ``_world_patterns`` row; every world for a certain one), and those
+    worlds' weights (``world_weights``), whose size is the world count.
+    A component with an exact table keeps its frame for every build."""
     uncertain = [j for j, p in enumerate(probs) if p < 1.0]
-    count = 1 << len(uncertain)
-    live = [(1 << count) - 1] * len(edges)
+    live = [(1 << (1 << len(uncertain))) - 1] * len(probs)
     for j, bits in zip(uncertain, _world_patterns(len(uncertain))):
         live[j] = bits
+    return live, world_weights(probs)
+
+
+def enumerated_reach(
+    frame: tuple[list[int], np.ndarray],
+    edges: Sequence[Edge],
+    num_vertices: int,
+    source: int,
+    targets: Sequence[int],
+) -> np.ndarray:
+    """Exact probability of each of ``targets`` (vertex ids, in order)
+    reaching ``source`` over every world of an enumeration's frame
+    (``world_frame``): the edges' live sets propagated
+    (``_reach_bitsets``), then each target's reach the sum of its worlds'
+    weights: its row of world bits, unpacked into one bit matrix with the
+    other targets' rows, times the weights (a bit is 0 or 1 and a weight
+    finite and non-negative, so each product is the weight or +0.0, as a
+    mask would give), summed in world order by one ``np.add.reduce``, with
+    no matrix product (so the thread count cannot change a bit).  The rows go in chunks of
+    at most ``_CHUNK_BUDGET // 64`` doubles, and at least one row, so a
+    component's rows are one chunk and an enumeration of 2^20 worlds holds
+    its weights, its vertices' bitsets and one row at a time.  A sum of
+    world probabilities is at least 0 but may round above 1, so it is
+    clamped to 1."""
+    live, weights = frame
+    count = weights.size
     reached = _reach_bitsets(live, edges, num_vertices, source, count)
-    if weights is None:
-        weights = world_weights(probs)
     width = (count + 7) // 8
     step = max(1, _CHUNK_BUDGET // 64 // count)
-    reach = np.empty(num_vertices)
-    for lo in range(0, num_vertices, step):
-        rows = reached[lo:lo + step]
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-        mask = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=count, bitorder="little")
-        reach[lo:lo + len(rows)] = np.where(mask.view(bool), weights, 0.0).sum(axis=1)
-    return np.minimum(reach, 1.0)
+    reach = np.empty(len(targets))
+    for lo in range(0, len(targets), step):
+        rows = [reached[v].to_bytes(width, "little") for v in targets[lo:lo + step]]
+        packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), width)
+        bits = np.unpackbits(packed, axis=1, count=count, bitorder="little")
+        np.add.reduce(bits * weights, axis=1, out=reach[lo:lo + len(rows)])
+    return np.minimum(reach, 1.0, out=reach)
+
+
+def exact_reach(edges: Sequence[Edge], probs: Sequence[float], num_vertices: int, source: int) -> np.ndarray:
+    """Exact probability of each vertex reaching ``source``, over every
+    world of the uncertain edges (p < 1) in their listed order; edges of
+    probability 1 are present in every world and not enumerated: the
+    enumeration (``enumerated_reach``) of the edges' frame
+    (``world_frame``) for every vertex, the one path that exact component
+    tables take too."""
+    return enumerated_reach(world_frame(probs), edges, num_vertices, source, range(num_vertices))
 
 
 def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> FlowEstimate:

@@ -251,6 +251,20 @@ class TestValidation:
         with pytest.raises(GraphError, match=r"vertex count 2.0 is not an integer"):
             ProbabilisticGraph(2.0, ((0, 1),), (0.5,), (1.0,) * 2, ("a", "b"))
 
+    @pytest.mark.parametrize("edge", [(0, True), (False, 1)])
+    def test_bool_vertex_id_rejected(self, edge):
+        # A bool is no vertex id (``check_integer``), though ``operator.index``
+        # reads True as 1: the graph would hold the edge as (0, True).
+        message = f"edge ({edge[0]!r},{edge[1]!r}) has a non-integer vertex id"
+        with pytest.raises(GraphError, match=re.escape(message)):
+            ProbabilisticGraph(2, (edge,), (0.5,), (1.0, 1.0), ("a", "b"))
+
+    @pytest.mark.parametrize("count, fields", [(True, ((1.0,), ("a",))), (False, ((), ()))])
+    def test_bool_vertex_count_rejected(self, count, fields):
+        # Each graph's fields would match the count True or False reads as.
+        with pytest.raises(GraphError, match=f"vertex count {count!r} is not an integer"):
+            ProbabilisticGraph(count, (), (), *fields)
+
     def test_numpy_integers_accepted(self):
         i = np.int64
         g = ProbabilisticGraph(i(3), ((i(0), i(1)), (1, i(2))), (0.5, 0.5), (1.0,) * 3, ("a", "b", "c"))

@@ -9,12 +9,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probflow import (
     EXACT_SAMPLES,
     ProbabilisticGraph,
     SamplerConfig,
     assign_distance_decay,
+    canonical_edge,
     confidence_interval,
     exact_expected_flow,
     gen_wsn,
@@ -32,6 +35,7 @@ from util import (
     flow_of_world,
     random_connected_graph,
     reachable_set,
+    reference_exact_reach,
     reference_live_worlds,
     reference_world_patterns,
     reference_world_weights,
@@ -218,6 +222,10 @@ class TestBlockedDraws:
         (63, 1000),  # blocks of 992 worlds: two
         (2309, 1732),  # a whole wsn-500 chunk: 72 blocks of 24 worlds and one of 4
         (9, 1),
+        (1, 1000),  # a world store's draw: one edge, one block, one row
+        (1, 1001),
+        (1, 7),
+        (1, 1),
     ])
     def test_matches_one_matrix(self, edges, count):
         if edges == 62:
@@ -235,6 +243,10 @@ class TestBlockedDraws:
 
     def test_no_edges_draw_nothing(self):
         self.check([], 1000)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_one_edge_of_certain_state(self, p):
+        self.check([p], 1000)
 
     def test_certain_edges_live_in_every_world(self):
         live = sampling._live_worlds(substream(1, "p1"), np.array([1.0, 0.5, 1.0]), 1001)
@@ -285,6 +297,37 @@ class TestEnumerationKernels:
         got = sampling.world_weights(probs)
         assert got.tobytes() == reference_world_weights(probs).tobytes()
         assert got.dtype == np.float64 and got.shape == (1 << m,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ring_tables_and_oracle_match_the_reference(self, data):
+        # A ring of 3-9 vertices (a cycle through them all, and chords),
+        # 0-12 of its edges uncertain and the rest certain, so that rings
+        # of fewer than 8 worlds come up too, and a random drain.  Its
+        # sampler (a budget of 2^12 worlds makes every such ring exact) and
+        # the oracle's routine give the reference's values bit for bit.
+        n = data.draw(st.integers(3, 9), label="vertices")
+        chords = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+        kept = []
+        if chords:  # a triangle has none
+            kept = data.draw(st.lists(st.sampled_from(chords), unique=True, max_size=8), label="chords")
+        edges = sorted({canonical_edge(v, (v + 1) % n) for v in range(n)} | set(kept))
+        order = data.draw(st.permutations(range(len(edges))), label="order")
+        m = data.draw(st.integers(0, min(12, len(edges))), label="uncertain")
+        probs = [1.0] * len(edges)
+        for j in order[:m]:
+            probs[j] = data.draw(st.floats(0.001, 0.999), label=f"p{j}")
+        source = data.draw(st.integers(0, n - 1), label="drain")
+        g = ProbabilisticGraph(n, tuple(edges), tuple(probs), (1.0,) * n, tuple(map(str, range(n))))
+        want = reference_exact_reach(edges, probs, n, source)
+        assert exact_reach(edges, probs, n, source).tobytes() == want.tobytes()
+        cfg = SamplerConfig(samples=1 << 12)
+        comp = BiComponent(set(range(n)) - {source}, source, set(edges))
+        table = IncrementalComponentSampler(g, comp, cfg, WorldStore(g, cfg)).build()
+        assert table.sample_count == EXACT_SAMPLES
+        assert {v: tuple(map(float.hex, row)) for v, row in table.rows.items()} == {
+            v: (r.hex(),) * 3 for v, r in enumerate(want.tolist()) if v != source
+        }
 
     def test_enumeration_memory_is_bounded(self):
         # 2^20 worlds: the weights take 8 MB and one vertex row of them 8

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,65 @@ def test_tracedigest_stops_quietly_when_its_reader_closes_the_pipe():
     assert lines[0].startswith("family") and lines[1].startswith("erdos-200")
     assert err == ""
     assert proc.returncode == 1
+
+
+def load_abbench():
+    spec = importlib.util.spec_from_file_location("abbench", TOOLS / "abbench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(ft: float, flow: float = 50.0, rss: float | None = 40.0, correct: bool = True) -> str:
+    """A benchmark run's output as ``perfbench/run.py`` prints it: metric
+    lines, then the result line."""
+    metrics = {"select_s.ft": {"value": ft, "unit": "s"}, "flow_ref.ft_m": {"value": flow, "unit": "flow"}}
+    if rss is not None:
+        metrics["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    result = {"correct": correct, "attempted": 42, "failed": 0 if correct else 1, "metrics": metrics}
+    return (
+        "# wsn-decay seed=101 graphs=14 passes=1\n"
+        f"{'select_s.ft':40s} {ft:14.6g} s      n=42\n"
+        + json.dumps(result) + "\n"
+    )
+
+
+BETTER = {"select_s.ft": "lower", "flow_ref.ft_m": "higher", "peak_rss_mb": "lower"}
+
+
+def test_abbench_summarizes_medians_wins_and_the_parent_spread():
+    abbench = load_abbench()
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.9, 2.1, 2.5, 3.0, 6.0]
+    pairs = [(abbench.result_of(canned_run(a)), abbench.result_of(canned_run(b)))
+             for a, b in zip(parent, change)]
+    rows, problems = abbench.summarize(pairs, BETTER)
+    assert problems == []
+    # Medians 3.0 and 2.5; the change is lower in 3 of 5 pairs; the
+    # parent's quartiles are 2.0 and 4.0.  Equal values win no pair.
+    assert rows == [
+        ("select_s.ft", 3.0, 2.5, 2.5 / 3.0, 3, 2.0),
+        ("flow_ref.ft_m", 50.0, 50.0, 1.0, 0, 0.0),
+        ("peak_rss_mb", 40.0, 40.0, 1.0, 0, 0.0),
+    ]
+    lines = abbench.format_rows(rows, len(pairs))
+    assert lines[0].split() == ["metric", "parent", "change", "ratio", "won", "parent", "IQR"]
+    assert lines[1].split() == ["select_s.ft", "3", "2.5", "0.833", "3/5", "2"]
+
+
+def test_abbench_reports_incorrect_runs_and_moved_reference_flows():
+    abbench = load_abbench()
+    outputs = [
+        (canned_run(1.0, rss=None), canned_run(1.0)),
+        (canned_run(1.0, correct=False), canned_run(1.0, flow=50.000000000001)),
+    ]
+    pairs = [tuple(map(abbench.result_of, pair)) for pair in outputs]
+    rows, problems = abbench.summarize(pairs, BETTER)
+    assert problems == [
+        "pair 2: the parent run is not correct",
+        "pair 2: flow_ref.ft_m 50.0 != 50.000000000001",
+    ]
+    # A metric that some run does not report (peak_rss_mb here) gets no row.
+    assert [row[0] for row in rows] == ["select_s.ft", "flow_ref.ft_m"]
+    # A higher flow is better, so the change won the second pair.
+    assert rows[1][4] == 1

@@ -583,3 +583,32 @@ def reference_world_weights(probs: Sequence[float]) -> np.ndarray:
     of factors (p or 1 - p), taken along the edge axis."""
     p = np.array([x for x in probs if x < 1.0])[:, None]
     return np.where(reference_world_present(len(p)), p, 1.0 - p).prod(axis=0)
+
+
+def reference_exact_reach(
+    edges: Sequence[Edge], probs: Sequence[float], num_vertices: int, source: int
+) -> np.ndarray:
+    """The exact reach of every vertex as one routine enumerated it before
+    components kept their frames: patterns (``reference_world_patterns``)
+    and weights made at each call, the weights by doubling (for uncertain
+    edge i, the 2^i weights so far times p_i fill the next 2^i, which are
+    the worlds with edge i present, and are then scaled by 1 - p_i), the
+    worlds propagated by ``_reach_bitsets``, and each vertex's row of
+    weights masked by ``np.where`` and summed by ``sum(axis=1)``, all rows
+    as one matrix, clamped to 1."""
+    uncertain = [j for j, p in enumerate(probs) if p < 1.0]
+    count = 1 << len(uncertain)
+    live = [(1 << count) - 1] * len(edges)
+    for j, bits in zip(uncertain, reference_world_patterns(len(uncertain))):
+        live[j] = bits
+    weights = np.empty(count)
+    weights[0] = 1.0
+    for i, j in enumerate(uncertain):
+        half = 1 << i
+        np.multiply(weights[:half], probs[j], out=weights[half:2 * half])
+        weights[:half] *= 1.0 - probs[j]
+    reached = _reach_bitsets(live, edges, num_vertices, source, count)
+    width = (count + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reached), dtype=np.uint8)
+    mask = np.unpackbits(packed.reshape(num_vertices, width), axis=1, count=count, bitorder="little")
+    return np.minimum(np.where(mask.view(bool), weights, 0.0).sum(axis=1), 1.0)

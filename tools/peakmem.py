@@ -17,6 +17,12 @@ for a change:
 - ``run_strategy`` of ``ft`` on that graph at k=100 (same sampler), where
   every probe builds its ring's table again, so drawing each edge once
   per tree (the tree's world store) saves the most;
+- ``run_strategy`` of ``ft`` on the wsn-500 graph above at k=15 (1000
+  samples, master seed 7), the benchmark's wsn-decay graph 1 at its
+  budget, ``EXACT_RUNS`` times: 93 of its 98 ring builds enumerate their
+  worlds, and exact tables take the largest share of its time (by
+  ``perf_counter`` wrappers, about 30% in their builds and 15% in their
+  samplers' construction, against 10% in drawn builds);
 - ``run_strategy`` of ``ft_m`` on
   ``assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)``
   at k=200 (1000 samples, master seed 7), where many probed rings outlive
@@ -38,8 +44,9 @@ same value; a value that differs between repeats is printed as
 ``DIFFERS:`` followed by each repeat's, and the tool exits 1 once the
 table is printed.  Each fresh process draws its own hash seed (unless
 ``PYTHONHASHSEED`` is set), so a value that follows set order differs.
-A selection at scale also gives the number of edges its tree's world
-store drew, each once, as ``(flow, edges drawn)``.  The library and the
+A selection also gives the number of edges its tree's world store drew,
+each once, as ``(flow, edges drawn)``; the exact-table kernel's selections
+must all give the same pair, its value.  The library and the
 tests' helpers are imported from this checkout.
 
 Run from the repository root:
@@ -61,12 +68,18 @@ ROOT = Path(__file__).resolve().parent.parent
 # where a single run at scale can differ by a third between runs.
 REPEATS = 5
 
+# Selections of the exact-table kernel per process: one takes about 0.01 s.
+EXACT_RUNS = 20
+
 # A selection's kernel: its last recorded flow and the edges its tree's
 # world store drew (the stores built during the run, each edge once).
 SELECT = (
     "stores, init = [], WorldStore.__init__\n"
     "WorldStore.__init__ = lambda store, *args: stores.append(store) or init(store, *args)\n"
-    "run = lambda: (run_strategy(graph, 0, cfg).trace[-1].flow.mean, sum(len(s._bits) for s in stores))\n"
+    "def select():\n"
+    "    stores.clear()\n"
+    "    return run_strategy(graph, 0, cfg).trace[-1].flow.mean, sum(len(s._bits) for s in stores)\n"
+    "run = select\n"
 )
 
 KERNELS = {
@@ -86,6 +99,14 @@ KERNELS = {
         )
         for variant, k in (("ft_m", 200), ("ft_m_ci", 200), ("ft", 100))
     },
+    f"run_strategy ft, wsn-500 decayed, k=15, {EXACT_RUNS} runs": (
+        "graph = assign_distance_decay(gen_wsn(500, 0.08, 1), lam=0.001, scale=10000)\n"
+        "cfg = StrategyConfig('ft', 15, SamplerConfig(samples=1000, master_seed=7))\n"
+        + SELECT
+        + "def run():\n"
+        f"    [value] = {{select() for _ in range({EXACT_RUNS})}}\n"
+        "    return value\n"
+    ),
     "run_strategy ft_m, wsn-2000 decayed, k=200": (
         "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
         "cfg = StrategyConfig('ft_m', 200, SamplerConfig(samples=1000, master_seed=7))\n"
