@@ -20,15 +20,19 @@ its new vertex off the attached endpoint's component (cases IIa, IIb).  A
 cycle-closing edge, with both endpoints attached, closes the cycle made of
 itself and the two chains of hangs (below) that climb from its endpoints to
 the vertex where they meet.  Every component those climbs pass folds into
-one new bi-connected component that drains through the meeting vertex: a bi
+one bi-connected component that drains through the meeting vertex: a bi
 component whole, a mono component the vertices the climbs pass in it
-(cases IIIa, IIIb, IVb, IVc).
+(cases IIIa, IIIb, IVb, IVc).  That component is the one among them that
+already drains through the meeting vertex, which grows in place, keeping
+its id and its members' index entries (a chord inside it, IIIa, only adds
+its edge), or else a new one.
 
 One rule gives every attached vertex its reach.  Each one, v, hangs off
 one vertex h(v), its mono parent or its bi component's articulation
 vertex, by a factor g(v), the edge probability or its reach-table row, and
-its reach triple t(v) to the query vertex is g(v)·t(h(v)).  Evaluation is
-one pass in attach order, which meets every vertex after h(v).  A component's
+its reach triple t(v) to the query vertex is g(v)·t(h(v)).  The tree keeps
+every vertex's attach position, the query vertex's 0.  Evaluation is one
+pass in attach order, which meets every vertex after h(v).  A component's
 articulation vertex cuts its members off from the query vertex, so it lay
 on the path each member had to the query vertex when that member was
 attached, and was attached before it; a mono member's parent is the vertex
@@ -57,18 +61,19 @@ The tree keeps one evaluation, which every evaluation builds whole: every
 vertex's reach, the leaf candidates' terms in a dict and in descending
 order, and the subtree masses.  A leaf insert extends it in place: the new
 vertex's triple, its new leaves' terms and the masses on its hang chain,
-the only ones it changes.  A cycle-closing insert drops it, so the next
-evaluation builds it whole again.  Beside it sit the candidate edges, with
-the cycle candidates (both endpoints attached) in a list of their own,
-which every insert keeps up to date, and each probed cycle candidate's
-ring, keyed by its edge: its members, its component and the sampler made
-with it and, in a memo tree, its table and the table's coefficients in
-place of the sampler, all of which depend on the ring's component alone.
-The rings are a memo tree's only table cache.  A leaf insert keeps them all,
-and a cycle-closing insert keeps exactly those whose members its new
-component misses, since it changes no other vertex's hang or factor and
-attach order never changes; a memo tree's commit adopts the table of its
-edge's ring.  A copy has candidate lists of its own, equal to the
+the only ones it changes.  An evaluation and a leaf insert append each
+vertex through the same hang step.  A cycle-closing insert drops it, so
+the next evaluation builds it whole again.  Beside it sit the candidate
+edges, with the cycle candidates (both endpoints attached) in a list of
+their own, which every insert keeps up to date, and each probed cycle
+candidate's ring, keyed by its edge: its members, its component and the
+sampler made with it and, in a memo tree, its table and the table's
+coefficients in place of the sampler, all of which depend on the ring's
+component alone.  The rings are a memo tree's only table cache.  A leaf
+insert keeps them all, and a cycle-closing insert keeps exactly those
+whose members the component it grows or makes misses, since it changes
+no other vertex's hang or factor and attach order never changes; a memo
+tree's commit adopts the table of its edge's ring.  A copy has candidate lists of its own, equal to the
 source's, and no evaluation or ring; it serves the same graph under the
 same config, with the same world store.
 """
@@ -120,9 +125,10 @@ class MonoComponent:
 @dataclass
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
-    enumerated or sampled (``IncrementalComponentSampler.build``).  A new
-    component has no reach table until the tree's next evaluation builds it
-    (``FTree.refresh``) or a memo tree's commit adopts its probe's."""
+    enumerated or sampled (``IncrementalComponentSampler.build``).  A
+    component a cycle commit grows or makes has no reach table until the
+    tree's next evaluation builds it (``FTree.refresh``) or a memo tree's
+    commit adopts its probe's."""
 
     members: set[int]
     articulation: int
@@ -141,19 +147,20 @@ class InsertReport:
     """What an insertion did and what it cost.
 
     ``edges_sampled_count`` is the structural sampling cost of the insertion:
-    the new bi component's edge count for a cycle-closing insert, 0 for a
-    leaf insert.  It is counted whether the table is built at the next
-    evaluation or adopted from a memo tree's probe, so the cost of an edge
-    is a deterministic property of the tree shape.
+    the edge count of the bi component a cycle-closing insert grows or
+    makes, 0 for a leaf insert.  It is counted whether the table is built
+    at the next evaluation or adopted from a memo tree's probe, so the cost
+    of an edge is a deterministic property of the tree shape.
     """
 
     case_taken: str
     edges_sampled_count: int
 
 
-# The ids of the components a cycle takes (``FTree._plan_cycle``); a
+# A cycle's plan (``FTree._plan_cycle``): the ids of the components it
+# takes, its path vertices, the vertex its climbs meet at and its case; a
 # ring's coefficients (``FTree._coefficients``).
-_Parts = list[int]
+_Plan = tuple[list[int], list[int], int, str]
 _Coeffs = list[tuple[int, float, float, float]]
 
 
@@ -161,10 +168,10 @@ _Coeffs = list[tuple[int, float, float, float]]
 class _Ring:
     """A probed cycle candidate, kept while commits leave its component as
     it is (see ``FTree._close_cycle``): its ring's (attach position,
-    vertex) pairs in attach order, the ring (a ``BiComponent`` with no
-    table of its own, draining through the vertex where its climbs meet)
-    and the ring's sampler, made with the ring on the tree's world store.
-    In a memo tree the first probe keeps the table it built and the
+    vertex) pairs in attach order, the ring (a fresh ``BiComponent`` the
+    cycle's plan folds into, ``FTree._fold``, with no table of its own,
+    draining through the vertex where its climbs meet) and the ring's
+    sampler, made with the ring on the tree's world store.  In a memo tree the first probe keeps the table it built and the
     table's coefficients (``scored``) and drops the sampler, which no
     later probe needs."""
 
@@ -184,18 +191,18 @@ class _Kept:
     candidate's (one endpoint attached) weighted reach term t·w for mean,
     lb and ub, and ``order`` the same leaves as (−t·w mean, edge) pairs in
     ascending order.  Both survive leaf inserts, which add and drop leaves
-    but change no other leaf's term.  ``rank`` holds every attached
-    vertex's attach position (the query vertex's is 0) and ``hangs`` each
-    position's hang: the position of h(v) and g(v) (see the module
-    docstring; position 0 holds a placeholder).  ``masses`` holds the mean,
-    lb and ub subtree masses by position, beside each position's weight
-    (``weights``) and the positions that hang off it, in attach order
-    (``kids``); a leaf insert extends all three (``_attach_leaf``).
+    but change no other leaf's term.  The lists are by attach position,
+    the tree's (``FTree._pos``; the query vertex's is 0): ``hangs`` holds
+    each position's hang, the position of h(v) and g(v) (see the module
+    docstring; position 0 holds a placeholder), ``masses`` the mean, lb
+    and ub subtree masses, ``weights`` the weights and ``kids`` the
+    positions that hang off each, in attach order.  Every vertex comes in
+    through one hang step (``FTree._append``), in ``_evaluate`` and in a
+    leaf insert (``_attach_leaf``) alike.
     """
 
     estimate: FlowEstimate
     triples: dict[int, tuple[float, float, float]]
-    rank: dict[int, int]
     hangs: list[tuple[int, tuple[float, float, float]]]
     terms: dict[Edge, tuple[float, float, float]]
     order: list[tuple[float, Edge]]
@@ -308,7 +315,10 @@ class FTree:
     the subtree masses cycle probes score from.  Beside it sit the
     candidate edges (``candidates``), the cycle candidates among them
     (``cycle_candidates``) and each probed cycle candidate's ring
-    (``_Ring``), reused when it is re-probed or committed.  The tree serves
+    (``_Ring``), reused when it is re-probed or committed, and every
+    attached vertex's attach position (``_pos``: the query vertex's 0,
+    then the vertex index's order), which climbs and the kept evaluation
+    read.  The tree serves
     one graph, the first it is given (``_use_graph``), which makes the
     candidate lists, and samples under one ``SamplerConfig``, the first
     ``insert_edge`` gives it, which makes the tree's world store.  Inserts
@@ -339,6 +349,7 @@ class FTree:
         self.components: dict[int, Component] = {}
         self.root_id = self._add_component(MonoComponent(q, {}))
         self.vertex_index: dict[int, int] = {}
+        self._pos = {self.q: 0}
         self.selected_edges: set[Edge] = set()
 
     # ------------------------------------------------------------------
@@ -368,6 +379,7 @@ class FTree:
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
         other.root_id = self.root_id
         other.vertex_index = dict(self.vertex_index)
+        other._pos = dict(self._pos)
         other.selected_edges = set(self.selected_edges)
         return other
 
@@ -390,10 +402,10 @@ class FTree:
         self._graph = graph
 
     def is_attached(self, v: int) -> bool:
-        return v == self.q or v in self.vertex_index
+        return v in self._pos
 
     def attached_vertices(self) -> set[int]:
-        return set(self.vertex_index) | {self.q}
+        return set(self._pos)
 
     def parent_of(self, cid: int) -> Optional[int]:
         """The component owning ``cid``'s articulation vertex (the root for
@@ -415,11 +427,12 @@ class FTree:
         under the ``SamplerConfig`` its first insert gives, or one equal to
         it; anything else raises FTreeError and changes nothing.  The first
         insert that goes through binds the config and makes the tree's
-        world store.  A
-        cycle-closing edge is planned here (``_plan_cycle``), and in a memo
-        tree its new component takes the table its probe's ring holds, if
-        the edge was probed; the commit drops the rings that share a member
-        with it, the edge's own among them (``_close_cycle``).  No table is
+        world store.  A cycle-closing edge is planned here
+        (``_plan_cycle``) and committed (``_close_cycle``): the bi component
+        it grows or makes takes the table its probe's ring holds in a memo
+        tree, if the edge was probed, and none otherwise, and the commit
+        drops the rings that share a member with it, the edge's own among
+        them.  No table is
         built here: the next evaluation builds every one still missing
         (``refresh``).  Every insert brings the candidate lists up to date
         (``_advance_candidates``).
@@ -436,12 +449,9 @@ class FTree:
         fresh: Optional[int] = None
         if att_u and att_v:
             self._kept = None
-            parts, comp, case = self._plan_cycle(u, v, e)
-            ring = self._rings.get(e)
-            if ring is not None and ring.scored is not None:
-                comp.reach = ring.scored[0]
-            self._close_cycle(parts, comp)
-            cost = len(comp.internal_edges)
+            plan, ring = self._plan_cycle(u, v), self._rings.get(e)
+            table = ring.scored[0] if ring is not None and ring.scored is not None else None
+            cost, case = len(self._close_cycle(plan, e, table).internal_edges), plan[3]
         else:
             attach, fresh = (u, v) if att_u else (v, u)
             case = self._attach_leaf(attach, fresh, prob)
@@ -473,34 +483,23 @@ class FTree:
 
     def _attach_leaf(self, attach: int, fresh: int, prob: float) -> str:
         """Cases IIa/IIb: hang the new vertex ``fresh`` off ``attach`` by an
-        edge of probability ``prob``.  The kept evaluation, if any, gains the
-        new vertex's triple, hang and estimate term in place, computed as
-        ``_evaluate`` would.
+        edge of probability ``prob``, at the next attach position.  The kept
+        evaluation, if any, takes it through ``_evaluate``'s hang step
+        (``_append``), and its estimate gains the new vertex's term.
 
-        Its masses gain the new position, whose masses are its weight, and
-        the hang chain from ``attach`` up to the query vertex is recomputed:
-        at each vertex y on it, w(y) plus g(c)·M(c) over y's kids c in
-        reverse attach order.  Those are the operations ``_evaluate``'s
-        reverse pass does for y, in its order, so every mass stays bit for
-        bit what a rebuild would give; masses off the chain do not
-        change."""
+        The new position's masses are its weight, and the hang chain from
+        ``attach`` up to the query vertex is recomputed: at each vertex y
+        on it, w(y) plus g(c)·M(c) over y's kids c in reverse attach order.
+        Those are the operations ``_evaluate``'s reverse pass does for y,
+        in its order, so every mass stays bit for bit what a rebuild would
+        give; masses off the chain do not change."""
+        self._pos[fresh] = len(self._pos)
         kept = self._kept
         if kept is not None:
-            base = kept.triples[attach]
-            t = (prob * base[0], prob * base[1], prob * base[2])
-            w = self._graph.weights[fresh]
-            a, i = kept.rank[attach], len(kept.hangs)
-            kept.triples[fresh] = t
-            kept.rank[fresh] = i
-            kept.hangs.append((a, (prob, prob, prob)))
-            kept.estimate = self.leaf_estimate(kept.estimate, (t[0] * w, t[1] * w, t[2] * w))
-            m0, m1, m2 = kept.masses
-            weights, kids, hangs = kept.weights, kept.kids, kept.hangs
-            for m in (m0, m1, m2, weights):
-                m.append(w)
-            kids.append([])
-            kids[a].append(i)
-            y = a
+            term = self._append(kept, fresh, attach, (prob, prob, prob))
+            kept.estimate = self.leaf_estimate(kept.estimate, term)
+            (m0, m1, m2), weights, kids, hangs = kept.masses, kept.weights, kept.kids, kept.hangs
+            y = self._pos[attach]
             while True:
                 s0 = s1 = s2 = weights[y]
                 for c in reversed(kids[y]):
@@ -540,11 +539,11 @@ class FTree:
         if fresh is None:
             del cycles[bisect_left(cycles, e)]
             return
-        q, index, kept = self.q, self.vertex_index, self._kept
+        pos, kept = self._pos, self._kept
         base = kept.triples[fresh] if kept is not None else None
         for nbr, i in graph.adjacency[fresh]:
             c = graph.edges[i]
-            if nbr == q or nbr in index:
+            if nbr in pos:
                 if c != e:
                     insort(cycles, c)
                 if kept is not None:  # e itself, or a leaf that now closes a cycle
@@ -635,21 +634,19 @@ class FTree:
         comp = self.components[self.vertex_index[v]]
         return comp.parent_edges[v][0] if isinstance(comp, MonoComponent) else comp.articulation
 
-    def _plan_cycle(self, u: int, v: int, e: Edge) -> tuple[_Parts, BiComponent, str]:
-        """Cases III and IV, read only: what folding the cycle the edge ``e``
-        between attached vertices u and v closes into one bi component takes.
+    def _plan_cycle(self, u: int, v: int) -> _Plan:
+        """Cases III and IV, read only: what folding the cycle that an edge
+        between attached vertices u and v closes takes (``_fold``).
 
-        The cycle is e and the two h-chains from u and v up to the vertex w
-        where they meet.  They are climbed in turn, one step each, and
-        ``seen`` records which climb reached each vertex: the first step
-        onto a vertex the other climb reached is onto w, and the other climb
-        is cut back to end below w.  So the walk is as long as the cycle,
-        not as deep as the tree.  Every component the climbs pass is a part:
-        a bi component goes into the ring whole, a mono component gives up
-        the vertices the climbs pass in it.  Returns the parts, as component
-        ids; the ring, a new bi component holding those vertices, the bi
-        parts' members and edges, the mono vertices' parent edges and ``e``,
-        which drains through w; and the case.
+        The cycle is the edge and the two h-chains from u and v up to the
+        vertex w where they meet.  A vertex is attached after its hang, so
+        while the two ends differ the later-attached one is not w, and the
+        walk steps it up its hang until the ends meet, at w.  So the walk is
+        as long as the cycle, not as deep as the tree.  Returns the parts,
+        the ids of the components the climbs pass, in climb order; the
+        path, the vertices the climbs pass below w, u's climb first; w; and
+        the case.  A bi part goes into the ring whole, a mono part gives up
+        its path vertices.
 
         One part is IIIa (bi) or IIIb (mono).  Several are IVc-composite if
         a mono part lies below the component the climbs meet in, and IVb
@@ -658,67 +655,85 @@ class FTree:
         articulation vertex, which another component owns); else in the
         component owning w, the root for the query vertex.
         """
-        index, q = self.vertex_index, self.q
-        climbs, seen, side = ([u], [v]), {u: 0, v: 1}, 0
-        while True:
-            x = climbs[side][-1]
-            if x != q:
-                w = self._hang(x)
-                if seen.setdefault(w, side) != side:
-                    break
-                climbs[side].append(w)
-            side ^= 1
-        other = climbs[1 - side]
-        del other[other.index(w):]
-        path = climbs[0] + climbs[1]
-        parts: _Parts = list(dict.fromkeys(index[x] for x in path))
-        comps = [self.components[cid] for cid in parts]
-        kinds = [isinstance(comp, MonoComponent) for comp in comps]
-        members, edges = set(), {e}
-        for comp, mono in zip(comps, kinds):
-            if not mono:
-                members |= comp.members
-                edges |= comp.internal_edges
-        for x in path:
-            if x not in members:  # a mono vertex: its edge to its parent
-                members.add(x)
-                edges.add(canonical_edge(x, self._hang(x)))
-        ring = BiComponent(members, articulation=w, internal_edges=edges)
+        index, pos = self.vertex_index, self._pos
+        a, b = [u], [v]
+        while a[-1] != b[-1]:
+            c = a if pos[a[-1]] > pos[b[-1]] else b
+            c.append(self._hang(c[-1]))
+        w = a.pop()
+        b.pop()
+        path = a + b
+        parts = list(dict.fromkeys(index[x] for x in path))
+        kinds = [isinstance(self.components[cid], MonoComponent) for cid in parts]
         if len(parts) == 1:
-            return parts, ring, "IIIb" if kinds[0] else "IIIa"
-        a, b = climbs
+            return parts, path, w, "IIIb" if kinds[0] else "IIIa"
         meet = index[a[-1]] if a and b and index[a[-1]] == index[b[-1]] else index.get(w, self.root_id)
         below = any(mono and cid != meet for cid, mono in zip(parts, kinds))
-        return parts, ring, "IVc-composite" if below else "IVb"
+        return parts, path, w, "IVc-composite" if below else "IVb"
 
-    def _close_cycle(self, parts: _Parts, ring: BiComponent) -> None:
-        """Apply a plan (see ``_plan_cycle``): the ring joins the tree as a
-        new component, every part gives up its members to it, and a
-        component left empty goes (the ring takes the root's place).  A
-        mono part's path is the ring's members among its own, the vertices
-        the climbs passed in it.  Members that path cut off regroup into new
+    def _fold(self, plan: _Plan, e: Edge, ring: BiComponent) -> BiComponent:
+        """Fold a plan (``_plan_cycle``) of the cycle the edge ``e`` closes
+        into ``ring``, a bi component draining through the plan's w, and
+        return it: a fresh one for a probe, or for a commit the bi part
+        that drains through w, if there is one (``_close_cycle``).  The
+        ring gains every other bi part's members and edges, each mono path
+        vertex with its edge to its hang, and ``e``.  Only the ring
+        changes."""
+        parts, path, _, _ = plan
+        for cid in parts:
+            comp = self.components[cid]
+            if isinstance(comp, BiComponent) and comp is not ring:
+                ring.members |= comp.members
+                ring.internal_edges |= comp.internal_edges
+        for x in path:
+            if x not in ring.members:  # a mono vertex: its edge to its parent
+                ring.members.add(x)
+                ring.internal_edges.add(canonical_edge(x, self._hang(x)))
+        ring.internal_edges.add(e)
+        return ring
+
+    def _close_cycle(self, plan: _Plan, e: Edge, table: Optional[ReachTable]) -> BiComponent:
+        """Commit a plan (see ``_plan_cycle``) of the cycle ``e`` closes and
+        return the bi component it grows or makes.  The plan folds
+        (``_fold``) into the bi part that drains through w, if there is one
+        (for IIIa the chord's own component), which keeps its id, its
+        members and their index entries, or else into a new component.
+        Only the vertices it gains are re-pointed to it, and it takes
+        ``table``, a memo ring's, or None for the next evaluation to build.
+        Every other part gives up its members to it, and a component left
+        empty goes (the grown component takes the root's place).  A mono
+        part's path is the ring's members among its own, the vertices the
+        climbs passed in it.  Members that path cut off regroup into new
         mono components hanging off the path vertex their old path crossed
         first, in member order; members are listed after their parents, so
         one pass groups them: a member joins its parent's group, or the
         parent's own if the parent is on the path, and a member whose path
         misses the cut stays.
 
-        The kept rings (``_Ring``) that share a member with the new ring
-        go, the committed edge's own among them, and the others stay as
-        they are.  Only the new ring's members change their hang or factor,
-        attach order never changes, and a bi part is taken whole.  So a
-        ring that shares no member climbs through the same vertices to the
-        same meeting vertex, and its component, sampler, table and
-        coefficients are what a fresh probe would make.  A ring that shares
-        a member would now take the new ring whole, and with it the edge
-        just committed.
+        The kept rings (``_Ring``) that share a member with the grown
+        component go, the committed edge's own among them, and the others
+        stay as they are.  Only the component's gained members change their
+        hang or factor, attach order never changes, and a bi part is taken
+        whole.  So a ring that shares no member climbs through the same
+        vertices to the same meeting vertex, and its component, sampler,
+        table and coefficients are what a fresh probe would make.  A ring
+        that shares a member would now take the grown component whole, and
+        with it the edge just committed.
         """
-        ring_id = self._add_component(ring)
+        parts, _, w, _ = plan
+        comps = self.components
+        drains = [c for c in parts if isinstance(comps[c], BiComponent) and comps[c].articulation == w]
+        ring_id = drains[0] if drains else self._add_component(BiComponent(set(), w, set()))
+        ring = self._fold(plan, e, comps[ring_id])
+        ring.reach = table
         self._rings = {c: r for c, r in self._rings.items() if r.comp.members.isdisjoint(ring.members)}
         for cid in parts:
-            comp = self.components[cid]
+            comp = comps[cid]
+            if comp is ring:
+                continue
+            cut = comp.members & ring.members
+            self.vertex_index.update(dict.fromkeys(cut, ring_id))
             if isinstance(comp, MonoComponent):
-                cut = comp.members & ring.members
                 group_of: dict[int, Optional[int]] = {comp.articulation: None}
                 groups: dict[int, list[int]] = {}  # by anchor; group_of None: stays
                 for m, (parent, _) in comp.parent_edges.items():
@@ -734,10 +749,10 @@ class FTree:
                     self.vertex_index.update(dict.fromkeys(group, mid))
                 if comp.parent_edges:
                     continue
-            del self.components[cid]
+            del comps[cid]
             if cid == self.root_id:
                 self.root_id = ring_id
-        self.vertex_index.update(dict.fromkeys(ring.members, ring_id))
+        return ring
 
     # ------------------------------------------------------------------
     # sampling upkeep
@@ -751,7 +766,7 @@ class FTree:
         propagated over the tree's world store at its full budget in one
         call).  Its worlds depend only on its edges and the config, so a
         table built here equals one built at the insert that made the
-        component.  Only a cycle-closing insert makes a component without
+        component.  Only a cycle-closing insert leaves a component without
         a table, and it drops the kept evaluation and the rings that share
         a member with it; rings are planned on evaluated trees only.  So
         no kept evaluation or kept ring reads a component this builds.
@@ -783,23 +798,24 @@ class FTree:
         """Evaluate the whole tree and keep the result, whole, as a new kept
         state (``_Kept``); the caller has made ``graph`` the one the tree
         serves.  The reach tables not built yet are built first
-        (``refresh``).  One pass in attach order (see the module docstring)
-        gives every reach triple and hang and the weighted sums; a
-        component's kind only picks each member's h and g.  The estimate's
-        worlds are the fewest behind any reach table.  One pass over the
-        candidates gives each leaf's term, t = p·t(attach) times the new
-        vertex's weight (``leaf_terms``), and one pass in reverse attach
-        order gives the masses: it adds each g(v)·M(v) to M(h(v)) after all
-        that hangs off v was added to M(v), and lists each position's kids.
+        (``refresh``).  The evaluation starts as the query vertex's alone,
+        and one pass in attach order (see the module docstring) appends
+        every other vertex through the hang step (``_append``) and sums the
+        weighted terms; a component's kind only picks each member's h and
+        g.  The estimate's worlds are the fewest behind any reach table.
+        One pass over the candidates gives each leaf's term, t =
+        p·t(attach) times the new vertex's weight (``leaf_terms``), and one
+        pass in reverse attach order sums the masses: it adds each
+        g(v)·M(v) to M(h(v)) after all that hangs off v was added to M(v).
         """
         self.refresh()
         weights, comps = graph.weights, self.components
         tables = [c.reach for c in comps.values() if isinstance(c, BiComponent)]
         samples_used = min([EXACT_SAMPLES] + [table.sample_count for table in tables])
-        triples: dict[int, tuple[float, float, float]] = {self.q: (1.0, 1.0, 1.0)}
-        rank = {self.q: 0}
-        hangs: list[tuple[int, tuple[float, float, float]]] = [(0, (1.0, 1.0, 1.0))]
-        mean = lb = ub = weights[self.q]
+        mean = lb = ub = w = weights[self.q]
+        one = (1.0, 1.0, 1.0)
+        kept = _Kept(FlowEstimate(w, w, w, samples_used), {self.q: one}, [(0, one)], {}, [],
+                     ([w], [w], [w]), [w], [[]])
         for v, cid in self.vertex_index.items():
             comp = comps[cid]
             if isinstance(comp, MonoComponent):
@@ -807,39 +823,46 @@ class FTree:
                 g = (prob, prob, prob)
             else:
                 h, g = comp.articulation, comp.reach.rows[v]
-            base = triples[h]
-            hangs.append((rank[h], g))
-            t = (g[0] * base[0], g[1] * base[1], g[2] * base[2])
-            triples[v] = t
-            rank[v] = len(rank)
-            w = weights[v]
-            mean += t[0] * w
-            lb += t[1] * w
-            ub += t[2] * w
-        est = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
-        terms = {}
+            d0, d1, d2 = self._append(kept, v, h, g)
+            mean += d0
+            lb += d1
+            ub += d2
+        kept.estimate = FlowEstimate(mean=mean, lb=lb, ub=ub, samples_used=samples_used)
+        pos, triples, terms = self._pos, kept.triples, kept.terms
         for e in self._cands:
             u, v = e
-            att_u = u in rank
-            if att_u == (v in rank):
+            att_u = u in pos
+            if att_u == (v in pos):
                 continue
             attach, fresh = (u, v) if att_u else (v, u)
             p, base, w = graph.probabilities[graph.edge_index[e]], triples[attach], weights[fresh]
             terms[e] = (p * base[0] * w, p * base[1] * w, p * base[2] * w)
-        order = sorted((-term[0], e) for e, term in terms.items())
-        ws = [weights[v] for v in rank]
-        m0, m1, m2 = ws[:], ws[:], ws[:]
-        kids: list[list[int]] = [[] for _ in hangs]
+        kept.order.extend(sorted((-term[0], e) for e, term in terms.items()))
+        (m0, m1, m2), hangs = kept.masses, kept.hangs
         for i in range(len(hangs) - 1, 0, -1):
             h, g = hangs[i]
             m0[h] += g[0] * m0[i]
             m1[h] += g[1] * m1[i]
             m2[h] += g[2] * m2[i]
-            kids[h].append(i)
-        for k in kids:
-            k.reverse()
-        self._kept = _Kept(est, triples, rank, hangs, terms, order, (m0, m1, m2), ws, kids)
-        return self._kept
+        self._kept = kept
+        return kept
+
+    def _append(self, kept: _Kept, v: int, h: int, g: tuple) -> tuple[float, float, float]:
+        """The hang step: append v, which hangs off h by g, to ``kept`` at
+        its attach position, the next one.  It gets its reach triple t(v) =
+        g·t(h), its hang, its weight, masses equal to its weight (nothing
+        hangs off it yet) and an empty kid slot, and joins h's kids.
+        Returns its weighted term t(v)·w(v)."""
+        base, a, w = kept.triples[h], self._pos[h], self._graph.weights[v]
+        t = (g[0] * base[0], g[1] * base[1], g[2] * base[2])
+        kept.triples[v] = t
+        kept.hangs.append((a, g))
+        kept.weights.append(w)
+        for m in kept.masses:
+            m.append(w)
+        kept.kids[a].append(len(kept.kids))
+        kept.kids.append([])
+        return t[0] * w, t[1] * w, t[2] * w
 
     def _coefficients(self, ring: list[tuple[int, int]], rows: Mapping[int, tuple]) -> _Coeffs:
         """The coefficients of the module docstring's sum regrouped by
@@ -912,8 +935,9 @@ class FTree:
         kept = self._kept or self._evaluate(graph)
         ring = self._rings.get(e)
         if ring is None:
-            _, comp, _ = self._plan_cycle(*e, e)
-            members = sorted((kept.rank[x], x) for x in comp.members)
+            plan = self._plan_cycle(*e)
+            comp = self._fold(plan, e, BiComponent(set(), plan[2], set()))
+            members = sorted((self._pos[x], x) for x in comp.members)
             sampler = IncrementalComponentSampler(graph, comp, self._cfg, self._store)
             ring = self._rings[e] = _Ring(members, comp, sampler)
         scored = ring.scored
@@ -974,8 +998,9 @@ class FTree:
 
         They include the attach order evaluation walks in (see the module
         docstring): an articulation vertex is attached before its
-        component's members, and a mono component lists its members in
-        attach order, each after its parent.  Parents and links then always
+        component's members, a mono component lists its members in attach
+        order, each after its parent, and the tree's attach positions are
+        the query vertex's 0 and then the vertex index's order.  Parents and links then always
         lead to an earlier vertex, so neither can cycle and no mono path can
         leave its component.  A graph the tree does not serve is refused
         (``_use_graph``).
@@ -1002,8 +1027,7 @@ class FTree:
         if set(self.vertex_index) != seen_members:
             raise FTreeError("vertex index does not match component members")
 
-        order = {v: i for i, v in enumerate(self.vertex_index)}
-        order[self.q] = -1
+        order = {v: i for i, v in enumerate([self.q, *self.vertex_index])}
         for comp in self.components.values():
             last = order.get(comp.articulation)
             if last is None:
@@ -1047,6 +1071,8 @@ class FTree:
         # one vertex, so no edge lies in two of them.
         if all_edges != self.selected_edges:
             raise FTreeError("component edges do not partition the selected edges")
+        if self._pos != order:
+            raise FTreeError("attach positions disagree with the vertex index order")
 
 
 def _biconnected(vertices: set[int], edges: set[Edge]) -> bool:

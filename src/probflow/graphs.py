@@ -23,7 +23,10 @@ class GraphError(ValueError):
 
 
 def canonical_edge(u: int, v: int) -> Edge:
-    """Order an undirected edge as (min, max)."""
+    """Order an undirected edge as (min, max).  It checks nothing: callers
+    pass ids they have checked (``check_integer``, ``graph_edge``) or made
+    themselves, since a type guard here would slow every generator, which
+    orders each edge it draws."""
     return (u, v) if u < v else (v, u)
 
 
@@ -37,6 +40,19 @@ def check_integer(name: str, value: object) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def graph_edge(graph: ProbabilisticGraph, u: object, v: object) -> Edge:
+    """The canonical edge (u, v) of ``graph``, else GraphError naming it as
+    an unknown edge, also when an id is not an integer (``check_integer``):
+    ``1.0`` and ``True`` equal 1 as dict keys, so they would name edges."""
+    try:
+        e = canonical_edge(check_integer("u", u), check_integer("v", v))
+    except ValueError:
+        e = None
+    if e not in graph.edge_index:
+        raise GraphError(f"unknown edge {(u, v) if e is None else e}")
+    return e
 
 
 def check_real(name: str, value: object) -> numbers.Real:
@@ -241,9 +257,7 @@ def induced_subgraph(
     remap = {old: new for new, old in enumerate(kept)}
     triples = []
     for u, v in keep_edges:
-        e = canonical_edge(u, v)
-        if e not in graph.edge_index:
-            raise GraphError(f"unknown edge {e}")
+        e = graph_edge(graph, u, v)
         if u not in remap or v not in remap:
             raise GraphError(f"edge {e} endpoint outside the kept vertex set")
         triples.append((remap[u], remap[v], graph.probabilities[graph.edge_index[e]]))

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_integer, check_vertex
+from .graphs import Edge, ProbabilisticGraph, check_integer, check_vertex, graph_edge
 from .sampling import exact_reach
 
 # Guard rails on enumeration size: the uncertain edges one enumeration
@@ -53,14 +53,13 @@ def exact_expected_flow(graph: ProbabilisticGraph, q: int) -> float:
 
 
 def expected_flow_of_edges(graph: ProbabilisticGraph, q: int, edge_subset: Iterable[Edge]) -> float:
-    """Exact expected flow of the subgraph keeping only ``edge_subset``."""
-    subset = [canonical_edge(*e) for e in edge_subset]
+    """Exact expected flow of the subgraph keeping only ``edge_subset``;
+    an edge ``graph_edge`` refuses, or one given twice, raises ValueError."""
+    subset = [graph_edge(graph, *e) for e in edge_subset]
     index = graph.edge_index
     probs = []
     seen: set[Edge] = set()
     for e in subset:
-        if e not in index:
-            raise ValueError(f"unknown edge {e}")
         if e in seen:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)

@@ -42,6 +42,7 @@ from util import (
     insertable_order,
     long_cycle_graph,
     long_ring_graph,
+    planned_ring,
     random_connected_graph,
     random_tree,
     reference_ring_estimate,
@@ -262,6 +263,91 @@ class TestCycleCases:
         ]
 
 
+class TestFoldInPlace:
+    """A cycle commit folds into the bi part that drains through the
+    vertex where its climbs meet, if there is one: that component stays
+    the same object under the same id, and only the vertices it gains are
+    re-pointed to it."""
+
+    def test_chord_grows_its_component_in_place(self):
+        # (6, 8) is a chord of the four-cycle {7, 8, 9} hanging off 6 (IIIa).
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        cid = tree.vertex_index[7]
+        comp = tree.components[cid]
+        members, edges, index = set(comp.members), set(comp.internal_edges), dict(tree.vertex_index)
+        assert tree.insert_edge(g, (6, 8), CFG).case_taken == "IIIa"
+        assert tree.components[cid] is comp
+        assert comp.members == members and comp.articulation == 6
+        assert comp.internal_edges == edges | {(6, 8)}
+        assert comp.reach is None  # the next evaluation builds the grown table
+        assert list(tree.vertex_index.items()) == list(index.items())
+        tree.verify(g)
+
+    def test_cross_component_cycle_grows_the_bi_part_at_its_meeting_vertex(self):
+        # (11, 15) climbs from 11 through the triangle {10, 11} and from 15
+        # through the mono path 15, 13; both meet at 9, which the triangle
+        # drains through.  The triangle gains 13 and 15, and the mono
+        # members the path cut off, 14 and 16, regroup into new components.
+        g = running_example_graph()
+        tree = build_base_tree(g)
+        cid = tree.vertex_index[10]
+        comp, before = tree.components[cid], dict(tree.vertex_index)
+        assert tree.insert_edge(g, (11, 15), CFG).case_taken in ("IVb", "IVc-composite")
+        assert tree.components[cid] is comp
+        assert comp.members == {10, 11, 13, 15} and comp.articulation == 9
+        moved = {v: c for v, c in tree.vertex_index.items() if before[v] != c}
+        assert {v for v, c in moved.items() if c == cid} == {13, 15}
+        assert set(moved) == {13, 14, 15, 16}
+        assert all(c not in before.values() for v, c in moved.items() if v in (14, 16))
+        tree.verify(g)
+
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_commits_repoint_only_what_changes_component(self, use_memo):
+        # Random graphs in random insertion orders, some cycle candidates
+        # probed before each insert.  At every cycle commit, the committed
+        # component is the bi part draining through the plan's meeting
+        # vertex, the same object under the same id, if there is one, and
+        # a new component otherwise.  The index entries that change are
+        # exactly its gained members' and those of the mono members the
+        # commit regroups into new components.  The tree's dump equals a
+        # fresh replay's after every insert.
+        rng = random.Random(8081)
+        cfg = SamplerConfig(samples=40, master_seed=5)
+        grown = {"IIIa": 0, "IVb": 0, "IVc-composite": 0}
+        for _ in range(40):
+            n = rng.randint(6, 14)
+            g = random_connected_graph(rng, n, rng.randint(2, 2 * n))
+            tree, inserted = new_ftree(0, use_memo), []
+            for e in insertable_order(g, rng):
+                for c in tree.cycle_candidates(g)[:3]:
+                    tree.probe_edge(g, c)
+                cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
+                if cycle:
+                    parts, _, w, _ = tree._plan_cycle(*e)
+                    comps, index = dict(tree.components), dict(tree.vertex_index)
+                    drains = [c for c in parts if isinstance(comps[c], BiComponent) and comps[c].articulation == w]
+                    old = set(comps[drains[0]].members) if drains else set()
+                case = tree.insert_edge(g, e, cfg).case_taken
+                inserted.append(e)
+                assert tree.dump() == replay_tree(g, inserted, cfg, use_memo).dump()
+                if not cycle:
+                    continue
+                [cid] = [c for c, comp in tree.components.items() if e in getattr(comp, "internal_edges", ())]
+                comp = tree.components[cid]
+                if drains:
+                    assert cid == drains[0] and comp is comps[cid]
+                    grown[case] = grown.get(case, 0) + 1
+                else:
+                    assert cid not in comps
+                moved = {v: c for v, c in tree.vertex_index.items() if index[v] != c}
+                assert old <= comp.members
+                assert {v for v, c in moved.items() if c == cid} == comp.members - old
+                assert all(c not in comps for c in moved.values() if c != cid)
+                tree.verify(g)
+        assert min(grown.values()) > 5
+
+
 class TestRunningExample:
     def test_base_component_structure(self):
         g = running_example_graph()
@@ -416,6 +502,9 @@ class TestVerifyRejects:
         "reach table articulation mismatch":
             lambda t: setattr(owner(t, 4), "reach", replace(owner(t, 4).reach, articulation=0)),
         "do not partition the selected edges": lambda t: t.selected_edges.discard((11, 12)),
+        # 4 and 7 trade attach positions: evaluation would meet 7 before 6.
+        "attach positions disagree with the vertex index order":
+            lambda t: t._pos.update({4: t._pos[7], 7: t._pos[4]}),
     }
 
     @pytest.mark.parametrize("message", CORRUPTIONS)
@@ -723,8 +812,8 @@ class TestProbe:
                 cycle = tree.is_attached(e[0]) and tree.is_attached(e[1])
                 if cycle:
                     monos = {cid for cid, c in tree.components.items() if isinstance(c, MonoComponent)}
-                    taken = set(tree._plan_cycle(*e, e)[0])
-                    parts = {c: set(tree._plan_cycle(*c, c)[0]) for c in tree._rings}
+                    taken = set(planned_ring(tree, e)[0])
+                    parts = {c: set(planned_ring(tree, c)[0]) for c in tree._rings}
                     rings = dict(tree._rings)
                 tree.insert_edge(g, e, cfg)
                 inserted.append(e)
@@ -740,7 +829,7 @@ class TestProbe:
                 for c, ring in rings.items():
                     if c == e:
                         continue
-                    _, comp, _ = tree._plan_cycle(*c, c)
+                    _, comp, members = planned_ring(tree, c)
                     if c not in tree._rings:
                         assert (comp.articulation, comp.internal_edges) != (
                             ring.comp.articulation, ring.comp.internal_edges
@@ -751,7 +840,7 @@ class TestProbe:
                     assert (ring.comp.members, ring.comp.articulation, ring.comp.internal_edges) == (
                         comp.members, comp.articulation, comp.internal_edges
                     )
-                    assert ring.members == sorted((tree._kept.rank[x], x) for x in comp.members)
+                    assert ring.members == members
                     before = len(built)
                     got = tree.probe_edge(g, c)
                     assert len(built) == before + (not use_memo)

@@ -27,6 +27,7 @@ from probflow import (
     ds_delay,
     exact_expected_flow,
     exhaustive_maxflow,
+    expected_flow_of_edges,
     gen_erdos,
     gen_partitioned,
     gen_wsn,
@@ -447,3 +448,28 @@ def test_a_bool_is_not_an_integer(entry, value):
     name, call = INTEGER_PARAMETERS[entry]
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, not {value!r}")):
         call(value)
+
+
+# The two entry points that take edges from a caller, with the error each
+# raises for an edge the graph does not have.
+EDGE_ENTRIES = {
+    "expected_flow_of_edges": (ValueError, lambda e: expected_flow_of_edges(STAR, 0, [e])),
+    "induced_subgraph": (GraphError, lambda e: induced_subgraph(STAR, [0, 1], [e])),
+}
+
+
+@pytest.mark.parametrize("edge", [(0, 1.0), (0, True), (True, 0), (1.0, 0)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(EDGE_ENTRIES))
+def test_an_edge_id_is_an_integer(entry, edge):
+    # 1.0 and True equal 1 as dict keys, so each pair above would find the
+    # edge (0, 1).  Both entry points refuse it (``graph_edge``) as an
+    # unknown edge, named as given.
+    error, call = EDGE_ENTRIES[entry]
+    with pytest.raises(error, match=re.escape(f"unknown edge {edge!r}")):
+        call(edge)
+
+
+def test_numpy_integer_edge_ids_name_their_edge():
+    edge = (np.int64(1), np.int64(0))
+    assert expected_flow_of_edges(STAR, 0, [edge]) == expected_flow_of_edges(STAR, 0, [(0, 1)])
+    assert induced_subgraph(STAR, [0, 1], [edge]) == induced_subgraph(STAR, [0, 1], [(0, 1)])

@@ -87,3 +87,48 @@ def test_abbench_reports_incorrect_runs_and_moved_reference_flows():
     assert [row[0] for row in rows] == ["select_s.ft", "flow_ref.ft_m"]
     # A higher flow is better, so the change won the second pair.
     assert rows[1][4] == 1
+
+
+def load_loc():
+    spec = importlib.util.spec_from_file_location("loc", TOOLS / "loc.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A module whose code lines end in "# code"; every other line is a
+# docstring, a comment or blank.  The two strings that are not the first
+# statement of their body count as code, over every line they span.
+CANNED_MODULE = '''\
+"""The module docstring,
+over two lines."""
+
+import os  # code
+
+
+class Kept:  # code
+    """A class docstring."""
+
+    # a comment line
+    label = "not a docstring"  # code
+
+    def method(self):  # code
+        """A method docstring,
+
+        with a blank line inside it."""
+        return """a string  # code
+that is not a docstring"""
+
+
+async def drain():  # code
+    """An async function docstring."""
+    count = 1  # code
+    "a bare string after the first statement"  # code
+'''
+
+
+def test_loc_counts_code_lines_without_docstrings_comments_or_blanks():
+    lines, code = load_loc().counts(CANNED_MODULE)
+    assert lines == len(CANNED_MODULE.splitlines()) == 24
+    assert code == CANNED_MODULE.count("# code") + 1  # the string's second line
+    assert code == 9

@@ -443,6 +443,18 @@ def replay_tree(
     return tree
 
 
+def planned_ring(tree: FTree, e: Edge) -> tuple[list[int], BiComponent, list[tuple[int, int]]]:
+    """The cycle that the edge ``e`` closes in ``tree``, planned and folded
+    into a fresh ring as a first probe of ``e`` does it: the ids of the
+    components a commit of ``e`` would take, the ring (a ``BiComponent``
+    that is no part of the tree) and the ring's (attach position, vertex)
+    pairs in attach order.  Both endpoints of ``e`` must be attached; the
+    tree is read, never changed."""
+    plan = tree._plan_cycle(*e)
+    ring = tree._fold(plan, e, BiComponent(set(), plan[2], set()))
+    return plan[0], ring, sorted((tree._pos[x], x) for x in ring.members)
+
+
 # ----------------------------------------------------------------------
 # Reference ring scoring: a probe's full drawn table scored on its own.
 # The library scores kept coefficients and must agree with it bit for bit.
@@ -460,8 +472,7 @@ def reference_ring_estimate(
     from a new sampler on a new world store; ``tree`` is evaluated if it
     is not."""
     tree.expected_flow(graph)
-    _, comp, _ = tree._plan_cycle(*e, e)
-    members = sorted((tree._kept.rank[x], x) for x in comp.members)
+    _, comp, members = planned_ring(tree, e)
     sampler = IncrementalComponentSampler(graph, comp, cfg, WorldStore(graph, cfg))
     if sampler.exact:
         return None
