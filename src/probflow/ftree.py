@@ -51,10 +51,12 @@ A tree serves only the graph it was first given, or one equal to it, and
 samples under only the ``SamplerConfig`` its first insert gave it, or one
 equal to it: its edge factors and reach tables carry that graph's
 probabilities and that config's worlds, so any other graph or config is
-refused.  Binding the graph makes the candidate edges, and binding the
-config the world store.  An insert builds no reach table; the first evaluation that needs
-one builds every table still missing, so a tree that is only inserted into
-and dumped never samples.  A table's worlds depend only on its component's
+refused, as is a graph argument that is not a ``ProbabilisticGraph``.
+Binding the graph makes the candidate edges, and the first insert makes
+the world store, which holds the config from then on.  An insert builds
+no reach table; the first evaluation that needs one builds every table
+still missing, so a tree that is only inserted into and dumped never
+samples.  A table's worlds depend only on its component's
 edges and the config, so where it is built changes no result.
 
 The tree keeps one evaluation, which every evaluation builds whole: every
@@ -230,11 +232,11 @@ class MemoStore:
 
 
 class IncrementalComponentSampler:
-    """One bi component's worlds, under its tree's config and from its
-    tree's world store: all 2^m of its m uncertain edges (p < 1) if 2^m <=
-    ``cfg.samples`` (no draw, no master seed), else the ``cfg.samples``
-    worlds of the store (``draw``).  A store made for another graph or
-    config (``WorldStore.serves``) raises ValueError.
+    """One bi component's worlds, made from its tree's world store and the
+    component alone: the store's graph gives the edges' probabilities and
+    its config (``cfg``) the budget, so all 2^m worlds of the m uncertain
+    edges (p < 1) if 2^m <= ``cfg.samples`` (no draw, no master seed),
+    else the ``cfg.samples`` worlds of the store (``draw``).
 
     Vertices and edges are taken in sorted order, so worlds never follow
     set order.  World i of every edge lands in bit i of every vertex's
@@ -250,11 +252,8 @@ class IncrementalComponentSampler:
     drawn build reads the store's bitsets and propagates them.
     """
 
-    def __init__(
-        self, graph: ProbabilisticGraph, comp: BiComponent, cfg: SamplerConfig, store: WorldStore
-    ):
-        if not store.serves(graph, cfg):
-            raise ValueError("the world store holds another graph's or config's worlds")
+    def __init__(self, store: WorldStore, comp: BiComponent):
+        graph, cfg = store.graph, store.cfg
         self.articulation = comp.articulation
         self.cfg = cfg
         verts = sorted(comp.members | {comp.articulation})
@@ -321,7 +320,9 @@ class FTree:
     read.  The tree serves
     one graph, the first it is given (``_use_graph``), which makes the
     candidate lists, and samples under one ``SamplerConfig``, the first
-    ``insert_edge`` gives it, which makes the tree's world store.  Inserts
+    ``insert_edge`` gives it, with which that insert makes the tree's
+    world store; the store then holds the config, and the tree keeps no
+    other copy of it.  Inserts
     build no reach table: the first evaluation that needs one builds it
     (``refresh``), so a tree that is only inserted into and dumped never
     samples.  Drawn tables read the world store: each edge's worlds are
@@ -340,7 +341,6 @@ class FTree:
         self.memo = memo
         self._next_id = 0
         self._graph: Optional[ProbabilisticGraph] = None
-        self._cfg: Optional[SamplerConfig] = None
         self._store: Optional[WorldStore] = None
         self._kept: Optional[_Kept] = None
         self._cands: list[Edge] = []
@@ -364,8 +364,9 @@ class FTree:
 
     def copy(self) -> "FTree":
         """Independent tree sharing only the immutable reach tables (probes
-        need none), the graph it serves, its config and its world store,
-        whose bits are a pure function of the config and the edge.  Its
+        need none), the graph it serves and its world store, which holds
+        its config and whose bits are a pure function of the config and
+        the edge.  Its
         candidate lists equal this tree's but are its own.  It keeps no
         evaluation and no ring: its first evaluation is from scratch,
         building the tables this tree has not built yet."""
@@ -373,7 +374,7 @@ class FTree:
         other.q = self.q
         other.memo = self.memo
         other._next_id = self._next_id
-        other._graph, other._cfg, other._store = self._graph, self._cfg, self._store
+        other._graph, other._store = self._graph, self._store
         other._kept, other._cands, other._cycles = None, self._cands[:], self._cycles[:]
         other._rings = {}
         other.components = {cid: comp.copy() for cid, comp in self.components.items()}
@@ -385,15 +386,18 @@ class FTree:
 
     def _use_graph(self, graph: ProbabilisticGraph) -> None:
         """Serve ``graph``: the first graph a tree is given, its root checked
-        against it, or one equal to it; any other raises FTreeError.  The
+        against it, or one equal to it; any other, or anything that is not
+        a ``ProbabilisticGraph`` (None included), raises FTreeError.  The
         first graph makes the candidates, the query vertex's edges, and
         the cycle candidates, none yet.  The components, the kept
         evaluation, the candidates and the rings all carry the first
         graph's probabilities and weights, so they serve an equal graph as
         they are.  Every public entry that reads the graph calls this
         first."""
-        if graph is self._graph:
+        if graph is self._graph is not None:
             return
+        if not isinstance(graph, ProbabilisticGraph):
+            raise FTreeError(f"graph must be a ProbabilisticGraph, not {graph!r}")
         if self._graph is None:
             check_vertex(graph, self.q)
             self._cands, self._cycles = candidate_edges(graph, {self.q}, set()), []
@@ -425,26 +429,25 @@ class FTree:
 
         At least one endpoint must already be attached.  The tree samples
         under the ``SamplerConfig`` its first insert gives, or one equal to
-        it; anything else raises FTreeError and changes nothing.  The first
-        insert that goes through binds the config and makes the tree's
-        world store.  A cycle-closing edge is planned here
-        (``_plan_cycle``) and committed (``_close_cycle``): the bi component
-        it grows or makes takes the table its probe's ring holds in a memo
-        tree, if the edge was probed, and none otherwise, and the commit
-        drops the rings that share a member with it, the edge's own among
-        them.  No table is
-        built here: the next evaluation builds every one still missing
-        (``refresh``).  Every insert brings the candidate lists up to date
-        (``_advance_candidates``).
+        it (compared with the world store's ``cfg``); anything else raises
+        FTreeError and changes nothing.  The first insert that goes through
+        makes the tree's world store with its config.  A cycle-closing edge
+        is planned here (``_plan_cycle``) and committed (``_close_cycle``):
+        the bi component it grows or makes takes the table its probe's ring
+        holds in a memo tree, if the edge was probed, and none otherwise,
+        and the commit drops the rings that share a member with it, the
+        edge's own among them.  No table is built here: the next evaluation
+        builds every one still missing (``refresh``).  Every insert brings
+        the candidate lists up to date (``_advance_candidates``).
         """
         if not isinstance(cfg, SamplerConfig):
             raise FTreeError(f"cfg must be a SamplerConfig, not {cfg!r}")
         self._use_graph(graph)
-        if self._cfg is not None and cfg is not self._cfg and cfg != self._cfg:
+        if self._store is not None and cfg is not self._store.cfg and cfg != self._store.cfg:
             raise FTreeError("the tree samples under another config; build a new tree for this one")
         e, prob, att_u, att_v = self._insertable(graph, edge)
-        if self._cfg is None:
-            self._cfg, self._store = cfg, WorldStore(graph, cfg)
+        if self._store is None:
+            self._store = WorldStore(graph, cfg)
         u, v = e
         fresh: Optional[int] = None
         if att_u and att_v:
@@ -770,12 +773,12 @@ class FTree:
         a table, and it drops the kept evaluation and the rings that share
         a member with it; rings are planned on evaluated trees only.  So
         no kept evaluation or kept ring reads a component this builds.
-        Each sampler reads the tree's world store, made when the first
-        insert bound the config.
+        Each sampler is made from the tree's world store, made by the first
+        insert, and the component alone.
         """
         for comp in self.components.values():
             if isinstance(comp, BiComponent) and comp.reach is None:
-                comp.reach = IncrementalComponentSampler(self._graph, comp, self._cfg, self._store).build()
+                comp.reach = IncrementalComponentSampler(self._store, comp).build()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -904,8 +907,8 @@ class FTree:
         kept evaluation is evaluated first); only the tree's world store may
         gain the ring's edges it had not drawn yet, whose bits no order of
         asking changes.  Both endpoints must be attached, so an insert has
-        given the tree its config, which the probe samples under: a leaf
-        edge raises FTreeError, as ``leaf_terms`` scores leaves.
+        made the tree's world store, whose config the probe samples under:
+        a leaf edge raises FTreeError, as ``leaf_terms`` scores leaves.
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
@@ -938,7 +941,7 @@ class FTree:
             plan = self._plan_cycle(*e)
             comp = self._fold(plan, e, BiComponent(set(), plan[2], set()))
             members = sorted((self._pos[x], x) for x in comp.members)
-            sampler = IncrementalComponentSampler(graph, comp, self._cfg, self._store)
+            sampler = IncrementalComponentSampler(self._store, comp)
             ring = self._rings[e] = _Ring(members, comp, sampler)
         scored = ring.scored
         if scored is None:

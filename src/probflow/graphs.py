@@ -210,11 +210,9 @@ class ProbabilisticGraph:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def probability(self, u: int, v: int) -> float:
-        e = canonical_edge(u, v)
-        try:
-            return self.probabilities[self.edge_index[e]]
-        except KeyError:
-            raise GraphError(f"no edge ({u},{v})") from None
+        """The probability of edge (u, v), named through ``graph_edge``:
+        GraphError for an unknown edge or an id that is not an integer."""
+        return self.probabilities[self.edge_index[graph_edge(self, u, v)]]
 
     @property
     def num_edges(self) -> int:

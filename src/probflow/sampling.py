@@ -8,7 +8,8 @@ order.  A whole-graph estimate draws from a stream keyed by the graph's
 signature, in one loop (``mc_counts``) that draws, propagates and counts
 its worlds chunk by chunk; a component tree's drawn tables read the
 tree's ``WorldStore``, which draws each edge's worlds once, from a stream
-keyed by the edge.  Sampled worlds and enumerated ones go through one
+keyed by the edge, and is the one owner of the graph and the config
+whose worlds it holds.  Sampled worlds and enumerated ones go through one
 propagation kernel, ``_reach_bitsets``, which takes each edge's worlds
 as a bitset.  An enumeration covers every world of the uncertain edges
 and draws nothing, through one routine, ``enumerated_reach``: it
@@ -155,7 +156,10 @@ def _live_worlds(rng: np.random.Generator, probs: np.ndarray, count: int) -> lis
 class WorldStore:
     """Each edge's presence over ``cfg.samples`` sampled worlds of one
     graph, as one bitset with world i in bit i, drawn at the first
-    ``live`` call that asks for the edge and then kept.
+    ``live`` call that asks for the edge and then kept.  The store owns
+    the ``graph`` and the ``cfg`` it was made with, and a component
+    sampler reads both from it, so a sampler's probabilities and worlds
+    are the store's by construction.
 
     Edge (u, v) is drawn from its own stream, ``substream(master_seed,
     "edge", u, v)``, by ``_live_worlds`` with one edge (present where the
@@ -167,24 +171,18 @@ class WorldStore:
     """
 
     def __init__(self, graph: ProbabilisticGraph, cfg: SamplerConfig):
-        self._graph = graph
-        self._cfg = cfg
+        self.graph = graph
+        self.cfg = cfg
         self._bits: dict[Edge, int] = {}
 
     def live(self, edges: Sequence[Edge]) -> list[int]:
         """The bitsets of ``edges`` (canonical edges of the graph), in order."""
-        bits, graph, cfg = self._bits, self._graph, self._cfg
+        bits, graph, cfg = self._bits, self.graph, self.cfg
         for e in edges:
             if e not in bits:
                 p = np.array([graph.probabilities[graph.edge_index[e]]])
                 [bits[e]] = _live_worlds(substream(cfg.master_seed, "edge", *e), p, cfg.samples)
         return [bits[e] for e in edges]
-
-    def serves(self, graph: ProbabilisticGraph, cfg: SamplerConfig) -> bool:
-        """Whether this store holds ``graph``'s worlds under ``cfg``: the
-        graph and config it was made for, checked by identity first, or
-        ones equal to them."""
-        return (graph is self._graph or graph == self._graph) and (cfg is self._cfg or cfg == self._cfg)
 
 
 def _reach_bitsets(
@@ -462,7 +460,7 @@ _P_LOW = 0.02425
 
 def normal_quantile(q: float) -> float:
     """Inverse standard-normal CDF, accurate well beyond 1e-8."""
-    if not (0.0 < q < 1.0):
+    if not (0.0 < check_real("q", q) < 1.0):
         raise ValueError("quantile argument must be in (0,1)")
     if q < _P_LOW:
         u = math.sqrt(-2.0 * math.log(q))

@@ -171,7 +171,7 @@ class TestInsertionCases:
         tree = new_ftree(0)
         with pytest.raises(FTreeError, match="cfg must be a SamplerConfig"):
             tree.insert_edge(g, BASE_ORDER[0], cfg)
-        assert (tree._graph, tree._cfg, tree.selected_edges) == (None, None, set())
+        assert (tree._graph, tree._store, tree.selected_edges) == (None, None, set())
         for e in BASE_ORDER:
             tree.insert_edge(g, e, CFG)
         before = snapshot(tree, g)
@@ -1114,9 +1114,9 @@ class TestProbe:
         tree = new_ftree(0)
         with pytest.raises(FTreeError, match="neither endpoint"):
             tree.insert_edge(g, (2, 3), CFG)
-        assert (tree._graph, tree._cfg, tree._store, tree.candidates(g)) == (g, None, None, [(0, 1)])
+        assert (tree._graph, tree._store, tree.candidates(g)) == (g, None, [(0, 1)])
         tree.insert_edge(g, (0, 1), CFG)
-        assert tree._cfg is CFG and tree._store.serves(g, CFG)
+        assert tree._store.cfg is CFG and tree._store.graph is g
 
 
 def snapshot(tree, g):
@@ -1160,7 +1160,7 @@ def grown_flow(tree, g, e, cfg):
     ref = tree.copy()
     report = ref.insert_edge(g, e, cfg)
     [ring] = [c for c in ref.components.values() if isinstance(c, BiComponent) and c.reach is None]
-    sampler = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg))
+    sampler = IncrementalComponentSampler(WorldStore(g, cfg), ring)
     assert not sampler.exact
     ring.reach = drawn_table(sampler, cfg.samples)
     return ref.expected_flow(g), report, comp_key(ring)
@@ -1245,7 +1245,7 @@ class TestRingFormula:
                         for comp in tree.components.values()
                         if isinstance(comp, BiComponent) and comp.reach.sample_count != EXACT_SAMPLES
                     ]
-                    exact = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg)).exact
+                    exact = IncrementalComponentSampler(WorldStore(g, cfg), ring).exact
                     assert not (exact and any(drawn))
                     seen.update((exact, taken) for taken in drawn)
                 tree.insert_edge(g, e, cfg)
@@ -1435,6 +1435,34 @@ class TestKeptEvaluation:
                 call(b)
         tree.verify(a)
         assert tree.expected_flow(replace(a)) == flow == tree.copy().expected_flow(a)
+
+    @pytest.mark.parametrize("graph", [None, "x", 0], ids=repr)
+    def test_a_graph_argument_that_is_not_a_graph_is_refused(self, graph):
+        # An unbound tree would take None as the graph it already serves
+        # (none), and any other value would die on an attribute.  Bound or
+        # not, every entry that reads a graph refuses it, naming it, and
+        # changes nothing; a dump with no graph names vertices by their ids.
+        g = running_example_graph()
+        for tree in (new_ftree(0), build_base_tree(g)):
+            held, dumped = (tree._graph, tree._store, tree._kept), tree.dump()
+            calls = {
+                "flow": lambda: tree.expected_flow(graph),
+                "candidates": lambda: tree.candidates(graph),
+                "cycles": lambda: tree.cycle_candidates(graph),
+                "terms": lambda: tree.leaf_terms(graph),
+                "best": lambda: tree.best_leaf(graph),
+                "probe": lambda: tree.probe_edge(graph, (14, 15)),
+                "insert": lambda: tree.insert_edge(graph, BASE_ORDER[0], CFG),
+                "verify": lambda: tree.verify(graph),
+                "dump": lambda: tree.dump(graph),
+            }
+            if graph is None:
+                assert calls.pop("dump")() == dumped
+            for name, call in calls.items():
+                with pytest.raises(FTreeError, match=re.escape(f"graph must be a ProbabilisticGraph, not {graph!r}")):
+                    call()
+                assert (tree._graph, tree._store, tree._kept) == held and tree.dump() == dumped, name
+        assert new_ftree(0).dump(None) == "0 MONO AV=0 V={} children=[]"
 
     def test_kept_evaluation_is_whole_and_equals_a_fresh_one(self):
         # Random graphs in random insertion orders.  Before about half the
@@ -1724,7 +1752,7 @@ class TestIncrementalSampling:
         g = ring_chain_graph(1, ring=11)
         comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
-        sampler = IncrementalComponentSampler(g, comp, cfg, WorldStore(g, cfg))
+        sampler = IncrementalComponentSampler(WorldStore(g, cfg), comp)
         with pytest.raises(ValueError, match="^batch must be"):
             sampler.draw(batch)
         bits = sampler.draw(np.int64(cfg.samples))
@@ -1841,13 +1869,13 @@ class TestWorldStore:
             g = ProbabilisticGraph.build(n, triples)
             ring = BiComponent(set(range(1, n)), 0, set(g.edges))
             whole = SamplerConfig(1 << g.num_edges)  # a budget of every world: exact
-            sampler = IncrementalComponentSampler(g, ring, whole, WorldStore(g, whole))
+            sampler = IncrementalComponentSampler(WorldStore(g, whole), ring)
             assert sampler.exact
             exact = sampler.build().rows
             sums = dict.fromkeys(ring.members, 0.0)
             for seed in range(seeds):
                 cfg = SamplerConfig(samples, master_seed=seed)
-                sampler = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg))
+                sampler = IncrementalComponentSampler(WorldStore(g, cfg), ring)
                 assert not sampler.exact
                 for v, (p, _, _) in sampler.build().rows.items():
                     sums[v] += p
@@ -1858,20 +1886,16 @@ class TestWorldStore:
                 checked += 1
         assert checked >= 24
 
-    def test_a_store_of_another_graph_or_config_is_refused(self):
-        # A draw reads the store's bits as they are: a 200-world store read
-        # under a 1000-world config, or another graph's store, would give
-        # rows of other worlds.  An equal graph and config are served.
+    def test_a_store_of_an_equal_graph_and_config_builds_the_same_table(self):
+        # A sampler reads its graph and config from its store alone, so its
+        # table has the store's worlds, and a store of an equal graph and
+        # config builds the same table.
         g = ring_chain_graph(1, ring=11)
         comp = BiComponent(set(range(2, 12)), 1, set(g.edges) - {(0, 1)})
         cfg = SamplerConfig(samples=1000, master_seed=99)
-        other = replace(g, probabilities=tuple(p / 2 for p in g.probabilities))
-        for store in (WorldStore(g, replace(cfg, samples=200)), WorldStore(g, replace(cfg, master_seed=1)),
-                      WorldStore(other, cfg)):
-            with pytest.raises(ValueError, match="another graph's or config's"):
-                IncrementalComponentSampler(g, comp, cfg, store)
-        own = IncrementalComponentSampler(g, comp, cfg, WorldStore(g, cfg)).build()
-        assert IncrementalComponentSampler(g, comp, cfg, WorldStore(replace(g), replace(cfg))).build() == own
+        own = IncrementalComponentSampler(WorldStore(g, cfg), comp).build()
+        assert IncrementalComponentSampler(WorldStore(replace(g), replace(cfg)), comp).build() == own
+        assert IncrementalComponentSampler(WorldStore(g, replace(cfg, samples=200)), comp).build().sample_count == 200
 
     def test_naive_and_whole_graph_estimates_build_no_store(self, monkeypatch):
         # ``naive`` and ``mc_expected_flow`` draw from their own streams

@@ -455,6 +455,7 @@ def test_a_bool_is_not_an_integer(entry, value):
 EDGE_ENTRIES = {
     "expected_flow_of_edges": (ValueError, lambda e: expected_flow_of_edges(STAR, 0, [e])),
     "induced_subgraph": (GraphError, lambda e: induced_subgraph(STAR, [0, 1], [e])),
+    "probability": (GraphError, lambda e: STAR.probability(*e)),
 }
 
 
@@ -462,7 +463,7 @@ EDGE_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(EDGE_ENTRIES))
 def test_an_edge_id_is_an_integer(entry, edge):
     # 1.0 and True equal 1 as dict keys, so each pair above would find the
-    # edge (0, 1).  Both entry points refuse it (``graph_edge``) as an
+    # edge (0, 1).  Every entry point refuses it (``graph_edge``) as an
     # unknown edge, named as given.
     error, call = EDGE_ENTRIES[entry]
     with pytest.raises(error, match=re.escape(f"unknown edge {edge!r}")):
@@ -473,3 +474,11 @@ def test_numpy_integer_edge_ids_name_their_edge():
     edge = (np.int64(1), np.int64(0))
     assert expected_flow_of_edges(STAR, 0, [edge]) == expected_flow_of_edges(STAR, 0, [(0, 1)])
     assert induced_subgraph(STAR, [0, 1], [edge]) == induced_subgraph(STAR, [0, 1], [(0, 1)])
+    assert STAR.probability(*edge) == STAR.probability(0, 1)
+
+
+def test_an_edge_id_that_is_no_number_is_an_unknown_edge():
+    # Text is no vertex id: the probability lookup names the edge as given
+    # in the unknown-edge error, as an edge entry point does.
+    with pytest.raises(GraphError, match=re.escape("unknown edge ('a', 1)")):
+        STAR.probability("a", 1)

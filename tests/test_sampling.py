@@ -323,7 +323,7 @@ class TestEnumerationKernels:
         assert exact_reach(edges, probs, n, source).tobytes() == want.tobytes()
         cfg = SamplerConfig(samples=1 << 12)
         comp = BiComponent(set(range(n)) - {source}, source, set(edges))
-        table = IncrementalComponentSampler(g, comp, cfg, WorldStore(g, cfg)).build()
+        table = IncrementalComponentSampler(WorldStore(g, cfg), comp).build()
         assert table.sample_count == EXACT_SAMPLES
         assert {v: tuple(map(float.hex, row)) for v, row in table.rows.items()} == {
             v: (r.hex(),) * 3 for v, r in enumerate(want.tolist()) if v != source
@@ -389,7 +389,7 @@ class TestMcExpectedFlow:
 
 def component_reach(graph, comp, cfg):
     """Reach table of one component sampled at the full budget."""
-    return drawn_table(IncrementalComponentSampler(graph, comp, cfg, WorldStore(graph, cfg)), cfg.samples)
+    return drawn_table(IncrementalComponentSampler(WorldStore(graph, cfg), comp), cfg.samples)
 
 
 TRIANGLE = BiComponent({1, 2}, 0, {(0, 1), (1, 2), (0, 2)})
@@ -427,7 +427,7 @@ class TestMcComponentReach:
         cfg = SamplerConfig(samples=200, master_seed=8)
 
         def drawn(graph, cfg):
-            sampler = IncrementalComponentSampler(graph, ring, cfg, WorldStore(graph, cfg))
+            sampler = IncrementalComponentSampler(WorldStore(graph, cfg), ring)
             table = sampler.build()
             assert not sampler.exact and table.sample_count == cfg.samples
             return table
@@ -473,7 +473,7 @@ class TestConfidenceInterval:
             g = ProbabilisticGraph.build(m, [(j, (j + 1) % m, p) for j, p in enumerate(probs)])
             ring = BiComponent(set(range(1, m)), 0, set(g.edges))
             cfg = SamplerConfig(n, alpha, master_seed=i)
-            sampler = IncrementalComponentSampler(g, ring, cfg, WorldStore(g, cfg))
+            sampler = IncrementalComponentSampler(WorldStore(g, cfg), ring)
             counts = dict(zip(sampler._verts, (b.bit_count() for b in sampler.draw(n))))
             table = drawn_table(sampler, n)
             assert not sampler.exact and table.sample_count == n and set(table.rows) == ring.members
@@ -513,6 +513,11 @@ class TestNormalQuantile:
             normal_quantile(0.0)
         with pytest.raises(ValueError):
             normal_quantile(1.0)
+
+    @pytest.mark.parametrize("q", ["a", None], ids=repr)
+    def test_a_quantile_that_is_no_real_number_is_named(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"q must be a real number, not {q!r}")):
+            normal_quantile(q)
 
 
 class TestSubstreams:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -87,6 +89,27 @@ def test_abbench_reports_incorrect_runs_and_moved_reference_flows():
     assert [row[0] for row in rows] == ["select_s.ft", "flow_ref.ft_m"]
     # A higher flow is better, so the change won the second pair.
     assert rows[1][4] == 1
+
+
+@pytest.mark.parametrize("failing, name", [("parent", "the parent (abc123)"), ("change", "the working tree")])
+def test_abbench_names_the_side_whose_run_failed(monkeypatch, capsys, failing, name):
+    # The parent runs first in the first pair, so a failing change still
+    # has its parent's run done before it.
+    abbench = load_abbench()
+    ran = []
+
+    def run_once(checkout, workload, seed):
+        ran.append(checkout.name)
+        if checkout.name == failing:
+            raise subprocess.CalledProcessError(3, ["perfbench/run.py"])
+        return abbench.result_of(canned_run(1.0))
+
+    monkeypatch.setattr(abbench, "export_rev", lambda rev, dest: None)
+    monkeypatch.setattr(abbench, "export_worktree", lambda dest: None)
+    monkeypatch.setattr(abbench, "run_once", run_once)
+    assert abbench.main(["abc123", "--pairs", "2", "--workload", "erdos-sparse"]) == 2
+    assert ran == (["parent"] if failing == "parent" else ["parent", "change"])
+    assert capsys.readouterr().err == f"erdos-sparse seed 101: {name} run exited 3\n"
 
 
 def load_loc():

@@ -473,7 +473,7 @@ def reference_ring_estimate(
     is not."""
     tree.expected_flow(graph)
     _, comp, members = planned_ring(tree, e)
-    sampler = IncrementalComponentSampler(graph, comp, cfg, WorldStore(graph, cfg))
+    sampler = IncrementalComponentSampler(WorldStore(graph, cfg), comp)
     if sampler.exact:
         return None
     table = drawn_table(sampler, cfg.samples)

@@ -20,7 +20,8 @@ differ by more than the parent's IQR; run REV against a working tree
 equal to it (an A/A run) to see the spread of no change.
 
 It exits 1 when a run's result is not ``correct`` or when a
-``flow_ref.*`` value differs within a pair, and 2 when a run fails.
+``flow_ref.*`` value differs within a pair, and 2 when a run fails,
+saying which side's run it was: the parent REV's or the working tree's.
 Run from the repository root:
 
     python3 tools/abbench.py HEAD~1                 # the last commit, A/B
@@ -153,11 +154,14 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 seed = FIRST_SEED + i
                 sides = (parent, change) if i % 2 == 0 else (change, parent)
-                try:
-                    results = {side: run_once(side, workload, seed) for side in sides}
-                except subprocess.CalledProcessError as exc:
-                    print(f"{workload} seed {seed}: a run exited {exc.returncode}", file=sys.stderr)
-                    return 2
+                results = {}
+                for side in sides:
+                    try:
+                        results[side] = run_once(side, workload, seed)
+                    except subprocess.CalledProcessError as exc:
+                        name = f"the parent ({args.rev})" if side is parent else "the working tree"
+                        print(f"{workload} seed {seed}: {name} run exited {exc.returncode}", file=sys.stderr)
+                        return 2
                 pairs.append((results[parent], results[change]))
             rows, problems = summarize(pairs, better)
             print(f"# {workload}: {args.rev} (parent) against the working tree (change), "
