@@ -256,18 +256,14 @@ BENCH_HEADER = (
 
 
 def _bench_point(
-    source: tuple[ProbabilisticGraph, int] | GenSpec,
+    graph: ProbabilisticGraph,
+    q: int,
     cfg: StrategyConfig,
     repeat: int,
     seed: int,
     ref_sampler: SamplerConfig,
     timings: bool,
 ) -> list[str]:
-    if isinstance(source, GenSpec):
-        graph = generate(replace(source, seed=seed + 7919 * repeat))
-        q = 0  # generated instances query the first vertex
-    else:
-        graph, q = source
     cfg = replace(cfg, sampler=replace(cfg.sampler, master_seed=seed + repeat))
     start = time.perf_counter()
     solution = run_strategy(graph, q, cfg)
@@ -367,12 +363,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cfgs = [StrategyConfig(variant, point["k"], sampler, point["c"]) for variant in variants]
         points.append((value, source, cfgs))
 
+    # Each repeat's instance is generated once and serves every variant;
+    # rows stay grouped by variant, then repeat.
     rows = []
     for value, source, cfgs in points:
-        for cfg in cfgs:
-            for repeat in range(args.repeat):
-                row = _bench_point(source, cfg, repeat, args.seed, ref_sampler, args.timings)
-                rows.append([axis, _fmt(value)] + row)
+        cells = {}
+        for repeat in range(args.repeat):
+            if isinstance(source, GenSpec):  # generated instances query the first vertex
+                graph, q = generate(replace(source, seed=args.seed + 7919 * repeat)), 0
+            else:
+                graph, q = source
+            for i, cfg in enumerate(cfgs):
+                cells[i, repeat] = _bench_point(graph, q, cfg, repeat, args.seed, ref_sampler, args.timings)
+        rows.extend([axis, _fmt(value)] + cells[key] for key in sorted(cells))
 
     # Per (sweep point, variant) spread across the repeats, for variance studies.
     groups: dict[tuple[str, str], list[float]] = {}

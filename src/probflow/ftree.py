@@ -54,10 +54,12 @@ probabilities and that config's worlds, so any other graph or config is
 refused, as is a graph argument that is not a ``ProbabilisticGraph``.
 Binding the graph makes the candidate edges, and the first insert makes
 the world store, which holds the config from then on.  An insert builds
-no reach table; the first evaluation that needs one builds every table
-still missing, so a tree that is only inserted into and dumped never
-samples.  A table's worlds depend only on its component's
-edges and the config, so where it is built changes no result.
+no reach table: a cycle commit adopts the table its edge's probe built,
+and the first evaluation that needs a table builds every one still
+missing, those of cycles committed without a probe, so a tree that is
+only inserted into and dumped never samples.  A table's worlds depend
+only on its component's edges and the config, so where it is built
+changes no result.
 
 The tree keeps one evaluation, which every evaluation builds whole: every
 vertex's reach, the leaf candidates' terms in a dict and in descending
@@ -68,14 +70,16 @@ vertex through the same hang step.  A cycle-closing insert drops it, so
 the next evaluation builds it whole again.  Beside it sit the candidate
 edges, with the cycle candidates (both endpoints attached) in a list of
 their own, which every insert keeps up to date, and each probed cycle
-candidate's ring, keyed by its edge: its members, its component and the
-sampler made with it and, in a memo tree, its table and the table's
-coefficients in place of the sampler, all of which depend on the ring's
-component alone.  The rings are a memo tree's only table cache.  A leaf
-insert keeps them all, and a cycle-closing insert keeps exactly those
-whose members the component it grows or makes misses, since it changes
-no other vertex's hang or factor and attach order never changes; a memo
-tree's commit adopts the table of its edge's ring.  A copy has candidate lists of its own, equal to the
+candidate's ring, keyed by its edge: its members, its component, the
+table its last probe built with the table's coefficients and, in a tree
+without a memo, the sampler that builds the table again at every probe,
+all of which depend on the ring's component alone.  A memo tree's ring
+drops its sampler, so its re-probes reuse its table; the rings are a
+memo tree's only table cache.  A leaf insert keeps them all, and a
+cycle-closing insert keeps exactly those whose members the component it
+grows or makes misses, since it changes no other vertex's hang or factor
+and attach order never changes; every tree's commit adopts the table of
+its edge's ring.  A copy has candidate lists of its own, equal to the
 source's, and no evaluation or ring; it serves the same graph under the
 same config, with the same world store.
 """
@@ -89,7 +93,8 @@ from typing import KeysView, Mapping, Optional
 import numpy as np
 
 from .graphs import (
-    Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_integer, check_vertex,
+    Edge, ProbabilisticGraph, candidate_edges, canonical_edge, check_instance, check_integer,
+    check_vertex,
 )
 from .sampling import (
     EXACT_SAMPLES,
@@ -128,9 +133,9 @@ class MonoComponent:
 class BiComponent:
     """Cyclic component: reach probabilities toward the articulation vertex are
     enumerated or sampled (``IncrementalComponentSampler.build``).  A
-    component a cycle commit grows or makes has no reach table until the
-    tree's next evaluation builds it (``FTree.refresh``) or a memo tree's
-    commit adopts its probe's."""
+    component a cycle commit grows or makes adopts its edge's probe's
+    table, or has none, if the edge was not probed, until the tree's next
+    evaluation builds it (``FTree.refresh``)."""
 
     members: set[int]
     articulation: int
@@ -150,9 +155,9 @@ class InsertReport:
 
     ``edges_sampled_count`` is the structural sampling cost of the insertion:
     the edge count of the bi component a cycle-closing insert grows or
-    makes, 0 for a leaf insert.  It is counted whether the table is built
-    at the next evaluation or adopted from a memo tree's probe, so the cost
-    of an edge is a deterministic property of the tree shape.
+    makes, 0 for a leaf insert.  It is counted whether the table is
+    adopted from the edge's probe or built at the next evaluation, so the
+    cost of an edge is a deterministic property of the tree shape.
     """
 
     case_taken: str
@@ -172,10 +177,12 @@ class _Ring:
     it is (see ``FTree._close_cycle``): its ring's (attach position,
     vertex) pairs in attach order, the ring (a fresh ``BiComponent`` the
     cycle's plan folds into, ``FTree._fold``, with no table of its own,
-    draining through the vertex where its climbs meet) and the ring's
-    sampler, made with the ring on the tree's world store.  In a memo tree the first probe keeps the table it built and the
-    table's coefficients (``scored``) and drops the sampler, which no
-    later probe needs."""
+    draining through the vertex where its climbs meet), the ring's
+    sampler, made with the ring on the tree's world store, and the table
+    the last probe built with the table's coefficients (``scored``), which
+    a commit of the edge adopts.  A memo ring drops its sampler after its
+    first build, so its re-probes reuse ``scored``; any other ring's
+    probes build the table again."""
 
     members: list[tuple[int, int]]
     comp: BiComponent
@@ -323,13 +330,13 @@ class FTree:
     ``insert_edge`` gives it, with which that insert makes the tree's
     world store; the store then holds the config, and the tree keeps no
     other copy of it.  Inserts
-    build no reach table: the first evaluation that needs one builds it
-    (``refresh``), so a tree that is only inserted into and dumped never
-    samples.  Drawn tables read the world store: each edge's worlds are
-    drawn once per tree, so building a ring's table is only a
-    propagation.  A memo tree (``memo``: the ``_m`` variants) also keeps
-    in each probed ring the full table its probes read, with the table's
-    coefficients.
+    build no reach table: a cycle commit adopts the table its edge's ring
+    holds, and the first evaluation that needs a table builds every one
+    still missing (``refresh``), so a tree that is only inserted into and
+    dumped never samples.  Drawn tables read the world store: each edge's
+    worlds are drawn once per tree, so building a ring's table is only a
+    propagation.  ``memo`` (the ``_m`` variants) decides one thing: whether
+    a re-probe reuses its ring's table or builds it again.
     """
 
     def __init__(self, q: int, memo: bool = False):
@@ -396,8 +403,7 @@ class FTree:
         first."""
         if graph is self._graph is not None:
             return
-        if not isinstance(graph, ProbabilisticGraph):
-            raise FTreeError(f"graph must be a ProbabilisticGraph, not {graph!r}")
+        check_instance("graph", graph, ProbabilisticGraph, FTreeError)
         if self._graph is None:
             check_vertex(graph, self.q)
             self._cands, self._cycles = candidate_edges(graph, {self.q}, set()), []
@@ -434,14 +440,14 @@ class FTree:
         makes the tree's world store with its config.  A cycle-closing edge
         is planned here (``_plan_cycle``) and committed (``_close_cycle``):
         the bi component it grows or makes takes the table its probe's ring
-        holds in a memo tree, if the edge was probed, and none otherwise,
-        and the commit drops the rings that share a member with it, the
-        edge's own among them.  No table is built here: the next evaluation
-        builds every one still missing (``refresh``).  Every insert brings
-        the candidate lists up to date (``_advance_candidates``).
+        holds, in any tree, if the edge was probed, and none otherwise, and
+        the commit drops the rings that share a member with it, the edge's
+        own among them.  No table is built here: the next evaluation builds
+        those of edges committed without a probe (``refresh``).  Every
+        insert brings the candidate lists up to date
+        (``_advance_candidates``).
         """
-        if not isinstance(cfg, SamplerConfig):
-            raise FTreeError(f"cfg must be a SamplerConfig, not {cfg!r}")
+        check_instance("cfg", cfg, SamplerConfig, FTreeError)
         self._use_graph(graph)
         if self._store is not None and cfg is not self._store.cfg and cfg != self._store.cfg:
             raise FTreeError("the tree samples under another config; build a new tree for this one")
@@ -453,7 +459,7 @@ class FTree:
         if att_u and att_v:
             self._kept = None
             plan, ring = self._plan_cycle(u, v), self._rings.get(e)
-            table = ring.scored[0] if ring is not None and ring.scored is not None else None
+            table = ring.scored[0] if ring is not None else None
             cost, case = len(self._close_cycle(plan, e, table).internal_edges), plan[3]
         else:
             attach, fresh = (u, v) if att_u else (v, u)
@@ -768,11 +774,12 @@ class FTree:
         Each one gets its table from its sampler's ``build`` (exact, or
         propagated over the tree's world store at its full budget in one
         call).  Its worlds depend only on its edges and the config, so a
-        table built here equals one built at the insert that made the
-        component.  Only a cycle-closing insert leaves a component without
-        a table, and it drops the kept evaluation and the rings that share
-        a member with it; rings are planned on evaluated trees only.  So
-        no kept evaluation or kept ring reads a component this builds.
+        table built here equals the one a probe of the committed edge would
+        have built.  Only a cycle commit of an edge no probe kept a ring for
+        (a replay, ``dump-ftree``, a direct insert) leaves a component
+        without a table, and it drops the kept evaluation and the rings that
+        share a member with it; rings are planned on evaluated trees only.
+        So no kept evaluation or kept ring reads a component this builds.
         Each sampler is made from the tree's world store, made by the first
         insert, and the component alone.
         """
@@ -912,10 +919,9 @@ class FTree:
 
         The edge is scored from the subtree masses by the module
         docstring's formula, which agrees with an insert into a copy up to
-        rounding.  Its ring's table comes from the ring, if a memo tree's
-        ring keeps one, or else from the ring's sampler, which builds the
-        full table, exact or drawn (``IncrementalComponentSampler.build``).
-        A commit of a probed edge adopts the table its ring holds.  The
+        rounding.  The ring's sampler builds the full table, exact or drawn
+        (``IncrementalComponentSampler.build``), and the ring keeps it with
+        its coefficients, in every tree; a commit of the edge adopts it.  The
         estimate's worlds are the fewer of the table's and the tree's: a
         ring that takes a drawn table has at least that table's uncertain
         edges, so it is drawn too.
@@ -924,12 +930,12 @@ class FTree:
         by its edge, while commits leave its component as it is
         (``_close_cycle``); the first probe plans the ring and makes its
         sampler with it, so a re-probe does neither.  A memo tree's ring
-        keeps its full table's coefficients in place of the sampler, for
-        re-probes to score in one multiply-add per member and channel; in
-        a tree without a memo, every probe builds its table afresh,
-        propagating its edges' worlds from the tree's world store again;
-        no probe draws an edge the store holds.  A re-probe returns what a
-        fresh probe would, bit for bit.
+        then drops its sampler, and its re-probes score the kept
+        coefficients in one multiply-add per member and channel; in a tree
+        without a memo, every probe builds its table afresh, propagating
+        its edges' worlds from the tree's world store again; no probe draws
+        an edge the store holds.  A re-probe returns what a fresh probe
+        would, bit for bit.
         """
         self._use_graph(graph)
         e, _, att_u, att_v = self._insertable(graph, edge)
@@ -941,15 +947,14 @@ class FTree:
             plan = self._plan_cycle(*e)
             comp = self._fold(plan, e, BiComponent(set(), plan[2], set()))
             members = sorted((self._pos[x], x) for x in comp.members)
-            sampler = IncrementalComponentSampler(self._store, comp)
-            ring = self._rings[e] = _Ring(members, comp, sampler)
-        scored = ring.scored
-        if scored is None:
+            ring = _Ring(members, comp, IncrementalComponentSampler(self._store, comp))
+        if ring.sampler is not None:
             table = ring.sampler.build()
-            scored = (table, self._coefficients(ring.members, table.rows))
+            ring.scored = (table, self._coefficients(ring.members, table.rows))
             if self.memo:
-                ring.scored, ring.sampler = scored, None  # no memoized probe builds again
-        table, coeffs = scored
+                ring.sampler = None  # its re-probes build nothing
+        self._rings[e] = ring  # kept once it holds a table, for a commit to adopt
+        table, coeffs = ring.scored
         flow = self._ring_flow(coeffs, ring.comp.articulation)
         samples = min(table.sample_count, kept.estimate.samples_used)
         return FlowEstimate(*flow, samples), len(ring.comp.internal_edges)

@@ -72,9 +72,25 @@ def check_finite(name: str, value: object) -> numbers.Real:
     return value
 
 
+def check_instance(name: str, value: object, kind: type, error: type[ValueError] = ValueError):
+    """``value`` unchanged if it is a ``kind``, else ``error`` (a ValueError
+    subclass) naming ``name`` and the value."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
+def check_graph(graph: object) -> ProbabilisticGraph:
+    """``graph`` unchanged if it is a ``ProbabilisticGraph``, else GraphError
+    naming the value: every public entry that reads a graph checks it
+    first, directly or through ``check_vertex``."""
+    return check_instance("graph", graph, ProbabilisticGraph, GraphError)
+
+
 def check_vertex(graph: ProbabilisticGraph, v: object) -> int:
-    """``v`` as an ``int`` vertex id of ``graph`` (``check_integer``), else
-    GraphError naming it as an unknown vertex."""
+    """``v`` as an ``int`` vertex id of ``graph`` (``check_graph``, then
+    ``check_integer``), else GraphError naming it as an unknown vertex."""
+    check_graph(graph)
     v = check_integer("vertex", v)
     if not 0 <= v < graph.num_vertices:
         raise GraphError(f"unknown vertex {v}")
@@ -236,7 +252,7 @@ def candidate_edges(
     graph: ProbabilisticGraph, attached: set[int], selected: set[Edge]
 ) -> list[Edge]:
     """Unselected edges touching the connected subgraph, canonical order."""
-    edges = graph.edges  # sorted, so edge-index order is canonical order
+    edges = check_graph(graph).edges  # sorted, so edge-index order is canonical order
     touching = {i for v in attached for _, i in graph.adjacency[v]}
     return [edges[i] for i in sorted(touching) if edges[i] not in selected]
 
@@ -251,6 +267,7 @@ def induced_subgraph(
     Vertex ids are re-densified (ascending original id order); labels,
     weights, probabilities and coordinates are copied over.
     """
+    check_graph(graph)
     kept = [check_vertex(graph, v) for v in sorted(set(keep_vertices))]
     remap = {old: new for new, old in enumerate(kept)}
     triples = []
@@ -374,7 +391,7 @@ def save_graph(
     coord_stream: Optional[IO[str]] = None,
 ) -> None:
     """Emit the load_graph formats, vertices and edges in ascending id order."""
-    for (u, v), p in zip(graph.edges, graph.probabilities):
+    for (u, v), p in zip(check_graph(graph).edges, graph.probabilities):
         edge_stream.write(f"{graph.labels[u]} {graph.labels[v]} {p!r}\n")
     if weight_stream is not None:
         for v in range(graph.num_vertices):

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_integer, check_real
+from .graphs import Edge, ProbabilisticGraph, canonical_edge, check_graph, check_integer, check_real
 
 FAMILIES = ("erdos", "partitioned", "wsn")
 
@@ -212,6 +212,7 @@ def assign_distance_decay(
     lies in [0, 1]; one that underflows to 0.0 (``lam * distance`` beyond
     about 745) raises ValueError naming both.
     """
+    check_graph(graph)
     if not (math.isfinite(check_real("lam", lam)) and lam >= 0.0):
         raise ValueError(f"lam must be a finite rate >= 0, got {lam}")
     if not (math.isfinite(check_real("scale", scale)) and scale > 0.0):
@@ -239,6 +240,7 @@ def assign_close_friends(
     """Mark up to f random incident edges per vertex as close; close edges get
     probabilities in [0.5, 1.0], all others in (0, 0.5].  ``f`` and ``seed``
     must be non-negative integers."""
+    check_graph(graph)
     f = _non_negative("f", f)
     rng = np.random.default_rng(_non_negative("seed", seed))
     close: set[Edge] = set()

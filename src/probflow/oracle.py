@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, check_integer, check_vertex, graph_edge
+from .graphs import Edge, ProbabilisticGraph, check_graph, check_integer, check_vertex, graph_edge
 from .sampling import exact_reach
 
 # Guard rails on enumeration size: the uncertain edges one enumeration
@@ -49,12 +49,13 @@ def exact_reachability(graph: ProbabilisticGraph, source: int, target: int) -> f
 
 def exact_expected_flow(graph: ProbabilisticGraph, q: int) -> float:
     """Expected total weight reaching q; q's own weight counts with probability 1."""
-    return expected_flow_of_edges(graph, q, graph.edges)
+    return expected_flow_of_edges(graph, q, check_graph(graph).edges)
 
 
 def expected_flow_of_edges(graph: ProbabilisticGraph, q: int, edge_subset: Iterable[Edge]) -> float:
     """Exact expected flow of the subgraph keeping only ``edge_subset``;
     an edge ``graph_edge`` refuses, or one given twice, raises ValueError."""
+    check_graph(graph)
     subset = [graph_edge(graph, *e) for e in edge_subset]
     index = graph.edge_index
     probs = []
@@ -71,7 +72,7 @@ def expected_flow_of_edges(graph: ProbabilisticGraph, q: int, edge_subset: Itera
 def exhaustive_maxflow(graph: ProbabilisticGraph, q: int, k: int) -> tuple[tuple[Edge, ...], float]:
     """Best edge subset of size <= k by exact flow; ties go to the
     lexicographically smallest sorted edge list."""
-    if graph.num_edges > MAX_SELECTION_EDGES:
+    if check_graph(graph).num_edges > MAX_SELECTION_EDGES:
         raise OracleLimitError(
             f"{graph.num_edges} edges exceed the selection limit {MAX_SELECTION_EDGES}"
         )

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Edge, ProbabilisticGraph, check_integer, check_real, check_vertex
+from .graphs import Edge, ProbabilisticGraph, check_instance, check_integer, check_real, check_vertex
 
 # samples_used value reported for estimates with no sampling error at all
 # (analytic flow on cycle-free trees, fully deterministic graphs).
@@ -354,8 +354,10 @@ def exact_reach(edges: Sequence[Edge], probs: Sequence[float], num_vertices: int
 def mc_expected_flow(graph: ProbabilisticGraph, q: int, cfg: SamplerConfig) -> FlowEstimate:
     """Whole-graph Monte-Carlo estimate of the expected flow into ``q``:
     ``flow_estimate`` of ``mc_counts``, drawn from the stream keyed by the
-    graph's signature."""
+    graph's signature.  A ``cfg`` that is not a ``SamplerConfig`` raises
+    ValueError naming it."""
     q = check_vertex(graph, q)
+    check_instance("cfg", cfg, SamplerConfig)
     counts = mc_counts(graph.edges, graph.probabilities, graph.num_vertices, q, graph.signature(), cfg)
     return flow_estimate(counts, graph.weights, cfg)
 

@@ -23,6 +23,7 @@ from .graphs import (
     ProbabilisticGraph,
     candidate_edges,
     check_finite,
+    check_instance,
     check_integer,
     check_vertex,
     graph_signature,
@@ -59,8 +60,7 @@ class StrategyConfig:
             raise ValueError("budget must be >= 1")
         if not (check_finite("ds_c", self.ds_c) > 1.0):
             raise ValueError("ds_c must be > 1")
-        if not isinstance(self.sampler, SamplerConfig):
-            raise ValueError(f"sampler must be a SamplerConfig, not {self.sampler!r}")
+        check_instance("sampler", self.sampler, SamplerConfig)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ def ds_delay(pot: float, cost: int, c: float) -> int:
 
 
 def run_strategy(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solution:
-    """Dispatch a selection run by variant."""
+    """Dispatch a selection run by variant; a ``cfg`` that is not a
+    ``StrategyConfig`` raises ValueError naming it."""
+    check_instance("cfg", cfg, StrategyConfig)
     if cfg.variant == "naive":
         return naive_select(graph, q, cfg)
     if cfg.variant == "dijkstra":
@@ -155,9 +157,9 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     the insert.
 
     Variant flags: ``_m`` runs a memo tree (``FTree(q, memo=True)``), whose
-    probed rings keep their reach tables across probes and across the
-    commits that take none of a ring's members, and whose commit adopts
-    its probe's table; ``_ci`` prunes the cycle candidates that
+    re-probes of a ring reuse the table its first probe built, across the
+    commits that take none of the ring's members (any tree's commit adopts
+    its probe's table); ``_ci`` prunes the cycle candidates that
     ``ci_prune`` drops beside the others and the best leaf
     (``_probe_with_ci``); ``_ds`` suspends low-potential expensive
     candidates.  A leaf samples nothing, so it is never pruned or
@@ -170,6 +172,7 @@ def greedy_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Sol
     ``ft_m_ds``'s; only the prune counts differ.
     """
     q = check_vertex(graph, q)
+    check_instance("cfg", cfg, StrategyConfig)
     use_ci = "_ci" in cfg.variant
     use_ds = "_ds" in cfg.variant
     tree = new_ftree(q, memo=cfg.variant != "ft")
@@ -267,6 +270,7 @@ def naive_select(graph: ProbabilisticGraph, q: int, cfg: StrategyConfig) -> Solu
     Each edge's probability is formatted as stream-key text once per run,
     when the edge first becomes a candidate."""
     q = check_vertex(graph, q)
+    check_instance("cfg", cfg, StrategyConfig)
     attached: set[int] = {q}
     chosen: list[Edge] = []
     chosen_set: set[Edge] = set()
@@ -324,8 +328,10 @@ def mc_flow_of_edges(
     Restricted to vertices the edges can reach (plus q); the rest of the
     graph cannot contribute flow and would only add sampling work.  A bad
     vertex (q included), an unknown edge or a repeated one raises
-    ``induced_subgraph``'s error.
+    ``induced_subgraph``'s error, and an ``scfg`` that is not a
+    ``SamplerConfig`` ValueError naming it.
     """
+    check_instance("scfg", scfg, SamplerConfig)
     verts = sorted({q, *(v for e in edges for v in e)})
     return mc_expected_flow(induced_subgraph(graph, verts, edges), verts.index(q), scfg)
 

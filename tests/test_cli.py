@@ -379,6 +379,25 @@ class TestBench:
         assert len(lines) == 1 + 2 * 2 * 2
         assert [l.split(",")[2] for l in lines[1:5]] == ["ft", "ft", "dijkstra", "dijkstra"]
 
+    def test_each_instance_is_generated_once(self, tmp_path, capsys, monkeypatch):
+        # Two sweep points of two repeats: four instances, each generated
+        # once and run by all four variants.
+        from probflow import cli
+
+        made = []
+        generate = cli.generate
+        monkeypatch.setattr(cli, "generate", lambda spec: made.append(spec) or generate(spec))
+        out = tmp_path / "bench.csv"
+        rc, _ = run(capsys, "bench", "--family", "erdos", "--n", "24", "--deg", "4",
+                    "--variants", "ft,ft_m,dijkstra,naive", "--sweep", "k=2,3", "--repeat", "2",
+                    "--samples", "100", "--ref-samples", "500", "--seed", "5", "--out", str(out))
+        assert rc == 0
+        assert [spec.seed for spec in made] == [5, 5 + 7919, 5, 5 + 7919]
+        rows = [l.split(",")[:4] for l in out.read_text().splitlines()[1:]]
+        assert rows == [
+            ["k", k, v, r] for k in ("2", "3") for v in ("ft", "ft_m", "dijkstra", "naive") for r in ("0", "1")
+        ]
+
     def test_repeat_fills_variance_columns(self, tmp_path, capsys):
         out = tmp_path / "var.csv"
         rc, _ = run(capsys, "bench", "--family", "erdos", "--n", "24", "--deg", "4",

@@ -668,11 +668,11 @@ class TestProbe:
         # tree (which keeps cycle probes and scores them again over the
         # current masses) and on a fresh copy of a twin tree fed the same
         # inserts and no probes.  Estimates and reports agree bit for bit.
-        # After every probe a memo tree's ring holds the table the copy's
+        # After every probe the tree's ring holds the table the copy's
         # fresh ring holds.  Each leaf's estimate from ``leaf_terms`` agrees
-        # too.  Every commit, which on the tree drops its probe's ring (and
-        # in a memo tree adopts its table), reports and evaluates as the
-        # twin's unprobed commit does.
+        # too.  Every commit, which on the tree drops its probe's ring and
+        # adopts its table, reports and evaluates as the twin's unprobed
+        # commit does.
         # Without a memo each candidate is probed twice more, so a drawn
         # ring's kept sampler builds its table again many times.
         rng = random.Random(77)
@@ -703,8 +703,7 @@ class TestProbe:
                         got = tree.probe_edge(g, c)
                         copy = twin.copy()
                         assert got == copy.probe_edge(g, c)
-                        if use_memo:
-                            assert tree._rings[c].scored[0] == copy._rings[c].scored[0]
+                        assert tree._rings[c].scored[0] == copy._rings[c].scored[0]
                 after_leaf = not (tree.is_attached(e[0]) and tree.is_attached(e[1]))
                 assert tree.insert_edge(g, e, cfg) == twin.insert_edge(g, e, cfg)
                 assert e not in tree._rings
@@ -738,7 +737,8 @@ class TestProbe:
         # twice: each returns what a fresh probe of a copy returns, bit for
         # bit.  Every memo-less cycle probe, first, kept, fresh or after a
         # re-probe, builds its table exactly once (one draw or one
-        # enumeration); a kept ring keeps no full table.  Graphs of up to
+        # enumeration); a kept ring keeps its sampler and the table its
+        # last probe built, which the re-probe replaces.  Graphs of up to
         # 14 vertices give rings both enumerated (2^m <= 300) and drawn.
         built = count_builds(monkeypatch)
 
@@ -769,9 +769,12 @@ class TestProbe:
                 for c in cycles:
                     if c == e:
                         continue
-                    assert tree._rings[c].scored is None
+                    ring = tree._rings[c]
                     for _ in range(2):
+                        scored = ring.scored
+                        assert ring.sampler is not None and scored is not None
                         assert probe(tree, c) == probe(tree.copy(), c)
+                        assert ring.scored is not scored and ring.scored[0] == scored[0]
                     again.add(c)
                     reprobed += 1
         assert reprobed > 200 and after_reprobe > 50
@@ -923,9 +926,10 @@ class TestProbe:
         # their estimates and the best leaf's (``selection._probe_with_ci``).
         # After a leaf commit, which changes the masses, each ring pruned
         # there is probed again and returns the estimate and cost a probe
-        # of a fresh copy returns, bit for bit.  A memo tree's ring keeps
-        # the table its pruned probe built, so the next probe draws nothing.
-        # A memo-less tree builds the table again, as for any probe.
+        # of a fresh copy returns, bit for bit.  Every tree's ring keeps
+        # the table its pruned probe built.  A memo tree's ring keeps no
+        # sampler, so the next probe draws nothing; a memo-less tree's keeps
+        # its sampler and builds the table again, as for any probe.
         built = count_builds(monkeypatch)
         rng = random.Random(8118)
         cfg = SamplerConfig(samples=300, master_seed=5)
@@ -942,7 +946,8 @@ class TestProbe:
                 if not leaf_commit:
                     continue
                 for c in sorted(cut):
-                    assert (tree._rings[c].scored is not None) == use_memo
+                    ring = tree._rings[c]
+                    assert ring.scored is not None and (ring.sampler is None) == use_memo
                     fresh = tree.copy().probe_edge(g, c)
                     before = len(built)
                     assert tree.probe_edge(g, c) == fresh
@@ -952,23 +957,63 @@ class TestProbe:
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_probed_commit_builds_nothing(self, monkeypatch, use_memo):
-        # A commit of a probed cycle edge builds no table: a memo tree's new
-        # component takes its ring's, any other has none until the next
-        # evaluation builds it.  The commit reports, dumps and evaluates as
-        # a commit of an unprobed edge does.
+        # A commit of a probed cycle edge builds no table, memo tree or not:
+        # its new component takes its ring's, and the next evaluation
+        # builds nothing.  A commit of an unprobed edge leaves its component
+        # without a table, which the next evaluation builds.  The two
+        # commits report, dump and evaluate alike.
         g = running_example_graph()
         tree, plain = build_base_tree(g, memo=use_memo), build_base_tree(g, memo=use_memo)
         tree.probe_edge(g, (14, 15))
+        table = tree._rings[(14, 15)].scored[0]
         built = count_builds(monkeypatch)
         report = tree.insert_edge(g, (14, 15), CFG)
         assert built == [] and report == plain.insert_edge(g, (14, 15), CFG)
         assert report.case_taken == "IIIb"
-        _, bis = components_by_kind(tree)
-        assert (bis[frozenset({14, 15})].reach is not None) == use_memo
+        assert components_by_kind(tree)[1][frozenset({14, 15})].reach is table
+        assert components_by_kind(plain)[1][frozenset({14, 15})].reach is None
         assert tree.dump(g) == plain.dump(g)
         est = tree.expected_flow(g)
-        assert len(built) == (0 if use_memo else 1)
+        assert built == []
         assert est == plain.expected_flow(g)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
+    def test_one_commit_rule(self, monkeypatch, variant):
+        # Greedy runs of every tree variant on small erdos, partitioned and
+        # wsn graphs, at 1000 samples and at 60.  Every cycle commit is of a
+        # probed edge, whose ring holds a table, and every table is built
+        # inside a probe: no commit, and no evaluation after one, builds
+        # any.  ``ft`` builds exactly one table per probe; a memo tree
+        # builds at most one, and none at its re-probes of kept rings.
+        built, probes, commits = count_builds(monkeypatch), [], []
+        probe, insert = FTree.probe_edge, FTree.insert_edge
+
+        def probing(tree, graph, edge):
+            before = len(built)
+            result = probe(tree, graph, edge)
+            probes.append(len(built) - before)
+            return result
+
+        def inserting(tree, graph, edge, cfg):
+            if tree.is_attached(edge[0]) and tree.is_attached(edge[1]):
+                commits.append(tree._rings[edge].scored is not None)
+            return insert(tree, graph, edge, cfg)
+
+        monkeypatch.setattr(FTree, "probe_edge", probing)
+        monkeypatch.setattr(FTree, "insert_edge", inserting)
+        for seed in (1, 2):
+            graphs = [
+                netgen.gen_erdos(40, 4, seed),
+                netgen.gen_partitioned(40, 8, seed),
+                netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, seed), lam=0.001, scale=2000),
+            ]
+            for g in graphs:
+                for cfg in (SamplerConfig(master_seed=seed), SamplerConfig(samples=60, master_seed=seed)):
+                    greedy_select(g, 0, StrategyConfig(variant, 15, cfg))
+        assert len(commits) > 20 and all(commits)
+        assert len(built) == sum(probes) and {"draw", "exact"} <= set(built)
+        assert set(probes) == ({1} if variant == "ft" else {0, 1})
 
     @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_each_edge_is_drawn_once_per_tree(self, monkeypatch, variant):
@@ -1180,8 +1225,9 @@ class TestRingFormula:
         # relative on mean, lb and ub, with equal worlds used, and the
         # probe's cost must be the grown copy's insert's.  The first
         # probe returns the full table's estimate bit for bit, whether or
-        # not its memo tree's ring already kept the table.  A memo tree's
-        # ring keeps the table its probe built.  The probed tree's dump,
+        # not its memo tree's ring already kept the table.  Every tree's
+        # ring keeps the table its probe built, and a memo tree's ring no
+        # sampler.  The probed tree's dump,
         # tables and evaluation stay as they were.  Every bi component has
         # at least 9 edges (``long_ring_graph``), so every table is drawn
         # (2^9 > 300).
@@ -1203,7 +1249,10 @@ class TestRingFormula:
                     assert_close(full, ref)
                     est, _ = tree.probe_edge(g, c)
                     assert est == full
-                    assert (tree._rings[c].scored is not None) == use_memo
+                    ring = tree._rings[c]
+                    sampler = IncrementalComponentSampler(WorldStore(g, cfg), ring.comp)
+                    assert ring.scored[0] == drawn_table(sampler, cfg.samples)
+                    assert (ring.sampler is None) == use_memo
                     hits += hit
                     est, cost = tree.probe_edge(g, c)
                     assert_close(est, ref)
@@ -1627,11 +1676,12 @@ class TestMemo:
     def test_tables_are_bounded_by_uncommitted_cycle_candidates(self, monkeypatch, variant):
         # After a greedy run the live tree (the one ``new_ftree`` returned)
         # holds tables only in the rings of cycle candidates it has not
-        # committed, one ring per edge, and each ring holds at most one
-        # table, the one its first probe built, pruned or not, and then no
-        # sampler.  Only memo trees hold any, and no tree creates a
-        # ``MemoStore``.  Small erdos, partitioned and wsn graphs, at 1000
-        # samples and at 60, where rings are drawn and, under _ci, pruned.
+        # committed, one ring per edge, and each ring holds exactly one
+        # table, the one its last probe built, pruned or not.  A memo ring's
+        # is its first probe's, and it then holds no sampler; a memo-less
+        # ring keeps its sampler.  No tree creates a ``MemoStore``.  Small
+        # erdos, partitioned and wsn graphs, at 1000 samples and at 60,
+        # where rings are drawn and, under _ci, pruned.
         trees, stores = [], []
         build = selection.new_ftree
         monkeypatch.setattr(selection, "new_ftree", lambda *a, **k: trees.append(build(*a, **k)) or trees[-1])
@@ -1650,19 +1700,20 @@ class TestMemo:
                     cycles = set(tree.cycle_candidates(g))
                     for e, ring in tree._rings.items():
                         assert e in cycles and e not in tree.selected_edges
-                        assert ring.scored is None or ring.sampler is None
-                        held += ring.scored is not None
-        assert (held > 0) == (variant != "ft") and stores == []
+                        assert ring.scored is not None and (ring.sampler is None) == tree.memo
+                        held += 1
+        assert held > 0 and stores == []
 
     @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
     def test_a_second_config_is_refused(self, use_memo):
         # A tree samples under the config of its first insert, or one equal
         # to it.  The cycle edge (1, 3) is probed, so its ring holds a
-        # table (memo tree) or a sampler.  Inserting any candidate under
-        # another seed, alpha or sample count is refused, by the tree and
-        # by its copy, and leaves the selection, the rings, the kept
-        # evaluation and the tables as they were.  An equal config is taken,
-        # and the commit gives what it gives in a tree without a memo.
+        # table, and a sampler too in a tree without a memo.  Inserting any
+        # candidate under another seed, alpha or sample count is refused,
+        # by the tree and by its copy, and leaves the selection, the rings,
+        # the kept evaluation and the tables as they were.  An equal config
+        # is taken, and the commit gives what an unprobed commit gives in a
+        # tree without a memo.
         g = netgen.gen_partitioned(16, 4, 1)
         # 15 samples are fewer than the 4-cycle's 16 worlds, so its table
         # is drawn.
@@ -1679,7 +1730,7 @@ class TestMemo:
         before, kept = snapshot(tree, g), tree._kept
         ring = tree._rings[(1, 3)]
         rings, held = dict(tree._rings), (ring.sampler, ring.scored)
-        assert (ring.scored is not None) == use_memo
+        assert ring.scored is not None and (ring.sampler is None) == use_memo
         cands = list(tree.candidates(g))
         assert (1, 3) in cands and set(cands) - set(tree.cycle_candidates(g))
         others = (replace(first, master_seed=2), replace(first, alpha=0.05), replace(first, samples=16))

@@ -1,5 +1,7 @@
-"""Input-file faults: every message the graph and edge-set readers raise, in
-full, and which of two faults on one line is reported."""
+"""Input faults: every message the graph and edge-set readers raise, in
+full, and which of two faults on one line is reported; and the message
+every public entry raises for a graph or config argument of the wrong
+type."""
 
 from __future__ import annotations
 
@@ -7,8 +9,30 @@ import io
 
 import pytest
 
-from probflow import GraphError, load_graph
+from probflow import (
+    VARIANTS,
+    GraphError,
+    SamplerConfig,
+    StrategyConfig,
+    assign_close_friends,
+    assign_distance_decay,
+    candidate_edges,
+    dijkstra_select,
+    exact_expected_flow,
+    exact_reachability,
+    exhaustive_maxflow,
+    expected_flow_of_edges,
+    gen_erdos,
+    greedy_select,
+    induced_subgraph,
+    load_graph,
+    mc_expected_flow,
+    naive_select,
+    run_strategy,
+    save_graph,
+)
 from probflow.cli import main
+from probflow.selection import mc_flow_of_edges
 
 EDGES = "a b 0.5\n"
 
@@ -68,3 +92,44 @@ def test_edge_set_message(tmp_path, capsys, flag, text, message):
                option, str(tmp_path / "sel.txt")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+G = gen_erdos(8, 3, 1)
+GRAPH_NONE = "graph must be a ProbabilisticGraph, not None"
+# (call, error, message): each call passes None for one graph or config.
+WRONG_TYPES = {
+    "mc_expected_flow-graph": (lambda: mc_expected_flow(None, 0, SamplerConfig()), GraphError, GRAPH_NONE),
+    **{
+        f"run_strategy-{v}-graph": (lambda v=v: run_strategy(None, 0, StrategyConfig(v, 2)), GraphError, GRAPH_NONE)
+        for v in VARIANTS
+    },
+    "greedy_select-graph": (lambda: greedy_select(None, 0, StrategyConfig("ft", 2)), GraphError, GRAPH_NONE),
+    "naive_select-graph": (lambda: naive_select(None, 0, StrategyConfig("naive", 2)), GraphError, GRAPH_NONE),
+    "dijkstra_select-graph": (lambda: dijkstra_select(None, 0, 2), GraphError, GRAPH_NONE),
+    "exact_expected_flow-graph": (lambda: exact_expected_flow(None, 0), GraphError, GRAPH_NONE),
+    "exact_reachability-graph": (lambda: exact_reachability(None, 0, 1), GraphError, GRAPH_NONE),
+    "expected_flow_of_edges-graph": (lambda: expected_flow_of_edges(None, 0, []), GraphError, GRAPH_NONE),
+    "exhaustive_maxflow-graph": (lambda: exhaustive_maxflow(None, 0, 1), GraphError, GRAPH_NONE),
+    "mc_flow_of_edges-graph": (lambda: mc_flow_of_edges(None, 0, [], SamplerConfig()), GraphError, GRAPH_NONE),
+    "induced_subgraph-graph": (lambda: induced_subgraph(None, [], []), GraphError, GRAPH_NONE),
+    "candidate_edges-graph": (lambda: candidate_edges(None, {0}, set()), GraphError, GRAPH_NONE),
+    "assign_distance_decay-graph": (lambda: assign_distance_decay(None), GraphError, GRAPH_NONE),
+    "assign_close_friends-graph": (lambda: assign_close_friends(None), GraphError, GRAPH_NONE),
+    "save_graph-graph": (lambda: save_graph(None, io.StringIO()), GraphError, GRAPH_NONE),
+    "mc_expected_flow-cfg": (lambda: mc_expected_flow(G, 0, None), ValueError,
+                             "cfg must be a SamplerConfig, not None"),
+    "mc_flow_of_edges-scfg": (lambda: mc_flow_of_edges(G, 0, [], None), ValueError,
+                              "scfg must be a SamplerConfig, not None"),
+    "run_strategy-cfg": (lambda: run_strategy(G, 0, None), ValueError, "cfg must be a StrategyConfig, not None"),
+    "greedy_select-cfg": (lambda: greedy_select(G, 0, None), ValueError, "cfg must be a StrategyConfig, not None"),
+    "naive_select-cfg": (lambda: naive_select(G, 0, None), ValueError, "cfg must be a StrategyConfig, not None"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_wrong_type_message(call, error, message):
+    # A graph or config argument of the wrong type is refused with a named
+    # error before anything reads it, never with a bare AttributeError.
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

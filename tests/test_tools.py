@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +30,9 @@ def test_tracedigest_stops_quietly_when_its_reader_closes_the_pipe():
     assert proc.returncode == 1
 
 
-def load_abbench():
-    spec = importlib.util.spec_from_file_location("abbench", TOOLS / "abbench.py")
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,7 +56,7 @@ BETTER = {"select_s.ft": "lower", "flow_ref.ft_m": "higher", "peak_rss_mb": "low
 
 
 def test_abbench_summarizes_medians_wins_and_the_parent_spread():
-    abbench = load_abbench()
+    abbench = load_tool("abbench")
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
     change = [0.9, 2.1, 2.5, 3.0, 6.0]
     pairs = [(abbench.result_of(canned_run(a)), abbench.result_of(canned_run(b)))
@@ -74,7 +76,7 @@ def test_abbench_summarizes_medians_wins_and_the_parent_spread():
 
 
 def test_abbench_reports_incorrect_runs_and_moved_reference_flows():
-    abbench = load_abbench()
+    abbench = load_tool("abbench")
     outputs = [
         (canned_run(1.0, rss=None), canned_run(1.0)),
         (canned_run(1.0, correct=False), canned_run(1.0, flow=50.000000000001)),
@@ -95,7 +97,7 @@ def test_abbench_reports_incorrect_runs_and_moved_reference_flows():
 def test_abbench_names_the_side_whose_run_failed(monkeypatch, capsys, failing, name):
     # The parent runs first in the first pair, so a failing change still
     # has its parent's run done before it.
-    abbench = load_abbench()
+    abbench = load_tool("abbench")
     ran = []
 
     def run_once(checkout, workload, seed):
@@ -112,11 +114,23 @@ def test_abbench_names_the_side_whose_run_failed(monkeypatch, capsys, failing, n
     assert capsys.readouterr().err == f"erdos-sparse seed 101: {name} run exited 3\n"
 
 
-def load_loc():
-    spec = importlib.util.spec_from_file_location("loc", TOOLS / "loc.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_abbench_runs_twenty_alternating_pairs_by_default(monkeypatch, capsys):
+    # With no --pairs, each workload runs 20 pairs on seeds 101-120, the
+    # parent first in odd pairs and the change first in even ones.
+    abbench = load_tool("abbench")
+    ran = []
+
+    def run_once(checkout, workload, seed):
+        ran.append((seed, checkout.name))
+        return abbench.result_of(canned_run(1.0))
+
+    monkeypatch.setattr(abbench, "export_rev", lambda rev, dest: None)
+    monkeypatch.setattr(abbench, "export_worktree", lambda dest: None)
+    monkeypatch.setattr(abbench, "run_once", run_once)
+    assert abbench.main(["abc123", "--workload", "wsn-decay"]) == 0
+    sides = [("parent", "change"), ("change", "parent")]
+    assert ran == [(101 + i, side) for i in range(20) for side in sides[i % 2]]
+    assert "20 pairs, seeds 101-120" in capsys.readouterr().out
 
 
 # A module whose code lines end in "# code"; every other line is a
@@ -151,7 +165,27 @@ async def drain():  # code
 
 
 def test_loc_counts_code_lines_without_docstrings_comments_or_blanks():
-    lines, code = load_loc().counts(CANNED_MODULE)
+    lines, code = load_tool("loc").counts(CANNED_MODULE)
     assert lines == len(CANNED_MODULE.splitlines()) == 24
     assert code == CANNED_MODULE.count("# code") + 1  # the string's second line
     assert code == 9
+
+
+def test_peakmem_runs_its_children_on_one_blas_thread(monkeypatch, capsys):
+    # Every child process gets OPENBLAS_NUM_THREADS=1, whatever the caller
+    # set, and this checkout's library on its path.  The children are
+    # stubbed: each prints one canned result line.
+    peakmem = load_tool("peakmem")
+    envs = []
+
+    def fake_run(args, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(args, 0, stdout="0.5 0.25 40960 1.0\n")
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setattr(peakmem.subprocess, "run", fake_run)
+    assert peakmem.main() == 0
+    assert len(envs) == len(peakmem.KERNELS) * peakmem.REPEATS
+    assert {env["OPENBLAS_NUM_THREADS"] for env in envs} == {"1"}
+    assert all(str(peakmem.ROOT / "src") in env["PYTHONPATH"].split(os.pathsep) for env in envs)
+    assert capsys.readouterr().out.count("40.0  1.0") == len(peakmem.KERNELS)

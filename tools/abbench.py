@@ -6,10 +6,10 @@ temporary directories, and then, for each workload, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0
 
-in each of them on the same seed, once per pair, for ``--pairs`` pairs on
-the fixed seeds 101, 102, ... .  The order within a pair alternates
-(parent first in the first pair, change first in the next), so a host
-that drifts favours neither side.
+in each of them on the same seed, once per pair, for ``--pairs`` pairs
+(``PAIRS``, 20, by default) on the fixed seeds 101, 102, ... .  The order
+within a pair alternates (parent first in the first pair, change first in
+the next), so a host that drifts favours neither side.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the parent's
 and the change's medians, their ratio (change / parent), the pairs the
@@ -17,7 +17,10 @@ change won (its value better than the parent's in that pair, in the
 metric's direction) and the interquartile range of the parent's values.
 A gain is resolved when the change wins most pairs and the medians
 differ by more than the parent's IQR; run REV against a working tree
-equal to it (an A/A run) to see the spread of no change.
+equal to it (an A/A run) to see the spread of no change.  On a shared
+2-vCPU host, 10-pair A/A sets read identical code 2-7% apart on some
+cells (erdos-sparse, partitioned-dense), and 20-pair sets within
+1.5-2.5%, hence the default.
 
 It exits 1 when a run's result is not ``correct`` or when a
 ``flow_ref.*`` value differs within a pair, and 2 when a run fails,
@@ -25,7 +28,7 @@ saying which side's run it was: the parent REV's or the working tree's.
 Run from the repository root:
 
     python3 tools/abbench.py HEAD~1                 # the last commit, A/B
-    python3 tools/abbench.py HEAD --pairs 4         # a clean tree at HEAD, A/A
+    python3 tools/abbench.py HEAD                   # a clean tree at HEAD, A/A
     python3 tools/abbench.py HEAD --workload wsn-decay
 """
 
@@ -45,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("erdos-sparse", "partitioned-dense", "wsn-decay")
 FIRST_SEED = 101
+PAIRS = 20
 
 
 def export_rev(rev: str, dest: Path) -> None:
@@ -135,7 +139,7 @@ def format_rows(rows: list[tuple[str, float, float, float, int, float]], pairs: 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("rev", help="the parent revision, e.g. HEAD~1")
-    p.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload (default 10)")
+    p.add_argument("--pairs", type=int, default=PAIRS, help=f"pairs of runs per workload (default {PAIRS})")
     p.add_argument("--workload", action="append", choices=WORKLOADS, help="a workload to run (default: all)")
     args = p.parse_args(argv)
     if args.pairs < 1:

@@ -48,6 +48,10 @@ same value; a value that differs between repeats is printed as
 ``DIFFERS:`` followed by each repeat's, and the tool exits 1 once the
 table is printed.  Each fresh process draws its own hash seed (unless
 ``PYTHONHASHSEED`` is set), so a value that follows set order differs.
+Each child runs with ``OPENBLAS_NUM_THREADS=1``: numpy's BLAS would
+otherwise start a thread pool, whose start-up counts in the CPU column
+(the oracle kernel read more CPU seconds than wall seconds), and no
+result depends on the thread count.
 A selection also gives the number of edges its tree's world store drew,
 each once, as ``(flow, edges drawn)``; the exact-table kernel's selections
 must all give the same pair, its value.  The library and the
@@ -151,7 +155,7 @@ def spread(values: list[float]) -> str:
 
 def main() -> int:
     paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), OPENBLAS_NUM_THREADS="1")
     differs = False
     print(f"{'kernel':<52}{'wall s median [min-max]':>26}{'cpu s median [min-max]':>26}"
           f"{'max RSS MB':>12}  value")
