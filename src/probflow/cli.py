@@ -49,6 +49,11 @@ def _fmt(x: float) -> str:
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
+    """The sampler flags as a config; a bad ``--samples`` or ``--alpha`` is
+    named by its flag, in every command."""
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    check_alpha("--alpha", args.alpha)
     return SamplerConfig(samples=args.samples, alpha=args.alpha, master_seed=args.seed)
 
 
@@ -192,13 +197,9 @@ def _ds_c(args: argparse.Namespace, variants: Sequence[str]) -> float:
 
 def _cmd_maxflow(args: argparse.Namespace) -> int:
     ds_c = _ds_c(args, [args.variant])
+    sampler = _sampler_config(args)
     graph, q = _load_inputs(args)
-    cfg = StrategyConfig(
-        variant=args.variant,
-        budget=args.k,
-        sampler=_sampler_config(args),
-        ds_c=ds_c,
-    )
+    cfg = StrategyConfig(variant=args.variant, budget=args.k, sampler=sampler, ds_c=ds_c)
     solution = run_strategy(graph, q, cfg)
     with _output(args.out) as fh:
         _write_solution_csv(fh, solution, graph, args.timings)
@@ -216,9 +217,9 @@ def _cmd_maxflow(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    sampler = _sampler_config(args)  # checked in every mode, though exact draws nothing
     graph, q = _load_inputs(args)
     edges = _read_edge_set(args.edge_set, graph) if args.edge_set else []
-    sampler = _sampler_config(args)  # checked in every mode, though exact draws nothing
     if args.mode == "exact":
         flow = expected_flow_of_edges(graph, q, edges)
         lb = ub = flow
@@ -297,13 +298,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
     # Checked here, so a bad flag is named before any selection runs.
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
+    sampler = _sampler_config(args)
     if args.ref_samples < 1:
         raise ValueError("--ref-samples must be >= 1")
-    check_alpha("--alpha", args.alpha)
     ds_c = _ds_c(args, variants)
-    sampler = _sampler_config(args)
     ref_sampler = replace(sampler, samples=args.ref_samples)
     instance = None
     if args.edges:

@@ -251,9 +251,10 @@ def graph_signature(num_vertices: int, edges: Sequence[Edge], probability_texts:
 def candidate_edges(
     graph: ProbabilisticGraph, attached: set[int], selected: set[Edge]
 ) -> list[Edge]:
-    """Unselected edges touching the connected subgraph, canonical order."""
+    """Unselected edges touching the connected subgraph, canonical order.
+    Each attached vertex goes through ``check_vertex``."""
     edges = check_graph(graph).edges  # sorted, so edge-index order is canonical order
-    touching = {i for v in attached for _, i in graph.adjacency[v]}
+    touching = {i for v in attached for _, i in graph.adjacency[check_vertex(graph, v)]}
     return [edges[i] for i in sorted(touching) if edges[i] not in selected]
 
 

@@ -32,15 +32,22 @@ class GenSpec:
     unit_weights: bool = False
 
     def __post_init__(self) -> None:
-        _check(self.family, self.n, self.seed, self.degree, self.epsilon)
+        _check(self.family, self.n, self.seed, self.degree, self.epsilon, self.wrap, self.unit_weights)
 
 
-def _check(family: str, n: int, seed: int, degree: int = 0, epsilon: float = 0.0) -> None:
+def _check(
+    family: str, n: int, seed: int, degree: int = 0, epsilon: float = 0.0,
+    wrap: bool = True, unit_weights: bool = False,
+) -> None:
     """Raise ValueError unless ``family``'s generator can build an instance
     of n vertices from ``seed`` with these parameters (only its own are
-    read).  The one check both ``GenSpec`` and the ``gen_*`` functions run."""
+    read, but ``wrap`` and ``unit_weights`` must be bools in every family).
+    The one check both ``GenSpec`` and the ``gen_*`` functions run."""
     check_integer("n", n)
     _non_negative("seed", seed)
+    for name, flag in (("wrap", wrap), ("unit_weights", unit_weights)):
+        if not isinstance(flag, bool):
+            raise ValueError(f"{name} must be a bool, not {flag!r}")
     if family in ("erdos", "partitioned"):
         check_integer("degree", degree)
     if family == "erdos":
@@ -120,7 +127,7 @@ def _assemble(
 
 def gen_erdos(n: int, degree: int, seed: int, unit_weights: bool = False) -> ProbabilisticGraph:
     """n*degree/2 distinct edges placed uniformly over unordered pairs."""
-    _check("erdos", n, seed, degree)
+    _check("erdos", n, seed, degree, unit_weights=unit_weights)
     target = n * degree // 2
     rng = np.random.default_rng(seed)
     edges: set[Edge] = set()
@@ -138,7 +145,7 @@ def gen_partitioned(
     all vertices in both neighboring partitions, so each has exactly the
     requested degree.  ``wrap=False`` leaves the ring open (a path), halving
     the degree at the two end partitions."""
-    _check("partitioned", n, seed, degree)
+    _check("partitioned", n, seed, degree, wrap=wrap, unit_weights=unit_weights)
     size = degree // 2
     parts = 2 * n // degree
     rng = np.random.default_rng(seed)
@@ -159,7 +166,7 @@ def gen_wsn(
     """Uniform points in the unit square, connected within epsilon distance:
     u < v are joined when ``dx*dx + dy*dy <= epsilon*epsilon`` for
     ``(dx, dy) = coords[v] - coords[u]``, computed in float64."""
-    _check("wsn", n, seed, epsilon=epsilon)
+    _check("wsn", n, seed, epsilon=epsilon, unit_weights=unit_weights)
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
     return _assemble(n, _wsn_edges(coords, epsilon), rng, unit_weights, coordinates=coords)

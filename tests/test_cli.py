@@ -226,6 +226,19 @@ class TestMaxflow:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "--samples must be >= 1"),
+        ("--alpha", "5", "--alpha must be in (0,1)"),
+        ("--alpha", "1e-17", "--alpha must be above 2**-53"),
+    ], ids=["samples", "alpha", "alpha-too-small"])
+    def test_bad_sampler_flag_named_before_input_is_read(self, tmp_path, capsys, flag, value, message):
+        # The edges file does not exist: the flag is named first, with the
+        # text evaluate and bench give.
+        rc = main(["maxflow", "--edges", str(tmp_path / "missing.edges"), "--query", "Q",
+                   "--variant", "ft", "--k", "2", flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_unknown_query_is_validation_error(self, tmp_path, capsys):
         paths = write_instance(tmp_path, PATH_EDGES)
         rc = main(["maxflow", "--edges", paths["edges"], "--query", "zz",
@@ -271,16 +284,16 @@ class TestEvaluate:
                    "--query", "Q", "--mode", "mc", "--alpha", "1e-17"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error: alpha must be above 2**-53" in err and "quantile argument" not in err
+        assert "error: --alpha must be above 2**-53" in err and "quantile argument" not in err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--alpha", "5", "error: alpha must be in (0,1)\n"),
-        ("--samples", "0", "error: samples must be >= 1\n"),
+        ("--alpha", "5", "error: --alpha must be in (0,1)\n"),
+        ("--samples", "0", "error: --samples must be >= 1\n"),
     ], ids=["alpha", "samples"])
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_bad_sampler_flag_rejected_in_every_mode(self, tmp_path, capsys, mode, flag, value, message):
         # Exact mode samples nothing, but a bad sampler flag is still an
-        # error, with the text mc mode and maxflow give.
+        # error, with the text mc mode, maxflow and bench give.
         paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
         rc = main(["evaluate", "--edges", paths["edges"], "--weights", paths["weights"],
                    "--query", "Q", "--mode", mode, flag, value])

@@ -984,10 +984,11 @@ class TestProbe:
         # wsn graphs, at 1000 samples and at 60.  Every cycle commit is of a
         # probed edge, whose ring holds a table, and every table is built
         # inside a probe: no commit, and no evaluation after one, builds
-        # any.  ``ft`` builds exactly one table per probe; a memo tree
-        # builds at most one, and none at its re-probes of kept rings.
-        built, probes, commits = count_builds(monkeypatch), [], []
-        probe, insert = FTree.probe_edge, FTree.insert_edge
+        # any, though evaluations refresh.  ``ft`` builds exactly one table
+        # per probe; a memo tree builds at most one, and none at its
+        # re-probes of kept rings.  At 60 worlds, _ci prunes candidates.
+        built, probes, commits, refreshes = count_builds(monkeypatch), [], [], []
+        probe, insert, refresh = FTree.probe_edge, FTree.insert_edge, FTree.refresh
 
         def probing(tree, graph, edge):
             before = len(built)
@@ -1002,6 +1003,8 @@ class TestProbe:
 
         monkeypatch.setattr(FTree, "probe_edge", probing)
         monkeypatch.setattr(FTree, "insert_edge", inserting)
+        monkeypatch.setattr(FTree, "refresh", lambda *args: refreshes.append(1) or refresh(*args))
+        pruned = 0
         for seed in (1, 2):
             graphs = [
                 netgen.gen_erdos(40, 4, seed),
@@ -1010,10 +1013,12 @@ class TestProbe:
             ]
             for g in graphs:
                 for cfg in (SamplerConfig(master_seed=seed), SamplerConfig(samples=60, master_seed=seed)):
-                    greedy_select(g, 0, StrategyConfig(variant, 15, cfg))
-        assert len(commits) > 20 and all(commits)
+                    solution = greedy_select(g, 0, StrategyConfig(variant, 15, cfg))
+                    pruned += sum(rec.candidates_pruned for rec in solution.trace)
+        assert len(commits) > 20 and all(commits) and refreshes
         assert len(built) == sum(probes) and {"draw", "exact"} <= set(built)
         assert set(probes) == ({1} if variant == "ft" else {0, 1})
+        assert ("_ci" in variant) == (pruned > 0)
 
     @pytest.mark.parametrize("variant", ["ft", "ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
     def test_each_edge_is_drawn_once_per_tree(self, monkeypatch, variant):
@@ -1746,52 +1751,6 @@ class TestMemo:
         assert tree.insert_edge(g, (1, 3), replace(first)) == plain.insert_edge(g, (1, 3), first)
         assert tree.expected_flow(g) == plain.expected_flow(g)
         assert tree._rings == {}
-
-    @pytest.mark.parametrize("variant", ["ft_m", "ft_m_ci", "ft_m_ds", "ft_m_ci_ds"])
-    def test_probes_are_the_only_writer(self, monkeypatch, variant):
-        # Greedy commits only probed edges, and each probe kept its full
-        # table in its ring, which the commit adopts: the refresh of the
-        # evaluation after a commit neither builds a table nor draws.  Small
-        # erdos, partitioned and wsn graphs, at the default 1000 samples and
-        # at 60, where rings are drawn and, under _ci, candidates are pruned.
-        depth, calls, refreshes = [0], [], []
-
-        def record(owner, name, event):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                result = original(*args, **kwargs)
-                calls.append((depth[0] > 0, event(result)))
-                return result
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        def refreshing(tree, *args, **kwargs):
-            refreshes.append(1)
-            depth[0] += 1
-            try:
-                return refresh(tree, *args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        refresh = FTree.refresh
-        monkeypatch.setattr(FTree, "refresh", refreshing)
-        record(IncrementalComponentSampler, "build", lambda _: "build")
-        record(IncrementalComponentSampler, "draw", lambda _: "draw")
-        pruned = 0
-        for seed in (1, 2):
-            graphs = [
-                netgen.gen_erdos(40, 4, seed),
-                netgen.gen_partitioned(40, 8, seed),
-                netgen.assign_distance_decay(netgen.gen_wsn(60, 0.25, seed), lam=0.001, scale=2000),
-            ]
-            for g in graphs:
-                for sampler in (SamplerConfig(master_seed=seed), SamplerConfig(samples=60, master_seed=seed)):
-                    solution = greedy_select(g, 0, StrategyConfig(variant, 15, sampler))
-                    pruned += sum(rec.candidates_pruned for rec in solution.trace)
-        assert refreshes and not any(inside for inside, _ in calls)
-        assert {"build", "draw"} <= {event for _, event in calls}
-        assert ("_ci" in variant) == (pruned > 0)
 
 
 class TestIncrementalSampling:

@@ -23,6 +23,7 @@ from probflow import (
     StrategyConfig,
     assign_close_friends,
     assign_distance_decay,
+    candidate_edges,
     dijkstra_select,
     ds_delay,
     exact_expected_flow,
@@ -426,6 +427,7 @@ INTEGER_PARAMETERS = {
     "mc_expected_flow-q": ("vertex", lambda x: mc_expected_flow(STAR, x, SamplerConfig())),
     "exact_expected_flow-q": ("vertex", lambda x: exact_expected_flow(STAR, x)),
     "induced_subgraph-vertex": ("vertex", lambda x: induced_subgraph(STAR, [2, x], [])),
+    "candidate_edges-attached": ("vertex", lambda x: candidate_edges(STAR, {x}, set())),
     "FTree-q": ("q", lambda x: FTree(x)),
     "gen_erdos-n": ("n", lambda x: gen_erdos(x, 4, 1)),
     "gen_erdos-degree": ("degree", lambda x: gen_erdos(20, x, 1)),

@@ -376,6 +376,27 @@ class TestGenSpec:
         assert gen_wsn(30, np.float64(0.3), 1) == gen_wsn(30, 0.3, 1)
         assert gen_wsn(30, 1, 1) == gen_wsn(30, 1.0, 1)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)], ids=repr)
+    def test_flags_take_only_bools(self, value):
+        # A truthy "no" would wrap the ring or give unit weights: every
+        # entry refuses a flag that is not a bool, naming it.
+        calls = {
+            "wrap": [
+                lambda: gen_partitioned(16, 4, 1, wrap=value),
+                lambda: GenSpec(family="partitioned", n=16, degree=4, wrap=value),
+            ],
+            "unit_weights": [
+                lambda: gen_erdos(20, 4, 1, unit_weights=value),
+                lambda: gen_partitioned(16, 4, 1, unit_weights=value),
+                lambda: gen_wsn(20, 0.3, 1, unit_weights=value),
+                lambda: GenSpec(family="erdos", n=20, degree=4, unit_weights=value),
+            ],
+        }
+        for name, entries in calls.items():
+            for call in entries:
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be a bool, not {value!r}")):
+                    call()
+
     def test_negative_seed_is_rejected_by_name(self):
         calls = [
             lambda: gen_erdos(20, 4, -1),

@@ -498,6 +498,33 @@ class TestNormalQuantile:
     def test_median(self):
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
+    # Phi^-1 at each float q, from mpmath at 50 digits (sqrt(2) *
+    # erfinv(2q - 1)), rounded to the nearest double.  1 - q is exact for
+    # these q, so -z is the reference at the mirror.
+    REFERENCES = {
+        0.9: 1.2815515655446006,
+        0.95: 1.6448536269514722,
+        0.975: 1.9599639845400538,
+        0.99: 2.3263478740408408,
+        0.995: 2.5758293035489004,
+        0.9995: 3.290526731491926,
+        0.99995: 3.890591886413121,
+        0.999995: 4.417173413467606,
+        1 - 1e-10: 6.361340889697422,
+    }
+
+    @pytest.mark.parametrize("q", sorted(REFERENCES), ids=repr)
+    def test_within_four_ulp_of_fifty_digit_references(self, q):
+        z = self.REFERENCES[q]
+        assert abs(normal_quantile(q) - z) <= 4 * math.ulp(z)
+        assert abs(normal_quantile(1.0 - q) + z) <= 4 * math.ulp(z)
+
+    @pytest.mark.pinned
+    def test_default_critical_value_is_pinned(self):
+        # Every bound is built from this z: a platform whose normal
+        # quantile differs in its last bits fails here first.
+        assert sampling.critical_z(0.01) == 2.5758293035489
+
     def test_symmetry(self):
         for q in (0.6, 0.9, 0.999, 0.2):
             assert normal_quantile(q) == pytest.approx(-normal_quantile(1 - q), abs=1e-10)

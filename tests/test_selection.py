@@ -874,7 +874,7 @@ PINNED = {
                 (0, 26), (0, 27), (26, 27), (3, 26), (27, 29), (15, 26),
                 (26, 33), (15, 27), (12, 33), (12, 25), (15, 38), (2, 3),
             ),
-            FlowEstimate(32.93333333333334, 28.149947307365206, 37.716719359301464, 300),
+            FlowEstimate(32.93333333333334, 28.149947307365213, 37.71671935930145, 300),
             (0, 0),
         ),
         'dijkstra': (
@@ -948,7 +948,7 @@ PINNED = {
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
+            FlowEstimate(56.41346122511222, 53.59508588487696, 59.23183656534749, 300),
             (0, 0),
         ),
         'ft_m': (
@@ -956,7 +956,7 @@ PINNED = {
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
+            FlowEstimate(56.41346122511222, 53.59508588487696, 59.23183656534749, 300),
             (0, 0),
         ),
         'ft_m_ci': (
@@ -964,7 +964,7 @@ PINNED = {
                 (0, 6), (6, 8), (6, 9), (2, 6), (0, 7), (7, 9),
                 (6, 11), (3, 7), (2, 37), (3, 37), (0, 37), (8, 12),
             ),
-            FlowEstimate(56.41346122511222, 53.595085884876944, 59.23183656534749, 300),
+            FlowEstimate(56.41346122511222, 53.59508588487696, 59.23183656534749, 300),
             (16, 0),
         ),
         'ft_m_ds': (
@@ -990,7 +990,7 @@ PINNED = {
                 (0, 37), (0, 38), (0, 40), (40, 56), (54, 56), (48, 54),
                 (4, 48), (0, 2), (2, 52), (14, 52), (4, 9), (5, 56),
             ),
-            FlowEstimate(71.18333333333334, 65.70870175757852, 76.65796490908815, 300),
+            FlowEstimate(71.18333333333334, 65.70870175757854, 76.65796490908814, 300),
             (0, 0),
         ),
         'dijkstra': (
@@ -1049,7 +1049,7 @@ PINNED = {
 # IterationRecord field but elapsed_ms, floats by their hex form.
 PINNED_TRACES = {
     'erdos': {
-        'naive': 'c2c808469e5e28ef0ee0886566d649d311e4b9c1f106d576dd7466605a70fbf7',
+        'naive': '3ac31d00d8ec42e8a849fb1979b8e19e087af5d9dcfade8d4816a678ffca48bf',
         'dijkstra': '0bdfc4879fe3472ff65dee851ad7a1d5cede3abafd99550a5b84abfad9336f96',
         'ft': '6ea95126b33be676f9e69532de7266336ef6847da6b8e6a2323c5dd41279ac9b',
         'ft_m': '6ea95126b33be676f9e69532de7266336ef6847da6b8e6a2323c5dd41279ac9b',
@@ -1058,16 +1058,16 @@ PINNED_TRACES = {
         'ft_m_ci_ds': 'ff4ef2650a2f09c47d313951c3b8be413e12ce0b4b588c5c69f7a414102c98bd',
     },
     'partitioned': {
-        'naive': 'e2d06e34c661591042f7ad56350dcc216870252684bbe9603c288bcdd9fc8534',
+        'naive': 'e8e8e4da8b3ff2e814a2a7e446bc03c1df2fda7c2515e6c27480f80379c1dcc2',
         'dijkstra': '224467544f7ae02a3bc78364998a4832be98c097e2ac3d131c929a242cee0085',
-        'ft': 'b918298925e23ae8255c8b4a903c54ed799d43879cfad26a230b7f5debf0edaf',
-        'ft_m': 'b918298925e23ae8255c8b4a903c54ed799d43879cfad26a230b7f5debf0edaf',
-        'ft_m_ci': '2e6122cfa12c08f2b9e3cba6bf6ef21448aff44bfd7c8f8c1514cc44f105c870',
+        'ft': '0244e0a9307540f0c68760c8af0fe85e65b7c5cf05015077526ff4348edb1a17',
+        'ft_m': '0244e0a9307540f0c68760c8af0fe85e65b7c5cf05015077526ff4348edb1a17',
+        'ft_m_ci': '4ebbf837b8d7b7cd140ce14614ccbf5e3c6fd5593d394446f12977755533f62d',
         'ft_m_ds': '0145ec43b2807693440ef00d056a2d47267951634bf4e52586c6fc95164324ad',
         'ft_m_ci_ds': '951503545a487f4367216bd944f0990f16637c70cc562aafcebf331e088a0c80',
     },
     'wsn': {
-        'naive': '06a697d4d6c0871adc694a377ce764d82df27579491f437aced50dbd47da3a8b',
+        'naive': 'd9d804337db5405d54e6831134ab95bcc7bdc56294f6fe20b7581ff6710e26d2',
         'dijkstra': 'c203d92a8524799970fc585fdebeebb853e85baa4c2b42cff5f9217d69cbb4e8',
         'ft': 'd8b8c540f0f48d01fb500e18a4182f758e6988337495797359416975296e14b3',
         'ft_m': 'd8b8c540f0f48d01fb500e18a4182f758e6988337495797359416975296e14b3',
@@ -1138,7 +1138,7 @@ class TestSeededSolutions:
             for variant in ("ft_m_ci", "ft_m_ci_ds")
         }
         assert digests == {
-            "ft_m_ci": "8ac7e1384df38bbbd2ff6e20c822c6e37b350a88b86a707b5a7747872b32bf53",
+            "ft_m_ci": "1636558cabcf6852da1cfee6438775c4b888bae8d1481455011b581e58fed908",
             "ft_m_ci_ds": "1e420af6a98170e68b33911f9a454d11f6e1241e1360e9b5bf24ea80a0329c4e",
         }
         assert 1000 in found
@@ -1174,6 +1174,7 @@ class TestEdgeCases:
         "expected_flow_of_edges": lambda g, v: expected_flow_of_edges(g, v, [(0, 1)]),
         "exhaustive_maxflow": lambda g, v: exhaustive_maxflow(g, v, 1),
         "induced_subgraph": lambda g, v: induced_subgraph(g, [v, 1], []),
+        "candidate_edges": lambda g, v: candidate_edges(g, {v}, set()),
     }
 
     @pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,33 @@ def load_tool(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_tracedigest_selection_column_leaves_out_only_the_bounds():
+    # Canned records: bounds moved in their last bit move the full digest
+    # but not the selection one; a moved mean, count or run boundary moves
+    # both.  The full digest hashes each record as it always has.
+    from probflow import FlowEstimate
+    from probflow.selection import IterationRecord
+
+    tool = load_tool("tracedigest")
+
+    def record(mean=2.5, lb=2.0, ub=3.0, pruned=0):
+        return IterationRecord(1, (0, 1), FlowEstimate(mean, lb, ub, 250), 3, 4, pruned, 0)
+
+    assert tool.record_text(record()) == f"1 (0, 1) {(2.5).hex()} {(2.0).hex()} {(3.0).hex()} 250 3 4 0 0\n"
+    assert tool.record_text(record(), bounds=False) == f"1 (0, 1) {(2.5).hex()} 250 3 4 0 0\n"
+    full, selection = tool.digests([[record()], [record(pruned=1)]])
+    nudged = record(lb=math.nextafter(2.0, 0.0), ub=math.nextafter(3.0, 4.0))
+    nudged_full, nudged_selection = tool.digests([[nudged], [record(pruned=1)]])
+    assert nudged_full != full and nudged_selection == selection
+    for moved in (
+        [[record(mean=2.25)], [record(pruned=1)]],
+        [[record()], [record(pruned=2)]],
+        [[record(), record(pruned=1)]],
+    ):
+        moved_full, moved_selection = tool.digests(moved)
+        assert moved_full != full and moved_selection != selection
 
 
 def canned_run(ft: float, flow: float = 50.0, rss: float | None = 40.0, correct: bool = True) -> str:
