@@ -34,7 +34,7 @@ from .netgen import (
     generate,
 )
 from .oracle import OracleLimitError, expected_flow_of_edges
-from .sampling import SamplerConfig, check_alpha
+from .sampling import FlowEstimate, SamplerConfig, check_alpha
 from .selection import (
     Solution,
     StrategyConfig,
@@ -49,10 +49,12 @@ def _fmt(x: float) -> str:
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
-    """The sampler flags as a config; a bad ``--samples`` or ``--alpha`` is
-    named by its flag, in every command."""
+    """The sampler flags as a config; a bad ``--samples``, ``--alpha`` or
+    ``--seed`` is named by its flag, in every command."""
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     check_alpha("--alpha", args.alpha)
     return SamplerConfig(samples=args.samples, alpha=args.alpha, master_seed=args.seed)
 
@@ -263,6 +265,7 @@ def _bench_point(
     repeat: int,
     seed: int,
     ref_sampler: SamplerConfig,
+    refs: dict[tuple[Edge, ...], FlowEstimate],
     timings: bool,
 ) -> list[str]:
     cfg = replace(cfg, sampler=replace(cfg.sampler, master_seed=seed + repeat))
@@ -271,8 +274,13 @@ def _bench_point(
     ms = int((time.perf_counter() - start) * 1000) if timings else 0
     # Reference evaluation: one sampler config shared by every variant at
     # this sweep point, so achieved flows are compared on equal footing.
-    ref_cfg = replace(ref_sampler, master_seed=seed + repeat)
-    ref = mc_flow_of_edges(graph, q, solution.selected, ref_cfg)
+    # ``refs`` holds this repeat's estimates by selection, so variants that
+    # select the same edges (ft, ft_m and ft_m_ci do) share one.
+    key = tuple(solution.selected)
+    if key not in refs:
+        ref_cfg = replace(ref_sampler, master_seed=seed + repeat)
+        refs[key] = mc_flow_of_edges(graph, q, solution.selected, ref_cfg)
+    ref = refs[key]
     self_flow = solution.final_flow(graph.weights[q])
     return [
         cfg.variant,
@@ -343,7 +351,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError("empty sweep value list")
         if axis in ("n", "deg", "k") and not all(x.is_integer() for x in values):
             raise ValueError(f"sweep axis {axis!r} takes whole numbers, got {raw!r}")
-        # Rows are grouped by the formatted value, so "2" and "2.0" repeat.
+        # A point's rows carry its formatted value, so "2" and "2.0" would
+        # write the same point twice.
         labels = [_fmt(x) for x in values]
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -362,32 +371,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         points.append((value, source, cfgs))
 
     # Each repeat's instance is generated once and serves every variant;
-    # rows stay grouped by variant, then repeat.
+    # rows go by variant, then repeat, each with its variant's spread
+    # across the repeats, for variance studies.
     rows = []
     for value, source, cfgs in points:
-        cells = {}
+        runs: list[list[list[str]]] = [[] for _ in cfgs]
         for repeat in range(args.repeat):
             if isinstance(source, GenSpec):  # generated instances query the first vertex
                 graph, q = generate(replace(source, seed=args.seed + 7919 * repeat)), 0
             else:
                 graph, q = source
-            for i, cfg in enumerate(cfgs):
-                cells[i, repeat] = _bench_point(graph, q, cfg, repeat, args.seed, ref_sampler, args.timings)
-        rows.extend([axis, _fmt(value)] + cells[key] for key in sorted(cells))
-
-    # Per (sweep point, variant) spread across the repeats, for variance studies.
-    groups: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        groups.setdefault((row[1], row[2]), []).append(float(row[4]))
-    for row in rows:
-        flows = groups[(row[1], row[2])]
-        mean = sum(flows) / len(flows)
-        var = (
-            sum((f - mean) ** 2 for f in flows) / (len(flows) - 1)
-            if len(flows) > 1
-            else 0.0
-        )
-        row.extend([_fmt(mean), _fmt(var)])
+            refs: dict[tuple[Edge, ...], FlowEstimate] = {}
+            for cfg, cells in zip(cfgs, runs):
+                cells.append(_bench_point(graph, q, cfg, repeat, args.seed, ref_sampler, refs, args.timings))
+        for cells in runs:
+            flows = [float(cell[2]) for cell in cells]
+            mean = sum(flows) / len(flows)
+            var = sum((f - mean) ** 2 for f in flows) / (len(flows) - 1) if len(flows) > 1 else 0.0
+            rows.extend([axis, _fmt(value), *cell, _fmt(mean), _fmt(var)] for cell in cells)
 
     with _output(args.out) as fh:
         fh.write(BENCH_HEADER + "\n")

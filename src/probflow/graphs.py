@@ -57,9 +57,10 @@ def graph_edge(graph: ProbabilisticGraph, u: object, v: object) -> Edge:
 
 def check_real(name: str, value: object) -> numbers.Real:
     """``value`` unchanged, its type kept, if it is a real number
-    (``numbers.Real``: an ``int``, a ``bool``, a ``float`` or a numpy
-    number, not text or None), else ValueError naming ``name``."""
-    if not isinstance(value, numbers.Real):
+    (``numbers.Real``: an ``int``, a ``float`` or a numpy number, not text,
+    None or a ``bool``), else ValueError naming ``name``: as in
+    ``check_integer``, ``True`` is no rate, radius or significance."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
     return value
 

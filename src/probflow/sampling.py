@@ -65,6 +65,8 @@ class SamplerConfig:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         check_alpha("alpha", self.alpha)
 
 

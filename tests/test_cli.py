@@ -230,7 +230,8 @@ class TestMaxflow:
         ("--samples", "0", "--samples must be >= 1"),
         ("--alpha", "5", "--alpha must be in (0,1)"),
         ("--alpha", "1e-17", "--alpha must be above 2**-53"),
-    ], ids=["samples", "alpha", "alpha-too-small"])
+        ("--seed", "-1", "--seed must be non-negative, got -1"),
+    ], ids=["samples", "alpha", "alpha-too-small", "seed"])
     def test_bad_sampler_flag_named_before_input_is_read(self, tmp_path, capsys, flag, value, message):
         # The edges file does not exist: the flag is named first, with the
         # text evaluate and bench give.
@@ -289,7 +290,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("flag, value, message", [
         ("--alpha", "5", "error: --alpha must be in (0,1)\n"),
         ("--samples", "0", "error: --samples must be >= 1\n"),
-    ], ids=["alpha", "samples"])
+        ("--seed", "-1", "error: --seed must be non-negative, got -1\n"),
+    ], ids=["alpha", "samples", "seed"])
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_bad_sampler_flag_rejected_in_every_mode(self, tmp_path, capsys, mode, flag, value, message):
         # Exact mode samples nothing, but a bad sampler flag is still an
@@ -394,12 +396,26 @@ class TestBench:
 
     def test_each_instance_is_generated_once(self, tmp_path, capsys, monkeypatch):
         # Two sweep points of two repeats: four instances, each generated
-        # once and run by all four variants.
+        # once and run by all four variants, and each distinct selection
+        # on an instance estimated once: ft and ft_m select the same edges
+        # and share one reference estimate.
         from probflow import cli
 
-        made = []
-        generate = cli.generate
+        made, selections, refs = [], [], []
+        generate, run_strategy, mc_flow_of_edges = cli.generate, cli.run_strategy, cli.mc_flow_of_edges
         monkeypatch.setattr(cli, "generate", lambda spec: made.append(spec) or generate(spec))
+
+        def select(graph, q, cfg):
+            solution = run_strategy(graph, q, cfg)
+            selections.append((len(made), cfg.variant, tuple(solution.selected)))
+            return solution
+
+        def reference(graph, q, edges, cfg):
+            refs.append((len(made), tuple(edges)))
+            return mc_flow_of_edges(graph, q, edges, cfg)
+
+        monkeypatch.setattr(cli, "run_strategy", select)
+        monkeypatch.setattr(cli, "mc_flow_of_edges", reference)
         out = tmp_path / "bench.csv"
         rc, _ = run(capsys, "bench", "--family", "erdos", "--n", "24", "--deg", "4",
                     "--variants", "ft,ft_m,dijkstra,naive", "--sweep", "k=2,3", "--repeat", "2",
@@ -410,6 +426,9 @@ class TestBench:
         assert rows == [
             ["k", k, v, r] for k in ("2", "3") for v in ("ft", "ft_m", "dijkstra", "naive") for r in ("0", "1")
         ]
+        assert refs == list(dict.fromkeys((instance, edges) for instance, _, edges in selections))
+        selected = {(instance, variant): edges for instance, variant, edges in selections}
+        assert all(selected[instance, "ft"] == selected[instance, "ft_m"] for instance in range(1, 5))
 
     def test_repeat_fills_variance_columns(self, tmp_path, capsys):
         out = tmp_path / "var.csv"
@@ -485,7 +504,7 @@ class TestBench:
         ("--alpha", "1.5", "--alpha must be in (0,1)"),
         ("--alpha", "nan", "--alpha must be in (0,1)"),
         ("--alpha", "1e-17", "--alpha must be above 2**-53"),
-        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--seed", "-1", "--seed must be non-negative, got -1"),
     ], ids=["samples", "ref-samples", "alpha", "alpha-nan", "alpha-too-small", "seed-negative"])
     def test_bad_sampler_flag_rejected_before_selecting(
         self, tmp_path, capsys, monkeypatch, flag, value, message
@@ -499,6 +518,17 @@ class TestBench:
                    "--variants", "ft,ft_m", "--k", "3", flag, value, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_named_with_edges_input(self, tmp_path, capsys):
+        # Edges input generates nothing, so no generator checks the seed:
+        # the sampler flags name it, as in maxflow and evaluate.
+        paths = write_instance(tmp_path, PATH_EDGES, PATH_WEIGHTS)
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--edges", paths["edges"], "--weights", paths["weights"], "--query", "Q",
+                   "--variants", "ft", "--k", "1", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("family, sweep, message", [

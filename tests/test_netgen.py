@@ -273,7 +273,9 @@ class TestDistanceDecay:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             assign_distance_decay(g, **kwargs)
 
-    @pytest.mark.parametrize("kwargs, name", [({"lam": "1"}, "lam"), ({"scale": None}, "scale")])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"lam": "1"}, "lam"), ({"scale": None}, "scale"), ({"lam": True}, "lam"), ({"scale": False}, "scale"),
+    ])
     def test_non_real_rate_or_scale_rejected_by_name(self, kwargs, name):
         g = ProbabilisticGraph.build(2, [(0, 1, 0.5)], coordinates=[(0.0, 0.0), (0.9, 0.0)])
         with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, not {kwargs[name]!r}")):
@@ -366,7 +368,7 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {spec[field]!r}")):
             GenSpec(**spec)
 
-    @pytest.mark.parametrize("epsilon", ["0.1", None])
+    @pytest.mark.parametrize("epsilon", ["0.1", None, True, False])
     def test_real_epsilon(self, epsilon):
         for call in (lambda: GenSpec("wsn", 10, epsilon=epsilon), lambda: gen_wsn(10, epsilon, 1)):
             with pytest.raises(ValueError, match=re.escape(f"epsilon must be a real number, not {epsilon!r}")):

@@ -541,7 +541,7 @@ class TestNormalQuantile:
         with pytest.raises(ValueError):
             normal_quantile(1.0)
 
-    @pytest.mark.parametrize("q", ["a", None], ids=repr)
+    @pytest.mark.parametrize("q", ["a", None, True, False], ids=repr)
     def test_a_quantile_that_is_no_real_number_is_named(self, q):
         with pytest.raises(ValueError, match=re.escape(f"q must be a real number, not {q!r}")):
             normal_quantile(q)
@@ -595,6 +595,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {value!r}")):
             SamplerConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=repr)
+    def test_negative_master_seed_rejected_by_name(self, seed):
+        # As the generators' seed: a negative master seed is refused, not
+        # hashed to streams of its own.
+        with pytest.raises(ValueError, match=re.escape(f"master_seed must be non-negative, got {int(seed)}")):
+            SamplerConfig(master_seed=seed)
+
     def test_sampler_config_takes_numpy_integers(self):
         import numpy as np
 
@@ -604,7 +611,7 @@ class TestConfigValidation:
             path_graph(), 0, SamplerConfig(samples=100, master_seed=1)
         )
 
-    @pytest.mark.parametrize("alpha", ["0.01", None])
+    @pytest.mark.parametrize("alpha", ["0.01", None, True, False])
     def test_sampler_config_takes_a_real_alpha(self, alpha):
         with pytest.raises(ValueError, match=re.escape(f"alpha must be a real number, not {alpha!r}")):
             SamplerConfig(alpha=alpha)

@@ -578,6 +578,8 @@ class TestDsDelay:
     @pytest.mark.parametrize("args, message", [
         (("1", 2, 2.0), "pot must be a real number, not '1'"),
         ((0.5, 2, "2"), "c must be a real number, not '2'"),
+        ((True, 2, 2.0), "pot must be a real number, not True"),
+        ((0.5, 2, False), "c must be a real number, not False"),
         ((math.inf, 10, 2.0), "pot must be finite, got inf"),
         ((0.5, 10, math.inf), "c must be finite, got inf"),
         ((0.5, 10, -math.inf), "c must be finite, got -inf"),
@@ -826,8 +828,9 @@ class TestRunStrategy:
     @pytest.mark.parametrize("ds_c, message", [
         ("3", "ds_c must be a real number, not '3'"),
         (None, "ds_c must be a real number, not None"),
+        (True, "ds_c must be a real number, not True"),
         (math.inf, "ds_c must be finite, got inf"),
-    ], ids=["text", "none", "inf"])
+    ], ids=["text", "none", "bool", "inf"])
     def test_non_real_ds_c_rejected(self, ds_c, message):
         # An infinite ds_c would delay nothing, running ft_m_ds as ft_m.
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -39,6 +39,19 @@ def load_tool(name: str):
     return module
 
 
+@pytest.mark.pinned
+def test_trace_digests_match_the_committed_file(capsys):
+    # Every component-tree variant's traces, bit for bit.  A change that
+    # moves any result, a bound's last bit included, regenerates the file
+    # and names the moved rows in CHANGES.md; the selection column leaves
+    # lb and ub out, so a bounds-only change keeps it.
+    assert load_tool("tracedigest").main() == 0
+    assert capsys.readouterr().out == (TOOLS / "tracedigest.txt").read_text(encoding="utf-8"), (
+        "the trace digests moved; if the change moves results on purpose, regenerate them: "
+        "python3 tools/tracedigest.py > tools/tracedigest.txt"
+    )
+
+
 def test_tracedigest_selection_column_leaves_out_only_the_bounds():
     # Canned records: bounds moved in their last bit move the full digest
     # but not the selection one; a moved mean, count or run boundary moves

@@ -11,9 +11,10 @@ for a change:
 - ``exact_expected_flow`` on the tests' 20-edge graph
   (``twenty_edge_graph`` in ``tests/util.py``), 2^20 worlds: the
   enumeration path at the oracle's limit;
-- ``run_strategy`` of ``ft_m`` and of ``ft_m_ci`` on
+- ``run_strategy`` of ``ft_m``, ``ft_m_ci`` and ``ft_m_ds`` on
   ``gen_partitioned(1000, 8, 1)`` at k=200 (1000 samples, master seed 7):
-  the memoized greedy and its interval-checked variant at scale;
+  the memoized greedy and its interval-checked and delayed variants at
+  scale;
 - ``run_strategy`` of ``ft`` on that graph at k=100 (same sampler), where
   every probe builds its ring's table again, so drawing each edge once
   per tree (the tree's world store) saves the most;
@@ -23,7 +24,7 @@ for a change:
   worlds, and exact tables take the largest share of its time (by
   ``perf_counter`` wrappers, about 30% in their builds and 15% in their
   samplers' construction, against 10% in drawn builds);
-- ``run_strategy`` of ``ft_m`` on
+- ``run_strategy`` of ``ft_m`` and of ``ft_m_ds`` on
   ``assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)``
   at k=200 (1000 samples, master seed 7), where many probed rings outlive
   a cycle commit that takes none of their members, and keep their tables;
@@ -105,7 +106,7 @@ KERNELS = {
             f"cfg = StrategyConfig({variant!r}, {k}, SamplerConfig(samples=1000, master_seed=7))\n"
             + SELECT
         )
-        for variant, k in (("ft_m", 200), ("ft_m_ci", 200), ("ft", 100))
+        for variant, k in (("ft_m", 200), ("ft_m_ci", 200), ("ft_m_ds", 200), ("ft", 100))
     },
     f"run_strategy ft, wsn-500 decayed, k=15, {EXACT_RUNS} runs": (
         "graph = assign_distance_decay(gen_wsn(500, 0.08, 1), lam=0.001, scale=10000)\n"
@@ -115,11 +116,14 @@ KERNELS = {
         f"    [value] = {{select() for _ in range({EXACT_RUNS})}}\n"
         "    return value\n"
     ),
-    "run_strategy ft_m, wsn-2000 decayed, k=200": (
-        "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
-        "cfg = StrategyConfig('ft_m', 200, SamplerConfig(samples=1000, master_seed=7))\n"
-        + SELECT
-    ),
+    **{
+        f"run_strategy {variant}, wsn-2000 decayed, k=200": (
+            "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
+            f"cfg = StrategyConfig({variant!r}, 200, SamplerConfig(samples=1000, master_seed=7))\n"
+            + SELECT
+        )
+        for variant in ("ft_m", "ft_m_ds")
+    },
     "dump-ftree structure, wsn-2000 decayed, every edge": (
         "graph = assign_distance_decay(gen_wsn(2000, 0.04, 1), lam=0.001, scale=10000)\n"
         "def run():\n"

@@ -17,10 +17,11 @@ samples (master seed 7):
 - ``assign_distance_decay(gen_wsn(500, 0.08, s), lam=0.001, scale=10000)``
   at k=15.
 
-``tools/tracedigest.txt`` holds the expected output, and CI fails when the
-output differs from it.  A change that moves any result, a bound's last
-bit included, regenerates the file and names the moved rows.  Run from
-the repository root:
+``tools/tracedigest.txt`` holds the expected output, and the pinned test
+``tests/test_tools.py::test_trace_digests_match_the_committed_file`` fails
+when the output differs from it.  A change that moves any result, a
+bound's last bit included, regenerates the file and names the moved rows.
+Run from the repository root:
 
     python3 tools/tracedigest.py | diff tools/tracedigest.txt -
     python3 tools/tracedigest.py > tools/tracedigest.txt  # after a result-changing change
